@@ -123,8 +123,6 @@ def _add_label_flags(cmd) -> None:
                      help=f"label for unmatched rows (default {DEFAULT_BENIGN_LABEL!r})")
     cmd.add_argument("--bidirectional", action="store_true", default=None,
                      help="match ground-truth entries in either direction")
-    cmd.add_argument("--no-prefilter", dest="no_prefilter", action="store_true",
-                     default=None, help="skip the ground-truth time prefilter")
 
 
 # -- staged output -----------------------------------------------------
@@ -316,7 +314,7 @@ def _run_dataset(hera_paths, out_dir: Path, selection, mode: str,
 
 
 def _run_label(csv_paths, gt_path, out_dir, benign_label: str,
-               bidirectional: bool, prefilter: bool, force: bool) -> None:
+               bidirectional: bool, force: bool) -> None:
     entries = parse_ground_truth(gt_path)
     stage = OutputStage(force)
     try:
@@ -325,7 +323,7 @@ def _run_label(csv_paths, gt_path, out_dir, benign_label: str,
             header, rows = read_csv(path)
             labelled_header, labelled_rows, summary = label_dataset(
                 header, rows, entries, benign_label=benign_label,
-                bidirectional=bidirectional, prefilter=prefilter,
+                bidirectional=bidirectional,
             )
             target_dir = out_dir if out_dir is not None else path.parent
             csv_tmp = stage.target(target_dir / (path.stem + ".labelled.csv"))
@@ -379,12 +377,11 @@ def cmd_label(args, config) -> None:
         raise UsageError("no ground truth: pass --gt")
     benign = settings.text("benign_label") or DEFAULT_BENIGN_LABEL
     bidirectional = settings.flag("bidirectional", False)
-    prefilter = not settings.flag("no_prefilter", False)
     force = settings.flag("force", False)
     inputs = _expand_inputs(settings.paths("inputs"), "--in", "dataset CSV(s)")
     out = settings.text("out")
     _run_label(inputs, gt, Path(out) if out else None, benign,
-               bidirectional, prefilter, force)
+               bidirectional, force)
 
 
 def cmd_run(args, config) -> None:
@@ -401,7 +398,6 @@ def cmd_run(args, config) -> None:
     keep_management = settings.flag("keep_management", False)
     benign = settings.text("benign_label") or DEFAULT_BENIGN_LABEL
     bidirectional = settings.flag("bidirectional", False)
-    prefilter = not settings.flag("no_prefilter", False)
     force = settings.flag("force", False)
     jobs = _jobs(settings)
     pcaps = _expand_inputs(settings.paths("pcap"), "--pcap", "capture file(s)")
@@ -413,8 +409,7 @@ def cmd_run(args, config) -> None:
     csv_paths = _run_dataset(hera_paths, csv_dir, selection, mode,
                              keep_management, count_window, force)
     if gt:
-        _run_label(csv_paths, gt, csv_dir, benign, bidirectional,
-                   prefilter, force)
+        _run_label(csv_paths, gt, csv_dir, benign, bidirectional, force)
 
 
 COMMANDS = {

@@ -109,6 +109,26 @@ class MalformedField(GroundTruthError):
         self.value = value
 
 
+class GroundTruthNotUtf8(GroundTruthError):
+    """A ground-truth file holds bytes that are not UTF-8."""
+
+    def __init__(self, path, line_number: int, column: int):
+        super().__init__(
+            f"{path}: line {line_number}, column {column}: bytes are not UTF-8")
+        self.line_number = line_number
+        self.column = column
+
+
+class MalformedDatasetCell(InputFormatError):
+    """A match cell of a dataset being labelled is missing or unreadable."""
+
+    def __init__(self, line_number: int, column: str, reason: str):
+        super().__init__(f"line {line_number}, column {column!r}: {reason}")
+        self.line_number = line_number
+        self.column = column
+        self.reason = reason
+
+
 class MissingMatchField(HeraError):
     """A dataset being labelled lacks a column needed for matching."""
 

@@ -6,16 +6,24 @@ optional and an absent field matches anything. Rows are labelled by the
 first matching entry in file order, or with the benign label when
 nothing matches. Matching is directional (entry source against flow
 source) unless bidirectional matching is switched on.
+
+Entries are indexed by the match fields they pin, so a row is tested
+only against the entries whose pinned fields equal its own; the cost of
+labelling grows with those candidates, not with the ground truth.
 """
 
 from __future__ import annotations
 
 import csv
 import ipaddress
+import itertools
 from dataclasses import dataclass, field
 
 from .errors import (
     EmptyLabelCell,
+    GroundTruthError,
+    GroundTruthNotUtf8,
+    MalformedDatasetCell,
     MalformedField,
     MalformedTimestamp,
     MissingLabelColumn,
@@ -40,11 +48,17 @@ _GT_COLUMNS = {
 MATCH_COLUMNS = ("stime", "ltime", "proto", "saddr", "daddr", "sport", "dport")
 
 
-def _normalize_addr(text: str) -> str:
-    try:
-        return str(ipaddress.ip_address(text))
-    except ValueError:
-        return text
+class _AddrCache(dict):
+    """Canonical text of each distinct address, parsed once per cache.
+    Text that is not an IP address is kept as it is."""
+
+    def __missing__(self, text: str) -> str:
+        try:
+            value = str(ipaddress.ip_address(text))
+        except ValueError:
+            value = text
+        self[text] = value
+        return value
 
 
 @dataclass(frozen=True)
@@ -61,24 +75,42 @@ class GroundTruthEntry:
 
 
 def parse_ground_truth(path) -> list[GroundTruthEntry]:
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingLabelColumn(f"{path}: empty ground-truth file") from None
-        mapping = {}
-        for idx, name in enumerate(header):
-            key = _GT_COLUMNS.get(name.strip().lower())
-            if key is not None and key not in mapping:
-                mapping[key] = idx
-        if "label" not in mapping:
-            raise MissingLabelColumn(f"{path}: no Label column in {header!r}")
-        entries = []
-        for row_number, row in enumerate(reader, start=2):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            entries.append(_parse_entry(row, row_number, mapping))
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fp:
+            return _parse_rows(path, csv.reader(fp))
+    except UnicodeDecodeError:
+        raise _not_utf8(path) from None
+
+
+def _not_utf8(path) -> GroundTruthError:
+    """The error naming the first line of `path` that is not UTF-8."""
+    with open(path, "rb") as fp:
+        for line_number, raw in enumerate(fp, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return GroundTruthNotUtf8(path, line_number, exc.start + 1)
+    return GroundTruthError(f"{path}: file changed while it was read")
+
+
+def _parse_rows(path, reader) -> list[GroundTruthEntry]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise MissingLabelColumn(f"{path}: empty ground-truth file") from None
+    mapping = {}
+    for idx, name in enumerate(header):
+        key = _GT_COLUMNS.get(name.strip().lower())
+        if key is not None and key not in mapping:
+            mapping[key] = idx
+    if "label" not in mapping:
+        raise MissingLabelColumn(f"{path}: no Label column in {header!r}")
+    addrs = _AddrCache()
+    entries = []
+    for row_number, row in enumerate(reader, start=2):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        entries.append(_parse_entry(row, row_number, mapping, addrs))
     return entries
 
 
@@ -89,7 +121,7 @@ def _cell(row, mapping, key) -> str:
     return row[idx].strip()
 
 
-def _parse_entry(row, row_number, mapping) -> GroundTruthEntry:
+def _parse_entry(row, row_number, mapping, addrs) -> GroundTruthEntry:
     label = _cell(row, mapping, "label")
     if label == "":
         raise EmptyLabelCell(row_number)
@@ -114,7 +146,7 @@ def _parse_entry(row, row_number, mapping) -> GroundTruthEntry:
     for key, attr in (("src_addr", "src_addr"), ("dst_addr", "dst_addr")):
         text = _cell(row, mapping, key)
         if text:
-            values[attr] = _normalize_addr(text)
+            values[attr] = addrs[text]
     return GroundTruthEntry(**values)
 
 
@@ -144,25 +176,48 @@ class _RowView:
     dport: int
 
 
+# Converters of the match cells that can reject their text.
+_CELL_PARSERS = {"stime": text_to_us, "ltime": text_to_us, "sport": int, "dport": int}
+
+
 def _row_views(header, rows) -> list[_RowView]:
+    """Parsed match cells of each row; rows[0] is line 2 of the CSV."""
     index = {}
     for col in MATCH_COLUMNS:
         try:
             index[col] = header.index(col)
         except ValueError:
             raise MissingMatchField(col) from None
+    addrs = _AddrCache()
     views = []
-    for row in rows:
-        views.append(_RowView(
-            stime_us=text_to_us(row[index["stime"]]),
-            ltime_us=text_to_us(row[index["ltime"]]),
-            proto=row[index["proto"]].lower(),
-            saddr=_normalize_addr(row[index["saddr"]]),
-            sport=int(row[index["sport"]]),
-            daddr=_normalize_addr(row[index["daddr"]]),
-            dport=int(row[index["dport"]]),
-        ))
+    for line_number, row in enumerate(rows, start=2):
+        try:
+            views.append(_RowView(
+                stime_us=text_to_us(row[index["stime"]]),
+                ltime_us=text_to_us(row[index["ltime"]]),
+                proto=row[index["proto"]].lower(),
+                saddr=addrs[row[index["saddr"]]],
+                sport=int(row[index["sport"]]),
+                daddr=addrs[row[index["daddr"]]],
+                dport=int(row[index["dport"]]),
+            ))
+        except (ValueError, IndexError):
+            raise _bad_cell(row, line_number, index) from None
     return views
+
+
+def _bad_cell(row, line_number, index) -> MalformedDatasetCell:
+    """The error for the first match cell of `row` that is missing or
+    cannot be converted."""
+    for column in MATCH_COLUMNS:
+        position = index[column]
+        if position >= len(row):
+            return MalformedDatasetCell(line_number, column, "missing cell")
+        try:
+            _CELL_PARSERS.get(column, str)(row[position])
+        except ValueError:
+            return MalformedDatasetCell(line_number, column, f"bad value {row[position]!r}")
+    raise AssertionError(f"line {line_number}: every match cell converts")
 
 
 def match_entry(view: _RowView, entry: GroundTruthEntry, bidirectional: bool) -> bool:
@@ -192,21 +247,35 @@ def match_entry(view: _RowView, entry: GroundTruthEntry, bidirectional: bool) ->
     )
 
 
-def prefilter_entries(entries, views) -> list[GroundTruthEntry]:
-    """Drop entries whose time window cannot overlap the dataset's
-    span. Output labels are identical with or without this step."""
-    if not views:
-        return list(entries)
-    min_stime = min(view.stime_us for view in views)
-    max_ltime = max(view.ltime_us for view in views)
-    kept = []
-    for entry in entries:
-        if entry.start_us is not None and entry.start_us > max_ltime:
-            continue
-        if entry.last_us is not None and entry.last_us < min_stime:
-            continue
-        kept.append(entry)
-    return kept
+def _index_entries(entries) -> list[tuple[tuple[int, ...], dict]]:
+    """Group entry positions by shape, the indices of the key fields
+    (proto, src_addr, sport, dst_addr, dport) an entry pins, then by the
+    values of those fields. Positions in each bucket ascend."""
+    shapes: dict[tuple[int, ...], dict] = {}
+    for position, entry in enumerate(entries):
+        values = (entry.proto, entry.src_addr, entry.sport, entry.dst_addr, entry.dport)
+        shape = tuple(i for i, value in enumerate(values) if value is not None)
+        key = tuple(values[i] for i in shape)
+        shapes.setdefault(shape, {}).setdefault(key, []).append(position)
+    return list(shapes.items())
+
+
+def _candidates(index, forward, reverse) -> list[list[int]]:
+    """The buckets whose key equals the projection of the forward key,
+    or of the reverse key when one is given, onto their shape."""
+    buckets = []
+    for shape, table in index:
+        key = tuple(forward[i] for i in shape)
+        bucket = table.get(key)
+        if bucket is not None:
+            buckets.append(bucket)
+        if reverse is not None:
+            reverse_key = tuple(reverse[i] for i in shape)
+            if reverse_key != key:
+                bucket = table.get(reverse_key)
+                if bucket is not None:
+                    buckets.append(bucket)
+    return buckets
 
 
 def label_rows(
@@ -215,16 +284,26 @@ def label_rows(
     entries: list[GroundTruthEntry],
     benign_label: str = DEFAULT_BENIGN_LABEL,
     bidirectional: bool = False,
-    prefilter: bool = True,
 ) -> tuple[list[str], LabelSummary]:
-    """Return one label per row plus the summary."""
+    """Return one label per row plus the summary.
+
+    A row gets the label of the first entry in list order that
+    `match_entry` accepts among those the index offers for its key."""
     views = _row_views(header, rows)
-    candidates = prefilter_entries(entries, views) if prefilter else list(entries)
+    index = _index_entries(entries)
     summary = LabelSummary(benign_label=benign_label)
     labels = []
     for view in views:
+        forward = (view.proto, view.saddr, view.sport, view.daddr, view.dport)
+        reverse = (
+            (view.proto, view.daddr, view.dport, view.saddr, view.sport)
+            if bidirectional else None
+        )
+        buckets = _candidates(index, forward, reverse)
+        positions = buckets[0] if len(buckets) == 1 else sorted(itertools.chain(*buckets))
         label = benign_label
-        for entry in candidates:
+        for position in positions:
+            entry = entries[position]
             if match_entry(view, entry, bidirectional):
                 label = entry.label
                 break

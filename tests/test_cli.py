@@ -321,6 +321,35 @@ def test_label_dataset_without_match_columns_is_format_error(tmp_path, capsys):
     assert "missing required column" in capsys.readouterr().err
 
 
+MATCH_HEADER = "stime,ltime,proto,saddr,sport,daddr,dport\n"
+GOOD_ROW = "1.000000,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n"
+
+
+@pytest.mark.parametrize("bad_row, where", [
+    ("1.000000,2.000000,tcp,10.0.0.1,http,10.0.0.2,80\n", "line 3, column 'sport'"),
+    ("1.000000,2.000000,tcp,10.0.0.1,1234,10.0.0.2,8.0\n", "line 3, column 'dport'"),
+    ("1.000000,noon,tcp,10.0.0.1,1234,10.0.0.2,80\n", "line 3, column 'ltime'"),
+    ("1.0.0,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n", "line 3, column 'stime'"),
+    ("1.000000,2.000000,tcp,10.0.0.1,1234\n", "line 3, column 'daddr'"),
+], ids=["sport", "dport", "ltime", "stime", "short-row"])
+def test_label_unreadable_dataset_cell_is_format_error(tmp_path, capsys, bad_row, where):
+    dataset = tmp_path / "d.csv"
+    dataset.write_text(MATCH_HEADER + GOOD_ROW + bad_row, encoding="utf-8")
+    gt = write_gt(tmp_path / "gt.csv")
+    assert main(["label", "--in", str(dataset), "--gt", str(gt)]) == 2
+    assert where in capsys.readouterr().err
+    assert tree(tmp_path) == ["d.csv", "gt.csv"]
+
+
+def test_label_ground_truth_not_utf8_is_format_error(tmp_path, capsys):
+    dataset = tmp_path / "d.csv"
+    dataset.write_text(MATCH_HEADER + GOOD_ROW, encoding="utf-8")
+    gt = tmp_path / "gt.csv"
+    gt.write_bytes(b"SrcAddr,Label\n10.0.0.1,Probe\n10.0.0.2,Sc\xe4n\n")
+    assert main(["label", "--in", str(dataset), "--gt", str(gt)]) == 2
+    assert "line 3, column 12: bytes are not UTF-8" in capsys.readouterr().err
+
+
 # -- run ----------------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from hera import labelling
 from hera.errors import (
     EmptyLabelCell,
     MalformedField,
@@ -20,6 +21,7 @@ from hera.labelling import (
 )
 from hera.timefmt import text_to_us
 
+SEC = 1_000_000
 HDR = ["stime", "ltime", "proto", "saddr", "sport", "daddr", "dport"]
 
 
@@ -224,11 +226,17 @@ def test_labels_every_row_in_order():
     assert summary.counts == {"Benign": 4, "DoS": 1}
 
 
-# -- prefilter and oracle -------------------------------------------------------
+# -- index and oracle -----------------------------------------------------------
 
 
 def random_case(seed):
+    """Rows and entries drawn from small value pools, so entries of most
+    shapes (subsets of proto, src_addr, sport, dst_addr, dport), the
+    empty and the full one included, occur and match rows in either
+    direction."""
     rng = random.Random(seed)
+    hosts = [f"10.0.0.{i}" for i in range(1, 6)] + [f"10.0.1.{i}" for i in range(1, 6)]
+    ports = ["80", "443", "53", "1024", "1025", "1026"]
     rows = []
     for _ in range(300):
         start = rng.randrange(0, 3600)
@@ -237,10 +245,10 @@ def random_case(seed):
                 stime=f"{start}.000000",
                 ltime=f"{start + rng.randrange(0, 120)}.500000",
                 proto=rng.choice(["tcp", "udp", "icmp"]),
-                saddr=f"10.0.0.{rng.randrange(1, 6)}",
-                sport=str(rng.randrange(1024, 1030)),
-                daddr=f"10.0.1.{rng.randrange(1, 6)}",
-                dport=rng.choice(["80", "443", "53"]),
+                saddr=rng.choice(hosts),
+                sport=rng.choice(ports),
+                daddr=rng.choice(hosts),
+                dport=rng.choice(ports),
             )
         )
     entries = []
@@ -253,9 +261,13 @@ def random_case(seed):
         if rng.random() < 0.5:
             fields["proto"] = rng.choice(["tcp", "udp", "icmp"])
         if rng.random() < 0.5:
-            fields["src_addr"] = f"10.0.0.{rng.randrange(1, 8)}"
-        if rng.random() < 0.3:
-            fields["dport"] = rng.choice([80, 443, 53, 9999])
+            fields["src_addr"] = rng.choice(hosts + ["10.0.2.1"])
+        if rng.random() < 0.4:
+            fields["sport"] = int(rng.choice(ports + ["9999"]))
+        if rng.random() < 0.4:
+            fields["dst_addr"] = rng.choice(hosts + ["10.0.2.1"])
+        if rng.random() < 0.4:
+            fields["dport"] = int(rng.choice(ports + ["9999"]))
         entries.append(entry(label=f"Attack{n % 7}", row_number=n + 2, **fields))
     return rows, entries
 
@@ -307,19 +319,130 @@ def test_labelling_matches_all_pairs_oracle(seed, bidirectional):
     assert all(labels)
 
 
+def test_random_cases_cover_every_shape_and_direction():
+    shapes = set()
+    reverse_only = 0
+    for seed in (1, 2, 3):
+        rows, entries = random_case(seed)
+        for e in entries:
+            shapes.add(tuple(
+                getattr(e, name) is not None
+                for name in ("proto", "src_addr", "sport", "dst_addr", "dport")))
+        forward = oracle_labels(rows, entries)
+        both = oracle_labels(rows, entries, bidirectional=True)
+        reverse_only += sum(f != b for f, b in zip(forward, both))
+    assert len(shapes) >= 20
+    assert (False,) * 5 in shapes and (True,) * 5 in shapes
+    assert reverse_only > 0
+
+
 @pytest.mark.parametrize("seed", [4, 5, 6])
-def test_prefilter_is_transparent(seed):
+def test_index_matches_oracle_on_more_seeds(seed):
     rows, entries = random_case(seed)
-    with_pre = label_rows(HDR, rows, entries, prefilter=True)
-    without = label_rows(HDR, rows, entries, prefilter=False)
-    assert with_pre == without
+    for bidirectional in (False, True):
+        labels, _ = label_rows(HDR, rows, entries, bidirectional=bidirectional)
+        assert labels == oracle_labels(rows, entries, bidirectional=bidirectional)
 
 
-def test_prefilter_transparent_on_empty_dataset():
-    rows, entries = [], [entry(start_us=0, last_us=1)]
-    assert label_rows(HDR, rows, entries, prefilter=True) == label_rows(
-        HDR, rows, entries, prefilter=False
+def test_index_matches_oracle_on_empty_dataset():
+    entries = [entry(start_us=0, last_us=1)]
+    labels, summary = label_rows(HDR, [], entries)
+    assert labels == oracle_labels([], entries) == []
+    assert summary.total == 0 and summary.counts == {}
+
+
+def test_list_order_wins_over_duplicate_row_numbers():
+    # all entries share a row number; the two that match sit in different
+    # index shapes, and the dport shape is met first, so neither the row
+    # number nor the order of shapes can decide
+    entries = [
+        entry(label="Other", row_number=7, dport=443),
+        entry(label="ByHost", row_number=7, src_addr="10.0.0.1"),
+        entry(label="ByPort", row_number=7, dport=80),
+    ]
+    assert one(entries) == oracle_labels([row()], entries)[0] == "ByHost"
+    later_first = [entry(label="Late", row_number=9, dport=80),
+                   entry(label="Early", row_number=2, src_addr="10.0.0.1")]
+    assert one(later_first) == oracle_labels([row()], later_first)[0] == "Late"
+
+
+def test_bidirectional_self_loop_row_is_tested_once(monkeypatch):
+    calls = count_match_calls(monkeypatch)
+    loop = row(saddr="10.0.0.7", daddr="10.0.0.7", sport="5000", dport="5000")
+    entries = [
+        entry(label="Other", src_addr="10.0.0.8"),
+        entry(label="Loop", src_addr="10.0.0.7", sport=5000,
+              dst_addr="10.0.0.7", dport=5000),
+    ]
+    assert one(entries, loop, bidirectional=True) == "Loop"
+    assert calls == [1]
+
+
+def test_non_canonical_ipv6_in_ground_truth_matches(tmp_path):
+    entries = gt(
+        tmp_path,
+        "SrcAddr,DstAddr,Label\n2001:0DB8:0000::0001,2001:db8::0:2,Backdoor\n",
     )
+    rows = [
+        row(saddr="2001:db8::1", daddr="2001:db8::2"),
+        row(saddr="2001:DB8:0:0:0:0:0:1", daddr="2001:0db8::0002"),
+        row(saddr="2001:db8::2", daddr="2001:db8::1"),
+    ]
+    labels, _ = label_rows(HDR, rows, entries)
+    assert labels == ["Backdoor", "Backdoor", "Benign"]
+    both, _ = label_rows(HDR, rows, entries, bidirectional=True)
+    assert both == ["Backdoor", "Backdoor", "Backdoor"]
+
+
+def count_match_calls(monkeypatch):
+    """Patch `match_entry` to count its calls in the returned list's
+    only element."""
+    calls = [0]
+    real = labelling.match_entry
+
+    def counting(view, e, bidirectional):
+        calls[0] += 1
+        return real(view, e, bidirectional)
+
+    monkeypatch.setattr(labelling, "match_entry", counting)
+    return calls
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_label_rows_tests_few_entries_per_row(monkeypatch, bidirectional):
+    """Guard against all-pairs matching: 2,000 distinct full 5-tuple
+    entries, 2,000 rows, each row tested against at most two entries."""
+    rng = random.Random(2000)
+    tuples = set()
+    while len(tuples) < 2000:
+        tuples.add((rng.choice(["tcp", "udp"]),
+                    f"10.{rng.randrange(4)}.{rng.randrange(256)}.{rng.randrange(1, 255)}",
+                    rng.randrange(1024, 65536),
+                    f"172.16.{rng.randrange(256)}.{rng.randrange(1, 255)}",
+                    rng.choice([22, 53, 80, 443])))
+    tuples = sorted(tuples)
+    entries = [
+        entry(label=f"Attack{n % 5}", row_number=n + 2, start_us=0, last_us=100 * SEC,
+              proto=p, src_addr=sa, sport=sp, dst_addr=da, dport=dp)
+        for n, (p, sa, sp, da, dp) in enumerate(tuples)
+    ]
+    rows = []
+    for n in range(2000):
+        p, sa, sp, da, dp = tuples[n]
+        if n % 4 == 0:  # hit, as listed
+            rows.append(row("1.0", "2.0", p, sa, str(sp), da, str(dp)))
+        elif n % 4 == 1:  # hit only when matching in both directions
+            rows.append(row("1.0", "2.0", p, da, str(dp), sa, str(sp)))
+        elif n % 4 == 2:  # same tuple outside the entry's window
+            rows.append(row("200.0", "201.0", p, sa, str(sp), da, str(dp)))
+        else:  # a tuple no entry names
+            rows.append(row("1.0", "2.0", p, sa, str(sp + 1), da, str(dp)))
+    calls = count_match_calls(monkeypatch)
+    labels, summary = label_rows(HDR, rows, entries, bidirectional=bidirectional)
+    assert calls[0] <= 2 * len(rows)
+    assert summary.malicious == (1000 if bidirectional else 500)
+    assert [labels[n] for n in range(0, 2000, 4)] == [
+        f"Attack{n % 5}" for n in range(0, 2000, 4)]
 
 
 # -- labelled dataset and summary ----------------------------------------------
