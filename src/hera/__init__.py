@@ -26,7 +26,6 @@ from .features import (
     service_of,
 )
 from .flows import (
-    AssignOutcome,
     EndpointStats,
     ExportConfig,
     FlowKey,

@@ -29,13 +29,7 @@ from .dataset import (
     write_csv,
     write_stats,
 )
-from .errors import (
-    HeraError,
-    InputFormatError,
-    MissingMatchField,
-    UnknownFeature,
-    UsageError,
-)
+from .errors import HeraError, UnknownFeature, UsageError
 from .features import PRESETS, select_feature_set
 from .flows import ExportConfig, FlowTable
 from .herafile import HeraHeader, read_hera, write_hera
@@ -45,7 +39,7 @@ from .labelling import (
     parse_ground_truth,
     write_label_summary,
 )
-from .pcap import DecodedPacket, open_capture
+from .pcap import open_capture
 from .timefmt import seconds_to_us
 from .workspace import Settings, load_workspace
 
@@ -163,10 +157,7 @@ class OutputStage:
 # -- shared helpers ----------------------------------------------------
 
 
-def _expand_inputs(patterns, flag: str, prompt: str) -> list[Path]:
-    if not patterns and sys.stdin.isatty():
-        typed = input(f"{prompt}: ").strip()
-        patterns = typed.split() if typed else []
+def _expand_inputs(patterns, flag: str) -> list[Path]:
     if not patterns:
         raise UsageError(f"no input files: pass {flag} at least once")
     paths: list[Path] = []
@@ -221,6 +212,24 @@ def _feature_selection(text: str | None):
     return [name.strip() for name in cleaned.split(",") if name.strip()]
 
 
+def _dataset_options(settings: Settings) -> tuple[list[str], str, int, bool]:
+    """The validated (feature names, mode, count window, keep management)."""
+    feature_names = select_feature_set(_feature_selection(settings.text("features")))
+    mode = settings.text("mode") or "ra"
+    if mode not in MODES:
+        raise UsageError(f"--mode must be one of {'/'.join(MODES)}")
+    count_window = int(settings.number("count_window", DEFAULT_COUNT_WINDOW))
+    if count_window < 1:
+        raise UsageError("--count-window must be at least 1")
+    return feature_names, mode, count_window, settings.flag("keep_management", False)
+
+
+def _label_options(settings: Settings) -> tuple[str, bool]:
+    """The (benign label, bidirectional) pair."""
+    benign = settings.text("benign_label") or DEFAULT_BENIGN_LABEL
+    return benign, settings.flag("bidirectional", False)
+
+
 def _jobs(settings: Settings) -> int:
     jobs = int(settings.number("jobs", 1))
     if jobs < 1:
@@ -232,12 +241,8 @@ def export_capture(pcap_path, config: ExportConfig):
     """Run the flow engine over one capture; returns (header, records, table)."""
     with open_capture(pcap_path) as reader:
         table = FlowTable(config)
-        while True:
-            item = reader.next_packet()
-            if item is None:
-                break
-            if isinstance(item, DecodedPacket):
-                table.assign(item)
+        for packet in reader:
+            table.assign(packet)
         records = table.flush()
         skipped = sum(reader.skipped.values())
     if skipped or table.skipped_non_monotonic:
@@ -253,11 +258,10 @@ def export_capture(pcap_path, config: ExportConfig):
 
 
 def _export_one(pcap_path: str, hera_tmp: str, stats_tmp: str,
-                config: ExportConfig) -> int:
+                config: ExportConfig) -> None:
     header, records, _ = export_capture(pcap_path, config)
     write_hera(hera_tmp, header, records)
     write_stats(stats_tmp, compute_stats(records))
-    return len(records)
 
 
 def _run_export(pcap_paths, out_dir: Path, config: ExportConfig,
@@ -287,12 +291,10 @@ def _run_export(pcap_paths, out_dir: Path, config: ExportConfig,
     return [p for p in finals if p.suffix == ".hera"]
 
 
-def _run_dataset(hera_paths, out_dir: Path, selection, mode: str,
-                 keep_management: bool, count_window: int, force: bool) -> list[Path]:
-    feature_names = select_feature_set(selection)
+def _run_dataset(hera_paths, out_dir: Path, options, force: bool) -> list[Path]:
+    feature_names, mode, count_window, keep_management = options
     stage = OutputStage(force)
     try:
-        produced = []
         for path in hera_paths:
             flowfile = read_hera(path)
             header, rows, stats = build_dataset(
@@ -303,7 +305,6 @@ def _run_dataset(hera_paths, out_dir: Path, selection, mode: str,
             stats_tmp = stage.target(out_dir / (Path(path).stem + ".stats.txt"))
             write_csv(csv_tmp, header, rows)
             write_stats(stats_tmp, stats)
-            produced.append((path, len(rows)))
         finals = stage.commit()
     except BaseException:
         stage.abort()
@@ -313,8 +314,8 @@ def _run_dataset(hera_paths, out_dir: Path, selection, mode: str,
     return [p for p in finals if p.suffix == ".csv"]
 
 
-def _run_label(csv_paths, gt_path, out_dir, benign_label: str,
-               bidirectional: bool, force: bool) -> None:
+def _run_label(csv_paths, gt_path, out_dir, options, force: bool) -> None:
+    benign_label, bidirectional = options
     entries = parse_ground_truth(gt_path)
     stage = OutputStage(force)
     try:
@@ -346,70 +347,48 @@ def cmd_export(args, config) -> None:
     export_config = _export_config(settings, args)  # validated before any IO
     jobs = _jobs(settings)
     force = settings.flag("force", False)
-    pcaps = _expand_inputs(settings.paths("pcap"), "--pcap", "capture file(s)")
+    pcaps = _expand_inputs(settings.paths("pcap"), "--pcap")
     out_dir = Path(settings.text("out") or settings.text("flows_dir") or ".")
     _run_export(pcaps, out_dir, export_config, force, jobs)
 
 
 def cmd_dataset(args, config) -> None:
     settings = Settings(args, config)
-    selection = _feature_selection(settings.text("features"))
-    mode = settings.text("mode") or "ra"
-    if mode not in MODES:
-        raise UsageError(f"--mode must be one of {'/'.join(MODES)}")
-    count_window = int(settings.number("count_window", DEFAULT_COUNT_WINDOW))
-    if count_window < 1:
-        raise UsageError("--count-window must be at least 1")
-    keep_management = settings.flag("keep_management", False)
+    options = _dataset_options(settings)
     force = settings.flag("force", False)
-    inputs = _expand_inputs(settings.paths("inputs"), "--in", "flow file(s)")
+    inputs = _expand_inputs(settings.paths("inputs"), "--in")
     out_dir = Path(settings.text("out") or settings.text("csv_dir") or ".")
-    _run_dataset(inputs, out_dir, selection, mode, keep_management,
-                 count_window, force)
+    _run_dataset(inputs, out_dir, options, force)
 
 
 def cmd_label(args, config) -> None:
     settings = Settings(args, config)
     gt = settings.text("ground_truth")
-    if not gt and sys.stdin.isatty():
-        gt = input("ground-truth CSV: ").strip() or None
     if not gt:
         raise UsageError("no ground truth: pass --gt")
-    benign = settings.text("benign_label") or DEFAULT_BENIGN_LABEL
-    bidirectional = settings.flag("bidirectional", False)
+    options = _label_options(settings)
     force = settings.flag("force", False)
-    inputs = _expand_inputs(settings.paths("inputs"), "--in", "dataset CSV(s)")
+    inputs = _expand_inputs(settings.paths("inputs"), "--in")
     out = settings.text("out")
-    _run_label(inputs, gt, Path(out) if out else None, benign,
-               bidirectional, force)
+    _run_label(inputs, gt, Path(out) if out else None, options, force)
 
 
 def cmd_run(args, config) -> None:
     settings = Settings(args, config)
     export_config = _export_config(settings, args)
-    selection = _feature_selection(settings.text("features"))
-    select_feature_set(selection)  # validate names before any IO
-    mode = settings.text("mode") or "ra"
-    if mode not in MODES:
-        raise UsageError(f"--mode must be one of {'/'.join(MODES)}")
-    count_window = int(settings.number("count_window", DEFAULT_COUNT_WINDOW))
-    if count_window < 1:
-        raise UsageError("--count-window must be at least 1")
-    keep_management = settings.flag("keep_management", False)
-    benign = settings.text("benign_label") or DEFAULT_BENIGN_LABEL
-    bidirectional = settings.flag("bidirectional", False)
+    dataset_options = _dataset_options(settings)
+    label_options = _label_options(settings)
     force = settings.flag("force", False)
     jobs = _jobs(settings)
-    pcaps = _expand_inputs(settings.paths("pcap"), "--pcap", "capture file(s)")
+    pcaps = _expand_inputs(settings.paths("pcap"), "--pcap")
     flows_dir = Path(settings.text("flows_dir") or "flows")
     csv_dir = Path(settings.text("csv_dir") or "csv")
     gt = settings.text("ground_truth")
 
     hera_paths = _run_export(pcaps, flows_dir, export_config, force, jobs)
-    csv_paths = _run_dataset(hera_paths, csv_dir, selection, mode,
-                             keep_management, count_window, force)
+    csv_paths = _run_dataset(hera_paths, csv_dir, dataset_options, force)
     if gt:
-        _run_label(csv_paths, gt, csv_dir, benign, bidirectional, force)
+        _run_label(csv_paths, gt, csv_dir, label_options, force)
 
 
 COMMANDS = {
@@ -434,15 +413,9 @@ def main(argv=None) -> int:
         config = load_workspace()
         COMMANDS[args.command](args, config)
         return 0
-    except UsageError as exc:
+    except (UsageError, UnknownFeature) as exc:
         print(f"hera: {exc}", file=sys.stderr)
         return 1
-    except UnknownFeature as exc:
-        print(f"hera: {exc}", file=sys.stderr)
-        return 1
-    except (InputFormatError, MissingMatchField) as exc:
-        print(f"hera: {exc}", file=sys.stderr)
-        return 2
     except HeraError as exc:
         print(f"hera: {exc}", file=sys.stderr)
         return 2

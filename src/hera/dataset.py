@@ -12,6 +12,7 @@ import csv
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 
+from .errors import UnreadableLine, not_utf8
 from .features import RowContext, compute_row, service_of
 from .flows import FlowRecord
 
@@ -20,24 +21,12 @@ MODES = ("ra", "racluster")
 DEFAULT_COUNT_WINDOW = 100
 
 
-def _inject_gap(stats, gap: int) -> None:
-    stats.iat_sum_us += gap
-    stats.iat_sumsq += gap * gap
-    stats.iat_min_us = gap if stats.iat_min_us is None else min(stats.iat_min_us, gap)
-    stats.iat_max_us = gap if stats.iat_max_us is None else max(stats.iat_max_us, gap)
-
-
 def cluster(records: list[FlowRecord]) -> list[FlowRecord]:
     """Merge records per canonical key, racluster style.
 
-    Counters and sums add up, stime/ltime span the constituents, flag
-    sets union, and categorical fields follow the constituent with the
-    latest ltime (ties broken by stream position). First-seen fields
-    (TTL, TOS, window, base sequence) come from the earliest constituent
-    that observed them. Gaps between consecutive constituents were real
-    inter-arrival gaps that slicing happened to cut, so they are put back
-    into the merged IAT statistics; a clustered flow therefore reports
-    the same inter-packet timing as an unsliced aggregation would.
+    Constituents are folded in stime order by `FlowRecord.merge`;
+    categorical fields follow the constituent with the latest ltime
+    (ties broken by stream position).
     """
     groups: dict = defaultdict(list)
     for rec in records:
@@ -58,47 +47,10 @@ def cluster(records: list[FlowRecord]) -> list[FlowRecord]:
             seq=latest.seq,
             trans=0,
         )
-        flows_total = 0
-        prev = None
+        prev_ltime_us = None
         for rec in by_stime:
-            if prev is not None and not rec.is_management:
-                _inject_gap(merged, rec.stime_us - prev.ltime_us)
-                for merged_ep, rec_ep in ((merged.a, rec.a), (merged.b, rec.b)):
-                    if merged_ep.last_ts_us is not None and rec_ep.first_ts_us is not None:
-                        _inject_gap(merged_ep, rec_ep.first_ts_us - merged_ep.last_ts_us)
-            merged.stime_us = min(merged.stime_us, rec.stime_us)
-            merged.ltime_us = max(merged.ltime_us, rec.ltime_us)
-            merged.a.merge(rec.a)
-            merged.b.merge(rec.b)
-            merged.flgs |= rec.flgs
-            merged.runtime_us += rec.runtime_us
-            merged.frag_count += rec.frag_count
-            merged.trans += rec.trans
-            merged.iat_sum_us += rec.iat_sum_us
-            merged.iat_sumsq += rec.iat_sumsq
-            if rec.iat_min_us is not None:
-                merged.iat_min_us = (
-                    rec.iat_min_us if merged.iat_min_us is None
-                    else min(merged.iat_min_us, rec.iat_min_us)
-                )
-            if rec.iat_max_us is not None:
-                merged.iat_max_us = (
-                    rec.iat_max_us if merged.iat_max_us is None
-                    else max(merged.iat_max_us, rec.iat_max_us)
-                )
-            if merged.synack_us is None:
-                merged.synack_us = rec.synack_us
-            if merged.ackdat_us is None:
-                merged.ackdat_us = rec.ackdat_us
-            if merged.vlan_id is None:
-                merged.vlan_id = rec.vlan_id
-            if merged.ip_version is None:
-                merged.ip_version = rec.ip_version
-            if rec.flows is not None:
-                flows_total += rec.flows
-            prev = rec
-        if merged.is_management:
-            merged.flows = flows_total
+            merged.merge(rec, prev_ltime_us)
+            prev_ltime_us = rec.ltime_us
         merged_records.append(merged)
     merged_records.sort(key=FlowRecord.sort_key)
     return merged_records
@@ -237,11 +189,24 @@ def write_csv(path, header: list[str], rows) -> None:
         writer.writerows(rows)
 
 
+def iter_csv(path):
+    """Yield the rows of a UTF-8 CSV file, decoded as a stream. Bytes
+    that are not UTF-8, or a field the csv module rejects (such as one
+    over its size limit), end in an error naming the line."""
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fp:
+            reader = csv.reader(fp)
+            try:
+                yield from reader
+            except csv.Error as exc:
+                raise UnreadableLine(path, reader.line_num, str(exc)) from None
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+
+
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        try:
-            header = next(reader)
-        except StopIteration:
-            return [], []
-        return header, list(reader)
+    rows = iter_csv(path)
+    header = next(rows, None)
+    if header is None:
+        return [], []
+    return header, list(rows)

@@ -58,7 +58,7 @@ class UnsupportedVersion(FlowFileError):
 
 
 class CorruptRecord(FlowFileError):
-    """A record line cannot be parsed."""
+    """A record or header line cannot be parsed."""
 
     def __init__(self, line_number: int, reason: str):
         super().__init__(f"line {line_number}: {reason}")
@@ -109,16 +109,6 @@ class MalformedField(GroundTruthError):
         self.value = value
 
 
-class GroundTruthNotUtf8(GroundTruthError):
-    """A ground-truth file holds bytes that are not UTF-8."""
-
-    def __init__(self, path, line_number: int, column: int):
-        super().__init__(
-            f"{path}: line {line_number}, column {column}: bytes are not UTF-8")
-        self.line_number = line_number
-        self.column = column
-
-
 class MalformedDatasetCell(InputFormatError):
     """A match cell of a dataset being labelled is missing or unreadable."""
 
@@ -139,3 +129,28 @@ class MissingMatchField(HeraError):
 
 class UsageError(HeraError):
     """Bad command-line or config value, detected before any IO."""
+
+
+class UnreadableLine(InputFormatError):
+    """A line of a text input cannot be read: bytes that are not UTF-8,
+    or a CSV field the csv module rejects."""
+
+    def __init__(self, path, line_number: int, reason: str, column: int | None = None):
+        where = f"line {line_number}" if column is None else f"line {line_number}, column {column}"
+        super().__init__(f"{path}: {where}: {reason}")
+        self.line_number = line_number
+        self.column = column
+
+
+def not_utf8(path) -> InputFormatError:
+    """The error naming the first line of `path` that is not UTF-8, for a
+    reader whose text decode of `path` failed. Only then are the bytes
+    read again, so readers can keep decoding their input as a stream."""
+    with open(path, "rb") as fp:
+        for line_number, raw in enumerate(fp, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                return UnreadableLine(path, line_number, "bytes are not UTF-8",
+                                      column=exc.start + 1)
+    return InputFormatError(f"{path}: file changed while it was read")

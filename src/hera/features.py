@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import UnknownFeature
-from .flows import FlowRecord, render_flags
+from .flows import FlowRecord, opt_max, opt_min, render_flags
 from .timefmt import us_to_text
 
 # Well-known ports for the service feature. The lookup key is the lower
@@ -136,22 +136,6 @@ def _per_second(count, dur_us):
     return count * 1e6 / dur_us if dur_us > 0 else None
 
 
-def _opt_min(x, y):
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return min(x, y)
-
-
-def _opt_max(x, y):
-    if x is None:
-        return y
-    if y is None:
-        return x
-    return max(x, y)
-
-
 def _is_tcp(rec: FlowRecord) -> bool:
     return rec.key.proto == "tcp"
 
@@ -270,9 +254,9 @@ CATALOG: tuple[Feature, ...] = (
     _F("dstdsz", "size", "B", "std dev of destination packet sizes",
        lambda r, c: _f(_std(r.dst.sz_sumsq, r.dst.bytes, r.dst.pkts))),
     _F("maxsz", "size", "B", "largest packet either direction",
-       lambda r, c: _i(_opt_max(r.src.sz_max, r.dst.sz_max))),
+       lambda r, c: _i(opt_max(r.src.sz_max, r.dst.sz_max))),
     _F("minsz", "size", "B", "smallest packet either direction",
-       lambda r, c: _i(_opt_min(r.src.sz_min, r.dst.sz_min))),
+       lambda r, c: _i(opt_min(r.src.sz_min, r.dst.sz_min))),
     _F("meansz", "size", "B", "mean packet size both directions",
        lambda r, c: _f(_mean(r.bytes, r.pkts))),
     _F("stdsz", "size", "B", "std dev of packet sizes both directions",
@@ -314,9 +298,9 @@ CATALOG: tuple[Feature, ...] = (
     _F("dtos", "ttl", "", "first destination TOS / traffic class",
        lambda r, c: _i(r.dst.tos_first)),
     _F("minttl", "ttl", "", "smallest TTL either direction",
-       lambda r, c: _i(_opt_min(r.src.ttl_min, r.dst.ttl_min))),
+       lambda r, c: _i(opt_min(r.src.ttl_min, r.dst.ttl_min))),
     _F("maxttl", "ttl", "", "largest TTL either direction",
-       lambda r, c: _i(_opt_max(r.src.ttl_max, r.dst.ttl_max))),
+       lambda r, c: _i(opt_max(r.src.ttl_max, r.dst.ttl_max))),
     _F("swin", "tcp", "", "first source TCP window",
        lambda r, c: _i(r.src.win_first)),
     _F("dwin", "tcp", "", "first destination TCP window",
@@ -440,9 +424,9 @@ CATALOG: tuple[Feature, ...] = (
     _F("dstdappsz", "payload", "B", "std dev of destination payloads",
        lambda r, c: _f(_std(r.dst.app_sumsq, r.dst.appbytes, r.dst.pkts))),
     _F("minappsz", "payload", "B", "smallest payload either direction",
-       lambda r, c: _i(_opt_min(r.src.app_min, r.dst.app_min))),
+       lambda r, c: _i(opt_min(r.src.app_min, r.dst.app_min))),
     _F("maxappsz", "payload", "B", "largest payload either direction",
-       lambda r, c: _i(_opt_max(r.src.app_max, r.dst.app_max))),
+       lambda r, c: _i(opt_max(r.src.app_max, r.dst.app_max))),
     _F("stdappsz", "payload", "B", "std dev of payloads both directions",
        lambda r, c: _f(_std(r.src.app_sumsq + r.dst.app_sumsq,
                             r.src.appbytes + r.dst.appbytes, r.pkts))),

@@ -124,18 +124,23 @@ class EndpointStats:
         self.appbytes += payload
         if payload > 0:
             self.datapkts += 1
-        self.sz_min = size if self.sz_min is None else min(self.sz_min, size)
-        self.sz_max = size if self.sz_max is None else max(self.sz_max, size)
         self.sz_sumsq += size * size
-        self.app_min = payload if self.app_min is None else min(self.app_min, payload)
-        self.app_max = payload if self.app_max is None else max(self.app_max, payload)
         self.app_sumsq += payload * payload
-        if self.ttl_first is None:
-            self.ttl_first = packet.ttl
-        self.ttl_min = packet.ttl if self.ttl_min is None else min(self.ttl_min, packet.ttl)
-        self.ttl_max = packet.ttl if self.ttl_max is None else max(self.ttl_max, packet.ttl)
-        if self.tos_first is None:
+        if self.last_ts_us is None:  # first packet
+            self.first_ts_us = ts
+            self.sz_min = self.sz_max = size
+            self.app_min = self.app_max = payload
+            self.ttl_first = self.ttl_min = self.ttl_max = packet.ttl
             self.tos_first = packet.tos
+        else:
+            observe_gap(self, ts - self.last_ts_us)
+            self.sz_min = min(self.sz_min, size)
+            self.sz_max = max(self.sz_max, size)
+            self.app_min = min(self.app_min, payload)
+            self.app_max = max(self.app_max, payload)
+            self.ttl_min = min(self.ttl_min, packet.ttl)
+            self.ttl_max = max(self.ttl_max, packet.ttl)
+        self.last_ts_us = ts
         if self.win_first is None and packet.tcp_window is not None:
             self.win_first = packet.tcp_window
         if self.tcpb_first is None and packet.tcp_seq is not None:
@@ -148,15 +153,6 @@ class EndpointStats:
             self.psh_cnt += "P" in flags
             self.ack_cnt += "A" in flags
             self.urg_cnt += "U" in flags
-        if self.last_ts_us is not None:
-            gap = ts - self.last_ts_us
-            self.iat_sum_us += gap
-            self.iat_sumsq += gap * gap
-            self.iat_min_us = gap if self.iat_min_us is None else min(self.iat_min_us, gap)
-            self.iat_max_us = gap if self.iat_max_us is None else max(self.iat_max_us, gap)
-        if self.first_ts_us is None:
-            self.first_ts_us = ts
-        self.last_ts_us = ts
 
     def merge(self, other: "EndpointStats") -> None:
         """Fold a later record's endpoint stats into this one (clustering)."""
@@ -166,12 +162,12 @@ class EndpointStats:
         self.datapkts += other.datapkts
         self.sz_sumsq += other.sz_sumsq
         self.app_sumsq += other.app_sumsq
-        self.sz_min = _merge_min(self.sz_min, other.sz_min)
-        self.sz_max = _merge_max(self.sz_max, other.sz_max)
-        self.app_min = _merge_min(self.app_min, other.app_min)
-        self.app_max = _merge_max(self.app_max, other.app_max)
-        self.ttl_min = _merge_min(self.ttl_min, other.ttl_min)
-        self.ttl_max = _merge_max(self.ttl_max, other.ttl_max)
+        self.sz_min = opt_min(self.sz_min, other.sz_min)
+        self.sz_max = opt_max(self.sz_max, other.sz_max)
+        self.app_min = opt_min(self.app_min, other.app_min)
+        self.app_max = opt_max(self.app_max, other.app_max)
+        self.ttl_min = opt_min(self.ttl_min, other.ttl_min)
+        self.ttl_max = opt_max(self.ttl_max, other.ttl_max)
         if self.ttl_first is None:
             self.ttl_first = other.ttl_first
         if self.tos_first is None:
@@ -186,22 +182,23 @@ class EndpointStats:
         self.psh_cnt += other.psh_cnt
         self.ack_cnt += other.ack_cnt
         self.urg_cnt += other.urg_cnt
-        # Within-record gaps only; the record boundary gap is the
-        # caller's to add (cluster() knows the constituent ordering).
+        # Within-record gaps only; FlowRecord.merge adds the gap across
+        # the record boundary.
         self.iat_sum_us += other.iat_sum_us
         self.iat_sumsq += other.iat_sumsq
-        self.iat_min_us = _merge_min(self.iat_min_us, other.iat_min_us)
-        self.iat_max_us = _merge_max(self.iat_max_us, other.iat_max_us)
+        self.iat_min_us = opt_min(self.iat_min_us, other.iat_min_us)
+        self.iat_max_us = opt_max(self.iat_max_us, other.iat_max_us)
         if other.first_ts_us is not None:
-            self.first_ts_us = _merge_min(self.first_ts_us, other.first_ts_us)
-            self.last_ts_us = _merge_max(self.last_ts_us, other.last_ts_us)
+            self.first_ts_us = opt_min(self.first_ts_us, other.first_ts_us)
+            self.last_ts_us = opt_max(self.last_ts_us, other.last_ts_us)
 
     @property
     def iat_count(self) -> int:
         return max(self.pkts - 1, 0)
 
 
-def _merge_min(x, y):
+def opt_min(x, y):
+    """min() where None means never observed."""
     if x is None:
         return y
     if y is None:
@@ -209,12 +206,22 @@ def _merge_min(x, y):
     return min(x, y)
 
 
-def _merge_max(x, y):
+def opt_max(x, y):
+    """max() where None means never observed."""
     if x is None:
         return y
     if y is None:
         return x
     return max(x, y)
+
+
+def observe_gap(stats, gap_us: int) -> None:
+    """Add one inter-arrival gap to the IAT sums and extremes of an
+    EndpointStats or a FlowRecord."""
+    stats.iat_sum_us += gap_us
+    stats.iat_sumsq += gap_us * gap_us
+    stats.iat_min_us = opt_min(stats.iat_min_us, gap_us)
+    stats.iat_max_us = opt_max(stats.iat_max_us, gap_us)
 
 
 @dataclass
@@ -306,11 +313,43 @@ class FlowRecord:
         return (self.stime_us,) + self.key.sort_tuple() + (
             self.slice_index, self.is_management)
 
-    def observe_overall_gap(self, gap_us: int) -> None:
-        self.iat_sum_us += gap_us
-        self.iat_sumsq += gap_us * gap_us
-        self.iat_min_us = gap_us if self.iat_min_us is None else min(self.iat_min_us, gap_us)
-        self.iat_max_us = gap_us if self.iat_max_us is None else max(self.iat_max_us, gap_us)
+    def merge(self, other: "FlowRecord", prev_ltime_us: int | None) -> None:
+        """Fold in the next constituent of the same key, in stime order
+        (racluster). Counters and sums add up, stime/ltime span the
+        constituents, flag sets union and first-seen fields keep the
+        earliest value. `prev_ltime_us` is the ltime of the constituent
+        folded before `other` (None for the first); the gap from it was
+        a real inter-arrival gap that slicing cut, so it goes back into
+        the IAT statistics, overall and per endpoint. Management
+        summaries have no such gaps; their `flows` counts add up. The
+        caller sets the categorical fields."""
+        if prev_ltime_us is not None and not other.is_management:
+            observe_gap(self, other.stime_us - prev_ltime_us)
+            for mine, theirs in ((self.a, other.a), (self.b, other.b)):
+                if mine.last_ts_us is not None and theirs.first_ts_us is not None:
+                    observe_gap(mine, theirs.first_ts_us - mine.last_ts_us)
+        self.stime_us = min(self.stime_us, other.stime_us)
+        self.ltime_us = max(self.ltime_us, other.ltime_us)
+        self.a.merge(other.a)
+        self.b.merge(other.b)
+        self.flgs |= other.flgs
+        self.runtime_us += other.runtime_us
+        self.frag_count += other.frag_count
+        self.trans += other.trans
+        self.iat_sum_us += other.iat_sum_us
+        self.iat_sumsq += other.iat_sumsq
+        self.iat_min_us = opt_min(self.iat_min_us, other.iat_min_us)
+        self.iat_max_us = opt_max(self.iat_max_us, other.iat_max_us)
+        if self.synack_us is None:
+            self.synack_us = other.synack_us
+        if self.ackdat_us is None:
+            self.ackdat_us = other.ackdat_us
+        if self.vlan_id is None:
+            self.vlan_id = other.vlan_id
+        if self.ip_version is None:
+            self.ip_version = other.ip_version
+        if self.is_management:
+            self.flows = (self.flows or 0) + (other.flows or 0)
 
 
 def make_management_record(
@@ -327,15 +366,6 @@ def make_management_record(
     rec.a.bytes = byte_count
     rec.runtime_us = rec.dur_us
     return rec
-
-
-@dataclass
-class AssignOutcome:
-    """What one packet did to the flow table."""
-
-    kind: str  # new_flow | updated | sliced | tcp_closed | skipped
-    record: FlowRecord | None = None  # the record now live for the key
-    closed: FlowRecord | None = None  # a record this packet retired
 
 
 class _LiveFlow:
@@ -389,36 +419,33 @@ class FlowTable:
 
     # -- packet intake -------------------------------------------------
 
-    def assign(self, packet: DecodedPacket) -> AssignOutcome:
+    def assign(self, packet: DecodedPacket) -> None:
         ts = packet.ts_us
         if (
             self._prev_ts_us is not None
             and ts < self._prev_ts_us - self.config.reorder_slack_us
         ):
             self.skipped_non_monotonic += 1
-            return AssignOutcome("skipped")
+            return
         self._prev_ts_us = ts
         self.accepted_packets += 1
         self.accepted_bytes += packet.ip_bytes
         if self._first_ts_us is None:
-            self._first_ts_us = ts
-        self._last_ts_us = ts if self._last_ts_us is None else max(self._last_ts_us, ts)
+            self._first_ts_us = self._last_ts_us = ts
+        self._last_ts_us = max(self._last_ts_us, ts)
         window = self._window_counters(ts)
         window[0] += 1
         window[1] += packet.ip_bytes
 
         key, sender = flow_key(packet)
         live = self._live.get(key)
-        closed = None
         if live is None:
-            outcome_kind = "new_flow"
             live = self._open_episode(key, sender, packet, window)
         elif ts - live.last_activity_us > self.config.idle_timeout_us:
-            closed = self._retire(live, idle_us=ts - live.rec.ltime_us)
-            outcome_kind = "new_flow"
+            self._retire(live, idle_us=ts - live.rec.ltime_us)
             live = self._open_episode(key, sender, packet, window)
         elif ts - live.origin_us >= (live.rec.slice_index + 1) * self.config.interval_us:
-            closed = self._finalize_slice(live, trigger_ts_us=ts)
+            self._close_record(live, idle_us=ts - live.rec.ltime_us)
             live.rec = FlowRecord(
                 key=key, initiator=live.initiator,
                 stime_us=ts, ltime_us=ts,
@@ -426,16 +453,10 @@ class FlowTable:
                 tcp_state=live.state,
             )
             live.last_arrival_us = None
-            outcome_kind = "sliced"
-        else:
-            outcome_kind = "updated"
 
         self._count_packet(live, sender, packet)
         if packet.proto == "tcp":
-            closed_by_tcp = self._tcp_lifecycle(live, sender, packet)
-            if closed_by_tcp is not None:
-                return AssignOutcome("tcp_closed", record=None, closed=closed_by_tcp)
-        return AssignOutcome(outcome_kind, record=live.rec, closed=closed)
+            self._tcp_lifecycle(live, sender, packet)
 
     def _window_counters(self, ts_us: int) -> list[int]:
         anchor = self._first_ts_us
@@ -468,7 +489,7 @@ class FlowTable:
         live.last_activity_us = max(live.last_activity_us, ts)
         (rec.a if sender == "a" else rec.b).update(packet)
         if live.last_arrival_us is not None:
-            rec.observe_overall_gap(ts - live.last_arrival_us)
+            observe_gap(rec, ts - live.last_arrival_us)
         live.last_arrival_us = ts
         if rec.ip_version is None:
             rec.ip_version = packet.ip_version
@@ -503,11 +524,12 @@ class FlowTable:
                 live.ackdat_done = True
                 live.rec.ackdat_us = ts - live.synack_ts_us
 
-    def _tcp_lifecycle(self, live: _LiveFlow, sender: str, packet) -> FlowRecord | None:
+    def _tcp_lifecycle(self, live: _LiveFlow, sender: str, packet) -> None:
         flags = packet.tcp_flags or frozenset()
         if "R" in flags:
             live.state = STATE_RST
-            return self._retire(live, idle_us=0)
+            self._retire(live, idle_us=0)
+            return
         if "F" in flags:
             if sender == "a":
                 live.fin_a = True
@@ -521,25 +543,20 @@ class FlowTable:
             and "A" in flags
         ):
             live.state = STATE_FIN
-            return self._retire(live, idle_us=0)
-        return None
+            self._retire(live, idle_us=0)
 
-    def _finalize_slice(self, live: _LiveFlow, trigger_ts_us: int) -> FlowRecord:
-        rec = live.rec
-        rec.tcp_state = live.state
-        rec.runtime_us = rec.dur_us
-        rec.idle_us = max(trigger_ts_us - rec.ltime_us, 0)
-        self._closed.append(rec)
-        return rec
-
-    def _retire(self, live: _LiveFlow, idle_us: int) -> FlowRecord:
+    def _close_record(self, live: _LiveFlow, idle_us: int) -> None:
+        """Finish the live record and queue it for output."""
         rec = live.rec
         rec.tcp_state = live.state
         rec.runtime_us = rec.dur_us
         rec.idle_us = max(idle_us, 0)
         self._closed.append(rec)
+
+    def _retire(self, live: _LiveFlow, idle_us: int) -> None:
+        """Close the record and end the episode."""
+        self._close_record(live, idle_us)
         del self._live[live.rec.key]
-        return rec
 
     # -- end of capture --------------------------------------------------
 

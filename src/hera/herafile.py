@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion
+from .errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion, not_utf8
 from .flows import ExportConfig, FlowKey, FlowRecord, render_flags
 from .timefmt import text_to_us, us_to_text
 
@@ -140,20 +140,22 @@ def format_record(rec: FlowRecord) -> str:
     return " ".join(parts)
 
 
+_KNOWN_FIELDS = frozenset(record_field_names())
+
+
 def parse_record(line: str, line_number: int) -> FlowRecord:
     pairs = {}
-    extra_order = []
-    known = set(record_field_names())
+    extra = {}
     for token in line.split(" "):
         name, sep, value = token.partition("=")
         if not sep or not name:
             raise CorruptRecord(line_number, f"malformed token {token!r}")
-        if name in pairs or name in dict(extra_order):
+        if name in pairs or name in extra:
             raise CorruptRecord(line_number, f"duplicate field {name!r}")
-        if name in known:
+        if name in _KNOWN_FIELDS:
             pairs[name] = value
         else:
-            extra_order.append((name, value))
+            extra[name] = value
     for required in _KEY_FIELD_NAMES + ("stime", "ltime"):
         if required not in pairs or (required != "proto" and pairs[required] == ""):
             raise CorruptRecord(line_number, f"missing field {required!r}")
@@ -184,7 +186,7 @@ def parse_record(line: str, line_number: int) -> FlowRecord:
                     setattr(stats, attr, _parse(kind, pairs[name]))
     except (ValueError, KeyError) as exc:
         raise CorruptRecord(line_number, str(exc)) from exc
-    rec.extra = dict(extra_order)
+    rec.extra = extra
     return rec
 
 
@@ -228,43 +230,55 @@ def write_hera(path, header: HeraHeader, records) -> None:
 
 
 def read_hera(path) -> HeraFile:
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        first = fp.readline()
-        if not first.startswith(MAGIC_PREFIX):
-            raise FlowFileBadMagic(f"{path}: not a flow file (missing {MAGIC_LINE!r})")
-        version = first[len(MAGIC_PREFIX):].strip()
-        if version != VERSION_TOKEN:
-            raise UnsupportedVersion(version)
-        header = HeraHeader()
-        cfg_kwargs = {}
-        records = []
-        for line_number, raw in enumerate(fp, start=2):
-            line = raw.rstrip("\n")
-            if not line:
-                continue
-            if line.startswith("#"):
-                name, sep, value = line[1:].partition("=")
-                if not sep:
-                    header.extra.append(line)
-                elif name == "interval":
-                    cfg_kwargs["interval_us"] = text_to_us(value)
-                elif name == "idle_timeout":
-                    cfg_kwargs["idle_timeout_us"] = text_to_us(value)
-                elif name == "emit_management":
-                    cfg_kwargs["emit_management"] = value == "true"
-                elif name == "reorder_slack":
-                    cfg_kwargs["reorder_slack_us"] = text_to_us(value)
-                elif name == "capture_start":
-                    header.capture_start_us = text_to_us(value) if value else None
-                elif name == "capture_end":
-                    header.capture_end_us = text_to_us(value) if value else None
-                elif name == "source":
-                    header.sources.append(value)
-                else:
-                    header.extra.append(line)
-                continue
-            records.append(parse_record(line, line_number))
-        header.config = ExportConfig(**cfg_kwargs)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fp:
+            return _read_lines(path, fp)
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+
+
+def _read_lines(path, fp) -> HeraFile:
+    first = fp.readline()
+    if not first.startswith(MAGIC_PREFIX):
+        raise FlowFileBadMagic(f"{path}: not a flow file (missing {MAGIC_LINE!r})")
+    version = first[len(MAGIC_PREFIX):].strip()
+    if version != VERSION_TOKEN:
+        raise UnsupportedVersion(version)
+    header = HeraHeader()
+    cfg_kwargs = {}
+    records = []
+    for line_number, raw in enumerate(fp, start=2):
+        line = raw.rstrip("\n")
+        if not line:
+            continue
+        if line.startswith("#"):
+            try:
+                _read_header_line(line, header, cfg_kwargs)
+            except ValueError as exc:
+                raise CorruptRecord(line_number, str(exc)) from None
+            continue
+        records.append(parse_record(line, line_number))
+    header.config = ExportConfig(**cfg_kwargs)
     for i, rec in enumerate(records):
         rec.seq = i
     return HeraFile(header, records)
+
+
+def _read_header_line(line: str, header: HeraHeader, cfg_kwargs: dict) -> None:
+    name, sep, value = line[1:].partition("=")
+    if not sep:
+        header.extra.append(line)
+    elif name in ("interval", "idle_timeout", "reorder_slack"):
+        setting = {name + "_us": text_to_us(value)}
+        ExportConfig(**setting)  # the config's own range check, raised on this line
+        cfg_kwargs.update(setting)
+    elif name == "emit_management":
+        cfg_kwargs["emit_management"] = value == "true"
+    elif name == "capture_start":
+        header.capture_start_us = text_to_us(value) if value else None
+    elif name == "capture_end":
+        header.capture_end_us = text_to_us(value) if value else None
+    elif name == "source":
+        header.sources.append(value)
+    else:
+        header.extra.append(line)

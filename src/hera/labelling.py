@@ -14,15 +14,13 @@ labelling grows with those candidates, not with the ground truth.
 
 from __future__ import annotations
 
-import csv
 import ipaddress
 import itertools
 from dataclasses import dataclass, field
 
+from .dataset import iter_csv
 from .errors import (
     EmptyLabelCell,
-    GroundTruthError,
-    GroundTruthNotUtf8,
     MalformedDatasetCell,
     MalformedField,
     MalformedTimestamp,
@@ -75,25 +73,7 @@ class GroundTruthEntry:
 
 
 def parse_ground_truth(path) -> list[GroundTruthEntry]:
-    try:
-        with open(path, "r", encoding="utf-8", newline="") as fp:
-            return _parse_rows(path, csv.reader(fp))
-    except UnicodeDecodeError:
-        raise _not_utf8(path) from None
-
-
-def _not_utf8(path) -> GroundTruthError:
-    """The error naming the first line of `path` that is not UTF-8."""
-    with open(path, "rb") as fp:
-        for line_number, raw in enumerate(fp, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                return GroundTruthNotUtf8(path, line_number, exc.start + 1)
-    return GroundTruthError(f"{path}: file changed while it was read")
-
-
-def _parse_rows(path, reader) -> list[GroundTruthEntry]:
+    reader = iter_csv(path)
     try:
         header = next(reader)
     except StopIteration:

@@ -1,4 +1,6 @@
+import builtins
 import os
+import sys
 
 import pytest
 
@@ -87,6 +89,26 @@ def test_export_no_management_flag(capture, tmp_path):
                  "--no-management"]) == 0
     flowfile = read_hera(out / "a.hera")
     assert all(not r.is_management for r in flowfile.records)
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["export"], "--pcap"),
+    (["dataset"], "--in"),
+    (["label", "--gt", "gt.csv"], "--in"),
+    (["label", "--in", "d.csv"], "--gt"),
+    (["run"], "--pcap"),
+], ids=["export", "dataset", "label-in", "label-gt", "run"])
+def test_missing_input_is_usage_error_without_prompt(
+        tmp_path, monkeypatch, capsys, argv, flag):
+    def no_prompt(*_):
+        raise AssertionError("prompted for input")
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("HERA_WORKSPACE", raising=False)
+    monkeypatch.setattr(sys.stdin, "isatty", lambda: True)
+    monkeypatch.setattr(builtins, "input", no_prompt)
+    assert main(argv) == 1
+    assert flag in capsys.readouterr().err
 
 
 def test_export_missing_input_is_io_error(tmp_path, capsys):
@@ -242,6 +264,24 @@ def test_dataset_corrupt_flow_file_is_format_error(tmp_path, capsys):
     assert main(["dataset", "--in", str(bad), "--out", str(tmp_path / "csv")]) == 2
 
 
+@pytest.mark.parametrize("old, new, reason", [
+    (b"#interval=60.000000", b"#interval=0.000000",
+     "interval must be a positive number of seconds"),
+    (b"proto=udp", b"proto=ud\xffp", "bytes are not UTF-8"),
+], ids=["zero-interval", "not-utf8"])
+def test_dataset_unreadable_flow_file_line_is_format_error(
+        tmp_path, capsys, old, new, reason):
+    hera = exported(tmp_path)
+    data = hera.read_bytes()
+    line = data[:data.index(old)].count(b"\n") + 1
+    hera.write_bytes(data.replace(old, new, 1))
+    out = tmp_path / "csv"
+    assert main(["dataset", "--in", str(hera), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}" in err and reason in err
+    assert not out.exists()
+
+
 def test_dataset_bad_count_window(tmp_path):
     hera = exported(tmp_path)
     assert main(["dataset", "--in", str(hera), "--out", str(tmp_path / "csv"),
@@ -348,6 +388,32 @@ def test_label_ground_truth_not_utf8_is_format_error(tmp_path, capsys):
     gt.write_bytes(b"SrcAddr,Label\n10.0.0.1,Probe\n10.0.0.2,Sc\xe4n\n")
     assert main(["label", "--in", str(dataset), "--gt", str(gt)]) == 2
     assert "line 3, column 12: bytes are not UTF-8" in capsys.readouterr().err
+
+
+LONG_CELL = "x" * 200_000  # over the csv module's 131,072-character field limit
+
+
+@pytest.mark.parametrize("dataset_text, gt_text, where", [
+    (MATCH_HEADER.encode() + GOOD_ROW.encode()
+     + b"1.000000,2.000000,tcp,10.0.0.1,1234,10.0.\xff.2,80\n",
+     b"SrcAddr,Label\n10.0.0.1,Probe\n",
+     "d.csv: line 3, column 42: bytes are not UTF-8"),
+    (MATCH_HEADER.encode() + GOOD_ROW.encode(),
+     f"SrcAddr,Label\n10.0.0.1,Probe\n10.0.0.2,{LONG_CELL}\n".encode(),
+     "gt.csv: line 3: field larger than field limit"),
+    ((MATCH_HEADER + GOOD_ROW + GOOD_ROW.replace("tcp", LONG_CELL)).encode(),
+     b"SrcAddr,Label\n10.0.0.1,Probe\n",
+     "d.csv: line 3: field larger than field limit"),
+], ids=["dataset-not-utf8", "gt-cell-too-long", "dataset-cell-too-long"])
+def test_label_unreadable_line_is_format_error(
+        tmp_path, capsys, dataset_text, gt_text, where):
+    dataset = tmp_path / "d.csv"
+    dataset.write_bytes(dataset_text)
+    gt = tmp_path / "gt.csv"
+    gt.write_bytes(gt_text)
+    assert main(["label", "--in", str(dataset), "--gt", str(gt)]) == 2
+    assert where in capsys.readouterr().err
+    assert tree(tmp_path) == ["d.csv", "gt.csv"]
 
 
 # -- run ----------------------------------------------------------------------

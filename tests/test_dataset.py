@@ -117,6 +117,39 @@ def test_racluster_merges_slices_into_one_row():
     assert rows[0] == ["16", "640", "3", "150.000000", "0.000000", "150.000000"]
 
 
+def test_racluster_with_management_sums_flows_without_boundary_gaps():
+    # A UDP flow cut into three 10 s slices and a one-packet flow, over
+    # three management windows that abut (each starts where the last ends).
+    first = pkt(0.0, proto="udp", sport=5000, dport=53, ip_bytes=60)
+    packets = [
+        first,
+        back(first, 4.0, ip_bytes=100),
+        pkt(12.0, proto="udp", sport=5000, dport=53, ip_bytes=60),
+        pkt(14.0, proto="udp", src="10.0.0.3", sport=7000, dport=123, ip_bytes=76),
+        back(first, 21.0, ip_bytes=100),
+        pkt(27.5, proto="udp", sport=5000, dport=53, ip_bytes=60),
+    ]
+    records = run(packets, interval_us=10 * SEC)
+    assert sum(r.is_management for r in records) == 3
+    columns = ["stime", "ltime", "mgmt", "pkts", "bytes", "flows", "trans",
+               "minipt", "maxipt", "totipt", "sminipt", "dminipt"]
+    _, rows, stats = build_dataset(records, columns, mode="racluster",
+                                   keep_management=True)
+    assert rows == [
+        # Management: windows begun 1 + 1 + 0 flows; a window boundary is
+        # no inter-arrival gap, so minipt/maxipt stay empty rather than 0.
+        ["0.000000", "27.500000", "1", "6", "456", "2", "3",
+         "", "", "0.000000", "", ""],
+        # The sliced flow gets its boundary gaps back: 4, 8, 9, 6.5 s
+        # overall, 12 and 15.5 s from the source, 17 s from the destination.
+        ["0.000000", "27.500000", "0", "5", "380", "", "3",
+         "4.000000", "9.000000", "27.500000", "12.000000", "17.000000"],
+        ["14.000000", "14.000000", "0", "1", "76", "", "1",
+         "", "", "", "", ""],
+    ]
+    assert (stats.flows, stats.packets, stats.management_records) == (2, 6, 1)
+
+
 def test_cluster_conserves_totals_per_key():
     records = data_records(mixed_records())
     merged = cluster(records)

@@ -192,6 +192,26 @@ def test_corrupt_token_reports_line(tmp_path):
     assert err.value.line_number == 2
 
 
+@pytest.mark.parametrize("header_line", [
+    "#interval=0.000000",
+    "#idle_timeout=-1.000000",
+    "#reorder_slack=-0.000001",
+    "#capture_start=noon",
+    "#interval=",
+])
+def test_bad_header_value_reports_line(tmp_path, header_line):
+    path = corrupt_file(tmp_path, "#source=a.pcap\n" + header_line + "\n" + minimal_line())
+    with pytest.raises(CorruptRecord) as err:
+        read_hera(path)
+    assert err.value.line_number == 3
+
+
+def test_header_config_defaults_idle_timeout_to_interval(tmp_path):
+    path = corrupt_file(tmp_path, "#interval=5.000000\n" + minimal_line())
+    config = read_hera(path).header.config
+    assert (config.interval_us, config.idle_timeout_us) == (5 * SEC, 5 * SEC)
+
+
 def test_duplicate_field_rejected(tmp_path):
     path = corrupt_file(tmp_path, minimal_line() + " stime=9.000000")
     with pytest.raises(CorruptRecord):
