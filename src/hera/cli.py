@@ -2,10 +2,13 @@
 
 Four subcommands cover the pipeline: `export` turns PCAPs into .hera
 flow files, `dataset` turns flow files into CSV datasets, `label`
-applies a ground truth to datasets, and `run` chains all three. Outputs
-are staged to temporary files and renamed into place only when the
-command succeeds, so a failure never leaves half-written artifacts, and
-nothing is overwritten without --force.
+applies a ground truth to datasets, and `run` chains all three. Each
+stage is one step per file that writes the stage's outputs and returns
+what the next step takes: the stand-alone commands read it back from
+the files, `run` hands it over in memory. A command claims all of its
+outputs before any work, stages them to temporary files and renames
+them into place only when it succeeds, so a failure leaves nothing
+behind, and nothing is overwritten without --force.
 
 Exit codes: 0 success, 1 usage error, 2 malformed input, 3 IO error.
 """
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import glob
 import logging
 import os
@@ -29,7 +33,7 @@ from .dataset import (
     write_csv,
     write_stats,
 )
-from .errors import HeraError, UnknownFeature, UsageError
+from .errors import HeraError, MalformedDatasetCell, UnknownFeature, UsageError
 from .features import PRESETS, select_feature_set
 from .flows import ExportConfig, FlowTable
 from .herafile import HeraHeader, read_hera, write_hera
@@ -123,35 +127,44 @@ def _add_label_flags(cmd) -> None:
 
 
 class OutputStage:
-    """Write to .part files, rename into place only on commit."""
+    """Claim output paths up front, have them written as .part files, and
+    rename them all into place when the `with` block ends without an
+    error; on an error, delete the .part files and the directories made
+    for them instead."""
 
     def __init__(self, force: bool):
         self.force = force
-        self._pairs: list[tuple[Path, Path]] = []
+        self._pairs: dict[Path, Path] = {}
+        self._made: list[Path] = []
 
-    def target(self, final: Path) -> Path:
-        if final.exists() and not self.force:
-            raise FileExistsError(
-                f"{final} already exists; pass --force to overwrite")
-        final.parent.mkdir(parents=True, exist_ok=True)
-        tmp = final.with_name(final.name + ".part")
-        self._pairs.append((tmp, final))
-        return tmp
+    def claim(self, directory: Path, stem: str, *suffixes: str) -> list[Path]:
+        """The .part paths standing in for `stem + suffix` in `directory`."""
+        for suffix in suffixes:
+            final = directory / (stem + suffix)
+            if final.exists() and not self.force:
+                raise FileExistsError(f"{final} already exists; pass --force to overwrite")
+            if final in self._pairs:
+                raise UsageError(f"two outputs would be written to {final}")
+            self._pairs[final] = final.with_name(final.name + ".part")
+        self._made += [d for d in (directory, *directory.parents) if not d.exists()]
+        directory.mkdir(parents=True, exist_ok=True)
+        return [self._pairs[directory / (stem + suffix)] for suffix in suffixes]
 
-    def commit(self) -> list[Path]:
-        for tmp, final in self._pairs:
-            os.replace(tmp, final)
-        finals = [final for _, final in self._pairs]
-        self._pairs.clear()
-        return finals
+    def __enter__(self) -> "OutputStage":
+        return self
 
-    def abort(self) -> None:
-        for tmp, _ in self._pairs:
-            try:
-                tmp.unlink()
-            except FileNotFoundError:
-                pass
-        self._pairs.clear()
+    def __exit__(self, exc_type, exc, tb) -> None:
+        try:
+            if exc_type is None:
+                for final, tmp in self._pairs.items():
+                    os.replace(tmp, final)
+                    log.info("wrote %s", final)
+                self._made.clear()
+        finally:  # whatever was not renamed into place
+            for tmp in self._pairs.values():
+                tmp.unlink(missing_ok=True)
+            for directory in sorted(self._made, key=lambda d: len(d.parts), reverse=True):
+                directory.rmdir()
 
 
 # -- shared helpers ----------------------------------------------------
@@ -190,10 +203,8 @@ def _export_config(settings: Settings, args) -> ExportConfig:
     slack = settings.number("reorder_slack", 1.0)
     if slack < 0:
         raise UsageError("--slack must not be negative")
-    if getattr(args, "no_management", None):
-        emit_management = False
-    else:
-        emit_management = settings.flag("emit_management", True)
+    emit_management = (not getattr(args, "no_management", None)
+                       and settings.flag("emit_management", True))
     return ExportConfig(
         interval_us=interval_us,
         idle_timeout_us=idle_us,
@@ -212,8 +223,8 @@ def _feature_selection(text: str | None):
     return [name.strip() for name in cleaned.split(",") if name.strip()]
 
 
-def _dataset_options(settings: Settings) -> tuple[list[str], str, int, bool]:
-    """The validated (feature names, mode, count window, keep management)."""
+def _dataset_options(settings: Settings) -> dict:
+    """The validated keyword arguments of `build_dataset`."""
     feature_names = select_feature_set(_feature_selection(settings.text("features")))
     mode = settings.text("mode") or "ra"
     if mode not in MODES:
@@ -221,13 +232,14 @@ def _dataset_options(settings: Settings) -> tuple[list[str], str, int, bool]:
     count_window = int(settings.number("count_window", DEFAULT_COUNT_WINDOW))
     if count_window < 1:
         raise UsageError("--count-window must be at least 1")
-    return feature_names, mode, count_window, settings.flag("keep_management", False)
+    return dict(feature_names=feature_names, mode=mode, count_window=count_window,
+                keep_management=settings.flag("keep_management", False))
 
 
-def _label_options(settings: Settings) -> tuple[str, bool]:
-    """The (benign label, bidirectional) pair."""
-    benign = settings.text("benign_label") or DEFAULT_BENIGN_LABEL
-    return benign, settings.flag("bidirectional", False)
+def _label_options(settings: Settings) -> dict:
+    """The keyword arguments of `label_dataset`."""
+    return dict(benign_label=settings.text("benign_label") or DEFAULT_BENIGN_LABEL,
+                bidirectional=settings.flag("bidirectional", False))
 
 
 def _jobs(settings: Settings) -> int:
@@ -257,86 +269,60 @@ def export_capture(pcap_path, config: ExportConfig):
     return header, records, table
 
 
-def _export_one(pcap_path: str, hera_tmp: str, stats_tmp: str,
-                config: ExportConfig) -> None:
-    header, records, _ = export_capture(pcap_path, config)
-    write_hera(hera_tmp, header, records)
-    write_stats(stats_tmp, compute_stats(records))
+# -- per-file steps: each writes two outputs and returns the next step's input
 
 
-def _run_export(pcap_paths, out_dir: Path, config: ExportConfig,
-                force: bool, jobs: int) -> list[Path]:
-    stage = OutputStage(force)
-    try:
-        work = []
-        for pcap in pcap_paths:
-            hera_final = out_dir / (pcap.stem + ".hera")
-            stats_final = out_dir / (pcap.stem + ".stats.txt")
-            work.append((str(pcap), str(stage.target(hera_final)),
-                         str(stage.target(stats_final))))
-        if jobs > 1 and len(work) > 1:
-            with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-                futures = [pool.submit(_export_one, *item, config) for item in work]
-                for future in futures:
-                    future.result()
-        else:
-            for item in work:
-                _export_one(*item, config)
-        finals = stage.commit()
-    except BaseException:
-        stage.abort()
-        raise
-    for final in finals:
-        log.info("wrote %s", final)
-    return [p for p in finals if p.suffix == ".hera"]
+def _export_step(pcap, config: ExportConfig, hera_path, stats_path) -> list:
+    header, records, _ = export_capture(pcap, config)
+    write_hera(hera_path, header, records)
+    write_stats(stats_path, compute_stats(records))
+    return records
 
 
-def _run_dataset(hera_paths, out_dir: Path, options, force: bool) -> list[Path]:
-    feature_names, mode, count_window, keep_management = options
-    stage = OutputStage(force)
-    try:
-        for path in hera_paths:
-            flowfile = read_hera(path)
-            header, rows, stats = build_dataset(
-                flowfile.records, feature_names, mode=mode,
-                keep_management=keep_management, count_window=count_window,
-            )
-            csv_tmp = stage.target(out_dir / (Path(path).stem + ".csv"))
-            stats_tmp = stage.target(out_dir / (Path(path).stem + ".stats.txt"))
-            write_csv(csv_tmp, header, rows)
-            write_stats(stats_tmp, stats)
-        finals = stage.commit()
-    except BaseException:
-        stage.abort()
-        raise
-    for final in finals:
-        log.info("wrote %s", final)
-    return [p for p in finals if p.suffix == ".csv"]
+def _dataset_step(records, options, csv_path, stats_path):
+    header, rows, stats = build_dataset(records, **options)
+    write_csv(csv_path, header, rows)
+    write_stats(stats_path, stats)
+    return header, rows
 
 
-def _run_label(csv_paths, gt_path, out_dir, options, force: bool) -> None:
-    benign_label, bidirectional = options
-    entries = parse_ground_truth(gt_path)
-    stage = OutputStage(force)
-    try:
-        for path in csv_paths:
-            path = Path(path)
-            header, rows = read_csv(path)
-            labelled_header, labelled_rows, summary = label_dataset(
-                header, rows, entries, benign_label=benign_label,
-                bidirectional=bidirectional,
-            )
-            target_dir = out_dir if out_dir is not None else path.parent
-            csv_tmp = stage.target(target_dir / (path.stem + ".labelled.csv"))
-            summary_tmp = stage.target(target_dir / (path.stem + ".labels.txt"))
-            write_csv(csv_tmp, labelled_header, labelled_rows)
-            write_label_summary(summary_tmp, summary)
-        finals = stage.commit()
-    except BaseException:
-        stage.abort()
-        raise
-    for final in finals:
-        log.info("wrote %s", final)
+def _label_step(header, rows, entries, options, csv_path, summary_path) -> None:
+    labelled_header, labelled_rows, summary = label_dataset(header, rows, entries, **options)
+    write_csv(csv_path, labelled_header, labelled_rows)
+    write_label_summary(summary_path, summary)
+
+
+class _GroundTruth:
+    """Parsed on first use; a worker process gets an unparsed copy."""
+
+    def __init__(self, path: str):
+        self.path = path
+
+    @functools.cached_property
+    def entries(self):
+        return parse_ground_truth(self.path)
+
+
+def _capture_chain(pcap, paths, export_config, dataset_options=None,
+                   label_options=None, ground_truth=None) -> None:
+    """Export one capture and, given dataset options, go on to dataset and
+    label in memory. Returns nothing: a worker sends no records or rows back."""
+    records = _export_step(pcap, export_config, *paths[:2])
+    if dataset_options is not None:
+        header, rows = _dataset_step(records, dataset_options, *paths[2:4])
+        del records  # released before the ground truth is parsed
+        if ground_truth is not None:
+            _label_step(header, rows, ground_truth.entries, label_options, *paths[4:])
+
+
+def _for_each_capture(jobs: int, chain, pcaps, paths) -> None:
+    """chain(pcap, its paths) for each capture, in up to `jobs` processes."""
+    if jobs > 1 and len(pcaps) > 1:
+        workers = min(jobs, len(pcaps))
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(chain, pcaps, paths))
+    else:
+        list(map(chain, pcaps, paths))
 
 
 # -- subcommands -------------------------------------------------------
@@ -346,19 +332,23 @@ def cmd_export(args, config) -> None:
     settings = Settings(args, config)
     export_config = _export_config(settings, args)  # validated before any IO
     jobs = _jobs(settings)
-    force = settings.flag("force", False)
     pcaps = _expand_inputs(settings.paths("pcap"), "--pcap")
     out_dir = Path(settings.text("out") or settings.text("flows_dir") or ".")
-    _run_export(pcaps, out_dir, export_config, force, jobs)
+    with OutputStage(settings.flag("force", False)) as stage:
+        paths = [stage.claim(out_dir, pcap.stem, ".hera", ".stats.txt") for pcap in pcaps]
+        chain = functools.partial(_capture_chain, export_config=export_config)
+        _for_each_capture(jobs, chain, pcaps, paths)
 
 
 def cmd_dataset(args, config) -> None:
     settings = Settings(args, config)
     options = _dataset_options(settings)
-    force = settings.flag("force", False)
     inputs = _expand_inputs(settings.paths("inputs"), "--in")
     out_dir = Path(settings.text("out") or settings.text("csv_dir") or ".")
-    _run_dataset(inputs, out_dir, options, force)
+    with OutputStage(settings.flag("force", False)) as stage:
+        paths = [stage.claim(out_dir, path.stem, ".csv", ".stats.txt") for path in inputs]
+        for path, targets in zip(inputs, paths):
+            _dataset_step(read_hera(path).records, options, *targets)
 
 
 def cmd_label(args, config) -> None:
@@ -367,28 +357,37 @@ def cmd_label(args, config) -> None:
     if not gt:
         raise UsageError("no ground truth: pass --gt")
     options = _label_options(settings)
-    force = settings.flag("force", False)
     inputs = _expand_inputs(settings.paths("inputs"), "--in")
     out = settings.text("out")
-    _run_label(inputs, gt, Path(out) if out else None, options, force)
+    with OutputStage(settings.flag("force", False)) as stage:
+        paths = [stage.claim(Path(out) if out else path.parent, path.stem,
+                             ".labelled.csv", ".labels.txt") for path in inputs]
+        entries = parse_ground_truth(gt)
+        for path, targets in zip(inputs, paths):
+            header, rows = read_csv(path)
+            try:
+                _label_step(header, rows, entries, options, *targets)
+            except MalformedDatasetCell as exc:
+                raise MalformedDatasetCell(exc.line_number, exc.column, exc.reason,
+                                           path) from None
 
 
 def cmd_run(args, config) -> None:
     settings = Settings(args, config)
-    export_config = _export_config(settings, args)
-    dataset_options = _dataset_options(settings)
-    label_options = _label_options(settings)
-    force = settings.flag("force", False)
+    gt = settings.text("ground_truth")
+    chain = functools.partial(
+        _capture_chain, export_config=_export_config(settings, args),
+        dataset_options=_dataset_options(settings), label_options=_label_options(settings),
+        ground_truth=_GroundTruth(gt) if gt else None)
     jobs = _jobs(settings)
     pcaps = _expand_inputs(settings.paths("pcap"), "--pcap")
     flows_dir = Path(settings.text("flows_dir") or "flows")
     csv_dir = Path(settings.text("csv_dir") or "csv")
-    gt = settings.text("ground_truth")
-
-    hera_paths = _run_export(pcaps, flows_dir, export_config, force, jobs)
-    csv_paths = _run_dataset(hera_paths, csv_dir, dataset_options, force)
-    if gt:
-        _run_label(csv_paths, gt, csv_dir, label_options, force)
+    csv_suffixes = (".csv", ".stats.txt") + ((".labelled.csv", ".labels.txt") if gt else ())
+    with OutputStage(settings.flag("force", False)) as stage:  # all captures' outputs
+        paths = [stage.claim(flows_dir, pcap.stem, ".hera", ".stats.txt")
+                 + stage.claim(csv_dir, pcap.stem, *csv_suffixes) for pcap in pcaps]
+        _for_each_capture(jobs, chain, pcaps, paths)
 
 
 COMMANDS = {

@@ -8,6 +8,18 @@ to exit codes without string matching.
 class HeraError(Exception):
     """Base class for every error raised by this package."""
 
+    def __reduce__(self):
+        # Pickled as its message and attributes, not as __init__ arguments,
+        # which differ per subclass: an error raised in a worker process
+        # then reaches the parent unchanged.
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, state):
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(state)
+    return error
+
 
 class InputFormatError(HeraError):
     """Input bytes or text do not conform to the expected format."""
@@ -33,6 +45,16 @@ class UnsupportedLinktype(CaptureError):
         self.linktype = linktype
 
 
+class OversizedRecord(CaptureError):
+    """A record header claims more bytes than any capture record can hold."""
+
+    def __init__(self, name: str, record_index: int, length: int, limit: int):
+        super().__init__(f"{name}: record {record_index} claims {length} bytes, "
+                         f"more than the {limit}-byte limit")
+        self.record_index = record_index
+        self.length = length
+
+
 class TruncatedRecord(CaptureError):
     """A record header claims more bytes than remain in the file."""
 
@@ -52,16 +74,18 @@ class FlowFileBadMagic(FlowFileError):
 class UnsupportedVersion(FlowFileError):
     """Flow file declares a version this reader does not understand."""
 
-    def __init__(self, version: str):
-        super().__init__(f"unsupported flow file version {version!r}")
+    def __init__(self, version: str, path=None):
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}unsupported flow file version {version!r}")
         self.version = version
 
 
 class CorruptRecord(FlowFileError):
     """A record or header line cannot be parsed."""
 
-    def __init__(self, line_number: int, reason: str):
-        super().__init__(f"line {line_number}: {reason}")
+    def __init__(self, line_number: int, reason: str, path=None):
+        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
+        super().__init__(f"{where}: {reason}")
         self.line_number = line_number
         self.reason = reason
 
@@ -112,8 +136,9 @@ class MalformedField(GroundTruthError):
 class MalformedDatasetCell(InputFormatError):
     """A match cell of a dataset being labelled is missing or unreadable."""
 
-    def __init__(self, line_number: int, column: str, reason: str):
-        super().__init__(f"line {line_number}, column {column!r}: {reason}")
+    def __init__(self, line_number: int, column: str, reason: str, path=None):
+        where = "" if path is None else f"{path}: "
+        super().__init__(f"{where}line {line_number}, column {column!r}: {reason}")
         self.line_number = line_number
         self.column = column
         self.reason = reason

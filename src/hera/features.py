@@ -153,7 +153,7 @@ def _flag_dir(rec, side, attr):
 
 
 def _span_us(stats):
-    if stats.pkts == 0:
+    if stats.first_ts_us is None:  # no packets, or a management record's
         return None
     return stats.last_ts_us - stats.first_ts_us
 

@@ -235,6 +235,8 @@ def read_hera(path) -> HeraFile:
             return _read_lines(path, fp)
     except UnicodeDecodeError:
         raise not_utf8(path) from None
+    except CorruptRecord as exc:
+        raise CorruptRecord(exc.line_number, exc.reason, path) from None
 
 
 def _read_lines(path, fp) -> HeraFile:
@@ -243,7 +245,7 @@ def _read_lines(path, fp) -> HeraFile:
         raise FlowFileBadMagic(f"{path}: not a flow file (missing {MAGIC_LINE!r})")
     version = first[len(MAGIC_PREFIX):].strip()
     if version != VERSION_TOKEN:
-        raise UnsupportedVersion(version)
+        raise UnsupportedVersion(version, path)
     header = HeraHeader()
     cfg_kwargs = {}
     records = []

@@ -4,7 +4,8 @@ Handles the four classic magic numbers (both byte orders, microsecond and
 nanosecond resolution), Ethernet (with a single VLAN tag) and raw-IP link
 layers, IPv4/IPv6, and the TCP/UDP/ICMP transports. Undecodable records
 are reported as skips with a reason; they never abort the capture. Only
-a record header that claims more bytes than the file holds does.
+a record header that claims more bytes than the file holds, or than any
+record may hold, does.
 """
 
 from __future__ import annotations
@@ -14,10 +15,20 @@ import struct
 from collections import Counter
 from dataclasses import dataclass
 
-from .errors import BadMagic, TruncatedHeader, TruncatedRecord, UnsupportedLinktype
+from .errors import (
+    BadMagic,
+    OversizedRecord,
+    TruncatedHeader,
+    TruncatedRecord,
+    UnsupportedLinktype,
+)
 
 MAGIC_MICRO = 0xA1B2C3D4
 MAGIC_NANO = 0xA1B23C4D
+
+# No record may claim more than max(snaplen, this) bytes, as in libpcap,
+# so a corrupt length cannot ask for an unbounded read.
+MAX_RECORD_BYTES = 262144
 
 LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW_IP = 101
@@ -142,6 +153,7 @@ class CaptureReader:
         if linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
             raise UnsupportedLinktype(linktype)
         self._endian = endian
+        self._record_limit = max(snaplen, MAX_RECORD_BYTES)
         return CaptureHeader(order, resolution, linktype, snaplen)
 
     def next_packet(self) -> DecodedPacket | SkippedRecord | None:
@@ -152,6 +164,8 @@ class CaptureReader:
         if len(head) < 16:
             raise TruncatedRecord(index)
         ts_sec, ts_frac, incl_len, orig_len = struct.unpack(self._endian + "IIII", head)
+        if incl_len > self._record_limit:
+            raise OversizedRecord(self.name, index, incl_len, self._record_limit)
         data = self._fp.read(incl_len)
         if len(data) < incl_len:
             raise TruncatedRecord(index)

@@ -8,6 +8,7 @@ built-in defaults.
 
 from __future__ import annotations
 
+import math
 import os
 
 from .errors import UsageError
@@ -65,9 +66,12 @@ class Settings:
         if value is None:
             return default
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError):
-            raise UsageError(f"--{name.replace('_', '-')} expects a number, got {value!r}")
+            number = math.nan
+        if not math.isfinite(number):
+            raise UsageError(f"--{name.replace('_', '-')} expects a finite number, got {value!r}")
+        return number
 
     def flag(self, name: str, default: bool = False) -> bool:
         value = self._flag(name)

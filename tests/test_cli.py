@@ -5,6 +5,7 @@ import sys
 import pytest
 
 import pcap_builder as pb
+from hera import cli
 from hera.cli import main
 from hera.dataset import read_csv
 from hera.features import DEFAULT_FEATURES, select_feature_set
@@ -15,9 +16,9 @@ SEC = 1_000_000
 CLIENT, SERVER = "192.168.1.10", "192.168.1.20"
 
 
-def sample_capture(path, base_us=0):
+def sample_frames(base_us=0):
     """A short TCP session plus a UDP exchange."""
-    frames = [
+    return [
         (base_us + 0, pb.tcp4_frame(CLIENT, SERVER, 40000, 80, pb.SYN)),
         (base_us + 100_000, pb.tcp4_frame(SERVER, CLIENT, 80, 40000, pb.SYN | pb.ACK)),
         (base_us + 200_000, pb.tcp4_frame(CLIENT, SERVER, 40000, 80, pb.ACK)),
@@ -27,7 +28,10 @@ def sample_capture(path, base_us=0):
         (base_us + 500_000, pb.udp4_frame(CLIENT, SERVER, 5353, 53, b"q" * 20)),
         (base_us + 600_000, pb.udp4_frame(SERVER, CLIENT, 53, 5353, b"r" * 40)),
     ]
-    pb.write(path, [pb.record(ts, frame) for ts, frame in frames])
+
+
+def sample_capture(path, base_us=0):
+    pb.write(path, [pb.record(ts, frame) for ts, frame in sample_frames(base_us)])
     return path
 
 
@@ -39,6 +43,20 @@ def slow_udp_capture(path):
     ]
     pb.write(path, [pb.record(ts, frame) for ts, frame in frames])
     return path
+
+
+def pipeline_capture(path):
+    """The sample session plus a UDP flow sliced over three 60 s windows,
+    so management records, racluster merges and both directions occur."""
+    frames = sample_frames() + [(t * SEC, pb.udp4_frame(CLIENT, SERVER, 9000, 53, b"p" * 8))
+                                for t in range(1, 152, 10)]
+    pb.write(path, [pb.record(ts, frame) for ts, frame in frames])
+    return path
+
+
+# The udp entry matches the reverse direction of the UDP flows, and so
+# only with --bidirectional.
+PIPELINE_GT = "Proto,SrcAddr,Label\nudp,192.168.1.20,Slow\ntcp,192.168.1.10,Probe\n"
 
 
 def write_gt(path, text="SrcAddr,Label\n192.168.1.10,Probe\n"):
@@ -282,6 +300,31 @@ def test_dataset_unreadable_flow_file_line_is_format_error(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, old, new, reason", [
+    ("dataset", b"proto=udp", b"proto=udp proto=udp", "line {}: duplicate field 'proto'"),
+    ("dataset", b"#HERA v1", b"#HERA v9", "unsupported flow file version 'v9'"),
+    ("label", b",80,", b",eighty,", "line {}, column 'dport'"),
+], ids=["corrupt-record", "unsupported-version", "malformed-cell"])
+def test_bad_second_input_is_named(tmp_path, capsys, command, old, new, reason):
+    for name, base in (("a.pcap", 0), ("b.pcap", 3 * SEC)):
+        sample_capture(tmp_path / name, base_us=base)
+    assert main(["run", "--pcap", str(tmp_path / "*.pcap"),
+                 "--flows-dir", str(tmp_path / "flows"),
+                 "--csv-dir", str(tmp_path / "csv")]) == 0
+    folder, suffix = ("flows", ".hera") if command == "dataset" else ("csv", ".csv")
+    inputs = [tmp_path / folder / (stem + suffix) for stem in ("a", "b")]
+    data = inputs[1].read_bytes()
+    reason = reason.format(data[:data.index(old)].count(b"\n") + 1)
+    inputs[1].write_bytes(data.replace(old, new, 1))
+    argv = [command, "--in", str(inputs[0]), "--in", str(inputs[1]),
+            "--out", str(tmp_path / "out")]
+    if command == "label":
+        argv += ["--gt", str(write_gt(tmp_path / "gt.csv"))]
+    assert main(argv) == 2
+    assert f"hera: {inputs[1]}: {reason}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_dataset_bad_count_window(tmp_path):
     hera = exported(tmp_path)
     assert main(["dataset", "--in", str(hera), "--out", str(tmp_path / "csv"),
@@ -426,27 +469,131 @@ def test_run_without_ground_truth(capture, tmp_path, monkeypatch):
     assert tree(tmp_path / "csv") == ["a.csv", "a.stats.txt"]
 
 
-def test_run_full_pipeline_matches_separate_stages(capture, tmp_path):
-    gt = write_gt(tmp_path / "gt.csv")
+def stage_by_stage(pcaps, gt, out, flags):
+    """The outputs of `export`, `dataset` and `label` run one after another."""
+    export_flags, dataset_flags, label_flags = flags
+    assert main(["export", *[f"--pcap={p}" for p in pcaps],
+                 "--out", str(out / "flows"), *export_flags]) == 0
+    assert main(["dataset", "--in", str(out / "flows" / "*.hera"),
+                 "--out", str(out / "csv"), *dataset_flags]) == 0
+    assert main(["label", "--in", str(out / "csv" / "*.csv"), "--gt", str(gt),
+                 *label_flags]) == 0
+
+
+def assert_same_tree(one, two):
+    assert tree(one) == tree(two)
+    for name in tree(one):
+        assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("bidirectional", [[], ["--bidirectional"]], ids=["oneway", "bidi"])
+@pytest.mark.parametrize("management", [[], ["--keep-management"]], ids=["nomgmt", "mgmt"])
+@pytest.mark.parametrize("features", ["default", "all"])
+@pytest.mark.parametrize("mode", ["ra", "racluster"])
+def test_run_full_pipeline_matches_separate_stages(
+        tmp_path, mode, features, management, bidirectional):
+    capture = pipeline_capture(tmp_path / "a.pcap")
+    gt = write_gt(tmp_path / "gt.csv", PIPELINE_GT)
+    flags = ([], ["--mode", mode, "--features", features, *management], bidirectional)
     combined = tmp_path / "combined"
     assert main(["run", "--pcap", str(capture), "--gt", str(gt),
                  "--flows-dir", str(combined / "flows"),
-                 "--csv-dir", str(combined / "csv")]) == 0
+                 "--csv-dir", str(combined / "csv"), *flags[1], *flags[2]]) == 0
     assert tree(combined) == [
         "csv/a.csv", "csv/a.labelled.csv", "csv/a.labels.txt",
         "csv/a.stats.txt", "flows/a.hera", "flows/a.stats.txt",
     ]
-
     staged = tmp_path / "staged"
-    assert main(["export", "--pcap", str(capture),
-                 "--out", str(staged / "flows")]) == 0
-    assert main(["dataset", "--in", str(staged / "flows" / "a.hera"),
-                 "--out", str(staged / "csv")]) == 0
-    assert main(["label", "--in", str(staged / "csv" / "a.csv"),
-                 "--gt", str(gt)]) == 0
-    assert tree(staged) == tree(combined)
-    for name in tree(combined):
-        assert (staged / name).read_bytes() == (combined / name).read_bytes(), name
+    stage_by_stage([capture], gt, staged, flags)
+    assert_same_tree(staged, combined)
+    labels = (combined / "csv" / "a.labels.txt").read_text(encoding="utf-8")
+    assert ("Slow:" in labels) == bool(bidirectional)
+
+
+def test_run_jobs_match_serial_run(tmp_path):
+    pcaps = [pipeline_capture(tmp_path / "a.pcap"),
+             sample_capture(tmp_path / "b.pcap", base_us=5 * SEC),
+             slow_udp_capture(tmp_path / "c.pcap")]
+    gt = write_gt(tmp_path / "gt.csv", PIPELINE_GT)
+    for name, jobs in (("serial", "1"), ("parallel", "2")):
+        assert main(["run", "--pcap", str(tmp_path / "*.pcap"), "--gt", str(gt),
+                     "--flows-dir", str(tmp_path / name / "flows"),
+                     "--csv-dir", str(tmp_path / name / "csv"),
+                     "--mode", "racluster", "--bidirectional", "--jobs", jobs]) == 0
+    assert len(tree(tmp_path / "serial")) == 6 * len(pcaps)
+    assert_same_tree(tmp_path / "serial", tmp_path / "parallel")
+    staged = tmp_path / "staged"
+    stage_by_stage(pcaps, gt, staged, ([], ["--mode", "racluster"], ["--bidirectional"]))
+    assert_same_tree(staged, tmp_path / "serial")
+
+
+def test_run_hands_records_and_rows_over_in_memory(capture, tmp_path, monkeypatch):
+    def reread(path):
+        raise AssertionError(f"run read back {path}")
+
+    monkeypatch.setattr(cli, "read_hera", reread)
+    monkeypatch.setattr(cli, "read_csv", reread)
+    gt = write_gt(tmp_path / "gt.csv")
+    assert main(["run", "--pcap", str(capture), "--gt", str(gt),
+                 "--flows-dir", str(tmp_path / "flows"),
+                 "--csv-dir", str(tmp_path / "csv")]) == 0
+    assert "Probe: 2" in (tmp_path / "csv" / "a.labels.txt").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_run_with_bad_ground_truth_leaves_nothing(tmp_path, capsys, jobs):
+    for name, base in (("a.pcap", 0), ("b.pcap", 3 * SEC)):
+        sample_capture(tmp_path / name, base_us=base)
+    gt = write_gt(tmp_path / "gt.csv", "StartTime,Label\nnot-a-time,Probe\n")
+    flows, csv_dir = tmp_path / "out" / "flows", tmp_path / "out" / "csv"
+    assert main(["run", "--pcap", str(tmp_path / "*.pcap"), "--gt", str(gt),
+                 "--flows-dir", str(flows), "--csv-dir", str(csv_dir),
+                 "--jobs", jobs]) == 2
+    assert "hera: row 2: malformed timestamp 'not-a-time'\n" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_with_existing_labelled_output_does_no_work(capture, tmp_path, capsys):
+    gt = write_gt(tmp_path / "gt.csv")
+    csv_dir = tmp_path / "csv"
+    csv_dir.mkdir()
+    (csv_dir / "a.labelled.csv").write_text("kept\n", encoding="utf-8")
+    assert main(["run", "--pcap", str(capture), "--gt", str(gt),
+                 "--flows-dir", str(tmp_path / "flows"), "--csv-dir", str(csv_dir)]) == 3
+    assert "--force" in capsys.readouterr().err
+    assert not (tmp_path / "flows").exists()
+    assert tree(csv_dir) == ["a.labelled.csv"]
+    assert (csv_dir / "a.labelled.csv").read_text(encoding="utf-8") == "kept\n"
+
+
+def test_run_refuses_one_directory_for_both_stats_files(capture, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run", "--pcap", str(capture), "--flows-dir", str(out),
+                 "--csv-dir", str(out)]) == 1
+    assert "two outputs would be written to" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--interval", "inf"), ("--interval", "nan"), ("--idle-timeout", "nan"),
+    ("--slack", "inf"), ("--count-window", "inf"), ("--jobs", "inf"),
+])
+def test_non_finite_number_is_usage_error(capture, tmp_path, capsys, flag, value):
+    assert main(["run", "--pcap", str(capture), flag, value,
+                 "--flows-dir", str(tmp_path / "flows"),
+                 "--csv-dir", str(tmp_path / "csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("hera: ") and "expects a finite number" in err
+    assert tree(tmp_path) == ["a.pcap"]
+
+
+def test_export_jobs_report_worker_errors_intact(tmp_path, capsys):
+    sample_capture(tmp_path / "a.pcap")
+    data = (tmp_path / "a.pcap").read_bytes()
+    (tmp_path / "b.pcap").write_bytes(data[:-5])  # the last record is cut short
+    assert main(["export", "--pcap", str(tmp_path / "*.pcap"),
+                 "--out", str(tmp_path / "flows"), "--jobs", "2"]) == 2
+    assert capsys.readouterr().err == "hera: record 6 truncated at end of file\n"
 
 
 def test_run_is_idempotent_with_force(capture, tmp_path):
@@ -474,6 +621,17 @@ def test_run_applies_one_ground_truth_to_many_captures(tmp_path):
         assert f"{stem}.labelled.csv" in produced
         labels = (tmp_path / "csv" / f"{stem}.labels.txt").read_text("utf-8")
         assert "Probe: 2" in labels
+
+
+def test_run_dataset_features_all_with_management(capture, tmp_path):
+    assert main(["run", "--pcap", str(capture), "--features", "all", "--keep-management",
+                 "--flows-dir", str(tmp_path / "flows"),
+                 "--csv-dir", str(tmp_path / "csv")]) == 0
+    header, rows = read_csv(tmp_path / "csv" / "a.csv")
+    sdur = [row[header.index("sdur")] for row in rows]
+    assert sdur.count("") == 1  # the management row's
+    assert main(["dataset", "--in", str(tmp_path / "flows" / "a.hera"), "--features", "sdur",
+                 "--keep-management", "--out", str(tmp_path / "sdur")]) == 0
 
 
 def test_run_validates_features_before_any_io(capture, tmp_path, capsys):

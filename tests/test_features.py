@@ -19,7 +19,7 @@ from hera.features import (
     select_feature_set,
     service_of,
 )
-from hera.flows import ExportConfig, FlowKey, FlowRecord, FlowTable
+from hera.flows import ExportConfig, FlowKey, FlowRecord, FlowTable, make_management_record
 from hera.pcap import DecodedPacket
 
 SEC = 1_000_000
@@ -342,6 +342,17 @@ def test_single_packet_iat_cells_are_empty():
     rec = udp_single_packet()
     row = cells(rec, ["intpkt", "minipt", "maxipt", "totipt", "jit"])
     assert all(value == "" for value in row.values())
+
+
+def test_every_feature_computes_on_a_management_record():
+    # A management record carries packet totals on one side but no
+    # timestamps, so a span over that side is undefined, not an error.
+    rec = make_management_record(0, 60 * SEC, packets=7, byte_count=700, flows=2)
+    ctx = RowContext(rank=0, service="", ssaddr=None, sdaddr=None)
+    row = dict(zip(CATALOG_ORDER, compute_row(rec, CATALOG_ORDER, ctx)))
+    assert len(row) == CATALOG_SIZE
+    assert row["sdur"] == row["ddur"] == ""
+    assert row["pkts"] == "7"
 
 
 def test_always_on_cells_never_empty():

@@ -1,10 +1,25 @@
+import io
 import struct
 
 import pytest
 
 import pcap_builder as pb
-from hera.errors import BadMagic, TruncatedHeader, TruncatedRecord, UnsupportedLinktype
-from hera.pcap import DecodedPacket, SkippedRecord, decode_icmp_ports, open_capture
+from hera.cli import main
+from hera.errors import (
+    BadMagic,
+    OversizedRecord,
+    TruncatedHeader,
+    TruncatedRecord,
+    UnsupportedLinktype,
+)
+from hera.pcap import (
+    MAX_RECORD_BYTES,
+    CaptureReader,
+    DecodedPacket,
+    SkippedRecord,
+    decode_icmp_ports,
+    open_capture,
+)
 
 
 def write(tmp_path, data: bytes):
@@ -293,6 +308,46 @@ def test_truncated_record_aborts_with_index(tmp_path):
     with pytest.raises(TruncatedRecord) as err:
         reader.next_packet()
     assert err.value.record_index == 1
+
+
+class ReadSizes(io.BytesIO):
+    """A capture file that records the size of every read asked of it."""
+
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.sizes = []
+
+    def read(self, size=-1):
+        self.sizes.append(size)
+        return super().read(size)
+
+
+@pytest.mark.parametrize("snaplen", [65535, 2 * MAX_RECORD_BYTES])
+def test_oversized_record_is_rejected_before_reading_it(tmp_path, snaplen, capsys):
+    good = pb.record(0, syn_frame_54())
+    limit = max(snaplen, MAX_RECORD_BYTES)
+    bad = struct.pack("<IIII", 1, 0, 0xFFFFFFF0, 60) + b"\x00" * 60
+    data = pb.pcap([good, good, bad], snaplen=snaplen)
+    fp = ReadSizes(data)
+    reader = CaptureReader(fp, name="crafted.pcap")
+    assert isinstance(reader.next_packet(), DecodedPacket)
+    assert isinstance(reader.next_packet(), DecodedPacket)
+    with pytest.raises(OversizedRecord) as err:
+        reader.next_packet()
+    assert err.value.record_index == 2
+    assert max(fp.sizes) <= limit
+    assert str(err.value) == (f"crafted.pcap: record 2 claims {0xFFFFFFF0} bytes, "
+                              f"more than the {limit}-byte limit")
+
+    path = write(tmp_path, data)
+    assert main(["export", "--pcap", str(path), "--out", str(tmp_path / "flows")]) == 2
+    assert "record 2 claims" in capsys.readouterr().err
+
+
+def test_record_at_the_limit_is_read(tmp_path):
+    frame = syn_frame_54() + b"\x00" * (MAX_RECORD_BYTES - 54)
+    reader = CaptureReader(ReadSizes(pb.pcap([pb.record(0, frame)])))
+    assert isinstance(reader.next_packet(), DecodedPacket)
 
 
 def test_prefix_cut_at_record_boundary_is_fine(tmp_path):
