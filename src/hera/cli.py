@@ -51,7 +51,19 @@ log = logging.getLogger("hera")
 
 
 class _Parser(argparse.ArgumentParser):
-    """Argparse that reports usage problems through our exit-code map."""
+    """Argparse that reports usage problems through our exit-code map and
+    records each option's flag by its destination in `flags`, a dict it
+    shares with its subcommands' parsers."""
+
+    def __init__(self, *args, flags: dict[str, str] | None = None, **kwargs):
+        self.flags = {} if flags is None else flags
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        if action.option_strings:
+            self.flags.setdefault(action.dest, action.option_strings[0])
+        return action
 
     def error(self, message):
         raise UsageError(message)
@@ -60,7 +72,8 @@ class _Parser(argparse.ArgumentParser):
 def build_parser() -> _Parser:
     parser = _Parser(prog="hera", description=__doc__.split("\n\n")[0])
     parser.add_argument("--verbose", action="store_true", help="log progress")
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(
+        dest="command", parser_class=functools.partial(_Parser, flags=parser.flags))
 
     export = sub.add_parser("export", help="PCAP -> .hera flow files")
     _add_export_flags(export)
@@ -191,9 +204,12 @@ def _expand_inputs(patterns, flag: str) -> list[Path]:
 
 
 def _positive_seconds(value: float, flag: str) -> int:
-    if value <= 0:
-        raise UsageError(f"{flag} must be a positive number of seconds")
-    return seconds_to_us(value)
+    """The value in whole microseconds, which must be at least one."""
+    value_us = seconds_to_us(value)
+    if value_us <= 0:
+        raise UsageError(f"{flag} must be a positive number of seconds, "
+                         "at least one microsecond")
+    return value_us
 
 
 def _export_config(settings: Settings, args) -> ExportConfig:
@@ -328,8 +344,7 @@ def _for_each_capture(jobs: int, chain, pcaps, paths) -> None:
 # -- subcommands -------------------------------------------------------
 
 
-def cmd_export(args, config) -> None:
-    settings = Settings(args, config)
+def cmd_export(args, settings: Settings) -> None:
     export_config = _export_config(settings, args)  # validated before any IO
     jobs = _jobs(settings)
     pcaps = _expand_inputs(settings.paths("pcap"), "--pcap")
@@ -340,8 +355,7 @@ def cmd_export(args, config) -> None:
         _for_each_capture(jobs, chain, pcaps, paths)
 
 
-def cmd_dataset(args, config) -> None:
-    settings = Settings(args, config)
+def cmd_dataset(args, settings: Settings) -> None:
     options = _dataset_options(settings)
     inputs = _expand_inputs(settings.paths("inputs"), "--in")
     out_dir = Path(settings.text("out") or settings.text("csv_dir") or ".")
@@ -351,8 +365,7 @@ def cmd_dataset(args, config) -> None:
             _dataset_step(read_hera(path).records, options, *targets)
 
 
-def cmd_label(args, config) -> None:
-    settings = Settings(args, config)
+def cmd_label(args, settings: Settings) -> None:
     gt = settings.text("ground_truth")
     if not gt:
         raise UsageError("no ground truth: pass --gt")
@@ -372,8 +385,7 @@ def cmd_label(args, config) -> None:
                                            path) from None
 
 
-def cmd_run(args, config) -> None:
-    settings = Settings(args, config)
+def cmd_run(args, settings: Settings) -> None:
     gt = settings.text("ground_truth")
     chain = functools.partial(
         _capture_chain, export_config=_export_config(settings, args),
@@ -409,8 +421,8 @@ def main(argv=None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1
-        config = load_workspace()
-        COMMANDS[args.command](args, config)
+        settings = Settings(args, load_workspace(), parser.flags)
+        COMMANDS[args.command](args, settings)
         return 0
     except (UsageError, UnknownFeature) as exc:
         print(f"hera: {exc}", file=sys.stderr)

@@ -58,8 +58,8 @@ class OversizedRecord(CaptureError):
 class TruncatedRecord(CaptureError):
     """A record header claims more bytes than remain in the file."""
 
-    def __init__(self, record_index: int):
-        super().__init__(f"record {record_index} truncated at end of file")
+    def __init__(self, name: str, record_index: int):
+        super().__init__(f"{name}: record {record_index} truncated at end of file")
         self.record_index = record_index
 
 

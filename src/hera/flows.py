@@ -12,6 +12,7 @@ A lone FIN never closes a flow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .pcap import DecodedPacket
 
@@ -31,8 +32,7 @@ def render_flags(flags) -> str:
     return "".join(letter for letter in FLAG_ORDER if letter in flags)
 
 
-@dataclass(frozen=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """Canonical bidirectional key: the lexicographically smaller
     (address, port) endpoint is always endpoint a."""
 
@@ -42,20 +42,23 @@ class FlowKey:
     port_b: int
     proto: str
 
-    def sort_tuple(self):
-        return (self.addr_a, self.port_a, self.addr_b, self.port_b, self.proto)
-
 
 MANAGEMENT_KEY = FlowKey("0.0.0.0", 0, "0.0.0.0", 0, MANAGEMENT_PROTO)
 
 
+def canonical_key(saddr: str, sport: int, daddr: str, dport: int,
+                  proto: str) -> tuple[FlowKey, str]:
+    """Return the canonical key of a flow from (saddr, sport) to
+    (daddr, dport) and which endpoint ('a' or 'b') is its source."""
+    if (saddr, sport) <= (daddr, dport):
+        return FlowKey(saddr, sport, daddr, dport, proto), "a"
+    return FlowKey(daddr, dport, saddr, sport, proto), "b"
+
+
 def flow_key(packet: DecodedPacket) -> tuple[FlowKey, str]:
     """Return the canonical key and which endpoint ('a' or 'b') sent this packet."""
-    src = (packet.src_addr, packet.src_port)
-    dst = (packet.dst_addr, packet.dst_port)
-    if src <= dst:
-        return FlowKey(src[0], src[1], dst[0], dst[1], packet.proto), "a"
-    return FlowKey(dst[0], dst[1], src[0], src[1], packet.proto), "b"
+    return canonical_key(packet.src_addr, packet.src_port,
+                         packet.dst_addr, packet.dst_port, packet.proto)
 
 
 @dataclass
@@ -310,8 +313,7 @@ class FlowRecord:
         return self.ltime_us - self.stime_us
 
     def sort_key(self):
-        return (self.stime_us,) + self.key.sort_tuple() + (
-            self.slice_index, self.is_management)
+        return (self.stime_us, *self.key, self.slice_index, self.is_management)
 
     def merge(self, other: "FlowRecord", prev_ltime_us: int | None) -> None:
         """Fold in the next constituent of the same key, in stime order
@@ -404,18 +406,10 @@ class FlowTable:
         self.flows_started = 0
         self.skipped_non_monotonic = 0
         self._prev_ts_us: int | None = None  # previous accepted packet
-        self._first_ts_us: int | None = None
-        self._last_ts_us: int | None = None  # max accepted timestamp
+        self.first_ts_us: int | None = None
+        self.last_ts_us: int | None = None  # max accepted timestamp
         self._windows: dict[int, list[int]] = {}  # idx -> [pkts, bytes, flows]
         self._flushed = False
-
-    @property
-    def first_ts_us(self) -> int | None:
-        return self._first_ts_us
-
-    @property
-    def last_ts_us(self) -> int | None:
-        return self._last_ts_us
 
     # -- packet intake -------------------------------------------------
 
@@ -430,9 +424,9 @@ class FlowTable:
         self._prev_ts_us = ts
         self.accepted_packets += 1
         self.accepted_bytes += packet.ip_bytes
-        if self._first_ts_us is None:
-            self._first_ts_us = self._last_ts_us = ts
-        self._last_ts_us = max(self._last_ts_us, ts)
+        if self.first_ts_us is None:
+            self.first_ts_us = self.last_ts_us = ts
+        self.last_ts_us = max(self.last_ts_us, ts)
         window = self._window_counters(ts)
         window[0] += 1
         window[1] += packet.ip_bytes
@@ -459,7 +453,7 @@ class FlowTable:
             self._tcp_lifecycle(live, sender, packet)
 
     def _window_counters(self, ts_us: int) -> list[int]:
-        anchor = self._first_ts_us
+        anchor = self.first_ts_us
         idx = max((ts_us - anchor) // self.config.interval_us, 0)
         counters = self._windows.get(idx)
         if counters is None:
@@ -525,7 +519,7 @@ class FlowTable:
                 live.rec.ackdat_us = ts - live.synack_ts_us
 
     def _tcp_lifecycle(self, live: _LiveFlow, sender: str, packet) -> None:
-        flags = packet.tcp_flags or frozenset()
+        flags = packet.tcp_flags
         if "R" in flags:
             live.state = STATE_RST
             self._retire(live, idle_us=0)
@@ -566,11 +560,11 @@ class FlowTable:
         if self._flushed:
             raise RuntimeError("flow table already flushed")
         self._flushed = True
-        last = self._last_ts_us
+        last = self.last_ts_us
         for live in list(self._live.values()):
             self._retire(live, idle_us=last - live.rec.ltime_us)
         records = self._closed
-        if self.config.emit_management and self._first_ts_us is not None:
+        if self.config.emit_management and self.first_ts_us is not None:
             records.extend(self._management_records())
         records.sort(key=FlowRecord.sort_key)
         for i, rec in enumerate(records):
@@ -579,12 +573,12 @@ class FlowTable:
 
     def _management_records(self) -> list[FlowRecord]:
         interval = self.config.interval_us
-        t0 = self._first_ts_us
-        last_index = (self._last_ts_us - t0) // interval
+        t0 = self.first_ts_us
+        last_index = (self.last_ts_us - t0) // interval
         out = []
         for idx in range(last_index + 1):
             start = t0 + idx * interval
-            end = self._last_ts_us if idx == last_index else start + interval
+            end = self.last_ts_us if idx == last_index else start + interval
             pkts, nbytes, flows = self._windows.get(idx, (0, 0, 0))
             out.append(make_management_record(start, end, pkts, nbytes, flows))
         return out

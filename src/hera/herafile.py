@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion, not_utf8
-from .flows import ExportConfig, FlowKey, FlowRecord, render_flags
+from .flows import ExportConfig, FlowRecord, canonical_key, render_flags
 from .timefmt import text_to_us, us_to_text
 
 MAGIC_PREFIX = "#HERA "
@@ -160,17 +160,8 @@ def parse_record(line: str, line_number: int) -> FlowRecord:
         if required not in pairs or (required != "proto" and pairs[required] == ""):
             raise CorruptRecord(line_number, f"missing field {required!r}")
     try:
-        saddr = pairs["saddr"]
-        sport = int(pairs["sport"])
-        daddr = pairs["daddr"]
-        dport = int(pairs["dport"])
-        proto = pairs["proto"]
-        if (saddr, sport) <= (daddr, dport):
-            key = FlowKey(saddr, sport, daddr, dport, proto)
-            initiator = "a"
-        else:
-            key = FlowKey(daddr, dport, saddr, sport, proto)
-            initiator = "b"
+        key, initiator = canonical_key(pairs["saddr"], int(pairs["sport"]),
+                                       pairs["daddr"], int(pairs["dport"]), pairs["proto"])
         rec = FlowRecord(
             key=key, initiator=initiator,
             stime_us=text_to_us(pairs["stime"]),

@@ -14,6 +14,7 @@ import ipaddress
 import struct
 from collections import Counter
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (
     BadMagic,
@@ -25,6 +26,14 @@ from .errors import (
 
 MAGIC_MICRO = 0xA1B2C3D4
 MAGIC_NANO = 0xA1B23C4D
+
+# magic bytes -> (byte order, timestamp resolution)
+_MAGICS = {
+    struct.pack(">I", MAGIC_MICRO): ("big", "micro"),
+    struct.pack("<I", MAGIC_MICRO): ("little", "micro"),
+    struct.pack(">I", MAGIC_NANO): ("big", "nano"),
+    struct.pack("<I", MAGIC_NANO): ("little", "nano"),
+}
 
 # No record may claim more than max(snaplen, this) bytes, as in libpcap,
 # so a corrupt length cannot ask for an unbounded read.
@@ -48,7 +57,18 @@ TCP_FLAG_BITS = (
     (0x20, "U"),
 )
 
+# The letter set of each value of the six low TCP flag bits.
+_TCP_FLAGS = tuple(
+    frozenset(letter for bit, letter in TCP_FLAG_BITS if bits & bit) for bits in range(64)
+)
+
 PROTO_NAMES = {6: "tcp", 17: "udp", 1: "icmp", 58: "icmp"}
+
+_U16 = struct.Struct(">H")
+_U32 = struct.Struct(">I")
+# sport, dport, seq, ack, data offset byte, flag byte, window
+_TCP = struct.Struct(">HHIIBBH")
+_PORTS = struct.Struct(">HH")
 
 # IPv6 extension headers we step over to reach the transport.
 _V6_EXTENSIONS = {0, 43, 60}
@@ -68,13 +88,12 @@ class CaptureHeader:
     snaplen: int
 
 
-@dataclass(frozen=True)
-class DecodedPacket:
+class DecodedPacket(NamedTuple):
     ts_us: int  # epoch microseconds; nanosecond inputs are truncated
     src_addr: str
     dst_addr: str
-    src_port: int
-    dst_port: int
+    src_port: int  # ICMP: the message type
+    dst_port: int  # ICMP: the message code
     proto: str  # "tcp", "udp", "icmp", or the decimal protocol number
     ip_bytes: int  # on-wire IP length per the IP header when sane
     payload_bytes: int  # transport payload length, never negative
@@ -92,19 +111,6 @@ class DecodedPacket:
 class SkippedRecord:
     record_index: int
     reason: str
-
-
-def decode_icmp_ports(icmp_type: int, icmp_code: int) -> tuple[int, int]:
-    """ICMP messages have no ports; type and code stand in for them."""
-    return icmp_type, icmp_code
-
-
-def proto_name(number: int) -> str:
-    return PROTO_NAMES.get(number, str(number))
-
-
-def tcp_flag_set(bits: int) -> frozenset[str]:
-    return frozenset(letter for bit, letter in TCP_FLAG_BITS if bits & bit)
 
 
 class CaptureReader:
@@ -134,25 +140,19 @@ class CaptureReader:
         raw = self._fp.read(24)
         if len(raw) < 4:
             raise TruncatedHeader(f"{self.name}: file shorter than a magic number")
-        magic_be = struct.unpack(">I", raw[:4])[0]
-        magic_le = struct.unpack("<I", raw[:4])[0]
-        if magic_be == MAGIC_MICRO:
-            order, resolution = "big", "micro"
-        elif magic_le == MAGIC_MICRO:
-            order, resolution = "little", "micro"
-        elif magic_be == MAGIC_NANO:
-            order, resolution = "big", "nano"
-        elif magic_le == MAGIC_NANO:
-            order, resolution = "little", "nano"
-        else:
-            raise BadMagic(f"{self.name}: magic {raw[:4].hex()} is not classic PCAP")
+        try:
+            order, resolution = _MAGICS[raw[:4]]
+        except KeyError:
+            raise BadMagic(f"{self.name}: magic {raw[:4].hex()} is not classic PCAP") from None
         if len(raw) < 24:
             raise TruncatedHeader(f"{self.name}: file shorter than the global header")
         endian = ">" if order == "big" else "<"
         _, _, _, _, snaplen, linktype = struct.unpack(endian + "HHiIII", raw[4:])
         if linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
             raise UnsupportedLinktype(linktype)
-        self._endian = endian
+        self._record_head = struct.Struct(endian + "IIII")
+        self._frac_per_us = 1000 if resolution == "nano" else 1
+        self._ethernet = linktype == LINKTYPE_ETHERNET
         self._record_limit = max(snaplen, MAX_RECORD_BYTES)
         return CaptureHeader(order, resolution, linktype, snaplen)
 
@@ -162,18 +162,15 @@ class CaptureReader:
             return None
         index = self.record_index
         if len(head) < 16:
-            raise TruncatedRecord(index)
-        ts_sec, ts_frac, incl_len, orig_len = struct.unpack(self._endian + "IIII", head)
+            raise TruncatedRecord(self.name, index)
+        ts_sec, ts_frac, incl_len, orig_len = self._record_head.unpack(head)
         if incl_len > self._record_limit:
             raise OversizedRecord(self.name, index, incl_len, self._record_limit)
         data = self._fp.read(incl_len)
         if len(data) < incl_len:
-            raise TruncatedRecord(index)
+            raise TruncatedRecord(self.name, index)
         self.record_index += 1
-        if self.header.ts_resolution == "nano":
-            ts_us = ts_sec * 1_000_000 + ts_frac // 1000
-        else:
-            ts_us = ts_sec * 1_000_000 + ts_frac
+        ts_us = ts_sec * 1_000_000 + ts_frac // self._frac_per_us
         result = self._decode_frame(ts_us, data, orig_len)
         if isinstance(result, str):
             self.skipped[result] += 1
@@ -193,16 +190,16 @@ class CaptureReader:
 
     def _decode_frame(self, ts_us: int, data: bytes, orig_len: int):
         vlan_id = None
-        if self.header.linktype == LINKTYPE_ETHERNET:
+        if self._ethernet:
             if len(data) < 14:
                 return SKIP_TRUNCATED_FRAME
-            ethertype = struct.unpack(">H", data[12:14])[0]
+            ethertype = _U16.unpack_from(data, 12)[0]
             offset = 14
             if ethertype in (ETHERTYPE_VLAN, ETHERTYPE_QINQ):
                 if len(data) < 18:
                     return SKIP_TRUNCATED_FRAME
-                vlan_id = struct.unpack(">H", data[14:16])[0] & 0x0FFF
-                ethertype = struct.unpack(">H", data[16:18])[0]
+                vlan_id = _U16.unpack_from(data, 14)[0] & 0x0FFF
+                ethertype = _U16.unpack_from(data, 16)[0]
                 offset = 18
                 if ethertype in (ETHERTYPE_VLAN, ETHERTYPE_QINQ):
                     return SKIP_ENCAPSULATION
@@ -234,9 +231,8 @@ class CaptureReader:
         if ihl < 20 or len(ip) < ihl:
             return SKIP_TRUNCATED_FRAME
         tos = ip[1]
-        total_len = struct.unpack(">H", ip[2:4])[0]
-        frag_word = struct.unpack(">H", ip[6:8])[0]
-        frag_offset = (frag_word & 0x1FFF) * 8
+        total_len = _U16.unpack_from(ip, 2)[0]
+        frag_offset = _U16.unpack_from(ip, 6)[0] & 0x1FFF  # in 8-byte units
         ttl = ip[8]
         proto_num = ip[9]
         src = str(ipaddress.IPv4Address(ip[12:16]))
@@ -252,11 +248,11 @@ class CaptureReader:
     def _decode_ipv6(self, ts_us, ip, wire_ip_len, vlan_id):
         if len(ip) < 40:
             return SKIP_TRUNCATED_FRAME
-        first_word = struct.unpack(">I", ip[:4])[0]
+        first_word = _U32.unpack_from(ip)[0]
         if first_word >> 28 != 6:
             return SKIP_NON_IP
         tos = (first_word >> 20) & 0xFF
-        payload_len = struct.unpack(">H", ip[4:6])[0]
+        payload_len = _U16.unpack_from(ip, 4)[0]
         next_header = ip[6]
         ttl = ip[7]
         src = str(ipaddress.IPv6Address(ip[8:24]))
@@ -278,7 +274,7 @@ class CaptureReader:
             elif next_header == _V6_FRAGMENT:
                 if len(ip) < offset + 8:
                     return SKIP_TRUNCATED_FRAME
-                frag_word = struct.unpack(">H", ip[offset + 2 : offset + 4])[0]
+                frag_word = _U16.unpack_from(ip, offset + 2)[0]
                 is_fragment = is_fragment or (frag_word >> 3) > 0
                 next_header = ip[offset]
                 offset += 8
@@ -295,52 +291,34 @@ class CaptureReader:
         self, ts_us, version, src, dst, proto_num, transport, ip_bytes,
         header_len, is_fragment, ttl, tos, vlan_id,
     ):
-        proto = proto_name(proto_num)
-        common = dict(
-            ts_us=ts_us, src_addr=src, dst_addr=dst, proto=proto,
-            ip_bytes=ip_bytes, ttl=ttl, tos=tos, ip_version=version,
-            vlan_id=vlan_id,
-        )
+        proto = PROTO_NAMES.get(proto_num) or str(proto_num)
+        sport = dport = 0
+        flags = window = seq = None
         if is_fragment:
             # Later fragments carry no transport header; they flow-key on
             # addresses and protocol with zeroed ports.
-            return DecodedPacket(
-                src_port=0, dst_port=0, is_fragment=True,
-                payload_bytes=max(ip_bytes - header_len, 0),
-                tcp_flags=frozenset() if proto == "tcp" else None,
-                **common,
-            )
-        if proto == "tcp":
+            if proto == "tcp":
+                flags = _TCP_FLAGS[0]
+        elif proto == "tcp":
             if len(transport) < 20:
                 return SKIP_TRUNCATED_FRAME
-            sport, dport, seq = struct.unpack(">HHI", transport[:8])
-            data_off = (transport[12] >> 4) * 4
-            flags = tcp_flag_set(transport[13])
-            window = struct.unpack(">H", transport[14:16])[0]
-            payload = max(ip_bytes - header_len - data_off, 0)
-            return DecodedPacket(
-                src_port=sport, dst_port=dport, payload_bytes=payload,
-                tcp_flags=flags, tcp_window=window, tcp_seq=seq, **common,
-            )
-        if proto == "udp":
+            sport, dport, seq, _, data_off, flag_bits, window = _TCP.unpack_from(transport)
+            header_len += (data_off >> 4) * 4
+            flags = _TCP_FLAGS[flag_bits & 0x3F]
+        elif proto == "udp":
             if len(transport) < 8:
                 return SKIP_TRUNCATED_FRAME
-            sport, dport = struct.unpack(">HH", transport[:4])
-            payload = max(ip_bytes - header_len - 8, 0)
-            return DecodedPacket(
-                src_port=sport, dst_port=dport, payload_bytes=payload, **common,
-            )
-        if proto == "icmp":
+            sport, dport = _PORTS.unpack_from(transport)
+            header_len += 8
+        elif proto == "icmp":  # no ports: type and code stand in for them
             if len(transport) < 4:
                 return SKIP_TRUNCATED_FRAME
-            sport, dport = decode_icmp_ports(transport[0], transport[1])
-            payload = max(ip_bytes - header_len - 8, 0)
-            return DecodedPacket(
-                src_port=sport, dst_port=dport, payload_bytes=payload, **common,
-            )
+            sport, dport = transport[0], transport[1]
+            header_len += 8
         return DecodedPacket(
-            src_port=0, dst_port=0,
-            payload_bytes=max(ip_bytes - header_len, 0), **common,
+            ts_us, src, dst, sport, dport, proto, ip_bytes,
+            max(ip_bytes - header_len, 0), ttl, tos, version,
+            is_fragment, flags, window, seq, vlan_id,
         )
 
 

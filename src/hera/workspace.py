@@ -46,14 +46,24 @@ def load_workspace(environ=None) -> dict[str, str]:
 
 
 class Settings:
-    """Flag-over-config-over-default resolution for one command."""
+    """Flag-over-config-over-default resolution for one command.
 
-    def __init__(self, args, config: dict[str, str]):
+    `flags` maps a setting's name to the flag that sets it, for error
+    messages; a setting it does not name is set by `--name-with-dashes`."""
+
+    def __init__(self, args, config: dict[str, str], flags: dict[str, str] | None = None):
         self._args = args
         self._config = config
+        self._flags = flags or {}
 
     def _flag(self, name):
         return getattr(self._args, name, None)
+
+    def _origin(self, name: str) -> str:
+        """What set `name`: its flag, or else its workspace key."""
+        if self._flag(name) is None:
+            return f"config key {name}"
+        return self._flags.get(name, "--" + name.replace("_", "-"))
 
     def text(self, name: str, default: str | None = None) -> str | None:
         value = self._flag(name)
@@ -70,7 +80,7 @@ class Settings:
         except (TypeError, ValueError):
             number = math.nan
         if not math.isfinite(number):
-            raise UsageError(f"--{name.replace('_', '-')} expects a finite number, got {value!r}")
+            raise UsageError(f"{self._origin(name)} expects a finite number, got {value!r}")
         return number
 
     def flag(self, name: str, default: bool = False) -> bool:

@@ -92,12 +92,19 @@ def test_export_naming_contract(capture, tmp_path):
     assert "management_records: 1" in stats_text
 
 
-@pytest.mark.parametrize("bad", ["0", "-5"])
-def test_export_rejects_nonpositive_interval_before_io(capture, tmp_path, bad, capsys):
+@pytest.mark.parametrize("flag, bad", [
+    pytest.param("--interval", "0", id="0"),
+    pytest.param("--interval", "-5", id="-5"),
+    # above zero, but 0 once rounded to the microsecond
+    pytest.param("--interval", "0.0000004", id="0.0000004"),
+    pytest.param("--idle-timeout", "1e-9", id="idle-timeout-1e-9"),
+])
+def test_export_rejects_nonpositive_interval_before_io(capture, tmp_path, flag, bad, capsys):
     out = tmp_path / "flows"
-    assert main(["export", "--pcap", str(capture), "--interval", bad,
+    assert main(["export", "--pcap", str(capture), flag, bad,
                  "--out", str(out)]) == 1
-    assert "positive" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith(
+        f"hera: {flag} must be a positive number of seconds")
     assert not out.exists()
 
 
@@ -582,9 +589,19 @@ def test_non_finite_number_is_usage_error(capture, tmp_path, capsys, flag, value
     assert main(["run", "--pcap", str(capture), flag, value,
                  "--flows-dir", str(tmp_path / "flows"),
                  "--csv-dir", str(tmp_path / "csv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("hera: ") and "expects a finite number" in err
+    # The flag named is the one typed, whatever the setting is called.
+    assert capsys.readouterr().err == f"hera: {flag} expects a finite number, got {value!r}\n"
     assert tree(tmp_path) == ["a.pcap"]
+
+
+def test_non_finite_workspace_number_names_the_key(capture, tmp_path, monkeypatch, capsys):
+    conf = tmp_path / "ws.conf"
+    conf.write_text("reorder_slack = inf\n", encoding="utf-8")
+    monkeypatch.setenv("HERA_WORKSPACE", str(conf))
+    assert main(["export", "--pcap", str(capture), "--out", str(tmp_path / "flows")]) == 1
+    assert capsys.readouterr().err == (
+        "hera: config key reorder_slack expects a finite number, got 'inf'\n")
+    assert tree(tmp_path) == ["a.pcap", "ws.conf"]
 
 
 def test_export_jobs_report_worker_errors_intact(tmp_path, capsys):
@@ -593,7 +610,8 @@ def test_export_jobs_report_worker_errors_intact(tmp_path, capsys):
     (tmp_path / "b.pcap").write_bytes(data[:-5])  # the last record is cut short
     assert main(["export", "--pcap", str(tmp_path / "*.pcap"),
                  "--out", str(tmp_path / "flows"), "--jobs", "2"]) == 2
-    assert capsys.readouterr().err == "hera: record 6 truncated at end of file\n"
+    assert capsys.readouterr().err == (
+        f"hera: {tmp_path / 'b.pcap'}: record 6 truncated at end of file\n")
 
 
 def test_run_is_idempotent_with_force(capture, tmp_path):

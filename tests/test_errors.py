@@ -5,7 +5,7 @@ import pytest
 from hera import errors
 
 SAMPLES = [
-    errors.TruncatedRecord(7),
+    errors.TruncatedRecord("c.pcap", 7),
     errors.OversizedRecord("c.pcap", 1, 4294967280, 262144),
     errors.UnsupportedLinktype(9),
     errors.UnsupportedVersion("v9", "f.hera"),

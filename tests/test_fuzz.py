@@ -1,0 +1,116 @@
+"""Fuzzing the capture reader and `hera export` with mutated captures.
+
+A small valid capture with TCP, UDP, ICMP, IPv6, fragmented and
+VLAN-tagged frames is cut after every byte of every frame, and damaged
+by random byte overwrites, insertions and truncations. The reader must fail only with a `CaptureError`, account
+for every record it read, and `hera export` must exit 0 or 2, never
+with a traceback.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import pcap_builder as pb
+from hera.cli import main
+from hera.errors import CaptureError
+from hera.pcap import CaptureReader, DecodedPacket
+
+A4, B4 = "10.0.0.1", "10.0.0.2"
+A6, B6 = "2001:db8::1", "2001:db8::2"
+
+
+def _frames() -> list[bytes]:
+    vlan_type, vlan_body = pb.vlan_tag(
+        pb.ETHERTYPE_IPV4, pb.ipv4(A4, B4, 17, pb.udp(5000, 53, b"tagged")))
+    return [
+        pb.tcp4_frame(A4, B4, 40000, 80, pb.SYN),
+        pb.tcp4_frame(B4, A4, 80, 40000, pb.SYN | pb.ACK),
+        pb.tcp4_frame(A4, B4, 40000, 80, pb.PSH | pb.ACK, payload=b"GET /"),
+        pb.udp4_frame(A4, B4, 5353, 53, payload=b"query"),
+        pb.icmp4_frame(A4, B4, 8, 0, payload=b"ping"),
+        pb.ethernet(pb.ipv4(A4, B4, 17, b"\x00" * 16, flags_frag=3), pb.ETHERTYPE_IPV4),
+        pb.ethernet(pb.ipv6(A6, B6, 6, pb.tcp(41000, 443, pb.SYN)), pb.ETHERTYPE_IPV6),
+        pb.ethernet(pb.ipv6(A6, B6, 17, pb.udp(7000, 53, b"six"),
+                            ext_headers=[(0, b"\x00" * 4)]), pb.ETHERTYPE_IPV6),
+        pb.ethernet(vlan_body, vlan_type),
+    ]
+
+
+FRAMES = _frames()
+
+_EDIT = st.tuples(st.sampled_from(("overwrite", "insert", "truncate")),
+                  st.integers(0, 1 << 12), st.binary(min_size=1, max_size=8))
+
+
+def _apply(data: bytearray, edit) -> None:
+    kind, position, blob = edit
+    position %= len(data) + 1
+    if kind == "overwrite":
+        data[position:position + len(blob)] = blob
+    elif kind == "insert":
+        data[position:position] = blob
+    else:
+        del data[position:]
+
+
+@st.composite
+def mutated_captures(draw) -> bytes:
+    """Edits inside frames, whose record headers then still fit them,
+    and edits anywhere in the file, record and global headers included."""
+    frames = [bytearray(frame) for frame in FRAMES]
+    for index, edit in draw(st.lists(st.tuples(st.integers(0, len(FRAMES) - 1), _EDIT),
+                                     max_size=6)):
+        _apply(frames[index], edit)
+    data = bytearray(pb.pcap([pb.record(1_000 * i, bytes(frame))
+                              for i, frame in enumerate(frames)]))
+    for edit in draw(st.lists(_EDIT, max_size=3)):
+        _apply(data, edit)
+    return bytes(data)
+
+
+def test_every_prefix_of_every_frame_decodes_or_skips():
+    records = [frame[:length] for frame in FRAMES for length in range(len(frame) + 1)]
+    reader = CaptureReader(io.BytesIO(pb.pcap([pb.record(0, r) for r in records])))
+    items = [reader.next_packet() for _ in records]
+    assert reader.next_packet() is None
+    decoded = sum(isinstance(item, DecodedPacket) for item in items)
+    assert decoded + sum(reader.skipped.values()) == len(records)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(mutated_captures())
+def test_reader_fails_only_with_capture_errors_and_counts_every_record(data):
+    decoded = 0
+    try:
+        reader = CaptureReader(io.BytesIO(data))
+        while (item := reader.next_packet()) is not None:
+            if isinstance(item, DecodedPacket):
+                decoded += 1
+                assert 0 <= item.payload_bytes <= item.ip_bytes
+    except CaptureError:
+        return
+    assert decoded + sum(reader.skipped.values()) == reader.record_index
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mutated_captures())
+def test_export_of_a_mutated_capture_exits_0_or_2(data):
+    # --no-management: a damaged timestamp far from the others makes the
+    # exporter emit one management record per interval between them, up
+    # to tens of millions of records for one corrupt byte (ROADMAP item 4).
+    # Drop the flag once that is mended.
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("HERA_WORKSPACE", None)
+        capture = Path(tmp) / "fuzz.pcap"
+        capture.write_bytes(data)
+        code = main(["export", "--pcap", str(capture), "--out", str(Path(tmp) / "flows"),
+                     "--no-management"])
+    assert code in (0, 2)

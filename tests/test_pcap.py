@@ -17,7 +17,6 @@ from hera.pcap import (
     CaptureReader,
     DecodedPacket,
     SkippedRecord,
-    decode_icmp_ports,
     open_capture,
 )
 
@@ -267,12 +266,6 @@ def test_ipv4_later_fragment_has_zero_ports(tmp_path):
     assert pkt.proto == "udp"
 
 
-def test_icmp_ports_mapping():
-    assert decode_icmp_ports(8, 0) == (8, 0)
-    assert decode_icmp_ports(3, 1) == (3, 1)
-    assert decode_icmp_ports(0, 0) == (0, 0)
-
-
 def test_icmp_echo_decode(tmp_path):
     frame = pb.icmp4_frame("10.0.0.1", "10.0.0.9", 8, 0, payload=b"ping")
     pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
@@ -286,7 +279,7 @@ def test_icmpv6_maps_to_icmp(tmp_path):
     frame = pb.ethernet(pb.ipv6("2001:db8::1", "2001:db8::2", 58, body), pb.ETHERTYPE_IPV6)
     pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
     assert pkt.proto == "icmp"
-    assert pkt.src_port == 128
+    assert (pkt.src_port, pkt.dst_port) == (128, 0)
 
 
 def test_other_protocol_named_by_number(tmp_path):
@@ -303,11 +296,13 @@ def test_other_protocol_named_by_number(tmp_path):
 def test_truncated_record_aborts_with_index(tmp_path):
     good = pb.record(0, syn_frame_54())
     bad = struct.pack("<IIII", 1, 0, 100, 100) + b"\x00" * 20
-    reader = open_capture(write(tmp_path, pb.pcap([good, bad])))
+    path = write(tmp_path, pb.pcap([good, bad]))
+    reader = open_capture(path)
     assert isinstance(reader.next_packet(), DecodedPacket)
     with pytest.raises(TruncatedRecord) as err:
         reader.next_packet()
     assert err.value.record_index == 1
+    assert str(err.value) == f"{path}: record 1 truncated at end of file"
 
 
 class ReadSizes(io.BytesIO):
