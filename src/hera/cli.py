@@ -203,22 +203,24 @@ def _expand_inputs(patterns, flag: str) -> list[Path]:
     return paths
 
 
-def _positive_seconds(value: float, flag: str) -> int:
-    """The value in whole microseconds, which must be at least one."""
+def _positive_seconds(value: float, origin: str) -> int:
+    """The value in whole microseconds, which must be at least one;
+    `origin` names what set it."""
     value_us = seconds_to_us(value)
     if value_us <= 0:
-        raise UsageError(f"{flag} must be a positive number of seconds, "
+        raise UsageError(f"{origin} must be a positive number of seconds, "
                          "at least one microsecond")
     return value_us
 
 
 def _export_config(settings: Settings, args) -> ExportConfig:
-    interval_us = _positive_seconds(settings.number("interval", 60.0), "--interval")
+    interval_us = _positive_seconds(settings.number("interval", 60.0),
+                                    settings.origin("interval"))
     idle = settings.number("idle_timeout", 0.0)
-    idle_us = _positive_seconds(idle, "--idle-timeout") if idle else None
+    idle_us = _positive_seconds(idle, settings.origin("idle_timeout")) if idle else None
     slack = settings.number("reorder_slack", 1.0)
     if slack < 0:
-        raise UsageError("--slack must not be negative")
+        raise UsageError(f"{settings.origin('reorder_slack')} must not be negative")
     emit_management = (not getattr(args, "no_management", None)
                        and settings.flag("emit_management", True))
     return ExportConfig(
@@ -244,10 +246,10 @@ def _dataset_options(settings: Settings) -> dict:
     feature_names = select_feature_set(_feature_selection(settings.text("features")))
     mode = settings.text("mode") or "ra"
     if mode not in MODES:
-        raise UsageError(f"--mode must be one of {'/'.join(MODES)}")
+        raise UsageError(f"{settings.origin('mode')} must be one of {'/'.join(MODES)}")
     count_window = int(settings.number("count_window", DEFAULT_COUNT_WINDOW))
     if count_window < 1:
-        raise UsageError("--count-window must be at least 1")
+        raise UsageError(f"{settings.origin('count_window')} must be at least 1")
     return dict(feature_names=feature_names, mode=mode, count_window=count_window,
                 keep_management=settings.flag("keep_management", False))
 
@@ -261,7 +263,7 @@ def _label_options(settings: Settings) -> dict:
 def _jobs(settings: Settings) -> int:
     jobs = int(settings.number("jobs", 1))
     if jobs < 1:
-        raise UsageError("--jobs must be at least 1")
+        raise UsageError(f"{settings.origin('jobs')} must be at least 1")
     return jobs
 
 

@@ -153,7 +153,8 @@ def _flag_dir(rec, side, attr):
 
 
 def _span_us(stats):
-    if stats.first_ts_us is None:  # no packets, or a management record's
+    # no packets, a management record's, or a record read without one of them
+    if stats.first_ts_us is None or stats.last_ts_us is None:
         return None
     return stats.last_ts_us - stats.first_ts_us
 

@@ -75,7 +75,9 @@ _RECORD_FIELDS = (
     ("flows", "oint", "flows"),
 )
 
-_KEY_FIELD_NAMES = ("saddr", "sport", "daddr", "dport", "proto")
+# (field name, value kind) of the flow key, which parse_record reads itself
+_KEY_FIELDS = (("saddr", "str"), ("sport", "int"), ("daddr", "str"), ("dport", "int"),
+               ("proto", "str"))
 
 
 def _fmt(kind: str, value) -> str:
@@ -102,22 +104,32 @@ def _parse(kind: str, text: str):
     if kind == "otime":
         return None if text == "" else text_to_us(text)
     if kind == "bool":
+        if text not in ("0", "1"):
+            raise ValueError(f"bad bool value {text!r}")
         return text == "1"
     if kind == "flags":
-        return set(text)
+        flags = set(text)
+        if render_flags(flags) != text:
+            raise ValueError(f"bad flags value {text!r}")
+        return flags
     if kind == "ostr":
         return None if text == "" else text
     raise AssertionError(kind)
 
 
+def record_field_kinds() -> list[tuple[str, str]]:
+    """The (name, value kind) of each field of a v1 record line, in order."""
+    kinds = list(_KEY_FIELDS)
+    kinds += [(name, kind) for name, kind, _ in _RECORD_FIELDS[:8]]
+    for prefix in "sd":
+        kinds += [(prefix + suffix, kind) for suffix, kind, _ in _ENDPOINT_FIELDS]
+    kinds += [(name, kind) for name, kind, _ in _RECORD_FIELDS[8:]]
+    return kinds
+
+
 def record_field_names() -> list[str]:
     """The full field order of a v1 record line."""
-    names = list(_KEY_FIELD_NAMES)
-    names += [name for name, _, _ in _RECORD_FIELDS[:8]]
-    names += ["s" + suffix for suffix, _, _ in _ENDPOINT_FIELDS]
-    names += ["d" + suffix for suffix, _, _ in _ENDPOINT_FIELDS]
-    names += [name for name, _, _ in _RECORD_FIELDS[8:]]
-    return names
+    return [name for name, _ in record_field_kinds()]
 
 
 def format_record(rec: FlowRecord) -> str:
@@ -156,7 +168,7 @@ def parse_record(line: str, line_number: int) -> FlowRecord:
             pairs[name] = value
         else:
             extra[name] = value
-    for required in _KEY_FIELD_NAMES + ("stime", "ltime"):
+    for required in ("saddr", "sport", "daddr", "dport", "proto", "stime", "ltime"):
         if required not in pairs or (required != "proto" and pairs[required] == ""):
             raise CorruptRecord(line_number, f"missing field {required!r}")
     try:

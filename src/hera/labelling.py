@@ -17,6 +17,7 @@ from __future__ import annotations
 import ipaddress
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .dataset import iter_csv
 from .errors import (
@@ -31,17 +32,10 @@ from .timefmt import text_to_us
 
 DEFAULT_BENIGN_LABEL = "Benign"
 
-# Recognized ground-truth headers, compared case-insensitively.
-_GT_COLUMNS = {
-    "starttime": "start",
-    "lasttime": "last",
-    "proto": "proto",
-    "srcaddr": "src_addr",
-    "sport": "sport",
-    "dstaddr": "dst_addr",
-    "dport": "dport",
-    "label": "label",
-}
+# Recognized ground-truth headers, compared case-insensitively, in the
+# order `parse_ground_truth` reads their cells.
+_GT_COLUMNS = ("label", "starttime", "lasttime", "proto", "srcaddr", "sport",
+               "dstaddr", "dport")
 
 MATCH_COLUMNS = ("stime", "ltime", "proto", "saddr", "daddr", "sport", "dport")
 
@@ -59,12 +53,12 @@ class _AddrCache(dict):
         return value
 
 
-@dataclass(frozen=True)
-class GroundTruthEntry:
+class GroundTruthEntry(NamedTuple):
     label: str
     row_number: int
     start_us: int | None = None
     last_us: int | None = None
+    # The key fields, in the order of a row's key; None matches anything.
     proto: str | None = None
     src_addr: str | None = None
     sport: int | None = None
@@ -78,56 +72,46 @@ def parse_ground_truth(path) -> list[GroundTruthEntry]:
         header = next(reader)
     except StopIteration:
         raise MissingLabelColumn(f"{path}: empty ground-truth file") from None
-    mapping = {}
-    for idx, name in enumerate(header):
-        key = _GT_COLUMNS.get(name.strip().lower())
-        if key is not None and key not in mapping:
-            mapping[key] = idx
-    if "label" not in mapping:
+    names = [name.strip().lower() for name in header]
+    if "label" not in names:
         raise MissingLabelColumn(f"{path}: no Label column in {header!r}")
+    # The first column of each name; None for a name the header lacks.
+    positions = [names.index(name) if name in names else None for name in _GT_COLUMNS]
     addrs = _AddrCache()
     entries = []
     for row_number, row in enumerate(reader, start=2):
         if not row or all(cell.strip() == "" for cell in row):
             continue
-        entries.append(_parse_entry(row, row_number, mapping, addrs))
+        label, start, last, proto, src, sport, dst, dport = (
+            row[i].strip() if i is not None and i < len(row) else "" for i in positions)
+        if label == "":
+            raise EmptyLabelCell(row_number)
+        entries.append(GroundTruthEntry(
+            label, row_number,
+            _timestamp(start, row_number), _timestamp(last, row_number),
+            proto.lower() or None,
+            addrs[src] if src else None, _port(sport, "sport", row_number),
+            addrs[dst] if dst else None, _port(dport, "dport", row_number),
+        ))
     return entries
 
 
-def _cell(row, mapping, key) -> str:
-    idx = mapping.get(key)
-    if idx is None or idx >= len(row):
-        return ""
-    return row[idx].strip()
+def _timestamp(text: str, row_number: int) -> int | None:
+    if not text:
+        return None
+    try:
+        return text_to_us(text)
+    except ValueError:
+        raise MalformedTimestamp(row_number, text) from None
 
 
-def _parse_entry(row, row_number, mapping, addrs) -> GroundTruthEntry:
-    label = _cell(row, mapping, "label")
-    if label == "":
-        raise EmptyLabelCell(row_number)
-    values = {"label": label, "row_number": row_number}
-    for key, attr in (("start", "start_us"), ("last", "last_us")):
-        text = _cell(row, mapping, key)
-        if text:
-            try:
-                values[attr] = text_to_us(text)
-            except ValueError:
-                raise MalformedTimestamp(row_number, text) from None
-    for key, attr in (("sport", "sport"), ("dport", "dport")):
-        text = _cell(row, mapping, key)
-        if text:
-            try:
-                values[attr] = int(text)
-            except ValueError:
-                raise MalformedField(row_number, key, text) from None
-    proto = _cell(row, mapping, "proto")
-    if proto:
-        values["proto"] = proto.lower()
-    for key, attr in (("src_addr", "src_addr"), ("dst_addr", "dst_addr")):
-        text = _cell(row, mapping, key)
-        if text:
-            values[attr] = addrs[text]
-    return GroundTruthEntry(**values)
+def _port(text: str, column: str, row_number: int) -> int | None:
+    if not text:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise MalformedField(row_number, column, text) from None
 
 
 @dataclass
@@ -145,52 +129,35 @@ class LabelSummary:
         return self.total - self.benign
 
 
-@dataclass(frozen=True)
-class _RowView:
-    stime_us: int
-    ltime_us: int
-    proto: str
-    saddr: str
-    sport: int
-    daddr: str
-    dport: int
-
-
 # Converters of the match cells that can reject their text.
 _CELL_PARSERS = {"stime": text_to_us, "ltime": text_to_us, "sport": int, "dport": int}
 
 
-def _row_views(header, rows) -> list[_RowView]:
-    """Parsed match cells of each row; rows[0] is line 2 of the CSV."""
-    index = {}
+def _row_views(header, rows):
+    """Yield (stime_us, ltime_us, (proto, saddr, sport, daddr, dport))
+    for each row; rows[0] is line 2 of the CSV."""
+    positions = []
     for col in MATCH_COLUMNS:
         try:
-            index[col] = header.index(col)
+            positions.append(header.index(col))
         except ValueError:
             raise MissingMatchField(col) from None
+    stime, ltime, proto, saddr, daddr, sport, dport = positions
     addrs = _AddrCache()
-    views = []
     for line_number, row in enumerate(rows, start=2):
         try:
-            views.append(_RowView(
-                stime_us=text_to_us(row[index["stime"]]),
-                ltime_us=text_to_us(row[index["ltime"]]),
-                proto=row[index["proto"]].lower(),
-                saddr=addrs[row[index["saddr"]]],
-                sport=int(row[index["sport"]]),
-                daddr=addrs[row[index["daddr"]]],
-                dport=int(row[index["dport"]]),
-            ))
+            view = (text_to_us(row[stime]), text_to_us(row[ltime]),
+                    (row[proto].lower(), addrs[row[saddr]], int(row[sport]),
+                     addrs[row[daddr]], int(row[dport])))
         except (ValueError, IndexError):
-            raise _bad_cell(row, line_number, index) from None
-    return views
+            raise _bad_cell(row, line_number, positions) from None
+        yield view
 
 
-def _bad_cell(row, line_number, index) -> MalformedDatasetCell:
+def _bad_cell(row, line_number, positions) -> MalformedDatasetCell:
     """The error for the first match cell of `row` that is missing or
     cannot be converted."""
-    for column in MATCH_COLUMNS:
-        position = index[column]
+    for column, position in zip(MATCH_COLUMNS, positions):
         if position >= len(row):
             return MalformedDatasetCell(line_number, column, "missing cell")
         try:
@@ -200,31 +167,11 @@ def _bad_cell(row, line_number, index) -> MalformedDatasetCell:
     raise AssertionError(f"line {line_number}: every match cell converts")
 
 
-def match_entry(view: _RowView, entry: GroundTruthEntry, bidirectional: bool) -> bool:
-    """True when every field present on the entry matches the flow and
-    the time windows overlap (absent bounds are open)."""
-    if entry.start_us is not None and view.ltime_us < entry.start_us:
-        return False
-    if entry.last_us is not None and view.stime_us > entry.last_us:
-        return False
-    if entry.proto is not None and view.proto != entry.proto:
-        return False
-    forward = (
-        (entry.src_addr is None or view.saddr == entry.src_addr)
-        and (entry.sport is None or view.sport == entry.sport)
-        and (entry.dst_addr is None or view.daddr == entry.dst_addr)
-        and (entry.dport is None or view.dport == entry.dport)
-    )
-    if forward:
-        return True
-    if not bidirectional:
-        return False
-    return (
-        (entry.src_addr is None or view.daddr == entry.src_addr)
-        and (entry.sport is None or view.dport == entry.sport)
-        and (entry.dst_addr is None or view.saddr == entry.dst_addr)
-        and (entry.dport is None or view.sport == entry.dport)
-    )
+def match_entry(entry: GroundTruthEntry, stime_us: int, ltime_us: int) -> bool:
+    """True when the entry's time window overlaps the flow's (absent
+    bounds are open). The index has already matched the key fields."""
+    return ((entry.start_us is None or ltime_us >= entry.start_us)
+            and (entry.last_us is None or stime_us <= entry.last_us))
 
 
 def _index_entries(entries) -> list[tuple[tuple[int, ...], dict]]:
@@ -233,16 +180,16 @@ def _index_entries(entries) -> list[tuple[tuple[int, ...], dict]]:
     values of those fields. Positions in each bucket ascend."""
     shapes: dict[tuple[int, ...], dict] = {}
     for position, entry in enumerate(entries):
-        values = (entry.proto, entry.src_addr, entry.sport, entry.dst_addr, entry.dport)
+        values = entry[4:]  # proto, src_addr, sport, dst_addr, dport
         shape = tuple(i for i, value in enumerate(values) if value is not None)
         key = tuple(values[i] for i in shape)
         shapes.setdefault(shape, {}).setdefault(key, []).append(position)
     return list(shapes.items())
 
 
-def _candidates(index, forward, reverse) -> list[list[int]]:
-    """The buckets whose key equals the projection of the forward key,
-    or of the reverse key when one is given, onto their shape."""
+def _candidates(index, forward, reverse) -> list[int]:
+    """Ascending positions of the entries whose pinned fields equal the
+    forward key's, or the reverse key's when one is given."""
     buckets = []
     for shape, table in index:
         key = tuple(forward[i] for i in shape)
@@ -255,7 +202,7 @@ def _candidates(index, forward, reverse) -> list[list[int]]:
                 bucket = table.get(reverse_key)
                 if bucket is not None:
                     buckets.append(bucket)
-    return buckets
+    return buckets[0] if len(buckets) == 1 else sorted(itertools.chain(*buckets))
 
 
 def label_rows(
@@ -267,38 +214,35 @@ def label_rows(
 ) -> tuple[list[str], LabelSummary]:
     """Return one label per row plus the summary.
 
-    A row gets the label of the first entry in list order that
-    `match_entry` accepts among those the index offers for its key."""
-    views = _row_views(header, rows)
+    A row gets the label of the first entry in list order, among those
+    the index offers for its key, whose time window `match_entry`
+    accepts."""
     index = _index_entries(entries)
     summary = LabelSummary(benign_label=benign_label)
+    counts = summary.counts
     labels = []
-    for view in views:
-        forward = (view.proto, view.saddr, view.sport, view.daddr, view.dport)
-        reverse = (
-            (view.proto, view.daddr, view.dport, view.saddr, view.sport)
-            if bidirectional else None
-        )
-        buckets = _candidates(index, forward, reverse)
-        positions = buckets[0] if len(buckets) == 1 else sorted(itertools.chain(*buckets))
+    for stime_us, ltime_us, forward in _row_views(header, rows):
+        proto, saddr, sport, daddr, dport = forward
+        reverse = (proto, daddr, dport, saddr, sport) if bidirectional else None
         label = benign_label
-        for position in positions:
+        for position in _candidates(index, forward, reverse):
             entry = entries[position]
-            if match_entry(view, entry, bidirectional):
+            if match_entry(entry, stime_us, ltime_us):
                 label = entry.label
                 break
         labels.append(label)
-        summary.total += 1
-        summary.counts[label] = summary.counts.get(label, 0) + 1
+        counts[label] = counts.get(label, 0) + 1
+    summary.total = len(labels)
     return labels, summary
 
 
 def label_dataset(header, rows, entries, **kwargs):
-    """Labelled copy of a dataset: header + Label column appended."""
+    """Append each row's label to the row itself; returns the header with
+    a Label column appended, the same rows and the summary."""
     labels, summary = label_rows(header, rows, entries, **kwargs)
-    labelled_header = list(header) + ["Label"]
-    labelled_rows = [row + [label] for row, label in zip(rows, labels)]
-    return labelled_header, labelled_rows, summary
+    for row, label in zip(rows, labels):
+        row.append(label)
+    return [*header, "Label"], rows, summary
 
 
 def format_label_summary(summary: LabelSummary) -> str:

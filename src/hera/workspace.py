@@ -59,7 +59,7 @@ class Settings:
     def _flag(self, name):
         return getattr(self._args, name, None)
 
-    def _origin(self, name: str) -> str:
+    def origin(self, name: str) -> str:
         """What set `name`: its flag, or else its workspace key."""
         if self._flag(name) is None:
             return f"config key {name}"
@@ -80,7 +80,7 @@ class Settings:
         except (TypeError, ValueError):
             number = math.nan
         if not math.isfinite(number):
-            raise UsageError(f"{self._origin(name)} expects a finite number, got {value!r}")
+            raise UsageError(f"{self.origin(name)} expects a finite number, got {value!r}")
         return number
 
     def flag(self, name: str, default: bool = False) -> bool:

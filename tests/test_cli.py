@@ -604,6 +604,27 @@ def test_non_finite_workspace_number_names_the_key(capture, tmp_path, monkeypatc
     assert tree(tmp_path) == ["a.pcap", "ws.conf"]
 
 
+@pytest.mark.parametrize("line, message", [
+    pytest.param("interval = 0", "interval must be a positive number of seconds, "
+                 "at least one microsecond", id="interval"),
+    pytest.param("idle_timeout = 1e-9", "idle_timeout must be a positive number of seconds, "
+                 "at least one microsecond", id="idle_timeout"),
+    pytest.param("reorder_slack = -1", "reorder_slack must not be negative", id="reorder_slack"),
+    pytest.param("count_window = 0", "count_window must be at least 1", id="count_window"),
+    pytest.param("jobs = 0", "jobs must be at least 1", id="jobs"),
+    pytest.param("mode = bogus", "mode must be one of ra/racluster", id="mode"),
+])
+def test_workspace_range_error_names_the_key(capture, tmp_path, monkeypatch, capsys,
+                                             line, message):
+    conf = tmp_path / "ws.conf"
+    conf.write_text(line + "\n", encoding="utf-8")
+    monkeypatch.setenv("HERA_WORKSPACE", str(conf))
+    assert main(["run", "--pcap", str(capture), "--flows-dir", str(tmp_path / "flows"),
+                 "--csv-dir", str(tmp_path / "csv")]) == 1
+    assert capsys.readouterr().err == f"hera: config key {message}\n"
+    assert tree(tmp_path) == ["a.pcap", "ws.conf"]
+
+
 def test_export_jobs_report_worker_errors_intact(tmp_path, capsys):
     sample_capture(tmp_path / "a.pcap")
     data = (tmp_path / "a.pcap").read_bytes()

@@ -5,7 +5,7 @@ import re
 from pathlib import Path
 
 from hera.features import catalog_table
-from hera.herafile import record_field_names
+from hera.herafile import record_field_kinds
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 
@@ -18,8 +18,8 @@ def test_feature_catalog_csv_matches_the_catalog():
 
 def test_format_doc_lists_every_record_field_in_order():
     text = (DOCS / "hera-format.md").read_text(encoding="utf-8")
-    names = re.findall(r"^\| \d+ \| `([a-z]+)` \|", text, flags=re.M)
-    assert names == record_field_names()
+    fields = re.findall(r"^\| \d+ \| `([a-z]+)` \| ([a-z]+) \|", text, flags=re.M)
+    assert fields == record_field_kinds()
 
 
 def test_format_doc_states_the_magic_line():

@@ -1,14 +1,18 @@
-"""Fuzzing the capture reader and `hera export` with mutated captures.
+"""Fuzzing the capture reader and the commands with mutated inputs.
 
 A small valid capture with TCP, UDP, ICMP, IPv6, fragmented and
 VLAN-tagged frames is cut after every byte of every frame, and damaged
 by random byte overwrites, insertions and truncations. The reader must fail only with a `CaptureError`, account
 for every record it read, and `hera export` must exit 0 or 2, never
-with a traceback.
+with a traceback. The same edits to the `.hera` file exported from that
+capture, and to a small ground truth and dataset CSV, must leave
+`hera dataset` and `hera label` exiting 0 or 2 as well.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import io
 import os
 import tempfile
@@ -61,6 +65,16 @@ def _apply(data: bytearray, edit) -> None:
         del data[position:]
 
 
+@contextlib.contextmanager
+def _workdir(files: dict[str, bytes]):
+    """A fresh directory holding `files`, with no workspace file in effect."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop("HERA_WORKSPACE", None)
+        for name, data in files.items():
+            (Path(tmp) / name).write_bytes(data)
+        yield Path(tmp)
+
+
 @st.composite
 def mutated_captures(draw) -> bytes:
     """Edits inside frames, whose record headers then still fit them,
@@ -107,10 +121,64 @@ def test_export_of_a_mutated_capture_exits_0_or_2(data):
     # exporter emit one management record per interval between them, up
     # to tens of millions of records for one corrupt byte (ROADMAP item 4).
     # Drop the flag once that is mended.
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
-        os.environ.pop("HERA_WORKSPACE", None)
-        capture = Path(tmp) / "fuzz.pcap"
-        capture.write_bytes(data)
-        code = main(["export", "--pcap", str(capture), "--out", str(Path(tmp) / "flows"),
+    with _workdir({"fuzz.pcap": data}) as tmp:
+        code = main(["export", "--pcap", str(tmp / "fuzz.pcap"), "--out", str(tmp / "flows"),
                      "--no-management"])
+    assert code in (0, 2)
+
+
+# Edits to text files write ASCII twice as often as arbitrary bytes, so
+# that many mutants still decode and reach the stage behind the reader.
+_ASCII = st.text(st.characters(max_codepoint=127), min_size=1, max_size=8).map(str.encode)
+_TEXT_EDIT = st.tuples(st.sampled_from(("overwrite", "insert", "truncate")),
+                       st.integers(0, 1 << 12),
+                       st.one_of(_ASCII, _ASCII, st.binary(min_size=1, max_size=8)))
+
+
+def _mutated(data: bytes, edits) -> bytes:
+    buffer = bytearray(data)
+    for edit in edits:
+        _apply(buffer, edit)
+    return bytes(buffer)
+
+
+GROUND_TRUTH = (
+    b"StartTime,LastTime,Proto,SrcAddr,Sport,DstAddr,Dport,Label\n"
+    b"10,20.5,tcp,10.0.0.1,40000,10.0.0.2,80,Exploits\n"
+    b",,udp,10.0.0.2,,,,Scan\n"
+    b"0,,,2001:db8::1,,,,Backdoor\n"
+)
+DATASET = (
+    b"stime,ltime,proto,saddr,sport,daddr,dport,sbytes\n"
+    b"10.000000,12.000000,tcp,10.0.0.1,40000,10.0.0.2,80,120\n"
+    b"11.000000,11.500000,udp,10.0.0.1,53,10.0.0.2,5353,64\n"
+    b"30.000000,31.000000,tcp,2001:db8::2,443,2001:db8::1,41000,80\n"
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(_TEXT_EDIT, max_size=2), st.lists(_TEXT_EDIT, max_size=2))
+def test_label_of_a_mutated_ground_truth_and_dataset_exits_0_or_2(gt_edits, csv_edits):
+    files = {"gt.csv": _mutated(GROUND_TRUTH, gt_edits),
+             "data.csv": _mutated(DATASET, csv_edits)}
+    with _workdir(files) as tmp:
+        code = main(["label", "--in", str(tmp / "data.csv"), "--gt", str(tmp / "gt.csv"),
+                     "--out", str(tmp / "out"), "--bidirectional"])
+    assert code in (0, 2)
+
+
+@functools.cache
+def _exported_hera() -> bytes:
+    capture = pb.pcap([pb.record(1_000 * i, frame) for i, frame in enumerate(FRAMES)])
+    with _workdir({"fuzz.pcap": capture}) as tmp:
+        assert main(["export", "--pcap", str(tmp / "fuzz.pcap"), "--out", str(tmp)]) == 0
+        return (tmp / "fuzz.hera").read_bytes()
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.lists(_TEXT_EDIT, max_size=2))
+def test_dataset_of_a_mutated_flow_file_exits_0_or_2(edits):
+    with _workdir({"fuzz.hera": _mutated(_exported_hera(), edits)}) as tmp:
+        code = main(["dataset", "--in", str(tmp / "fuzz.hera"), "--out", str(tmp / "out"),
+                     "--features", "all", "--mode", "racluster"])
     assert code in (0, 2)

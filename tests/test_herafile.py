@@ -224,9 +224,19 @@ def test_missing_required_field_rejected(tmp_path):
         parse_record(line, 5)
 
 
-def test_malformed_number_rejected():
-    with pytest.raises(CorruptRecord):
-        parse_record(minimal_line(sport="http"), 3)
+@pytest.mark.parametrize("field, text", [
+    ("sport", "http"),
+    ("flgs", "XYZ"),
+    ("flgs", "AS"),  # out of SAFRPU order
+    ("flgs", "SS"),
+    ("mgmt", "2"),
+    ("mgmt", "yes"),
+    ("mgmt", ""),
+])
+def test_value_not_of_its_kind_rejected(field, text):
+    with pytest.raises(CorruptRecord) as err:
+        parse_record(minimal_line(**{field: text}), 3)
+    assert err.value.line_number == 3
 
 
 def test_key_reconstruction_preserves_direction():

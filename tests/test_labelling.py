@@ -400,9 +400,9 @@ def count_match_calls(monkeypatch):
     calls = [0]
     real = labelling.match_entry
 
-    def counting(view, e, bidirectional):
+    def counting(*args):
         calls[0] += 1
-        return real(view, e, bidirectional)
+        return real(*args)
 
     monkeypatch.setattr(labelling, "match_entry", counting)
     return calls
@@ -452,8 +452,8 @@ def test_label_dataset_appends_label_column():
     rows = [row(), row(saddr="10.0.0.9")]
     header, labelled, summary = label_dataset(HDR, rows, [entry(src_addr="10.0.0.9")])
     assert header == HDR + ["Label"]
-    assert [r[:-1] for r in labelled] == rows
-    assert [r[-1] for r in labelled] == ["Benign", "DoS"]
+    assert labelled is rows  # labelled in place, not copied
+    assert labelled == [row() + ["Benign"], row(saddr="10.0.0.9") + ["DoS"]]
     assert summary.counts == {"Benign": 1, "DoS": 1}
 
 
