@@ -10,6 +10,9 @@ outputs before any work, stages them to temporary files and renames
 them into place only when it succeeds, so a failure leaves nothing
 behind, and nothing is overwritten without --force.
 
+Each command imports only the stage modules it runs, so building the
+parser loads none of them.
+
 Exit codes: 0 success, 1 usage error, 2 malformed input, 3 IO error.
 """
 
@@ -23,29 +26,14 @@ import logging
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from .dataset import (
-    DEFAULT_COUNT_WINDOW,
-    MODES,
-    build_dataset,
-    compute_stats,
-    read_csv,
-    write_csv,
-    write_stats,
-)
 from .errors import HeraError, MalformedDatasetCell, UnknownFeature, UsageError
-from .features import PRESETS, select_feature_set
-from .flows import ExportConfig, FlowTable
-from .herafile import HeraHeader, read_hera, write_hera
-from .labelling import (
-    DEFAULT_BENIGN_LABEL,
-    label_dataset,
-    parse_ground_truth,
-    write_label_summary,
-)
-from .pcap import open_capture
 from .timefmt import seconds_to_us
-from .workspace import Settings, load_workspace
+from .workspace import DEFAULT_BENIGN_LABEL, DEFAULT_COUNT_WINDOW, Settings, load_workspace
+
+if TYPE_CHECKING:
+    from .flows import ExportConfig
 
 log = logging.getLogger("hera")
 
@@ -120,7 +108,7 @@ def _add_export_flags(cmd) -> None:
 def _add_dataset_flags(cmd) -> None:
     cmd.add_argument("--features",
                      help="default|all|unsw-nb15|bot-iot|cic-ids2017 or name,name,...")
-    cmd.add_argument("--mode", choices=MODES, default=None,
+    cmd.add_argument("--mode",
                      help="ra: one row per record; racluster: merge per flow key")
     cmd.add_argument("--keep-management", dest="keep_management", action="store_true",
                      default=None, help="keep management records in the dataset")
@@ -214,6 +202,7 @@ def _positive_seconds(value: float, origin: str) -> int:
 
 
 def _export_config(settings: Settings, args) -> ExportConfig:
+    from .flows import ExportConfig
     interval_us = _positive_seconds(settings.number("interval", 60.0),
                                     settings.origin("interval"))
     idle = settings.number("idle_timeout", 0.0)
@@ -232,6 +221,7 @@ def _export_config(settings: Settings, args) -> ExportConfig:
 
 
 def _feature_selection(text: str | None):
+    from .features import PRESETS
     if text is None:
         return "default"
     cleaned = text.strip()
@@ -243,6 +233,8 @@ def _feature_selection(text: str | None):
 
 def _dataset_options(settings: Settings) -> dict:
     """The validated keyword arguments of `build_dataset`."""
+    from .dataset import MODES
+    from .features import select_feature_set
     feature_names = select_feature_set(_feature_selection(settings.text("features")))
     mode = settings.text("mode") or "ra"
     if mode not in MODES:
@@ -269,6 +261,9 @@ def _jobs(settings: Settings) -> int:
 
 def export_capture(pcap_path, config: ExportConfig):
     """Run the flow engine over one capture; returns (header, records, table)."""
+    from .flows import FlowTable
+    from .herafile import HeraHeader
+    from .pcap import open_capture
     with open_capture(pcap_path) as reader:
         table = FlowTable(config)
         for packet in reader:
@@ -291,6 +286,8 @@ def export_capture(pcap_path, config: ExportConfig):
 
 
 def _export_step(pcap, config: ExportConfig, hera_path, stats_path) -> list:
+    from .dataset import compute_stats, write_stats
+    from .herafile import write_hera
     header, records, _ = export_capture(pcap, config)
     write_hera(hera_path, header, records)
     write_stats(stats_path, compute_stats(records))
@@ -298,6 +295,7 @@ def _export_step(pcap, config: ExportConfig, hera_path, stats_path) -> list:
 
 
 def _dataset_step(records, options, csv_path, stats_path):
+    from .dataset import build_dataset, write_csv, write_stats
     header, rows, stats = build_dataset(records, **options)
     write_csv(csv_path, header, rows)
     write_stats(stats_path, stats)
@@ -305,6 +303,8 @@ def _dataset_step(records, options, csv_path, stats_path):
 
 
 def _label_step(header, rows, entries, options, csv_path, summary_path) -> None:
+    from .dataset import write_csv
+    from .labelling import label_dataset, write_label_summary
     labelled_header, labelled_rows, summary = label_dataset(header, rows, entries, **options)
     write_csv(csv_path, labelled_header, labelled_rows)
     write_label_summary(summary_path, summary)
@@ -318,6 +318,7 @@ class _GroundTruth:
 
     @functools.cached_property
     def entries(self):
+        from .labelling import parse_ground_truth
         return parse_ground_truth(self.path)
 
 
@@ -358,6 +359,7 @@ def cmd_export(args, settings: Settings) -> None:
 
 
 def cmd_dataset(args, settings: Settings) -> None:
+    from .herafile import read_hera
     options = _dataset_options(settings)
     inputs = _expand_inputs(settings.paths("inputs"), "--in")
     out_dir = Path(settings.text("out") or settings.text("csv_dir") or ".")
@@ -368,6 +370,8 @@ def cmd_dataset(args, settings: Settings) -> None:
 
 
 def cmd_label(args, settings: Settings) -> None:
+    from .dataset import read_csv
+    from .labelling import parse_ground_truth
     gt = settings.text("ground_truth")
     if not gt:
         raise UsageError("no ground truth: pass --gt")

@@ -15,10 +15,9 @@ from dataclasses import dataclass, field
 from .errors import UnreadableLine, not_utf8
 from .features import RowContext, compute_row, service_of
 from .flows import FlowRecord
+from .workspace import DEFAULT_COUNT_WINDOW
 
 MODES = ("ra", "racluster")
-
-DEFAULT_COUNT_WINDOW = 100
 
 
 def cluster(records: list[FlowRecord]) -> list[FlowRecord]:

@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from .errors import UnknownFeature
 from .flows import FlowRecord, opt_max, opt_min, render_flags
-from .timefmt import us_to_text
+from .timefmt import optional_text as _i, us_to_text
 
 # Well-known ports for the service feature. The lookup key is the lower
 # of the two ports, so the ephemeral side never hides the service.
@@ -98,10 +99,6 @@ class Feature:
 # -- cell formatting helpers ------------------------------------------
 
 
-def _i(v) -> str:
-    return "" if v is None else str(v)
-
-
 def _f(x) -> str:
     return "" if x is None else f"{x:.6f}"
 
@@ -136,22 +133,6 @@ def _per_second(count, dur_us):
     return count * 1e6 / dur_us if dur_us > 0 else None
 
 
-def _is_tcp(rec: FlowRecord) -> bool:
-    return rec.key.proto == "tcp"
-
-
-def _flag_total(rec, attr):
-    if not _is_tcp(rec):
-        return None
-    return getattr(rec.src, attr) + getattr(rec.dst, attr)
-
-
-def _flag_dir(rec, side, attr):
-    if not _is_tcp(rec):
-        return None
-    return getattr(getattr(rec, side), attr)
-
-
 def _span_us(stats):
     # no packets, a management record's, or a record read without one of them
     if stats.first_ts_us is None or stats.last_ts_us is None:
@@ -173,6 +154,30 @@ def _sm_ips_ports(rec, ctx):
 
 
 _F = Feature
+
+
+def _tcp_count(count) -> Callable[[FlowRecord, RowContext], str]:
+    """The cell of a TCP flag count: count(record), empty for non-TCP records."""
+    return lambda r, c: str(count(r)) if r.key.proto == "tcp" else ""
+
+
+def _flag_count_features() -> tuple[Feature, ...]:
+    """The 18 TCP flag counts: both directions, then the source's, then
+    the destination's, each in FIN SYN RST PSH ACK URG order."""
+    both, source, destination = [], [], []
+    for flag in ("fin", "syn", "rst", "psh", "ack", "urg"):
+        get = attrgetter(flag + "_cnt")
+        name, upper = flag + "cnt", flag.upper()
+        both.append(_F(name, "flags", "", f"{upper} packets, both directions",
+                       _tcp_count(lambda r, get=get: get(r.src) + get(r.dst))))
+        source.append(_F("s" + name, "flags", "", f"source {upper} packets",
+                         _tcp_count(lambda r, get=get: get(r.src))))
+        destination.append(_F("d" + name, "flags", "", f"destination {upper} packets",
+                              _tcp_count(lambda r, get=get: get(r.dst))))
+    return (*both, *source, *destination)
+
+
+_FLAG_COUNTS = _flag_count_features()
 
 # The 130 catalog entries, in normative column order. The first 22 are
 # the default preset.
@@ -364,42 +369,7 @@ CATALOG: tuple[Feature, ...] = (
        lambda r, c: us_to_text(r.src.iat_sum_us if r.src.iat_count else None)),
     _F("dtotipt", "iat", "s", "sum of destination inter-arrival gaps",
        lambda r, c: us_to_text(r.dst.iat_sum_us if r.dst.iat_count else None)),
-    _F("fincnt", "flags", "", "FIN packets, both directions",
-       lambda r, c: _i(_flag_total(r, "fin_cnt"))),
-    _F("syncnt", "flags", "", "SYN packets, both directions",
-       lambda r, c: _i(_flag_total(r, "syn_cnt"))),
-    _F("rstcnt", "flags", "", "RST packets, both directions",
-       lambda r, c: _i(_flag_total(r, "rst_cnt"))),
-    _F("pshcnt", "flags", "", "PSH packets, both directions",
-       lambda r, c: _i(_flag_total(r, "psh_cnt"))),
-    _F("ackcnt", "flags", "", "ACK packets, both directions",
-       lambda r, c: _i(_flag_total(r, "ack_cnt"))),
-    _F("urgcnt", "flags", "", "URG packets, both directions",
-       lambda r, c: _i(_flag_total(r, "urg_cnt"))),
-    _F("sfincnt", "flags", "", "source FIN packets",
-       lambda r, c: _i(_flag_dir(r, "src", "fin_cnt"))),
-    _F("ssyncnt", "flags", "", "source SYN packets",
-       lambda r, c: _i(_flag_dir(r, "src", "syn_cnt"))),
-    _F("srstcnt", "flags", "", "source RST packets",
-       lambda r, c: _i(_flag_dir(r, "src", "rst_cnt"))),
-    _F("spshcnt", "flags", "", "source PSH packets",
-       lambda r, c: _i(_flag_dir(r, "src", "psh_cnt"))),
-    _F("sackcnt", "flags", "", "source ACK packets",
-       lambda r, c: _i(_flag_dir(r, "src", "ack_cnt"))),
-    _F("surgcnt", "flags", "", "source URG packets",
-       lambda r, c: _i(_flag_dir(r, "src", "urg_cnt"))),
-    _F("dfincnt", "flags", "", "destination FIN packets",
-       lambda r, c: _i(_flag_dir(r, "dst", "fin_cnt"))),
-    _F("dsyncnt", "flags", "", "destination SYN packets",
-       lambda r, c: _i(_flag_dir(r, "dst", "syn_cnt"))),
-    _F("drstcnt", "flags", "", "destination RST packets",
-       lambda r, c: _i(_flag_dir(r, "dst", "rst_cnt"))),
-    _F("dpshcnt", "flags", "", "destination PSH packets",
-       lambda r, c: _i(_flag_dir(r, "dst", "psh_cnt"))),
-    _F("dackcnt", "flags", "", "destination ACK packets",
-       lambda r, c: _i(_flag_dir(r, "dst", "ack_cnt"))),
-    _F("durgcnt", "flags", "", "destination URG packets",
-       lambda r, c: _i(_flag_dir(r, "dst", "urg_cnt"))),
+    *_FLAG_COUNTS,
     _F("sstime", "direction-time", "s", "first source packet time",
        lambda r, c: us_to_text(r.src.first_ts_us)),
     _F("sltime", "direction-time", "s", "last source packet time",

@@ -12,9 +12,10 @@ A lone FIN never closes a flow.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .pcap import DecodedPacket
+if TYPE_CHECKING:
+    from .pcap import DecodedPacket
 
 STATE_REQ = "REQ"
 STATE_CON = "CON"
@@ -81,7 +82,7 @@ class ExportConfig:
             raise ValueError("reorder slack must not be negative")
 
 
-@dataclass
+@dataclass(slots=True)
 class EndpointStats:
     """Per-endpoint accumulators for one flow record.
 
@@ -227,7 +228,7 @@ def observe_gap(stats, gap_us: int) -> None:
     stats.iat_max_us = opt_max(stats.iat_max_us, gap_us)
 
 
-@dataclass
+@dataclass(slots=True)
 class FlowRecord:
     """One emitted flow record: a slice of a flow episode, or a
     management summary when is_management is set."""

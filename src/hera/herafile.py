@@ -12,17 +12,53 @@ files from newer minor revisions survive a rewrite.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter, itemgetter
+from typing import Callable
 
 from .errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion, not_utf8
-from .flows import ExportConfig, FlowRecord, canonical_key, render_flags
-from .timefmt import text_to_us, us_to_text
+from .flows import EndpointStats, ExportConfig, FlowRecord, canonical_key, render_flags
+from .timefmt import optional_text, text_to_int, text_to_us, us_to_text
 
 MAGIC_PREFIX = "#HERA "
 VERSION_TOKEN = "v1"
 MAGIC_LINE = MAGIC_PREFIX + VERSION_TOKEN
 
-# (file suffix, value kind, EndpointStats attribute)
-_ENDPOINT_FIELDS = (
+
+def _optional(from_text):
+    """from_text, except that empty text reads as None."""
+    return lambda text: None if text == "" else from_text(text)
+
+
+def _bool_from_text(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"bad bool value {text!r}")
+    return text == "1"
+
+
+def _flags_from_text(text: str) -> set[str]:
+    flags = set(text)
+    if render_flags(flags) != text:
+        raise ValueError(f"bad flags value {text!r}")
+    return flags
+
+
+# Each value kind's (to-text, from-text) converters, in the order of the
+# "Value kinds" table of docs/hera-format.md.
+KIND_CONVERTERS: dict[str, tuple[Callable, Callable]] = {
+    "int": (str, text_to_int),
+    "oint": (optional_text, _optional(text_to_int)),
+    "str": (str, str),
+    "ostr": (optional_text, _optional(str)),
+    "time": (us_to_text, text_to_us),
+    "otime": (us_to_text, _optional(text_to_us)),
+    "bool": (lambda value: "1" if value else "0", _bool_from_text),
+    "flags": (render_flags, _flags_from_text),
+}
+
+# (name suffix, value kind, EndpointStats attribute) of the statistics
+# each side of a record carries, in line order.
+_SIDE_FIELDS = (
     ("pkts", "int", "pkts"),
     ("bytes", "int", "bytes"),
     ("appbytes", "int", "appbytes"),
@@ -53,144 +89,105 @@ _ENDPOINT_FIELDS = (
     ("ipmax", "otime", "iat_max_us"),
 )
 
-# (field name, value kind, FlowRecord attribute)
-_RECORD_FIELDS = (
-    ("stime", "time", "stime_us"),
-    ("ltime", "time", "ltime_us"),
-    ("runtime", "time", "runtime_us"),
-    ("idle", "time", "idle_us"),
-    ("slice", "int", "slice_index"),
-    ("mgmt", "bool", "is_management"),
-    ("state", "ostr", "tcp_state"),
-    ("flgs", "flags", "flgs"),
-    ("ipsum", "time", "iat_sum_us"),
-    ("ipsq", "int", "iat_sumsq"),
-    ("ipmin", "otime", "iat_min_us"),
-    ("ipmax", "otime", "iat_max_us"),
-    ("synack", "otime", "synack_us"),
-    ("ackdat", "otime", "ackdat_us"),
-    ("vlan", "oint", "vlan_id"),
-    ("ipver", "oint", "ip_version"),
-    ("frag", "int", "frag_count"),
-    ("flows", "oint", "flows"),
+
+# Every field of a v1 record line, in line order: (name, value kind,
+# owner, attribute). "key" fields are read off the record and oriented
+# with canonical_key on reading, "record" fields are FlowRecord
+# attributes, and "src"/"dst" fields those of the source's and the
+# destination's EndpointStats.
+_LINE = (
+    ("saddr", "str", "key", "saddr"),
+    ("sport", "int", "key", "sport"),
+    ("daddr", "str", "key", "daddr"),
+    ("dport", "int", "key", "dport"),
+    ("proto", "str", "key", "key.proto"),
+    ("stime", "time", "record", "stime_us"),
+    ("ltime", "time", "record", "ltime_us"),
+    ("runtime", "time", "record", "runtime_us"),
+    ("idle", "time", "record", "idle_us"),
+    ("slice", "int", "record", "slice_index"),
+    ("mgmt", "bool", "record", "is_management"),
+    ("state", "ostr", "record", "tcp_state"),
+    ("flgs", "flags", "record", "flgs"),
+    *[("s" + suffix, kind, "src", attr) for suffix, kind, attr in _SIDE_FIELDS],
+    *[("d" + suffix, kind, "dst", attr) for suffix, kind, attr in _SIDE_FIELDS],
+    ("ipsum", "time", "record", "iat_sum_us"),
+    ("ipsq", "int", "record", "iat_sumsq"),
+    ("ipmin", "otime", "record", "iat_min_us"),
+    ("ipmax", "otime", "record", "iat_max_us"),
+    ("synack", "otime", "record", "synack_us"),
+    ("ackdat", "otime", "record", "ackdat_us"),
+    ("vlan", "oint", "record", "vlan_id"),
+    ("ipver", "oint", "record", "ip_version"),
+    ("frag", "int", "record", "frag_count"),
+    ("flows", "oint", "record", "flows"),
 )
 
-# (field name, value kind) of the flow key, which parse_record reads itself
-_KEY_FIELDS = (("saddr", "str"), ("sport", "int"), ("daddr", "str"), ("dport", "int"),
-               ("proto", "str"))
+_KNOWN_FIELDS = frozenset(name for name, *_ in _LINE)
 
+# Runs of consecutive fields with one owner: (owner, ("name=", getter, to_text) ...)
+_FORMAT_RUNS = tuple(
+    (owner, tuple((name + "=", attrgetter(attr), KIND_CONVERTERS[kind][0])
+                  for name, kind, _, attr in run))
+    for owner, run in groupby(_LINE, key=itemgetter(2)))
 
-def _fmt(kind: str, value) -> str:
-    if kind == "int":
-        return str(value)
-    if kind == "oint" or kind == "ostr":
-        return "" if value is None else str(value)
-    if kind == "time" or kind == "otime":
-        return us_to_text(value)
-    if kind == "bool":
-        return "1" if value else "0"
-    if kind == "flags":
-        return render_flags(value)
-    raise AssertionError(kind)
-
-
-def _parse(kind: str, text: str):
-    if kind == "int":
-        return int(text)
-    if kind == "oint":
-        return None if text == "" else int(text)
-    if kind == "time":
-        return text_to_us(text)
-    if kind == "otime":
-        return None if text == "" else text_to_us(text)
-    if kind == "bool":
-        if text not in ("0", "1"):
-            raise ValueError(f"bad bool value {text!r}")
-        return text == "1"
-    if kind == "flags":
-        flags = set(text)
-        if render_flags(flags) != text:
-            raise ValueError(f"bad flags value {text!r}")
-        return flags
-    if kind == "ostr":
-        return None if text == "" else text
-    raise AssertionError(kind)
+# Each owner's (name, attribute, from_text), in line order.
+_PARSE_FIELDS = {owner: tuple((name, attr, KIND_CONVERTERS[kind][1])
+                              for name, kind, field_owner, attr in _LINE if field_owner == owner)
+                 for owner in ("key", "record", "src", "dst")}
 
 
 def record_field_kinds() -> list[tuple[str, str]]:
     """The (name, value kind) of each field of a v1 record line, in order."""
-    kinds = list(_KEY_FIELDS)
-    kinds += [(name, kind) for name, kind, _ in _RECORD_FIELDS[:8]]
-    for prefix in "sd":
-        kinds += [(prefix + suffix, kind) for suffix, kind, _ in _ENDPOINT_FIELDS]
-    kinds += [(name, kind) for name, kind, _ in _RECORD_FIELDS[8:]]
-    return kinds
+    return [(name, kind) for name, kind, *_ in _LINE]
 
 
 def record_field_names() -> list[str]:
     """The full field order of a v1 record line."""
-    return [name for name, _ in record_field_kinds()]
+    return [name for name, *_ in _LINE]
 
 
 def format_record(rec: FlowRecord) -> str:
-    parts = [
-        f"saddr={rec.saddr}",
-        f"sport={rec.sport}",
-        f"daddr={rec.daddr}",
-        f"dport={rec.dport}",
-        f"proto={rec.key.proto}",
-    ]
-    for name, kind, attr in _RECORD_FIELDS[:8]:
-        parts.append(f"{name}={_fmt(kind, getattr(rec, attr))}")
-    for prefix, stats in (("s", rec.src), ("d", rec.dst)):
-        for suffix, kind, attr in _ENDPOINT_FIELDS:
-            parts.append(f"{prefix}{suffix}={_fmt(kind, getattr(stats, attr))}")
-    for name, kind, attr in _RECORD_FIELDS[8:]:
-        parts.append(f"{name}={_fmt(kind, getattr(rec, attr))}")
-    for name, value in rec.extra.items():
-        parts.append(f"{name}={value}")
+    owners = {"key": rec, "record": rec, "src": rec.src, "dst": rec.dst}
+    parts = []
+    for owner, run in _FORMAT_RUNS:
+        target = owners[owner]
+        for prefix, get, to_text in run:
+            parts.append(prefix + to_text(get(target)))
+    parts += [f"{name}={value}" for name, value in rec.extra.items()]
     return " ".join(parts)
 
 
-_KNOWN_FIELDS = frozenset(record_field_names())
+def _values(pairs: dict[str, str], owner: str) -> dict:
+    """The owner's attributes given in `pairs`, converted from text."""
+    return {attr: from_text(pairs[name])
+            for name, attr, from_text in _PARSE_FIELDS[owner] if name in pairs}
 
 
 def parse_record(line: str, line_number: int) -> FlowRecord:
     pairs = {}
-    extra = {}
     for token in line.split(" "):
         name, sep, value = token.partition("=")
         if not sep or not name:
             raise CorruptRecord(line_number, f"malformed token {token!r}")
-        if name in pairs or name in extra:
+        if name in pairs:
             raise CorruptRecord(line_number, f"duplicate field {name!r}")
-        if name in _KNOWN_FIELDS:
-            pairs[name] = value
-        else:
-            extra[name] = value
+        pairs[name] = value
+    extra = ({} if pairs.keys() <= _KNOWN_FIELDS else
+             {name: value for name, value in pairs.items() if name not in _KNOWN_FIELDS})
     for required in ("saddr", "sport", "daddr", "dport", "proto", "stime", "ltime"):
         if required not in pairs or (required != "proto" and pairs[required] == ""):
             raise CorruptRecord(line_number, f"missing field {required!r}")
     try:
-        key, initiator = canonical_key(pairs["saddr"], int(pairs["sport"]),
-                                       pairs["daddr"], int(pairs["dport"]), pairs["proto"])
-        rec = FlowRecord(
-            key=key, initiator=initiator,
-            stime_us=text_to_us(pairs["stime"]),
-            ltime_us=text_to_us(pairs["ltime"]),
-        )
-        for name, kind, attr in _RECORD_FIELDS:
-            if name in pairs:
-                setattr(rec, attr, _parse(kind, pairs[name]))
-        for prefix, stats in (("s", rec.src), ("d", rec.dst)):
-            for suffix, kind, attr in _ENDPOINT_FIELDS:
-                name = prefix + suffix
-                if name in pairs:
-                    setattr(stats, attr, _parse(kind, pairs[name]))
-    except (ValueError, KeyError) as exc:
+        key, initiator = canonical_key(
+            *[from_text(pairs[name]) for name, _, from_text in _PARSE_FIELDS["key"]])
+        record = _values(pairs, "record")
+        src = EndpointStats(**_values(pairs, "src"))
+        dst = EndpointStats(**_values(pairs, "dst"))
+    except ValueError as exc:
         raise CorruptRecord(line_number, str(exc)) from exc
-    rec.extra = extra
-    return rec
+    a, b = (src, dst) if initiator == "a" else (dst, src)
+    return FlowRecord(key=key, initiator=initiator, a=a, b=b, extra=extra, **record)
 
 
 @dataclass

@@ -28,9 +28,8 @@ from .errors import (
     MissingLabelColumn,
     MissingMatchField,
 )
-from .timefmt import text_to_us
-
-DEFAULT_BENIGN_LABEL = "Benign"
+from .timefmt import text_to_int, text_to_us
+from .workspace import DEFAULT_BENIGN_LABEL
 
 # Recognized ground-truth headers, compared case-insensitively, in the
 # order `parse_ground_truth` reads their cells.
@@ -109,7 +108,7 @@ def _port(text: str, column: str, row_number: int) -> int | None:
     if not text:
         return None
     try:
-        return int(text)
+        return text_to_int(text)
     except ValueError:
         raise MalformedField(row_number, column, text) from None
 
@@ -130,7 +129,8 @@ class LabelSummary:
 
 
 # Converters of the match cells that can reject their text.
-_CELL_PARSERS = {"stime": text_to_us, "ltime": text_to_us, "sport": int, "dport": int}
+_CELL_PARSERS = {"stime": text_to_us, "ltime": text_to_us, "sport": text_to_int,
+                 "dport": text_to_int}
 
 
 def _row_views(header, rows):
@@ -147,8 +147,8 @@ def _row_views(header, rows):
     for line_number, row in enumerate(rows, start=2):
         try:
             view = (text_to_us(row[stime]), text_to_us(row[ltime]),
-                    (row[proto].lower(), addrs[row[saddr]], int(row[sport]),
-                     addrs[row[daddr]], int(row[dport])))
+                    (row[proto].lower(), addrs[row[saddr]], text_to_int(row[sport]),
+                     addrs[row[daddr]], text_to_int(row[dport])))
         except (ValueError, IndexError):
             raise _bad_cell(row, line_number, positions) from None
         yield view

@@ -1,11 +1,25 @@
-"""Microsecond time arithmetic and its text form.
+"""Integers and microsecond times in their text form.
 
 All timestamps and durations are carried as integer microseconds so that
 flow arithmetic is exact and emitted files are reproducible byte for byte.
-Text form is seconds with exactly six decimal places.
+Text form is seconds with exactly six decimal places. Integers are read
+from ASCII decimal digits only, the only form hera writes.
 """
 
 from __future__ import annotations
+
+
+def text_to_int(text: str) -> int:
+    """Parse ASCII `-?[0-9]+`; unlike int(), reject signs other than a
+    leading '-', underscores, whitespace and non-ASCII digits."""
+    if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
+        return int(text)
+    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+
+
+def optional_text(value) -> str:
+    """str(value), or '' for None."""
+    return "" if value is None else str(value)
 
 
 def us_to_text(us: int | None) -> str:
@@ -21,8 +35,8 @@ def text_to_us(text: str) -> int:
     """Parse a decimal-seconds string to integer microseconds.
 
     Accepts an optional sign, an integer part, and up to six fractional
-    digits; anything beyond six digits is truncated, matching the
-    precision used everywhere else.
+    digits, all ASCII; anything beyond six digits is truncated, matching
+    the precision used everywhere else.
     """
     s = text.strip()
     if not s:
@@ -32,18 +46,11 @@ def text_to_us(text: str) -> int:
         if s[0] == "-":
             sign = -1
         s = s[1:]
-    if not s:
-        raise ValueError(f"malformed timestamp {text!r}")
     whole, _, frac = s.partition(".")
-    if whole and not whole.isdigit():
+    if (not s.isascii() or (whole and not whole.isdigit())
+            or (frac and not frac.isdigit()) or not (whole or frac)):
         raise ValueError(f"malformed timestamp {text!r}")
-    if frac and not frac.isdigit():
-        raise ValueError(f"malformed timestamp {text!r}")
-    if not whole and not frac:
-        raise ValueError(f"malformed timestamp {text!r}")
-    seconds = int(whole) if whole else 0
-    frac = frac[:6].ljust(6, "0")
-    return sign * (seconds * 1_000_000 + (int(frac) if frac else 0))
+    return sign * (int(whole or "0") * 1_000_000 + int(frac[:6].ljust(6, "0")))
 
 
 def seconds_to_us(seconds: float) -> int:

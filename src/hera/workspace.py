@@ -15,6 +15,10 @@ from .errors import UsageError
 
 ENV_VAR = "HERA_WORKSPACE"
 
+# Built-in defaults shared by a stage and the help text of its flag.
+DEFAULT_COUNT_WINDOW = 100
+DEFAULT_BENIGN_LABEL = "Benign"
+
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
 

@@ -1,6 +1,8 @@
 import builtins
 import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -293,7 +295,8 @@ def test_dataset_corrupt_flow_file_is_format_error(tmp_path, capsys):
     (b"#interval=60.000000", b"#interval=0.000000",
      "interval must be a positive number of seconds"),
     (b"proto=udp", b"proto=ud\xffp", "bytes are not UTF-8"),
-], ids=["zero-interval", "not-utf8"])
+    (b" sfin=0 ", " sfin=\u0660 ".encode(), "invalid literal for int() with base 10: '\u0660'"),
+], ids=["zero-interval", "not-utf8", "non-ascii-digit"])
 def test_dataset_unreadable_flow_file_line_is_format_error(
         tmp_path, capsys, old, new, reason):
     hera = exported(tmp_path)
@@ -338,8 +341,22 @@ def test_dataset_bad_count_window(tmp_path):
                  "--count-window", "0"]) == 1
 
 
-def test_bad_mode_is_usage_error(tmp_path):
+def test_bad_mode_is_usage_error(tmp_path, capsys):
     assert main(["dataset", "--in", "x.hera", "--mode", "rasort"]) == 1
+    assert capsys.readouterr().err == "hera: --mode must be one of ra/racluster\n"
+
+
+def test_building_the_parser_imports_no_stage_module():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import sys; from hera.cli import build_parser; build_parser(); "
+            "print(' '.join(sorted(sys.modules)))")
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                            capture_output=True, text=True).stdout.split()
+    assert "hera.cli" in loaded
+    stages = ("pcap", "flows", "herafile", "dataset", "features", "labelling")
+    assert [name for name in stages if f"hera.{name}" in loaded] == []
 
 
 def test_no_command_prints_usage(capsys):
@@ -421,7 +438,11 @@ GOOD_ROW = "1.000000,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n"
     ("1.000000,noon,tcp,10.0.0.1,1234,10.0.0.2,80\n", "line 3, column 'ltime'"),
     ("1.0.0,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n", "line 3, column 'stime'"),
     ("1.000000,2.000000,tcp,10.0.0.1,1234\n", "line 3, column 'daddr'"),
-], ids=["sport", "dport", "ltime", "stime", "short-row"])
+    ("1.000000,2.000000,tcp,10.0.0.1,8_0,10.0.0.2,80\n", "line 3, column 'sport'"),
+    ("1.000000,2.000000,tcp,10.0.0.1,1234,10.0.0.2,\u0665\u0663\n", "line 3, column 'dport'"),
+    ("\u0661.0,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n", "line 3, column 'stime'"),
+], ids=["sport", "dport", "ltime", "stime", "short-row",
+        "sport-underscore", "dport-non-ascii", "stime-non-ascii"])
 def test_label_unreadable_dataset_cell_is_format_error(tmp_path, capsys, bad_row, where):
     dataset = tmp_path / "d.csv"
     dataset.write_text(MATCH_HEADER + GOOD_ROW + bad_row, encoding="utf-8")
@@ -538,8 +559,8 @@ def test_run_hands_records_and_rows_over_in_memory(capture, tmp_path, monkeypatc
     def reread(path):
         raise AssertionError(f"run read back {path}")
 
-    monkeypatch.setattr(cli, "read_hera", reread)
-    monkeypatch.setattr(cli, "read_csv", reread)
+    monkeypatch.setattr("hera.herafile.read_hera", reread)
+    monkeypatch.setattr("hera.dataset.read_csv", reread)
     gt = write_gt(tmp_path / "gt.csv")
     assert main(["run", "--pcap", str(capture), "--gt", str(gt),
                  "--flows-dir", str(tmp_path / "flows"),

@@ -232,6 +232,9 @@ def test_missing_required_field_rejected(tmp_path):
     ("mgmt", "2"),
     ("mgmt", "yes"),
     ("mgmt", ""),
+    ("sport", "8_0"),
+    ("dport", "\u0665\u0663"),  # Arabic-Indic 53
+    ("stime", "\u0661.0"),  # Arabic-Indic 1
 ])
 def test_value_not_of_its_kind_rejected(field, text):
     with pytest.raises(CorruptRecord) as err:

@@ -127,15 +127,17 @@ def test_parse_empty_label_cell(tmp_path):
 
 
 def test_parse_malformed_timestamp(tmp_path):
-    with pytest.raises(MalformedTimestamp) as err:
-        gt(tmp_path, "StartTime,Label\nnoon,DoS\n")
-    assert err.value.row_number == 2
+    for text in ("noon", "\u0661\u0662.5"):  # Arabic-Indic 12.5
+        with pytest.raises(MalformedTimestamp) as err:
+            gt(tmp_path, f"StartTime,Label\n{text},DoS\n")
+        assert err.value.row_number == 2
 
 
 def test_parse_malformed_port(tmp_path):
-    with pytest.raises(MalformedField) as err:
-        gt(tmp_path, "Sport,Label\nhttp,DoS\n")
-    assert err.value.row_number == 2
+    for text in ("http", "8_0", "\u0665\u0663"):  # the last is Arabic-Indic 53
+        with pytest.raises(MalformedField) as err:
+            gt(tmp_path, f"Sport,Label\n{text},DoS\n")
+        assert err.value.row_number == 2
 
 
 def test_parse_normalizes_proto_and_addresses(tmp_path):

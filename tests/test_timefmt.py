@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from hera.timefmt import seconds_to_us, text_to_us, us_to_text
+from hera.timefmt import seconds_to_us, text_to_int, text_to_us, us_to_text
 
 
 def test_zero():
@@ -39,10 +39,22 @@ def test_parse_leading_dot():
     assert text_to_us(".25") == 250_000
 
 
-@pytest.mark.parametrize("bad", ["", ".", "-", "1.2.3", "abc", "1e3", "1.-2"])
+@pytest.mark.parametrize("bad", ["", ".", "-", "1.2.3", "abc", "1e3", "1.-2",
+                                 "\u0661.0", "1.\u0665"])
 def test_parse_rejects_garbage(bad):
     with pytest.raises(ValueError):
         text_to_us(bad)
+
+
+def test_text_to_int_reads_ascii_decimals():
+    assert [text_to_int(text) for text in ("0", "80", "-7", "007")] == [0, 80, -7, 7]
+
+
+@pytest.mark.parametrize("bad", ["", "-", "--5", "5-", "+5", " 5", "5 ", "8_0", "1.0",
+                                 "\u0665\u0663", "\uff15"])
+def test_text_to_int_rejects_all_but_ascii_decimals(bad):
+    with pytest.raises(ValueError, match="invalid literal for int"):
+        text_to_int(bad)
 
 
 def test_seconds_to_us_rounds():
