@@ -3,7 +3,9 @@
 `ra` mode emits one CSV row per record; `racluster` merges all records
 sharing a canonical key into one row first. Rows follow the selected
 feature columns in catalog order; a stats text file summarizes the same
-record set the rows were built from.
+record set the rows were built from. The feature catalog is imported
+only by the functions that compute rows, so `export` and `label`, which
+use this module for stats and CSV files, never load it.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 
 from .errors import UnreadableLine, not_utf8
-from .features import RowContext, compute_row, service_of
 from .flows import FlowRecord
 from .workspace import DEFAULT_COUNT_WINDOW
 
@@ -64,6 +65,7 @@ def compute_connection_counts(records, window: int = DEFAULT_COUNT_WINDOW):
     list of (ssaddr, sdaddr) aligned with `records`; management entries
     get (None, None) and do not occupy window slots.
     """
+    from .features import service_of
     if window < 1:
         raise ValueError("count window must be at least 1")
     results = [(None, None)] * len(records)
@@ -155,6 +157,7 @@ def build_dataset(
     Rows keep record-stream order in ra mode and (stime, key) order
     after clustering; rank densely numbers the emitted rows.
     """
+    from .features import RowContext, compute_row, service_of
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     selected = list(records)

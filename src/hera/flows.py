@@ -56,12 +56,6 @@ def canonical_key(saddr: str, sport: int, daddr: str, dport: int,
     return FlowKey(daddr, dport, saddr, sport, proto), "b"
 
 
-def flow_key(packet: DecodedPacket) -> tuple[FlowKey, str]:
-    """Return the canonical key and which endpoint ('a' or 'b') sent this packet."""
-    return canonical_key(packet.src_addr, packet.src_port,
-                         packet.dst_addr, packet.dst_port, packet.proto)
-
-
 @dataclass
 class ExportConfig:
     """Knobs for the packet-to-flow stage. Times are integer microseconds."""
@@ -138,12 +132,19 @@ class EndpointStats:
             self.tos_first = packet.tos
         else:
             observe_gap(self, ts - self.last_ts_us)
-            self.sz_min = min(self.sz_min, size)
-            self.sz_max = max(self.sz_max, size)
-            self.app_min = min(self.app_min, payload)
-            self.app_max = max(self.app_max, payload)
-            self.ttl_min = min(self.ttl_min, packet.ttl)
-            self.ttl_max = max(self.ttl_max, packet.ttl)
+            if size < self.sz_min:
+                self.sz_min = size
+            if size > self.sz_max:
+                self.sz_max = size
+            if payload < self.app_min:
+                self.app_min = payload
+            if payload > self.app_max:
+                self.app_max = payload
+            ttl = packet.ttl
+            if ttl < self.ttl_min:
+                self.ttl_min = ttl
+            if ttl > self.ttl_max:
+                self.ttl_max = ttl
         self.last_ts_us = ts
         if self.win_first is None and packet.tcp_window is not None:
             self.win_first = packet.tcp_window
@@ -221,11 +222,14 @@ def opt_max(x, y):
 
 def observe_gap(stats, gap_us: int) -> None:
     """Add one inter-arrival gap to the IAT sums and extremes of an
-    EndpointStats or a FlowRecord."""
+    EndpointStats or a FlowRecord. Each extreme may be None on its own
+    (a record read from a file), so each is tested on its own."""
     stats.iat_sum_us += gap_us
     stats.iat_sumsq += gap_us * gap_us
-    stats.iat_min_us = opt_min(stats.iat_min_us, gap_us)
-    stats.iat_max_us = opt_max(stats.iat_max_us, gap_us)
+    if stats.iat_min_us is None or gap_us < stats.iat_min_us:
+        stats.iat_min_us = gap_us
+    if stats.iat_max_us is None or gap_us > stats.iat_max_us:
+        stats.iat_max_us = gap_us
 
 
 @dataclass(slots=True)
@@ -427,12 +431,14 @@ class FlowTable:
         self.accepted_bytes += packet.ip_bytes
         if self.first_ts_us is None:
             self.first_ts_us = self.last_ts_us = ts
-        self.last_ts_us = max(self.last_ts_us, ts)
+        elif ts > self.last_ts_us:
+            self.last_ts_us = ts
         window = self._window_counters(ts)
         window[0] += 1
         window[1] += packet.ip_bytes
 
-        key, sender = flow_key(packet)
+        key, sender = canonical_key(packet.src_addr, packet.src_port,
+                                    packet.dst_addr, packet.dst_port, packet.proto)
         live = self._live.get(key)
         if live is None:
             live = self._open_episode(key, sender, packet, window)
@@ -479,9 +485,12 @@ class FlowTable:
     def _count_packet(self, live: _LiveFlow, sender: str, packet: DecodedPacket) -> None:
         ts = packet.ts_us
         rec = live.rec
-        rec.stime_us = min(rec.stime_us, ts)
-        rec.ltime_us = max(rec.ltime_us, ts)
-        live.last_activity_us = max(live.last_activity_us, ts)
+        if ts < rec.stime_us:
+            rec.stime_us = ts
+        if ts > rec.ltime_us:
+            rec.ltime_us = ts
+        if ts > live.last_activity_us:
+            live.last_activity_us = ts
         (rec.a if sender == "a" else rec.b).update(packet)
         if live.last_arrival_us is not None:
             observe_gap(rec, ts - live.last_arrival_us)

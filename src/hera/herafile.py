@@ -275,6 +275,8 @@ def _read_header_line(line: str, header: HeraHeader, cfg_kwargs: dict) -> None:
         ExportConfig(**setting)  # the config's own range check, raised on this line
         cfg_kwargs.update(setting)
     elif name == "emit_management":
+        if value not in ("true", "false"):
+            raise ValueError(f"emit_management must be true or false, got {value!r}")
         cfg_kwargs["emit_management"] = value == "true"
     elif name == "capture_start":
         header.capture_start_us = text_to_us(value) if value else None

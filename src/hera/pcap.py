@@ -10,6 +10,7 @@ record may hold, does.
 
 from __future__ import annotations
 
+import functools
 import ipaddress
 import struct
 from collections import Counter
@@ -74,6 +75,16 @@ _PORTS = struct.Struct(">HH")
 _V6_EXTENSIONS = {0, 43, 60}
 _V6_FRAGMENT = 44
 _V6_AUTH = 51
+
+
+# A capture holds far fewer distinct addresses than packets, so each
+# address is turned into text once; the bound caps the cache's memory.
+@functools.lru_cache(maxsize=4096)
+def address_text(raw: bytes) -> str:
+    """The text of a 4- or 16-byte address, exactly as `ipaddress` writes it
+    (IPv4-mapped IPv6 stays in hex groups: `::ffff:102:304`)."""
+    return str(ipaddress.ip_address(raw))
+
 
 SKIP_NON_IP = "non-ip"
 SKIP_TRUNCATED_FRAME = "truncated-frame"
@@ -235,8 +246,8 @@ class CaptureReader:
         frag_offset = _U16.unpack_from(ip, 6)[0] & 0x1FFF  # in 8-byte units
         ttl = ip[8]
         proto_num = ip[9]
-        src = str(ipaddress.IPv4Address(ip[12:16]))
-        dst = str(ipaddress.IPv4Address(ip[16:20]))
+        src = address_text(ip[12:16])
+        dst = address_text(ip[16:20])
         # Prefer the header's claim for the on-wire size; captures cut by
         # a small snaplen still report the true length there.
         ip_bytes = total_len if total_len >= ihl else wire_ip_len
@@ -255,8 +266,8 @@ class CaptureReader:
         payload_len = _U16.unpack_from(ip, 4)[0]
         next_header = ip[6]
         ttl = ip[7]
-        src = str(ipaddress.IPv6Address(ip[8:24]))
-        dst = str(ipaddress.IPv6Address(ip[24:40]))
+        src = address_text(ip[8:24])
+        dst = address_text(ip[24:40])
         ip_bytes = 40 + payload_len if payload_len else wire_ip_len
         offset = 40
         is_fragment = False

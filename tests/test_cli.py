@@ -276,6 +276,33 @@ def test_dataset_racluster_merges_sliced_flow(tmp_path):
     assert len(ra_rows) == 3
 
 
+def idle_split_udp_capture(path):
+    """One UDP key, split by the idle timeout into two records whose
+    within-record gaps (1 s) are smaller than the gap between them (68 s)."""
+    frames = [(t * SEC, pb.udp4_frame(CLIENT, SERVER, 9000, 53, b"p" * 8))
+              for t in (0, 1, 2, 70, 71, 72)]
+    pb.write(path, [pb.record(ts, frame) for ts, frame in frames])
+    return path
+
+
+def test_dataset_racluster_folds_a_record_with_one_gap_extreme(tmp_path):
+    hera = exported(tmp_path, maker=idle_split_udp_capture, name="u.pcap", extra=["--no-management"])
+    text = hera.read_text(encoding="utf-8")
+    assert "sipmin=1.000000 sipmax=1.000000" in text
+    hera.write_text(text.replace("sipmin=1.000000 sipmax=1.000000",
+                                 "sipmin=100.000000 sipmax=", 1), encoding="utf-8")
+    out = tmp_path / "csv"
+    assert main(["dataset", "--in", str(hera), "--out", str(out), "--mode", "racluster",
+                 "--features", "sminipt,smaxipt,totipt"]) == 0
+    header, rows = read_csv(out / "u.csv")
+    cells = dict(zip(header, rows[0]))
+    assert len(rows) == 1
+    # The 68 s gap between the records is the largest: sipmax must not
+    # stay unset because the gap was below the first record's sipmin.
+    assert (cells["sminipt"], cells["smaxipt"], cells["totipt"]) == (
+        "1.000000", "68.000000", "72.000000")
+
+
 def test_dataset_keep_management(tmp_path):
     hera = exported(tmp_path)
     out = tmp_path / "csv"
@@ -346,17 +373,32 @@ def test_bad_mode_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "hera: --mode must be one of ra/racluster\n"
 
 
-def test_building_the_parser_imports_no_stage_module():
+def modules_loaded_by(code: str) -> list[str]:
+    """The modules a fresh interpreter holds after running `code`."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = ("import sys; from hera.cli import build_parser; build_parser(); "
-            "print(' '.join(sorted(sys.modules)))")
-    loaded = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                            capture_output=True, text=True).stdout.split()
+    code = f"import sys; {code}; print(' '.join(sorted(sys.modules)))"
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout.split()
+
+
+def test_building_the_parser_imports_no_stage_module():
+    loaded = modules_loaded_by("from hera.cli import build_parser; build_parser()")
     assert "hera.cli" in loaded
     stages = ("pcap", "flows", "herafile", "dataset", "features", "labelling")
     assert [name for name in stages if f"hera.{name}" in loaded] == []
+
+
+def test_export_and_label_do_not_load_the_feature_catalog(tmp_path):
+    dataset, gt = labelled_setup(tmp_path)
+    for argv in (["export", "--pcap", str(tmp_path / "a.pcap"),
+                  "--out", str(tmp_path / "again")],
+                 ["label", "--in", str(dataset), "--gt", str(gt)]):
+        loaded = modules_loaded_by(
+            f"from hera.cli import main; assert main({argv!r}) == 0")
+        assert "hera.dataset" in loaded
+        assert "hera.features" not in loaded
 
 
 def test_no_command_prints_usage(capsys):

@@ -2,11 +2,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hera.flows import (
+    EndpointStats,
     ExportConfig,
     FlowKey,
     FlowTable,
+    canonical_key,
     collect_flows,
-    flow_key,
+    observe_gap,
+    opt_max,
+    opt_min,
     render_flags,
 )
 from hera.pcap import DecodedPacket
@@ -63,6 +67,12 @@ def data_records(records):
 
 
 # -- keys -----------------------------------------------------------------
+
+
+def flow_key(packet):
+    """The key and sending endpoint FlowTable.assign gives a packet."""
+    return canonical_key(packet.src_addr, packet.src_port,
+                         packet.dst_addr, packet.dst_port, packet.proto)
 
 
 def test_flow_key_is_direction_invariant():
@@ -597,3 +607,14 @@ def test_one_sided_fin_yields_one_record_per_slice_window(packets):
     assert [r.slice_index for r in records] == windows
     assert all(r.saddr == "10.0.0.1" for r in records)
     assert sum(r.pkts for r in records) == len(packets)
+
+
+@pytest.mark.parametrize("iat_min, iat_max", [
+    (None, None), (5, None), (None, 5), (5, 5), (3, 7), (100, None), (None, -100),
+])
+@pytest.mark.parametrize("gap", [-10, 0, 4, 5, 6, 200])
+def test_observe_gap_sets_each_extreme_on_its_own(iat_min, iat_max, gap):
+    stats = EndpointStats(iat_min_us=iat_min, iat_max_us=iat_max)
+    observe_gap(stats, gap)
+    assert (stats.iat_min_us, stats.iat_max_us) == (opt_min(iat_min, gap), opt_max(iat_max, gap))
+    assert (stats.iat_sum_us, stats.iat_sumsq) == (gap, gap * gap)

@@ -198,12 +198,16 @@ def test_corrupt_token_reports_line(tmp_path):
     "#reorder_slack=-0.000001",
     "#capture_start=noon",
     "#interval=",
+    "#emit_management=banana",
+    "#emit_management=yes",
+    "#emit_management=1",
 ])
 def test_bad_header_value_reports_line(tmp_path, header_line):
     path = corrupt_file(tmp_path, "#source=a.pcap\n" + header_line + "\n" + minimal_line())
     with pytest.raises(CorruptRecord) as err:
         read_hera(path)
     assert err.value.line_number == 3
+    assert str(err.value).startswith(f"{path}: line 3: ")
 
 
 def test_header_config_defaults_idle_timeout_to_interval(tmp_path):

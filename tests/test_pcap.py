@@ -1,4 +1,5 @@
 import io
+import ipaddress
 import struct
 
 import pytest
@@ -17,6 +18,7 @@ from hera.pcap import (
     CaptureReader,
     DecodedPacket,
     SkippedRecord,
+    address_text,
     open_capture,
 )
 
@@ -250,6 +252,60 @@ def test_ipv6_fragment(tmp_path):
     assert isinstance(pkt, DecodedPacket)
     assert pkt.is_fragment
     assert (pkt.src_port, pkt.dst_port) == (0, 0)
+
+
+# -- address text ----------------------------------------------------------
+
+
+# Each address with the text `ipaddress` writes for its bytes: RFC 5952
+# compressed lower-case IPv6, and IPv4-mapped addresses in hex groups
+# (socket.inet_ntop would write `::ffff:1.2.3.4`).
+ADDRESS_TEXTS = [
+    ("0.0.0.0", "0.0.0.0"),
+    ("255.255.255.255", "255.255.255.255"),
+    ("10.0.0.1", "10.0.0.1"),
+    ("::", "::"),
+    ("::1", "::1"),
+    ("2001:0DB8:0:0:1:0:0:1", "2001:db8::1:0:0:1"),
+    ("fe80::1ff:fe23:4567:890a", "fe80::1ff:fe23:4567:890a"),
+    ("::1.2.3.4", "::102:304"),
+    ("::ffff:1.2.3.4", "::ffff:102:304"),
+]
+
+
+def address_frame(src: str, dst: str) -> bytes:
+    ip = pb.ipv4 if ipaddress.ip_address(src).version == 4 else pb.ipv6
+    return ip(src, dst, 17, pb.udp(1111, 53, b"q"))
+
+
+@pytest.mark.parametrize("address, text", ADDRESS_TEXTS, ids=[a for a, _ in ADDRESS_TEXTS])
+def test_address_text_is_ipaddress_text(tmp_path, address, text):
+    raw = ipaddress.ip_address(address).packed
+    assert text == str(ipaddress.ip_address(raw))
+    peer = "192.0.2.1" if len(raw) == 4 else "2001:db8::ff"
+    data = pb.pcap([pb.record(0, address_frame(address, peer)),
+                    pb.record(1, address_frame(peer, address))],
+                   linktype=pb.LINKTYPE_RAW_IP)
+    out, back = list(open_capture(write(tmp_path, data)))
+    assert (out.src_addr, back.dst_addr) == (text, text)
+
+
+def test_more_addresses_than_the_cache_holds(tmp_path):
+    maxsize = address_text.cache_info().maxsize
+    n = maxsize // 2 + 100
+    endpoints = [(f"10.{i >> 8}.{i & 255}.1", f"172.16.{i >> 8}.{i & 255}") for i in range(n)]
+    endpoints += [(f"2001:db8::{i:x}", "2001:db8:1::1") for i in range(n)]
+    expected = [(str(ipaddress.ip_address(src)), str(ipaddress.ip_address(dst)))
+                for src, dst in endpoints]
+    assert len({addr for pair in expected for addr in pair}) > maxsize
+    path = write(tmp_path, pb.pcap(
+        [pb.record(i, address_frame(src, dst)) for i, (src, dst) in enumerate(endpoints)],
+        linktype=pb.LINKTYPE_RAW_IP))
+    for _ in range(2):  # the second pass decodes addresses evicted in the first
+        packets = list(open_capture(path))
+        assert [(p.src_addr, p.dst_addr) for p in packets] == expected
+        info = address_text.cache_info()
+        assert info.currsize <= info.maxsize == 4096
 
 
 # -- IPv4 fragments and other transports ---------------------------------
