@@ -239,9 +239,7 @@ def _dataset_options(settings: Settings) -> dict:
     mode = settings.text("mode") or "ra"
     if mode not in MODES:
         raise UsageError(f"{settings.origin('mode')} must be one of {'/'.join(MODES)}")
-    count_window = int(settings.number("count_window", DEFAULT_COUNT_WINDOW))
-    if count_window < 1:
-        raise UsageError(f"{settings.origin('count_window')} must be at least 1")
+    count_window = _count(settings, "count_window", DEFAULT_COUNT_WINDOW)
     return dict(feature_names=feature_names, mode=mode, count_window=count_window,
                 keep_management=settings.flag("keep_management", False))
 
@@ -252,11 +250,15 @@ def _label_options(settings: Settings) -> dict:
                 bidirectional=settings.flag("bidirectional", False))
 
 
-def _jobs(settings: Settings) -> int:
-    jobs = int(settings.number("jobs", 1))
-    if jobs < 1:
-        raise UsageError(f"{settings.origin('jobs')} must be at least 1")
-    return jobs
+def _count(settings: Settings, name: str, default: int) -> int:
+    """A setting that must be a whole number of at least 1."""
+    number = settings.number(name, default)
+    if number != int(number):
+        raise UsageError(f"{settings.origin(name)} expects a whole number, "
+                         f"got {settings.text(name)!r}")
+    if number < 1:
+        raise UsageError(f"{settings.origin(name)} must be at least 1")
+    return int(number)
 
 
 def export_capture(pcap_path, config: ExportConfig):
@@ -349,7 +351,7 @@ def _for_each_capture(jobs: int, chain, pcaps, paths) -> None:
 
 def cmd_export(args, settings: Settings) -> None:
     export_config = _export_config(settings, args)  # validated before any IO
-    jobs = _jobs(settings)
+    jobs = _count(settings, "jobs", 1)
     pcaps = _expand_inputs(settings.paths("pcap"), "--pcap")
     out_dir = Path(settings.text("out") or settings.text("flows_dir") or ".")
     with OutputStage(settings.flag("force", False)) as stage:
@@ -397,7 +399,7 @@ def cmd_run(args, settings: Settings) -> None:
         _capture_chain, export_config=_export_config(settings, args),
         dataset_options=_dataset_options(settings), label_options=_label_options(settings),
         ground_truth=_GroundTruth(gt) if gt else None)
-    jobs = _jobs(settings)
+    jobs = _count(settings, "jobs", 1)
     pcaps = _expand_inputs(settings.paths("pcap"), "--pcap")
     flows_dir = Path(settings.text("flows_dir") or "flows")
     csv_dir = Path(settings.text("csv_dir") or "csv")

@@ -6,17 +6,26 @@ preset. Eight identity features are always emitted no matter what the
 selection says. Ssaddr and Sdaddr are the two features computed across
 flows (windowed connection counts); everything else derives from a
 single record. Undefined values are empty cells, never zero.
+
+A statistic that exists once per side (`sbytes`/`dbytes`, ...) is
+declared once, in a `_sides(...)` call inside `CATALOG`, with a
+`{side}` description template; `_sides` expands it into the source
+entry and then the destination entry. The TCP flag counts are built
+the same way by `_flag_count_features`. Every cell function takes the
+record, its source's and its destination's `EndpointStats`, and the
+`RowContext`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 from typing import Callable
 
 from .errors import UnknownFeature
-from .flows import FlowRecord, opt_max, opt_min, render_flags
+from .flows import EndpointStats, FlowRecord, opt_max, opt_min, render_flags
 from .timefmt import optional_text as _i, us_to_text
 
 # Well-known ports for the service feature. The lookup key is the lower
@@ -93,7 +102,8 @@ class Feature:
     group: str
     unit: str
     description: str
-    value: Callable[[FlowRecord, RowContext], str]
+    # value(record, source's EndpointStats, destination's EndpointStats, context)
+    value: Callable[[FlowRecord, EndpointStats, EndpointStats, RowContext], str]
 
 
 # -- cell formatting helpers ------------------------------------------
@@ -146,7 +156,7 @@ def _tcprtt_us(rec):
     return rec.synack_us + rec.ackdat_us
 
 
-def _sm_ips_ports(rec, ctx):
+def _sm_ips_ports(rec, src, dst, ctx):
     if rec.is_management:
         return ""
     same = rec.saddr == rec.daddr and rec.sport == rec.dport
@@ -156,259 +166,207 @@ def _sm_ips_ports(rec, ctx):
 _F = Feature
 
 
-def _tcp_count(count) -> Callable[[FlowRecord, RowContext], str]:
-    """The cell of a TCP flag count: count(record), empty for non-TCP records."""
-    return lambda r, c: str(count(r)) if r.key.proto == "tcp" else ""
+def _source(value):
+    return lambda r, s, d, c: value(s, r)
+
+
+def _destination(value):
+    return lambda r, s, d, c: value(d, r)
+
+
+def _sides(*stats) -> tuple[Feature, ...]:
+    """The catalog entries of per-side statistics: every source entry,
+    then every destination entry. Each statistic is (name without its
+    s/d prefix, group, unit, description with a {side} slot, value),
+    where value(one side's EndpointStats, record) renders its cell."""
+    return tuple(
+        _F(prefix + name, group, unit, description.format(side=side), cell(value))
+        for prefix, side, cell in (("s", "source", _source), ("d", "destination", _destination))
+        for name, group, unit, description, value in stats
+    )
 
 
 def _flag_count_features() -> tuple[Feature, ...]:
-    """The 18 TCP flag counts: both directions, then the source's, then
-    the destination's, each in FIN SYN RST PSH ACK URG order."""
-    both, source, destination = [], [], []
+    """The 18 TCP flag counts, empty for non-TCP records: both
+    directions, then the source's, then the destination's, each in
+    FIN SYN RST PSH ACK URG order."""
+    both, per_side = [], []
     for flag in ("fin", "syn", "rst", "psh", "ack", "urg"):
         get = attrgetter(flag + "_cnt")
         name, upper = flag + "cnt", flag.upper()
         both.append(_F(name, "flags", "", f"{upper} packets, both directions",
-                       _tcp_count(lambda r, get=get: get(r.src) + get(r.dst))))
-        source.append(_F("s" + name, "flags", "", f"source {upper} packets",
-                         _tcp_count(lambda r, get=get: get(r.src))))
-        destination.append(_F("d" + name, "flags", "", f"destination {upper} packets",
-                              _tcp_count(lambda r, get=get: get(r.dst))))
-    return (*both, *source, *destination)
+                       lambda r, s, d, c, get=get:
+                       str(get(s) + get(d)) if r.key.proto == "tcp" else ""))
+        per_side.append((name, "flags", "", "{side} " + upper + " packets",
+                         lambda e, r, get=get: str(get(e)) if r.key.proto == "tcp" else ""))
+    return (*both, *_sides(*per_side))
 
-
-_FLAG_COUNTS = _flag_count_features()
 
 # The 130 catalog entries, in normative column order. The first 22 are
-# the default preset.
+# the default preset. Each per-side statistic is declared once, in a
+# _sides(...) call at the position of its source entry.
 CATALOG: tuple[Feature, ...] = (
     _F("FlowID", "identity", "", "daddr-saddr-dport-sport-proto",
-       lambda r, c: flow_id(r)),
+       lambda r, s, d, c: flow_id(r)),
     _F("rank", "identity", "", "dense output row index starting at 0",
-       lambda r, c: str(c.rank)),
+       lambda r, s, d, c: str(c.rank)),
     _F("stime", "time", "s", "first packet time, epoch seconds",
-       lambda r, c: us_to_text(r.stime_us)),
+       lambda r, s, d, c: us_to_text(r.stime_us)),
     _F("ltime", "time", "s", "last packet time, epoch seconds",
-       lambda r, c: us_to_text(r.ltime_us)),
+       lambda r, s, d, c: us_to_text(r.ltime_us)),
     _F("sport", "identity", "", "source port (ICMP type for icmp)",
-       lambda r, c: str(r.sport)),
+       lambda r, s, d, c: str(r.sport)),
     _F("dport", "identity", "", "destination port (ICMP code for icmp)",
-       lambda r, c: str(r.dport)),
+       lambda r, s, d, c: str(r.dport)),
     _F("saddr", "identity", "", "source address (flow initiator)",
-       lambda r, c: r.saddr),
+       lambda r, s, d, c: r.saddr),
     _F("daddr", "identity", "", "destination address",
-       lambda r, c: r.daddr),
+       lambda r, s, d, c: r.daddr),
     _F("proto", "identity", "", "transport protocol, lowercase",
-       lambda r, c: r.key.proto),
+       lambda r, s, d, c: r.key.proto),
     _F("bytes", "volume", "B", "total IP bytes both directions",
-       lambda r, c: str(r.bytes)),
-    _F("sbytes", "volume", "B", "IP bytes sent by the source",
-       lambda r, c: str(r.src.bytes)),
-    _F("dbytes", "volume", "B", "IP bytes sent by the destination",
-       lambda r, c: str(r.dst.bytes)),
+       lambda r, s, d, c: str(s.bytes + d.bytes)),
+    *_sides(("bytes", "volume", "B", "IP bytes sent by the {side}",
+             lambda e, r: str(e.bytes))),
     _F("pkts", "volume", "", "total packets both directions",
-       lambda r, c: str(r.pkts)),
-    _F("spkts", "volume", "", "packets sent by the source",
-       lambda r, c: str(r.src.pkts)),
-    _F("dpkts", "volume", "", "packets sent by the destination",
-       lambda r, c: str(r.dst.pkts)),
+       lambda r, s, d, c: str(s.pkts + d.pkts)),
+    *_sides(("pkts", "volume", "", "packets sent by the {side}",
+             lambda e, r: str(e.pkts))),
     _F("dur", "time", "s", "ltime minus stime",
-       lambda r, c: us_to_text(r.dur_us)),
+       lambda r, s, d, c: us_to_text(r.dur_us)),
     _F("runtime", "time", "s", "active runtime; sum of merged durations",
-       lambda r, c: us_to_text(r.runtime_us)),
+       lambda r, s, d, c: us_to_text(r.runtime_us)),
     _F("idle", "time", "s", "time since last packet when record retired",
-       lambda r, c: us_to_text(r.idle_us)),
+       lambda r, s, d, c: us_to_text(r.idle_us)),
     _F("flgs", "state", "", "union of TCP flags seen, SAFRPU order",
-       lambda r, c: render_flags(r.flgs)),
+       lambda r, s, d, c: render_flags(r.flgs)),
     _F("tcpopt", "state", "", "TCP connection state (REQ/CON/FIN/RST)",
-       lambda r, c: _i(r.tcp_state)),
+       lambda r, s, d, c: _i(r.tcp_state)),
     _F("Ssaddr", "window-count", "", "flows with same service and saddr "
-       "in the last-100 window", lambda r, c: _i(c.ssaddr)),
+       "in the last-100 window", lambda r, s, d, c: _i(c.ssaddr)),
     _F("Sdaddr", "window-count", "", "flows with same service and daddr "
-       "in the last-100 window", lambda r, c: _i(c.sdaddr)),
+       "in the last-100 window", lambda r, s, d, c: _i(c.sdaddr)),
     # -- end of default preset ---------------------------------------
     _F("service", "identity", "", "well-known service of the lower port",
-       lambda r, c: c.service),
+       lambda r, s, d, c: c.service),
     _F("slice", "meta", "", "slice index within the flow episode",
-       lambda r, c: str(r.slice_index)),
+       lambda r, s, d, c: str(r.slice_index)),
     _F("mgmt", "meta", "", "1 for management records",
-       lambda r, c: "1" if r.is_management else "0"),
+       lambda r, s, d, c: "1" if r.is_management else "0"),
     _F("ipver", "meta", "", "IP version (4 or 6)",
-       lambda r, c: _i(r.ip_version)),
+       lambda r, s, d, c: _i(r.ip_version)),
     _F("vlanid", "meta", "", "VLAN id if the flow was tagged",
-       lambda r, c: _i(r.vlan_id)),
+       lambda r, s, d, c: _i(r.vlan_id)),
     _F("is_sm_ips_ports", "identity", "", "1 when source and destination "
        "address and port are equal", _sm_ips_ports),
     _F("pktratio", "volume", "", "dpkts over spkts",
-       lambda r, c: _f(r.dst.pkts / r.src.pkts if r.src.pkts else None)),
+       lambda r, s, d, c: _f(d.pkts / s.pkts if s.pkts else None)),
     _F("bytratio", "volume", "", "dbytes over sbytes",
-       lambda r, c: _f(r.dst.bytes / r.src.bytes if r.src.bytes else None)),
-    _F("smaxsz", "size", "B", "largest source packet",
-       lambda r, c: _i(r.src.sz_max)),
-    _F("sminsz", "size", "B", "smallest source packet",
-       lambda r, c: _i(r.src.sz_min)),
-    _F("smeansz", "size", "B", "mean source packet size",
-       lambda r, c: _f(_mean(r.src.bytes, r.src.pkts))),
-    _F("sstdsz", "size", "B", "std dev of source packet sizes",
-       lambda r, c: _f(_std(r.src.sz_sumsq, r.src.bytes, r.src.pkts))),
-    _F("dmaxsz", "size", "B", "largest destination packet",
-       lambda r, c: _i(r.dst.sz_max)),
-    _F("dminsz", "size", "B", "smallest destination packet",
-       lambda r, c: _i(r.dst.sz_min)),
-    _F("dmeansz", "size", "B", "mean destination packet size",
-       lambda r, c: _f(_mean(r.dst.bytes, r.dst.pkts))),
-    _F("dstdsz", "size", "B", "std dev of destination packet sizes",
-       lambda r, c: _f(_std(r.dst.sz_sumsq, r.dst.bytes, r.dst.pkts))),
+       lambda r, s, d, c: _f(d.bytes / s.bytes if s.bytes else None)),
+    *_sides(("maxsz", "size", "B", "largest {side} packet", lambda e, r: _i(e.sz_max)),
+            ("minsz", "size", "B", "smallest {side} packet", lambda e, r: _i(e.sz_min)),
+            ("meansz", "size", "B", "mean {side} packet size",
+             lambda e, r: _f(_mean(e.bytes, e.pkts))),
+            ("stdsz", "size", "B", "std dev of {side} packet sizes",
+             lambda e, r: _f(_std(e.sz_sumsq, e.bytes, e.pkts)))),
     _F("maxsz", "size", "B", "largest packet either direction",
-       lambda r, c: _i(opt_max(r.src.sz_max, r.dst.sz_max))),
+       lambda r, s, d, c: _i(opt_max(s.sz_max, d.sz_max))),
     _F("minsz", "size", "B", "smallest packet either direction",
-       lambda r, c: _i(opt_min(r.src.sz_min, r.dst.sz_min))),
+       lambda r, s, d, c: _i(opt_min(s.sz_min, d.sz_min))),
     _F("meansz", "size", "B", "mean packet size both directions",
-       lambda r, c: _f(_mean(r.bytes, r.pkts))),
+       lambda r, s, d, c: _f(_mean(s.bytes + d.bytes, s.pkts + d.pkts))),
     _F("stdsz", "size", "B", "std dev of packet sizes both directions",
-       lambda r, c: _f(_std(r.src.sz_sumsq + r.dst.sz_sumsq, r.bytes, r.pkts))),
+       lambda r, s, d, c: _f(_std(s.sz_sumsq + d.sz_sumsq, s.bytes + d.bytes, s.pkts + d.pkts))),
     _F("varsz", "size", "B^2", "variance of packet sizes both directions",
-       lambda r, c: _f(_var(r.src.sz_sumsq + r.dst.sz_sumsq, r.bytes, r.pkts))),
-    _F("sappbytes", "payload", "B", "payload bytes sent by the source",
-       lambda r, c: str(r.src.appbytes)),
-    _F("dappbytes", "payload", "B", "payload bytes sent by the destination",
-       lambda r, c: str(r.dst.appbytes)),
+       lambda r, s, d, c: _f(_var(s.sz_sumsq + d.sz_sumsq, s.bytes + d.bytes, s.pkts + d.pkts))),
+    *_sides(("appbytes", "payload", "B", "payload bytes sent by the {side}",
+             lambda e, r: str(e.appbytes))),
     _F("appbytes", "payload", "B", "payload bytes both directions",
-       lambda r, c: str(r.src.appbytes + r.dst.appbytes)),
-    _F("sdatapkts", "payload", "", "source packets with payload",
-       lambda r, c: str(r.src.datapkts)),
-    _F("ddatapkts", "payload", "", "destination packets with payload",
-       lambda r, c: str(r.dst.datapkts)),
+       lambda r, s, d, c: str(s.appbytes + d.appbytes)),
+    *_sides(("datapkts", "payload", "", "{side} packets with payload",
+             lambda e, r: str(e.datapkts))),
     _F("datapkts", "payload", "", "packets with payload, both directions",
-       lambda r, c: str(r.src.datapkts + r.dst.datapkts)),
-    _F("smeanappsz", "payload", "B", "mean source payload per packet",
-       lambda r, c: _f(_mean(r.src.appbytes, r.src.pkts))),
-    _F("dmeanappsz", "payload", "B", "mean destination payload per packet",
-       lambda r, c: _f(_mean(r.dst.appbytes, r.dst.pkts))),
+       lambda r, s, d, c: str(s.datapkts + d.datapkts)),
+    *_sides(("meanappsz", "payload", "B", "mean {side} payload per packet",
+             lambda e, r: _f(_mean(e.appbytes, e.pkts)))),
     _F("meanappsz", "payload", "B", "mean payload per packet, both directions",
-       lambda r, c: _f(_mean(r.src.appbytes + r.dst.appbytes, r.pkts))),
-    _F("sttl", "ttl", "", "first source TTL seen",
-       lambda r, c: _i(r.src.ttl_first)),
-    _F("dttl", "ttl", "", "first destination TTL seen",
-       lambda r, c: _i(r.dst.ttl_first)),
-    _F("sminttl", "ttl", "", "smallest source TTL",
-       lambda r, c: _i(r.src.ttl_min)),
-    _F("smaxttl", "ttl", "", "largest source TTL",
-       lambda r, c: _i(r.src.ttl_max)),
-    _F("dminttl", "ttl", "", "smallest destination TTL",
-       lambda r, c: _i(r.dst.ttl_min)),
-    _F("dmaxttl", "ttl", "", "largest destination TTL",
-       lambda r, c: _i(r.dst.ttl_max)),
-    _F("stos", "ttl", "", "first source TOS / traffic class",
-       lambda r, c: _i(r.src.tos_first)),
-    _F("dtos", "ttl", "", "first destination TOS / traffic class",
-       lambda r, c: _i(r.dst.tos_first)),
+       lambda r, s, d, c: _f(_mean(s.appbytes + d.appbytes, s.pkts + d.pkts))),
+    *_sides(("ttl", "ttl", "", "first {side} TTL seen", lambda e, r: _i(e.ttl_first))),
+    *_sides(("minttl", "ttl", "", "smallest {side} TTL", lambda e, r: _i(e.ttl_min)),
+            ("maxttl", "ttl", "", "largest {side} TTL", lambda e, r: _i(e.ttl_max))),
+    *_sides(("tos", "ttl", "", "first {side} TOS / traffic class",
+             lambda e, r: _i(e.tos_first))),
     _F("minttl", "ttl", "", "smallest TTL either direction",
-       lambda r, c: _i(opt_min(r.src.ttl_min, r.dst.ttl_min))),
+       lambda r, s, d, c: _i(opt_min(s.ttl_min, d.ttl_min))),
     _F("maxttl", "ttl", "", "largest TTL either direction",
-       lambda r, c: _i(opt_max(r.src.ttl_max, r.dst.ttl_max))),
-    _F("swin", "tcp", "", "first source TCP window",
-       lambda r, c: _i(r.src.win_first)),
-    _F("dwin", "tcp", "", "first destination TCP window",
-       lambda r, c: _i(r.dst.win_first)),
-    _F("stcpb", "tcp", "", "first source TCP sequence number",
-       lambda r, c: _i(r.src.tcpb_first)),
-    _F("dtcpb", "tcp", "", "first destination TCP sequence number",
-       lambda r, c: _i(r.dst.tcpb_first)),
+       lambda r, s, d, c: _i(opt_max(s.ttl_max, d.ttl_max))),
+    *_sides(("win", "tcp", "", "first {side} TCP window", lambda e, r: _i(e.win_first))),
+    *_sides(("tcpb", "tcp", "", "first {side} TCP sequence number",
+             lambda e, r: _i(e.tcpb_first))),
     _F("synack", "handshake", "s", "SYN to SYN/ACK latency",
-       lambda r, c: us_to_text(r.synack_us)),
+       lambda r, s, d, c: us_to_text(r.synack_us)),
     _F("ackdat", "handshake", "s", "SYN/ACK to completing ACK latency",
-       lambda r, c: us_to_text(r.ackdat_us)),
+       lambda r, s, d, c: us_to_text(r.ackdat_us)),
     _F("tcprtt", "handshake", "s", "handshake round trip: synack + ackdat",
-       lambda r, c: us_to_text(_tcprtt_us(r))),
+       lambda r, s, d, c: us_to_text(_tcprtt_us(r))),
     _F("load", "rate", "bit/s", "IP bits per second, both directions",
-       lambda r, c: _f(_per_second(r.bytes * 8, r.dur_us))),
-    _F("sload", "rate", "bit/s", "source IP bits per second",
-       lambda r, c: _f(_per_second(r.src.bytes * 8, r.dur_us))),
-    _F("dload", "rate", "bit/s", "destination IP bits per second",
-       lambda r, c: _f(_per_second(r.dst.bytes * 8, r.dur_us))),
+       lambda r, s, d, c: _f(_per_second((s.bytes + d.bytes) * 8, r.dur_us))),
+    *_sides(("load", "rate", "bit/s", "{side} IP bits per second",
+             lambda e, r: _f(_per_second(e.bytes * 8, r.dur_us)))),
     _F("rate", "rate", "pkt/s", "packets per second, both directions",
-       lambda r, c: _f(_per_second(r.pkts, r.dur_us))),
-    _F("srate", "rate", "pkt/s", "source packets per second",
-       lambda r, c: _f(_per_second(r.src.pkts, r.dur_us))),
-    _F("drate", "rate", "pkt/s", "destination packets per second",
-       lambda r, c: _f(_per_second(r.dst.pkts, r.dur_us))),
+       lambda r, s, d, c: _f(_per_second(s.pkts + d.pkts, r.dur_us))),
+    *_sides(("rate", "rate", "pkt/s", "{side} packets per second",
+             lambda e, r: _f(_per_second(e.pkts, r.dur_us)))),
     _F("appload", "rate", "bit/s", "payload bits per second, both directions",
-       lambda r, c: _f(_per_second((r.src.appbytes + r.dst.appbytes) * 8, r.dur_us))),
-    _F("sappload", "rate", "bit/s", "source payload bits per second",
-       lambda r, c: _f(_per_second(r.src.appbytes * 8, r.dur_us))),
-    _F("dappload", "rate", "bit/s", "destination payload bits per second",
-       lambda r, c: _f(_per_second(r.dst.appbytes * 8, r.dur_us))),
+       lambda r, s, d, c: _f(_per_second((s.appbytes + d.appbytes) * 8, r.dur_us))),
+    *_sides(("appload", "rate", "bit/s", "{side} payload bits per second",
+             lambda e, r: _f(_per_second(e.appbytes * 8, r.dur_us)))),
     _F("intpkt", "iat", "s", "mean inter-arrival time, both directions",
-       lambda r, c: _f(_mean_us(r.iat_sum_us, max(r.pkts - 1, 0)))),
-    _F("sintpkt", "iat", "s", "mean source inter-arrival time",
-       lambda r, c: _f(_mean_us(r.src.iat_sum_us, r.src.iat_count))),
-    _F("dintpkt", "iat", "s", "mean destination inter-arrival time",
-       lambda r, c: _f(_mean_us(r.dst.iat_sum_us, r.dst.iat_count))),
+       lambda r, s, d, c: _f(_mean_us(r.iat_sum_us, max(s.pkts + d.pkts - 1, 0)))),
+    *_sides(("intpkt", "iat", "s", "mean {side} inter-arrival time",
+             lambda e, r: _f(_mean_us(e.iat_sum_us, e.iat_count)))),
     _F("jit", "iat", "s", "std dev of inter-arrival times, both directions",
-       lambda r, c: _f(_std_us(r.iat_sumsq, r.iat_sum_us, max(r.pkts - 1, 0)))),
-    _F("sjit", "iat", "s", "std dev of source inter-arrival times",
-       lambda r, c: _f(_std_us(r.src.iat_sumsq, r.src.iat_sum_us, r.src.iat_count))),
-    _F("djit", "iat", "s", "std dev of destination inter-arrival times",
-       lambda r, c: _f(_std_us(r.dst.iat_sumsq, r.dst.iat_sum_us, r.dst.iat_count))),
+       lambda r, s, d, c: _f(_std_us(r.iat_sumsq, r.iat_sum_us, max(s.pkts + d.pkts - 1, 0)))),
+    *_sides(("jit", "iat", "s", "std dev of {side} inter-arrival times",
+             lambda e, r: _f(_std_us(e.iat_sumsq, e.iat_sum_us, e.iat_count)))),
     _F("minipt", "iat", "s", "smallest inter-arrival gap, both directions",
-       lambda r, c: us_to_text(r.iat_min_us)),
-    _F("sminipt", "iat", "s", "smallest source inter-arrival gap",
-       lambda r, c: us_to_text(r.src.iat_min_us)),
-    _F("dminipt", "iat", "s", "smallest destination inter-arrival gap",
-       lambda r, c: us_to_text(r.dst.iat_min_us)),
+       lambda r, s, d, c: us_to_text(r.iat_min_us)),
+    *_sides(("minipt", "iat", "s", "smallest {side} inter-arrival gap",
+             lambda e, r: us_to_text(e.iat_min_us))),
     _F("maxipt", "iat", "s", "largest inter-arrival gap, both directions",
-       lambda r, c: us_to_text(r.iat_max_us)),
-    _F("smaxipt", "iat", "s", "largest source inter-arrival gap",
-       lambda r, c: us_to_text(r.src.iat_max_us)),
-    _F("dmaxipt", "iat", "s", "largest destination inter-arrival gap",
-       lambda r, c: us_to_text(r.dst.iat_max_us)),
+       lambda r, s, d, c: us_to_text(r.iat_max_us)),
+    *_sides(("maxipt", "iat", "s", "largest {side} inter-arrival gap",
+             lambda e, r: us_to_text(e.iat_max_us))),
     _F("totipt", "iat", "s", "sum of inter-arrival gaps, both directions",
-       lambda r, c: us_to_text(r.iat_sum_us if r.pkts > 1 else None)),
-    _F("stotipt", "iat", "s", "sum of source inter-arrival gaps",
-       lambda r, c: us_to_text(r.src.iat_sum_us if r.src.iat_count else None)),
-    _F("dtotipt", "iat", "s", "sum of destination inter-arrival gaps",
-       lambda r, c: us_to_text(r.dst.iat_sum_us if r.dst.iat_count else None)),
-    *_FLAG_COUNTS,
-    _F("sstime", "direction-time", "s", "first source packet time",
-       lambda r, c: us_to_text(r.src.first_ts_us)),
-    _F("sltime", "direction-time", "s", "last source packet time",
-       lambda r, c: us_to_text(r.src.last_ts_us)),
-    _F("dstime", "direction-time", "s", "first destination packet time",
-       lambda r, c: us_to_text(r.dst.first_ts_us)),
-    _F("dltime", "direction-time", "s", "last destination packet time",
-       lambda r, c: us_to_text(r.dst.last_ts_us)),
-    _F("sdur", "direction-time", "s", "source activity span",
-       lambda r, c: us_to_text(_span_us(r.src))),
-    _F("ddur", "direction-time", "s", "destination activity span",
-       lambda r, c: us_to_text(_span_us(r.dst))),
-    _F("sminappsz", "payload", "B", "smallest source payload",
-       lambda r, c: _i(r.src.app_min)),
-    _F("smaxappsz", "payload", "B", "largest source payload",
-       lambda r, c: _i(r.src.app_max)),
-    _F("dminappsz", "payload", "B", "smallest destination payload",
-       lambda r, c: _i(r.dst.app_min)),
-    _F("dmaxappsz", "payload", "B", "largest destination payload",
-       lambda r, c: _i(r.dst.app_max)),
-    _F("sstdappsz", "payload", "B", "std dev of source payloads",
-       lambda r, c: _f(_std(r.src.app_sumsq, r.src.appbytes, r.src.pkts))),
-    _F("dstdappsz", "payload", "B", "std dev of destination payloads",
-       lambda r, c: _f(_std(r.dst.app_sumsq, r.dst.appbytes, r.dst.pkts))),
+       lambda r, s, d, c: us_to_text(r.iat_sum_us if s.pkts + d.pkts > 1 else None)),
+    *_sides(("totipt", "iat", "s", "sum of {side} inter-arrival gaps",
+             lambda e, r: us_to_text(e.iat_sum_us if e.iat_count else None))),
+    *_flag_count_features(),
+    *_sides(("stime", "direction-time", "s", "first {side} packet time",
+             lambda e, r: us_to_text(e.first_ts_us)),
+            ("ltime", "direction-time", "s", "last {side} packet time",
+             lambda e, r: us_to_text(e.last_ts_us))),
+    *_sides(("dur", "direction-time", "s", "{side} activity span",
+             lambda e, r: us_to_text(_span_us(e)))),
+    *_sides(("minappsz", "payload", "B", "smallest {side} payload", lambda e, r: _i(e.app_min)),
+            ("maxappsz", "payload", "B", "largest {side} payload", lambda e, r: _i(e.app_max))),
+    *_sides(("stdappsz", "payload", "B", "std dev of {side} payloads",
+             lambda e, r: _f(_std(e.app_sumsq, e.appbytes, e.pkts)))),
     _F("minappsz", "payload", "B", "smallest payload either direction",
-       lambda r, c: _i(opt_min(r.src.app_min, r.dst.app_min))),
+       lambda r, s, d, c: _i(opt_min(s.app_min, d.app_min))),
     _F("maxappsz", "payload", "B", "largest payload either direction",
-       lambda r, c: _i(opt_max(r.src.app_max, r.dst.app_max))),
+       lambda r, s, d, c: _i(opt_max(s.app_max, d.app_max))),
     _F("stdappsz", "payload", "B", "std dev of payloads both directions",
-       lambda r, c: _f(_std(r.src.app_sumsq + r.dst.app_sumsq,
-                            r.src.appbytes + r.dst.appbytes, r.pkts))),
+       lambda r, s, d, c: _f(_std(s.app_sumsq + d.app_sumsq,
+                                  s.appbytes + d.appbytes, s.pkts + d.pkts))),
     _F("flows", "management", "", "flow episodes begun in a management window",
-       lambda r, c: _i(r.flows)),
+       lambda r, s, d, c: _i(r.flows)),
     _F("seq", "meta", "", "record position in the flow file",
-       lambda r, c: _i(r.seq)),
+       lambda r, s, d, c: _i(r.seq)),
     _F("trans", "cluster", "", "records merged into this row",
-       lambda r, c: str(r.trans)),
+       lambda r, s, d, c: str(r.trans)),
     _F("fragcnt", "meta", "", "non-first IP fragments in the flow",
-       lambda r, c: str(r.frag_count)),
+       lambda r, s, d, c: str(r.frag_count)),
 )
 
 CATALOG_SIZE = 130
@@ -475,8 +433,15 @@ def select_feature_set(selection) -> list[str]:
     return [name for name in CATALOG_ORDER if name in requested]
 
 
+@lru_cache(maxsize=32)
+def _cells(feature_names: tuple[str, ...]) -> tuple[Callable, ...]:
+    """The cell functions of a selection, looked up once per selection."""
+    return tuple(_BY_NAME[name].value for name in feature_names)
+
+
 def compute_row(rec: FlowRecord, feature_names, ctx: RowContext) -> list[str]:
-    return [_BY_NAME[name].value(rec, ctx) for name in feature_names]
+    src, dst = rec.src, rec.dst
+    return [cell(rec, src, dst, ctx) for cell in _cells(tuple(feature_names))]
 
 
 def catalog_table() -> list[list[str]]:

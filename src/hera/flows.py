@@ -33,6 +33,17 @@ def render_flags(flags) -> str:
     return "".join(letter for letter in FLAG_ORDER if letter in flags)
 
 
+# The 64 TCP flag sets, keyed by their SAFRPU text, and again by
+# themselves to swap a live record's set for its shared twin. Closed and
+# parsed records share these; none is ever changed in place.
+FLAG_SETS = {
+    text: frozenset(text)
+    for text in ("".join(letter for i, letter in enumerate(FLAG_ORDER) if bits >> i & 1)
+                 for bits in range(64))
+}
+_SHARED_FLAG_SETS = {flags: flags for flags in FLAG_SETS.values()}
+
+
 class FlowKey(NamedTuple):
     """Canonical bidirectional key: the lexicographically smaller
     (address, port) endpoint is always endpoint a."""
@@ -245,7 +256,7 @@ class FlowRecord:
     is_management: bool = False
     a: EndpointStats = field(default_factory=EndpointStats)
     b: EndpointStats = field(default_factory=EndpointStats)
-    flgs: set[str] = field(default_factory=set)
+    flgs: set[str] | frozenset[str] = field(default_factory=set)  # shared once closed
     tcp_state: str | None = None
     synack_us: int | None = None
     ackdat_us: int | None = None
@@ -339,7 +350,7 @@ class FlowRecord:
         self.ltime_us = max(self.ltime_us, other.ltime_us)
         self.a.merge(other.a)
         self.b.merge(other.b)
-        self.flgs |= other.flgs
+        self.flgs = self.flgs | other.flgs
         self.runtime_us += other.runtime_us
         self.frag_count += other.frag_count
         self.trans += other.trans
@@ -367,7 +378,7 @@ def make_management_record(
     rec = FlowRecord(
         key=MANAGEMENT_KEY, initiator="a",
         stime_us=window_start_us, ltime_us=window_end_us,
-        is_management=True, flows=flows,
+        is_management=True, flgs=FLAG_SETS[""], flows=flows,
     )
     rec.a.pkts = packets
     rec.a.bytes = byte_count
@@ -552,6 +563,7 @@ class FlowTable:
     def _close_record(self, live: _LiveFlow, idle_us: int) -> None:
         """Finish the live record and queue it for output."""
         rec = live.rec
+        rec.flgs = _SHARED_FLAG_SETS[frozenset(rec.flgs)]
         rec.tcp_state = live.state
         rec.runtime_us = rec.dur_us
         rec.idle_us = max(idle_us, 0)

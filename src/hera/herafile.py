@@ -17,7 +17,8 @@ from operator import attrgetter, itemgetter
 from typing import Callable
 
 from .errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion, not_utf8
-from .flows import EndpointStats, ExportConfig, FlowRecord, canonical_key, render_flags
+from .flows import (FLAG_SETS, EndpointStats, ExportConfig, FlowRecord, canonical_key,
+                    render_flags)
 from .timefmt import optional_text, text_to_int, text_to_us, us_to_text
 
 MAGIC_PREFIX = "#HERA "
@@ -36,9 +37,9 @@ def _bool_from_text(text: str) -> bool:
     return text == "1"
 
 
-def _flags_from_text(text: str) -> set[str]:
-    flags = set(text)
-    if render_flags(flags) != text:
+def _flags_from_text(text: str) -> frozenset[str]:
+    flags = FLAG_SETS.get(text)
+    if flags is None:
         raise ValueError(f"bad flags value {text!r}")
     return flags
 

@@ -675,6 +675,9 @@ def test_non_finite_workspace_number_names_the_key(capture, tmp_path, monkeypatc
     pytest.param("reorder_slack = -1", "reorder_slack must not be negative", id="reorder_slack"),
     pytest.param("count_window = 0", "count_window must be at least 1", id="count_window"),
     pytest.param("jobs = 0", "jobs must be at least 1", id="jobs"),
+    pytest.param("count_window = 100.5", "count_window expects a whole number, got '100.5'",
+                 id="count_window-fraction"),
+    pytest.param("jobs = 2.25", "jobs expects a whole number, got '2.25'", id="jobs-fraction"),
     pytest.param("mode = bogus", "mode must be one of ra/racluster", id="mode"),
 ])
 def test_workspace_range_error_names_the_key(capture, tmp_path, monkeypatch, capsys,
@@ -686,6 +689,21 @@ def test_workspace_range_error_names_the_key(capture, tmp_path, monkeypatch, cap
                  "--csv-dir", str(tmp_path / "csv")]) == 1
     assert capsys.readouterr().err == f"hera: config key {message}\n"
     assert tree(tmp_path) == ["a.pcap", "ws.conf"]
+
+
+@pytest.mark.parametrize("flag, value", [("--count-window", "2.5"), ("--jobs", "1.9")])
+def test_fractional_count_is_usage_error(capture, tmp_path, capsys, flag, value):
+    assert main(["run", "--pcap", str(capture), flag, value,
+                 "--flows-dir", str(tmp_path / "flows"),
+                 "--csv-dir", str(tmp_path / "csv")]) == 1
+    assert capsys.readouterr().err == f"hera: {flag} expects a whole number, got {value!r}\n"
+    assert tree(tmp_path) == ["a.pcap"]
+
+
+def test_whole_number_written_as_a_float_is_accepted(tmp_path):
+    hera = exported(tmp_path)
+    assert main(["dataset", "--in", str(hera), "--out", str(tmp_path / "csv"),
+                 "--count-window", "3.0"]) == 0
 
 
 def test_export_jobs_report_worker_errors_intact(tmp_path, capsys):

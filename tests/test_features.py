@@ -1,7 +1,11 @@
+import dataclasses
+import io
 import math
 
 import pytest
 
+import pcap_builder as pb
+from hera.dataset import cluster
 from hera.errors import UnknownFeature
 from hera.features import (
     ALWAYS_ON,
@@ -19,8 +23,15 @@ from hera.features import (
     select_feature_set,
     service_of,
 )
-from hera.flows import ExportConfig, FlowKey, FlowRecord, FlowTable, make_management_record
-from hera.pcap import DecodedPacket
+from hera.flows import (
+    ExportConfig,
+    FlowKey,
+    FlowRecord,
+    FlowTable,
+    collect_flows,
+    make_management_record,
+)
+from hera.pcap import CaptureReader, DecodedPacket
 
 SEC = 1_000_000
 
@@ -375,3 +386,75 @@ def test_ratio_cells():
     row = cells(rec, ["pktratio", "bytratio"])
     assert row["pktratio"] == f"{2 / 4:.6f}"
     assert row["bytratio"] == f"{120 / 260:.6f}"
+
+
+# -- source and destination are one template -------------------------------------
+
+# Every sX/dX pair of the catalog, and the both-direction feature X of
+# each pair that has one; flipping a record's initiator must swap the
+# pairs and leave the both-direction cells as they are.
+SIDE_PAIRS = [(name, "d" + name[1:]) for name in CATALOG_ORDER
+              if name.startswith("s") and "d" + name[1:] in CATALOG_ORDER]
+BOTH_DIRECTIONS = [name[1:] for name, _ in SIDE_PAIRS if name[1:] in CATALOG_ORDER]
+# Cells defined by orientation but not as a pair.
+ORIENTED = {"FlowID", "pktratio", "bytratio"}
+
+C, S, O = "10.0.0.1", "10.0.0.2", "10.0.0.3"
+C6, S6 = "2001:db8::1", "2001:db8::2"
+
+
+def _mixed_capture_records():
+    """Records of a capture with a TCP session (URG included), a two-way
+    UDP exchange, ICMP, one-sided UDP and TCP flows, IPv6 and a UDP flow
+    sliced over several 1 s windows; management records, and the
+    racluster merge of the flow records, too."""
+    frames = [
+        pb.tcp4_frame(C, S, 40000, 80, pb.SYN, ttl=64, window=1000, seq=5),
+        pb.tcp4_frame(S, C, 80, 40000, pb.SYN | pb.ACK, ttl=128, tos=8, window=2000, seq=9),
+        pb.tcp4_frame(C, S, 40000, 80, pb.ACK, ttl=63),
+        pb.tcp4_frame(C, S, 40000, 80, pb.PSH | pb.ACK | pb.URG, payload=b"x" * 50),
+        pb.tcp4_frame(S, C, 80, 40000, pb.PSH | pb.ACK, payload=b"y" * 300, ttl=120),
+        pb.udp4_frame(C, S, 5353, 53, b"q" * 20),
+        pb.udp4_frame(S, C, 53, 5353, b"r" * 40, ttl=30, tos=4),
+        pb.icmp4_frame(C, S, 8, 0, b"ping"),
+        pb.icmp4_frame(S, C, 0, 0, b"pong", ttl=99),
+        pb.udp4_frame(C, O, 6000, 7000, b"a" * 10),
+        pb.tcp4_frame(O, S, 41000, 22, pb.SYN),
+        pb.ethernet(pb.ipv6(C6, S6, 6, pb.tcp(42000, 443, pb.SYN)), pb.ETHERTYPE_IPV6),
+        pb.tcp4_frame(S, C, 80, 40000, pb.FIN | pb.ACK),
+        pb.tcp4_frame(C, S, 40000, 80, pb.FIN | pb.ACK),
+        pb.tcp4_frame(S, C, 80, 40000, pb.ACK),
+    ]
+    frames += [pb.udp4_frame(O, C, 9000, 9001, b"s" * n, ttl=40 + n) for n in range(1, 9)]
+    capture = pb.pcap([pb.record(i * 300_000, frame) for i, frame in enumerate(frames)])
+    reader = CaptureReader(io.BytesIO(capture))
+    packets = []
+    while (item := reader.next_packet()) is not None:
+        packets.append(item)
+    assert all(isinstance(p, DecodedPacket) for p in packets)
+    records = collect_flows(packets, ExportConfig(interval_us=SEC))
+    assert {r.key.proto for r in records} == {"tcp", "udp", "icmp", "man"}
+    assert any(not r.is_management and 0 in (r.a.pkts, r.b.pkts) for r in records)
+    assert any(r.slice_index > 0 for r in records)
+    return records + cluster([r for r in records if not r.is_management])
+
+
+def test_side_pairs_cover_the_per_side_catalog():
+    assert len(SIDE_PAIRS) == 37
+    assert ("saddr", "daddr") in SIDE_PAIRS and ("sport", "dport") in SIDE_PAIRS
+    assert ("sfincnt", "dfincnt") in SIDE_PAIRS
+    assert {"bytes", "pkts", "load", "minsz", "maxttl", "fincnt"} <= set(BOTH_DIRECTIONS)
+
+
+def test_flipping_the_initiator_swaps_every_side_pair():
+    ctx = RowContext(rank=4, service="x", ssaddr=1, sdaddr=2)
+    pairs = dict(SIDE_PAIRS) | {d: s for s, d in SIDE_PAIRS}
+    for rec in _mixed_capture_records():
+        flipped = dataclasses.replace(rec, initiator="b" if rec.initiator == "a" else "a")
+        row = dict(zip(CATALOG_ORDER, compute_row(rec, CATALOG_ORDER, ctx)))
+        flipped_row = dict(zip(CATALOG_ORDER, compute_row(flipped, CATALOG_ORDER, ctx)))
+        for name in CATALOG_ORDER:
+            if name in pairs:
+                assert flipped_row[name] == row[pairs[name]], (rec, name)
+            elif name not in ORIENTED:
+                assert flipped_row[name] == row[name], (rec, name)

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from hera.flows import (
     EndpointStats,
     ExportConfig,
+    FLAG_SETS,
     FlowKey,
     FlowTable,
     canonical_key,
@@ -418,6 +419,19 @@ def test_flags_accumulate_in_canonical_order():
     ]
     rec = data_records(run(packets))[0]
     assert render_flags(rec.flgs) == "SAFPU"
+
+
+def test_closed_records_share_one_flag_set_per_text():
+    c = dict(src="10.0.0.1", dst="10.0.0.2", sport=40000, dport=80)
+    packets = [pkt(1.0, flags={"S"}, **c), pkt(1.1, flags={"S", "A"}, **c),
+               pkt(30.0, **c), pkt(61.0, **c)]  # the last one opens a second slice
+    records = run(packets)
+    assert all(rec.flgs is FLAG_SETS[render_flags(rec.flgs)] for rec in records)
+    first, second = data_records(records)
+    first.merge(second, first.ltime_us)
+    assert render_flags(first.flgs) == "SA"
+    assert len(FLAG_SETS) == 64
+    assert all(render_flags(flags) == text for text, flags in FLAG_SETS.items())
 
 
 def test_render_flags_full_order():

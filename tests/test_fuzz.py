@@ -19,6 +19,7 @@ import tempfile
 from pathlib import Path
 from unittest import mock
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -175,10 +176,14 @@ def _exported_hera() -> bytes:
         return (tmp / "fuzz.hera").read_bytes()
 
 
+# racluster merges the flow records; ra with --keep-management also
+# computes every feature of the management records.
+@pytest.mark.parametrize("mode", [["--mode", "racluster"], ["--mode", "ra", "--keep-management"]],
+                         ids=["racluster", "ra-management"])
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(st.lists(_TEXT_EDIT, max_size=2))
-def test_dataset_of_a_mutated_flow_file_exits_0_or_2(edits):
+def test_dataset_of_a_mutated_flow_file_exits_0_or_2(mode, edits):
     with _workdir({"fuzz.hera": _mutated(_exported_hera(), edits)}) as tmp:
         code = main(["dataset", "--in", str(tmp / "fuzz.hera"), "--out", str(tmp / "out"),
-                     "--features", "all", "--mode", "racluster"])
+                     "--features", "all", *mode])
     assert code in (0, 2)

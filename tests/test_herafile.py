@@ -3,7 +3,7 @@ import random
 import pytest
 
 from hera.errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion
-from hera.flows import ExportConfig, FlowTable
+from hera.flows import FLAG_SETS, ExportConfig, FlowTable, render_flags
 from hera.herafile import (
     HeraHeader,
     format_record,
@@ -79,6 +79,7 @@ def test_round_trip_field_for_field(tmp_path):
     assert len(out.records) == len(records)
     for ours, theirs in zip(records, out.records):
         assert ours == theirs
+        assert theirs.flgs is FLAG_SETS[render_flags(theirs.flgs)]
 
 
 def test_round_trip_is_byte_identical(tmp_path):
