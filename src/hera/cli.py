@@ -11,7 +11,8 @@ them into place only when it succeeds, so a failure leaves nothing
 behind, and nothing is overwritten without --force.
 
 Each command imports only the stage modules it runs, so building the
-parser loads none of them.
+parser loads none of them. Under --verbose each per-file step logs one
+line to stderr with its wall seconds and counts; no output file changes.
 
 Exit codes: 0 success, 1 usage error, 2 malformed input, 3 IO error.
 """
@@ -25,6 +26,8 @@ import glob
 import logging
 import os
 import sys
+import time
+from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -261,8 +264,10 @@ def _count(settings: Settings, name: str, default: int) -> int:
     return int(number)
 
 
-def export_capture(pcap_path, config: ExportConfig):
-    """Run the flow engine over one capture; returns (header, records, table)."""
+def export_capture(pcap_path, config: ExportConfig, skipped: Counter | None = None):
+    """Run the flow engine over one capture; returns (header, records, table).
+    `skipped`, if given, is updated with the capture's undecodable records
+    by reason."""
     from .flows import FlowTable
     from .herafile import HeraHeader
     from .pcap import open_capture
@@ -271,10 +276,8 @@ def export_capture(pcap_path, config: ExportConfig):
         for packet in reader:
             table.assign(packet)
         records = table.flush()
-        skipped = sum(reader.skipped.values())
-    if skipped or table.skipped_non_monotonic:
-        log.info("%s: skipped %d undecodable and %d non-monotonic records",
-                 pcap_path, skipped, table.skipped_non_monotonic)
+        if skipped is not None:
+            skipped.update(reader.skipped)
     header = HeraHeader(
         sources=[Path(pcap_path).name],
         config=config,
@@ -284,32 +287,47 @@ def export_capture(pcap_path, config: ExportConfig):
     return header, records, table
 
 
-# -- per-file steps: each writes two outputs and returns the next step's input
+# -- per-file steps: each writes two outputs, logs one line and returns the
+# next step's input. `name` is the file the step works on; `started` is
+# when it began, before its input was read if it reads one.
+
+
+def _log_step(step: str, name, started: float, counts: str) -> None:
+    log.info("%s %s: %s, %.3f s", step, name, counts, time.perf_counter() - started)
 
 
 def _export_step(pcap, config: ExportConfig, hera_path, stats_path) -> list:
     from .dataset import compute_stats, write_stats
     from .herafile import write_hera
-    header, records, _ = export_capture(pcap, config)
+    started = time.perf_counter()
+    skipped = Counter()
+    header, records, table = export_capture(pcap, config, skipped)
     write_hera(hera_path, header, records)
     write_stats(stats_path, compute_stats(records))
+    reasons = ", ".join(f"{reason} {count}" for reason, count in sorted(skipped.items()))
+    _log_step("export", pcap, started,
+              f"{table.accepted_packets + table.skipped_non_monotonic} packets decoded, "
+              f"{sum(skipped.values())} skipped{f' ({reasons})' if reasons else ''}, "
+              f"{table.skipped_non_monotonic} non-monotonic, {len(records)} records")
     return records
 
 
-def _dataset_step(records, options, csv_path, stats_path):
+def _dataset_step(name, started, records, options, csv_path, stats_path):
     from .dataset import build_dataset, write_csv, write_stats
     header, rows, stats = build_dataset(records, **options)
     write_csv(csv_path, header, rows)
     write_stats(stats_path, stats)
+    _log_step("dataset", name, started, f"{len(records)} records in, {len(rows)} rows out")
     return header, rows
 
 
-def _label_step(header, rows, entries, options, csv_path, summary_path) -> None:
+def _label_step(name, started, header, rows, entries, options, csv_path, summary_path) -> None:
     from .dataset import write_csv
     from .labelling import label_dataset, write_label_summary
     labelled_header, labelled_rows, summary = label_dataset(header, rows, entries, **options)
     write_csv(csv_path, labelled_header, labelled_rows)
     write_label_summary(summary_path, summary)
+    _log_step("label", name, started, f"{summary.total} rows, {summary.malicious} malicious")
 
 
 class _GroundTruth:
@@ -330,10 +348,13 @@ def _capture_chain(pcap, paths, export_config, dataset_options=None,
     label in memory. Returns nothing: a worker sends no records or rows back."""
     records = _export_step(pcap, export_config, *paths[:2])
     if dataset_options is not None:
-        header, rows = _dataset_step(records, dataset_options, *paths[2:4])
+        header, rows = _dataset_step(pcap, time.perf_counter(), records, dataset_options,
+                                     *paths[2:4])
         del records  # released before the ground truth is parsed
         if ground_truth is not None:
-            _label_step(header, rows, ground_truth.entries, label_options, *paths[4:])
+            entries = ground_truth.entries
+            _label_step(pcap, time.perf_counter(), header, rows, entries, label_options,
+                        *paths[4:])
 
 
 def _for_each_capture(jobs: int, chain, pcaps, paths) -> None:
@@ -368,7 +389,8 @@ def cmd_dataset(args, settings: Settings) -> None:
     with OutputStage(settings.flag("force", False)) as stage:
         paths = [stage.claim(out_dir, path.stem, ".csv", ".stats.txt") for path in inputs]
         for path, targets in zip(inputs, paths):
-            _dataset_step(read_hera(path).records, options, *targets)
+            started = time.perf_counter()
+            _dataset_step(path, started, read_hera(path).records, options, *targets)
 
 
 def cmd_label(args, settings: Settings) -> None:
@@ -385,9 +407,10 @@ def cmd_label(args, settings: Settings) -> None:
                              ".labelled.csv", ".labels.txt") for path in inputs]
         entries = parse_ground_truth(gt)
         for path, targets in zip(inputs, paths):
+            started = time.perf_counter()
             header, rows = read_csv(path)
             try:
-                _label_step(header, rows, entries, options, *targets)
+                _label_step(path, started, header, rows, entries, options, *targets)
             except MalformedDatasetCell as exc:
                 raise MalformedDatasetCell(exc.line_number, exc.column, exc.reason,
                                            path) from None

@@ -594,14 +594,17 @@ class FlowTable:
         return records
 
     def _management_records(self) -> list[FlowRecord]:
+        """One record per interval window that saw a packet, so at most one
+        per accepted packet however far apart the timestamps lie. The
+        window of the last timestamp ends at it."""
         interval = self.config.interval_us
         t0 = self.first_ts_us
         last_index = (self.last_ts_us - t0) // interval
         out = []
-        for idx in range(last_index + 1):
+        for idx in sorted(self._windows):
             start = t0 + idx * interval
             end = self.last_ts_us if idx == last_index else start + interval
-            pkts, nbytes, flows = self._windows.get(idx, (0, 0, 0))
+            pkts, nbytes, flows = self._windows[idx]
             out.append(make_management_record(start, end, pkts, nbytes, flows))
         return out
 

@@ -11,7 +11,9 @@ files from newer minor revisions survive a rewrite.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import groupby
 from operator import attrgetter, itemgetter
 from typing import Callable
@@ -148,6 +150,52 @@ def record_field_names() -> list[str]:
     return [name for name, *_ in _LINE]
 
 
+# Each value kind's written form: a pattern that matches exactly the
+# text its to-text converter can write, and the from-text converter of a
+# text that matched it, keyed like KIND_CONVERTERS. `[0-9]`, not `\d`,
+# which also matches digits outside ASCII. A time is read as the integer
+# its digits spell without the dot.
+_INT = "-?[0-9]+"
+_TIME = r"-?[0-9]+\.[0-9]{6}"
+KIND_WRITTEN_FORMS: dict[str, tuple[str, Callable]] = {
+    "int": (_INT, int),
+    "oint": (f"(?:{_INT})?", lambda text: int(text) if text else None),
+    "str": ("[^ ]*", str),
+    "ostr": ("[^ ]*", lambda text: text or None),
+    "time": (_TIME, lambda text: int(text.replace(".", ""))),
+    "otime": (f"(?:{_TIME})?", lambda text: int(text.replace(".", "")) if text else None),
+    "bool": ("[01]", "1".__eq__),
+    "flags": ("S?A?F?R?P?U?", FLAG_SETS.__getitem__),
+}
+_NON_EMPTY = {"saddr": "[^ ]+", "daddr": "[^ ]+"}  # a missing field when empty
+
+
+def _owner_indexes(owner: str) -> list[int]:
+    """The positions in the line of one owner's fields."""
+    return [i for i, (_, _, field_owner, _) in enumerate(_LINE) if field_owner == owner]
+
+
+# Each field's written-form converter, in line order. The key's and each
+# side's fields are consecutive, so their values are sliced out and passed
+# by position (EndpointStats declares its fields in _SIDE_FIELDS' order);
+# the record's are passed by attribute name.
+_WRITTEN_CONVERTERS = tuple(KIND_WRITTEN_FORMS[kind][1] for _, kind, *_ in _LINE)
+_KEY_SLICE, _SRC_SLICE, _DST_SLICE = (
+    slice(indexes[0], indexes[-1] + 1) for indexes in map(_owner_indexes, ("key", "src", "dst")))
+_RECORD_VALUES = itemgetter(*_owner_indexes("record"))
+_RECORD_ATTRS = tuple(_LINE[i][3] for i in _owner_indexes("record"))
+
+
+@cache
+def _written_line() -> re.Pattern:
+    """The pattern of a line in the form format_record writes: every field
+    of _LINE in order, each value in its kind's written form, one group
+    per field. Compiled on first read, so that writing never pays for it."""
+    return re.compile(" ".join(
+        f"{name}=({_NON_EMPTY.get(name) or KIND_WRITTEN_FORMS[kind][0]})"
+        for name, kind, *_ in _LINE))
+
+
 def format_record(rec: FlowRecord) -> str:
     owners = {"key": rec, "record": rec, "src": rec.src, "dst": rec.dst}
     parts = []
@@ -166,6 +214,34 @@ def _values(pairs: dict[str, str], owner: str) -> dict:
 
 
 def parse_record(line: str, line_number: int) -> FlowRecord:
+    """The record of one line: read positionally when the line is in the
+    form format_record writes, by field name otherwise."""
+    record = _parse_written(line)
+    return _parse_general(line, line_number) if record is None else record
+
+
+def _parse_written(line: str) -> FlowRecord | None:
+    """The record of a line in written form, or None for any other line.
+    A value int() refuses (more digits than its limit) is left to the
+    general reader, which reports it."""
+    match = _written_line().fullmatch(line)
+    if match is None:
+        return None
+    try:
+        values = [from_text(text) for from_text, text in zip(_WRITTEN_CONVERTERS, match.groups())]
+    except ValueError:
+        return None
+    key, initiator = canonical_key(*values[_KEY_SLICE])
+    src = EndpointStats(*values[_SRC_SLICE])
+    dst = EndpointStats(*values[_DST_SLICE])
+    a, b = (src, dst) if initiator == "a" else (dst, src)
+    return FlowRecord(key=key, initiator=initiator, a=a, b=b,
+                      **dict(zip(_RECORD_ATTRS, _RECORD_VALUES(values))))
+
+
+def _parse_general(line: str, line_number: int) -> FlowRecord:
+    """The record of a line with its known fields in any order and any
+    unknown fields, or CorruptRecord naming what is wrong with it."""
     pairs = {}
     for token in line.split(" "):
         name, sep, value = token.partition("=")

@@ -1,5 +1,7 @@
 import builtins
+import logging
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -741,6 +743,90 @@ def test_run_applies_one_ground_truth_to_many_captures(tmp_path):
         assert f"{stem}.labelled.csv" in produced
         labels = (tmp_path / "csv" / f"{stem}.labels.txt").read_text("utf-8")
         assert "Probe: 2" in labels
+
+
+# -- --verbose ----------------------------------------------------------------
+
+
+def accounted_capture(path):
+    """The pipeline capture plus a frame too short to decode and a packet
+    beyond the reorder slack, so that every export count is non-zero."""
+    frames = sample_frames() + [
+        (200 * SEC, b"\x00" * 5),
+        (210 * SEC, pb.udp4_frame(CLIENT, SERVER, 7000, 53, b"late")),
+        (205 * SEC, pb.udp4_frame(CLIENT, SERVER, 7000, 53, b"later")),
+    ]
+    pb.write(path, [pb.record(ts, frame) for ts, frame in frames])
+    return path
+
+
+STEP_LINES = (
+    r"export (?P<name>\S+): (?P<decoded>\d+) packets decoded, (?P<skipped>\d+) skipped"
+    r" \(truncated-frame (?P=skipped)\), (?P<late>\d+) non-monotonic,"
+    r" (?P<records>\d+) records, \d+\.\d{3} s",
+    r"dataset (?P<name>\S+): (?P<records>\d+) records in, (?P<rows>\d+) rows out, \d+\.\d{3} s",
+    r"label (?P<name>\S+): (?P<rows>\d+) rows, (?P<malicious>\d+) malicious, \d+\.\d{3} s",
+)
+
+
+def step_counts(lines) -> list[dict]:
+    """The fields of each step line, which must come in STEP_LINES' order."""
+    steps = [line for line in lines if not line.startswith("INFO wrote ")]
+    assert len(steps) == len(STEP_LINES), steps
+    matches = [re.fullmatch("INFO " + pattern, line) for pattern, line in zip(STEP_LINES, steps)]
+    assert all(matches), steps
+    return [match.groupdict() for match in matches]
+
+
+def assert_counts_of(counts, out, csv_dir):
+    export, dataset, label = counts
+    records = read_hera(out / "flows" / "a.hera").records
+    header, rows = read_csv(csv_dir / "a.csv")
+    labels = (csv_dir / "a.labels.txt").read_text(encoding="utf-8")
+    # 7 sample frames and 2 late UDP packets; the short frame is skipped
+    assert (export["decoded"], export["skipped"], export["late"]) == ("9", "1", "1")
+    assert export["records"] == dataset["records"] == str(len(records))
+    assert dataset["rows"] == label["rows"] == str(len(rows))
+    assert f"malicious_flows: {label['malicious']}\n" in labels
+    assert int(label["malicious"]) > 0
+
+
+def test_verbose_run_logs_one_line_per_step_to_stderr_and_changes_no_output(tmp_path):
+    capture = accounted_capture(tmp_path / "a.pcap")
+    gt = write_gt(tmp_path / "gt.csv", PIPELINE_GT)
+
+    def argv(out):
+        return ["run", "--pcap", str(capture), "--gt", str(gt), "--bidirectional",
+                "--flows-dir", str(out / "flows"), "--csv-dir", str(out / "csv")]
+
+    assert main(argv(tmp_path / "quiet")) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("HERA_WORKSPACE", None)
+    loud = subprocess.run([sys.executable, "-m", "hera.cli", "--verbose",
+                           *argv(tmp_path / "loud")], env=env, capture_output=True, text=True)
+    assert loud.returncode == 0, loud.stderr
+    assert loud.stdout == ""
+    assert_same_tree(tmp_path / "quiet", tmp_path / "loud")
+    counts = step_counts(loud.stderr.splitlines())
+    assert {step["name"] for step in counts} == {str(capture)}
+    assert_counts_of(counts, tmp_path / "loud", tmp_path / "loud" / "csv")
+
+
+def test_verbose_stand_alone_steps_log_their_counts(tmp_path, caplog):
+    capture = accounted_capture(tmp_path / "a.pcap")
+    gt = write_gt(tmp_path / "gt.csv", PIPELINE_GT)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.INFO, logger="hera"):
+        stage_by_stage([capture], gt, out, ([], [], ["--bidirectional"]))
+    counts = step_counts(f"{r.levelname} {r.getMessage()}" for r in caplog.records)
+    assert [step["name"] for step in counts] == [
+        str(capture), str(out / "flows" / "a.hera"), str(out / "csv" / "a.csv")]
+    assert_counts_of(counts, out, out / "csv")
+    quiet = tmp_path / "quiet"
+    stage_by_stage([capture], gt, quiet, ([], [], ["--bidirectional"]))
+    assert_same_tree(out, quiet)
 
 
 def test_run_dataset_features_all_with_management(capture, tmp_path):

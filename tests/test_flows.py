@@ -490,15 +490,24 @@ def test_management_counts_per_window():
     ]
     recs = run(packets, interval_us=60 * SEC, idle_timeout_us=200 * SEC)
     mgmt = [r for r in recs if r.is_management]
-    assert len(mgmt) == 3  # [0,60) [60,120) [120,130]
+    assert len(mgmt) == 2  # [0,60) [120,130]; the empty [60,120) has none
     assert (mgmt[0].pkts, mgmt[0].bytes) == (2, 200)
-    assert (mgmt[1].pkts, mgmt[1].bytes) == (0, 0)
-    assert (mgmt[2].pkts, mgmt[2].bytes) == (1, 50)
+    assert (mgmt[1].pkts, mgmt[1].bytes) == (1, 50)
     assert mgmt[0].flows == 1
-    assert mgmt[2].flows == 1
-    assert mgmt[1].flows == 0
+    assert mgmt[1].flows == 1
     assert mgmt[0].stime_us == 0 and mgmt[0].ltime_us == 60 * SEC
-    assert mgmt[2].stime_us == 120 * SEC and mgmt[2].ltime_us == 130 * SEC
+    assert mgmt[1].stime_us == 120 * SEC and mgmt[1].ltime_us == 130 * SEC
+
+
+def test_management_records_are_bounded_by_packets_not_by_time_span():
+    # 2^32 s apart, as one corrupt ts_sec byte can make two packets: the
+    # ~71 million empty 60 s windows between them get no record.
+    packets = [pkt(0, proto="udp"), pkt(2 ** 32, proto="udp", sport=9)]
+    recs = run(packets)
+    mgmt = [r for r in recs if r.is_management]
+    assert len(mgmt) == 2
+    assert [(m.stime_us, m.ltime_us, m.pkts, m.flows) for m in mgmt] == [
+        (0, 60 * SEC, 1, 1), ((2 ** 32 // 60) * 60 * SEC, 2 ** 32 * SEC, 1, 1)]
 
 
 def test_management_key_is_zeroed():

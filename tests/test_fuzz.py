@@ -6,7 +6,9 @@ by random byte overwrites, insertions and truncations. The reader must fail only
 for every record it read, and `hera export` must exit 0 or 2, never
 with a traceback. The same edits to the `.hera` file exported from that
 capture, and to a small ground truth and dataset CSV, must leave
-`hera dataset` and `hera label` exiting 0 or 2 as well.
+`hera dataset` and `hera label` exiting 0 or 2 as well. `hera run` on a
+damaged capture must exit 0 or 2, and leave no file or directory behind
+when it exits 2.
 """
 
 from __future__ import annotations
@@ -118,13 +120,8 @@ def test_reader_fails_only_with_capture_errors_and_counts_every_record(data):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(mutated_captures())
 def test_export_of_a_mutated_capture_exits_0_or_2(data):
-    # --no-management: a damaged timestamp far from the others makes the
-    # exporter emit one management record per interval between them, up
-    # to tens of millions of records for one corrupt byte (ROADMAP item 4).
-    # Drop the flag once that is mended.
     with _workdir({"fuzz.pcap": data}) as tmp:
-        code = main(["export", "--pcap", str(tmp / "fuzz.pcap"), "--out", str(tmp / "flows"),
-                     "--no-management"])
+        code = main(["export", "--pcap", str(tmp / "fuzz.pcap"), "--out", str(tmp / "flows")])
     assert code in (0, 2)
 
 
@@ -166,6 +163,22 @@ def test_label_of_a_mutated_ground_truth_and_dataset_exits_0_or_2(gt_edits, csv_
         code = main(["label", "--in", str(tmp / "data.csv"), "--gt", str(tmp / "gt.csv"),
                      "--out", str(tmp / "out"), "--bidirectional"])
     assert code in (0, 2)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(mutated_captures())
+def test_run_of_a_mutated_capture_exits_0_or_2_and_leaves_nothing_after_2(data):
+    # The flows directory exists beforehand; the CSV directory and its
+    # parent are made by the run, and must be gone again after a 2.
+    with _workdir({"fuzz.pcap": data, "gt.csv": GROUND_TRUTH}) as tmp:
+        (tmp / "flows").mkdir()
+        before = sorted(tmp.rglob("*"))
+        code = main(["run", "--pcap", str(tmp / "fuzz.pcap"), "--gt", str(tmp / "gt.csv"),
+                     "--flows-dir", str(tmp / "flows"), "--csv-dir", str(tmp / "made" / "csv"),
+                     "--features", "all"])
+        assert code in (0, 2)
+        if code == 2:
+            assert sorted(tmp.rglob("*")) == before
 
 
 @functools.cache
