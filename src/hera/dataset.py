@@ -5,7 +5,8 @@ sharing a canonical key into one row first. Rows follow the selected
 feature columns in catalog order; a stats text file summarizes the same
 record set the rows were built from. The feature catalog is imported
 only by the functions that compute rows, so `export` and `label`, which
-use this module for stats and CSV files, never load it.
+use this module for stats and CSV files, never load it; the flow engine
+only by `cluster`, so `label` never loads it either.
 """
 
 from __future__ import annotations
@@ -13,10 +14,13 @@ from __future__ import annotations
 import csv
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from .errors import UnreadableLine, not_utf8
-from .flows import FlowRecord
 from .workspace import DEFAULT_COUNT_WINDOW
+
+if TYPE_CHECKING:
+    from .flows import FlowRecord
 
 MODES = ("ra", "racluster")
 
@@ -28,6 +32,7 @@ def cluster(records: list[FlowRecord]) -> list[FlowRecord]:
     categorical fields follow the constituent with the latest ltime
     (ties broken by stream position).
     """
+    from .flows import FlowRecord
     groups: dict = defaultdict(list)
     for rec in records:
         groups[rec.key].append(rec)

@@ -320,6 +320,8 @@ def _read_lines(path, fp) -> HeraFile:
     first = fp.readline()
     if not first.startswith(MAGIC_PREFIX):
         raise FlowFileBadMagic(f"{path}: not a flow file (missing {MAGIC_LINE!r})")
+    if first.endswith("\r\n"):
+        raise CorruptRecord(1, "CRLF (\\r\\n) line ending; .hera lines end in \\n alone")
     version = first[len(MAGIC_PREFIX):].strip()
     if version != VERSION_TOKEN:
         raise UnsupportedVersion(version, path)

@@ -7,16 +7,31 @@ first matching entry in file order, or with the benign label when
 nothing matches. Matching is directional (entry source against flow
 source) unless bidirectional matching is switched on.
 
-Entries are indexed by the match fields they pin, so a row is tested
-only against the entries whose pinned fields equal its own; the cost of
-labelling grows with those candidates, not with the ground truth.
+Cost model: entries are indexed by the match fields they pin, so a row's
+candidates are the entries whose pinned fields equal its own (or the
+reversed row's, when bidirectional). A bucket of several entries sharing
+those fields is sorted by start time with a running maximum of end
+times, so of a bucket only the entries from the first whose running end
+reaches the row's start to the last that starts by the row's end are
+tested. The first candidate in file order whose window overlaps the
+row's wins, as in an all-pairs scan; the cost grows with the candidates,
+not with the ground truth.
+
+Cells in the form hera writes (a time as ASCII digits, a dot and six
+digits; a port as ASCII digits) are read without a call per cell; any
+other text goes to `text_to_us`/`text_to_int`, which decide its value
+or its error.
 """
 
 from __future__ import annotations
 
 import ipaddress
-import itertools
+import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate, chain
+from math import inf
+from operator import itemgetter
 from typing import NamedTuple
 
 from .dataset import iter_csv
@@ -39,16 +54,33 @@ _GT_COLUMNS = ("label", "starttime", "lasttime", "proto", "srcaddr", "sport",
 MATCH_COLUMNS = ("stime", "ltime", "proto", "saddr", "daddr", "sport", "dport")
 
 
-class _AddrCache(dict):
-    """Canonical text of each distinct address, parsed once per cache.
-    Text that is not an IP address is kept as it is."""
+# A time in the form hera writes; `int` of its digits without the dot is
+# its value in microseconds.
+_WRITTEN_TIME = re.compile(r"[0-9]+\.[0-9]{6}").fullmatch
 
-    def __missing__(self, text: str) -> str:
-        try:
-            value = str(ipaddress.ip_address(text))
-        except ValueError:
-            value = text
-        self[text] = value
+
+def _canonical_addr(text: str) -> str:
+    """The canonical text of an IP address; other text is kept as it is.
+    `ipaddress` accepts IPv4 text only in its canonical form (it rejects
+    leading zeros, whitespace and non-ASCII digits), so only text with a
+    ':' can change."""
+    if ":" not in text:
+        return text
+    try:
+        return str(ipaddress.ip_address(text))
+    except ValueError:
+        return text
+
+
+class _Memo(dict):
+    """`convert(text)` of each distinct text, computed once."""
+
+    def __init__(self, convert):
+        super().__init__()
+        self.convert = convert
+
+    def __missing__(self, text: str):
+        value = self[text] = self.convert(text)
         return value
 
 
@@ -76,26 +108,48 @@ def parse_ground_truth(path) -> list[GroundTruthEntry]:
         raise MissingLabelColumn(f"{path}: no Label column in {header!r}")
     # The first column of each name; None for a name the header lacks.
     positions = [names.index(name) if name in names else None for name in _GT_COLUMNS]
-    addrs = _AddrCache()
+    pick = None if None in positions else itemgetter(*positions)
+    width = max(i for i in positions if i is not None) + 1
+    labels = _Memo(str.strip)
+    protos = _Memo(lambda text: text.strip().lower() or None)
+    addrs = _Memo(lambda text: _canonical_addr(text.strip()) or None)
     entries = []
     for row_number, row in enumerate(reader, start=2):
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        label, start, last, proto, src, sport, dst, dport = (
-            row[i].strip() if i is not None and i < len(row) else "" for i in positions)
-        if label == "":
+        if pick is not None and len(row) >= width:
+            cells = pick(row)
+        else:
+            cells = [row[i] if i is not None and i < len(row) else "" for i in positions]
+        label, start, last, proto, src, sport, dst, dport = cells
+        label = labels[label]
+        if not label:
+            if not "".join(row).strip():
+                continue
             raise EmptyLabelCell(row_number)
-        entries.append(GroundTruthEntry(
-            label, row_number,
-            _timestamp(start, row_number), _timestamp(last, row_number),
-            proto.lower() or None,
-            addrs[src] if src else None, _port(sport, "sport", row_number),
-            addrs[dst] if dst else None, _port(dport, "dport", row_number),
-        ))
+        try:
+            entry = GroundTruthEntry(
+                label, row_number,
+                int(start.replace(".", "")) if _WRITTEN_TIME(start)
+                else _timestamp(start, row_number),
+                int(last.replace(".", "")) if _WRITTEN_TIME(last)
+                else _timestamp(last, row_number),
+                protos[proto], addrs[src],
+                int(sport) if sport.isdigit() and sport.isascii()
+                else _port(sport, "sport", row_number),
+                addrs[dst],
+                int(dport) if dport.isdigit() and dport.isascii()
+                else _port(dport, "dport", row_number))
+        except ValueError:  # int() past its digit limit: the parsers decide
+            entry = GroundTruthEntry(
+                label, row_number, _timestamp(start, row_number),
+                _timestamp(last, row_number), protos[proto], addrs[src],
+                _port(sport, "sport", row_number), addrs[dst],
+                _port(dport, "dport", row_number))
+        entries.append(entry)
     return entries
 
 
 def _timestamp(text: str, row_number: int) -> int | None:
+    text = text.strip()
     if not text:
         return None
     try:
@@ -105,6 +159,7 @@ def _timestamp(text: str, row_number: int) -> int | None:
 
 
 def _port(text: str, column: str, row_number: int) -> int | None:
+    text = text.strip()
     if not text:
         return None
     try:
@@ -142,29 +197,37 @@ def _row_views(header, rows):
             positions.append(header.index(col))
         except ValueError:
             raise MissingMatchField(col) from None
-    stime, ltime, proto, saddr, daddr, sport, dport = positions
-    addrs = _AddrCache()
+    pick = itemgetter(*positions)
+    addrs = _Memo(_canonical_addr)
     for line_number, row in enumerate(rows, start=2):
         try:
-            view = (text_to_us(row[stime]), text_to_us(row[ltime]),
-                    (row[proto].lower(), addrs[row[saddr]], text_to_int(row[sport]),
-                     addrs[row[daddr]], text_to_int(row[dport])))
+            stime, ltime, proto, saddr, daddr, sport, dport = pick(row)
+            view = (int(stime.replace(".", "")) if _WRITTEN_TIME(stime) else text_to_us(stime),
+                    int(ltime.replace(".", "")) if _WRITTEN_TIME(ltime) else text_to_us(ltime),
+                    (proto.lower(), addrs[saddr],
+                     int(sport) if sport.isdigit() and sport.isascii() else text_to_int(sport),
+                     addrs[daddr],
+                     int(dport) if dport.isdigit() and dport.isascii() else text_to_int(dport)))
         except (ValueError, IndexError):
-            raise _bad_cell(row, line_number, positions) from None
+            view = _general_view(row, line_number, positions, addrs)
         yield view
 
 
-def _bad_cell(row, line_number, positions) -> MalformedDatasetCell:
-    """The error for the first match cell of `row` that is missing or
-    cannot be converted."""
+def _general_view(row, line_number, positions, addrs):
+    """A row's view converted cell by cell, for a row the written-form
+    path could not read; the first match cell that is missing or cannot
+    be converted raises."""
+    cells = []
     for column, position in zip(MATCH_COLUMNS, positions):
         if position >= len(row):
-            return MalformedDatasetCell(line_number, column, "missing cell")
+            raise MalformedDatasetCell(line_number, column, "missing cell")
         try:
-            _CELL_PARSERS.get(column, str)(row[position])
+            cells.append(_CELL_PARSERS.get(column, str)(row[position]))
         except ValueError:
-            return MalformedDatasetCell(line_number, column, f"bad value {row[position]!r}")
-    raise AssertionError(f"line {line_number}: every match cell converts")
+            raise MalformedDatasetCell(line_number, column,
+                                       f"bad value {row[position]!r}") from None
+    stime, ltime, proto, saddr, daddr, sport, dport = cells
+    return stime, ltime, (proto.lower(), addrs[saddr], sport, addrs[daddr], dport)
 
 
 def match_entry(entry: GroundTruthEntry, stime_us: int, ltime_us: int) -> bool:
@@ -174,35 +237,79 @@ def match_entry(entry: GroundTruthEntry, stime_us: int, ltime_us: int) -> bool:
             and (entry.last_us is None or stime_us <= entry.last_us))
 
 
-def _index_entries(entries) -> list[tuple[tuple[int, ...], dict]]:
+_FULL_SHAPE = (0, 1, 2, 3, 4)
+
+
+class _TimeSorted(NamedTuple):
+    """A bucket of several entries, sorted by start time."""
+
+    starts: tuple  # ascending; an absent start is -inf
+    max_ends: list  # running maximum of the ends; an absent end is +inf
+    by_start: tuple  # the positions, in the order of `starts`
+    in_order: list  # the positions, ascending
+
+
+def _time_sorted(entries, positions) -> _TimeSorted:
+    windows = sorted(
+        (-inf if entries[p].start_us is None else entries[p].start_us,
+         inf if entries[p].last_us is None else entries[p].last_us, p)
+        for p in positions)
+    starts, ends, by_start = zip(*windows)
+    return _TimeSorted(starts, list(accumulate(ends, max)), by_start, positions)
+
+
+def _overlapping(bucket: _TimeSorted, stime_us: int, ltime_us: int) -> list[int]:
+    """Ascending positions of the bucket's entries that start by
+    `ltime_us`, from the first whose running end reaches `stime_us`."""
+    low = bisect_left(bucket.max_ends, stime_us)
+    high = bisect_right(bucket.starts, ltime_us, low)
+    if high - low == len(bucket.in_order):
+        return bucket.in_order
+    return sorted(bucket.by_start[low:high])
+
+
+def _index_entries(entries) -> list[tuple[itemgetter, dict]]:
     """Group entry positions by shape, the indices of the key fields
     (proto, src_addr, sport, dst_addr, dport) an entry pins, then by the
-    values of those fields. Positions in each bucket ascend."""
-    shapes: dict[tuple[int, ...], dict] = {}
+    values of those fields as the shape's getter reads them from a key.
+    A bucket of one entry is a list of its position; a larger one is
+    `_TimeSorted`."""
+    shapes: dict[tuple[int, ...], tuple[itemgetter, dict]] = {}
     for position, entry in enumerate(entries):
         values = entry[4:]  # proto, src_addr, sport, dst_addr, dport
-        shape = tuple(i for i, value in enumerate(values) if value is not None)
-        key = tuple(values[i] for i in shape)
-        shapes.setdefault(shape, {}).setdefault(key, []).append(position)
-    return list(shapes.items())
+        shape = (_FULL_SHAPE if None not in values
+                 else tuple(i for i, value in enumerate(values) if value is not None))
+        if shape not in shapes:
+            # itemgetter(slice(0)) reads the empty key () of the all-wildcard shape.
+            shapes[shape] = (itemgetter(*shape) if shape else itemgetter(slice(0)), {})
+        key_of, table = shapes[shape]
+        table.setdefault(key_of(values), []).append(position)
+    for _, table in shapes.values():
+        for key, bucket in table.items():
+            if len(bucket) > 1:
+                table[key] = _time_sorted(entries, bucket)
+    return list(shapes.values())
 
 
-def _candidates(index, forward, reverse) -> list[int]:
+def _candidates(index, forward, reverse, stime_us, ltime_us) -> list[int]:
     """Ascending positions of the entries whose pinned fields equal the
-    forward key's, or the reverse key's when one is given."""
+    forward key's, or the reverse key's when one is given, and whose
+    bucket places them in reach of [stime_us, ltime_us]."""
     buckets = []
-    for shape, table in index:
-        key = tuple(forward[i] for i in shape)
+    for key_of, table in index:
+        key = key_of(forward)
         bucket = table.get(key)
         if bucket is not None:
             buckets.append(bucket)
         if reverse is not None:
-            reverse_key = tuple(reverse[i] for i in shape)
+            reverse_key = key_of(reverse)
             if reverse_key != key:
                 bucket = table.get(reverse_key)
                 if bucket is not None:
                     buckets.append(bucket)
-    return buckets[0] if len(buckets) == 1 else sorted(itertools.chain(*buckets))
+    found = [bucket if type(bucket) is list else _overlapping(bucket, stime_us, ltime_us)
+             for bucket in buckets]
+    return found[0] if len(found) == 1 else sorted(chain.from_iterable(found))
 
 
 def label_rows(
@@ -215,8 +322,8 @@ def label_rows(
     """Return one label per row plus the summary.
 
     A row gets the label of the first entry in list order, among those
-    the index offers for its key, whose time window `match_entry`
-    accepts."""
+    the index offers for its key and times, whose time window
+    `match_entry` accepts."""
     index = _index_entries(entries)
     summary = LabelSummary(benign_label=benign_label)
     counts = summary.counts
@@ -225,7 +332,7 @@ def label_rows(
         proto, saddr, sport, daddr, dport = forward
         reverse = (proto, daddr, dport, saddr, sport) if bidirectional else None
         label = benign_label
-        for position in _candidates(index, forward, reverse):
+        for position in _candidates(index, forward, reverse, stime_us, ltime_us):
             entry = entries[position]
             if match_entry(entry, stime_us, ltime_us):
                 label = entry.label

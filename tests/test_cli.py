@@ -320,6 +320,18 @@ def test_dataset_corrupt_flow_file_is_format_error(tmp_path, capsys):
     assert main(["dataset", "--in", str(bad), "--out", str(tmp_path / "csv")]) == 2
 
 
+def test_dataset_names_crlf_line_endings(capture, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--pcap", str(capture)]) == 0
+    hera = tmp_path / "flows" / "a.hera"
+    hera.write_bytes(hera.read_bytes().replace(b"\n", b"\r\n"))
+    out = tmp_path / "crlf"
+    assert main(["dataset", "--in", str(hera), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{hera}: line 1: CRLF" in err and "line ending" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("old, new, reason", [
     (b"#interval=60.000000", b"#interval=0.000000",
      "interval must be a positive number of seconds"),
@@ -401,6 +413,8 @@ def test_export_and_label_do_not_load_the_feature_catalog(tmp_path):
             f"from hera.cli import main; assert main({argv!r}) == 0")
         assert "hera.dataset" in loaded
         assert "hera.features" not in loaded
+    assert "hera.labelling" in loaded
+    assert "hera.flows" not in loaded  # label never loads the flow engine
 
 
 def test_no_command_prints_usage(capsys):

@@ -1,10 +1,16 @@
+import csv
+import ipaddress
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hera import labelling
 from hera.errors import (
     EmptyLabelCell,
+    MalformedDatasetCell,
     MalformedField,
     MalformedTimestamp,
     MissingLabelColumn,
@@ -19,7 +25,7 @@ from hera.labelling import (
     parse_ground_truth,
     write_label_summary,
 )
-from hera.timefmt import text_to_us
+from hera.timefmt import text_to_int, text_to_us
 
 SEC = 1_000_000
 HDR = ["stime", "ltime", "proto", "saddr", "sport", "daddr", "dport"]
@@ -144,6 +150,148 @@ def test_parse_normalizes_proto_and_addresses(tmp_path):
     entries = gt(tmp_path, "Proto,SrcAddr,Label\nUDP,2001:0DB8::0001,Backdoor\n")
     assert entries[0].proto == "udp"
     assert entries[0].src_addr == "2001:db8::1"
+
+
+# -- cells in written form and in any other form ---------------------------
+
+
+def canonical_or_itself(text):
+    try:
+        return str(ipaddress.ip_address(text))
+    except ValueError:
+        return text
+
+
+ADDRESS_TEXT = st.one_of(
+    st.text(alphabet=list("0123456789.:abcdefABCDEF% \t") + ["\u0661", "\u0969"],
+            max_size=24),
+    st.ip_addresses().map(str),
+    st.ip_addresses(v=6).map(lambda a: a.exploded.upper()),
+    st.ip_addresses(v=4).map(lambda a: ".".join(f"{int(o):03d}" for o in str(a).split("."))),
+)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(ADDRESS_TEXT)
+def test_address_fast_path_equals_ipaddress(text):
+    assert labelling._canonical_addr(text) == canonical_or_itself(text)
+
+
+@pytest.mark.parametrize("text, canonical", [
+    ("010.1.1.1", "010.1.1.1"),
+    ("10.0.0.1", "10.0.0.1"),
+    ("2001:0DB8::1", "2001:db8::1"),
+    ("\u0661.2.3.4", "\u0661.2.3.4"),
+])
+def test_addresses_in_ground_truth_and_rows(tmp_path, text, canonical):
+    assert labelling._canonical_addr(text) == canonical_or_itself(text) == canonical
+    entries = gt(tmp_path, f"SrcAddr,Label\n{text},DoS\n")
+    assert entries[0].src_addr == canonical
+    assert [view[2][1] for view in labelling._row_views(HDR, [row(saddr=text)])] == [canonical]
+
+
+GT_HEADER = ["StartTime", "LastTime", "Proto", "SrcAddr", "Sport", "DstAddr", "Dport", "Label"]
+
+
+def parsed_cells(path, start, last, sport, dport):
+    """parse_ground_truth on one full row: the entry's times and ports,
+    or the error raised."""
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        csv.writer(fp, lineterminator="\n").writerows(
+            [GT_HEADER, [start, last, "tcp", "10.0.0.1", sport, "10.0.0.2", dport, "DoS"]])
+    try:
+        made = parse_ground_truth(path)[0]
+    except (MalformedTimestamp, MalformedField) as exc:
+        return type(exc), str(exc)
+    return made.start_us, made.last_us, made.sport, made.dport
+
+
+def oracle_cells(start, last, sport, dport):
+    """The same, from text_to_us/text_to_int on each stripped cell."""
+    out = []
+    for text, column, parse in ((start, None, text_to_us), (last, None, text_to_us),
+                                (sport, "sport", text_to_int), (dport, "dport", text_to_int)):
+        text = text.strip()
+        if not text:
+            out.append(None)
+            continue
+        try:
+            out.append(parse(text))
+        except ValueError:
+            exc = (MalformedTimestamp(2, text) if column is None
+                   else MalformedField(2, column, text))
+            return type(exc), str(exc)
+    return tuple(out)
+
+
+def viewed_cells(stime, ltime, sport, dport):
+    """_row_views on one dataset row: its times and ports, or the error."""
+    try:
+        [(stime_us, ltime_us, key)] = labelling._row_views(
+            HDR, [row(stime=stime, ltime=ltime, sport=sport, dport=dport)])
+    except MalformedDatasetCell as exc:
+        return str(exc)
+    return stime_us, ltime_us, key[2], key[4]
+
+
+def oracle_view(stime, ltime, sport, dport):
+    cells = (("stime", stime, text_to_us), ("ltime", ltime, text_to_us),
+             ("sport", sport, text_to_int), ("dport", dport, text_to_int))
+    out = []
+    for column, text, parse in cells:
+        try:
+            out.append(parse(text))
+        except ValueError:
+            return str(MalformedDatasetCell(2, column, f"bad value {text!r}"))
+    return tuple(out)
+
+
+CELL_TEXT = st.one_of(
+    st.from_regex(r"[0-9]{1,12}\.[0-9]{6}", fullmatch=True),
+    st.from_regex(r"[0-9]{1,6}", fullmatch=True),
+    st.text(alphabet=list("0123456789.+-_ \te") + ["\u0661", "\u00b2", "\uff11"], max_size=12),
+)
+LIMIT = sys.get_int_max_str_digits()
+LONG_CELLS = [
+    "+1.5", "1.1234567", "-2.000000", " 3.000000", "1.5", ".500000", "12", "+80", "-0",
+    "\u0661\u0662.000000", "1_0.000000",
+    "1" * 5000, "1" * 5000 + ".000000",
+    # int() refuses the digits of the whole written form, but not of its whole part.
+    "9" * (LIMIT - 3) + ".000000",
+]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(CELL_TEXT, CELL_TEXT, CELL_TEXT, CELL_TEXT)
+def test_cell_fast_paths_equal_the_parsers(tmp_path_factory, start, last, sport, dport):
+    path = tmp_path_factory.getbasetemp() / "cells.csv"
+    assert parsed_cells(path, start, last, sport, dport) == oracle_cells(start, last, sport, dport)
+    assert viewed_cells(start, last, sport, dport) == oracle_view(start, last, sport, dport)
+
+
+@pytest.mark.parametrize("text", LONG_CELLS)
+def test_cell_fast_paths_on_explicit_cells(tmp_path, text):
+    """Every cell keeps its value or its error, each of the four columns
+    in turn holding the text; past int()'s digit limit too."""
+    fine = ("1.000000", "2.000000", "1234", "80")
+    for column in range(4):
+        cells = list(fine)
+        cells[column] = text
+        assert parsed_cells(tmp_path / "gt.csv", *cells) == oracle_cells(*cells)
+        assert viewed_cells(*cells) == oracle_view(*cells)
+
+
+def test_overlong_cells_end_in_their_errors(tmp_path):
+    long_time = "1" * 5000 + ".000000"
+    with pytest.raises(MalformedTimestamp) as err:
+        gt(tmp_path, f"StartTime,Label\n{long_time},DoS\n")
+    assert err.value.row_number == 2
+    with pytest.raises(MalformedField) as err:
+        gt(tmp_path, f"Sport,LastTime,Label\n{'8' * 5000},1.000000,DoS\n")
+    assert err.value.column == "sport"
+    with pytest.raises(MalformedDatasetCell) as err:
+        label_rows(HDR, [row(), row(dport="8" * 5000)], [])
+    assert (err.value.line_number, err.value.column) == (3, "dport")
 
 
 # -- matching ------------------------------------------------------------------
@@ -445,6 +593,67 @@ def test_label_rows_tests_few_entries_per_row(monkeypatch, bidirectional):
     assert summary.malicious == (1000 if bidirectional else 500)
     assert [labels[n] for n in range(0, 2000, 4)] == [
         f"Attack{n % 5}" for n in range(0, 2000, 4)]
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_one_tuple_listed_many_times_is_not_quadratic(monkeypatch, bidirectional):
+    """One 5-tuple listed n times over disjoint windows in time order, and
+    one row inside each window: all-pairs first-match scanning would test
+    n(n+1)/2 entries, the time-sorted bucket at most a few per row."""
+    n = 4000
+    entries = [
+        entry(label=f"Attack{k % 7}", row_number=k + 2, start_us=10 * k * SEC,
+              last_us=(10 * k + 5) * SEC, proto="tcp", src_addr="10.0.0.1", sport=1234,
+              dst_addr="10.0.0.2", dport=80)
+        for k in range(n)
+    ]
+    rows = [row(f"{10 * k + 2}.000000", f"{10 * k + 3}.500000") for k in range(n)]
+    calls = count_match_calls(monkeypatch)
+    labels, summary = label_rows(HDR, rows, entries, bidirectional=bidirectional)
+    assert calls[0] <= 4 * n
+    assert labels == [f"Attack{k % 7}" for k in range(n)]
+    assert summary.malicious == n
+
+
+def test_earliest_entry_in_file_order_wins_over_earlier_start():
+    windows = [(50, 60), (0, 100), (55, 58), (0, None), (None, 5)]
+    entries = [entry(label=f"E{k}", row_number=k + 2, src_addr="10.0.0.1", dport=80,
+                     start_us=None if a is None else a * SEC,
+                     last_us=None if b is None else b * SEC)
+               for k, (a, b) in enumerate(windows)]
+    rows = [row("56.0", "57.0"), row("10.0", "20.0"), row("200.0", "300.0"),
+            row("1.0", "2.0"), row("40.0", "50.0")]
+    labels, _ = label_rows(HDR, rows, entries)
+    assert labels == oracle_labels(rows, entries) == ["E0", "E1", "E3", "E1", "E0"]
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_time_sorted_buckets_match_oracle_on_overlapping_windows(seed):
+    """Buckets of many entries with overlapping windows, open bounds
+    included, listed out of time order; a second shape and reversed rows
+    make candidates of several buckets meet."""
+    rng = random.Random(seed)
+    full = dict(proto="tcp", src_addr="10.0.0.1", sport=1234, dst_addr="10.0.0.2", dport=80)
+    entries = []
+    for k in range(300):
+        start = rng.randrange(0, 1000)
+        fields = dict(full) if rng.random() < 0.7 else {"dst_addr": "10.0.0.2"}
+        if rng.random() < 0.9:
+            fields["start_us"] = start * SEC
+        if rng.random() < 0.9:
+            fields["last_us"] = (start + rng.randrange(0, 200)) * SEC
+        entries.append(entry(label=f"L{k}", row_number=k + 2, **fields))
+    rows = []
+    for _ in range(400):
+        start = rng.randrange(-50, 1250)
+        times = (f"{start}.000000", f"{start + rng.randrange(0, 30)}.{rng.choice(['', '25'])}")
+        if rng.random() < 0.5:
+            rows.append(row(*times))
+        else:
+            rows.append(row(*times, "tcp", "10.0.0.2", "80", "10.0.0.1", "1234"))
+    for bidirectional in (False, True):
+        labels, _ = label_rows(HDR, rows, entries, bidirectional=bidirectional)
+        assert labels == oracle_labels(rows, entries, bidirectional=bidirectional)
 
 
 # -- labelled dataset and summary ----------------------------------------------
