@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import csv
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import UnreadableLine, not_utf8
 from .workspace import DEFAULT_COUNT_WINDOW
@@ -97,37 +96,34 @@ def compute_connection_counts(records, window: int = DEFAULT_COUNT_WINDOW):
     return results
 
 
-@dataclass
-class StatsReport:
+class StatsReport(NamedTuple):
     """Totals over the record set a dataset was built from.
 
     Flow totals cover ordinary records; management records are counted
     on their own line and never inflate packet or byte totals."""
 
-    flows: int = 0
-    packets: int = 0
-    bytes: int = 0
-    management_records: int = 0
-    per_proto: dict[str, list[int]] = field(default_factory=dict)  # flows/pkts/bytes
-
-    def add(self, rec: FlowRecord) -> None:
-        if rec.is_management:
-            self.management_records += 1
-            return
-        self.flows += 1
-        self.packets += rec.pkts
-        self.bytes += rec.bytes
-        row = self.per_proto.setdefault(rec.key.proto, [0, 0, 0])
-        row[0] += 1
-        row[1] += rec.pkts
-        row[2] += rec.bytes
+    flows: int
+    packets: int
+    bytes: int
+    management_records: int
+    per_proto: dict[str, list[int]]  # flows/pkts/bytes
 
 
 def compute_stats(records) -> StatsReport:
-    stats = StatsReport()
+    flows = packets = nbytes = management_records = 0
+    per_proto = {}
     for rec in records:
-        stats.add(rec)
-    return stats
+        if rec.is_management:
+            management_records += 1
+            continue
+        flows += 1
+        packets += rec.pkts
+        nbytes += rec.bytes
+        row = per_proto.setdefault(rec.key.proto, [0, 0, 0])
+        row[0] += 1
+        row[1] += rec.pkts
+        row[2] += rec.bytes
+    return StatsReport(flows, packets, nbytes, management_records, per_proto)
 
 
 def format_stats(stats: StatsReport) -> str:

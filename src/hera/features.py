@@ -25,7 +25,7 @@ from operator import attrgetter
 from typing import Callable
 
 from .errors import UnknownFeature
-from .flows import EndpointStats, FlowRecord, opt_max, opt_min, render_flags
+from .flows import FLAG_TEXT, EndpointStats, FlowRecord, opt_max, opt_min
 from .timefmt import optional_text as _i, us_to_text
 
 # Well-known ports for the service feature. The lookup key is the lower
@@ -238,8 +238,8 @@ CATALOG: tuple[Feature, ...] = (
        lambda r, s, d, c: us_to_text(r.runtime_us)),
     _F("idle", "time", "s", "time since last packet when record retired",
        lambda r, s, d, c: us_to_text(r.idle_us)),
-    _F("flgs", "state", "", "union of TCP flags seen, SAFRPU order",
-       lambda r, s, d, c: render_flags(r.flgs)),
+    _F("flgs", "state", "", f"union of TCP flags seen, {FLAG_TEXT[-1]} order",
+       lambda r, s, d, c: FLAG_TEXT[r.flgs]),
     _F("tcpopt", "state", "", "TCP connection state (REQ/CON/FIN/RST)",
        lambda r, s, d, c: _i(r.tcp_state)),
     _F("Ssaddr", "window-count", "", "flows with same service and saddr "

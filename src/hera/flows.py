@@ -7,6 +7,10 @@ interval anchored at the flow's first packet, by an idle timeout, and by
 TCP lifecycle: any RST closes a flow, a FIN handshake closes it only once
 both directions have sent a FIN and the second FIN has been acknowledged.
 A lone FIN never closes a flow.
+
+TCP flags are carried as one int of the six classic header bits, from
+the decoded packet to the record's `flgs`; this module alone owns their
+bits (`FIN` ... `URG`) and text (`FLAG_TEXT`, `FLAG_VALUES`).
 """
 
 from __future__ import annotations
@@ -21,27 +25,20 @@ STATE_REQ = "REQ"
 STATE_CON = "CON"
 STATE_FIN = "FIN"
 STATE_RST = "RST"
-STATE_INT = "INT"  # recognized on read; current rules never emit it
-
-FLAG_ORDER = "SAFRPU"
 
 MANAGEMENT_PROTO = "man"
 
+# TCP flags are one int: the six classic flag bits at their TCP-header
+# values. A segment's NS, CWR and ECE bits are dropped when it is decoded.
+FIN, SYN, RST, PSH, ACK, URG = 0x01, 0x02, 0x04, 0x08, 0x10, 0x20
 
-def render_flags(flags) -> str:
-    """Render a set of single-letter TCP flags in fixed SAFRPU order."""
-    return "".join(letter for letter in FLAG_ORDER if letter in flags)
-
-
-# The 64 TCP flag sets, keyed by their SAFRPU text, and again by
-# themselves to swap a live record's set for its shared twin. Closed and
-# parsed records share these; none is ever changed in place.
-FLAG_SETS = {
-    text: frozenset(text)
-    for text in ("".join(letter for i, letter in enumerate(FLAG_ORDER) if bits >> i & 1)
-                 for bits in range(64))
-}
-_SHARED_FLAG_SETS = {flags: flags for flags in FLAG_SETS.values()}
+# The text of each of the 64 flag values: its letters in SAFRPU order.
+FLAG_TEXT = tuple(
+    "".join(letter for letter, bit in
+            (("S", SYN), ("A", ACK), ("F", FIN), ("R", RST), ("P", PSH), ("U", URG))
+            if value & bit)
+    for value in range(64))
+FLAG_VALUES = {text: value for value, text in enumerate(FLAG_TEXT)}
 
 
 class FlowKey(NamedTuple):
@@ -161,14 +158,14 @@ class EndpointStats:
             self.win_first = packet.tcp_window
         if self.tcpb_first is None and packet.tcp_seq is not None:
             self.tcpb_first = packet.tcp_seq
-        if packet.tcp_flags:
-            flags = packet.tcp_flags
-            self.fin_cnt += "F" in flags
-            self.syn_cnt += "S" in flags
-            self.rst_cnt += "R" in flags
-            self.psh_cnt += "P" in flags
-            self.ack_cnt += "A" in flags
-            self.urg_cnt += "U" in flags
+        flags = packet.tcp_flags
+        if flags:  # bit i is FIN, SYN, RST, PSH, ACK, URG for i = 0..5
+            self.fin_cnt += flags & 1
+            self.syn_cnt += flags >> 1 & 1
+            self.rst_cnt += flags >> 2 & 1
+            self.psh_cnt += flags >> 3 & 1
+            self.ack_cnt += flags >> 4 & 1
+            self.urg_cnt += flags >> 5 & 1
 
     def merge(self, other: "EndpointStats") -> None:
         """Fold a later record's endpoint stats into this one (clustering)."""
@@ -256,7 +253,7 @@ class FlowRecord:
     is_management: bool = False
     a: EndpointStats = field(default_factory=EndpointStats)
     b: EndpointStats = field(default_factory=EndpointStats)
-    flgs: set[str] | frozenset[str] = field(default_factory=set)  # shared once closed
+    flgs: int = 0  # union of the TCP flag values seen
     tcp_state: str | None = None
     synack_us: int | None = None
     ackdat_us: int | None = None
@@ -334,7 +331,7 @@ class FlowRecord:
     def merge(self, other: "FlowRecord", prev_ltime_us: int | None) -> None:
         """Fold in the next constituent of the same key, in stime order
         (racluster). Counters and sums add up, stime/ltime span the
-        constituents, flag sets union and first-seen fields keep the
+        constituents, flag values OR together and first-seen fields keep the
         earliest value. `prev_ltime_us` is the ltime of the constituent
         folded before `other` (None for the first); the gap from it was
         a real inter-arrival gap that slicing cut, so it goes back into
@@ -350,7 +347,7 @@ class FlowRecord:
         self.ltime_us = max(self.ltime_us, other.ltime_us)
         self.a.merge(other.a)
         self.b.merge(other.b)
-        self.flgs = self.flgs | other.flgs
+        self.flgs |= other.flgs
         self.runtime_us += other.runtime_us
         self.frag_count += other.frag_count
         self.trans += other.trans
@@ -378,7 +375,7 @@ def make_management_record(
     rec = FlowRecord(
         key=MANAGEMENT_KEY, initiator="a",
         stime_us=window_start_us, ltime_us=window_end_us,
-        is_management=True, flgs=FLAG_SETS[""], flows=flows,
+        is_management=True, flows=flows,
     )
     rec.a.pkts = packets
     rec.a.bytes = byte_count
@@ -482,7 +479,7 @@ class FlowTable:
         ts = packet.ts_us
         state = None
         if packet.proto == "tcp":
-            state = STATE_REQ if packet.tcp_flags and "S" in packet.tcp_flags else STATE_CON
+            state = STATE_REQ if packet.tcp_flags & SYN else STATE_CON
         rec = FlowRecord(
             key=key, initiator=sender, stime_us=ts, ltime_us=ts,
             tcp_state=state, ip_version=packet.ip_version,
@@ -526,26 +523,26 @@ class FlowTable:
     def _track_handshake(self, live: _LiveFlow, packet: DecodedPacket) -> None:
         ts = packet.ts_us
         flags = packet.tcp_flags
-        if "S" in flags and "A" not in flags:
+        if flags & SYN and not flags & ACK:
             if live.syn_ts_us is None:
                 live.syn_ts_us = ts
-        elif "S" in flags:  # SYN+ACK
+        elif flags & SYN:  # SYN+ACK
             if live.synack_ts_us is None:
                 live.synack_ts_us = ts
                 if live.syn_ts_us is not None:
                     live.rec.synack_us = ts - live.syn_ts_us
-        elif "A" in flags:
+        elif flags & ACK:
             if live.synack_ts_us is not None and not live.ackdat_done:
                 live.ackdat_done = True
                 live.rec.ackdat_us = ts - live.synack_ts_us
 
     def _tcp_lifecycle(self, live: _LiveFlow, sender: str, packet) -> None:
         flags = packet.tcp_flags
-        if "R" in flags:
+        if flags & RST:
             live.state = STATE_RST
             self._retire(live, idle_us=0)
             return
-        if "F" in flags:
+        if flags & FIN:
             if sender == "a":
                 live.fin_a = True
             else:
@@ -555,7 +552,7 @@ class FlowTable:
         if (
             live.second_fin_end is not None
             and sender != live.second_fin_end
-            and "A" in flags
+            and flags & ACK
         ):
             live.state = STATE_FIN
             self._retire(live, idle_us=0)
@@ -563,7 +560,6 @@ class FlowTable:
     def _close_record(self, live: _LiveFlow, idle_us: int) -> None:
         """Finish the live record and queue it for output."""
         rec = live.rec
-        rec.flgs = _SHARED_FLAG_SETS[frozenset(rec.flgs)]
         rec.tcp_state = live.state
         rec.runtime_us = rec.dur_us
         rec.idle_us = max(idle_us, 0)

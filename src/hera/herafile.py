@@ -19,9 +19,8 @@ from operator import attrgetter, itemgetter
 from typing import Callable
 
 from .errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion, not_utf8
-from .flows import (FLAG_SETS, EndpointStats, ExportConfig, FlowRecord, canonical_key,
-                    render_flags)
-from .timefmt import optional_text, text_to_int, text_to_us, us_to_text
+from .flows import FLAG_TEXT, FLAG_VALUES, EndpointStats, ExportConfig, FlowRecord, canonical_key
+from .timefmt import WRITTEN_INT, WRITTEN_TIME, optional_text, text_to_int, text_to_us, us_to_text
 
 MAGIC_PREFIX = "#HERA "
 VERSION_TOKEN = "v1"
@@ -39,8 +38,8 @@ def _bool_from_text(text: str) -> bool:
     return text == "1"
 
 
-def _flags_from_text(text: str) -> frozenset[str]:
-    flags = FLAG_SETS.get(text)
+def _flags_from_text(text: str) -> int:
+    flags = FLAG_VALUES.get(text)
     if flags is None:
         raise ValueError(f"bad flags value {text!r}")
     return flags
@@ -56,7 +55,7 @@ KIND_CONVERTERS: dict[str, tuple[Callable, Callable]] = {
     "time": (us_to_text, text_to_us),
     "otime": (us_to_text, _optional(text_to_us)),
     "bool": (lambda value: "1" if value else "0", _bool_from_text),
-    "flags": (render_flags, _flags_from_text),
+    "flags": (FLAG_TEXT.__getitem__, _flags_from_text),
 }
 
 # (name suffix, value kind, EndpointStats attribute) of the statistics
@@ -152,20 +151,18 @@ def record_field_names() -> list[str]:
 
 # Each value kind's written form: a pattern that matches exactly the
 # text its to-text converter can write, and the from-text converter of a
-# text that matched it, keyed like KIND_CONVERTERS. `[0-9]`, not `\d`,
-# which also matches digits outside ASCII. A time is read as the integer
-# its digits spell without the dot.
-_INT = "-?[0-9]+"
-_TIME = r"-?[0-9]+\.[0-9]{6}"
+# text that matched it, keyed like KIND_CONVERTERS. A time is read as the
+# integer its digits spell without the dot; flags as each of their
+# letters, optional, in FLAG_TEXT's order (that of the value with all six).
 KIND_WRITTEN_FORMS: dict[str, tuple[str, Callable]] = {
-    "int": (_INT, int),
-    "oint": (f"(?:{_INT})?", lambda text: int(text) if text else None),
+    "int": (WRITTEN_INT, int),
+    "oint": (f"(?:{WRITTEN_INT})?", lambda text: int(text) if text else None),
     "str": ("[^ ]*", str),
     "ostr": ("[^ ]*", lambda text: text or None),
-    "time": (_TIME, lambda text: int(text.replace(".", ""))),
-    "otime": (f"(?:{_TIME})?", lambda text: int(text.replace(".", "")) if text else None),
+    "time": (WRITTEN_TIME, lambda text: int(text.replace(".", ""))),
+    "otime": (f"(?:{WRITTEN_TIME})?", lambda text: int(text.replace(".", "")) if text else None),
     "bool": ("[01]", "1".__eq__),
-    "flags": ("S?A?F?R?P?U?", FLAG_SETS.__getitem__),
+    "flags": ("".join(letter + "?" for letter in FLAG_TEXT[-1]), FLAG_VALUES.__getitem__),
 }
 _NON_EMPTY = {"saddr": "[^ ]+", "daddr": "[^ ]+"}  # a missing field when empty
 

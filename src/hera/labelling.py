@@ -17,10 +17,9 @@ tested. The first candidate in file order whose window overlaps the
 row's wins, as in an all-pairs scan; the cost grows with the candidates,
 not with the ground truth.
 
-Cells in the form hera writes (a time as ASCII digits, a dot and six
-digits; a port as ASCII digits) are read without a call per cell; any
-other text goes to `text_to_us`/`text_to_int`, which decide its value
-or its error.
+Cells in the form hera writes (a time as `timefmt.WRITTEN_TIME`, a port
+as ASCII digits) are read without a call per cell; any other text goes
+to `text_to_us`/`text_to_int`, which decide its value or its error.
 """
 
 from __future__ import annotations
@@ -28,7 +27,6 @@ from __future__ import annotations
 import ipaddress
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from itertools import accumulate, chain
 from math import inf
 from operator import itemgetter
@@ -43,7 +41,7 @@ from .errors import (
     MissingLabelColumn,
     MissingMatchField,
 )
-from .timefmt import text_to_int, text_to_us
+from .timefmt import WRITTEN_TIME, text_to_int, text_to_us
 from .workspace import DEFAULT_BENIGN_LABEL
 
 # Recognized ground-truth headers, compared case-insensitively, in the
@@ -54,9 +52,7 @@ _GT_COLUMNS = ("label", "starttime", "lasttime", "proto", "srcaddr", "sport",
 MATCH_COLUMNS = ("stime", "ltime", "proto", "saddr", "daddr", "sport", "dport")
 
 
-# A time in the form hera writes; `int` of its digits without the dot is
-# its value in microseconds.
-_WRITTEN_TIME = re.compile(r"[0-9]+\.[0-9]{6}").fullmatch
+_WRITTEN_TIME = re.compile(WRITTEN_TIME).fullmatch
 
 
 def _canonical_addr(text: str) -> str:
@@ -168,11 +164,10 @@ def _port(text: str, column: str, row_number: int) -> int | None:
         raise MalformedField(row_number, column, text) from None
 
 
-@dataclass
-class LabelSummary:
-    total: int = 0
-    benign_label: str = DEFAULT_BENIGN_LABEL
-    counts: dict[str, int] = field(default_factory=dict)
+class LabelSummary(NamedTuple):
+    total: int
+    benign_label: str
+    counts: dict[str, int]  # rows per label
 
     @property
     def benign(self) -> int:
@@ -325,8 +320,7 @@ def label_rows(
     the index offers for its key and times, whose time window
     `match_entry` accepts."""
     index = _index_entries(entries)
-    summary = LabelSummary(benign_label=benign_label)
-    counts = summary.counts
+    counts = {}
     labels = []
     for stime_us, ltime_us, forward in _row_views(header, rows):
         proto, saddr, sport, daddr, dport = forward
@@ -339,8 +333,7 @@ def label_rows(
                 break
         labels.append(label)
         counts[label] = counts.get(label, 0) + 1
-    summary.total = len(labels)
-    return labels, summary
+    return labels, LabelSummary(len(labels), benign_label, counts)
 
 
 def label_dataset(header, rows, entries, **kwargs):

@@ -2,10 +2,11 @@
 
 Handles the four classic magic numbers (both byte orders, microsecond and
 nanosecond resolution), Ethernet (with a single VLAN tag) and raw-IP link
-layers, IPv4/IPv6, and the TCP/UDP/ICMP transports. Undecodable records
-are reported as skips with a reason; they never abort the capture. Only
-a record header that claims more bytes than the file holds, or than any
-record may hold, does.
+layers, IPv4/IPv6, and the TCP/UDP/ICMP transports. A TCP segment's flags
+are the six classic bits of its flag byte, as one int. Undecodable
+records are reported as skips with a reason; they never abort the
+capture. Only a record header that claims more bytes than the file
+holds, or than any record may hold, does.
 """
 
 from __future__ import annotations
@@ -48,20 +49,6 @@ ETHERTYPE_ARP = 0x0806
 ETHERTYPE_VLAN = 0x8100
 ETHERTYPE_QINQ = 0x88A8
 ETHERTYPE_IPV6 = 0x86DD
-
-TCP_FLAG_BITS = (
-    (0x02, "S"),
-    (0x10, "A"),
-    (0x01, "F"),
-    (0x04, "R"),
-    (0x08, "P"),
-    (0x20, "U"),
-)
-
-# The letter set of each value of the six low TCP flag bits.
-_TCP_FLAGS = tuple(
-    frozenset(letter for bit, letter in TCP_FLAG_BITS if bits & bit) for bits in range(64)
-)
 
 PROTO_NAMES = {6: "tcp", 17: "udp", 1: "icmp", 58: "icmp"}
 
@@ -112,7 +99,9 @@ class DecodedPacket(NamedTuple):
     tos: int
     ip_version: int
     is_fragment: bool = False  # non-first fragment: ports are (0, 0)
-    tcp_flags: frozenset[str] | None = None  # present iff proto == "tcp"
+    # The six classic TCP flag bits (flows.FIN ... flows.URG; NS, CWR and
+    # ECE dropped), 0 for a non-first fragment; present iff proto == "tcp".
+    tcp_flags: int | None = None
     tcp_window: int | None = None
     tcp_seq: int | None = None
     vlan_id: int | None = None
@@ -309,13 +298,13 @@ class CaptureReader:
             # Later fragments carry no transport header; they flow-key on
             # addresses and protocol with zeroed ports.
             if proto == "tcp":
-                flags = _TCP_FLAGS[0]
+                flags = 0
         elif proto == "tcp":
             if len(transport) < 20:
                 return SKIP_TRUNCATED_FRAME
             sport, dport, seq, _, data_off, flag_bits, window = _TCP.unpack_from(transport)
             header_len += (data_off >> 4) * 4
-            flags = _TCP_FLAGS[flag_bits & 0x3F]
+            flags = flag_bits & 0x3F
         elif proto == "udp":
             if len(transport) < 8:
                 return SKIP_TRUNCATED_FRAME

@@ -22,6 +22,14 @@ def optional_text(value) -> str:
     return "" if value is None else str(value)
 
 
+# The written forms of an integer and of a time, as regular expressions:
+# exactly the texts str() and us_to_text write. `[0-9]`, not `\d`, which
+# also matches digits outside ASCII. The integer the digits of a written
+# time spell without the dot is its value in microseconds.
+WRITTEN_INT = "-?[0-9]+"
+WRITTEN_TIME = r"-?[0-9]+\.[0-9]{6}"
+
+
 def us_to_text(us: int | None) -> str:
     """Render integer microseconds as seconds with six decimals ('' for None)."""
     if us is None:

@@ -24,6 +24,7 @@ from hera.labelling import GroundTruthEntry, label_dataset, label_rows
 from hera.pcap import DecodedPacket, open_capture
 from test_cli import sample_capture, tree, write_gt
 from test_dataset import brute_counts, mixed_records
+from test_flows import FLAG_BITS, flag_value
 from test_labelling import HDR, oracle_labels
 
 SEC = 1_000_000
@@ -45,10 +46,13 @@ def decode_all(path):
 
 
 def to_oracle(p: DecodedPacket) -> OraclePacket:
+    """The oracle's packet, with hera's flag bits turned into letters."""
+    flags = None if p.tcp_flags is None else frozenset(
+        letter for letter, bit in FLAG_BITS.items() if p.tcp_flags & bit)
     return OraclePacket(
         ts_us=p.ts_us, src=p.src_addr, sport=p.src_port,
         dst=p.dst_addr, dport=p.dst_port, proto=p.proto,
-        ip_bytes=p.ip_bytes, flags=p.tcp_flags,
+        ip_bytes=p.ip_bytes, flags=flags,
     )
 
 
@@ -330,7 +334,7 @@ def test_criterion_3_conservation_and_cluster():
             ip_bytes=rng.randrange(40, 1500),
             payload_bytes=rng.randrange(0, 1000),
             ttl=64, tos=0, ip_version=4,
-            tcp_flags=frozenset(rng.sample("SAFRP", rng.randrange(0, 3)))
+            tcp_flags=flag_value(rng.sample("SAFRP", rng.randrange(0, 3)))
             if proto == "tcp" else None,
         ))
         sent += 1

@@ -415,6 +415,7 @@ def test_export_and_label_do_not_load_the_feature_catalog(tmp_path):
         assert "hera.features" not in loaded
     assert "hera.labelling" in loaded
     assert "hera.flows" not in loaded  # label never loads the flow engine
+    assert "dataclasses" not in loaded  # nor dataclasses, with inspect and ast
 
 
 def test_no_command_prints_usage(capsys):

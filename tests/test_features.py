@@ -32,6 +32,7 @@ from hera.flows import (
     make_management_record,
 )
 from hera.pcap import CaptureReader, DecodedPacket
+from test_flows import flag_value
 
 SEC = 1_000_000
 
@@ -53,7 +54,7 @@ def tcp_flow(payloads_c=(0, 100), payloads_s=(40,), base=10.0):
             ts_us=at, src_addr=src, dst_addr=dst, src_port=sport,
             dst_port=dport, proto="tcp", ip_bytes=40 + payload,
             payload_bytes=payload, ttl=64, tos=0, ip_version=4,
-            tcp_flags=frozenset(flags), tcp_window=4096, tcp_seq=1,
+            tcp_flags=flag_value(flags), tcp_window=4096, tcp_seq=1,
         )
 
     table.assign(p("10.0.0.1", "10.0.0.2", 40000, 80, {"S"}, 0, ts))

@@ -3,8 +3,8 @@ from hypothesis import given, settings, strategies as st
 
 from hera.flows import (
     EndpointStats,
+    FLAG_TEXT,
     ExportConfig,
-    FLAG_SETS,
     FlowKey,
     FlowTable,
     canonical_key,
@@ -12,11 +12,19 @@ from hera.flows import (
     observe_gap,
     opt_max,
     opt_min,
-    render_flags,
 )
 from hera.pcap import DecodedPacket
 
 SEC = 1_000_000
+
+# Each TCP flag letter's bit in the TCP header, written out here so that
+# tests check hera's flag table rather than reuse it.
+FLAG_BITS = {"F": 0x01, "S": 0x02, "R": 0x04, "P": 0x08, "A": 0x10, "U": 0x20}
+
+
+def flag_value(letters) -> int:
+    """The TCP flag value of a collection of flag letters."""
+    return sum(FLAG_BITS[letter] for letter in set(letters))
 
 
 def pkt(
@@ -35,7 +43,7 @@ def pkt(
     **extra,
 ):
     if proto == "tcp" and flags is None:
-        flags = frozenset({"A"})
+        flags = {"A"}
     if proto != "tcp":
         flags = None
     return DecodedPacket(
@@ -50,7 +58,7 @@ def pkt(
         ttl=ttl,
         tos=tos,
         ip_version=version,
-        tcp_flags=frozenset(flags) if flags is not None else None,
+        tcp_flags=flag_value(flags) if flags is not None else None,
         **extra,
     )
 
@@ -418,25 +426,25 @@ def test_flags_accumulate_in_canonical_order():
         pkt(1.2, flags={"F", "A"}, **c),
     ]
     rec = data_records(run(packets))[0]
-    assert render_flags(rec.flgs) == "SAFPU"
+    assert FLAG_TEXT[rec.flgs] == "SAFPU"
 
 
-def test_closed_records_share_one_flag_set_per_text():
+def test_closed_and_merged_records_carry_flag_ints():
     c = dict(src="10.0.0.1", dst="10.0.0.2", sport=40000, dport=80)
     packets = [pkt(1.0, flags={"S"}, **c), pkt(1.1, flags={"S", "A"}, **c),
                pkt(30.0, **c), pkt(61.0, **c)]  # the last one opens a second slice
     records = run(packets)
-    assert all(rec.flgs is FLAG_SETS[render_flags(rec.flgs)] for rec in records)
+    # management records first: their zeroed key sorts before the flow's
+    assert [rec.flgs for rec in records] == [0, flag_value("SA"), 0, flag_value("A")]
     first, second = data_records(records)
     first.merge(second, first.ltime_us)
-    assert render_flags(first.flgs) == "SA"
-    assert len(FLAG_SETS) == 64
-    assert all(render_flags(flags) == text for text, flags in FLAG_SETS.items())
+    assert first.flgs == flag_value("SA")
 
 
-def test_render_flags_full_order():
-    assert render_flags(set("SAFRPU")) == "SAFRPU"
-    assert render_flags(set()) == ""
+def test_flag_text_full_order():
+    assert FLAG_TEXT[0x3F] == "SAFRPU"
+    assert FLAG_TEXT[0] == ""
+    assert len(FLAG_TEXT) == 64
 
 
 def test_handshake_latencies():

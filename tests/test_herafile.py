@@ -2,8 +2,10 @@ import random
 
 import pytest
 
+from hera import herafile
+from hera.dataset import cluster
 from hera.errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion
-from hera.flows import FLAG_SETS, ExportConfig, FlowTable, render_flags
+from hera.flows import ExportConfig, FlowTable, make_management_record
 from hera.herafile import (
     HeraHeader,
     format_record,
@@ -13,6 +15,7 @@ from hera.herafile import (
     write_hera,
 )
 from hera.pcap import DecodedPacket
+from test_flows import flag_value
 
 SEC = 1_000_000
 
@@ -29,7 +32,7 @@ def synth_records(n_packets=400, seed=7):
         src, dst = rng.sample(hosts, 2)
         flags = None
         if proto == "tcp":
-            flags = frozenset(rng.sample("SAFRPU", rng.randrange(0, 3)))
+            flags = flag_value(rng.sample("SAFRPU", rng.randrange(0, 3)))
         table.assign(
             DecodedPacket(
                 ts_us=ts,
@@ -79,7 +82,7 @@ def test_round_trip_field_for_field(tmp_path):
     assert len(out.records) == len(records)
     for ours, theirs in zip(records, out.records):
         assert ours == theirs
-        assert theirs.flgs is FLAG_SETS[render_flags(theirs.flgs)]
+        assert type(theirs.flgs) is int
 
 
 def test_round_trip_is_byte_identical(tmp_path):
@@ -184,6 +187,23 @@ def test_minimal_record_parses():
     rec = parse_record(minimal_line(), 2)
     assert rec.key.proto == "udp"
     assert rec.stime_us == SEC
+
+
+def test_flgs_is_a_flag_int_on_every_record_path():
+    records = synth_records()
+    assert any(rec.flgs for rec in records)
+    lines = [format_record(rec) for rec in records]
+    paths = {
+        "FlowTable.flush": records,
+        "written-form reader": [herafile._parse_written(line) for line in lines],
+        "general reader": [herafile._parse_general(line, 1) for line in lines],
+        "line without flgs": [parse_record(minimal_line(), 2)],
+        "cluster": cluster(records),
+        "make_management_record": [make_management_record(0, SEC, 3, 120, 1)],
+    }
+    for path, recs in paths.items():
+        assert all(type(rec.flgs) is int and 0 <= rec.flgs < 64 for rec in recs), path
+    assert parse_record(minimal_line(), 2).flgs == 0
 
 
 def test_corrupt_token_reports_line(tmp_path):

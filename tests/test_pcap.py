@@ -13,6 +13,8 @@ from hera.errors import (
     TruncatedRecord,
     UnsupportedLinktype,
 )
+from hera.flows import FLAG_TEXT, ExportConfig, collect_flows
+from hera.herafile import HeraHeader, read_hera, write_hera
 from hera.pcap import (
     MAX_RECORD_BYTES,
     CaptureReader,
@@ -21,6 +23,7 @@ from hera.pcap import (
     address_text,
     open_capture,
 )
+from test_flows import FLAG_BITS
 
 
 def write(tmp_path, data: bytes):
@@ -128,7 +131,7 @@ def test_decode_tcp_syn(tmp_path):
     assert pkt.src_port == 1234
     assert pkt.dst_port == 80
     assert pkt.proto == "tcp"
-    assert pkt.tcp_flags == frozenset({"S"})
+    assert pkt.tcp_flags == pb.SYN
     assert pkt.payload_bytes == 0
     assert pkt.ip_bytes == 40
     assert pkt.ttl == 64
@@ -224,7 +227,7 @@ def test_ipv6_tcp(tmp_path):
     pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
     assert pkt.src_addr == "2001:db8::1"
     assert pkt.proto == "tcp"
-    assert pkt.tcp_flags == frozenset({"S", "A"})
+    assert pkt.tcp_flags == pb.SYN | pb.ACK
     assert pkt.ttl == 57
     assert pkt.tos == 0x20
     assert pkt.ip_version == 6
@@ -252,6 +255,38 @@ def test_ipv6_fragment(tmp_path):
     assert isinstance(pkt, DecodedPacket)
     assert pkt.is_fragment
     assert (pkt.src_port, pkt.dst_port) == (0, 0)
+
+
+# -- TCP flags ---------------------------------------------------------------
+
+
+def test_tcp_flags_keep_the_six_classic_bits(tmp_path):
+    """Every value of the nine TCP flag bits (NS, CWR and ECE included)
+    decodes to its six classic bits, which render as the letters they
+    name and survive a .hera write and read as the same int."""
+    values = range(0x200)
+    frames = [pb.record(value, pb.tcp4_frame("10.0.0.1", "10.0.0.2", 1024 + value, 80, value))
+              for value in values]
+    with open_capture(write(tmp_path, pb.pcap(frames))) as reader:
+        packets = list(reader)
+    assert [p.tcp_flags for p in packets] == [value & 0x3F for value in values]
+    for p in packets:
+        assert FLAG_TEXT[p.tcp_flags] == "".join(
+            letter for letter in "SAFRPU" if p.tcp_flags & FLAG_BITS[letter])
+    records = collect_flows(packets, ExportConfig(emit_management=False))
+    write_hera(tmp_path / "flags.hera", HeraHeader(), records)
+    read_back = read_hera(tmp_path / "flags.hera").records
+    assert [r.flgs for r in read_back] == [r.flgs for r in records] == [p.tcp_flags for p in packets]
+
+
+def test_tcp_later_fragment_has_no_flags(tmp_path):
+    frame = pb.ethernet(
+        pb.ipv4("10.0.0.1", "10.0.0.2", 6, b"\xbb" * 30, flags_frag=185),
+        pb.ETHERTYPE_IPV4,
+    )
+    pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
+    assert pkt.is_fragment and pkt.proto == "tcp"
+    assert pkt.tcp_flags == 0
 
 
 # -- address text ----------------------------------------------------------

@@ -24,7 +24,7 @@ import pcap_builder as pb
 from hera import herafile
 from hera.cli import main
 from hera.errors import CorruptRecord
-from hera.flows import FLAG_SETS, EndpointStats, ExportConfig, FlowTable
+from hera.flows import FLAG_VALUES, EndpointStats, ExportConfig, FlowTable
 from hera.herafile import format_record, parse_record, read_hera, record_field_kinds
 from hera.pcap import CaptureReader
 
@@ -98,7 +98,7 @@ _KIND_TEXT = {
     "time": _TIME,
     "otime": st.one_of(st.just(""), _TIME),
     "bool": st.sampled_from("01"),
-    "flags": st.sampled_from(sorted(FLAG_SETS)),
+    "flags": st.sampled_from(sorted(FLAG_VALUES)),
 }
 _KINDS = dict(record_field_kinds())
 _ADDRESS = st.one_of(st.sampled_from([A4, B4, A6, "::ffff:102:304", "0.0.0.0"]),
@@ -134,11 +134,11 @@ def test_every_capture_line_takes_the_pattern():
     assert all(herafile._parse_written(line) is not None for line in capture_lines())
 
 
-@pytest.mark.parametrize("flags", sorted(FLAG_SETS))
+@pytest.mark.parametrize("flags", sorted(FLAG_VALUES))
 def test_every_flag_set_takes_the_pattern(flags):
     line = _join(_set(_fields(capture_lines()[0]), "flgs", flags))
     record = herafile._parse_written(line)
-    assert record is not None and record.flgs is FLAG_SETS[flags]
+    assert record is not None and record.flgs == FLAG_VALUES[flags]
     assert record == herafile._parse_general(line, 1)
 
 
