@@ -208,8 +208,8 @@ def _export_config(settings: Settings, args) -> ExportConfig:
     from .flows import ExportConfig
     interval_us = _positive_seconds(settings.number("interval", 60.0),
                                     settings.origin("interval"))
-    idle = settings.number("idle_timeout", 0.0)
-    idle_us = _positive_seconds(idle, settings.origin("idle_timeout")) if idle else None
+    idle = settings.number("idle_timeout", None)  # None: the interval
+    idle_us = None if idle is None else _positive_seconds(idle, settings.origin("idle_timeout"))
     slack = settings.number("reorder_slack", 1.0)
     if slack < 0:
         raise UsageError(f"{settings.origin('reorder_slack')} must not be negative")

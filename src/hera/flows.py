@@ -384,20 +384,17 @@ def make_management_record(
 
 
 class _LiveFlow:
-    """Mutable per-episode state while a flow is open."""
+    """Mutable per-episode state while a flow is open. The open record
+    holds the episode's initiator, TCP state and latest timestamp."""
 
     __slots__ = (
-        "rec", "origin_us", "initiator", "state", "last_activity_us",
-        "fin_a", "fin_b", "second_fin_end", "syn_ts_us", "synack_ts_us",
-        "ackdat_done", "last_arrival_us",
+        "rec", "origin_us", "fin_a", "fin_b", "second_fin_end",
+        "syn_ts_us", "synack_ts_us", "ackdat_done", "last_arrival_us",
     )
 
-    def __init__(self, rec: FlowRecord, origin_us: int, initiator: str, state):
+    def __init__(self, rec: FlowRecord):
         self.rec = rec
-        self.origin_us = origin_us
-        self.initiator = initiator
-        self.state = state
-        self.last_activity_us = origin_us
+        self.origin_us = rec.stime_us
         self.fin_a = False
         self.fin_b = False
         self.second_fin_end = None
@@ -450,16 +447,19 @@ class FlowTable:
         live = self._live.get(key)
         if live is None:
             live = self._open_episode(key, sender, packet, window)
-        elif ts - live.last_activity_us > self.config.idle_timeout_us:
+        elif ts - live.rec.ltime_us > self.config.idle_timeout_us:
             self._retire(live, idle_us=ts - live.rec.ltime_us)
             live = self._open_episode(key, sender, packet, window)
         elif ts - live.origin_us >= (live.rec.slice_index + 1) * self.config.interval_us:
-            self._close_record(live, idle_us=ts - live.rec.ltime_us)
+            # No packet of a slice lies past the next one's start, so the open
+            # record's ltime is the episode's latest timestamp: its idle clock.
+            rec = live.rec
+            self._close_record(live, idle_us=ts - rec.ltime_us)
             live.rec = FlowRecord(
-                key=key, initiator=live.initiator,
+                key=key, initiator=rec.initiator,
                 stime_us=ts, ltime_us=ts,
                 slice_index=(ts - live.origin_us) // self.config.interval_us,
-                tcp_state=live.state,
+                tcp_state=rec.tcp_state, ip_version=packet.ip_version,
             )
             live.last_arrival_us = None
 
@@ -484,7 +484,7 @@ class FlowTable:
             key=key, initiator=sender, stime_us=ts, ltime_us=ts,
             tcp_state=state, ip_version=packet.ip_version,
         )
-        live = _LiveFlow(rec, ts, sender, state)
+        live = _LiveFlow(rec)
         self._live[key] = live
         self.flows_started += 1
         window[2] += 1
@@ -497,14 +497,10 @@ class FlowTable:
             rec.stime_us = ts
         if ts > rec.ltime_us:
             rec.ltime_us = ts
-        if ts > live.last_activity_us:
-            live.last_activity_us = ts
         (rec.a if sender == "a" else rec.b).update(packet)
         if live.last_arrival_us is not None:
             observe_gap(rec, ts - live.last_arrival_us)
         live.last_arrival_us = ts
-        if rec.ip_version is None:
-            rec.ip_version = packet.ip_version
         if rec.vlan_id is None and packet.vlan_id is not None:
             rec.vlan_id = packet.vlan_id
         if packet.is_fragment:
@@ -512,13 +508,8 @@ class FlowTable:
         if packet.tcp_flags:
             rec.flgs |= packet.tcp_flags
             self._track_handshake(live, packet)
-        if (
-            packet.proto == "tcp"
-            and live.state == STATE_REQ
-            and sender != live.initiator
-        ):
-            live.state = STATE_CON
-        rec.tcp_state = live.state
+        if rec.tcp_state == STATE_REQ and sender != rec.initiator:
+            rec.tcp_state = STATE_CON
 
     def _track_handshake(self, live: _LiveFlow, packet: DecodedPacket) -> None:
         ts = packet.ts_us
@@ -539,7 +530,7 @@ class FlowTable:
     def _tcp_lifecycle(self, live: _LiveFlow, sender: str, packet) -> None:
         flags = packet.tcp_flags
         if flags & RST:
-            live.state = STATE_RST
+            live.rec.tcp_state = STATE_RST
             self._retire(live, idle_us=0)
             return
         if flags & FIN:
@@ -554,13 +545,12 @@ class FlowTable:
             and sender != live.second_fin_end
             and flags & ACK
         ):
-            live.state = STATE_FIN
+            live.rec.tcp_state = STATE_FIN
             self._retire(live, idle_us=0)
 
     def _close_record(self, live: _LiveFlow, idle_us: int) -> None:
         """Finish the live record and queue it for output."""
         rec = live.rec
-        rec.tcp_state = live.state
         rec.runtime_us = rec.dur_us
         rec.idle_us = max(idle_us, 0)
         self._closed.append(rec)

@@ -12,7 +12,7 @@ files from newer minor revisions survive a rewrite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cache
 from itertools import groupby
 from operator import attrgetter, itemgetter
@@ -45,17 +45,24 @@ def _flags_from_text(text: str) -> int:
     return flags
 
 
-# Each value kind's (to-text, from-text) converters, in the order of the
-# "Value kinds" table of docs/hera-format.md.
-KIND_CONVERTERS: dict[str, tuple[Callable, Callable]] = {
-    "int": (str, text_to_int),
-    "oint": (optional_text, _optional(text_to_int)),
-    "str": (str, str),
-    "ostr": (optional_text, _optional(str)),
-    "time": (us_to_text, text_to_us),
-    "otime": (us_to_text, _optional(text_to_us)),
-    "bool": (lambda value: "1" if value else "0", _bool_from_text),
-    "flags": (FLAG_TEXT.__getitem__, _flags_from_text),
+# Each value kind's converters, in the order of the "Value kinds" table
+# of docs/hera-format.md: (to-text, from-text, written pattern, written
+# from-text). The written pattern matches exactly the text to-text can
+# write, and the written from-text reads a text that matched it: a time
+# as the integer its digits spell without the dot, flags as each of their
+# letters, optional, in FLAG_TEXT's order (that of the value with all six).
+KIND_CONVERTERS: dict[str, tuple[Callable, Callable, str, Callable]] = {
+    "int": (str, text_to_int, WRITTEN_INT, int),
+    "oint": (optional_text, _optional(text_to_int), f"(?:{WRITTEN_INT})?",
+             lambda text: int(text) if text else None),
+    "str": (str, str, "[^ ]*", str),
+    "ostr": (optional_text, _optional(str), "[^ ]*", lambda text: text or None),
+    "time": (us_to_text, text_to_us, WRITTEN_TIME, lambda text: int(text.replace(".", ""))),
+    "otime": (us_to_text, _optional(text_to_us), f"(?:{WRITTEN_TIME})?",
+              lambda text: int(text.replace(".", "")) if text else None),
+    "bool": (lambda value: "1" if value else "0", _bool_from_text, "[01]", "1".__eq__),
+    "flags": (FLAG_TEXT.__getitem__, _flags_from_text,
+              "".join(letter + "?" for letter in FLAG_TEXT[-1]), FLAG_VALUES.__getitem__),
 }
 
 # (name suffix, value kind, EndpointStats attribute) of the statistics
@@ -125,18 +132,8 @@ _LINE = (
     ("flows", "oint", "record", "flows"),
 )
 
-_KNOWN_FIELDS = frozenset(name for name, *_ in _LINE)
-
-# Runs of consecutive fields with one owner: (owner, ("name=", getter, to_text) ...)
-_FORMAT_RUNS = tuple(
-    (owner, tuple((name + "=", attrgetter(attr), KIND_CONVERTERS[kind][0])
-                  for name, kind, _, attr in run))
-    for owner, run in groupby(_LINE, key=itemgetter(2)))
-
-# Each owner's (name, attribute, from_text), in line order.
-_PARSE_FIELDS = {owner: tuple((name, attr, KIND_CONVERTERS[kind][1])
-                              for name, kind, field_owner, attr in _LINE if field_owner == owner)
-                 for owner in ("key", "record", "src", "dst")}
+_NAMES = tuple(name for name, *_ in _LINE)
+_KNOWN_FIELDS = frozenset(_NAMES)
 
 
 def record_field_kinds() -> list[tuple[str, str]]:
@@ -146,25 +143,7 @@ def record_field_kinds() -> list[tuple[str, str]]:
 
 def record_field_names() -> list[str]:
     """The full field order of a v1 record line."""
-    return [name for name, *_ in _LINE]
-
-
-# Each value kind's written form: a pattern that matches exactly the
-# text its to-text converter can write, and the from-text converter of a
-# text that matched it, keyed like KIND_CONVERTERS. A time is read as the
-# integer its digits spell without the dot; flags as each of their
-# letters, optional, in FLAG_TEXT's order (that of the value with all six).
-KIND_WRITTEN_FORMS: dict[str, tuple[str, Callable]] = {
-    "int": (WRITTEN_INT, int),
-    "oint": (f"(?:{WRITTEN_INT})?", lambda text: int(text) if text else None),
-    "str": ("[^ ]*", str),
-    "ostr": ("[^ ]*", lambda text: text or None),
-    "time": (WRITTEN_TIME, lambda text: int(text.replace(".", ""))),
-    "otime": (f"(?:{WRITTEN_TIME})?", lambda text: int(text.replace(".", "")) if text else None),
-    "bool": ("[01]", "1".__eq__),
-    "flags": ("".join(letter + "?" for letter in FLAG_TEXT[-1]), FLAG_VALUES.__getitem__),
-}
-_NON_EMPTY = {"saddr": "[^ ]+", "daddr": "[^ ]+"}  # a missing field when empty
+    return list(_NAMES)
 
 
 def _owner_indexes(owner: str) -> list[int]:
@@ -172,15 +151,32 @@ def _owner_indexes(owner: str) -> list[int]:
     return [i for i, (_, _, field_owner, _) in enumerate(_LINE) if field_owner == owner]
 
 
-# Each field's written-form converter, in line order. The key's and each
+# Each field's converters, in line order, and its "name=" with its
+# to-text converter, which the writer reads.
+_CONVERTERS = tuple(KIND_CONVERTERS[kind] for _, kind, *_ in _LINE)
+_TO_TEXT = tuple((name + "=", to_text) for name, (to_text, *_) in zip(_NAMES, _CONVERTERS))
+
+# Each run of consecutive fields with one owner: (owner, a getter of the
+# run's attributes). Every run has several fields, so the getter returns
+# a tuple.
+_OWNER_RUNS = tuple((owner, attrgetter(*[attr for *_, attr in run]))
+                    for owner, run in groupby(_LINE, key=itemgetter(2)))
+
+# A record is built from its values in line order. The key's and each
 # side's fields are consecutive, so their values are sliced out and passed
 # by position (EndpointStats declares its fields in _SIDE_FIELDS' order);
 # the record's are passed by attribute name.
-_WRITTEN_CONVERTERS = tuple(KIND_WRITTEN_FORMS[kind][1] for _, kind, *_ in _LINE)
 _KEY_SLICE, _SRC_SLICE, _DST_SLICE = (
     slice(indexes[0], indexes[-1] + 1) for indexes in map(_owner_indexes, ("key", "src", "dst")))
 _RECORD_VALUES = itemgetter(*_owner_indexes("record"))
 _RECORD_ATTRS = tuple(_LINE[i][3] for i in _owner_indexes("record"))
+
+# The value of each field a line may leave out: its attribute's dataclass
+# default. The required fields take none.
+_RECORD_DEFAULTS, _SIDE_DEFAULTS = (
+    {f.name: f.default for f in fields(cls)} for cls in (FlowRecord, EndpointStats))
+_DEFAULTS = tuple((_RECORD_DEFAULTS if owner == "record" else _SIDE_DEFAULTS).get(attr)
+                  for _, _, owner, attr in _LINE)
 
 
 @cache
@@ -188,26 +184,30 @@ def _written_line() -> re.Pattern:
     """The pattern of a line in the form format_record writes: every field
     of _LINE in order, each value in its kind's written form, one group
     per field. Compiled on first read, so that writing never pays for it."""
+    non_empty = {"saddr": "[^ ]+", "daddr": "[^ ]+"}  # a missing field when empty
     return re.compile(" ".join(
-        f"{name}=({_NON_EMPTY.get(name) or KIND_WRITTEN_FORMS[kind][0]})"
+        f"{name}=({non_empty.get(name) or KIND_CONVERTERS[kind][2]})"
         for name, kind, *_ in _LINE))
 
 
 def format_record(rec: FlowRecord) -> str:
     owners = {"key": rec, "record": rec, "src": rec.src, "dst": rec.dst}
-    parts = []
-    for owner, run in _FORMAT_RUNS:
-        target = owners[owner]
-        for prefix, get, to_text in run:
-            parts.append(prefix + to_text(get(target)))
+    values = []
+    for owner, get in _OWNER_RUNS:
+        values += get(owners[owner])
+    parts = [prefix + to_text(value) for (prefix, to_text), value in zip(_TO_TEXT, values)]
     parts += [f"{name}={value}" for name, value in rec.extra.items()]
     return " ".join(parts)
 
 
-def _values(pairs: dict[str, str], owner: str) -> dict:
-    """The owner's attributes given in `pairs`, converted from text."""
-    return {attr: from_text(pairs[name])
-            for name, attr, from_text in _PARSE_FIELDS[owner] if name in pairs}
+def _record(values: list, extra: dict[str, str]) -> FlowRecord:
+    """The record of a line's values, given in line order."""
+    key, initiator = canonical_key(*values[_KEY_SLICE])
+    src = EndpointStats(*values[_SRC_SLICE])
+    dst = EndpointStats(*values[_DST_SLICE])
+    a, b = (src, dst) if initiator == "a" else (dst, src)
+    return FlowRecord(key=key, initiator=initiator, a=a, b=b, extra=extra,
+                      **dict(zip(_RECORD_ATTRS, _RECORD_VALUES(values))))
 
 
 def parse_record(line: str, line_number: int) -> FlowRecord:
@@ -225,20 +225,17 @@ def _parse_written(line: str) -> FlowRecord | None:
     if match is None:
         return None
     try:
-        values = [from_text(text) for from_text, text in zip(_WRITTEN_CONVERTERS, match.groups())]
+        values = [from_text(text)
+                  for (_, _, _, from_text), text in zip(_CONVERTERS, match.groups())]
     except ValueError:
         return None
-    key, initiator = canonical_key(*values[_KEY_SLICE])
-    src = EndpointStats(*values[_SRC_SLICE])
-    dst = EndpointStats(*values[_DST_SLICE])
-    a, b = (src, dst) if initiator == "a" else (dst, src)
-    return FlowRecord(key=key, initiator=initiator, a=a, b=b,
-                      **dict(zip(_RECORD_ATTRS, _RECORD_VALUES(values))))
+    return _record(values, {})
 
 
 def _parse_general(line: str, line_number: int) -> FlowRecord:
     """The record of a line with its known fields in any order and any
-    unknown fields, or CorruptRecord naming what is wrong with it."""
+    unknown fields, or CorruptRecord naming what is wrong with it: the
+    first bad value in line order."""
     pairs = {}
     for token in line.split(" "):
         name, sep, value = token.partition("=")
@@ -253,15 +250,11 @@ def _parse_general(line: str, line_number: int) -> FlowRecord:
         if required not in pairs or (required != "proto" and pairs[required] == ""):
             raise CorruptRecord(line_number, f"missing field {required!r}")
     try:
-        key, initiator = canonical_key(
-            *[from_text(pairs[name]) for name, _, from_text in _PARSE_FIELDS["key"]])
-        record = _values(pairs, "record")
-        src = EndpointStats(**_values(pairs, "src"))
-        dst = EndpointStats(**_values(pairs, "dst"))
+        values = [from_text(pairs[name]) if name in pairs else default
+                  for name, (_, from_text, _, _), default in zip(_NAMES, _CONVERTERS, _DEFAULTS)]
     except ValueError as exc:
         raise CorruptRecord(line_number, str(exc)) from exc
-    a, b = (src, dst) if initiator == "a" else (dst, src)
-    return FlowRecord(key=key, initiator=initiator, a=a, b=b, extra=extra, **record)
+    return _record(values, extra)
 
 
 @dataclass

@@ -15,7 +15,8 @@ times, so of a bucket only the entries from the first whose running end
 reaches the row's start to the last that starts by the row's end are
 tested. The first candidate in file order whose window overlaps the
 row's wins, as in an all-pairs scan; the cost grows with the candidates,
-not with the ground truth.
+not with the ground truth. A parsed `GroundTruth` builds its index once,
+however many datasets it labels.
 
 Cells in the form hera writes (a time as `timefmt.WRITTEN_TIME`, a port
 as ASCII digits) are read without a call per cell; any other text goes
@@ -27,6 +28,7 @@ from __future__ import annotations
 import ipaddress
 import re
 from bisect import bisect_left, bisect_right
+from functools import cached_property
 from itertools import accumulate, chain
 from math import inf
 from operator import itemgetter
@@ -93,7 +95,16 @@ class GroundTruthEntry(NamedTuple):
     dport: int | None = None
 
 
-def parse_ground_truth(path) -> list[GroundTruthEntry]:
+class GroundTruth(list):
+    """A ground truth's entries in file order, with their match index,
+    built on first use and kept: the list must not change after that."""
+
+    @cached_property
+    def match_index(self) -> list[tuple[itemgetter, dict]]:
+        return _index_entries(self)
+
+
+def parse_ground_truth(path) -> GroundTruth:
     reader = iter_csv(path)
     try:
         header = next(reader)
@@ -109,7 +120,7 @@ def parse_ground_truth(path) -> list[GroundTruthEntry]:
     labels = _Memo(str.strip)
     protos = _Memo(lambda text: text.strip().lower() or None)
     addrs = _Memo(lambda text: _canonical_addr(text.strip()) or None)
-    entries = []
+    entries = GroundTruth()
     for row_number, row in enumerate(reader, start=2):
         if pick is not None and len(row) >= width:
             cells = pick(row)
@@ -319,7 +330,8 @@ def label_rows(
     A row gets the label of the first entry in list order, among those
     the index offers for its key and times, whose time window
     `match_entry` accepts."""
-    index = _index_entries(entries)
+    index = (entries.match_index if isinstance(entries, GroundTruth)
+             else _index_entries(entries))
     counts = {}
     labels = []
     for stime_us, ltime_us, forward in _row_views(header, rows):

@@ -75,7 +75,7 @@ class Settings:
             return value
         return self._config.get(name, default)
 
-    def number(self, name: str, default: float) -> float:
+    def number(self, name: str, default: float | None) -> float | None:
         value = self.text(name)
         if value is None:
             return default

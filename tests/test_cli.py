@@ -102,6 +102,7 @@ def test_export_naming_contract(capture, tmp_path):
     # above zero, but 0 once rounded to the microsecond
     pytest.param("--interval", "0.0000004", id="0.0000004"),
     pytest.param("--idle-timeout", "1e-9", id="idle-timeout-1e-9"),
+    pytest.param("--idle-timeout", "0", id="idle-timeout-0"),
 ])
 def test_export_rejects_nonpositive_interval_before_io(capture, tmp_path, flag, bad, capsys):
     out = tmp_path / "flows"
@@ -689,6 +690,8 @@ def test_non_finite_workspace_number_names_the_key(capture, tmp_path, monkeypatc
                  "at least one microsecond", id="interval"),
     pytest.param("idle_timeout = 1e-9", "idle_timeout must be a positive number of seconds, "
                  "at least one microsecond", id="idle_timeout"),
+    pytest.param("idle_timeout = 0", "idle_timeout must be a positive number of seconds, "
+                 "at least one microsecond", id="idle_timeout-0"),
     pytest.param("reorder_slack = -1", "reorder_slack must not be negative", id="reorder_slack"),
     pytest.param("count_window = 0", "count_window must be at least 1", id="count_window"),
     pytest.param("jobs = 0", "jobs must be at least 1", id="jobs"),
@@ -758,6 +761,29 @@ def test_run_applies_one_ground_truth_to_many_captures(tmp_path):
         assert f"{stem}.labelled.csv" in produced
         labels = (tmp_path / "csv" / f"{stem}.labels.txt").read_text("utf-8")
         assert "Probe: 2" in labels
+
+
+def test_ground_truth_is_indexed_once_per_command(tmp_path, monkeypatch):
+    """A serial `run` over two captures and a `label` over two datasets
+    each build the ground truth's match index once."""
+    from hera import labelling
+    index_entries, built = labelling._index_entries, []
+    monkeypatch.setattr(labelling, "_index_entries",
+                        lambda entries: built.append(len(entries)) or index_entries(entries))
+    for name, base in (("a.pcap", 0), ("b.pcap", 3 * SEC)):
+        sample_capture(tmp_path / name, base_us=base)
+    gt = write_gt(tmp_path / "gt.csv")
+    assert main(["run", "--pcap", str(tmp_path / "*.pcap"), "--gt", str(gt),
+                 "--flows-dir", str(tmp_path / "flows"),
+                 "--csv-dir", str(tmp_path / "csv")]) == 0
+    assert built == [1]
+    built.clear()
+    assert main(["label", "--in", str(tmp_path / "csv" / "?.csv"), "--gt", str(gt),
+                 "--out", str(tmp_path / "relabelled")]) == 0
+    assert built == [1]
+    for stem in ("a", "b"):
+        assert ((tmp_path / "relabelled" / f"{stem}.labelled.csv").read_bytes()
+                == (tmp_path / "csv" / f"{stem}.labelled.csv").read_bytes())
 
 
 # -- --verbose ----------------------------------------------------------------

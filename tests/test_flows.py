@@ -1,6 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from flow_oracle import OraclePacket, oracle_flows
+
 from hera.flows import (
     EndpointStats,
     FLAG_TEXT,
@@ -321,6 +323,28 @@ def test_idle_close_records_gap():
     assert len(recs) == 2
     assert recs[0].idle_us == 75 * SEC
     assert recs[1].idle_us == 0  # flushed at its own last packet
+
+
+@pytest.mark.parametrize("last_s, pkts", [(6.8, [4]), (7.2, [3, 1])])
+def test_idle_clock_is_the_latest_timestamp_under_reordering(last_s, pkts):
+    """1.5 s arrives after 2.0 s, within the slack. The idle timeout counts
+    from the episode's latest timestamp (2.0 s), not its last arrival."""
+    packets = [pkt(t, proto="udp") for t in (0, 2.0, 1.5, last_s)]
+    cfg = dict(interval_us=60 * SEC, idle_timeout_us=5 * SEC, reorder_slack_us=SEC)
+    recs = data_records(run(packets, **cfg))
+    assert [r.pkts for r in recs] == pkts
+    if len(recs) == 2:
+        assert recs[0].idle_us == 5_200_000
+    flows, accepted, skipped, _ = oracle_flows(
+        [OraclePacket(p.ts_us, p.src_addr, p.src_port, p.dst_addr, p.dst_port, p.proto,
+                      p.ip_bytes) for p in packets],
+        interval_us=cfg["interval_us"], idle_us=cfg["idle_timeout_us"],
+        slack_us=cfg["reorder_slack_us"])
+    assert (accepted, skipped) == (4, 0)
+    assert [(r.key, r.initiator, r.slice_index, r.stime_us, r.ltime_us,
+             r.spkts, r.dpkts, r.sbytes, r.dbytes) for r in recs] == [
+        (f.key, f.initiator, f.slice_index, f.stime_us, f.ltime_us,
+         f.spkts, f.dpkts, f.sbytes, f.dbytes) for f in flows]
 
 
 def test_flush_idle_is_time_since_last_packet():

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from hera import herafile
 from hera.dataset import cluster
 from hera.errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion
-from hera.flows import ExportConfig, FlowTable, make_management_record
+from hera.flows import ExportConfig, FlowKey, FlowRecord, FlowTable, make_management_record
 from hera.herafile import (
     HeraHeader,
     format_record,
@@ -187,6 +188,17 @@ def test_minimal_record_parses():
     rec = parse_record(minimal_line(), 2)
     assert rec.key.proto == "udp"
     assert rec.stime_us == SEC
+    # Every field the line leaves out, and every field of each side, takes
+    # its dataclass default.
+    expected = FlowRecord(key=FlowKey("10.0.0.1", 1, "10.0.0.2", 2, "udp"), initiator="a",
+                          stime_us=SEC, ltime_us=2 * SEC)
+    for field in dataclasses.fields(FlowRecord):
+        assert getattr(rec, field.name) == getattr(expected, field.name), field.name
+    # Of several bad values, the reason names the first in line order: spkts
+    # is a source field, ipsum a record field after the destination's.
+    with pytest.raises(CorruptRecord) as err:
+        parse_record(minimal_line(spkts="many", ipsum="later"), 2)
+    assert err.value.reason == "invalid literal for int() with base 10: 'many'"
 
 
 def test_flgs_is_a_flag_int_on_every_record_path():

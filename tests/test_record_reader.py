@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import io
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -248,7 +249,17 @@ def test_a_value_past_ints_digit_limit_is_left_to_the_general_reader():
 
 
 def test_written_forms_cover_exactly_the_value_kinds():
-    assert herafile.KIND_WRITTEN_FORMS.keys() == herafile.KIND_CONVERTERS.keys()
+    samples = {
+        "int": [0, -7, 10**30], "oint": [None, 0, -3], "str": ["", "tcp", "2001:db8::1"],
+        "ostr": [None, "CON"], "time": [0, -1, 1_500_000], "otime": [None, -SEC, 7],
+        "bool": [False, True], "flags": range(64),
+    }
+    assert samples.keys() == herafile.KIND_CONVERTERS.keys()
+    for kind, (to_text, from_text, pattern, written_from_text) in herafile.KIND_CONVERTERS.items():
+        for value in samples[kind]:
+            text = to_text(value)
+            assert re.fullmatch(pattern, text), (kind, text)
+            assert written_from_text(text) == from_text(text) == value, (kind, text)
 
 
 def test_positional_slices_hold_one_owner_each_in_endpoint_stats_order():
