@@ -331,7 +331,8 @@ def _label_step(name, started, header, rows, entries, options, csv_path, summary
 
 
 class _GroundTruth:
-    """Parsed on first use; a worker process gets an unparsed copy."""
+    """Parsed on first use, at most once in each process that uses it: a
+    worker process gets its own unparsed copy when it starts."""
 
     def __init__(self, path: str):
         self.path = path
@@ -357,12 +358,27 @@ def _capture_chain(pcap, paths, export_config, dataset_options=None,
                         *paths[4:])
 
 
+_worker_chain = None  # in a worker process: the chain its pool was started with
+
+
+def _start_worker(chain) -> None:
+    global _worker_chain
+    _worker_chain = chain
+
+
+def _run_in_worker(pcap, paths) -> None:
+    _worker_chain(pcap, paths)
+
+
 def _for_each_capture(jobs: int, chain, pcaps, paths) -> None:
-    """chain(pcap, its paths) for each capture, in up to `jobs` processes."""
+    """chain(pcap, its paths) for each capture, in up to `jobs` processes.
+    Each worker gets the chain once, when it starts, so what the chain
+    caches (the parsed ground truth) serves all of that worker's captures."""
     if jobs > 1 and len(pcaps) > 1:
         workers = min(jobs, len(pcaps))
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(chain, pcaps, paths))
+        with concurrent.futures.ProcessPoolExecutor(
+                max_workers=workers, initializer=_start_worker, initargs=(chain,)) as pool:
+            list(pool.map(_run_in_worker, pcaps, paths))
     else:
         list(map(chain, pcaps, paths))
 

@@ -161,9 +161,8 @@ def build_dataset(
     from .features import RowContext, compute_row, service_of
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    selected = list(records)
-    if not keep_management:
-        selected = [rec for rec in selected if not rec.is_management]
+    selected = (records if keep_management
+                else [rec for rec in records if not rec.is_management])
     if mode == "racluster":
         selected = cluster(selected)
     if "Ssaddr" in feature_names or "Sdaddr" in feature_names:

@@ -369,8 +369,6 @@ CATALOG: tuple[Feature, ...] = (
        lambda r, s, d, c: str(r.frag_count)),
 )
 
-CATALOG_SIZE = 130
-
 _BY_NAME = {feature.name: feature for feature in CATALOG}
 CATALOG_ORDER = tuple(feature.name for feature in CATALOG)
 

@@ -6,7 +6,8 @@ matter how delayed the first response is. Records are cut by a slicing
 interval anchored at the flow's first packet, by an idle timeout, and by
 TCP lifecycle: any RST closes a flow, a FIN handshake closes it only once
 both directions have sent a FIN and the second FIN has been acknowledged.
-A lone FIN never closes a flow.
+A lone FIN never closes a flow. `FlowTable._tcp_segment` is the one home
+of these and every other TCP connection rule.
 
 TCP flags are carried as one int of the six classic header bits, from
 the decoded packet to the record's `flgs`; this module alone owns their
@@ -306,22 +307,6 @@ class FlowRecord:
         return self.a.bytes + self.b.bytes
 
     @property
-    def spkts(self) -> int:
-        return self.src.pkts
-
-    @property
-    def dpkts(self) -> int:
-        return self.dst.pkts
-
-    @property
-    def sbytes(self) -> int:
-        return self.src.bytes
-
-    @property
-    def dbytes(self) -> int:
-        return self.dst.bytes
-
-    @property
     def dur_us(self) -> int:
         return self.ltime_us - self.stime_us
 
@@ -388,16 +373,14 @@ class _LiveFlow:
     holds the episode's initiator, TCP state and latest timestamp."""
 
     __slots__ = (
-        "rec", "origin_us", "fin_a", "fin_b", "second_fin_end",
-        "syn_ts_us", "synack_ts_us", "ackdat_done", "last_arrival_us",
+        "rec", "origin_us", "fins", "syn_ts_us", "synack_ts_us", "ackdat_done",
+        "last_arrival_us",
     )
 
     def __init__(self, rec: FlowRecord):
         self.rec = rec
         self.origin_us = rec.stime_us
-        self.fin_a = False
-        self.fin_b = False
-        self.second_fin_end = None
+        self.fins = ""  # the endpoints that have sent a FIN, in order
         self.syn_ts_us = None
         self.synack_ts_us = None
         self.ackdat_done = False
@@ -464,8 +447,8 @@ class FlowTable:
             live.last_arrival_us = None
 
         self._count_packet(live, sender, packet)
-        if packet.proto == "tcp":
-            self._tcp_lifecycle(live, sender, packet)
+        if packet.tcp_flags is not None:
+            self._tcp_segment(live, sender, packet.tcp_flags, ts)
 
     def _window_counters(self, ts_us: int) -> list[int]:
         anchor = self.first_ts_us
@@ -477,13 +460,8 @@ class FlowTable:
 
     def _open_episode(self, key, sender, packet, window) -> _LiveFlow:
         ts = packet.ts_us
-        state = None
-        if packet.proto == "tcp":
-            state = STATE_REQ if packet.tcp_flags & SYN else STATE_CON
-        rec = FlowRecord(
-            key=key, initiator=sender, stime_us=ts, ltime_us=ts,
-            tcp_state=state, ip_version=packet.ip_version,
-        )
+        rec = FlowRecord(key=key, initiator=sender, stime_us=ts, ltime_us=ts,
+                         ip_version=packet.ip_version)
         live = _LiveFlow(rec)
         self._live[key] = live
         self.flows_started += 1
@@ -505,48 +483,44 @@ class FlowTable:
             rec.vlan_id = packet.vlan_id
         if packet.is_fragment:
             rec.frag_count += 1
-        if packet.tcp_flags:
-            rec.flgs |= packet.tcp_flags
-            self._track_handshake(live, packet)
-        if rec.tcp_state == STATE_REQ and sender != rec.initiator:
-            rec.tcp_state = STATE_CON
 
-    def _track_handshake(self, live: _LiveFlow, packet: DecodedPacket) -> None:
-        ts = packet.ts_us
-        flags = packet.tcp_flags
-        if flags & SYN and not flags & ACK:
-            if live.syn_ts_us is None:
-                live.syn_ts_us = ts
-        elif flags & SYN:  # SYN+ACK
-            if live.synack_ts_us is None:
+    def _tcp_segment(self, live: _LiveFlow, sender: str, flags: int, ts: int) -> None:
+        """Apply the TCP connection rules to one segment of the episode, in
+        this order:
+        1. its flags join the record's `flgs`;
+        2. the state is REQ or CON by the SYN bit of the episode's first
+           segment, and REQ becomes CON once the other side sends;
+        3. the first SYN -> SYN/ACK and the first SYN/ACK -> ACK latencies
+           are kept, each on the record of the slice where it happens;
+        4. any RST closes the episode, and so does an ACK after both FINs
+           from the endpoint that did not send the second FIN."""
+        rec = live.rec
+        rec.flgs |= flags
+        if rec.tcp_state is None:
+            rec.tcp_state = STATE_REQ if flags & SYN else STATE_CON
+        elif rec.tcp_state == STATE_REQ and sender != rec.initiator:
+            rec.tcp_state = STATE_CON
+        if flags & SYN:
+            if not flags & ACK:
+                if live.syn_ts_us is None:
+                    live.syn_ts_us = ts
+            elif live.synack_ts_us is None:
                 live.synack_ts_us = ts
                 if live.syn_ts_us is not None:
-                    live.rec.synack_us = ts - live.syn_ts_us
-        elif flags & ACK:
-            if live.synack_ts_us is not None and not live.ackdat_done:
-                live.ackdat_done = True
-                live.rec.ackdat_us = ts - live.synack_ts_us
-
-    def _tcp_lifecycle(self, live: _LiveFlow, sender: str, packet) -> None:
-        flags = packet.tcp_flags
+                    rec.synack_us = ts - live.syn_ts_us
+        elif flags & ACK and live.synack_ts_us is not None and not live.ackdat_done:
+            live.ackdat_done = True
+            rec.ackdat_us = ts - live.synack_ts_us
+        fins = live.fins
+        if flags & FIN and sender not in fins:
+            live.fins = fins = fins + sender
         if flags & RST:
-            live.rec.tcp_state = STATE_RST
-            self._retire(live, idle_us=0)
+            rec.tcp_state = STATE_RST
+        elif flags & ACK and len(fins) == 2 and sender != fins[1]:
+            rec.tcp_state = STATE_FIN
+        else:
             return
-        if flags & FIN:
-            if sender == "a":
-                live.fin_a = True
-            else:
-                live.fin_b = True
-            if live.fin_a and live.fin_b and live.second_fin_end is None:
-                live.second_fin_end = sender
-        if (
-            live.second_fin_end is not None
-            and sender != live.second_fin_end
-            and flags & ACK
-        ):
-            live.rec.tcp_state = STATE_FIN
-            self._retire(live, idle_us=0)
+        self._retire(live, idle_us=0)
 
     def _close_record(self, live: _LiveFlow, idle_us: int) -> None:
         """Finish the live record and queue it for output."""

@@ -1,5 +1,6 @@
 import builtins
 import logging
+import multiprocessing
 import os
 import re
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import pcap_builder as pb
-from hera import cli
+from hera import cli, labelling
 from hera.cli import main
 from hera.dataset import read_csv
 from hera.features import DEFAULT_FEATURES, select_feature_set
@@ -613,6 +614,40 @@ def test_run_jobs_match_serial_run(tmp_path):
     staged = tmp_path / "staged"
     stage_by_stage(pcaps, gt, staged, ([], ["--mode", "racluster"], ["--bidirectional"]))
     assert_same_tree(staged, tmp_path / "serial")
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the counting wrapper reaches the workers only through fork")
+def test_ground_truth_is_indexed_once_per_worker_and_per_command(tmp_path, monkeypatch):
+    # Workers build the index in their own processes, so each build is
+    # counted as one line appended to a file.
+    builds = tmp_path / "builds.txt"
+    index_entries = labelling._index_entries
+
+    def counted(entries):
+        with open(builds, "a", encoding="utf-8") as fp:
+            fp.write(f"{os.getpid()}\n")
+        return index_entries(entries)
+
+    monkeypatch.setattr(labelling, "_index_entries", counted)
+    (tmp_path / "pcaps").mkdir()
+    for i in range(4):
+        sample_capture(tmp_path / "pcaps" / f"{i}.pcap", base_us=i * SEC)
+    gt = write_gt(tmp_path / "gt.csv")
+
+    def run(name, jobs):
+        assert main(["run", "--pcap", str(tmp_path / "pcaps" / "*.pcap"), "--gt", str(gt),
+                     "--flows-dir", str(tmp_path / name / "flows"),
+                     "--csv-dir", str(tmp_path / name / "csv"), "--jobs", jobs]) == 0
+        return builds.read_text(encoding="utf-8").split()
+
+    pids = run("parallel", "2")
+    assert 1 <= len(pids) <= 2
+    assert len(set(pids)) == len(pids)  # no worker builds it twice
+    assert str(os.getpid()) not in pids
+    builds.unlink()
+    assert run("serial-1", "1") == [str(os.getpid())]
+    assert run("serial-2", "1") == [str(os.getpid())] * 2  # one build per command
 
 
 def test_run_hands_records_and_rows_over_in_memory(capture, tmp_path, monkeypatch):

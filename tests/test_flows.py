@@ -162,8 +162,8 @@ def test_full_session_single_record():
     recs = data_records(run(full_session()))
     assert len(recs) == 1
     rec = recs[0]
-    assert rec.spkts == 5
-    assert rec.dpkts == 4
+    assert rec.src.pkts == 5
+    assert rec.dst.pkts == 4
     assert rec.tcp_state == "FIN"
     assert rec.saddr == "10.0.0.1"
     assert rec.daddr == "10.0.0.2"
@@ -305,8 +305,8 @@ def test_initiator_carries_across_slices():
     recs = data_records(run(packets, interval_us=60 * SEC, idle_timeout_us=120 * SEC))
     assert len(recs) == 2
     assert all(r.saddr == "10.0.0.1" for r in recs)
-    assert (recs[0].spkts, recs[0].dpkts) == (1, 0)
-    assert (recs[1].spkts, recs[1].dpkts) == (0, 1)
+    assert (recs[0].src.pkts, recs[0].dst.pkts) == (1, 0)
+    assert (recs[1].src.pkts, recs[1].dst.pkts) == (0, 1)
 
 
 def test_idle_timeout_is_strictly_greater():
@@ -342,7 +342,7 @@ def test_idle_clock_is_the_latest_timestamp_under_reordering(last_s, pkts):
         slack_us=cfg["reorder_slack_us"])
     assert (accepted, skipped) == (4, 0)
     assert [(r.key, r.initiator, r.slice_index, r.stime_us, r.ltime_us,
-             r.spkts, r.dpkts, r.sbytes, r.dbytes) for r in recs] == [
+             r.src.pkts, r.dst.pkts, r.src.bytes, r.dst.bytes) for r in recs] == [
         (f.key, f.initiator, f.slice_index, f.stime_us, f.ltime_us,
          f.spkts, f.dpkts, f.sbytes, f.dbytes) for f in flows]
 
@@ -435,8 +435,8 @@ def test_byte_and_packet_split_by_direction():
         pkt(1.2, flags={"A", "P"}, ip_bytes=140, payload=100, **c),
     ]
     rec = data_records(run(packets))[0]
-    assert (rec.spkts, rec.dpkts, rec.pkts) == (2, 1, 3)
-    assert (rec.sbytes, rec.dbytes, rec.bytes) == (184, 44, 228)
+    assert (rec.src.pkts, rec.dst.pkts, rec.pkts) == (2, 1, 3)
+    assert (rec.src.bytes, rec.dst.bytes, rec.bytes) == (184, 44, 228)
     assert rec.src.appbytes == 100
     assert rec.src.datapkts == 1
     assert rec.dst.datapkts == 0
@@ -488,6 +488,67 @@ def test_no_handshake_means_no_latencies():
     rec = data_records(run([pkt(1.0, flags={"A"})]))[0]
     assert rec.synack_us is None
     assert rec.ackdat_us is None
+
+
+def segment(ts_s, sender, letters, **extra):
+    """A TCP segment of one connection, sent by the client ("c") or the
+    server ("s")."""
+    ends = (dict(src="10.0.0.1", dst="10.0.0.2", sport=40000, dport=80) if sender == "c"
+            else dict(src="10.0.0.2", dst="10.0.0.1", sport=80, dport=40000))
+    return pkt(ts_s, flags=set(letters), **{**ends, **extra})
+
+
+# Each case: the segments of one connection under a 10 s interval, and per
+# record in stime order (state, flag letters, synack_us, ackdat_us, pkts).
+TCP_RULE_CASES = {
+    "retransmitted-syn-and-synack-keep-the-first-latencies": (
+        [segment(1.0, "c", "S"), segment(1.5, "c", "S"), segment(2.0, "s", "SA"),
+         segment(3.0, "s", "SA"), segment(3.5, "c", "A")],
+        [("CON", "SA", 1 * SEC, 1_500_000, 5)],
+    ),
+    "latency-only-on-the-slice-where-it-happens": (
+        [segment(1.0, "c", "S"), segment(2.0, "s", "SA"), segment(12.0, "c", "A")],
+        [("CON", "SA", 1 * SEC, None, 2), ("CON", "A", None, 10 * SEC, 1)],
+    ),
+    "req-carries-into-the-next-slice-until-the-reply": (
+        [segment(1.0, "c", "S"), segment(11.0, "c", "A"), segment(21.0, "s", "SA")],
+        [("REQ", "S", None, None, 1), ("REQ", "A", None, None, 1),
+         ("CON", "SA", 20 * SEC, None, 1)],
+    ),
+    "non-first-fragment-opens-as-con-with-no-flags": (
+        [segment(1.0, "c", "", sport=0, dport=0, is_fragment=True)],
+        [("CON", "", None, None, 1)],
+    ),
+    "repeated-fin-from-one-side-is-not-the-second-fin": (
+        [segment(1.0, "c", "S"), segment(1.1, "s", "SA"), segment(1.2, "c", "A"),
+         segment(2.0, "c", "FA"), segment(2.1, "c", "FA"), segment(2.2, "s", "A"),
+         segment(2.3, "c", "A")],
+        [("CON", "SAF", 100_000, 100_000, 7)],
+    ),
+}
+
+
+@pytest.mark.parametrize("packets, expected", TCP_RULE_CASES.values(), ids=TCP_RULE_CASES)
+def test_tcp_connection_rules(packets, expected):
+    recs = data_records(run(packets, interval_us=10 * SEC, idle_timeout_us=60 * SEC))
+    assert [(r.tcp_state, r.flgs, r.synack_us, r.ackdat_us, r.pkts) for r in recs] == [
+        (state, flag_value(letters), synack, ackdat, pkts)
+        for state, letters, synack, ackdat, pkts in expected]
+
+
+def test_tcp_rules_run_once_per_tcp_packet_only(monkeypatch):
+    calls = []
+    rules = FlowTable._tcp_segment
+
+    def counted(self, live, sender, flags, ts):
+        calls.append(flags)
+        rules(self, live, sender, flags, ts)
+
+    monkeypatch.setattr(FlowTable, "_tcp_segment", counted)
+    packets = full_session() + [pkt(2.0, proto="udp"), pkt(2.1, proto="icmp", sport=8, dport=0),
+                                segment(3.0, "c", "", sport=0, dport=0, is_fragment=True)]
+    run(packets)
+    assert calls == [p.tcp_flags for p in packets if p.proto == "tcp"]
 
 
 def test_ttl_and_window_firsts():
@@ -608,12 +669,12 @@ def test_record_invariants_over_random_streams(packets):
     episodes_seen = set()
     for r in data:
         assert r.stime_us <= r.ltime_us
-        assert r.pkts == r.spkts + r.dpkts
-        assert r.bytes == r.sbytes + r.dbytes
+        assert r.pkts == r.src.pkts + r.dst.pkts
+        assert r.bytes == r.src.bytes + r.dst.bytes
         assert r.pkts >= 1
         episode = (r.key, r.initiator)
         if r.slice_index == 0 and episode not in episodes_seen:
-            assert r.spkts >= 1
+            assert r.src.pkts >= 1
         episodes_seen.add(episode)
     mgmt = [r for r in recs if r.is_management]
     assert sum(m.pkts for m in mgmt) == accepted_pkts

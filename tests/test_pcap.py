@@ -32,39 +32,51 @@ def write(tmp_path, data: bytes):
     return path
 
 
+def first_packet(path):
+    """The first record of a capture: a DecodedPacket, a SkippedRecord or None."""
+    with open_capture(path) as reader:
+        return reader.next_packet()
+
+
+def decoded(path) -> list:
+    """Every packet a capture decodes."""
+    with open_capture(path) as reader:
+        return list(reader)
+
+
 # -- global header ------------------------------------------------------
 
 
 def test_little_endian_micro_magic(tmp_path):
     data = pb.pcap([], endian="<", magic=pb.MAGIC_MICRO)
     assert data[:4] == bytes.fromhex("d4c3b2a1")
-    reader = open_capture(write(tmp_path, data))
-    assert reader.header.byte_order == "little"
-    assert reader.header.ts_resolution == "micro"
+    with open_capture(write(tmp_path, data)) as reader:
+        assert reader.header.byte_order == "little"
+        assert reader.header.ts_resolution == "micro"
 
 
 def test_big_endian_nano_magic(tmp_path):
     data = pb.pcap([], endian=">", magic=pb.MAGIC_NANO)
     assert data[:4] == bytes.fromhex("a1b23c4d")
-    reader = open_capture(write(tmp_path, data))
-    assert reader.header.byte_order == "big"
-    assert reader.header.ts_resolution == "nano"
+    with open_capture(write(tmp_path, data)) as reader:
+        assert reader.header.byte_order == "big"
+        assert reader.header.ts_resolution == "nano"
 
 
 def test_big_endian_micro_magic(tmp_path):
     data = pb.pcap([], endian=">", magic=pb.MAGIC_MICRO)
     assert data[:4] == bytes.fromhex("a1b2c3d4")
-    reader = open_capture(write(tmp_path, data))
-    assert reader.header.byte_order == "big"
-    assert reader.header.ts_resolution == "micro"
+    with open_capture(write(tmp_path, data)) as reader:
+        assert reader.header.byte_order == "big"
+        assert reader.header.ts_resolution == "micro"
 
 
 def test_little_endian_nano_magic(tmp_path):
     data = pb.pcap([], endian="<", magic=pb.MAGIC_NANO)
     assert data[:4] == bytes.fromhex("4d3cb2a1")
-    reader = open_capture(write(tmp_path, data))
-    assert reader.header.byte_order == "little"
-    assert reader.header.ts_resolution == "nano"
+    with open_capture(write(tmp_path, data)) as reader:
+        assert reader.header.byte_order == "little"
+        assert reader.header.ts_resolution == "nano"
 
 
 def test_empty_file_is_truncated_header(tmp_path):
@@ -90,9 +102,9 @@ def test_unsupported_linktype(tmp_path):
 
 
 def test_snaplen_and_linktype_parsed(tmp_path):
-    reader = open_capture(write(tmp_path, pb.pcap([], snaplen=262144)))
-    assert reader.header.snaplen == 262144
-    assert reader.header.linktype == 1
+    with open_capture(write(tmp_path, pb.pcap([], snaplen=262144))) as reader:
+        assert reader.header.snaplen == 262144
+        assert reader.header.linktype == 1
 
 
 # -- the hand-built 54-byte SYN frame -----------------------------------
@@ -122,22 +134,22 @@ def syn_frame_54() -> bytes:
 
 def test_decode_tcp_syn(tmp_path):
     path = write(tmp_path, pb.pcap([pb.record(1_700_000_000_000_000, syn_frame_54())]))
-    reader = open_capture(path)
-    pkt = reader.next_packet()
-    assert isinstance(pkt, DecodedPacket)
-    assert pkt.ts_us == 1_700_000_000_000_000
-    assert pkt.src_addr == "10.0.0.1"
-    assert pkt.dst_addr == "10.0.0.2"
-    assert pkt.src_port == 1234
-    assert pkt.dst_port == 80
-    assert pkt.proto == "tcp"
-    assert pkt.tcp_flags == pb.SYN
-    assert pkt.payload_bytes == 0
-    assert pkt.ip_bytes == 40
-    assert pkt.ttl == 64
-    assert pkt.tcp_window == 64240
-    assert pkt.ip_version == 4
-    assert reader.next_packet() is None
+    with open_capture(path) as reader:
+        pkt = reader.next_packet()
+        assert isinstance(pkt, DecodedPacket)
+        assert pkt.ts_us == 1_700_000_000_000_000
+        assert pkt.src_addr == "10.0.0.1"
+        assert pkt.dst_addr == "10.0.0.2"
+        assert pkt.src_port == 1234
+        assert pkt.dst_port == 80
+        assert pkt.proto == "tcp"
+        assert pkt.tcp_flags == pb.SYN
+        assert pkt.payload_bytes == 0
+        assert pkt.ip_bytes == 40
+        assert pkt.ttl == 64
+        assert pkt.tcp_window == 64240
+        assert pkt.ip_version == 4
+        assert reader.next_packet() is None
 
 
 def test_nano_timestamps_truncate(tmp_path):
@@ -145,13 +157,13 @@ def test_nano_timestamps_truncate(tmp_path):
     # rewrite the fraction by hand: 1 s + 999 ns must floor to 1.000000
     rec = struct.pack("<IIII", 1, 999, 54, 54) + rec[16:]
     path = write(tmp_path, pb.pcap([rec], magic=pb.MAGIC_NANO))
-    pkt = open_capture(path).next_packet()
+    pkt = first_packet(path)
     assert pkt.ts_us == 1_000_000
 
 
 def test_micro_fraction_passes_through(tmp_path):
     path = write(tmp_path, pb.pcap([pb.record(2_000_123, syn_frame_54())]))
-    assert open_capture(path).next_packet().ts_us == 2_000_123
+    assert first_packet(path).ts_us == 2_000_123
 
 
 # -- lengths ------------------------------------------------------------
@@ -161,7 +173,7 @@ def test_ip_bytes_prefers_header_claim_under_snaplen(tmp_path):
     frame = pb.udp4_frame("10.0.0.1", "10.0.0.2", 4000, 53, payload=b"x" * 100)
     # keep only the first 60 captured bytes, as a snaplen-limited capture would
     rec = pb.record(0, frame[:60], orig_len=len(frame))
-    pkt = open_capture(write(tmp_path, pb.pcap([rec], snaplen=60))).next_packet()
+    pkt = first_packet(write(tmp_path, pb.pcap([rec], snaplen=60)))
     assert isinstance(pkt, DecodedPacket)
     assert pkt.ip_bytes == 20 + 8 + 100
     assert pkt.payload_bytes == 100
@@ -170,7 +182,7 @@ def test_ip_bytes_prefers_header_claim_under_snaplen(tmp_path):
 def test_ip_bytes_falls_back_to_wire_length(tmp_path):
     seg = pb.udp(4000, 53, b"abc")
     frame = pb.ethernet(pb.ipv4("10.0.0.1", "10.0.0.2", 17, seg, total_length=0), pb.ETHERTYPE_IPV4)
-    pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
+    pkt = first_packet(write(tmp_path, pb.pcap([pb.record(0, frame)])))
     assert pkt.ip_bytes == len(frame) - 14
 
 
@@ -181,7 +193,7 @@ def test_vlan_unwrap(tmp_path):
     inner = pb.ipv4("10.0.0.1", "10.0.0.2", 17, pb.udp(5000, 53))
     ethertype, tagged = pb.vlan_tag(pb.ETHERTYPE_IPV4, inner, vlan_id=7)
     frame = pb.ethernet(tagged, ethertype)
-    pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
+    pkt = first_packet(write(tmp_path, pb.pcap([pb.record(0, frame)])))
     assert isinstance(pkt, DecodedPacket)
     assert pkt.vlan_id == 7
     assert pkt.proto == "udp"
@@ -192,25 +204,25 @@ def test_double_vlan_skipped(tmp_path):
     t1, once = pb.vlan_tag(pb.ETHERTYPE_IPV4, inner, vlan_id=7)
     t2, twice = pb.vlan_tag(t1, once, vlan_id=8, tpid=pb.ETHERTYPE_QINQ)
     frame = pb.ethernet(twice, t2)
-    reader = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)])))
-    out = reader.next_packet()
-    assert isinstance(out, SkippedRecord)
-    assert out.reason == "unsupported-encapsulation"
+    with open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))) as reader:
+        out = reader.next_packet()
+        assert isinstance(out, SkippedRecord)
+        assert out.reason == "unsupported-encapsulation"
 
 
 def test_arp_skipped_as_non_ip(tmp_path):
     frame = pb.ethernet(b"\x00" * 28, 0x0806)
-    reader = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)])))
-    out = reader.next_packet()
-    assert isinstance(out, SkippedRecord)
-    assert out.reason == "non-ip"
-    assert reader.skipped["non-ip"] == 1
+    with open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))) as reader:
+        out = reader.next_packet()
+        assert isinstance(out, SkippedRecord)
+        assert out.reason == "non-ip"
+        assert reader.skipped["non-ip"] == 1
 
 
 def test_raw_ip_linktype(tmp_path):
     packet = pb.ipv4("192.168.1.1", "192.168.1.2", 17, pb.udp(1111, 53, b"q"))
     path = write(tmp_path, pb.pcap([pb.record(0, packet)], linktype=pb.LINKTYPE_RAW_IP))
-    pkt = open_capture(path).next_packet()
+    pkt = first_packet(path)
     assert pkt.src_addr == "192.168.1.1"
     assert pkt.proto == "udp"
 
@@ -224,7 +236,7 @@ def test_ipv6_tcp(tmp_path):
         pb.ipv6("2001:db8::1", "2001:db8::2", 6, seg, hop_limit=57, traffic_class=0x20),
         pb.ETHERTYPE_IPV6,
     )
-    pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
+    pkt = first_packet(write(tmp_path, pb.pcap([pb.record(0, frame)])))
     assert pkt.src_addr == "2001:db8::1"
     assert pkt.proto == "tcp"
     assert pkt.tcp_flags == pb.SYN | pb.ACK
@@ -240,7 +252,7 @@ def test_ipv6_extension_header_walk(tmp_path):
         pb.ipv6("2001:db8::1", "2001:db8::2", 17, seg, ext_headers=[(0, b"\x00" * 4)]),
         pb.ETHERTYPE_IPV6,
     )
-    pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
+    pkt = first_packet(write(tmp_path, pb.pcap([pb.record(0, frame)])))
     assert isinstance(pkt, DecodedPacket)
     assert pkt.proto == "udp"
     assert pkt.src_port == 53
@@ -251,7 +263,7 @@ def test_ipv6_fragment(tmp_path):
     frag = struct.pack("!BBHI", 17, 0, (100 << 3), 1)
     inner = pb.ipv6("2001:db8::1", "2001:db8::2", 44, frag + b"\xaa" * 16)
     frame = pb.ethernet(inner, pb.ETHERTYPE_IPV6)
-    pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
+    pkt = first_packet(write(tmp_path, pb.pcap([pb.record(0, frame)])))
     assert isinstance(pkt, DecodedPacket)
     assert pkt.is_fragment
     assert (pkt.src_port, pkt.dst_port) == (0, 0)
@@ -284,7 +296,7 @@ def test_tcp_later_fragment_has_no_flags(tmp_path):
         pb.ipv4("10.0.0.1", "10.0.0.2", 6, b"\xbb" * 30, flags_frag=185),
         pb.ETHERTYPE_IPV4,
     )
-    pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
+    pkt = first_packet(write(tmp_path, pb.pcap([pb.record(0, frame)])))
     assert pkt.is_fragment and pkt.proto == "tcp"
     assert pkt.tcp_flags == 0
 
@@ -321,7 +333,7 @@ def test_address_text_is_ipaddress_text(tmp_path, address, text):
     data = pb.pcap([pb.record(0, address_frame(address, peer)),
                     pb.record(1, address_frame(peer, address))],
                    linktype=pb.LINKTYPE_RAW_IP)
-    out, back = list(open_capture(write(tmp_path, data)))
+    out, back = decoded(write(tmp_path, data))
     assert (out.src_addr, back.dst_addr) == (text, text)
 
 
@@ -337,7 +349,7 @@ def test_more_addresses_than_the_cache_holds(tmp_path):
         [pb.record(i, address_frame(src, dst)) for i, (src, dst) in enumerate(endpoints)],
         linktype=pb.LINKTYPE_RAW_IP))
     for _ in range(2):  # the second pass decodes addresses evicted in the first
-        packets = list(open_capture(path))
+        packets = decoded(path)
         assert [(p.src_addr, p.dst_addr) for p in packets] == expected
         info = address_text.cache_info()
         assert info.currsize <= info.maxsize == 4096
@@ -351,7 +363,7 @@ def test_ipv4_later_fragment_has_zero_ports(tmp_path):
         pb.ipv4("10.0.0.1", "10.0.0.2", 17, b"\xbb" * 30, flags_frag=185),
         pb.ETHERTYPE_IPV4,
     )
-    pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
+    pkt = first_packet(write(tmp_path, pb.pcap([pb.record(0, frame)])))
     assert pkt.is_fragment
     assert (pkt.src_port, pkt.dst_port) == (0, 0)
     assert pkt.proto == "udp"
@@ -359,7 +371,7 @@ def test_ipv4_later_fragment_has_zero_ports(tmp_path):
 
 def test_icmp_echo_decode(tmp_path):
     frame = pb.icmp4_frame("10.0.0.1", "10.0.0.9", 8, 0, payload=b"ping")
-    pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
+    pkt = first_packet(write(tmp_path, pb.pcap([pb.record(0, frame)])))
     assert pkt.proto == "icmp"
     assert (pkt.src_port, pkt.dst_port) == (8, 0)
     assert pkt.tcp_flags is None
@@ -368,14 +380,14 @@ def test_icmp_echo_decode(tmp_path):
 def test_icmpv6_maps_to_icmp(tmp_path):
     body = struct.pack("!BBH", 128, 0, 0) + b"\x00" * 4
     frame = pb.ethernet(pb.ipv6("2001:db8::1", "2001:db8::2", 58, body), pb.ETHERTYPE_IPV6)
-    pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
+    pkt = first_packet(write(tmp_path, pb.pcap([pb.record(0, frame)])))
     assert pkt.proto == "icmp"
     assert (pkt.src_port, pkt.dst_port) == (128, 0)
 
 
 def test_other_protocol_named_by_number(tmp_path):
     frame = pb.ethernet(pb.ipv4("10.0.0.1", "10.0.0.2", 47, b"\x00" * 8), pb.ETHERTYPE_IPV4)
-    pkt = open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))).next_packet()
+    pkt = first_packet(write(tmp_path, pb.pcap([pb.record(0, frame)])))
     assert pkt.proto == "47"
     assert (pkt.src_port, pkt.dst_port) == (0, 0)
     assert pkt.tcp_flags is None
@@ -388,12 +400,12 @@ def test_truncated_record_aborts_with_index(tmp_path):
     good = pb.record(0, syn_frame_54())
     bad = struct.pack("<IIII", 1, 0, 100, 100) + b"\x00" * 20
     path = write(tmp_path, pb.pcap([good, bad]))
-    reader = open_capture(path)
-    assert isinstance(reader.next_packet(), DecodedPacket)
-    with pytest.raises(TruncatedRecord) as err:
-        reader.next_packet()
-    assert err.value.record_index == 1
-    assert str(err.value) == f"{path}: record 1 truncated at end of file"
+    with open_capture(path) as reader:
+        assert isinstance(reader.next_packet(), DecodedPacket)
+        with pytest.raises(TruncatedRecord) as err:
+            reader.next_packet()
+        assert err.value.record_index == 1
+        assert str(err.value) == f"{path}: record 1 truncated at end of file"
 
 
 class ReadSizes(io.BytesIO):
@@ -440,20 +452,20 @@ def test_prefix_cut_at_record_boundary_is_fine(tmp_path):
     recs = [pb.record(i, syn_frame_54()) for i in range(3)]
     data = pb.pcap(recs)
     prefix = data[: 24 + 2 * (16 + 54)]
-    reader = open_capture(write(tmp_path, prefix))
-    out = list(reader)
-    assert len(out) == 2
+    with open_capture(write(tmp_path, prefix)) as reader:
+        out = list(reader)
+        assert len(out) == 2
 
 
 def test_truncated_transport_is_skipped_not_fatal(tmp_path):
     frame = pb.tcp4_frame("10.0.0.1", "10.0.0.2", 1, 2, pb.SYN)
     cut = frame[: 14 + 20 + 10]  # TCP header cut short
-    reader = open_capture(write(tmp_path, pb.pcap([pb.record(0, cut), pb.record(1, syn_frame_54())])))
-    first = reader.next_packet()
-    assert isinstance(first, SkippedRecord)
-    assert first.reason == "truncated-frame"
-    second = reader.next_packet()
-    assert isinstance(second, DecodedPacket)
+    with open_capture(write(tmp_path, pb.pcap([pb.record(0, cut), pb.record(1, syn_frame_54())]))) as reader:
+        first = reader.next_packet()
+        assert isinstance(first, SkippedRecord)
+        assert first.reason == "truncated-frame"
+        second = reader.next_packet()
+        assert isinstance(second, DecodedPacket)
 
 
 def test_totality_decoded_plus_skipped_equals_records(tmp_path):
@@ -462,20 +474,20 @@ def test_totality_decoded_plus_skipped_equals_records(tmp_path):
         pb.record(1, pb.ethernet(b"\x00" * 28, 0x0806)),
         pb.record(2, pb.udp4_frame("1.1.1.1", "2.2.2.2", 5, 6)),
     ]
-    reader = open_capture(write(tmp_path, pb.pcap(recs)))
-    decoded = skipped = 0
-    while True:
-        item = reader.next_packet()
-        if item is None:
-            break
-        if isinstance(item, DecodedPacket):
-            decoded += 1
-        else:
-            skipped += 1
-    assert decoded + skipped == reader.record_index == 3
+    with open_capture(write(tmp_path, pb.pcap(recs))) as reader:
+        decoded = skipped = 0
+        while True:
+            item = reader.next_packet()
+            if item is None:
+                break
+            if isinstance(item, DecodedPacket):
+                decoded += 1
+            else:
+                skipped += 1
+        assert decoded + skipped == reader.record_index == 3
 
 
 def test_decode_twice_is_identical(tmp_path):
     recs = [pb.record(i * 1000, pb.udp4_frame("1.1.1.1", "2.2.2.2", 5, 6, payload=bytes([i]))) for i in range(10)]
     path = write(tmp_path, pb.pcap(recs))
-    assert list(open_capture(path)) == list(open_capture(path))
+    assert decoded(path) == decoded(path)
