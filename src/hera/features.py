@@ -7,26 +7,28 @@ selection says. Ssaddr and Sdaddr are the two features computed across
 flows (windowed connection counts); everything else derives from a
 single record. Undefined values are empty cells, never zero.
 
-A statistic that exists once per side (`sbytes`/`dbytes`, ...) is
-declared once, in a `_sides(...)` call inside `CATALOG`, with a
-`{side}` description template; `_sides` expands it into the source
-entry and then the destination entry. The TCP flag counts are built
-the same way by `_flag_count_features`. Every cell function takes the
-record, its source's and its destination's `EndpointStats`, and the
-`RowContext`.
+A cell is declared as a value kind plus a Python expression (see
+`Feature`); the kind's template in `kernels.TO_TEXT` turns the value
+into the cell's text. A statistic that exists once per side
+(`sbytes`/`dbytes`, ...) is declared once, in a `_sides(...)` call
+inside `CATALOG`, with `{side}` and `{e}` slots; `_sides` expands it
+into the source entry and then the destination entry. The TCP flag
+counts are built the same way by `_flag_count_features`.
+
+Each selection of features is one function, generated from its cells'
+declarations on first use and cached: it computes the values the cells
+share once and returns the row as one list display.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
-from typing import Callable
+from math import sqrt
 
 from .errors import UnknownFeature
-from .flows import FLAG_TEXT, EndpointStats, FlowRecord, opt_max, opt_min
-from .timefmt import optional_text as _i, us_to_text
+from .flows import FLAG_TEXT, FlowRecord, opt_max, opt_min
+from .kernels import TO_TEXT, compile_kernel
 
 # Well-known ports for the service feature. The lookup key is the lower
 # of the two ports, so the ephemeral side never hides the service.
@@ -102,87 +104,25 @@ class Feature:
     group: str
     unit: str
     description: str
-    # value(record, source's EndpointStats, destination's EndpointStats, context)
-    value: Callable[[FlowRecord, EndpointStats, EndpointStats, RowContext], str]
-
-
-# -- cell formatting helpers ------------------------------------------
-
-
-def _f(x) -> str:
-    return "" if x is None else f"{x:.6f}"
-
-
-def _mean(total, n):
-    return total / n if n > 0 else None
-
-
-def _std(sumsq, total, n):
-    if n <= 0:
-        return None
-    var = sumsq / n - (total / n) ** 2
-    return math.sqrt(max(var, 0.0))
-
-
-def _var(sumsq, total, n):
-    if n <= 0:
-        return None
-    return max(sumsq / n - (total / n) ** 2, 0.0)
-
-
-def _mean_us(sum_us, n):
-    return sum_us / n / 1e6 if n > 0 else None
-
-
-def _std_us(sumsq, sum_us, n):
-    std = _std(sumsq, sum_us, n)
-    return None if std is None else std / 1e6
-
-
-def _per_second(count, dur_us):
-    return count * 1e6 / dur_us if dur_us > 0 else None
-
-
-def _span_us(stats):
-    # no packets, a management record's, or a record read without one of them
-    if stats.first_ts_us is None or stats.last_ts_us is None:
-        return None
-    return stats.last_ts_us - stats.first_ts_us
-
-
-def _tcprtt_us(rec):
-    if rec.synack_us is None or rec.ackdat_us is None:
-        return None
-    return rec.synack_us + rec.ackdat_us
-
-
-def _sm_ips_ports(rec, src, dst, ctx):
-    if rec.is_management:
-        return ""
-    same = rec.saddr == rec.daddr and rec.sport == rec.dport
-    return "1" if same else "0"
+    kind: str  # a key of kernels.TO_TEXT
+    # An expression over the record `r`, its source's and destination's
+    # EndpointStats `s` and `d`, the RowContext `c`, and the row's shared
+    # `n` (packets), `dur` (ltime_us - stime_us) and `tcp` (a TCP record).
+    value: str
 
 
 _F = Feature
 
 
-def _source(value):
-    return lambda r, s, d, c: value(s, r)
-
-
-def _destination(value):
-    return lambda r, s, d, c: value(d, r)
-
-
 def _sides(*stats) -> tuple[Feature, ...]:
     """The catalog entries of per-side statistics: every source entry,
     then every destination entry. Each statistic is (name without its
-    s/d prefix, group, unit, description with a {side} slot, value),
-    where value(one side's EndpointStats, record) renders its cell."""
+    s/d prefix, group, unit, description with a {side} slot, kind, value
+    with an {e} slot for its side's EndpointStats)."""
     return tuple(
-        _F(prefix + name, group, unit, description.format(side=side), cell(value))
-        for prefix, side, cell in (("s", "source", _source), ("d", "destination", _destination))
-        for name, group, unit, description, value in stats
+        _F(prefix + name, group, unit, description.format(side=side), kind, value.format(e=e))
+        for prefix, side, e in (("s", "source", "s"), ("d", "destination", "d"))
+        for name, group, unit, description, kind, value in stats
     )
 
 
@@ -192,181 +132,164 @@ def _flag_count_features() -> tuple[Feature, ...]:
     FIN SYN RST PSH ACK URG order."""
     both, per_side = [], []
     for flag in ("fin", "syn", "rst", "psh", "ack", "urg"):
-        get = attrgetter(flag + "_cnt")
         name, upper = flag + "cnt", flag.upper()
-        both.append(_F(name, "flags", "", f"{upper} packets, both directions",
-                       lambda r, s, d, c, get=get:
-                       str(get(s) + get(d)) if r.key.proto == "tcp" else ""))
-        per_side.append((name, "flags", "", "{side} " + upper + " packets",
-                         lambda e, r, get=get: str(get(e)) if r.key.proto == "tcp" else ""))
+        both.append(_F(name, "flags", "", f"{upper} packets, both directions", "oint",
+                       f"s.{flag}_cnt + d.{flag}_cnt if tcp else None"))
+        per_side.append((name, "flags", "", "{side} " + upper + " packets", "oint",
+                         "{e}." + flag + "_cnt if tcp else None"))
     return (*both, *_sides(*per_side))
 
+
+# Slots for the catalog's values: statistics of {n} values of sum {total}
+# and sum of squares {sumsq}, None unless {n} > 0 (_US: us to seconds),
+# and a {count} per second of `dur`, None unless it is positive.
+_MEAN = "{total} / {n} if {n} > 0 else None"
+_MEAN_US = "{total} / {n} / 1e6 if {n} > 0 else None"
+_VAR = "max({sumsq} / {n} - ({total} / {n}) ** 2, 0.0) if {n} > 0 else None"
+_STD = "sqrt(max({sumsq} / {n} - ({total} / {n}) ** 2, 0.0)) if {n} > 0 else None"
+_STD_US = "sqrt(max({sumsq} / {n} - ({total} / {n}) ** 2, 0.0)) / 1e6 if {n} > 0 else None"
+_PER_SECOND = "{count} * 1e6 / dur if dur > 0 else None"
 
 # The 130 catalog entries, in normative column order. The first 22 are
 # the default preset. Each per-side statistic is declared once, in a
 # _sides(...) call at the position of its source entry.
 CATALOG: tuple[Feature, ...] = (
-    _F("FlowID", "identity", "", "daddr-saddr-dport-sport-proto",
-       lambda r, s, d, c: flow_id(r)),
-    _F("rank", "identity", "", "dense output row index starting at 0",
-       lambda r, s, d, c: str(c.rank)),
-    _F("stime", "time", "s", "first packet time, epoch seconds",
-       lambda r, s, d, c: us_to_text(r.stime_us)),
-    _F("ltime", "time", "s", "last packet time, epoch seconds",
-       lambda r, s, d, c: us_to_text(r.ltime_us)),
-    _F("sport", "identity", "", "source port (ICMP type for icmp)",
-       lambda r, s, d, c: str(r.sport)),
-    _F("dport", "identity", "", "destination port (ICMP code for icmp)",
-       lambda r, s, d, c: str(r.dport)),
-    _F("saddr", "identity", "", "source address (flow initiator)",
-       lambda r, s, d, c: r.saddr),
-    _F("daddr", "identity", "", "destination address",
-       lambda r, s, d, c: r.daddr),
-    _F("proto", "identity", "", "transport protocol, lowercase",
-       lambda r, s, d, c: r.key.proto),
-    _F("bytes", "volume", "B", "total IP bytes both directions",
-       lambda r, s, d, c: str(s.bytes + d.bytes)),
-    *_sides(("bytes", "volume", "B", "IP bytes sent by the {side}",
-             lambda e, r: str(e.bytes))),
-    _F("pkts", "volume", "", "total packets both directions",
-       lambda r, s, d, c: str(s.pkts + d.pkts)),
-    *_sides(("pkts", "volume", "", "packets sent by the {side}",
-             lambda e, r: str(e.pkts))),
-    _F("dur", "time", "s", "ltime minus stime",
-       lambda r, s, d, c: us_to_text(r.dur_us)),
-    _F("runtime", "time", "s", "active runtime; sum of merged durations",
-       lambda r, s, d, c: us_to_text(r.runtime_us)),
-    _F("idle", "time", "s", "time since last packet when record retired",
-       lambda r, s, d, c: us_to_text(r.idle_us)),
-    _F("flgs", "state", "", f"union of TCP flags seen, {FLAG_TEXT[-1]} order",
-       lambda r, s, d, c: FLAG_TEXT[r.flgs]),
-    _F("tcpopt", "state", "", "TCP connection state (REQ/CON/FIN/RST)",
-       lambda r, s, d, c: _i(r.tcp_state)),
+    _F("FlowID", "identity", "", "daddr-saddr-dport-sport-proto", "text", "flow_id(r)"),
+    _F("rank", "identity", "", "dense output row index starting at 0", "int", "c.rank"),
+    _F("stime", "time", "s", "first packet time, epoch seconds", "time", "r.stime_us"),
+    _F("ltime", "time", "s", "last packet time, epoch seconds", "time", "r.ltime_us"),
+    _F("sport", "identity", "", "source port (ICMP type for icmp)", "int", "r.sport"),
+    _F("dport", "identity", "", "destination port (ICMP code for icmp)", "int", "r.dport"),
+    _F("saddr", "identity", "", "source address (flow initiator)", "text", "r.saddr"),
+    _F("daddr", "identity", "", "destination address", "text", "r.daddr"),
+    _F("proto", "identity", "", "transport protocol, lowercase", "text", "r.key.proto"),
+    _F("bytes", "volume", "B", "total IP bytes both directions", "int", "s.bytes + d.bytes"),
+    *_sides(("bytes", "volume", "B", "IP bytes sent by the {side}", "int", "{e}.bytes")),
+    _F("pkts", "volume", "", "total packets both directions", "int", "n"),
+    *_sides(("pkts", "volume", "", "packets sent by the {side}", "int", "{e}.pkts")),
+    _F("dur", "time", "s", "ltime minus stime", "time", "dur"),
+    _F("runtime", "time", "s", "active runtime; sum of merged durations", "time",
+       "r.runtime_us"),
+    _F("idle", "time", "s", "time since last packet when record retired", "time", "r.idle_us"),
+    _F("flgs", "state", "", f"union of TCP flags seen, {FLAG_TEXT[-1]} order", "text",
+       "FLAG_TEXT[r.flgs]"),
+    _F("tcpopt", "state", "", "TCP connection state (REQ/CON/FIN/RST)", "oint", "r.tcp_state"),
     _F("Ssaddr", "window-count", "", "flows with same service and saddr "
-       "in the last-100 window", lambda r, s, d, c: _i(c.ssaddr)),
+       "in the last-100 window", "oint", "c.ssaddr"),
     _F("Sdaddr", "window-count", "", "flows with same service and daddr "
-       "in the last-100 window", lambda r, s, d, c: _i(c.sdaddr)),
+       "in the last-100 window", "oint", "c.sdaddr"),
     # -- end of default preset ---------------------------------------
-    _F("service", "identity", "", "well-known service of the lower port",
-       lambda r, s, d, c: c.service),
-    _F("slice", "meta", "", "slice index within the flow episode",
-       lambda r, s, d, c: str(r.slice_index)),
-    _F("mgmt", "meta", "", "1 for management records",
-       lambda r, s, d, c: "1" if r.is_management else "0"),
-    _F("ipver", "meta", "", "IP version (4 or 6)",
-       lambda r, s, d, c: _i(r.ip_version)),
-    _F("vlanid", "meta", "", "VLAN id if the flow was tagged",
-       lambda r, s, d, c: _i(r.vlan_id)),
+    _F("service", "identity", "", "well-known service of the lower port", "text", "c.service"),
+    _F("slice", "meta", "", "slice index within the flow episode", "int", "r.slice_index"),
+    _F("mgmt", "meta", "", "1 for management records", "text",
+       "'1' if r.is_management else '0'"),
+    _F("ipver", "meta", "", "IP version (4 or 6)", "oint", "r.ip_version"),
+    _F("vlanid", "meta", "", "VLAN id if the flow was tagged", "oint", "r.vlan_id"),
     _F("is_sm_ips_ports", "identity", "", "1 when source and destination "
-       "address and port are equal", _sm_ips_ports),
-    _F("pktratio", "volume", "", "dpkts over spkts",
-       lambda r, s, d, c: _f(d.pkts / s.pkts if s.pkts else None)),
-    _F("bytratio", "volume", "", "dbytes over sbytes",
-       lambda r, s, d, c: _f(d.bytes / s.bytes if s.bytes else None)),
-    *_sides(("maxsz", "size", "B", "largest {side} packet", lambda e, r: _i(e.sz_max)),
-            ("minsz", "size", "B", "smallest {side} packet", lambda e, r: _i(e.sz_min)),
-            ("meansz", "size", "B", "mean {side} packet size",
-             lambda e, r: _f(_mean(e.bytes, e.pkts))),
-            ("stdsz", "size", "B", "std dev of {side} packet sizes",
-             lambda e, r: _f(_std(e.sz_sumsq, e.bytes, e.pkts)))),
-    _F("maxsz", "size", "B", "largest packet either direction",
-       lambda r, s, d, c: _i(opt_max(s.sz_max, d.sz_max))),
-    _F("minsz", "size", "B", "smallest packet either direction",
-       lambda r, s, d, c: _i(opt_min(s.sz_min, d.sz_min))),
-    _F("meansz", "size", "B", "mean packet size both directions",
-       lambda r, s, d, c: _f(_mean(s.bytes + d.bytes, s.pkts + d.pkts))),
-    _F("stdsz", "size", "B", "std dev of packet sizes both directions",
-       lambda r, s, d, c: _f(_std(s.sz_sumsq + d.sz_sumsq, s.bytes + d.bytes, s.pkts + d.pkts))),
-    _F("varsz", "size", "B^2", "variance of packet sizes both directions",
-       lambda r, s, d, c: _f(_var(s.sz_sumsq + d.sz_sumsq, s.bytes + d.bytes, s.pkts + d.pkts))),
-    *_sides(("appbytes", "payload", "B", "payload bytes sent by the {side}",
-             lambda e, r: str(e.appbytes))),
-    _F("appbytes", "payload", "B", "payload bytes both directions",
-       lambda r, s, d, c: str(s.appbytes + d.appbytes)),
-    *_sides(("datapkts", "payload", "", "{side} packets with payload",
-             lambda e, r: str(e.datapkts))),
-    _F("datapkts", "payload", "", "packets with payload, both directions",
-       lambda r, s, d, c: str(s.datapkts + d.datapkts)),
-    *_sides(("meanappsz", "payload", "B", "mean {side} payload per packet",
-             lambda e, r: _f(_mean(e.appbytes, e.pkts)))),
-    _F("meanappsz", "payload", "B", "mean payload per packet, both directions",
-       lambda r, s, d, c: _f(_mean(s.appbytes + d.appbytes, s.pkts + d.pkts))),
-    *_sides(("ttl", "ttl", "", "first {side} TTL seen", lambda e, r: _i(e.ttl_first))),
-    *_sides(("minttl", "ttl", "", "smallest {side} TTL", lambda e, r: _i(e.ttl_min)),
-            ("maxttl", "ttl", "", "largest {side} TTL", lambda e, r: _i(e.ttl_max))),
-    *_sides(("tos", "ttl", "", "first {side} TOS / traffic class",
-             lambda e, r: _i(e.tos_first))),
-    _F("minttl", "ttl", "", "smallest TTL either direction",
-       lambda r, s, d, c: _i(opt_min(s.ttl_min, d.ttl_min))),
-    _F("maxttl", "ttl", "", "largest TTL either direction",
-       lambda r, s, d, c: _i(opt_max(s.ttl_max, d.ttl_max))),
-    *_sides(("win", "tcp", "", "first {side} TCP window", lambda e, r: _i(e.win_first))),
-    *_sides(("tcpb", "tcp", "", "first {side} TCP sequence number",
-             lambda e, r: _i(e.tcpb_first))),
-    _F("synack", "handshake", "s", "SYN to SYN/ACK latency",
-       lambda r, s, d, c: us_to_text(r.synack_us)),
-    _F("ackdat", "handshake", "s", "SYN/ACK to completing ACK latency",
-       lambda r, s, d, c: us_to_text(r.ackdat_us)),
-    _F("tcprtt", "handshake", "s", "handshake round trip: synack + ackdat",
-       lambda r, s, d, c: us_to_text(_tcprtt_us(r))),
-    _F("load", "rate", "bit/s", "IP bits per second, both directions",
-       lambda r, s, d, c: _f(_per_second((s.bytes + d.bytes) * 8, r.dur_us))),
-    *_sides(("load", "rate", "bit/s", "{side} IP bits per second",
-             lambda e, r: _f(_per_second(e.bytes * 8, r.dur_us)))),
-    _F("rate", "rate", "pkt/s", "packets per second, both directions",
-       lambda r, s, d, c: _f(_per_second(s.pkts + d.pkts, r.dur_us))),
-    *_sides(("rate", "rate", "pkt/s", "{side} packets per second",
-             lambda e, r: _f(_per_second(e.pkts, r.dur_us)))),
-    _F("appload", "rate", "bit/s", "payload bits per second, both directions",
-       lambda r, s, d, c: _f(_per_second((s.appbytes + d.appbytes) * 8, r.dur_us))),
-    *_sides(("appload", "rate", "bit/s", "{side} payload bits per second",
-             lambda e, r: _f(_per_second(e.appbytes * 8, r.dur_us)))),
-    _F("intpkt", "iat", "s", "mean inter-arrival time, both directions",
-       lambda r, s, d, c: _f(_mean_us(r.iat_sum_us, max(s.pkts + d.pkts - 1, 0)))),
-    *_sides(("intpkt", "iat", "s", "mean {side} inter-arrival time",
-             lambda e, r: _f(_mean_us(e.iat_sum_us, e.iat_count)))),
-    _F("jit", "iat", "s", "std dev of inter-arrival times, both directions",
-       lambda r, s, d, c: _f(_std_us(r.iat_sumsq, r.iat_sum_us, max(s.pkts + d.pkts - 1, 0)))),
-    *_sides(("jit", "iat", "s", "std dev of {side} inter-arrival times",
-             lambda e, r: _f(_std_us(e.iat_sumsq, e.iat_sum_us, e.iat_count)))),
-    _F("minipt", "iat", "s", "smallest inter-arrival gap, both directions",
-       lambda r, s, d, c: us_to_text(r.iat_min_us)),
-    *_sides(("minipt", "iat", "s", "smallest {side} inter-arrival gap",
-             lambda e, r: us_to_text(e.iat_min_us))),
-    _F("maxipt", "iat", "s", "largest inter-arrival gap, both directions",
-       lambda r, s, d, c: us_to_text(r.iat_max_us)),
-    *_sides(("maxipt", "iat", "s", "largest {side} inter-arrival gap",
-             lambda e, r: us_to_text(e.iat_max_us))),
-    _F("totipt", "iat", "s", "sum of inter-arrival gaps, both directions",
-       lambda r, s, d, c: us_to_text(r.iat_sum_us if s.pkts + d.pkts > 1 else None)),
-    *_sides(("totipt", "iat", "s", "sum of {side} inter-arrival gaps",
-             lambda e, r: us_to_text(e.iat_sum_us if e.iat_count else None))),
+       "address and port are equal", "text", "'' if r.is_management else "
+       "'1' if r.saddr == r.daddr and r.sport == r.dport else '0'"),
+    _F("pktratio", "volume", "", "dpkts over spkts", "float",
+       "d.pkts / s.pkts if s.pkts else None"),
+    _F("bytratio", "volume", "", "dbytes over sbytes", "float",
+       "d.bytes / s.bytes if s.bytes else None"),
+    *_sides(("maxsz", "size", "B", "largest {side} packet", "oint", "{e}.sz_max"),
+            ("minsz", "size", "B", "smallest {side} packet", "oint", "{e}.sz_min"),
+            ("meansz", "size", "B", "mean {side} packet size", "float",
+             _MEAN.format(total="{e}.bytes", n="{e}.pkts")),
+            ("stdsz", "size", "B", "std dev of {side} packet sizes", "float",
+             _STD.format(sumsq="{e}.sz_sumsq", total="{e}.bytes", n="{e}.pkts"))),
+    _F("maxsz", "size", "B", "largest packet either direction", "oint",
+       "opt_max(s.sz_max, d.sz_max)"),
+    _F("minsz", "size", "B", "smallest packet either direction", "oint",
+       "opt_min(s.sz_min, d.sz_min)"),
+    _F("meansz", "size", "B", "mean packet size both directions", "float",
+       _MEAN.format(total="(s.bytes + d.bytes)", n="n")),
+    _F("stdsz", "size", "B", "std dev of packet sizes both directions", "float",
+       _STD.format(sumsq="(s.sz_sumsq + d.sz_sumsq)", total="(s.bytes + d.bytes)", n="n")),
+    _F("varsz", "size", "B^2", "variance of packet sizes both directions", "float",
+       _VAR.format(sumsq="(s.sz_sumsq + d.sz_sumsq)", total="(s.bytes + d.bytes)", n="n")),
+    *_sides(("appbytes", "payload", "B", "payload bytes sent by the {side}", "int",
+             "{e}.appbytes")),
+    _F("appbytes", "payload", "B", "payload bytes both directions", "int",
+       "s.appbytes + d.appbytes"),
+    *_sides(("datapkts", "payload", "", "{side} packets with payload", "int", "{e}.datapkts")),
+    _F("datapkts", "payload", "", "packets with payload, both directions", "int",
+       "s.datapkts + d.datapkts"),
+    *_sides(("meanappsz", "payload", "B", "mean {side} payload per packet", "float",
+             _MEAN.format(total="{e}.appbytes", n="{e}.pkts"))),
+    _F("meanappsz", "payload", "B", "mean payload per packet, both directions", "float",
+       _MEAN.format(total="(s.appbytes + d.appbytes)", n="n")),
+    *_sides(("ttl", "ttl", "", "first {side} TTL seen", "oint", "{e}.ttl_first")),
+    *_sides(("minttl", "ttl", "", "smallest {side} TTL", "oint", "{e}.ttl_min"),
+            ("maxttl", "ttl", "", "largest {side} TTL", "oint", "{e}.ttl_max")),
+    *_sides(("tos", "ttl", "", "first {side} TOS / traffic class", "oint", "{e}.tos_first")),
+    _F("minttl", "ttl", "", "smallest TTL either direction", "oint",
+       "opt_min(s.ttl_min, d.ttl_min)"),
+    _F("maxttl", "ttl", "", "largest TTL either direction", "oint",
+       "opt_max(s.ttl_max, d.ttl_max)"),
+    *_sides(("win", "tcp", "", "first {side} TCP window", "oint", "{e}.win_first")),
+    *_sides(("tcpb", "tcp", "", "first {side} TCP sequence number", "oint", "{e}.tcpb_first")),
+    _F("synack", "handshake", "s", "SYN to SYN/ACK latency", "time", "r.synack_us"),
+    _F("ackdat", "handshake", "s", "SYN/ACK to completing ACK latency", "time", "r.ackdat_us"),
+    _F("tcprtt", "handshake", "s", "handshake round trip: synack + ackdat", "time",
+       "None if r.synack_us is None or r.ackdat_us is None else r.synack_us + r.ackdat_us"),
+    _F("load", "rate", "bit/s", "IP bits per second, both directions", "float",
+       _PER_SECOND.format(count="(s.bytes + d.bytes) * 8")),
+    *_sides(("load", "rate", "bit/s", "{side} IP bits per second", "float",
+             _PER_SECOND.format(count="{e}.bytes * 8"))),
+    _F("rate", "rate", "pkt/s", "packets per second, both directions", "float",
+       _PER_SECOND.format(count="n")),
+    *_sides(("rate", "rate", "pkt/s", "{side} packets per second", "float",
+             _PER_SECOND.format(count="{e}.pkts"))),
+    _F("appload", "rate", "bit/s", "payload bits per second, both directions", "float",
+       _PER_SECOND.format(count="(s.appbytes + d.appbytes) * 8")),
+    *_sides(("appload", "rate", "bit/s", "{side} payload bits per second", "float",
+             _PER_SECOND.format(count="{e}.appbytes * 8"))),
+    # A record of n packets has n - 1 inter-arrival gaps, and so has each side.
+    _F("intpkt", "iat", "s", "mean inter-arrival time, both directions", "float",
+       _MEAN_US.format(total="r.iat_sum_us", n="(n - 1)")),
+    *_sides(("intpkt", "iat", "s", "mean {side} inter-arrival time", "float",
+             _MEAN_US.format(total="{e}.iat_sum_us", n="({e}.pkts - 1)"))),
+    _F("jit", "iat", "s", "std dev of inter-arrival times, both directions", "float",
+       _STD_US.format(sumsq="r.iat_sumsq", total="r.iat_sum_us", n="(n - 1)")),
+    *_sides(("jit", "iat", "s", "std dev of {side} inter-arrival times", "float",
+             _STD_US.format(sumsq="{e}.iat_sumsq", total="{e}.iat_sum_us", n="({e}.pkts - 1)"))),
+    _F("minipt", "iat", "s", "smallest inter-arrival gap, both directions", "time",
+       "r.iat_min_us"),
+    *_sides(("minipt", "iat", "s", "smallest {side} inter-arrival gap", "time",
+             "{e}.iat_min_us")),
+    _F("maxipt", "iat", "s", "largest inter-arrival gap, both directions", "time",
+       "r.iat_max_us"),
+    *_sides(("maxipt", "iat", "s", "largest {side} inter-arrival gap", "time",
+             "{e}.iat_max_us")),
+    _F("totipt", "iat", "s", "sum of inter-arrival gaps, both directions", "time",
+       "r.iat_sum_us if n > 1 else None"),
+    *_sides(("totipt", "iat", "s", "sum of {side} inter-arrival gaps", "time",
+             "{e}.iat_sum_us if {e}.pkts > 1 else None")),
     *_flag_count_features(),
-    *_sides(("stime", "direction-time", "s", "first {side} packet time",
-             lambda e, r: us_to_text(e.first_ts_us)),
-            ("ltime", "direction-time", "s", "last {side} packet time",
-             lambda e, r: us_to_text(e.last_ts_us))),
-    *_sides(("dur", "direction-time", "s", "{side} activity span",
-             lambda e, r: us_to_text(_span_us(e)))),
-    *_sides(("minappsz", "payload", "B", "smallest {side} payload", lambda e, r: _i(e.app_min)),
-            ("maxappsz", "payload", "B", "largest {side} payload", lambda e, r: _i(e.app_max))),
-    *_sides(("stdappsz", "payload", "B", "std dev of {side} payloads",
-             lambda e, r: _f(_std(e.app_sumsq, e.appbytes, e.pkts)))),
-    _F("minappsz", "payload", "B", "smallest payload either direction",
-       lambda r, s, d, c: _i(opt_min(s.app_min, d.app_min))),
-    _F("maxappsz", "payload", "B", "largest payload either direction",
-       lambda r, s, d, c: _i(opt_max(s.app_max, d.app_max))),
-    _F("stdappsz", "payload", "B", "std dev of payloads both directions",
-       lambda r, s, d, c: _f(_std(s.app_sumsq + d.app_sumsq,
-                                  s.appbytes + d.appbytes, s.pkts + d.pkts))),
-    _F("flows", "management", "", "flow episodes begun in a management window",
-       lambda r, s, d, c: _i(r.flows)),
-    _F("seq", "meta", "", "record position in the flow file",
-       lambda r, s, d, c: _i(r.seq)),
-    _F("trans", "cluster", "", "records merged into this row",
-       lambda r, s, d, c: str(r.trans)),
-    _F("fragcnt", "meta", "", "non-first IP fragments in the flow",
-       lambda r, s, d, c: str(r.frag_count)),
+    *_sides(("stime", "direction-time", "s", "first {side} packet time", "time",
+             "{e}.first_ts_us"),
+            ("ltime", "direction-time", "s", "last {side} packet time", "time",
+             "{e}.last_ts_us")),
+    *_sides(("dur", "direction-time", "s", "{side} activity span", "time",
+             "None if {e}.first_ts_us is None or {e}.last_ts_us is None "
+             "else {e}.last_ts_us - {e}.first_ts_us")),
+    *_sides(("minappsz", "payload", "B", "smallest {side} payload", "oint", "{e}.app_min"),
+            ("maxappsz", "payload", "B", "largest {side} payload", "oint", "{e}.app_max")),
+    *_sides(("stdappsz", "payload", "B", "std dev of {side} payloads", "float",
+             _STD.format(sumsq="{e}.app_sumsq", total="{e}.appbytes", n="{e}.pkts"))),
+    _F("minappsz", "payload", "B", "smallest payload either direction", "oint",
+       "opt_min(s.app_min, d.app_min)"),
+    _F("maxappsz", "payload", "B", "largest payload either direction", "oint",
+       "opt_max(s.app_max, d.app_max)"),
+    _F("stdappsz", "payload", "B", "std dev of payloads both directions", "float",
+       _STD.format(sumsq="(s.app_sumsq + d.app_sumsq)", total="(s.appbytes + d.appbytes)",
+                   n="n")),
+    _F("flows", "management", "", "flow episodes begun in a management window", "oint",
+       "r.flows"),
+    _F("seq", "meta", "", "record position in the flow file", "oint", "r.seq"),
+    _F("trans", "cluster", "", "records merged into this row", "int", "r.trans"),
+    _F("fragcnt", "meta", "", "non-first IP fragments in the flow", "int", "r.frag_count"),
 )
 
 _BY_NAME = {feature.name: feature for feature in CATALOG}
@@ -432,14 +355,23 @@ def select_feature_set(selection) -> list[str]:
 
 
 @lru_cache(maxsize=32)
-def _cells(feature_names: tuple[str, ...]) -> tuple[Callable, ...]:
-    """The cell functions of a selection, looked up once per selection."""
-    return tuple(_BY_NAME[name].value for name in feature_names)
+def _row_kernel(feature_names: tuple[str, ...]):
+    """The function (record, RowContext) -> row of a selection of
+    catalog names: one list display of the selected cells, each its
+    kind's template around its value, after the shared values."""
+    cells = "".join(f"        {TO_TEXT[feature.kind].replace('$', feature.value)},\n"
+                    for feature in map(_BY_NAME.__getitem__, feature_names))
+    source = ("def kernel(r, c):\n"
+              "    s, d = r.src, r.dst\n"
+              "    n, dur, tcp = s.pkts + d.pkts, r.ltime_us - r.stime_us, r.key.proto == 'tcp'\n"
+              f"    return [\n{cells}    ]\n")
+    namespace = {"FLAG_TEXT": FLAG_TEXT, "flow_id": flow_id, "opt_max": opt_max,
+                 "opt_min": opt_min, "sqrt": sqrt}
+    return compile_kernel("row", source, namespace)
 
 
 def compute_row(rec: FlowRecord, feature_names, ctx: RowContext) -> list[str]:
-    src, dst = rec.src, rec.dst
-    return [cell(rec, src, dst, ctx) for cell in _cells(tuple(feature_names))]
+    return _row_kernel(tuple(feature_names))(rec, ctx)
 
 
 def catalog_table() -> list[list[str]]:

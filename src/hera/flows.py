@@ -206,10 +206,6 @@ class EndpointStats:
             self.first_ts_us = opt_min(self.first_ts_us, other.first_ts_us)
             self.last_ts_us = opt_max(self.last_ts_us, other.last_ts_us)
 
-    @property
-    def iat_count(self) -> int:
-        return max(self.pkts - 1, 0)
-
 
 def opt_min(x, y):
     """min() where None means never observed."""

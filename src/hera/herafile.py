@@ -14,13 +14,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field, fields
 from functools import cache
-from itertools import groupby
-from operator import attrgetter, itemgetter
 from typing import Callable
 
 from .errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion, not_utf8
 from .flows import FLAG_TEXT, FLAG_VALUES, EndpointStats, ExportConfig, FlowRecord, canonical_key
-from .timefmt import WRITTEN_INT, WRITTEN_TIME, optional_text, text_to_int, text_to_us, us_to_text
+from .kernels import TO_TEXT, compile_kernel
+from .timefmt import WRITTEN_INT, WRITTEN_TIME, text_to_int, text_to_us, us_to_text
 
 MAGIC_PREFIX = "#HERA "
 VERSION_TOKEN = "v1"
@@ -47,22 +46,26 @@ def _flags_from_text(text: str) -> int:
 
 # Each value kind's converters, in the order of the "Value kinds" table
 # of docs/hera-format.md: (to-text, from-text, written pattern, written
-# from-text). The written pattern matches exactly the text to-text can
-# write, and the written from-text reads a text that matched it: a time
-# as the integer its digits spell without the dot, flags as each of their
-# letters, optional, in FLAG_TEXT's order (that of the value with all six).
-KIND_CONVERTERS: dict[str, tuple[Callable, Callable, str, Callable]] = {
-    "int": (str, text_to_int, WRITTEN_INT, int),
-    "oint": (optional_text, _optional(text_to_int), f"(?:{WRITTEN_INT})?",
-             lambda text: int(text) if text else None),
-    "str": (str, str, "[^ ]*", str),
-    "ostr": (optional_text, _optional(str), "[^ ]*", lambda text: text or None),
-    "time": (us_to_text, text_to_us, WRITTEN_TIME, lambda text: int(text.replace(".", ""))),
-    "otime": (us_to_text, _optional(text_to_us), f"(?:{WRITTEN_TIME})?",
-              lambda text: int(text.replace(".", "")) if text else None),
-    "bool": (lambda value: "1" if value else "0", _bool_from_text, "[01]", "1".__eq__),
-    "flags": (FLAG_TEXT.__getitem__, _flags_from_text,
-              "".join(letter + "?" for letter in FLAG_TEXT[-1]), FLAG_VALUES.__getitem__),
+# from-text). To-text and written from-text are the kernels' expression
+# templates, `$` standing for the value's or the text's expression; an
+# optional text takes the optional-int template. The written pattern
+# matches exactly the text to-text can write, and the written from-text
+# reads a text that matched it: a time as the integer its digits spell
+# without the dot, flags as each of their letters, optional, in
+# FLAG_TEXT's order (that of the value with all six). The strict
+# from-text callables serve the general reader.
+KIND_CONVERTERS: dict[str, tuple[str, Callable, str, str]] = {
+    "int": (TO_TEXT["int"], text_to_int, WRITTEN_INT, "int($)"),
+    "oint": (TO_TEXT["oint"], _optional(text_to_int), f"(?:{WRITTEN_INT})?",
+             "int($) if $ else None"),
+    "str": (TO_TEXT["text"], str, "[^ ]*", "$"),
+    "ostr": (TO_TEXT["oint"], _optional(str), "[^ ]*", "$ or None"),
+    "time": (TO_TEXT["time"], text_to_us, WRITTEN_TIME, "int($.replace('.', ''))"),
+    "otime": (TO_TEXT["time"], _optional(text_to_us), f"(?:{WRITTEN_TIME})?",
+              "int($.replace('.', '')) if $ else None"),
+    "bool": ("'1' if $ else '0'", _bool_from_text, "[01]", "$ == '1'"),
+    "flags": ("FLAG_TEXT[$]", _flags_from_text,
+              "".join(letter + "?" for letter in FLAG_TEXT[-1]), "FLAG_VALUES[$]"),
 }
 
 # (name suffix, value kind, EndpointStats attribute) of the statistics
@@ -146,30 +149,8 @@ def record_field_names() -> list[str]:
     return list(_NAMES)
 
 
-def _owner_indexes(owner: str) -> list[int]:
-    """The positions in the line of one owner's fields."""
-    return [i for i, (_, _, field_owner, _) in enumerate(_LINE) if field_owner == owner]
-
-
-# Each field's converters, in line order, and its "name=" with its
-# to-text converter, which the writer reads.
+# Each field's converters, in line order.
 _CONVERTERS = tuple(KIND_CONVERTERS[kind] for _, kind, *_ in _LINE)
-_TO_TEXT = tuple((name + "=", to_text) for name, (to_text, *_) in zip(_NAMES, _CONVERTERS))
-
-# Each run of consecutive fields with one owner: (owner, a getter of the
-# run's attributes). Every run has several fields, so the getter returns
-# a tuple.
-_OWNER_RUNS = tuple((owner, attrgetter(*[attr for *_, attr in run]))
-                    for owner, run in groupby(_LINE, key=itemgetter(2)))
-
-# A record is built from its values in line order. The key's and each
-# side's fields are consecutive, so their values are sliced out and passed
-# by position (EndpointStats declares its fields in _SIDE_FIELDS' order);
-# the record's are passed by attribute name.
-_KEY_SLICE, _SRC_SLICE, _DST_SLICE = (
-    slice(indexes[0], indexes[-1] + 1) for indexes in map(_owner_indexes, ("key", "src", "dst")))
-_RECORD_VALUES = itemgetter(*_owner_indexes("record"))
-_RECORD_ATTRS = tuple(_LINE[i][3] for i in _owner_indexes("record"))
 
 # The value of each field a line may leave out: its attribute's dataclass
 # default. The required fields take none.
@@ -180,34 +161,26 @@ _DEFAULTS = tuple((_RECORD_DEFAULTS if owner == "record" else _SIDE_DEFAULTS).ge
 
 
 @cache
-def _written_line() -> re.Pattern:
-    """The pattern of a line in the form format_record writes: every field
-    of _LINE in order, each value in its kind's written form, one group
-    per field. Compiled on first read, so that writing never pays for it."""
-    non_empty = {"saddr": "[^ ]+", "daddr": "[^ ]+"}  # a missing field when empty
-    return re.compile(" ".join(
-        f"{name}=({non_empty.get(name) or KIND_CONVERTERS[kind][2]})"
-        for name, kind, *_ in _LINE))
+def _writer():
+    """The function record -> its line without unknown fields: one
+    f-string, a literal per field of _LINE, each value in its kind's
+    to-text template."""
+    owner_names = {"key": "rec.", "record": "rec.", "src": "s.", "dst": "d."}
+    literals = []
+    for name, kind, owner, attr in _LINE:
+        value = KIND_CONVERTERS[kind][0].replace("$", owner_names[owner] + attr)
+        separator = " " if literals else ""
+        literals.append(f'        f"{separator}{name}={{{value}}}"\n')
+    source = ("def kernel(rec):\n    s = rec.src\n    d = rec.dst\n"
+              f"    return (\n{''.join(literals)}    )\n")
+    return compile_kernel("format_record", source, {"FLAG_TEXT": FLAG_TEXT})
 
 
 def format_record(rec: FlowRecord) -> str:
-    owners = {"key": rec, "record": rec, "src": rec.src, "dst": rec.dst}
-    values = []
-    for owner, get in _OWNER_RUNS:
-        values += get(owners[owner])
-    parts = [prefix + to_text(value) for (prefix, to_text), value in zip(_TO_TEXT, values)]
-    parts += [f"{name}={value}" for name, value in rec.extra.items()]
-    return " ".join(parts)
-
-
-def _record(values: list, extra: dict[str, str]) -> FlowRecord:
-    """The record of a line's values, given in line order."""
-    key, initiator = canonical_key(*values[_KEY_SLICE])
-    src = EndpointStats(*values[_SRC_SLICE])
-    dst = EndpointStats(*values[_DST_SLICE])
-    a, b = (src, dst) if initiator == "a" else (dst, src)
-    return FlowRecord(key=key, initiator=initiator, a=a, b=b, extra=extra,
-                      **dict(zip(_RECORD_ATTRS, _RECORD_VALUES(values))))
+    line = _writer()(rec)
+    if rec.extra:
+        line += "".join(f" {name}={value}" for name, value in rec.extra.items())
+    return line
 
 
 def parse_record(line: str, line_number: int) -> FlowRecord:
@@ -221,15 +194,65 @@ def _parse_written(line: str) -> FlowRecord | None:
     """The record of a line in written form, or None for any other line.
     A value int() refuses (more digits than its limit) is left to the
     general reader, which reports it."""
-    match = _written_line().fullmatch(line)
-    if match is None:
-        return None
-    try:
-        values = [from_text(text)
-                  for (_, _, _, from_text), text in zip(_CONVERTERS, match.groups())]
+    return _written_line()(line)
+
+
+# A reader kernel. Its head puts each field's text or value into a local
+# named after the field; each local goes through its kind's template, and
+# the key, both EndpointStats and the record are built by position.
+_READER = """\
+def kernel({parameters}):
+{head}    try:
+        src = EndpointStats({src})
+        dst = EndpointStats({dst})
+        key, initiator = canonical_key({key})
+        a, b = (src, dst) if initiator == 'a' else (dst, src)
+        return FlowRecord({record}, extra={extra})
     except ValueError:
         return None
-    return _record(values, {})
+"""
+
+
+def _compile_reader(label: str, parameters: str, head: str, extra: str, template, namespace):
+    """The reader kernel whose locals go through template(kind)."""
+    value = {(owner, attr): template(kind).replace("$", name) for name, kind, owner, attr in _LINE}
+    built = {"key": "key", "initiator": "initiator", "a": "a", "b": "b",
+             **{attr: text for (owner, attr), text in value.items() if owner == "record"}}
+    source = _READER.format(
+        parameters=parameters, head=head, extra=extra,
+        src=", ".join(value["src", f.name] for f in fields(EndpointStats)),
+        dst=", ".join(value["dst", f.name] for f in fields(EndpointStats)),
+        key=", ".join(text for (owner, _), text in value.items() if owner == "key"),
+        record=", ".join(built[f.name] for f in fields(FlowRecord)[:len(built)]))
+    namespace.update(EndpointStats=EndpointStats, FlowRecord=FlowRecord,
+                     canonical_key=canonical_key)
+    return compile_kernel(label, source, namespace)
+
+
+@cache
+def _written_line():
+    """The reader of a line in the form format_record writes, behind
+    _parse_written: one pattern has every field of _LINE in order, each
+    value in its kind's written form, one group per field, and each group
+    goes through its kind's written from-text template. Compiled on first
+    read, so that writing never pays for it."""
+    non_empty = {"saddr": "[^ ]+", "daddr": "[^ ]+"}  # a missing field when empty
+    pattern = re.compile(" ".join(
+        f"{name}=({non_empty.get(name) or KIND_CONVERTERS[kind][2]})"
+        for name, kind, *_ in _LINE))
+    head = ("    match = fullmatch(line)\n    if match is None:\n        return None\n"
+            f"    {', '.join(_NAMES)} = match.groups()\n")
+    namespace = {"fullmatch": pattern.fullmatch, "FLAG_VALUES": FLAG_VALUES}
+    return _compile_reader("_parse_written", "line", head, "{}",
+                           lambda kind: KIND_CONVERTERS[kind][3], namespace)
+
+
+@cache
+def _record():
+    """The function (values in line order, unknown fields) -> record of
+    the general reader; its values are converted, so it meets no ValueError."""
+    return _compile_reader("_record", "values, extra", f"    {', '.join(_NAMES)} = values\n",
+                           "extra", lambda kind: "$", {})
 
 
 def _parse_general(line: str, line_number: int) -> FlowRecord:
@@ -254,7 +277,7 @@ def _parse_general(line: str, line_number: int) -> FlowRecord:
                   for name, (_, from_text, _, _), default in zip(_NAMES, _CONVERTERS, _DEFAULTS)]
     except ValueError as exc:
         raise CorruptRecord(line_number, str(exc)) from exc
-    return _record(values, extra)
+    return _record()(values, extra)
 
 
 @dataclass

@@ -10,10 +10,9 @@ source) unless bidirectional matching is switched on.
 Cost model: entries are indexed by the match fields they pin, so a row's
 candidates are the entries whose pinned fields equal its own (or the
 reversed row's, when bidirectional). A bucket of several entries sharing
-those fields is sorted by start time with a running maximum of end
-times, so of a bucket only the entries from the first whose running end
-reaches the row's start to the last that starts by the row's end are
-tested. The first candidate in file order whose window overlaps the
+those fields is sorted by start time under a max-end segment tree, so
+of a bucket only the entries whose window overlaps the row's are found
+and tested. The first candidate in file order whose window overlaps the
 row's wins, as in an all-pairs scan; the cost grows with the candidates,
 not with the ground truth. A parsed `GroundTruth` builds its index once,
 however many datasets it labels.
@@ -27,9 +26,8 @@ from __future__ import annotations
 
 import ipaddress
 import re
-from bisect import bisect_left, bisect_right
 from functools import cached_property
-from itertools import accumulate, chain
+from itertools import chain
 from math import inf
 from operator import itemgetter
 from typing import NamedTuple
@@ -247,12 +245,14 @@ _FULL_SHAPE = (0, 1, 2, 3, 4)
 
 
 class _TimeSorted(NamedTuple):
-    """A bucket of several entries, sorted by start time."""
+    """A bucket of several entries, sorted by start time, with a max-end
+    segment tree over that order."""
 
     starts: tuple  # ascending; an absent start is -inf
-    max_ends: list  # running maximum of the ends; an absent end is +inf
+    # Node i > 0 holds the largest end under it, its children are 2i and
+    # 2i + 1; leaf width + k holds the k-th entry's (+inf when absent).
+    max_ends: list
     by_start: tuple  # the positions, in the order of `starts`
-    in_order: list  # the positions, ascending
 
 
 def _time_sorted(entries, positions) -> _TimeSorted:
@@ -261,17 +261,31 @@ def _time_sorted(entries, positions) -> _TimeSorted:
          inf if entries[p].last_us is None else entries[p].last_us, p)
         for p in positions)
     starts, ends, by_start = zip(*windows)
-    return _TimeSorted(starts, list(accumulate(ends, max)), by_start, positions)
+    width = 1 << (len(ends) - 1).bit_length()
+    tree = [-inf] * width + list(ends) + [-inf] * (width - len(ends))
+    for node in range(width - 1, 0, -1):
+        tree[node] = max(tree[2 * node], tree[2 * node + 1])
+    return _TimeSorted(starts, tree, by_start)
 
 
 def _overlapping(bucket: _TimeSorted, stime_us: int, ltime_us: int) -> list[int]:
-    """Ascending positions of the bucket's entries that start by
-    `ltime_us`, from the first whose running end reaches `stime_us`."""
-    low = bisect_left(bucket.max_ends, stime_us)
-    high = bisect_right(bucket.starts, ltime_us, low)
-    if high - low == len(bucket.in_order):
-        return bucket.in_order
-    return sorted(bucket.by_start[low:high])
+    """Ascending positions of the bucket's entries whose window overlaps
+    [stime_us, ltime_us]. A subtree is entered only when its first entry
+    starts by `ltime_us` and its largest end reaches `stime_us`, so the
+    cost grows with the entries found, not with the bucket."""
+    tree, starts = bucket.max_ends, bucket.starts
+    found = []
+    nodes = [(1, 0, len(tree) // 2)]  # (node, its first leaf's entry, its leaves)
+    while nodes:
+        node, first, leaves = nodes.pop()
+        if tree[node] >= stime_us and starts[first] <= ltime_us:
+            if leaves == 1:
+                found.append(bucket.by_start[first])
+            else:
+                leaves >>= 1
+                nodes += ((2 * node, first, leaves), (2 * node + 1, first + leaves, leaves))
+    found.sort()
+    return found
 
 
 def _index_entries(entries) -> list[tuple[itemgetter, dict]]:

@@ -17,11 +17,6 @@ def text_to_int(text: str) -> int:
     raise ValueError(f"invalid literal for int() with base 10: {text!r}")
 
 
-def optional_text(value) -> str:
-    """str(value), or '' for None."""
-    return "" if value is None else str(value)
-
-
 # The written forms of an integer and of a time, as regular expressions:
 # exactly the texts str() and us_to_text write. `[0-9]`, not `\d`, which
 # also matches digits outside ASCII. The integer the digits of a written

@@ -599,20 +599,26 @@ def test_label_rows_tests_few_entries_per_row(monkeypatch, bidirectional):
 def test_one_tuple_listed_many_times_is_not_quadratic(monkeypatch, bidirectional):
     """One 5-tuple listed n times over disjoint windows in time order, and
     one row inside each window: all-pairs first-match scanning would test
-    n(n+1)/2 entries, the time-sorted bucket at most a few per row."""
+    n(n+1)/2 entries, the time-sorted bucket at most a few per row. Then
+    once more with one window spanning them all, listed last, which must
+    not keep every later entry in reach of every row."""
     n = 4000
+    tuple_fields = dict(proto="tcp", src_addr="10.0.0.1", sport=1234, dst_addr="10.0.0.2",
+                        dport=80)
     entries = [
         entry(label=f"Attack{k % 7}", row_number=k + 2, start_us=10 * k * SEC,
-              last_us=(10 * k + 5) * SEC, proto="tcp", src_addr="10.0.0.1", sport=1234,
-              dst_addr="10.0.0.2", dport=80)
+              last_us=(10 * k + 5) * SEC, **tuple_fields)
         for k in range(n)
     ]
     rows = [row(f"{10 * k + 2}.000000", f"{10 * k + 3}.500000") for k in range(n)]
-    calls = count_match_calls(monkeypatch)
-    labels, summary = label_rows(HDR, rows, entries, bidirectional=bidirectional)
-    assert calls[0] <= 4 * n
-    assert labels == [f"Attack{k % 7}" for k in range(n)]
-    assert summary.malicious == n
+    spanning = entry(label="Span", row_number=n + 2, start_us=0, last_us=10 * n * SEC,
+                     **tuple_fields)
+    for ground_truth in (entries, [*entries, spanning]):
+        calls = count_match_calls(monkeypatch)
+        labels, summary = label_rows(HDR, rows, ground_truth, bidirectional=bidirectional)
+        assert calls[0] <= 4 * n
+        assert labels == [f"Attack{k % 7}" for k in range(n)]
+        assert summary.malicious == n
 
 
 def test_earliest_entry_in_file_order_wins_over_earlier_start():
