@@ -3,9 +3,10 @@
 Four subcommands cover the pipeline: `export` turns PCAPs into .hera
 flow files, `dataset` turns flow files into CSV datasets, `label`
 applies a ground truth to datasets, and `run` chains all three. Each
-stage is one step per file that writes the stage's outputs and returns
-what the next step takes: the stand-alone commands read it back from
-the files, `run` hands it over in memory. A command claims all of its
+stage is one step per file that writes the stage's outputs and hands
+on what the next step takes: the stand-alone commands read it back from
+the files, `run` hands it over in memory, the records whole and the
+dataset rows one at a time. A command claims all of its
 outputs before any work, stages them to temporary files and renames
 them into place only when it succeeds, so a failure leaves nothing
 behind, and nothing is overwritten without --force.
@@ -37,6 +38,7 @@ from .workspace import DEFAULT_BENIGN_LABEL, DEFAULT_COUNT_WINDOW, Settings, loa
 
 if TYPE_CHECKING:
     from .flows import ExportConfig
+    from .labelling import LabelSummary
 
 log = logging.getLogger("hera")
 
@@ -287,9 +289,10 @@ def export_capture(pcap_path, config: ExportConfig, skipped: Counter | None = No
     return header, records, table
 
 
-# -- per-file steps: each writes two outputs, logs one line and returns the
-# next step's input. `name` is the file the step works on; `started` is
-# when it began, before its input was read if it reads one.
+# -- per-file steps: each writes two outputs and logs one line. Export
+# returns the records; rows go from step to step as iterators and are
+# written as they come. `name` is the file the step works on; `started`
+# is when it began, before its input was read if it reads one.
 
 
 def _log_step(step: str, name, started: float, counts: str) -> None:
@@ -312,22 +315,36 @@ def _export_step(pcap, config: ExportConfig, hera_path, stats_path) -> list:
     return records
 
 
-def _dataset_step(name, started, records, options, csv_path, stats_path):
-    from .dataset import build_dataset, write_csv, write_stats
-    header, rows, stats = build_dataset(records, **options)
-    write_csv(csv_path, header, rows)
+def _dataset_step(name, started, records, options, csv_path, stats_path) -> None:
+    from .dataset import dataset_rows, write_csv, write_stats
+    header, rows, stats = dataset_rows(records, **options)
+    count = write_csv(csv_path, header, rows)
     write_stats(stats_path, stats)
-    _log_step("dataset", name, started, f"{len(records)} records in, {len(rows)} rows out")
-    return header, rows
+    _log_step("dataset", name, started, f"{len(records)} records in, {count} rows out")
 
 
-def _label_step(name, started, header, rows, entries, options, csv_path, summary_path) -> None:
+def _label_step(header, rows, entries, options, csv_path, summary_path) -> LabelSummary:
+    """Label the rows and write each as it comes; returns the summary,
+    which it writes too, for the caller to log."""
     from .dataset import write_csv
-    from .labelling import label_dataset, write_label_summary
-    labelled_header, labelled_rows, summary = label_dataset(header, rows, entries, **options)
-    write_csv(csv_path, labelled_header, labelled_rows)
+    from .labelling import LabelSummary, labelled_rows, write_label_summary
+    counts = {}
+    total = write_csv(csv_path, [*header, "Label"],
+                      labelled_rows(header, rows, entries, counts, **options))
+    summary = LabelSummary(total, options["benign_label"], counts)
     write_label_summary(summary_path, summary)
+    return summary
+
+
+def _log_label_step(name, started, summary) -> None:
     _log_step("label", name, started, f"{summary.total} rows, {summary.malicious} malicious")
+
+
+def _written(write_row, rows):
+    """Each row, once write_row has written it."""
+    for row in rows:
+        write_row(row)
+        yield row
 
 
 class _GroundTruth:
@@ -346,16 +363,27 @@ class _GroundTruth:
 def _capture_chain(pcap, paths, export_config, dataset_options=None,
                    label_options=None, ground_truth=None) -> None:
     """Export one capture and, given dataset options, go on to dataset and
-    label in memory. Returns nothing: a worker sends no records or rows back."""
+    label in memory, in one pass over the rows: each row is written to
+    the CSV, labelled and written to the labelled CSV before the next is
+    built, so both steps' log lines give that pass's time. Returns
+    nothing: a worker sends no records or rows back."""
+    from .dataset import csv_rows, dataset_rows, write_stats
     records = _export_step(pcap, export_config, *paths[:2])
-    if dataset_options is not None:
-        header, rows = _dataset_step(pcap, time.perf_counter(), records, dataset_options,
-                                     *paths[2:4])
-        del records  # released before the ground truth is parsed
-        if ground_truth is not None:
-            entries = ground_truth.entries
-            _label_step(pcap, time.perf_counter(), header, rows, entries, label_options,
-                        *paths[4:])
+    if dataset_options is None:
+        return
+    if ground_truth is None:
+        _dataset_step(pcap, time.perf_counter(), records, dataset_options, *paths[2:4])
+        return
+    entries = ground_truth.entries  # parsed before the first row is labelled
+    started = time.perf_counter()
+    header, rows, stats = dataset_rows(records, **dataset_options)
+    with csv_rows(paths[2], header) as write_row:
+        summary = _label_step(header, _written(write_row, rows), entries, label_options,
+                              *paths[4:])
+    write_stats(paths[3], stats)
+    _log_step("dataset", pcap, started,
+              f"{len(records)} records in, {summary.total} rows out")
+    _log_label_step(pcap, started, summary)
 
 
 _worker_chain = None  # in a worker process: the chain its pool was started with
@@ -410,7 +438,7 @@ def cmd_dataset(args, settings: Settings) -> None:
 
 
 def cmd_label(args, settings: Settings) -> None:
-    from .dataset import read_csv
+    from .dataset import iter_csv
     from .labelling import parse_ground_truth
     gt = settings.text("ground_truth")
     if not gt:
@@ -424,12 +452,14 @@ def cmd_label(args, settings: Settings) -> None:
         entries = parse_ground_truth(gt)
         for path, targets in zip(inputs, paths):
             started = time.perf_counter()
-            header, rows = read_csv(path)
+            rows = iter_csv(path)
+            header = next(rows, [])
             try:
-                _label_step(path, started, header, rows, entries, options, *targets)
+                summary = _label_step(header, rows, entries, options, *targets)
             except MalformedDatasetCell as exc:
                 raise MalformedDatasetCell(exc.line_number, exc.column, exc.reason,
                                            path) from None
+            _log_label_step(path, started, summary)
 
 
 def cmd_run(args, settings: Settings) -> None:

@@ -3,7 +3,9 @@
 `ra` mode emits one CSV row per record; `racluster` merges all records
 sharing a canonical key into one row first. Rows follow the selected
 feature columns in catalog order; a stats text file summarizes the same
-record set the rows were built from. The feature catalog is imported
+record set the rows were built from. Rows are built one at a time, as
+they are taken, and CSV files are written one row at a time, so the
+commands never hold a whole dataset. The feature catalog is imported
 only by the functions that compute rows, so `export` and `label`, which
 use this module for stats and CSV files, never load it; the flow engine
 only by `cluster`, so `label` never loads it either.
@@ -13,12 +15,16 @@ from __future__ import annotations
 
 import csv
 from collections import Counter, defaultdict, deque
+from contextlib import contextmanager
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import UnreadableLine, not_utf8
 from .workspace import DEFAULT_COUNT_WINDOW
 
 if TYPE_CHECKING:
+    from collections.abc import Iterator
+
     from .flows import FlowRecord
 
 MODES = ("ra", "racluster")
@@ -146,19 +152,20 @@ def write_stats(path, stats: StatsReport) -> None:
         fp.write(format_stats(stats))
 
 
-def build_dataset(
+def dataset_rows(
     records: list[FlowRecord],
     feature_names: list[str],
     mode: str = "ra",
     keep_management: bool = False,
     count_window: int = DEFAULT_COUNT_WINDOW,
-) -> tuple[list[str], list[list[str]], StatsReport]:
-    """Turn flow records into (header, rows, stats).
+) -> tuple[list[str], Iterator[list[str]], StatsReport]:
+    """Turn flow records into (header, rows, stats), where `rows` builds
+    each row only when it is taken, so no row outlives its consumer.
 
     Rows keep record-stream order in ra mode and (stime, key) order
     after clustering; rank densely numbers the emitted rows.
     """
-    from .features import RowContext, compute_row, service_of
+    from .features import row_kernel
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     selected = (records if keep_management
@@ -168,27 +175,69 @@ def build_dataset(
     if "Ssaddr" in feature_names or "Sdaddr" in feature_names:
         counts = compute_connection_counts(selected, count_window)
     else:
-        counts = [(None, None)] * len(selected)
-    rows = []
-    for rank, rec in enumerate(selected):
+        counts = repeat((None, None))
+    rows = _rows(selected, counts, row_kernel(tuple(feature_names)))
+    return list(feature_names), rows, compute_stats(selected)
+
+
+def _rows(records, counts, kernel):
+    """Each record's row, in order, with its rank, service and
+    connection counts (ssaddr, sdaddr)."""
+    from .features import RowContext, service_of
+    for rank, (rec, (ssaddr, sdaddr)) in enumerate(zip(records, counts)):
         if rec.is_management:
             service = ""
         else:
             service = service_of(rec.key.proto, rec.sport, rec.dport)
-        ctx = RowContext(
-            rank=rank, service=service,
-            ssaddr=counts[rank][0], sdaddr=counts[rank][1],
-        )
-        rows.append(compute_row(rec, feature_names, ctx))
-    return list(feature_names), rows, compute_stats(selected)
+        yield kernel(rec, RowContext(rank=rank, service=service, ssaddr=ssaddr, sdaddr=sdaddr))
 
 
-def write_csv(path, header: list[str], rows) -> None:
-    """RFC 4180 CSV, UTF-8, LF line endings, header row first."""
+def build_dataset(records, feature_names, **options):
+    """`dataset_rows` with the rows in a list."""
+    header, rows, stats = dataset_rows(records, feature_names, **options)
+    return header, list(rows), stats
+
+
+def row_writer(fp):
+    """The function that writes one row to `fp` as one line, as
+    `csv.writer(fp, lineterminator="\n")` does. A row that needs no
+    quoting, which is every row whose joined line holds one comma between
+    each pair of cells and no quote or line break, is written as its
+    cells joined by commas; only an empty row and a row of one empty
+    cell join to the empty line, and csv.writer quotes the latter. Any
+    other row, and one with a NUL (which csv.writer refuses on Python
+    3.10), goes through csv.writer."""
+    write, write_quoted = fp.write, csv.writer(fp, lineterminator="\n").writerow
+
+    def write_row(row):
+        line = ",".join(row)
+        if (line and line.count(",") == len(row) - 1 and '"' not in line
+                and "\r" not in line and "\n" not in line and "\0" not in line):
+            write(line + "\n")
+        else:
+            write_quoted(row)
+
+    return write_row
+
+
+@contextmanager
+def csv_rows(path, header: list[str]):
+    """Open a CSV at `path` (RFC 4180, UTF-8, LF line endings) with its
+    header written; yields the function that writes one row."""
     with open(path, "w", encoding="utf-8", newline="") as fp:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        write_row = row_writer(fp)
+        write_row(header)
+        yield write_row
+
+
+def write_csv(path, header: list[str], rows) -> int:
+    """Write the header and then each row as it comes; returns the
+    number of rows."""
+    count = 0
+    with csv_rows(path, header) as write_row:
+        for count, row in enumerate(rows, 1):
+            write_row(row)
+    return count
 
 
 def iter_csv(path):

@@ -355,7 +355,7 @@ def select_feature_set(selection) -> list[str]:
 
 
 @lru_cache(maxsize=32)
-def _row_kernel(feature_names: tuple[str, ...]):
+def row_kernel(feature_names: tuple[str, ...]):
     """The function (record, RowContext) -> row of a selection of
     catalog names: one list display of the selected cells, each its
     kind's template around its value, after the shared values."""
@@ -371,7 +371,7 @@ def _row_kernel(feature_names: tuple[str, ...]):
 
 
 def compute_row(rec: FlowRecord, feature_names, ctx: RowContext) -> list[str]:
-    return _row_kernel(tuple(feature_names))(rec, ctx)
+    return row_kernel(tuple(feature_names))(rec, ctx)
 
 
 def catalog_table() -> list[list[str]]:

@@ -563,11 +563,3 @@ class FlowTable:
             pkts, nbytes, flows = self._windows[idx]
             out.append(make_management_record(start, end, pkts, nbytes, flows))
         return out
-
-
-def collect_flows(packets, config: ExportConfig) -> list[FlowRecord]:
-    """One-shot aggregation: feed packets through a fresh table and flush."""
-    table = FlowTable(config)
-    for packet in packets:
-        table.assign(packet)
-    return table.flush()

@@ -139,16 +139,6 @@ _NAMES = tuple(name for name, *_ in _LINE)
 _KNOWN_FIELDS = frozenset(_NAMES)
 
 
-def record_field_kinds() -> list[tuple[str, str]]:
-    """The (name, value kind) of each field of a v1 record line, in order."""
-    return [(name, kind) for name, kind, *_ in _LINE]
-
-
-def record_field_names() -> list[str]:
-    """The full field order of a v1 record line."""
-    return list(_NAMES)
-
-
 # Each field's converters, in line order.
 _CONVERTERS = tuple(KIND_CONVERTERS[kind] for _, kind, *_ in _LINE)
 

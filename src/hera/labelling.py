@@ -30,7 +30,7 @@ from functools import cached_property
 from itertools import chain
 from math import inf
 from operator import itemgetter
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
 from .dataset import iter_csv
 from .errors import (
@@ -43,6 +43,9 @@ from .errors import (
 )
 from .timefmt import WRITTEN_TIME, text_to_int, text_to_us
 from .workspace import DEFAULT_BENIGN_LABEL
+
+if TYPE_CHECKING:
+    from collections.abc import Iterable, Iterator
 
 # Recognized ground-truth headers, compared case-insensitively, in the
 # order `parse_ground_truth` reads their cells.
@@ -193,8 +196,8 @@ _CELL_PARSERS = {"stime": text_to_us, "ltime": text_to_us, "sport": text_to_int,
 
 
 def _row_views(header, rows):
-    """Yield (stime_us, ltime_us, (proto, saddr, sport, daddr, dport))
-    for each row; rows[0] is line 2 of the CSV."""
+    """Yield (row, (stime_us, ltime_us, (proto, saddr, sport, daddr,
+    dport))) for each row; rows[0] is line 2 of the CSV."""
     positions = []
     for col in MATCH_COLUMNS:
         try:
@@ -214,7 +217,7 @@ def _row_views(header, rows):
                      int(dport) if dport.isdigit() and dport.isascii() else text_to_int(dport)))
         except (ValueError, IndexError):
             view = _general_view(row, line_number, positions, addrs)
-        yield view
+        yield row, view
 
 
 def _general_view(row, line_number, positions, addrs):
@@ -332,23 +335,23 @@ def _candidates(index, forward, reverse, stime_us, ltime_us) -> list[int]:
     return found[0] if len(found) == 1 else sorted(chain.from_iterable(found))
 
 
-def label_rows(
+def labelled_rows(
     header: list[str],
-    rows: list[list[str]],
+    rows: Iterable[list[str]],
     entries: list[GroundTruthEntry],
+    counts: dict[str, int],
     benign_label: str = DEFAULT_BENIGN_LABEL,
     bidirectional: bool = False,
-) -> tuple[list[str], LabelSummary]:
-    """Return one label per row plus the summary.
+) -> Iterator[list[str]]:
+    """Yield each row, as it is taken, with its label appended, and count
+    the label in `counts` (rows per label).
 
     A row gets the label of the first entry in list order, among those
     the index offers for its key and times, whose time window
     `match_entry` accepts."""
     index = (entries.match_index if isinstance(entries, GroundTruth)
              else _index_entries(entries))
-    counts = {}
-    labels = []
-    for stime_us, ltime_us, forward in _row_views(header, rows):
+    for row, (stime_us, ltime_us, forward) in _row_views(header, rows):
         proto, saddr, sport, daddr, dport = forward
         reverse = (proto, daddr, dport, saddr, sport) if bidirectional else None
         label = benign_label
@@ -357,18 +360,19 @@ def label_rows(
             if match_entry(entry, stime_us, ltime_us):
                 label = entry.label
                 break
-        labels.append(label)
         counts[label] = counts.get(label, 0) + 1
-    return labels, LabelSummary(len(labels), benign_label, counts)
+        row.append(label)
+        yield row
 
 
-def label_dataset(header, rows, entries, **kwargs):
+def label_dataset(header, rows, entries, benign_label=DEFAULT_BENIGN_LABEL,
+                  bidirectional=False):
     """Append each row's label to the row itself; returns the header with
     a Label column appended, the same rows and the summary."""
-    labels, summary = label_rows(header, rows, entries, **kwargs)
-    for row, label in zip(rows, labels):
-        row.append(label)
-    return [*header, "Label"], rows, summary
+    counts = {}
+    for _ in labelled_rows(header, rows, entries, counts, benign_label, bidirectional):
+        pass
+    return [*header, "Label"], rows, LabelSummary(sum(counts.values()), benign_label, counts)
 
 
 def format_label_summary(summary: LabelSummary) -> str:

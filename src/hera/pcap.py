@@ -38,7 +38,8 @@ _MAGICS = {
 }
 
 # No record may claim more than max(snaplen, this) bytes, as in libpcap,
-# so a corrupt length cannot ask for an unbounded read.
+# and a longer record is read this many bytes at a time, so a corrupt
+# length cannot ask for an unbounded read.
 MAX_RECORD_BYTES = 262144
 
 LINKTYPE_ETHERNET = 1
@@ -166,7 +167,10 @@ class CaptureReader:
         ts_sec, ts_frac, incl_len, orig_len = self._record_head.unpack(head)
         if incl_len > self._record_limit:
             raise OversizedRecord(self.name, index, incl_len, self._record_limit)
-        data = self._fp.read(incl_len)
+        if incl_len <= MAX_RECORD_BYTES:
+            data = self._fp.read(incl_len)
+        else:
+            data = self._read_in_chunks(incl_len)
         if len(data) < incl_len:
             raise TruncatedRecord(self.name, index)
         self.record_index += 1
@@ -176,6 +180,20 @@ class CaptureReader:
             self.skipped[result] += 1
             return SkippedRecord(index, result)
         return result
+
+    def _read_in_chunks(self, size: int) -> bytes:
+        """`size` bytes read at most MAX_RECORD_BYTES at a time, so a
+        length the file cannot back never costs more than one chunk; the
+        first short chunk means the file ended, and what was read is
+        returned."""
+        chunks = []
+        while size:
+            want = min(size, MAX_RECORD_BYTES)
+            chunks.append(self._fp.read(want))
+            if len(chunks[-1]) < want:
+                break
+            size -= want
+        return b"".join(chunks)
 
     def __iter__(self):
         """Yield decoded packets only; skips are tallied silently."""

@@ -1,0 +1,35 @@
+"""Shortcuts several test modules share: running packets through a fresh
+flow table, reading the field table of a `.hera` record line, and
+labelling rows without changing them."""
+
+from hera import herafile
+from hera.flows import ExportConfig, FlowRecord, FlowTable
+from hera.labelling import DEFAULT_BENIGN_LABEL, LabelSummary, labelled_rows
+
+
+def collect_flows(packets, config: ExportConfig) -> list[FlowRecord]:
+    """One-shot aggregation: feed packets through a fresh table and flush."""
+    table = FlowTable(config)
+    for packet in packets:
+        table.assign(packet)
+    return table.flush()
+
+
+def record_field_kinds() -> list[tuple[str, str]]:
+    """The (name, value kind) of each field of a v1 record line, in order."""
+    return [(name, kind) for name, kind, *_ in herafile._LINE]
+
+
+def record_field_names() -> list[str]:
+    """The full field order of a v1 record line."""
+    return [name for name, *_ in herafile._LINE]
+
+
+def label_rows(header, rows, entries, benign_label=DEFAULT_BENIGN_LABEL,
+               bidirectional=False) -> tuple[list[str], LabelSummary]:
+    """One label per row plus the summary; each row gets its label
+    appended and then taken off again, so the rows are left as they were."""
+    counts = {}
+    labels = [row.pop() for row in labelled_rows(header, rows, entries, counts,
+                                                 benign_label, bidirectional)]
+    return labels, LabelSummary(len(labels), benign_label, counts)

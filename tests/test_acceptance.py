@@ -21,8 +21,9 @@ from hera.dataset import build_dataset, cluster, read_csv, write_csv
 from hera.features import ALWAYS_ON, CATALOG_ORDER, DEFAULT_FEATURES, select_feature_set
 from hera.flows import ExportConfig, FlowTable
 from hera import labelling
-from hera.labelling import GroundTruthEntry, label_dataset, label_rows
+from hera.labelling import GroundTruthEntry, label_dataset
 from hera.pcap import DecodedPacket, open_capture
+from helpers import label_rows
 from test_cli import sample_capture, tree, write_gt
 from test_dataset import brute_counts, mixed_records
 from test_flows import FLAG_BITS, flag_value

@@ -1,4 +1,6 @@
 import builtins
+import csv
+import io
 import logging
 import multiprocessing
 import os
@@ -573,6 +575,43 @@ def assert_same_tree(one, two):
     assert tree(one) == tree(two)
     for name in tree(one):
         assert (one / name).read_bytes() == (two / name).read_bytes(), name
+
+
+def csv_writer_bytes(path) -> bytes:
+    """What csv.writer writes for the header and rows read back from path."""
+    header, rows = read_csv(path)
+    out = io.StringIO(newline="")
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue().encode("utf-8")
+
+
+# Labels that need quoting; the first entry also names a source address
+# that needs quoting, which only a hand-edited .hera file can hold.
+QUOTING_GT = ('SrcAddr,Proto,Label\n'
+              '"192.168.1.10,""x""",,"Probe, ""quoted"""\n'
+              ',udp,"say ""hi"""\n')
+
+
+def test_cells_and_labels_that_need_quoting_are_written_as_csv_writer_writes_them(tmp_path):
+    capture = sample_capture(tmp_path / "a.pcap")
+    gt = write_gt(tmp_path / "gt.csv", QUOTING_GT)
+    out = tmp_path / "run"
+    assert main(["run", "--pcap", str(capture), "--gt", str(gt), "--features", "all",
+                 "--flows-dir", str(out / "flows"), "--csv-dir", str(out / "csv")]) == 0
+    hera = out / "flows" / "a.hera"
+    text = hera.read_text(encoding="utf-8")
+    assert f"saddr={CLIENT} " in text
+    hera.write_text(text.replace(f"saddr={CLIENT} ", f'saddr={CLIENT},"x" '), encoding="utf-8")
+    edited = tmp_path / "edited"
+    assert main(["dataset", "--in", str(hera), "--out", str(edited), "--features", "all"]) == 0
+    assert main(["label", "--in", str(edited / "a.csv"), "--gt", str(gt)]) == 0
+    for path in (out / "csv" / "a.labelled.csv", edited / "a.csv", edited / "a.labelled.csv"):
+        assert path.read_bytes() == csv_writer_bytes(path), path
+    assert '"say ""hi"""' in (out / "csv" / "a.labelled.csv").read_text(encoding="utf-8")
+    labelled = (edited / "a.labelled.csv").read_text(encoding="utf-8")
+    assert '"192.168.1.10,""x"""' in labelled and '"Probe, ""quoted"""' in labelled
 
 
 @pytest.mark.parametrize("bidirectional", [[], ["--bidirectional"]], ids=["oneway", "bidi"])

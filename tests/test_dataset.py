@@ -1,9 +1,13 @@
+import csv
 import dataclasses
 import functools
+import io
 import operator
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hera.dataset import (
     MODES,
@@ -13,6 +17,7 @@ from hera.dataset import (
     compute_stats,
     format_stats,
     read_csv,
+    row_writer,
     write_csv,
     write_stats,
 )
@@ -22,9 +27,9 @@ from hera.flows import (
     FlowKey,
     FlowRecord,
     FlowTable,
-    collect_flows,
 )
 from hera.pcap import DecodedPacket
+from helpers import collect_flows
 from test_flows import back, data_records, pkt, run
 
 SEC = 1_000_000
@@ -408,6 +413,40 @@ def test_csv_quoting_and_round_trip(tmp_path):
     header, got = read_csv(out)
     assert header == ["one", "two", "three"]
     assert got == rows
+
+
+# Cells built from the characters csv.writer treats specially (NUL only
+# on Python 3.10, where it refuses them), a space, and non-ASCII text.
+cells = st.lists(st.sampled_from([",", '"', "\r", "\n", "\0", " ", "", "a", "0.5", "é", "日本"]),
+                 max_size=4).map("".join)
+
+
+def written(write_rows, rows):
+    """The UTF-8 bytes write_rows(fp, rows) writes, or its csv.Error."""
+    fp = io.StringIO(newline="")
+    try:
+        write_rows(fp, rows)
+    except csv.Error as exc:
+        return repr(exc)
+    return fp.getvalue().encode("utf-8")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.lists(st.lists(cells, max_size=6), max_size=4))
+@example([[]])
+@example([[""]])
+@example([["", ""]])
+@example([[" "], ["a", ""], ["", "a"]])
+def test_row_writer_writes_the_bytes_csv_writer_writes(rows):
+    def ours(fp, rows):
+        write_row = row_writer(fp)
+        for row in rows:
+            write_row(row)
+
+    def theirs(fp, rows):
+        csv.writer(fp, lineterminator="\n").writerows(rows)
+
+    assert written(ours, rows) == written(theirs, rows)
 
 
 def test_read_csv_of_empty_file(tmp_path):

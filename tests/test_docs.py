@@ -5,7 +5,8 @@ import re
 from pathlib import Path
 
 from hera.features import catalog_table
-from hera.herafile import KIND_CONVERTERS, record_field_kinds
+from hera.herafile import KIND_CONVERTERS
+from helpers import record_field_kinds
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 

@@ -27,10 +27,10 @@ from hera.flows import (
     FlowKey,
     FlowRecord,
     FlowTable,
-    collect_flows,
     make_management_record,
 )
 from hera.pcap import CaptureReader, DecodedPacket
+from helpers import collect_flows
 from test_flows import flag_value
 
 SEC = 1_000_000

@@ -10,12 +10,12 @@ from hera.flows import (
     FlowKey,
     FlowTable,
     canonical_key,
-    collect_flows,
     observe_gap,
     opt_max,
     opt_min,
 )
 from hera.pcap import DecodedPacket
+from helpers import collect_flows
 
 SEC = 1_000_000
 

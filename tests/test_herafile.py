@@ -12,10 +12,10 @@ from hera.herafile import (
     format_record,
     parse_record,
     read_hera,
-    record_field_names,
     write_hera,
 )
 from hera.pcap import DecodedPacket
+from helpers import record_field_names
 from test_flows import flag_value
 
 SEC = 1_000_000

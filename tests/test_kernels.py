@@ -3,17 +3,20 @@
 
 Each kernel is checked against its reference: `kernel_oracle` for the
 row and the writer, the general record reader for the written-form
-reader. The call-count guards keep each kernel straight-line: one
-Python-level call per cell or per field would show up as hundreds.
+reader. The call-count guards keep each kernel, and the CSV line writer
+that takes the rows, straight-line: one Python-level call per cell or
+per field would show up as hundreds.
 """
 
 import dataclasses
+import io
 import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hera import herafile
+from hera.dataset import row_writer
 from hera.features import PRESETS, RowContext, compute_row, select_feature_set
 from hera.flows import MANAGEMENT_KEY, EndpointStats, FlowKey, FlowRecord
 from hera.herafile import format_record
@@ -142,3 +145,10 @@ def test_writing_a_record_makes_at_most_10_python_calls():
 
 def test_reading_a_written_record_makes_at_most_10_python_calls():
     assert python_calls(herafile._parse_written, format_record(tcp_flow())) <= 10
+
+
+def test_writing_a_row_of_every_feature_makes_at_most_3_python_calls():
+    ctx = RowContext(rank=3, service="http", ssaddr=1, sdaddr=2)
+    row = compute_row(tcp_flow(), SELECTIONS["all"], ctx)
+    assert len(row) == 130
+    assert python_calls(row_writer(io.StringIO()), row) <= 3

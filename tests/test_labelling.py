@@ -21,11 +21,11 @@ from hera.labelling import (
     GroundTruthEntry,
     format_label_summary,
     label_dataset,
-    label_rows,
     parse_ground_truth,
     write_label_summary,
 )
 from hera.timefmt import text_to_int, text_to_us
+from helpers import label_rows
 
 SEC = 1_000_000
 HDR = ["stime", "ltime", "proto", "saddr", "sport", "daddr", "dport"]
@@ -187,7 +187,7 @@ def test_addresses_in_ground_truth_and_rows(tmp_path, text, canonical):
     assert labelling._canonical_addr(text) == canonical_or_itself(text) == canonical
     entries = gt(tmp_path, f"SrcAddr,Label\n{text},DoS\n")
     assert entries[0].src_addr == canonical
-    assert [view[2][1] for view in labelling._row_views(HDR, [row(saddr=text)])] == [canonical]
+    assert [view[2][1] for _, view in labelling._row_views(HDR, [row(saddr=text)])] == [canonical]
 
 
 GT_HEADER = ["StartTime", "LastTime", "Proto", "SrcAddr", "Sport", "DstAddr", "Dport", "Label"]
@@ -227,7 +227,7 @@ def oracle_cells(start, last, sport, dport):
 def viewed_cells(stime, ltime, sport, dport):
     """_row_views on one dataset row: its times and ports, or the error."""
     try:
-        [(stime_us, ltime_us, key)] = labelling._row_views(
+        [(_, (stime_us, ltime_us, key))] = labelling._row_views(
             HDR, [row(stime=stime, ltime=ltime, sport=sport, dport=dport)])
     except MalformedDatasetCell as exc:
         return str(exc)

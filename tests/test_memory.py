@@ -1,0 +1,83 @@
+"""Memory must not grow with capture length where the semantics allow.
+
+Two captures differ only in how many 10 s slices their long flows span,
+so the longer one has more records and more rows, and nothing else. The
+growth of each command's traced peak per extra dataset row then shows
+what the command holds per row: `run` and `dataset` hold the flow
+records (a dataset needs all of them for its connection counts), but no
+row; `label` holds only the ground truth.
+"""
+
+import tracemalloc
+
+import pcap_builder as pb
+from hera.cli import main
+from hera.dataset import read_csv
+
+SEC = 1_000_000
+FLOWS = 10
+SERVER = "10.0.100.1"
+GT = "Proto,SrcAddr,Label\ntcp,10.0.0.3,Attack\n"
+
+
+def long_flows_capture(path, slices: int):
+    """FLOWS TCP flows that never close, each with a packet every 5 s,
+    alternating direction, over `slices` 10 s slices."""
+    frames = []
+    for step in range(2 * slices):
+        for i in range(FLOWS):
+            client, port = f"10.0.0.{i + 1}", 40000 + i
+            if step % 2:
+                frame = pb.tcp4_frame(SERVER, client, 80, port, pb.ACK, payload=b"r" * 60)
+            else:
+                flags = pb.SYN if step == 0 else pb.PSH | pb.ACK
+                frame = pb.tcp4_frame(client, SERVER, port, 80, flags, payload=b"q" * 40)
+            frames.append((step * 5 * SEC + i * 1000, frame))
+    pb.write(path, [pb.record(ts, frame) for ts, frame in frames])
+    return path
+
+
+def traced_peak(argv) -> int:
+    """The peak of memory traced while main(argv) runs, above what was
+    allocated when it started."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == 0
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def peaks(tmp_path, name, slices) -> tuple[int, dict[str, int]]:
+    """(dataset rows, traced peak per command) for one capture."""
+    capture = long_flows_capture(tmp_path / f"{name}.pcap", slices)
+    gt = tmp_path / "gt.csv"
+    gt.write_text(GT, encoding="utf-8")
+    out = tmp_path / name
+    dataset_flags = ["--features", "all"]
+    result = {
+        "run": traced_peak(["run", "--pcap", str(capture), "--interval", "10", "--gt", str(gt),
+                            *dataset_flags, "--flows-dir", str(out / "flows"),
+                            "--csv-dir", str(out / "csv")]),
+        "dataset": traced_peak(["dataset", "--in", str(out / "flows" / f"{name}.hera"),
+                                *dataset_flags, "--out", str(out / "dataset")]),
+        "label": traced_peak(["label", "--in", str(out / "dataset" / f"{name}.csv"),
+                              "--gt", str(gt), "--out", str(out / "label")]),
+    }
+    rows = len(read_csv(out / "csv" / f"{name}.csv")[1])
+    return rows, result
+
+
+def test_peak_grows_with_the_records_held_not_with_the_rows(tmp_path):
+    # Under tracemalloc each call of a compiled kernel takes milliseconds,
+    # so the captures stay small.
+    peaks(tmp_path, "warm", 2)  # kernels compiled and modules imported first
+    short_rows, short = peaks(tmp_path, "short", 5)
+    long_rows, long = peaks(tmp_path, "long", 25)
+    assert long_rows - short_rows >= 200
+    per_row = {command: (long[command] - short[command]) / (long_rows - short_rows)
+               for command in short}
+    assert per_row["run"] < 3000, per_row
+    assert per_row["dataset"] < 3000, per_row
+    assert per_row["label"] < 500, per_row

@@ -1,10 +1,15 @@
 import io
 import ipaddress
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import pcap_builder as pb
+from hera import cli
 from hera.cli import main
 from hera.errors import (
     BadMagic,
@@ -13,7 +18,7 @@ from hera.errors import (
     TruncatedRecord,
     UnsupportedLinktype,
 )
-from hera.flows import FLAG_TEXT, ExportConfig, collect_flows
+from hera.flows import FLAG_TEXT, ExportConfig
 from hera.herafile import HeraHeader, read_hera, write_hera
 from hera.pcap import (
     MAX_RECORD_BYTES,
@@ -23,6 +28,7 @@ from hera.pcap import (
     address_text,
     open_capture,
 )
+from helpers import collect_flows
 from test_flows import FLAG_BITS
 
 
@@ -444,8 +450,51 @@ def test_oversized_record_is_rejected_before_reading_it(tmp_path, snaplen, capsy
 
 def test_record_at_the_limit_is_read(tmp_path):
     frame = syn_frame_54() + b"\x00" * (MAX_RECORD_BYTES - 54)
-    reader = CaptureReader(ReadSizes(pb.pcap([pb.record(0, frame)])))
-    assert isinstance(reader.next_packet(), DecodedPacket)
+    fp = ReadSizes(pb.pcap([pb.record(0, frame)]))
+    assert isinstance(CaptureReader(fp).next_packet(), DecodedPacket)
+    assert fp.sizes == [24, 16, MAX_RECORD_BYTES]
+
+
+def test_record_over_the_limit_is_read_in_chunks_of_it():
+    frame = syn_frame_54() + b"\x00" * (2 * MAX_RECORD_BYTES + 100 - 54)
+    fp = ReadSizes(pb.pcap([pb.record(0, frame)], snaplen=4 * MAX_RECORD_BYTES))
+    packet = CaptureReader(fp).next_packet()
+    assert isinstance(packet, DecodedPacket) and packet.proto == "tcp"
+    assert fp.sizes == [24, 16, MAX_RECORD_BYTES, MAX_RECORD_BYTES, 100]
+
+
+# A 104-byte capture whose snaplen lets its one record claim 10^9 bytes.
+HUGE_CLAIM = pb.pcap([struct.pack("<IIII", 1, 0, 10**9, 60) + b"\x00" * 64],
+                     snaplen=0xFFFFFFFF)
+
+
+def test_record_claiming_more_than_the_file_stops_at_the_first_short_chunk():
+    assert len(HUGE_CLAIM) == 104
+    fp = ReadSizes(HUGE_CLAIM)
+    with pytest.raises(TruncatedRecord) as err:
+        CaptureReader(fp, name="huge.pcap").next_packet()
+    assert err.value.record_index == 0
+    assert fp.sizes == [24, 16, MAX_RECORD_BYTES]
+
+
+def test_record_claiming_more_than_the_file_exits_2_under_a_memory_limit(tmp_path):
+    pytest.importorskip("resource")
+    limit = 600 * 2**20  # address space, for the child process only
+    path = write(tmp_path, HUGE_CLAIM)
+    argv = ["export", "--pcap", str(path), "--out", str(tmp_path / "flows")]
+    script = ("import resource, sys\n"
+              f"resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
+              "from hera.cli import main\n"
+              f"sys.exit(main({argv!r}))\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("HERA_WORKSPACE", None)
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert (child.returncode, child.stderr) == (
+        2, f"hera: {path}: record 0 truncated at end of file\n")
+    assert not (tmp_path / "flows").exists()
 
 
 def test_prefix_cut_at_record_boundary_is_fine(tmp_path):

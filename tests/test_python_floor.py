@@ -27,7 +27,7 @@ def test_module_parses_as_the_oldest_supported_python(path):
 
 
 KERNELS = {
-    **{f"row of {preset}": lambda preset=preset: features._row_kernel(
+    **{f"row of {preset}": lambda preset=preset: features.row_kernel(
         tuple(features.select_feature_set(preset))) for preset in features.PRESETS},
     "format_record": lambda: herafile._writer(),
     "_parse_written": lambda: herafile._written_line(),

@@ -25,9 +25,10 @@ from hera import herafile
 from hera.cli import main
 from hera.errors import CorruptRecord
 from hera.flows import FLAG_TEXT, FLAG_VALUES, ExportConfig, FlowTable
-from hera.herafile import format_record, parse_record, read_hera, record_field_kinds
+from hera.herafile import format_record, parse_record, read_hera
 from hera.pcap import CaptureReader
 from hera.timefmt import us_to_text
+from helpers import record_field_kinds
 
 SEC = 1_000_000
 A4, B4, C4 = "10.0.0.1", "10.0.0.2", "192.168.7.30"
