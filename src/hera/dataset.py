@@ -205,14 +205,13 @@ def row_writer(fp):
     each pair of cells and no quote or line break, is written as its
     cells joined by commas; only an empty row and a row of one empty
     cell join to the empty line, and csv.writer quotes the latter. Any
-    other row, and one with a NUL (which csv.writer refuses on Python
-    3.10), goes through csv.writer."""
+    other row goes through csv.writer."""
     write, write_quoted = fp.write, csv.writer(fp, lineterminator="\n").writerow
 
     def write_row(row):
         line = ",".join(row)
         if (line and line.count(",") == len(row) - 1 and '"' not in line
-                and "\r" not in line and "\n" not in line and "\0" not in line):
+                and "\r" not in line and "\n" not in line):
             write(line + "\n")
         else:
             write_quoted(row)
@@ -242,17 +241,26 @@ def write_csv(path, header: list[str], rows) -> int:
 
 def iter_csv(path):
     """Yield the rows of a UTF-8 CSV file, decoded as a stream. Bytes
-    that are not UTF-8, or a field the csv module rejects (such as one
-    over its size limit), end in an error naming the line."""
+    that are not UTF-8, a NUL, or a field the csv module rejects (such as
+    one over its size limit), end in an error naming the line."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fp:
-            reader = csv.reader(fp)
+            reader = csv.reader(_lines_without_nul(path, fp))
             try:
                 yield from reader
             except csv.Error as exc:
                 raise UnreadableLine(path, reader.line_num, str(exc)) from None
     except UnicodeDecodeError:
         raise not_utf8(path) from None
+
+
+def _lines_without_nul(path, fp):
+    """The lines of `fp`, or an error at the first that holds a NUL:
+    csv.reader refuses one before Python 3.11 and passes it on after."""
+    for line_number, line in enumerate(fp, 1):
+        if "\0" in line:
+            raise UnreadableLine(path, line_number, "line contains NUL")
+        yield line
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:

@@ -12,15 +12,22 @@ of these and every other TCP connection rule.
 TCP flags are carried as one int of the six classic header bits, from
 the decoded packet to the record's `flgs`; this module alone owns their
 bits (`FIN` ... `URG`) and text (`FLAG_TEXT`, `FLAG_VALUES`).
+
+`ENDPOINT_STATS` declares each per-endpoint statistic once: its
+attribute, `.hera` field and fold rule. The `EndpointStats` class, its
+`merge`, `observe_gap`, the `.hera` field order and the packet kernel's
+endpoint fold are generated from it. The packet kernel,
+`FlowTable.assign`, is compiled once when this module is imported: one
+function per packet that counts it, opens, retires or slices its
+episode and folds it into the record, calling `_tcp_segment` for TCP.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, NamedTuple
+from dataclasses import dataclass, field, make_dataclass
+from typing import NamedTuple
 
-if TYPE_CHECKING:
-    from .pcap import DecodedPacket
+from .kernels import compile_kernel
 
 STATE_REQ = "REQ"
 STATE_CON = "CON"
@@ -85,128 +92,6 @@ class ExportConfig:
             raise ValueError("reorder slack must not be negative")
 
 
-@dataclass(slots=True)
-class EndpointStats:
-    """Per-endpoint accumulators for one flow record.
-
-    Timestamps follow packet arrival order, so inter-arrival gaps can be
-    negative when a capture is slightly reordered within the slack.
-    """
-
-    pkts: int = 0
-    bytes: int = 0  # sum of on-wire IP lengths
-    appbytes: int = 0  # sum of transport payload lengths
-    datapkts: int = 0  # packets carrying at least one payload byte
-    sz_min: int | None = None
-    sz_max: int | None = None
-    sz_sumsq: int = 0
-    app_min: int | None = None
-    app_max: int | None = None
-    app_sumsq: int = 0
-    ttl_first: int | None = None
-    ttl_min: int | None = None
-    ttl_max: int | None = None
-    tos_first: int | None = None
-    win_first: int | None = None
-    tcpb_first: int | None = None
-    fin_cnt: int = 0
-    syn_cnt: int = 0
-    rst_cnt: int = 0
-    psh_cnt: int = 0
-    ack_cnt: int = 0
-    urg_cnt: int = 0
-    first_ts_us: int | None = None
-    last_ts_us: int | None = None
-    iat_sum_us: int = 0
-    iat_sumsq: int = 0
-    iat_min_us: int | None = None
-    iat_max_us: int | None = None
-
-    def update(self, packet: DecodedPacket) -> None:
-        ts = packet.ts_us
-        size = packet.ip_bytes
-        payload = packet.payload_bytes
-        self.pkts += 1
-        self.bytes += size
-        self.appbytes += payload
-        if payload > 0:
-            self.datapkts += 1
-        self.sz_sumsq += size * size
-        self.app_sumsq += payload * payload
-        if self.last_ts_us is None:  # first packet
-            self.first_ts_us = ts
-            self.sz_min = self.sz_max = size
-            self.app_min = self.app_max = payload
-            self.ttl_first = self.ttl_min = self.ttl_max = packet.ttl
-            self.tos_first = packet.tos
-        else:
-            observe_gap(self, ts - self.last_ts_us)
-            if size < self.sz_min:
-                self.sz_min = size
-            if size > self.sz_max:
-                self.sz_max = size
-            if payload < self.app_min:
-                self.app_min = payload
-            if payload > self.app_max:
-                self.app_max = payload
-            ttl = packet.ttl
-            if ttl < self.ttl_min:
-                self.ttl_min = ttl
-            if ttl > self.ttl_max:
-                self.ttl_max = ttl
-        self.last_ts_us = ts
-        if self.win_first is None and packet.tcp_window is not None:
-            self.win_first = packet.tcp_window
-        if self.tcpb_first is None and packet.tcp_seq is not None:
-            self.tcpb_first = packet.tcp_seq
-        flags = packet.tcp_flags
-        if flags:  # bit i is FIN, SYN, RST, PSH, ACK, URG for i = 0..5
-            self.fin_cnt += flags & 1
-            self.syn_cnt += flags >> 1 & 1
-            self.rst_cnt += flags >> 2 & 1
-            self.psh_cnt += flags >> 3 & 1
-            self.ack_cnt += flags >> 4 & 1
-            self.urg_cnt += flags >> 5 & 1
-
-    def merge(self, other: "EndpointStats") -> None:
-        """Fold a later record's endpoint stats into this one (clustering)."""
-        self.pkts += other.pkts
-        self.bytes += other.bytes
-        self.appbytes += other.appbytes
-        self.datapkts += other.datapkts
-        self.sz_sumsq += other.sz_sumsq
-        self.app_sumsq += other.app_sumsq
-        self.sz_min = opt_min(self.sz_min, other.sz_min)
-        self.sz_max = opt_max(self.sz_max, other.sz_max)
-        self.app_min = opt_min(self.app_min, other.app_min)
-        self.app_max = opt_max(self.app_max, other.app_max)
-        self.ttl_min = opt_min(self.ttl_min, other.ttl_min)
-        self.ttl_max = opt_max(self.ttl_max, other.ttl_max)
-        if self.ttl_first is None:
-            self.ttl_first = other.ttl_first
-        if self.tos_first is None:
-            self.tos_first = other.tos_first
-        if self.win_first is None:
-            self.win_first = other.win_first
-        if self.tcpb_first is None:
-            self.tcpb_first = other.tcpb_first
-        self.fin_cnt += other.fin_cnt
-        self.syn_cnt += other.syn_cnt
-        self.rst_cnt += other.rst_cnt
-        self.psh_cnt += other.psh_cnt
-        self.ack_cnt += other.ack_cnt
-        self.urg_cnt += other.urg_cnt
-        # Within-record gaps only; FlowRecord.merge adds the gap across
-        # the record boundary.
-        self.iat_sum_us += other.iat_sum_us
-        self.iat_sumsq += other.iat_sumsq
-        self.iat_min_us = opt_min(self.iat_min_us, other.iat_min_us)
-        self.iat_max_us = opt_max(self.iat_max_us, other.iat_max_us)
-        if other.first_ts_us is not None:
-            self.first_ts_us = opt_min(self.first_ts_us, other.first_ts_us)
-            self.last_ts_us = opt_max(self.last_ts_us, other.last_ts_us)
-
-
 def opt_min(x, y):
     """min() where None means never observed."""
     if x is None:
@@ -225,16 +110,105 @@ def opt_max(x, y):
     return max(x, y)
 
 
-def observe_gap(stats, gap_us: int) -> None:
-    """Add one inter-arrival gap to the IAT sums and extremes of an
-    EndpointStats or a FlowRecord. Each extreme may be None on its own
-    (a record read from a file), so each is tested on its own."""
-    stats.iat_sum_us += gap_us
-    stats.iat_sumsq += gap_us * gap_us
-    if stats.iat_min_us is None or gap_us < stats.iat_min_us:
-        stats.iat_min_us = gap_us
-    if stats.iat_max_us is None or gap_us > stats.iat_max_us:
-        stats.iat_max_us = gap_us
+# Each statistic one endpoint of a record carries, in `.hera` line order:
+# (EndpointStats attribute, `.hera` name suffix, value kind, fold rule,
+# folded value). An "int" or "time" statistic starts at 0, an optional
+# one at None (never observed). Timestamps follow packet arrival order,
+# so inter-arrival gaps can be negative when a capture is slightly
+# reordered within the slack.
+ENDPOINT_STATS = (
+    ("pkts", "pkts", "int", "sum", "1"),
+    ("bytes", "bytes", "int", "sum", "size"),  # on-wire IP lengths
+    ("appbytes", "appbytes", "int", "sum", "payload"),  # transport payload lengths
+    ("datapkts", "datapkts", "int", "non-empty count", "payload"),
+    ("sz_min", "minsz", "oint", "min", "size"),
+    ("sz_max", "maxsz", "oint", "max", "size"),
+    ("sz_sumsq", "sqsz", "int", "sum of squares", "size"),
+    ("app_min", "minappsz", "oint", "min", "payload"),
+    ("app_max", "maxappsz", "oint", "max", "payload"),
+    ("app_sumsq", "sqappsz", "int", "sum of squares", "payload"),
+    ("ttl_first", "ttl", "oint", "first seen", "ttl"),
+    ("ttl_min", "minttl", "oint", "min", "ttl"),
+    ("ttl_max", "maxttl", "oint", "max", "ttl"),
+    ("tos_first", "tos", "oint", "first seen", "tos"),
+    ("win_first", "win", "oint", "first non-None", "window"),
+    ("tcpb_first", "tcpb", "oint", "first non-None", "seq"),
+    ("fin_cnt", "fin", "int", "flag-bit count", "FIN"),
+    ("syn_cnt", "syn", "int", "flag-bit count", "SYN"),
+    ("rst_cnt", "rst", "int", "flag-bit count", "RST"),
+    ("psh_cnt", "psh", "int", "flag-bit count", "PSH"),
+    ("ack_cnt", "ack", "int", "flag-bit count", "ACK"),
+    ("urg_cnt", "urg", "int", "flag-bit count", "URG"),
+    ("first_ts_us", "stime", "otime", "first time", "ts"),
+    ("last_ts_us", "ltime", "otime", "last time", "ts"),
+    ("iat_sum_us", "ipsum", "time", "gap sum", "gap"),
+    ("iat_sumsq", "ipsq", "int", "gap sum of squares", "gap"),
+    ("iat_min_us", "ipmin", "otime", "gap min", "gap"),
+    ("iat_max_us", "ipmax", "otime", "gap max", "gap"),
+)
+
+# Each fold rule: its line of EndpointStats.merge, which folds a later
+# record's stats `o` into `s`, and its lines of the packet fold by
+# section: "load" comes first, "head" runs for every packet, "first" for
+# the endpoint's first packet in the record, "later" for each later one
+# (`gap` after the endpoint's previous packet), then "tail", and "flags"
+# for a segment with a flag set. {a} is the attribute, {v} the folded
+# value and {e} the stats it is folded into. Merged gaps are those within
+# each record; FlowRecord.merge adds the gap across the record boundary.
+_FOLD_RULES = {
+    "sum": ("s.{a} += o.{a}", {"head": "{e}.{a} += {v}"}),
+    "sum of squares": ("s.{a} += o.{a}", {"head": "{e}.{a} += {v} * {v}"}),
+    "non-empty count": ("s.{a} += o.{a}", {"head": "if {v} > 0: {e}.{a} += 1"}),
+    "min": ("s.{a} = opt_min(s.{a}, o.{a})",
+            {"first": "{e}.{a} = {v}", "later": "if {v} < {e}.{a}: {e}.{a} = {v}"}),
+    "max": ("s.{a} = opt_max(s.{a}, o.{a})",
+            {"first": "{e}.{a} = {v}", "later": "if {v} > {e}.{a}: {e}.{a} = {v}"}),
+    "first seen": ("if s.{a} is None: s.{a} = o.{a}", {"first": "{e}.{a} = {v}"}),
+    "first non-None": ("if s.{a} is None: s.{a} = o.{a}",
+                       {"tail": "if {e}.{a} is None and {v} is not None: {e}.{a} = {v}"}),
+    "flag-bit count": ("s.{a} += o.{a}", {"flags": "if flags & {v}: {e}.{a} += 1"}),
+    # The time span takes in only an `o` that saw a packet: `seen`, set by
+    # the first-time line, which precedes the last-time line.
+    "first time": ("if seen := o.{a} is not None: s.{a} = opt_min(s.{a}, o.{a})",
+                   {"first": "{e}.{a} = {v}"}),
+    "last time": ("if seen: s.{a} = opt_max(s.{a}, o.{a})",
+                  {"load": "last = {e}.{a}", "tail": "{e}.{a} = {v}"}),
+    "gap sum": ("s.{a} += o.{a}", {"later": "{e}.{a} += {v}"}),
+    "gap sum of squares": ("s.{a} += o.{a}", {"later": "{e}.{a} += {v} * {v}"}),
+    "gap min": ("s.{a} = opt_min(s.{a}, o.{a})",
+                {"later": "if {e}.{a} is None or {v} < {e}.{a}: {e}.{a} = {v}"}),
+    "gap max": ("s.{a} = opt_max(s.{a}, o.{a})",
+                {"later": "if {e}.{a} is None or {v} > {e}.{a}: {e}.{a} = {v}"}),
+}
+
+
+def _fold_lines(section: str, target: str, indent: int, gaps_only: bool = False) -> str:
+    """The packet fold's lines of one section, folding into `target`."""
+    return "".join(
+        " " * indent + _FOLD_RULES[rule][1][section].format(a=attr, v=value, e=target) + "\n"
+        for attr, _, _, rule, value in ENDPOINT_STATS
+        if section in _FOLD_RULES[rule][1] and (rule.startswith("gap") or not gaps_only))
+
+
+EndpointStats = make_dataclass(
+    "EndpointStats",
+    [(attr, int, 0) if kind in ("int", "time") else (attr, "int | None", None)
+     for attr, _, kind, _, _ in ENDPOINT_STATS],
+    namespace={
+        "__doc__": "Per-endpoint accumulators for one flow record (ENDPOINT_STATS).",
+        # Fold a later record's endpoint stats into this one (clustering).
+        "merge": compile_kernel("EndpointStats.merge", "def kernel(s, o):\n" + "".join(
+            "    " + _FOLD_RULES[rule][0].format(a=attr) + "\n"
+            for attr, _, _, rule, _ in ENDPOINT_STATS), {"opt_min": opt_min, "opt_max": opt_max}),
+    },
+    slots=True)
+EndpointStats.__module__ = __name__
+
+# observe_gap(stats, gap_us) adds one inter-arrival gap to the IAT sums and
+# extremes of an EndpointStats or a FlowRecord. Each extreme may be None on
+# its own (a record read from a file), so each is tested on its own.
+observe_gap = compile_kernel(
+    "observe_gap", "def kernel(e, gap):\n" + _fold_lines("later", "e", 4, gaps_only=True), {})
 
 
 @dataclass(slots=True)
@@ -383,12 +357,106 @@ class _LiveFlow:
         self.last_arrival_us = None  # within the current slice
 
 
+# The packet kernel, FlowTable.assign. Its endpoint fold ({load} ...
+# {flags}) and the record's IAT fold ({record_gap}) come from
+# ENDPOINT_STATS. The key is looked up as a plain tuple; a FlowKey is
+# built only when an episode opens.
+_ASSIGN = """\
+def kernel(self, packet):
+    (ts, saddr, daddr, sport, dport, proto, size, payload, ttl, tos, version,
+     is_fragment, flags, window, seq, vlan_id) = packet
+    config = self.config
+    prev = self._prev_ts_us
+    if prev is not None and ts < prev - config.reorder_slack_us:
+        self.skipped_non_monotonic += 1
+        return
+    self._prev_ts_us = ts
+    self.accepted_packets += 1
+    self.accepted_bytes += size
+    first = self.first_ts_us
+    if first is None:
+        self.first_ts_us = self.last_ts_us = first = ts
+    elif ts > self.last_ts_us:
+        self.last_ts_us = ts
+    interval = config.interval_us
+    index = (ts - first) // interval
+    if index < 0:
+        index = 0
+    counters = self._windows.get(index)
+    if counters is None:
+        counters = self._windows[index] = [0, 0, 0]
+    counters[0] += 1
+    counters[1] += size
+
+    if saddr < daddr or saddr == daddr and sport <= dport:
+        sender = "a"
+        key = (saddr, sport, daddr, dport, proto)
+    else:
+        sender = "b"
+        key = (daddr, dport, saddr, sport, proto)
+    live = self._live.get(key)
+    if live is not None:
+        rec = live.rec
+        if ts - rec.ltime_us > config.idle_timeout_us:
+            self._retire(live, ts - rec.ltime_us)
+            live = None
+        elif ts - live.origin_us >= (rec.slice_index + 1) * interval:
+            # No packet of a slice lies past the next one's start, so the open
+            # record's ltime is the episode's latest timestamp: its idle clock.
+            self._close_record(live, ts - rec.ltime_us)
+            live.rec = rec = FlowRecord(
+                rec.key, rec.initiator, ts, ts, (ts - live.origin_us) // interval,
+                tcp_state=rec.tcp_state, ip_version=version)
+            live.last_arrival_us = None
+    if live is None:
+        rec = FlowRecord(tuple.__new__(FlowKey, key), sender, ts, ts, ip_version=version)
+        live = self._live[key] = _LiveFlow(rec)
+        self.flows_started += 1
+        counters[2] += 1
+
+    if ts < rec.stime_us:
+        rec.stime_us = ts
+    if ts > rec.ltime_us:
+        rec.ltime_us = ts
+    e = rec.a if sender == "a" else rec.b
+{load}{head}    if last is None:
+{first}    else:
+        gap = ts - last
+{later}{tail}    if flags:
+{flags}    arrival = live.last_arrival_us
+    if arrival is not None:
+        gap = ts - arrival
+{record_gap}    live.last_arrival_us = ts
+    if vlan_id is not None and rec.vlan_id is None:
+        rec.vlan_id = vlan_id
+    if is_fragment:
+        rec.frag_count += 1
+    if flags is not None:
+        self._tcp_segment(live, sender, flags, ts)
+"""
+
+
+def _packet_kernel():
+    """FlowTable.assign, compiled from _ASSIGN and ENDPOINT_STATS."""
+    sections = {section: _fold_lines(section, "e", indent)
+                for section, indent in (("load", 4), ("head", 4), ("first", 8), ("later", 8),
+                                        ("tail", 4), ("flags", 8))}
+    source = _ASSIGN.format(**sections, record_gap=_fold_lines("later", "rec", 8, gaps_only=True))
+    namespace = {"FlowRecord": FlowRecord, "FlowKey": FlowKey, "_LiveFlow": _LiveFlow,
+                 "FIN": FIN, "SYN": SYN, "RST": RST, "PSH": PSH, "ACK": ACK, "URG": URG}
+    return compile_kernel("FlowTable.assign", source, namespace)
+
+
 class FlowTable:
-    """Streaming aggregator from decoded packets to flow records."""
+    """Streaming aggregator from decoded packets to flow records.
+
+    `assign(packet)` takes one packet: it counts the packet, opens,
+    retires or slices the packet's flow episode, folds the packet into
+    the record and applies `_tcp_segment` to a TCP segment."""
 
     def __init__(self, config: ExportConfig):
         self.config = config
-        self._live: dict[FlowKey, _LiveFlow] = {}
+        self._live: dict[tuple, _LiveFlow] = {}
         self._closed: list[FlowRecord] = []
         self.accepted_packets = 0
         self.accepted_bytes = 0
@@ -400,85 +468,9 @@ class FlowTable:
         self._windows: dict[int, list[int]] = {}  # idx -> [pkts, bytes, flows]
         self._flushed = False
 
-    # -- packet intake -------------------------------------------------
-
-    def assign(self, packet: DecodedPacket) -> None:
-        ts = packet.ts_us
-        if (
-            self._prev_ts_us is not None
-            and ts < self._prev_ts_us - self.config.reorder_slack_us
-        ):
-            self.skipped_non_monotonic += 1
-            return
-        self._prev_ts_us = ts
-        self.accepted_packets += 1
-        self.accepted_bytes += packet.ip_bytes
-        if self.first_ts_us is None:
-            self.first_ts_us = self.last_ts_us = ts
-        elif ts > self.last_ts_us:
-            self.last_ts_us = ts
-        window = self._window_counters(ts)
-        window[0] += 1
-        window[1] += packet.ip_bytes
-
-        key, sender = canonical_key(packet.src_addr, packet.src_port,
-                                    packet.dst_addr, packet.dst_port, packet.proto)
-        live = self._live.get(key)
-        if live is None:
-            live = self._open_episode(key, sender, packet, window)
-        elif ts - live.rec.ltime_us > self.config.idle_timeout_us:
-            self._retire(live, idle_us=ts - live.rec.ltime_us)
-            live = self._open_episode(key, sender, packet, window)
-        elif ts - live.origin_us >= (live.rec.slice_index + 1) * self.config.interval_us:
-            # No packet of a slice lies past the next one's start, so the open
-            # record's ltime is the episode's latest timestamp: its idle clock.
-            rec = live.rec
-            self._close_record(live, idle_us=ts - rec.ltime_us)
-            live.rec = FlowRecord(
-                key=key, initiator=rec.initiator,
-                stime_us=ts, ltime_us=ts,
-                slice_index=(ts - live.origin_us) // self.config.interval_us,
-                tcp_state=rec.tcp_state, ip_version=packet.ip_version,
-            )
-            live.last_arrival_us = None
-
-        self._count_packet(live, sender, packet)
-        if packet.tcp_flags is not None:
-            self._tcp_segment(live, sender, packet.tcp_flags, ts)
-
-    def _window_counters(self, ts_us: int) -> list[int]:
-        anchor = self.first_ts_us
-        idx = max((ts_us - anchor) // self.config.interval_us, 0)
-        counters = self._windows.get(idx)
-        if counters is None:
-            counters = self._windows[idx] = [0, 0, 0]
-        return counters
-
-    def _open_episode(self, key, sender, packet, window) -> _LiveFlow:
-        ts = packet.ts_us
-        rec = FlowRecord(key=key, initiator=sender, stime_us=ts, ltime_us=ts,
-                         ip_version=packet.ip_version)
-        live = _LiveFlow(rec)
-        self._live[key] = live
-        self.flows_started += 1
-        window[2] += 1
-        return live
-
-    def _count_packet(self, live: _LiveFlow, sender: str, packet: DecodedPacket) -> None:
-        ts = packet.ts_us
-        rec = live.rec
-        if ts < rec.stime_us:
-            rec.stime_us = ts
-        if ts > rec.ltime_us:
-            rec.ltime_us = ts
-        (rec.a if sender == "a" else rec.b).update(packet)
-        if live.last_arrival_us is not None:
-            observe_gap(rec, ts - live.last_arrival_us)
-        live.last_arrival_us = ts
-        if rec.vlan_id is None and packet.vlan_id is not None:
-            rec.vlan_id = packet.vlan_id
-        if packet.is_fragment:
-            rec.frag_count += 1
+    # Compiled once, when this module is imported: a class attribute, so
+    # that a wrapper set on the class sees every packet.
+    assign = _packet_kernel()
 
     def _tcp_segment(self, live: _LiveFlow, sender: str, flags: int, ts: int) -> None:
         """Apply the TCP connection rules to one segment of the episode, in

@@ -17,7 +17,15 @@ from functools import cache
 from typing import Callable
 
 from .errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion, not_utf8
-from .flows import FLAG_TEXT, FLAG_VALUES, EndpointStats, ExportConfig, FlowRecord, canonical_key
+from .flows import (
+    ENDPOINT_STATS,
+    FLAG_TEXT,
+    FLAG_VALUES,
+    EndpointStats,
+    ExportConfig,
+    FlowRecord,
+    canonical_key,
+)
 from .kernels import TO_TEXT, compile_kernel
 from .timefmt import WRITTEN_INT, WRITTEN_TIME, text_to_int, text_to_us, us_to_text
 
@@ -70,36 +78,7 @@ KIND_CONVERTERS: dict[str, tuple[str, Callable, str, str]] = {
 
 # (name suffix, value kind, EndpointStats attribute) of the statistics
 # each side of a record carries, in line order.
-_SIDE_FIELDS = (
-    ("pkts", "int", "pkts"),
-    ("bytes", "int", "bytes"),
-    ("appbytes", "int", "appbytes"),
-    ("datapkts", "int", "datapkts"),
-    ("minsz", "oint", "sz_min"),
-    ("maxsz", "oint", "sz_max"),
-    ("sqsz", "int", "sz_sumsq"),
-    ("minappsz", "oint", "app_min"),
-    ("maxappsz", "oint", "app_max"),
-    ("sqappsz", "int", "app_sumsq"),
-    ("ttl", "oint", "ttl_first"),
-    ("minttl", "oint", "ttl_min"),
-    ("maxttl", "oint", "ttl_max"),
-    ("tos", "oint", "tos_first"),
-    ("win", "oint", "win_first"),
-    ("tcpb", "oint", "tcpb_first"),
-    ("fin", "int", "fin_cnt"),
-    ("syn", "int", "syn_cnt"),
-    ("rst", "int", "rst_cnt"),
-    ("psh", "int", "psh_cnt"),
-    ("ack", "int", "ack_cnt"),
-    ("urg", "int", "urg_cnt"),
-    ("stime", "otime", "first_ts_us"),
-    ("ltime", "otime", "last_ts_us"),
-    ("ipsum", "time", "iat_sum_us"),
-    ("ipsq", "int", "iat_sumsq"),
-    ("ipmin", "otime", "iat_min_us"),
-    ("ipmax", "otime", "iat_max_us"),
-)
+_SIDE_FIELDS = tuple((suffix, kind, attr) for attr, suffix, kind, _, _ in ENDPOINT_STATS)
 
 
 # Every field of a v1 record line, in line order: (name, value kind,
@@ -335,6 +314,8 @@ def _read_lines(path, fp) -> HeraFile:
         line = raw.rstrip("\n")
         if not line:
             continue
+        if "\0" in line:
+            raise CorruptRecord(line_number, "line contains NUL")
         if line.startswith("#"):
             try:
                 _read_header_line(line, header, cfg_kwargs)

@@ -1,6 +1,7 @@
-"""Per-record kernels: straight-line functions whose source is generated
-once per process from module-level tables only (field and feature
-declarations, value-kind templates); no input text is ever put into it.
+"""Kernels: straight-line functions, per record or per packet, whose
+source is generated once per process from module-level tables only
+(field, feature and endpoint-statistic declarations, value-kind
+templates); no input text is ever put into it.
 """
 
 from __future__ import annotations

@@ -2,11 +2,13 @@
 
 Handles the four classic magic numbers (both byte orders, microsecond and
 nanosecond resolution), Ethernet (with a single VLAN tag) and raw-IP link
-layers, IPv4/IPv6, and the TCP/UDP/ICMP transports. A TCP segment's flags
-are the six classic bits of its flag byte, as one int. Undecodable
-records are reported as skips with a reason; they never abort the
-capture. Only a record header that claims more bytes than the file
-holds, or than any record may hold, does.
+layers, IPv4/IPv6, and the TCP/UDP/ICMP transports. `next_packet` reads
+one record and `_decode` turns its frame into a packet in one pass,
+reading each header at its offset into the record's bytes. A TCP
+segment's flags are the six classic bits of its flag byte, as one int.
+Undecodable records are reported as skips with a reason; they never
+abort the capture. Only a record header that claims more bytes than the
+file holds, or than any record may hold, does.
 """
 
 from __future__ import annotations
@@ -52,17 +54,22 @@ ETHERTYPE_QINQ = 0x88A8
 ETHERTYPE_IPV6 = 0x86DD
 
 PROTO_NAMES = {6: "tcp", 17: "udp", 1: "icmp", 58: "icmp"}
+_PROTO_TEXT = tuple(PROTO_NAMES.get(number) or str(number) for number in range(256))
 
-_U16 = struct.Struct(">H")
-_U32 = struct.Struct(">I")
-# sport, dport, seq, ack, data offset byte, flag byte, window
-_TCP = struct.Struct(">HHIIBBH")
+# From the IPv4 header's start: tos, total length, fragment word, ttl,
+# protocol, source and destination address
+_IPV4 = struct.Struct(">xBHxxHBBxx4s4s")
+# version/class/flow word, payload length, next header, hop limit, addresses
+_IPV6 = struct.Struct(">IHBB16s16s")
+# sport, dport, seq, data offset byte, flag byte, window (the ack is skipped)
+_TCP = struct.Struct(">HHI4xBBH")
 _PORTS = struct.Struct(">HH")
 
-# IPv6 extension headers we step over to reach the transport.
-_V6_EXTENSIONS = {0, 43, 60}
+# IPv6 extension headers we step over to reach the transport: hop-by-hop,
+# routing, fragment, authentication and destination options.
 _V6_FRAGMENT = 44
 _V6_AUTH = 51
+_V6_EXTENSIONS = frozenset((0, 43, _V6_FRAGMENT, _V6_AUTH, 60))
 
 
 # A capture holds far fewer distinct addresses than packets, so each
@@ -175,7 +182,7 @@ class CaptureReader:
             raise TruncatedRecord(self.name, index)
         self.record_index += 1
         ts_us = ts_sec * 1_000_000 + ts_frac // self._frac_per_us
-        result = self._decode_frame(ts_us, data, orig_len)
+        result = self._decode(ts_us, data, orig_len)
         if isinstance(result, str):
             self.skipped[result] += 1
             return SkippedRecord(index, result)
@@ -206,20 +213,25 @@ class CaptureReader:
 
     # -- frame decoding ------------------------------------------------
 
-    def _decode_frame(self, ts_us: int, data: bytes, orig_len: int):
+    def _decode(self, ts_us: int, data: bytes, orig_len: int):
+        """The DecodedPacket of one frame, or the reason it is skipped.
+        Each header is read at its offset into `data`: `offset` is where
+        the IP header starts and `header_len` how far it and the
+        headers after it reach."""
+        size = len(data)
         vlan_id = None
         if self._ethernet:
-            if len(data) < 14:
+            if size < 14:
                 return SKIP_TRUNCATED_FRAME
-            ethertype = _U16.unpack_from(data, 12)[0]
+            ethertype = data[12] << 8 | data[13]
             offset = 14
-            if ethertype in (ETHERTYPE_VLAN, ETHERTYPE_QINQ):
-                if len(data) < 18:
+            if ethertype == ETHERTYPE_VLAN or ethertype == ETHERTYPE_QINQ:
+                if size < 18:
                     return SKIP_TRUNCATED_FRAME
-                vlan_id = _U16.unpack_from(data, 14)[0] & 0x0FFF
-                ethertype = _U16.unpack_from(data, 16)[0]
+                vlan_id = (data[14] & 0x0F) << 8 | data[15]
+                ethertype = data[16] << 8 | data[17]
                 offset = 18
-                if ethertype in (ETHERTYPE_VLAN, ETHERTYPE_QINQ):
+                if ethertype == ETHERTYPE_VLAN or ethertype == ETHERTYPE_QINQ:
                     return SKIP_ENCAPSULATION
             if ethertype == ETHERTYPE_IPV4:
                 version = 4
@@ -228,88 +240,54 @@ class CaptureReader:
             else:
                 return SKIP_NON_IP
         else:  # raw IP: the IP version nibble picks the parser
-            if not data:
+            if not size:
                 return SKIP_TRUNCATED_FRAME
             version = data[0] >> 4
             offset = 0
-            if version not in (4, 6):
+            if version != 4 and version != 6:
                 return SKIP_NON_IP
-        wire_ip_len = max(orig_len - offset, 0)
         if version == 4:
-            return self._decode_ipv4(ts_us, data[offset:], wire_ip_len, vlan_id)
-        return self._decode_ipv6(ts_us, data[offset:], wire_ip_len, vlan_id)
-
-    def _decode_ipv4(self, ts_us, ip, wire_ip_len, vlan_id):
-        if len(ip) < 20:
-            return SKIP_TRUNCATED_FRAME
-        ver_ihl = ip[0]
-        if ver_ihl >> 4 != 4:
-            return SKIP_NON_IP
-        ihl = (ver_ihl & 0x0F) * 4
-        if ihl < 20 or len(ip) < ihl:
-            return SKIP_TRUNCATED_FRAME
-        tos = ip[1]
-        total_len = _U16.unpack_from(ip, 2)[0]
-        frag_offset = _U16.unpack_from(ip, 6)[0] & 0x1FFF  # in 8-byte units
-        ttl = ip[8]
-        proto_num = ip[9]
-        src = address_text(ip[12:16])
-        dst = address_text(ip[16:20])
-        # Prefer the header's claim for the on-wire size; captures cut by
-        # a small snaplen still report the true length there.
-        ip_bytes = total_len if total_len >= ihl else wire_ip_len
-        return self._decode_transport(
-            ts_us, 4, src, dst, proto_num, ip[ihl:], ip_bytes, ihl,
-            frag_offset > 0, ttl, tos, vlan_id,
-        )
-
-    def _decode_ipv6(self, ts_us, ip, wire_ip_len, vlan_id):
-        if len(ip) < 40:
-            return SKIP_TRUNCATED_FRAME
-        first_word = _U32.unpack_from(ip)[0]
-        if first_word >> 28 != 6:
-            return SKIP_NON_IP
-        tos = (first_word >> 20) & 0xFF
-        payload_len = _U16.unpack_from(ip, 4)[0]
-        next_header = ip[6]
-        ttl = ip[7]
-        src = address_text(ip[8:24])
-        dst = address_text(ip[24:40])
-        ip_bytes = 40 + payload_len if payload_len else wire_ip_len
-        offset = 40
-        is_fragment = False
-        while True:
-            if next_header in _V6_EXTENSIONS or next_header == _V6_AUTH:
-                if len(ip) < offset + 2:
-                    return SKIP_TRUNCATED_FRAME
-                ext_len = (
-                    (ip[offset + 1] + 2) * 4
-                    if next_header == _V6_AUTH
-                    else (ip[offset + 1] + 1) * 8
-                )
-                next_header = ip[offset]
-                offset += ext_len
-            elif next_header == _V6_FRAGMENT:
-                if len(ip) < offset + 8:
-                    return SKIP_TRUNCATED_FRAME
-                frag_word = _U16.unpack_from(ip, offset + 2)[0]
-                is_fragment = is_fragment or (frag_word >> 3) > 0
-                next_header = ip[offset]
-                offset += 8
-            else:
-                break
-            if len(ip) < offset:
+            if size < offset + 20:
                 return SKIP_TRUNCATED_FRAME
-        return self._decode_transport(
-            ts_us, 6, src, dst, next_header, ip[offset:], ip_bytes, offset,
-            is_fragment, ttl, tos, vlan_id,
-        )
-
-    def _decode_transport(
-        self, ts_us, version, src, dst, proto_num, transport, ip_bytes,
-        header_len, is_fragment, ttl, tos, vlan_id,
-    ):
-        proto = PROTO_NAMES.get(proto_num) or str(proto_num)
+            ver_ihl = data[offset]
+            if ver_ihl >> 4 != 4:
+                return SKIP_NON_IP
+            header_len = (ver_ihl & 0x0F) * 4
+            if header_len < 20 or size < offset + header_len:
+                return SKIP_TRUNCATED_FRAME
+            tos, total_len, frag_word, ttl, proto_num, src, dst = _IPV4.unpack_from(data, offset)
+            # Prefer the header's claim for the on-wire size; captures cut by
+            # a small snaplen still report the true length there.
+            ip_bytes = total_len if total_len >= header_len else max(orig_len - offset, 0)
+            is_fragment = frag_word & 0x1FFF > 0  # a non-zero offset, in 8-byte units
+        else:
+            if size < offset + 40:
+                return SKIP_TRUNCATED_FRAME
+            first_word, payload_len, proto_num, ttl, src, dst = _IPV6.unpack_from(data, offset)
+            if first_word >> 28 != 6:
+                return SKIP_NON_IP
+            tos = first_word >> 20 & 0xFF
+            ip_bytes = 40 + payload_len if payload_len else max(orig_len - offset, 0)
+            header_len = 40
+            is_fragment = False
+            while proto_num in _V6_EXTENSIONS:
+                at = offset + header_len
+                if proto_num == _V6_FRAGMENT:
+                    if size < at + 8:
+                        return SKIP_TRUNCATED_FRAME
+                    if (data[at + 2] << 8 | data[at + 3]) >> 3:  # a non-zero offset
+                        is_fragment = True
+                    header_len += 8
+                else:
+                    if size < at + 2:
+                        return SKIP_TRUNCATED_FRAME
+                    units = data[at + 1]
+                    header_len += (units + 2) * 4 if proto_num == _V6_AUTH else (units + 1) * 8
+                proto_num = data[at]
+                if size < offset + header_len:
+                    return SKIP_TRUNCATED_FRAME
+        at = offset + header_len  # the transport header
+        proto = _PROTO_TEXT[proto_num]
         sport = dport = 0
         flags = window = seq = None
         if is_fragment:
@@ -318,26 +296,27 @@ class CaptureReader:
             if proto == "tcp":
                 flags = 0
         elif proto == "tcp":
-            if len(transport) < 20:
+            if size < at + 20:
                 return SKIP_TRUNCATED_FRAME
-            sport, dport, seq, _, data_off, flag_bits, window = _TCP.unpack_from(transport)
+            sport, dport, seq, data_off, flag_bits, window = _TCP.unpack_from(data, at)
             header_len += (data_off >> 4) * 4
             flags = flag_bits & 0x3F
         elif proto == "udp":
-            if len(transport) < 8:
+            if size < at + 8:
                 return SKIP_TRUNCATED_FRAME
-            sport, dport = _PORTS.unpack_from(transport)
+            sport, dport = _PORTS.unpack_from(data, at)
             header_len += 8
         elif proto == "icmp":  # no ports: type and code stand in for them
-            if len(transport) < 4:
+            if size < at + 4:
                 return SKIP_TRUNCATED_FRAME
-            sport, dport = transport[0], transport[1]
+            sport = data[at]
+            dport = data[at + 1]
             header_len += 8
-        return DecodedPacket(
-            ts_us, src, dst, sport, dport, proto, ip_bytes,
-            max(ip_bytes - header_len, 0), ttl, tos, version,
-            is_fragment, flags, window, seq, vlan_id,
-        )
+        payload = ip_bytes - header_len
+        return tuple.__new__(DecodedPacket, (
+            ts_us, address_text(src), address_text(dst), sport, dport, proto, ip_bytes,
+            payload if payload > 0 else 0, ttl, tos, version, is_fragment, flags, window, seq,
+            vlan_id))
 
 
 def open_capture(path) -> CaptureReader:

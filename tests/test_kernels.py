@@ -1,11 +1,14 @@
-"""The compiled per-record kernels: the feature row of each selection, the
-`.hera` writer and the written-form reader.
+"""The compiled kernels: the feature row of each selection, the `.hera`
+writer and the written-form reader per record, and the packet kernel
+`FlowTable.assign` with the endpoint statistics' merge per packet.
 
 Each kernel is checked against its reference: `kernel_oracle` for the
 row and the writer, the general record reader for the written-form
-reader. The call-count guards keep each kernel, and the CSV line writer
-that takes the rows, straight-line: one Python-level call per cell or
-per field would show up as hundreds.
+reader, `endpoint_oracle` for the endpoint fold of the packet kernel and
+for the merge. The call-count guards keep each kernel, the CSV line
+writer that takes the rows and the packet decoder straight-line: one
+Python-level call per cell, per field or per header would show up as
+dozens or hundreds.
 """
 
 import dataclasses
@@ -15,11 +18,23 @@ import sys
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pcap_builder as pb
+from endpoint_oracle import oracle_merge, oracle_update
 from hera import herafile
 from hera.dataset import row_writer
 from hera.features import PRESETS, RowContext, compute_row, select_feature_set
-from hera.flows import MANAGEMENT_KEY, EndpointStats, FlowKey, FlowRecord
+from hera.flows import (
+    ACK,
+    MANAGEMENT_KEY,
+    EndpointStats,
+    ExportConfig,
+    FlowKey,
+    FlowRecord,
+    FlowTable,
+    canonical_key,
+)
 from hera.herafile import format_record
+from hera.pcap import CaptureReader, DecodedPacket
 from kernel_oracle import oracle_format_record, oracle_row
 from test_features import tcp_flow
 
@@ -113,6 +128,99 @@ def test_written_form_reader_equals_the_general_reader(rec):
         assert record == herafile._parse_general(line, 7)
 
 
+# The statistics of each side of a record, in `.hera` line order, as they
+# were written out by hand: (name suffix, value kind, attribute).
+SIDE_FIELDS = (
+    ("pkts", "int", "pkts"),
+    ("bytes", "int", "bytes"),
+    ("appbytes", "int", "appbytes"),
+    ("datapkts", "int", "datapkts"),
+    ("minsz", "oint", "sz_min"),
+    ("maxsz", "oint", "sz_max"),
+    ("sqsz", "int", "sz_sumsq"),
+    ("minappsz", "oint", "app_min"),
+    ("maxappsz", "oint", "app_max"),
+    ("sqappsz", "int", "app_sumsq"),
+    ("ttl", "oint", "ttl_first"),
+    ("minttl", "oint", "ttl_min"),
+    ("maxttl", "oint", "ttl_max"),
+    ("tos", "oint", "tos_first"),
+    ("win", "oint", "win_first"),
+    ("tcpb", "oint", "tcpb_first"),
+    ("fin", "int", "fin_cnt"),
+    ("syn", "int", "syn_cnt"),
+    ("rst", "int", "rst_cnt"),
+    ("psh", "int", "psh_cnt"),
+    ("ack", "int", "ack_cnt"),
+    ("urg", "int", "urg_cnt"),
+    ("stime", "otime", "first_ts_us"),
+    ("ltime", "otime", "last_ts_us"),
+    ("ipsum", "time", "iat_sum_us"),
+    ("ipsq", "int", "iat_sumsq"),
+    ("ipmin", "otime", "iat_min_us"),
+    ("ipmax", "otime", "iat_max_us"),
+)
+
+
+def test_side_fields_derived_from_the_endpoint_table_keep_the_line_order():
+    assert herafile._SIDE_FIELDS == SIDE_FIELDS
+    assert tuple(f.name for f in dataclasses.fields(EndpointStats)) == tuple(
+        attr for _, _, attr in SIDE_FIELDS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(endpoint_stats, endpoint_stats)
+def test_the_generated_merge_equals_the_oracle_merge(mine, theirs):
+    """Any mix of None and present values, as records read from a file
+    may carry: a time span with one end only, extremes without sums."""
+    expected = dataclasses.replace(mine)
+    oracle_merge(expected, theirs)
+    mine.merge(theirs)
+    assert mine == expected
+
+
+@st.composite
+def packet_streams(draw):
+    """Packets between two endpoints over two ports each, as TCP, UDP or
+    with any flags, at times that go back within and beyond the slack."""
+    ts = 1_000_000
+    packets = []
+    for _ in range(draw(st.integers(0, 30))):
+        ts += draw(st.integers(-3_000_000, 20_000_000) | st.sampled_from((0, 1, -1)))
+        src, dst = draw(st.permutations(("10.0.0.1", "10.0.0.2")))
+        size = draw(st.integers(0, 1500))
+        packets.append(DecodedPacket(
+            ts, src, dst, draw(st.sampled_from((80, 81))), draw(st.sampled_from((80, 81))),
+            draw(st.sampled_from(("tcp", "udp"))), size, draw(st.integers(0, size)),
+            draw(st.integers(0, 255)), draw(st.integers(0, 255)), 4, draw(st.booleans()),
+            draw(st.none() | st.integers(0, 63)), draw(st.none() | st.integers(0, 65535)),
+            draw(st.none() | st.integers(0, 2**32 - 1)), draw(st.none() | st.integers(0, 4095))))
+    return packets
+
+
+@settings(max_examples=150, deadline=None)
+@given(packet_streams(), st.integers(1, 30), st.integers(1, 30), st.integers(0, 2))
+def test_the_packet_kernel_folds_each_endpoint_as_the_oracle_update(
+        packets, interval_s, idle_s, slack_s):
+    table = FlowTable(ExportConfig(interval_us=interval_s * 1_000_000,
+                                   idle_timeout_us=idle_s * 1_000_000,
+                                   reorder_slack_us=slack_s * 1_000_000))
+    expected = {}  # id(record) -> (record, the oracle's stats of each side)
+    for packet in packets:
+        skipped = table.skipped_non_monotonic
+        table.assign(packet)
+        if table.skipped_non_monotonic > skipped:
+            continue
+        key, sender = canonical_key(packet.src_addr, packet.src_port,
+                                    packet.dst_addr, packet.dst_port, packet.proto)
+        live = table._live.get(key)
+        rec = table._closed[-1] if live is None else live.rec  # closed by this segment
+        _, sides = expected.setdefault(id(rec), (rec, {"a": EndpointStats(), "b": EndpointStats()}))
+        oracle_update(sides[sender], packet)
+    for rec, sides in expected.values():
+        assert (rec.a, rec.b) == (sides["a"], sides["b"])
+
+
 # -- call-count guards --------------------------------------------------------
 
 
@@ -152,3 +260,25 @@ def test_writing_a_row_of_every_feature_makes_at_most_3_python_calls():
     row = compute_row(tcp_flow(), SELECTIONS["all"], ctx)
     assert len(row) == 130
     assert python_calls(row_writer(io.StringIO()), row) <= 3
+
+
+def test_reading_an_ethernet_ipv4_tcp_frame_makes_at_most_2_python_calls():
+    frame = pb.tcp4_frame("10.0.0.1", "10.0.0.2", 40000, 80, pb.ACK, payload=b"data")
+    reader = CaptureReader(io.BytesIO(pb.pcap([pb.record(0, frame), pb.record(1, frame)])))
+    assert python_calls(reader.next_packet) <= 2  # the addresses' text cached by the first
+
+
+def _packet(proto: str, flags: int | None) -> DecodedPacket:
+    return DecodedPacket(1_000_000, "10.0.0.1", "10.0.0.2", 40000, 80, proto, 60, 20, 64, 0, 4,
+                         tcp_flags=flags, tcp_window=None if flags is None else 512,
+                         tcp_seq=None if flags is None else 7)
+
+
+def test_assigning_a_tcp_segment_to_an_open_flow_makes_at_most_2_python_calls():
+    table = FlowTable(ExportConfig())
+    assert python_calls(table.assign, _packet("tcp", ACK)) <= 2  # the kernel and _tcp_segment
+
+
+def test_assigning_a_udp_packet_to_an_open_flow_makes_1_python_call():
+    table = FlowTable(ExportConfig())
+    assert python_calls(table.assign, _packet("udp", None)) == 1

@@ -7,8 +7,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pcap_builder as pb
+from decode_oracle import decode_frame
 from hera import cli
 from hera.cli import main
 from hera.errors import (
@@ -540,3 +543,119 @@ def test_decode_twice_is_identical(tmp_path):
     recs = [pb.record(i * 1000, pb.udp4_frame("1.1.1.1", "2.2.2.2", 5, 6, payload=bytes([i]))) for i in range(10)]
     path = write(tmp_path, pb.pcap(recs))
     assert decoded(path) == decoded(path)
+
+
+# -- the decoder against the per-layer oracle ---------------------------------
+
+_V6_EXTENSION_TYPES = (0, 43, 60, 51, 44)  # hop-by-hop, routing, dest-opts, AH, fragment
+
+
+@st.composite
+def _transports(draw, v6: bool) -> tuple[int, bytes]:
+    """(protocol number, transport bytes) of TCP, UDP, ICMP, ICMPv6 or
+    another protocol."""
+    payload = draw(st.binary(max_size=24))
+    kind = draw(st.sampled_from(("tcp", "udp", "icmp", "other")))
+    if kind == "tcp":
+        return 6, pb.tcp(draw(st.integers(0, 65535)), draw(st.integers(0, 65535)),
+                         draw(st.integers(0, 0x1FF)), seq=draw(st.integers(0, 2**32 - 1)),
+                         window=draw(st.integers(0, 65535)), payload=payload,
+                         data_offset_words=draw(st.integers(0, 15)))
+    if kind == "udp":
+        return 17, pb.udp(draw(st.integers(0, 65535)), draw(st.integers(0, 65535)), payload)
+    if kind == "icmp":
+        number = draw(st.sampled_from((1, 58)) if v6 else st.just(1))
+        return number, pb.icmp(draw(st.integers(0, 255)), draw(st.integers(0, 255)), payload)
+    return draw(st.integers(0, 255)), payload
+
+
+@st.composite
+def _ip_packets(draw) -> tuple[int, bytes]:
+    """(IP version, packet): IPv4 with options and any fragment word, or
+    IPv6 behind a chain of extension headers."""
+    if draw(st.booleans()):
+        proto, transport = draw(_transports(v6=False))
+        ihl_words = draw(st.integers(5, 15))
+        return 4, pb.ipv4(
+            "10.0.0.1", draw(st.sampled_from(("10.0.0.2", "192.168.1.254", "0.0.0.0"))),
+            proto, transport, ttl=draw(st.integers(0, 255)), tos=draw(st.integers(0, 255)),
+            flags_frag=draw(st.sampled_from((0, 0x4000, 0x2000, 1, 0x1FFF)) | st.integers(0, 65535)),
+            total_length=draw(st.none() | st.integers(0, 65535)), ihl_words=ihl_words,
+            options=draw(st.binary(min_size=(ihl_words - 5) * 4, max_size=(ihl_words - 5) * 4)))
+    proto, transport = draw(_transports(v6=True))
+    # A fragment header's body starts with its fragment word: an offset in
+    # 8-byte units, then three flag bits.
+    fragment = st.builds(struct.pack, st.just("!HI"),
+                         st.sampled_from((0, 1, 7, 8, 9, 15, 16, 0xFFF8)) | st.integers(0, 65535),
+                         st.integers(0, 2**32 - 1))
+    extensions = draw(st.lists(st.sampled_from(_V6_EXTENSION_TYPES).flatmap(
+        lambda kind: st.tuples(st.just(kind), fragment if kind == 44 else st.binary(max_size=14))),
+        max_size=4))
+    return 6, pb.ipv6("2001:db8::1", draw(st.sampled_from(("2001:db8::2", "::1", "::ffff:1.2.3.4"))),
+                      proto, transport, hop_limit=draw(st.integers(0, 255)),
+                      traffic_class=draw(st.integers(0, 255)), ext_headers=extensions)
+
+
+@st.composite
+def _frames(draw) -> tuple[bool, bytes, int]:
+    """(Ethernet link, frame, orig_len): an IP packet as raw IP or behind
+    Ethernet with no, one or two 802.1Q/QinQ tags, then cut short and
+    overwritten at random."""
+    version, packet = draw(_ip_packets())
+    ethernet = draw(st.booleans())
+    if ethernet:
+        ethertype = draw(st.sampled_from(
+            (pb.ETHERTYPE_IPV4 if version == 4 else pb.ETHERTYPE_IPV6, pb.ETHERTYPE_IPV4,
+             pb.ETHERTYPE_IPV6, 0x0806)))
+        for _ in range(draw(st.integers(0, 2))):
+            ethertype, packet = pb.vlan_tag(
+                ethertype, packet, vlan_id=draw(st.integers(0, 0xFFFF)),
+                tpid=draw(st.sampled_from((pb.ETHERTYPE_VLAN, pb.ETHERTYPE_QINQ))))
+        packet = pb.ethernet(packet, ethertype)
+    frame = bytearray(packet[:draw(st.integers(0, len(packet)))] if draw(st.booleans()) else packet)
+    for position, value in draw(st.lists(st.tuples(st.integers(0, 200), st.integers(0, 255)),
+                                         max_size=3)):
+        if position < len(frame):
+            frame[position] = value
+    orig_len = draw(st.sampled_from((len(frame), len(packet), 0, 2**32 - 1))
+                    | st.integers(0, 2**32 - 1))
+    return ethernet, bytes(frame), orig_len
+
+
+def _assert_decodes_as_the_oracle(ethernet: bool, frame: bytes, orig_len: int) -> None:
+    linktype = pb.LINKTYPE_ETHERNET if ethernet else pb.LINKTYPE_RAW_IP
+    reader = CaptureReader(io.BytesIO(pb.global_header(linktype=linktype)))
+    got = reader._decode(1_500_000, frame, orig_len)
+    want = decode_frame(ethernet, 1_500_000, frame, orig_len)
+    assert got == want
+    assert type(got) is type(want)
+    if isinstance(want, DecodedPacket):
+        assert [type(value) for value in got] == [type(value) for value in want]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(_frames())
+def test_the_decoder_returns_what_the_per_layer_oracle_returns(case):
+    _assert_decodes_as_the_oracle(*case)
+
+
+def test_every_prefix_of_every_header_chain_decodes_as_the_oracle():
+    tagged_type, tagged = pb.vlan_tag(pb.ETHERTYPE_IPV4, pb.ipv4(
+        "10.0.0.1", "10.0.0.2", 6, pb.tcp(1, 2, pb.ACK), ihl_words=6, options=b"\x01" * 4))
+    outer_type, double = pb.vlan_tag(tagged_type, tagged, tpid=pb.ETHERTYPE_QINQ)
+    extensions = [(0, b"\x00" * 4), (43, b"\x00" * 6), (60, b"\x00" * 4),
+                  (44, b"\x00\x09\x00\x00\x00\x01"), (51, b"\x00" * 10)]
+    packets = [
+        pb.ipv4("10.0.0.1", "10.0.0.2", 17, pb.udp(53, 5353, b"dns")),
+        pb.ipv4("10.0.0.1", "10.0.0.2", 17, b"\x00" * 8, flags_frag=0x2003),
+        pb.ipv6("2001:db8::1", "2001:db8::2", 58, pb.icmp(128, 0, b"ping"), ext_headers=extensions),
+        pb.ipv6("2001:db8::1", "2001:db8::2", 6, pb.tcp(1, 2, pb.SYN), ext_headers=extensions[:3]),
+        pb.ipv4("10.0.0.1", "10.0.0.2", 47, b"gre!"),
+    ]
+    frames = [(True, pb.ethernet(tagged, tagged_type)), (True, pb.ethernet(double, outer_type))]
+    for packet in packets:
+        frames += [(False, packet), (True, pb.ethernet(packet, pb.ETHERTYPE_IPV4
+                                                       if packet[0] >> 4 == 4 else pb.ETHERTYPE_IPV6))]
+    for ethernet, frame in frames:
+        for length in range(len(frame) + 1):
+            _assert_decodes_as_the_oracle(ethernet, frame[:length], len(frame))

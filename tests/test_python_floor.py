@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hera import features, herafile
+from hera import features, flows, herafile
 
 ROOT = Path(__file__).resolve().parent.parent
 FLOOR = (3, 10)
@@ -32,6 +32,9 @@ KERNELS = {
     "format_record": lambda: herafile._writer(),
     "_parse_written": lambda: herafile._written_line(),
     "_record": lambda: herafile._record(),
+    "FlowTable.assign": lambda: flows.FlowTable.assign,
+    "EndpointStats.merge": lambda: flows.EndpointStats.merge,
+    "observe_gap": lambda: flows.observe_gap,
 }
 
 
