@@ -32,7 +32,7 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import HeraError, MalformedDatasetCell, UnknownFeature, UsageError
+from .errors import HeraError, UnknownFeature, UsageError
 from .timefmt import seconds_to_us
 from .workspace import DEFAULT_BENIGN_LABEL, DEFAULT_COUNT_WINDOW, Settings, load_workspace
 
@@ -237,7 +237,7 @@ def _feature_selection(text: str | None):
 
 
 def _dataset_options(settings: Settings) -> dict:
-    """The validated keyword arguments of `build_dataset`."""
+    """The validated keyword arguments of `dataset_rows`."""
     from .dataset import MODES
     from .features import select_feature_set
     feature_names = select_feature_set(_feature_selection(settings.text("features")))
@@ -250,7 +250,7 @@ def _dataset_options(settings: Settings) -> dict:
 
 
 def _label_options(settings: Settings) -> dict:
-    """The keyword arguments of `label_dataset`."""
+    """The keyword arguments of `labelled_rows` that settings give."""
     return dict(benign_label=settings.text("benign_label") or DEFAULT_BENIGN_LABEL,
                 bidirectional=settings.flag("bidirectional", False))
 
@@ -289,10 +289,12 @@ def export_capture(pcap_path, config: ExportConfig, skipped: Counter | None = No
     return header, records, table
 
 
-# -- per-file steps: each writes two outputs and logs one line. Export
-# returns the records; rows go from step to step as iterators and are
-# written as they come. `name` is the file the step works on; `started`
-# is when it began, before its input was read if it reads one.
+# -- per-file steps: each writes its stage's two outputs and logs one
+# line; given a ground truth, the dataset step runs the label step in the
+# same pass. Export returns the records; rows go from step to step as
+# iterators and are written as they come. `name` is the file the step
+# works on; `started` is when it began, before its input was read if it
+# reads one.
 
 
 def _log_step(step: str, name, started: float, counts: str) -> None:
@@ -315,29 +317,27 @@ def _export_step(pcap, config: ExportConfig, hera_path, stats_path) -> list:
     return records
 
 
-def _dataset_step(name, started, records, options, csv_path, stats_path) -> None:
-    from .dataset import dataset_rows, write_csv, write_stats
+def _dataset_step(name, started, records, options, paths, ground_truth=None,
+                  label_options=None) -> None:
+    """Build the rows and write each to the CSV as it comes. Given a
+    ground truth, each written row goes on to `_label_step` in the same
+    pass, so both log lines give that pass's time. `paths` are the CSV and
+    stats paths, then with a ground truth the labelled CSV and summary."""
+    from .dataset import csv_rows, dataset_rows, write_stats
+    csv_path, stats_path, *label_paths = paths
     header, rows, stats = dataset_rows(records, **options)
-    count = write_csv(csv_path, header, rows)
+    with csv_rows(csv_path, header) as write_row:
+        rows = _written(write_row, rows)
+        if ground_truth is None:
+            count = sum(1 for _ in rows)
+        else:
+            summary = _label_step(csv_path, header, rows, ground_truth, label_options,
+                                  *label_paths)
+            count = summary.total
     write_stats(stats_path, stats)
     _log_step("dataset", name, started, f"{len(records)} records in, {count} rows out")
-
-
-def _label_step(header, rows, entries, options, csv_path, summary_path) -> LabelSummary:
-    """Label the rows and write each as it comes; returns the summary,
-    which it writes too, for the caller to log."""
-    from .dataset import write_csv
-    from .labelling import LabelSummary, labelled_rows, write_label_summary
-    counts = {}
-    total = write_csv(csv_path, [*header, "Label"],
-                      labelled_rows(header, rows, entries, counts, **options))
-    summary = LabelSummary(total, options["benign_label"], counts)
-    write_label_summary(summary_path, summary)
-    return summary
-
-
-def _log_label_step(name, started, summary) -> None:
-    _log_step("label", name, started, f"{summary.total} rows, {summary.malicious} malicious")
+    if ground_truth is not None:
+        _log_label_step(name, started, summary)
 
 
 def _written(write_row, rows):
@@ -347,43 +347,34 @@ def _written(write_row, rows):
         yield row
 
 
-class _GroundTruth:
-    """Parsed on first use, at most once in each process that uses it: a
-    worker process gets its own unparsed copy when it starts."""
+def _label_step(source, header, rows, ground_truth, options, csv_path,
+                summary_path) -> LabelSummary:
+    """Label the rows, which come from the CSV at `source`, and write each
+    as it comes; returns the summary, which it writes too, for the caller
+    to log."""
+    from .dataset import write_csv
+    from .labelling import LabelSummary, labelled_rows, write_label_summary
+    counts = {}
+    total = write_csv(csv_path, [*header, "Label"],
+                      labelled_rows(header, rows, ground_truth, counts, path=source, **options))
+    summary = LabelSummary(total, options["benign_label"], counts)
+    write_label_summary(summary_path, summary)
+    return summary
 
-    def __init__(self, path: str):
-        self.path = path
 
-    @functools.cached_property
-    def entries(self):
-        from .labelling import parse_ground_truth
-        return parse_ground_truth(self.path)
+def _log_label_step(name, started, summary) -> None:
+    _log_step("label", name, started, f"{summary.total} rows, {summary.malicious} malicious")
 
 
 def _capture_chain(pcap, paths, export_config, dataset_options=None,
                    label_options=None, ground_truth=None) -> None:
-    """Export one capture and, given dataset options, go on to dataset and
-    label in memory, in one pass over the rows: each row is written to
-    the CSV, labelled and written to the labelled CSV before the next is
-    built, so both steps' log lines give that pass's time. Returns
-    nothing: a worker sends no records or rows back."""
-    from .dataset import csv_rows, dataset_rows, write_stats
+    """Export one capture and, given dataset options, go on to the dataset
+    step, and the label step with it, in memory. Returns nothing: a worker
+    sends no records or rows back."""
     records = _export_step(pcap, export_config, *paths[:2])
-    if dataset_options is None:
-        return
-    if ground_truth is None:
-        _dataset_step(pcap, time.perf_counter(), records, dataset_options, *paths[2:4])
-        return
-    entries = ground_truth.entries  # parsed before the first row is labelled
-    started = time.perf_counter()
-    header, rows, stats = dataset_rows(records, **dataset_options)
-    with csv_rows(paths[2], header) as write_row:
-        summary = _label_step(header, _written(write_row, rows), entries, label_options,
-                              *paths[4:])
-    write_stats(paths[3], stats)
-    _log_step("dataset", pcap, started,
-              f"{len(records)} records in, {summary.total} rows out")
-    _log_label_step(pcap, started, summary)
+    if dataset_options is not None:
+        _dataset_step(pcap, time.perf_counter(), records, dataset_options, paths[2:],
+                      ground_truth, label_options)
 
 
 _worker_chain = None  # in a worker process: the chain its pool was started with
@@ -400,8 +391,8 @@ def _run_in_worker(pcap, paths) -> None:
 
 def _for_each_capture(jobs: int, chain, pcaps, paths) -> None:
     """chain(pcap, its paths) for each capture, in up to `jobs` processes.
-    Each worker gets the chain once, when it starts, so what the chain
-    caches (the parsed ground truth) serves all of that worker's captures."""
+    Each worker gets the chain once, when it starts, so the index its
+    ground truth builds on first use serves all of that worker's captures."""
     if jobs > 1 and len(pcaps) > 1:
         workers = min(jobs, len(pcaps))
         with concurrent.futures.ProcessPoolExecutor(
@@ -434,7 +425,7 @@ def cmd_dataset(args, settings: Settings) -> None:
         paths = [stage.claim(out_dir, path.stem, ".csv", ".stats.txt") for path in inputs]
         for path, targets in zip(inputs, paths):
             started = time.perf_counter()
-            _dataset_step(path, started, read_hera(path).records, options, *targets)
+            _dataset_step(path, started, read_hera(path).records, options, targets)
 
 
 def cmd_label(args, settings: Settings) -> None:
@@ -449,25 +440,20 @@ def cmd_label(args, settings: Settings) -> None:
     with OutputStage(settings.flag("force", False)) as stage:
         paths = [stage.claim(Path(out) if out else path.parent, path.stem,
                              ".labelled.csv", ".labels.txt") for path in inputs]
-        entries = parse_ground_truth(gt)
+        ground_truth = parse_ground_truth(gt)
         for path, targets in zip(inputs, paths):
             started = time.perf_counter()
             rows = iter_csv(path)
             header = next(rows, [])
-            try:
-                summary = _label_step(header, rows, entries, options, *targets)
-            except MalformedDatasetCell as exc:
-                raise MalformedDatasetCell(exc.line_number, exc.column, exc.reason,
-                                           path) from None
+            summary = _label_step(path, header, rows, ground_truth, options, *targets)
             _log_label_step(path, started, summary)
 
 
 def cmd_run(args, settings: Settings) -> None:
     gt = settings.text("ground_truth")
-    chain = functools.partial(
-        _capture_chain, export_config=_export_config(settings, args),
-        dataset_options=_dataset_options(settings), label_options=_label_options(settings),
-        ground_truth=_GroundTruth(gt) if gt else None)
+    chain_options = dict(export_config=_export_config(settings, args),
+                         dataset_options=_dataset_options(settings),
+                         label_options=_label_options(settings))
     jobs = _count(settings, "jobs", 1)
     pcaps = _expand_inputs(settings.paths("pcap"), "--pcap")
     flows_dir = Path(settings.text("flows_dir") or "flows")
@@ -476,7 +462,10 @@ def cmd_run(args, settings: Settings) -> None:
     with OutputStage(settings.flag("force", False)) as stage:  # all captures' outputs
         paths = [stage.claim(flows_dir, pcap.stem, ".hera", ".stats.txt")
                  + stage.claim(csv_dir, pcap.stem, *csv_suffixes) for pcap in pcaps]
-        _for_each_capture(jobs, chain, pcaps, paths)
+        if gt:  # parsed once, before the first capture
+            from .labelling import parse_ground_truth
+            chain_options["ground_truth"] = parse_ground_truth(gt)
+        _for_each_capture(jobs, functools.partial(_capture_chain, **chain_options), pcaps, paths)
 
 
 COMMANDS = {

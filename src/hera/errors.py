@@ -21,6 +21,11 @@ def _rebuild(cls, args, state):
     return error
 
 
+def _where(path) -> str:
+    """The prefix naming the file an error is in, if it is known."""
+    return "" if path is None else f"{path}: "
+
+
 class InputFormatError(HeraError):
     """Input bytes or text do not conform to the expected format."""
 
@@ -40,8 +45,8 @@ class TruncatedHeader(CaptureError):
 class UnsupportedLinktype(CaptureError):
     """Capture uses a link layer this reader does not decode."""
 
-    def __init__(self, linktype: int):
-        super().__init__(f"unsupported linktype {linktype}")
+    def __init__(self, linktype: int, path=None):
+        super().__init__(f"{_where(path)}unsupported linktype {linktype}")
         self.linktype = linktype
 
 
@@ -75,8 +80,7 @@ class UnsupportedVersion(FlowFileError):
     """Flow file declares a version this reader does not understand."""
 
     def __init__(self, version: str, path=None):
-        where = "" if path is None else f"{path}: "
-        super().__init__(f"{where}unsupported flow file version {version!r}")
+        super().__init__(f"{_where(path)}unsupported flow file version {version!r}")
         self.version = version
 
 
@@ -84,8 +88,7 @@ class CorruptRecord(FlowFileError):
     """A record or header line cannot be parsed."""
 
     def __init__(self, line_number: int, reason: str, path=None):
-        where = f"line {line_number}" if path is None else f"{path}: line {line_number}"
-        super().__init__(f"{where}: {reason}")
+        super().__init__(f"{_where(path)}line {line_number}: {reason}")
         self.line_number = line_number
         self.reason = reason
 
@@ -109,16 +112,16 @@ class MissingLabelColumn(GroundTruthError):
 class EmptyLabelCell(GroundTruthError):
     """A ground-truth row has an empty label."""
 
-    def __init__(self, row_number: int):
-        super().__init__(f"row {row_number}: empty label cell")
+    def __init__(self, row_number: int, path=None):
+        super().__init__(f"{_where(path)}row {row_number}: empty label cell")
         self.row_number = row_number
 
 
 class MalformedTimestamp(GroundTruthError):
     """A ground-truth timestamp cell cannot be parsed."""
 
-    def __init__(self, row_number: int, value: str):
-        super().__init__(f"row {row_number}: malformed timestamp {value!r}")
+    def __init__(self, row_number: int, value: str, path=None):
+        super().__init__(f"{_where(path)}row {row_number}: malformed timestamp {value!r}")
         self.row_number = row_number
         self.value = value
 
@@ -126,8 +129,8 @@ class MalformedTimestamp(GroundTruthError):
 class MalformedField(GroundTruthError):
     """A ground-truth cell holds a value of the wrong shape."""
 
-    def __init__(self, row_number: int, column: str, value: str):
-        super().__init__(f"row {row_number}: bad {column} value {value!r}")
+    def __init__(self, row_number: int, column: str, value: str, path=None):
+        super().__init__(f"{_where(path)}row {row_number}: bad {column} value {value!r}")
         self.row_number = row_number
         self.column = column
         self.value = value
@@ -137,8 +140,7 @@ class MalformedDatasetCell(InputFormatError):
     """A match cell of a dataset being labelled is missing or unreadable."""
 
     def __init__(self, line_number: int, column: str, reason: str, path=None):
-        where = "" if path is None else f"{path}: "
-        super().__init__(f"{where}line {line_number}, column {column!r}: {reason}")
+        super().__init__(f"{_where(path)}line {line_number}, column {column!r}: {reason}")
         self.line_number = line_number
         self.column = column
         self.reason = reason
@@ -147,8 +149,8 @@ class MalformedDatasetCell(InputFormatError):
 class MissingMatchField(HeraError):
     """A dataset being labelled lacks a column needed for matching."""
 
-    def __init__(self, column: str):
-        super().__init__(f"dataset is missing required column {column!r}")
+    def __init__(self, column: str, path=None):
+        super().__init__(f"{_where(path)}dataset is missing required column {column!r}")
         self.column = column
 
 

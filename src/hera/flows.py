@@ -372,7 +372,6 @@ def kernel(self, packet):
         return
     self._prev_ts_us = ts
     self.accepted_packets += 1
-    self.accepted_bytes += size
     first = self.first_ts_us
     if first is None:
         self.first_ts_us = self.last_ts_us = first = ts
@@ -459,7 +458,6 @@ class FlowTable:
         self._live: dict[tuple, _LiveFlow] = {}
         self._closed: list[FlowRecord] = []
         self.accepted_packets = 0
-        self.accepted_bytes = 0
         self.flows_started = 0
         self.skipped_non_monotonic = 0
         self._prev_ts_us: int | None = None  # previous accepted packet

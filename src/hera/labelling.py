@@ -132,48 +132,48 @@ def parse_ground_truth(path) -> GroundTruth:
         if not label:
             if not "".join(row).strip():
                 continue
-            raise EmptyLabelCell(row_number)
+            raise EmptyLabelCell(row_number, path)
         try:
             entry = GroundTruthEntry(
                 label, row_number,
                 int(start.replace(".", "")) if _WRITTEN_TIME(start)
-                else _timestamp(start, row_number),
+                else _timestamp(start, row_number, path),
                 int(last.replace(".", "")) if _WRITTEN_TIME(last)
-                else _timestamp(last, row_number),
+                else _timestamp(last, row_number, path),
                 protos[proto], addrs[src],
                 int(sport) if sport.isdigit() and sport.isascii()
-                else _port(sport, "sport", row_number),
+                else _port(sport, "sport", row_number, path),
                 addrs[dst],
                 int(dport) if dport.isdigit() and dport.isascii()
-                else _port(dport, "dport", row_number))
+                else _port(dport, "dport", row_number, path))
         except ValueError:  # int() past its digit limit: the parsers decide
             entry = GroundTruthEntry(
-                label, row_number, _timestamp(start, row_number),
-                _timestamp(last, row_number), protos[proto], addrs[src],
-                _port(sport, "sport", row_number), addrs[dst],
-                _port(dport, "dport", row_number))
+                label, row_number, _timestamp(start, row_number, path),
+                _timestamp(last, row_number, path), protos[proto], addrs[src],
+                _port(sport, "sport", row_number, path), addrs[dst],
+                _port(dport, "dport", row_number, path))
         entries.append(entry)
     return entries
 
 
-def _timestamp(text: str, row_number: int) -> int | None:
+def _timestamp(text: str, row_number: int, path) -> int | None:
     text = text.strip()
     if not text:
         return None
     try:
         return text_to_us(text)
     except ValueError:
-        raise MalformedTimestamp(row_number, text) from None
+        raise MalformedTimestamp(row_number, text, path) from None
 
 
-def _port(text: str, column: str, row_number: int) -> int | None:
+def _port(text: str, column: str, row_number: int, path) -> int | None:
     text = text.strip()
     if not text:
         return None
     try:
         return text_to_int(text)
     except ValueError:
-        raise MalformedField(row_number, column, text) from None
+        raise MalformedField(row_number, column, text, path) from None
 
 
 class LabelSummary(NamedTuple):
@@ -195,15 +195,15 @@ _CELL_PARSERS = {"stime": text_to_us, "ltime": text_to_us, "sport": text_to_int,
                  "dport": text_to_int}
 
 
-def _row_views(header, rows):
+def _row_views(header, rows, path=None):
     """Yield (row, (stime_us, ltime_us, (proto, saddr, sport, daddr,
-    dport))) for each row; rows[0] is line 2 of the CSV."""
+    dport))) for each row; rows[0] is line 2 of the CSV at `path`."""
     positions = []
     for col in MATCH_COLUMNS:
         try:
             positions.append(header.index(col))
         except ValueError:
-            raise MissingMatchField(col) from None
+            raise MissingMatchField(col, path) from None
     pick = itemgetter(*positions)
     addrs = _Memo(_canonical_addr)
     for line_number, row in enumerate(rows, start=2):
@@ -216,23 +216,23 @@ def _row_views(header, rows):
                      addrs[daddr],
                      int(dport) if dport.isdigit() and dport.isascii() else text_to_int(dport)))
         except (ValueError, IndexError):
-            view = _general_view(row, line_number, positions, addrs)
+            view = _general_view(row, line_number, positions, addrs, path)
         yield row, view
 
 
-def _general_view(row, line_number, positions, addrs):
+def _general_view(row, line_number, positions, addrs, path):
     """A row's view converted cell by cell, for a row the written-form
     path could not read; the first match cell that is missing or cannot
     be converted raises."""
     cells = []
     for column, position in zip(MATCH_COLUMNS, positions):
         if position >= len(row):
-            raise MalformedDatasetCell(line_number, column, "missing cell")
+            raise MalformedDatasetCell(line_number, column, "missing cell", path)
         try:
             cells.append(_CELL_PARSERS.get(column, str)(row[position]))
         except ValueError:
             raise MalformedDatasetCell(line_number, column,
-                                       f"bad value {row[position]!r}") from None
+                                       f"bad value {row[position]!r}", path) from None
     stime, ltime, proto, saddr, daddr, sport, dport = cells
     return stime, ltime, (proto.lower(), addrs[saddr], sport, addrs[daddr], dport)
 
@@ -338,20 +338,21 @@ def _candidates(index, forward, reverse, stime_us, ltime_us) -> list[int]:
 def labelled_rows(
     header: list[str],
     rows: Iterable[list[str]],
-    entries: list[GroundTruthEntry],
+    entries: GroundTruth,
     counts: dict[str, int],
     benign_label: str = DEFAULT_BENIGN_LABEL,
     bidirectional: bool = False,
+    path=None,
 ) -> Iterator[list[str]]:
     """Yield each row, as it is taken, with its label appended, and count
-    the label in `counts` (rows per label).
+    the label in `counts` (rows per label). `path`, if given, is the file
+    the rows come from, for the error a row or the header raises.
 
     A row gets the label of the first entry in list order, among those
     the index offers for its key and times, whose time window
     `match_entry` accepts."""
-    index = (entries.match_index if isinstance(entries, GroundTruth)
-             else _index_entries(entries))
-    for row, (stime_us, ltime_us, forward) in _row_views(header, rows):
+    index = entries.match_index
+    for row, (stime_us, ltime_us, forward) in _row_views(header, rows, path):
         proto, saddr, sport, daddr, dport = forward
         reverse = (proto, daddr, dport, saddr, sport) if bidirectional else None
         label = benign_label

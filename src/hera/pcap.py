@@ -157,7 +157,7 @@ class CaptureReader:
         endian = ">" if order == "big" else "<"
         _, _, _, _, snaplen, linktype = struct.unpack(endian + "HHiIII", raw[4:])
         if linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
-            raise UnsupportedLinktype(linktype)
+            raise UnsupportedLinktype(linktype, self.name)
         self._record_head = struct.Struct(endian + "IIII")
         self._frac_per_us = 1000 if resolution == "nano" else 1
         self._ethernet = linktype == LINKTYPE_ETHERNET

@@ -4,7 +4,7 @@ labelling rows without changing them."""
 
 from hera import herafile
 from hera.flows import ExportConfig, FlowRecord, FlowTable
-from hera.labelling import DEFAULT_BENIGN_LABEL, LabelSummary, labelled_rows
+from hera.labelling import DEFAULT_BENIGN_LABEL, GroundTruth, LabelSummary, labelled_rows
 
 
 def collect_flows(packets, config: ExportConfig) -> list[FlowRecord]:
@@ -27,9 +27,10 @@ def record_field_names() -> list[str]:
 
 def label_rows(header, rows, entries, benign_label=DEFAULT_BENIGN_LABEL,
                bidirectional=False) -> tuple[list[str], LabelSummary]:
-    """One label per row plus the summary; each row gets its label
-    appended and then taken off again, so the rows are left as they were."""
+    """One label per row plus the summary, against the entries in a new
+    `GroundTruth`; each row gets its label appended and then taken off
+    again, so the rows are left as they were."""
     counts = {}
-    labels = [row.pop() for row in labelled_rows(header, rows, entries, counts,
+    labels = [row.pop() for row in labelled_rows(header, rows, GroundTruth(entries), counts,
                                                  benign_label, bidirectional)]
     return labels, LabelSummary(len(labels), benign_label, counts)

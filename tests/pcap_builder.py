@@ -109,13 +109,17 @@ def ipv6(
     """ext_headers: list of (header type, body) inserted before the payload.
 
     Each extension body is padded so its length is 8*(n+1) bytes with the
-    standard (next header, hdr ext len) prefix.
+    standard (next header, hdr ext len) prefix. The length field counts
+    8-octet units minus 1, or for an Authentication Header (51) 4-octet
+    units minus 2.
     """
     chain = payload
     inner_next = next_header
     for ext_type, body in reversed(ext_headers or []):
         padded = body + b"\x00" * ((-(len(body) + 2)) % 8)
-        full = struct.pack("!BB", inner_next, (len(padded) + 2) // 8 - 1) + padded
+        size = len(padded) + 2
+        units = size // 4 - 2 if ext_type == 51 else size // 8 - 1
+        full = struct.pack("!BB", inner_next, units) + padded
         chain = full + chain
         inner_next = ext_type
     ver_tc_flow = (6 << 28) | (traffic_class << 20)

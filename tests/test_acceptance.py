@@ -21,7 +21,7 @@ from hera.dataset import build_dataset, cluster, read_csv, write_csv
 from hera.features import ALWAYS_ON, CATALOG_ORDER, DEFAULT_FEATURES, select_feature_set
 from hera.flows import ExportConfig, FlowTable
 from hera import labelling
-from hera.labelling import GroundTruthEntry, label_dataset
+from hera.labelling import GroundTruth, GroundTruthEntry, label_dataset
 from hera.pcap import DecodedPacket, open_capture
 from helpers import label_rows
 from test_cli import sample_capture, tree, write_gt
@@ -272,7 +272,7 @@ def test_criterion_1(name, tmp_path):
         oracle_row(f) for f in flows)
     assert table.accepted_packets == accepted
     assert table.skipped_non_monotonic == skipped
-    assert table.accepted_bytes == total_bytes
+    assert sum(r.bytes for r in records) == total_bytes
     assert time.perf_counter() - started < 5.0
 
 
@@ -319,7 +319,7 @@ def test_criterion_3_conservation_and_cluster():
     hosts = [f"10.8.{i}.{j}" for i in range(6) for j in range(1, 7)]
     table = FlowTable(ExportConfig(interval_us=15 * SEC))
     ts = 0
-    sent = 0
+    sent = accepted_bytes = 0
     for _ in range(4000):
         ts += rng.randrange(0, 800_000)
         stamp = ts
@@ -327,7 +327,7 @@ def test_criterion_3_conservation_and_cluster():
             stamp = max(ts - 3 * SEC, 0)  # beyond slack: must be skipped
         proto = rng.choice(["tcp", "tcp", "udp", "icmp"])
         src, dst = rng.sample(hosts, 2)
-        table.assign(DecodedPacket(
+        packet = DecodedPacket(
             ts_us=stamp,
             src_addr=src, dst_addr=dst,
             src_port=rng.choice([80, 443, 53, 8080, 40000]),
@@ -338,7 +338,11 @@ def test_criterion_3_conservation_and_cluster():
             ttl=64, tos=0, ip_version=4,
             tcp_flags=flag_value(rng.sample("SAFRP", rng.randrange(0, 3)))
             if proto == "tcp" else None,
-        ))
+        )
+        skipped = table.skipped_non_monotonic
+        table.assign(packet)
+        if table.skipped_non_monotonic == skipped:
+            accepted_bytes += packet.ip_bytes
         sent += 1
 
     records = table.flush()
@@ -349,11 +353,11 @@ def test_criterion_3_conservation_and_cluster():
     assert len({r.key for r in data}) >= 100
 
     assert sum(r.pkts for r in data) == table.accepted_packets
-    assert sum(r.bytes for r in data) == table.accepted_bytes
+    assert sum(r.bytes for r in data) == accepted_bytes
 
     merged = cluster(data)
     assert sum(r.pkts for r in merged) == table.accepted_packets
-    assert sum(r.bytes for r in merged) == table.accepted_bytes
+    assert sum(r.bytes for r in merged) == accepted_bytes
     assert cluster(merged) == merged
     assert time.perf_counter() - started < 10.0
 
@@ -416,7 +420,7 @@ def test_criterion_4_labelling_oracle_equivalence(tmp_path, monkeypatch):
     assert summary.total == len(rows)
     assert sum(summary.counts.values()) == summary.total
 
-    header, labelled, summary2 = label_dataset(HDR, rows, entries)
+    header, labelled, summary2 = label_dataset(HDR, rows, GroundTruth(entries))
     out = tmp_path / "labelled.csv"
     write_csv(out, header, labelled)
     re_header, re_rows = read_csv(out)

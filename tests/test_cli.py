@@ -511,8 +511,10 @@ def test_label_dataset_without_match_columns_is_format_error(tmp_path, capsys):
     partial = tmp_path / "partial.csv"
     partial.write_text("stime,ltime,proto\n1.000000,2.000000,tcp\n",
                        encoding="utf-8")
-    assert main(["label", "--in", str(partial), "--gt", str(gt)]) == 2
-    assert "missing required column" in capsys.readouterr().err
+    assert main(["label", "--in", str(dataset), "--in", str(partial), "--gt", str(gt)]) == 2
+    assert capsys.readouterr().err == (
+        f"hera: {partial}: dataset is missing required column 'saddr'\n")
+    assert not (tmp_path / "csv" / "a.labelled.csv").exists()
 
 
 MATCH_HEADER = "stime,ltime,proto,saddr,sport,daddr,dport\n"
@@ -727,7 +729,13 @@ def test_run_hands_records_and_rows_over_in_memory(capture, tmp_path, monkeypatc
 
 
 @pytest.mark.parametrize("jobs", ["1", "2"])
-def test_run_with_bad_ground_truth_leaves_nothing(tmp_path, capsys, jobs):
+def test_run_with_bad_ground_truth_leaves_nothing(tmp_path, capsys, monkeypatch, jobs):
+    """The ground truth is parsed before the first capture, in the parent
+    process: no capture is exported, and the error names the file."""
+    def no_export(*args):
+        raise AssertionError("a capture was exported")
+
+    monkeypatch.setattr(cli, "export_capture", no_export)
     for name, base in (("a.pcap", 0), ("b.pcap", 3 * SEC)):
         sample_capture(tmp_path / name, base_us=base)
     gt = write_gt(tmp_path / "gt.csv", "StartTime,Label\nnot-a-time,Probe\n")
@@ -735,7 +743,7 @@ def test_run_with_bad_ground_truth_leaves_nothing(tmp_path, capsys, jobs):
     assert main(["run", "--pcap", str(tmp_path / "*.pcap"), "--gt", str(gt),
                  "--flows-dir", str(flows), "--csv-dir", str(csv_dir),
                  "--jobs", jobs]) == 2
-    assert "hera: row 2: malformed timestamp 'not-a-time'\n" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"hera: {gt}: row 2: malformed timestamp 'not-a-time'\n"
     assert not (tmp_path / "out").exists()
 
 

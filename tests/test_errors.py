@@ -7,13 +7,14 @@ from hera import errors
 SAMPLES = [
     errors.TruncatedRecord("c.pcap", 7),
     errors.OversizedRecord("c.pcap", 1, 4294967280, 262144),
-    errors.UnsupportedLinktype(9),
+    errors.UnsupportedLinktype(9, "c.pcap"),
     errors.UnsupportedVersion("v9", "f.hera"),
     errors.CorruptRecord(5, "missing field 'stime'", "f.hera"),
-    errors.EmptyLabelCell(3),
-    errors.MalformedTimestamp(4, "noon"),
-    errors.MalformedField(4, "sport", "http"),
+    errors.EmptyLabelCell(3, "gt.csv"),
+    errors.MalformedTimestamp(4, "noon", "gt.csv"),
+    errors.MalformedField(4, "sport", "http", "gt.csv"),
     errors.MalformedDatasetCell(2, "dport", "bad value 'x'", "d.csv"),
+    errors.MissingMatchField("proto", "d.csv"),
     errors.UnreadableLine("gt.csv", 3, "bytes are not UTF-8", column=12),
 ]
 

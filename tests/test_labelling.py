@@ -18,6 +18,7 @@ from hera.errors import (
 )
 from hera.labelling import (
     DEFAULT_BENIGN_LABEL,
+    GroundTruth,
     GroundTruthEntry,
     format_label_summary,
     label_dataset,
@@ -206,7 +207,7 @@ def parsed_cells(path, start, last, sport, dport):
     return made.start_us, made.last_us, made.sport, made.dport
 
 
-def oracle_cells(start, last, sport, dport):
+def oracle_cells(path, start, last, sport, dport):
     """The same, from text_to_us/text_to_int on each stripped cell."""
     out = []
     for text, column, parse in ((start, None, text_to_us), (last, None, text_to_us),
@@ -218,8 +219,8 @@ def oracle_cells(start, last, sport, dport):
         try:
             out.append(parse(text))
         except ValueError:
-            exc = (MalformedTimestamp(2, text) if column is None
-                   else MalformedField(2, column, text))
+            exc = (MalformedTimestamp(2, text, path) if column is None
+                   else MalformedField(2, column, text, path))
             return type(exc), str(exc)
     return tuple(out)
 
@@ -265,7 +266,8 @@ LONG_CELLS = [
 @given(CELL_TEXT, CELL_TEXT, CELL_TEXT, CELL_TEXT)
 def test_cell_fast_paths_equal_the_parsers(tmp_path_factory, start, last, sport, dport):
     path = tmp_path_factory.getbasetemp() / "cells.csv"
-    assert parsed_cells(path, start, last, sport, dport) == oracle_cells(start, last, sport, dport)
+    cells = (start, last, sport, dport)
+    assert parsed_cells(path, *cells) == oracle_cells(path, *cells)
     assert viewed_cells(start, last, sport, dport) == oracle_view(start, last, sport, dport)
 
 
@@ -274,10 +276,11 @@ def test_cell_fast_paths_on_explicit_cells(tmp_path, text):
     """Every cell keeps its value or its error, each of the four columns
     in turn holding the text; past int()'s digit limit too."""
     fine = ("1.000000", "2.000000", "1234", "80")
+    path = tmp_path / "gt.csv"
     for column in range(4):
         cells = list(fine)
         cells[column] = text
-        assert parsed_cells(tmp_path / "gt.csv", *cells) == oracle_cells(*cells)
+        assert parsed_cells(path, *cells) == oracle_cells(path, *cells)
         assert viewed_cells(*cells) == oracle_view(*cells)
 
 
@@ -667,7 +670,7 @@ def test_time_sorted_buckets_match_oracle_on_overlapping_windows(seed):
 
 def test_label_dataset_appends_label_column():
     rows = [row(), row(saddr="10.0.0.9")]
-    header, labelled, summary = label_dataset(HDR, rows, [entry(src_addr="10.0.0.9")])
+    header, labelled, summary = label_dataset(HDR, rows, GroundTruth([entry(src_addr="10.0.0.9")]))
     assert header == HDR + ["Label"]
     assert labelled is rows  # labelled in place, not copied
     assert labelled == [row() + ["Benign"], row(saddr="10.0.0.9") + ["DoS"]]
@@ -716,7 +719,7 @@ def test_write_label_summary(tmp_path):
 
 def test_summary_recount_matches_labelled_output():
     rows, entries = random_case(9)
-    header, labelled, summary = label_dataset(HDR, rows, entries)
+    header, labelled, summary = label_dataset(HDR, rows, GroundTruth(entries))
     col = header.index("Label")
     recount = {}
     for r in labelled:

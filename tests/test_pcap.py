@@ -105,9 +105,10 @@ def test_bad_magic(tmp_path):
 
 
 def test_unsupported_linktype(tmp_path):
-    data = pb.pcap([], linktype=113)
-    with pytest.raises(UnsupportedLinktype):
-        open_capture(write(tmp_path, data))
+    path = write(tmp_path, pb.pcap([], linktype=113))
+    with pytest.raises(UnsupportedLinktype) as err:
+        open_capture(path)
+    assert str(err.value) == f"{path}: unsupported linktype 113"
 
 
 def test_snaplen_and_linktype_parsed(tmp_path):
@@ -265,6 +266,18 @@ def test_ipv6_extension_header_walk(tmp_path):
     assert isinstance(pkt, DecodedPacket)
     assert pkt.proto == "udp"
     assert pkt.src_port == 53
+
+
+@pytest.mark.parametrize("ext_type", [51, 60], ids=["authentication", "destination-options"])
+@pytest.mark.parametrize("body", [b"\x00" * 10, b"\x00" * 22], ids=["10-octet", "22-octet"])
+def test_ipv6_extension_header_decodes_as_built(tmp_path, ext_type, body):
+    """The builder writes an Authentication Header's length in 4-octet
+    units minus 2 and every other header's in 8-octet units minus 1, so
+    both chains decode to the ports and payload they were built with."""
+    frame = pb.ethernet(pb.ipv6("2001:db8::1", "2001:db8::2", 17, pb.udp(53, 5353, b"dns"),
+                                ext_headers=[(ext_type, body)]), pb.ETHERTYPE_IPV6)
+    pkt = first_packet(write(tmp_path, pb.pcap([pb.record(0, frame)])))
+    assert (pkt.proto, pkt.src_port, pkt.dst_port, pkt.payload_bytes) == ("udp", 53, 5353, 3)
 
 
 def test_ipv6_fragment(tmp_path):
