@@ -11,9 +11,13 @@ outputs before any work, stages them to temporary files and renames
 them into place only when it succeeds, so a failure leaves nothing
 behind, and nothing is overwritten without --force.
 
-Each command imports only the stage modules it runs, so building the
-parser loads none of them. Under --verbose each per-file step logs one
-line to stderr with its wall seconds and counts; no output file changes.
+Each command imports only the modules it runs, stage modules and
+standard library alike: building the parser loads no stage module, and
+no command loads `dataclasses`, `logging` or `concurrent.futures` (the
+last only for --jobs over several inputs). Under --verbose each per-file
+step prints one `INFO` line to stderr with its wall seconds and counts,
+and each output renamed into place one `INFO wrote` line; no output
+file changes.
 
 Exit codes: 0 success, 1 usage error, 2 malformed input, 3 IO error.
 """
@@ -21,10 +25,8 @@ Exit codes: 0 success, 1 usage error, 2 malformed input, 3 IO error.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import functools
 import glob
-import logging
 import os
 import sys
 import time
@@ -39,9 +41,6 @@ from .workspace import DEFAULT_BENIGN_LABEL, DEFAULT_COUNT_WINDOW, Settings, loa
 if TYPE_CHECKING:
     from .flows import ExportConfig
     from .labelling import LabelSummary
-
-log = logging.getLogger("hera")
-
 
 class _Parser(argparse.ArgumentParser):
     """Argparse that reports usage problems through our exit-code map and
@@ -135,11 +134,12 @@ def _add_label_flags(cmd) -> None:
 class OutputStage:
     """Claim output paths up front, have them written as .part files, and
     rename them all into place when the `with` block ends without an
-    error; on an error, delete the .part files and the directories made
-    for them instead."""
+    error, logging each under `verbose`; on an error, delete the .part
+    files and the directories made for them instead."""
 
-    def __init__(self, force: bool):
+    def __init__(self, force: bool, verbose: bool):
         self.force = force
+        self.verbose = verbose
         self._pairs: dict[Path, Path] = {}
         self._made: list[Path] = []
 
@@ -164,7 +164,7 @@ class OutputStage:
             if exc_type is None:
                 for final, tmp in self._pairs.items():
                     os.replace(tmp, final)
-                    log.info("wrote %s", final)
+                    _log(self.verbose, f"wrote {final}")
                 self._made.clear()
         finally:  # whatever was not renamed into place
             for tmp in self._pairs.values():
@@ -289,19 +289,25 @@ def export_capture(pcap_path, config: ExportConfig, skipped: Counter | None = No
     return header, records, table
 
 
-# -- per-file steps: each writes its stage's two outputs and logs one
-# line; given a ground truth, the dataset step runs the label step in the
-# same pass. Export returns the records; rows go from step to step as
-# iterators and are written as they come. `name` is the file the step
-# works on; `started` is when it began, before its input was read if it
-# reads one.
+# -- per-file steps: each writes its stage's two outputs and, under
+# `verbose`, logs one line; given a ground truth, the dataset step runs
+# the label step in the same pass. Export returns the records; rows go
+# from step to step as iterators and are written as they come. `name` is
+# the file the step works on; `started` is when it began, before its
+# input was read if it reads one.
 
 
-def _log_step(step: str, name, started: float, counts: str) -> None:
-    log.info("%s %s: %s, %.3f s", step, name, counts, time.perf_counter() - started)
+def _log(verbose: bool, message: str) -> None:
+    """Under --verbose, the message as one `INFO` line on stderr."""
+    if verbose:
+        print(f"INFO {message}", file=sys.stderr, flush=True)
 
 
-def _export_step(pcap, config: ExportConfig, hera_path, stats_path) -> list:
+def _log_step(verbose: bool, step: str, name, started: float, counts: str) -> None:
+    _log(verbose, f"{step} {name}: {counts}, {time.perf_counter() - started:.3f} s")
+
+
+def _export_step(pcap, config: ExportConfig, hera_path, stats_path, verbose: bool) -> list:
     from .dataset import compute_stats, write_stats
     from .herafile import write_hera
     started = time.perf_counter()
@@ -310,15 +316,15 @@ def _export_step(pcap, config: ExportConfig, hera_path, stats_path) -> list:
     write_hera(hera_path, header, records)
     write_stats(stats_path, compute_stats(records))
     reasons = ", ".join(f"{reason} {count}" for reason, count in sorted(skipped.items()))
-    _log_step("export", pcap, started,
+    _log_step(verbose, "export", pcap, started,
               f"{table.accepted_packets + table.skipped_non_monotonic} packets decoded, "
               f"{sum(skipped.values())} skipped{f' ({reasons})' if reasons else ''}, "
               f"{table.skipped_non_monotonic} non-monotonic, {len(records)} records")
     return records
 
 
-def _dataset_step(name, started, records, options, paths, ground_truth=None,
-                  label_options=None) -> None:
+def _dataset_step(name, started, records, options, paths, verbose: bool,
+                  ground_truth=None, label_options=None) -> None:
     """Build the rows and write each to the CSV as it comes. Given a
     ground truth, each written row goes on to `_label_step` in the same
     pass, so both log lines give that pass's time. `paths` are the CSV and
@@ -335,9 +341,9 @@ def _dataset_step(name, started, records, options, paths, ground_truth=None,
                                   *label_paths)
             count = summary.total
     write_stats(stats_path, stats)
-    _log_step("dataset", name, started, f"{len(records)} records in, {count} rows out")
+    _log_step(verbose, "dataset", name, started, f"{len(records)} records in, {count} rows out")
     if ground_truth is not None:
-        _log_label_step(name, started, summary)
+        _log_label_step(verbose, name, started, summary)
 
 
 def _written(write_row, rows):
@@ -362,19 +368,20 @@ def _label_step(source, header, rows, ground_truth, options, csv_path,
     return summary
 
 
-def _log_label_step(name, started, summary) -> None:
-    _log_step("label", name, started, f"{summary.total} rows, {summary.malicious} malicious")
+def _log_label_step(verbose: bool, name, started, summary) -> None:
+    _log_step(verbose, "label", name, started,
+              f"{summary.total} rows, {summary.malicious} malicious")
 
 
 def _capture_chain(pcap, paths, export_config, dataset_options=None,
-                   label_options=None, ground_truth=None) -> None:
+                   label_options=None, ground_truth=None, verbose=False) -> None:
     """Export one capture and, given dataset options, go on to the dataset
     step, and the label step with it, in memory. Returns nothing: a worker
-    sends no records or rows back."""
-    records = _export_step(pcap, export_config, *paths[:2])
+    sends no records or rows back, and logs its own lines."""
+    records = _export_step(pcap, export_config, *paths[:2], verbose)
     if dataset_options is not None:
         _dataset_step(pcap, time.perf_counter(), records, dataset_options, paths[2:],
-                      ground_truth, label_options)
+                      verbose, ground_truth, label_options)
 
 
 _worker_chain = None  # in a worker process: the chain its pool was started with
@@ -391,11 +398,13 @@ def _run_in_worker(pcap, paths) -> None:
 
 def _for_each_capture(jobs: int, chain, pcaps, paths) -> None:
     """chain(pcap, its paths) for each capture, in up to `jobs` processes.
-    Each worker gets the chain once, when it starts, so the index its
-    ground truth builds on first use serves all of that worker's captures."""
+    Each worker gets the chain, with its options and verbosity, once, when
+    it starts, so the index its ground truth builds on first use serves
+    all of that worker's captures."""
     if jobs > 1 and len(pcaps) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         workers = min(jobs, len(pcaps))
-        with concurrent.futures.ProcessPoolExecutor(
+        with ProcessPoolExecutor(
                 max_workers=workers, initializer=_start_worker, initargs=(chain,)) as pool:
             list(pool.map(_run_in_worker, pcaps, paths))
     else:
@@ -410,9 +419,10 @@ def cmd_export(args, settings: Settings) -> None:
     jobs = _count(settings, "jobs", 1)
     pcaps = _expand_inputs(settings.paths("pcap"), "--pcap")
     out_dir = Path(settings.text("out") or settings.text("flows_dir") or ".")
-    with OutputStage(settings.flag("force", False)) as stage:
+    with OutputStage(settings.flag("force", False), args.verbose) as stage:
         paths = [stage.claim(out_dir, pcap.stem, ".hera", ".stats.txt") for pcap in pcaps]
-        chain = functools.partial(_capture_chain, export_config=export_config)
+        chain = functools.partial(_capture_chain, export_config=export_config,
+                                  verbose=args.verbose)
         _for_each_capture(jobs, chain, pcaps, paths)
 
 
@@ -421,11 +431,12 @@ def cmd_dataset(args, settings: Settings) -> None:
     options = _dataset_options(settings)
     inputs = _expand_inputs(settings.paths("inputs"), "--in")
     out_dir = Path(settings.text("out") or settings.text("csv_dir") or ".")
-    with OutputStage(settings.flag("force", False)) as stage:
+    with OutputStage(settings.flag("force", False), args.verbose) as stage:
         paths = [stage.claim(out_dir, path.stem, ".csv", ".stats.txt") for path in inputs]
         for path, targets in zip(inputs, paths):
             started = time.perf_counter()
-            _dataset_step(path, started, read_hera(path).records, options, targets)
+            _dataset_step(path, started, read_hera(path).records, options, targets,
+                          args.verbose)
 
 
 def cmd_label(args, settings: Settings) -> None:
@@ -437,7 +448,7 @@ def cmd_label(args, settings: Settings) -> None:
     options = _label_options(settings)
     inputs = _expand_inputs(settings.paths("inputs"), "--in")
     out = settings.text("out")
-    with OutputStage(settings.flag("force", False)) as stage:
+    with OutputStage(settings.flag("force", False), args.verbose) as stage:
         paths = [stage.claim(Path(out) if out else path.parent, path.stem,
                              ".labelled.csv", ".labels.txt") for path in inputs]
         ground_truth = parse_ground_truth(gt)
@@ -446,20 +457,21 @@ def cmd_label(args, settings: Settings) -> None:
             rows = iter_csv(path)
             header = next(rows, [])
             summary = _label_step(path, header, rows, ground_truth, options, *targets)
-            _log_label_step(path, started, summary)
+            _log_label_step(args.verbose, path, started, summary)
 
 
 def cmd_run(args, settings: Settings) -> None:
     gt = settings.text("ground_truth")
     chain_options = dict(export_config=_export_config(settings, args),
                          dataset_options=_dataset_options(settings),
-                         label_options=_label_options(settings))
+                         label_options=_label_options(settings), verbose=args.verbose)
     jobs = _count(settings, "jobs", 1)
     pcaps = _expand_inputs(settings.paths("pcap"), "--pcap")
     flows_dir = Path(settings.text("flows_dir") or "flows")
     csv_dir = Path(settings.text("csv_dir") or "csv")
     csv_suffixes = (".csv", ".stats.txt") + ((".labelled.csv", ".labels.txt") if gt else ())
-    with OutputStage(settings.flag("force", False)) as stage:  # all captures' outputs
+    # One stage for all captures' outputs
+    with OutputStage(settings.flag("force", False), args.verbose) as stage:
         paths = [stage.claim(flows_dir, pcap.stem, ".hera", ".stats.txt")
                  + stage.claim(csv_dir, pcap.stem, *csv_suffixes) for pcap in pcaps]
         if gt:  # parsed once, before the first capture
@@ -480,10 +492,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        logging.basicConfig(
-            level=logging.INFO if args.verbose else logging.WARNING,
-            format="%(levelname)s %(message)s",
-        )
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1

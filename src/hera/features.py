@@ -22,13 +22,13 @@ share once and returns the row as one list display.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
+from typing import NamedTuple
 
 from .errors import UnknownFeature
 from .flows import FLAG_TEXT, FlowRecord, opt_max, opt_min
-from .kernels import TO_TEXT, compile_kernel
+from .kernels import TO_TEXT, compile_kernel, slotted
 
 # Well-known ports for the service feature. The lookup key is the lower
 # of the two ports, so the ephemeral side never hides the service.
@@ -88,18 +88,12 @@ def flow_id(rec: FlowRecord) -> str:
     return f"{rec.daddr}-{rec.saddr}-{rec.dport}-{rec.sport}-{rec.key.proto}"
 
 
-@dataclass
+@slotted((("rank", 0), ("service", ""), ("ssaddr", None), ("sdaddr", None)))
 class RowContext:
     """Per-row values that do not live on the record itself."""
 
-    rank: int = 0
-    service: str = ""
-    ssaddr: int | None = None
-    sdaddr: int | None = None
 
-
-@dataclass(frozen=True)
-class Feature:
+class Feature(NamedTuple):
     name: str
     group: str
     unit: str

@@ -16,7 +16,8 @@ bits (`FIN` ... `URG`) and text (`FLAG_TEXT`, `FLAG_VALUES`).
 `ENDPOINT_STATS` declares each per-endpoint statistic once: its
 attribute, `.hera` field and fold rule. The `EndpointStats` class, its
 `merge`, `observe_gap`, the `.hera` field order and the packet kernel's
-endpoint fold are generated from it. The packet kernel,
+endpoint fold are generated from it; `FlowRecord` is generated from
+its own field table, `RECORD_FIELDS`. The packet kernel,
 `FlowTable.assign`, is compiled once when this module is imported: one
 function per packet that counts it, opens, retires or slices its
 episode and folds it into the record, calling `_tcp_segment` for TCP.
@@ -24,10 +25,9 @@ episode and folds it into the record, calling `_tcp_segment` for TCP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, make_dataclass
 from typing import NamedTuple
 
-from .kernels import compile_kernel
+from .kernels import REQUIRED, compile_kernel, slotted
 
 STATE_REQ = "REQ"
 STATE_CON = "CON"
@@ -72,14 +72,14 @@ def canonical_key(saddr: str, sport: int, daddr: str, dport: int,
     return FlowKey(daddr, dport, saddr, sport, proto), "b"
 
 
-@dataclass
+@slotted((
+    ("interval_us", 60_000_000),
+    ("idle_timeout_us", None),  # defaults to the interval
+    ("emit_management", True),
+    ("reorder_slack_us", 1_000_000),
+))
 class ExportConfig:
     """Knobs for the packet-to-flow stage. Times are integer microseconds."""
-
-    interval_us: int = 60_000_000
-    idle_timeout_us: int | None = None  # defaults to the interval
-    emit_management: bool = True
-    reorder_slack_us: int = 1_000_000
 
     def __post_init__(self):
         if self.interval_us <= 0:
@@ -190,19 +190,21 @@ def _fold_lines(section: str, target: str, indent: int, gaps_only: bool = False)
         if section in _FOLD_RULES[rule][1] and (rule.startswith("gap") or not gaps_only))
 
 
-EndpointStats = make_dataclass(
-    "EndpointStats",
-    [(attr, int, 0) if kind in ("int", "time") else (attr, "int | None", None)
-     for attr, _, kind, _, _ in ENDPOINT_STATS],
-    namespace={
-        "__doc__": "Per-endpoint accumulators for one flow record (ENDPOINT_STATS).",
-        # Fold a later record's endpoint stats into this one (clustering).
-        "merge": compile_kernel("EndpointStats.merge", "def kernel(s, o):\n" + "".join(
-            "    " + _FOLD_RULES[rule][0].format(a=attr) + "\n"
-            for attr, _, _, rule, _ in ENDPOINT_STATS), {"opt_min": opt_min, "opt_max": opt_max}),
-    },
-    slots=True)
-EndpointStats.__module__ = __name__
+# Each field of an EndpointStats, in ENDPOINT_STATS order: (attribute,
+# default). An "int" or "time" statistic starts at 0, an optional one at
+# None.
+ENDPOINT_FIELDS = tuple((attr, 0 if kind in ("int", "time") else None)
+                        for attr, _, kind, _, _ in ENDPOINT_STATS)
+
+
+@slotted(ENDPOINT_FIELDS)
+class EndpointStats:
+    """Per-endpoint accumulators for one flow record (ENDPOINT_STATS)."""
+
+    # Fold a later record's endpoint stats into this one (clustering).
+    merge = compile_kernel("EndpointStats.merge", "def kernel(s, o):\n" + "".join(
+        "    " + _FOLD_RULES[rule][0].format(a=attr) + "\n"
+        for attr, _, _, rule, _ in ENDPOINT_STATS), {"opt_min": opt_min, "opt_max": opt_max})
 
 # observe_gap(stats, gap_us) adds one inter-arrival gap to the IAT sums and
 # extremes of an EndpointStats or a FlowRecord. Each extreme may be None on
@@ -211,36 +213,42 @@ observe_gap = compile_kernel(
     "observe_gap", "def kernel(e, gap):\n" + _fold_lines("later", "e", 4, gaps_only=True), {})
 
 
-@dataclass(slots=True)
+# Each field of a FlowRecord, in constructor order: (attribute, default).
+# `a` and `b` (the endpoints' EndpointStats) and `extra` are new for each
+# record.
+RECORD_FIELDS = (
+    ("key", REQUIRED),  # a FlowKey
+    ("initiator", REQUIRED),  # 'a' or 'b': which endpoint is the flow source
+    ("stime_us", REQUIRED),
+    ("ltime_us", REQUIRED),
+    ("slice_index", 0),
+    ("is_management", False),
+    ("a", EndpointStats),
+    ("b", EndpointStats),
+    ("flgs", 0),  # union of the TCP flag values seen
+    ("tcp_state", None),
+    ("synack_us", None),
+    ("ackdat_us", None),
+    ("iat_sum_us", 0),
+    ("iat_sumsq", 0),
+    ("iat_min_us", None),
+    ("iat_max_us", None),
+    ("vlan_id", None),
+    ("ip_version", None),
+    ("frag_count", 0),
+    ("runtime_us", 0),
+    ("idle_us", 0),
+    ("flows", None),  # management records: episodes begun in window
+    ("seq", None),  # position in the flushed/parsed record stream
+    ("trans", 1),  # constituents merged into this record
+    ("extra", dict),  # unknown fields kept on read, by name
+)
+
+
+@slotted(RECORD_FIELDS)
 class FlowRecord:
     """One emitted flow record: a slice of a flow episode, or a
     management summary when is_management is set."""
-
-    key: FlowKey
-    initiator: str  # 'a' or 'b': which endpoint is the flow source
-    stime_us: int
-    ltime_us: int
-    slice_index: int = 0
-    is_management: bool = False
-    a: EndpointStats = field(default_factory=EndpointStats)
-    b: EndpointStats = field(default_factory=EndpointStats)
-    flgs: int = 0  # union of the TCP flag values seen
-    tcp_state: str | None = None
-    synack_us: int | None = None
-    ackdat_us: int | None = None
-    iat_sum_us: int = 0
-    iat_sumsq: int = 0
-    iat_min_us: int | None = None
-    iat_max_us: int | None = None
-    vlan_id: int | None = None
-    ip_version: int | None = None
-    frag_count: int = 0
-    runtime_us: int = 0
-    idle_us: int = 0
-    flows: int | None = None  # management records: episodes begun in window
-    seq: int | None = None  # position in the flushed/parsed record stream
-    trans: int = 1  # constituents merged into this record
-    extra: dict[str, str] = field(default_factory=dict)  # unknown fields kept on read
 
     # -- orientation helpers ------------------------------------------
 

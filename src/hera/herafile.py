@@ -12,21 +12,22 @@ files from newer minor revisions survive a rewrite.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field, fields
 from functools import cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion, not_utf8
 from .flows import (
+    ENDPOINT_FIELDS,
     ENDPOINT_STATS,
     FLAG_TEXT,
     FLAG_VALUES,
+    RECORD_FIELDS,
     EndpointStats,
     ExportConfig,
     FlowRecord,
     canonical_key,
 )
-from .kernels import TO_TEXT, compile_kernel
+from .kernels import REQUIRED, TO_TEXT, compile_kernel, slotted
 from .timefmt import WRITTEN_INT, WRITTEN_TIME, text_to_int, text_to_us, us_to_text
 
 MAGIC_PREFIX = "#HERA "
@@ -121,10 +122,10 @@ _KNOWN_FIELDS = frozenset(_NAMES)
 # Each field's converters, in line order.
 _CONVERTERS = tuple(KIND_CONVERTERS[kind] for _, kind, *_ in _LINE)
 
-# The value of each field a line may leave out: its attribute's dataclass
+# The value of each field a line may leave out: its attribute's declared
 # default. The required fields take none.
-_RECORD_DEFAULTS, _SIDE_DEFAULTS = (
-    {f.name: f.default for f in fields(cls)} for cls in (FlowRecord, EndpointStats))
+_RECORD_DEFAULTS = {attr: default for attr, default in RECORD_FIELDS if default is not REQUIRED}
+_SIDE_DEFAULTS = dict(ENDPOINT_FIELDS)
 _DEFAULTS = tuple((_RECORD_DEFAULTS if owner == "record" else _SIDE_DEFAULTS).get(attr)
                   for _, _, owner, attr in _LINE)
 
@@ -189,10 +190,10 @@ def _compile_reader(label: str, parameters: str, head: str, extra: str, template
              **{attr: text for (owner, attr), text in value.items() if owner == "record"}}
     source = _READER.format(
         parameters=parameters, head=head, extra=extra,
-        src=", ".join(value["src", f.name] for f in fields(EndpointStats)),
-        dst=", ".join(value["dst", f.name] for f in fields(EndpointStats)),
+        src=", ".join(value["src", attr] for attr, _ in ENDPOINT_FIELDS),
+        dst=", ".join(value["dst", attr] for attr, _ in ENDPOINT_FIELDS),
         key=", ".join(text for (owner, _), text in value.items() if owner == "key"),
-        record=", ".join(built[f.name] for f in fields(FlowRecord)[:len(built)]))
+        record=", ".join(built[attr] for attr, _ in RECORD_FIELDS[:len(built)]))
     namespace.update(EndpointStats=EndpointStats, FlowRecord=FlowRecord,
                      canonical_key=canonical_key)
     return compile_kernel(label, source, namespace)
@@ -249,17 +250,18 @@ def _parse_general(line: str, line_number: int) -> FlowRecord:
     return _record()(values, extra)
 
 
-@dataclass
+@slotted((
+    ("sources", list),
+    ("config", ExportConfig),
+    ("capture_start_us", None),
+    ("capture_end_us", None),
+    ("extra", list),  # unknown header lines, verbatim
+))
 class HeraHeader:
-    sources: list[str] = field(default_factory=list)
-    config: ExportConfig = field(default_factory=ExportConfig)
-    capture_start_us: int | None = None
-    capture_end_us: int | None = None
-    extra: list[str] = field(default_factory=list)  # unknown header lines, verbatim
+    """The header lines of a .hera file."""
 
 
-@dataclass
-class HeraFile:
+class HeraFile(NamedTuple):
     header: HeraHeader
     records: list[FlowRecord]
 

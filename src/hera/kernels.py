@@ -2,12 +2,18 @@
 source is generated once per process from module-level tables only
 (field, feature and endpoint-statistic declarations, value-kind
 templates); no input text is ever put into it.
+
+`compile_kernel` compiles one such function. `slotted`, the class
+generator beside it, builds a class with one slot per declared field and
+compiles its `__init__` from that declaration: what `dataclass(slots=True)`
+makes, without the cost of importing `dataclasses`.
 """
 
 from __future__ import annotations
 
 import linecache
 from itertools import count
+from operator import attrgetter
 
 from .timefmt import us_to_text
 
@@ -37,3 +43,53 @@ def compile_kernel(label: str, source: str, namespace: dict):
     namespace["us_to_text"] = us_to_text
     exec(compile(source, filename, "exec"), namespace)
     return namespace["kernel"]
+
+
+REQUIRED = object()  # the default of a field its constructor must be given
+_NEW = object()  # stands in for a default built anew for each instance
+
+
+def slotted(fields):
+    """Class decorator: the class rebuilt with one slot per field and the
+    methods dataclass(slots=True) would give it. `fields` are (attribute,
+    default) pairs in constructor order. A default of REQUIRED makes the
+    argument required; a class gives each instance a new instance of it;
+    any other default is a constant, written into `__init__` as its repr.
+    `__init__` takes the fields by position or keyword and, if the class
+    has a `__post_init__`, ends by calling it. `==` compares the fields in
+    order between instances of the one class, and the repr names them."""
+    names = tuple(name for name, _ in fields)
+    factories = {default.__name__: default for _, default in fields if isinstance(default, type)}
+    parameters = "".join(
+        f", {name}" if default is REQUIRED else
+        f", {name}=NEW" if isinstance(default, type) else f", {name}={default!r}"
+        for name, default in fields)
+    body = "".join(
+        f"    self.{name} = {default.__name__}() if {name} is NEW else {name}\n"
+        if isinstance(default, type) else f"    self.{name} = {name}\n"
+        for name, default in fields)
+    values = attrgetter(*names)
+
+    def build(cls):
+        namespace = {key: value for key, value in vars(cls).items()
+                     if key not in ("__dict__", "__weakref__")}
+        post_init = "    self.__post_init__()\n" if "__post_init__" in namespace else ""
+        init = compile_kernel(f"{cls.__name__}.__init__",
+                              f"def kernel(self{parameters}):\n{body}{post_init}",
+                              {"NEW": _NEW, **factories})
+        init.__name__, init.__qualname__ = "__init__", f"{cls.__qualname__}.__init__"
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return values(self) == values(other)
+
+        def __repr__(self):
+            return (f"{self.__class__.__qualname__}("
+                    f"{', '.join(f'{name}={getattr(self, name)!r}' for name in names)})")
+
+        # Defining __eq__ leaves the class unhashable, as dataclass does.
+        namespace.update(__slots__=names, __init__=init, __eq__=__eq__, __repr__=__repr__)
+        return type(cls)(cls.__name__, cls.__bases__, namespace)
+
+    return build

@@ -17,7 +17,6 @@ import functools
 import ipaddress
 import struct
 from collections import Counter
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import (
@@ -86,8 +85,7 @@ SKIP_TRUNCATED_FRAME = "truncated-frame"
 SKIP_ENCAPSULATION = "unsupported-encapsulation"
 
 
-@dataclass(frozen=True)
-class CaptureHeader:
+class CaptureHeader(NamedTuple):
     byte_order: str  # "big" or "little"
     ts_resolution: str  # "micro" or "nano"
     linktype: int
@@ -115,8 +113,7 @@ class DecodedPacket(NamedTuple):
     vlan_id: int | None = None
 
 
-@dataclass(frozen=True)
-class SkippedRecord:
+class SkippedRecord(NamedTuple):
     record_index: int
     reason: str
 

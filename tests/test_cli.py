@@ -1,7 +1,6 @@
 import builtins
 import csv
 import io
-import logging
 import multiprocessing
 import os
 import re
@@ -415,13 +414,20 @@ def test_bad_mode_is_usage_error(tmp_path, capsys):
     assert capsys.readouterr().err == "hera: --mode must be one of ra/racluster\n"
 
 
-def modules_loaded_by(code: str) -> list[str]:
-    """The modules a fresh interpreter holds after running `code`."""
+def child_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this hera, with
+    no workspace file in effect."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("HERA_WORKSPACE", None)
+    return env
+
+
+def modules_loaded_by(code: str) -> list[str]:
+    """The modules a fresh interpreter holds after running `code`."""
     code = f"import sys; {code}; print(' '.join(sorted(sys.modules)))"
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+    return subprocess.run([sys.executable, "-c", code], env=child_env(), check=True,
                           capture_output=True, text=True).stdout.split()
 
 
@@ -443,7 +449,30 @@ def test_export_and_label_do_not_load_the_feature_catalog(tmp_path):
         assert "hera.features" not in loaded
     assert "hera.labelling" in loaded
     assert "hera.flows" not in loaded  # label never loads the flow engine
-    assert "dataclasses" not in loaded  # nor dataclasses, with inspect and ast
+
+
+# Standard-library modules that no command needs: each weighs a few
+# milliseconds and a few hundred kilobytes, with what it imports in turn.
+UNNEEDED = ("dataclasses", "inspect", "logging", "concurrent.futures")
+
+
+@pytest.mark.parametrize("command", ["build_parser", "export", "dataset", "label", "run"])
+def test_no_command_loads_dataclasses_inspect_logging_or_futures(tmp_path, command):
+    dataset, gt = labelled_setup(tmp_path)
+    pcap, out = tmp_path / "a.pcap", str(tmp_path / "out")
+    argv = {
+        "export": ["export", "--pcap", str(pcap), "--out", out],
+        "dataset": ["dataset", "--in", str(tmp_path / "flows" / "a.hera"), "--out", out,
+                    "--features", "all", "--mode", "racluster"],
+        "label": ["label", "--in", str(dataset), "--gt", str(gt), "--out", out],
+        "run": ["run", "--pcap", str(pcap), "--gt", str(gt), "--flows-dir", out,
+                "--csv-dir", str(tmp_path / "run-csv"), "--jobs", "1"],
+    }.get(command)
+    code = ("from hera.cli import build_parser; build_parser()" if argv is None else
+            f"from hera.cli import main; assert main({['--verbose', *argv]!r}) == 0")
+    loaded = modules_loaded_by(code)
+    assert "hera.cli" in loaded
+    assert [name for name in UNNEEDED if name in loaded] == []
 
 
 def test_no_command_prints_usage(capsys):
@@ -586,14 +615,15 @@ def test_run_without_ground_truth(capture, tmp_path, monkeypatch):
     assert tree(tmp_path / "csv") == ["a.csv", "a.stats.txt"]
 
 
-def stage_by_stage(pcaps, gt, out, flags):
-    """The outputs of `export`, `dataset` and `label` run one after another."""
+def stage_by_stage(pcaps, gt, out, flags, common=()):
+    """The outputs of `export`, `dataset` and `label` run one after another,
+    each with the `common` flags first."""
     export_flags, dataset_flags, label_flags = flags
-    assert main(["export", *[f"--pcap={p}" for p in pcaps],
+    assert main([*common, "export", *[f"--pcap={p}" for p in pcaps],
                  "--out", str(out / "flows"), *export_flags]) == 0
-    assert main(["dataset", "--in", str(out / "flows" / "*.hera"),
+    assert main([*common, "dataset", "--in", str(out / "flows" / "*.hera"),
                  "--out", str(out / "csv"), *dataset_flags]) == 0
-    assert main(["label", "--in", str(out / "csv" / "*.csv"), "--gt", str(gt),
+    assert main([*common, "label", "--in", str(out / "csv" / "*.csv"), "--gt", str(gt),
                  *label_flags]) == 0
 
 
@@ -947,12 +977,9 @@ def test_verbose_run_logs_one_line_per_step_to_stderr_and_changes_no_output(tmp_
                 "--flows-dir", str(out / "flows"), "--csv-dir", str(out / "csv")]
 
     assert main(argv(tmp_path / "quiet")) == 0
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    env.pop("HERA_WORKSPACE", None)
     loud = subprocess.run([sys.executable, "-m", "hera.cli", "--verbose",
-                           *argv(tmp_path / "loud")], env=env, capture_output=True, text=True)
+                           *argv(tmp_path / "loud")], env=child_env(), capture_output=True,
+                          text=True)
     assert loud.returncode == 0, loud.stderr
     assert loud.stdout == ""
     assert_same_tree(tmp_path / "quiet", tmp_path / "loud")
@@ -961,19 +988,55 @@ def test_verbose_run_logs_one_line_per_step_to_stderr_and_changes_no_output(tmp_
     assert_counts_of(counts, tmp_path / "loud", tmp_path / "loud" / "csv")
 
 
-def test_verbose_stand_alone_steps_log_their_counts(tmp_path, caplog):
+def test_verbose_stand_alone_steps_log_their_counts(tmp_path, capsys):
     capture = accounted_capture(tmp_path / "a.pcap")
     gt = write_gt(tmp_path / "gt.csv", PIPELINE_GT)
     out = tmp_path / "out"
-    with caplog.at_level(logging.INFO, logger="hera"):
-        stage_by_stage([capture], gt, out, ([], [], ["--bidirectional"]))
-    counts = step_counts(f"{r.levelname} {r.getMessage()}" for r in caplog.records)
+    stage_by_stage([capture], gt, out, ([], [], ["--bidirectional"]), common=["--verbose"])
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    lines = printed.err.splitlines()
+    counts = step_counts(lines)
     assert [step["name"] for step in counts] == [
         str(capture), str(out / "flows" / "a.hera"), str(out / "csv" / "a.csv")]
     assert_counts_of(counts, out, out / "csv")
+    assert sorted(line for line in lines if line.startswith("INFO wrote ")) == sorted(
+        f"INFO wrote {out / name}" for name in tree(out))
     quiet = tmp_path / "quiet"
     stage_by_stage([capture], gt, quiet, ([], [], ["--bidirectional"]))
+    assert capsys.readouterr().err == ""
     assert_same_tree(out, quiet)
+
+
+@pytest.mark.parametrize("method", [method for method in ("fork", "spawn")
+                                    if method in multiprocessing.get_all_start_methods()])
+def test_verbose_jobs_workers_log_each_capture_once(tmp_path, method):
+    # The workers print their own lines, under either start method, and in
+    # any order; the parent prints the `wrote` lines.
+    pcaps = [accounted_capture(tmp_path / "a.pcap"), sample_capture(tmp_path / "b.pcap")]
+    gt = write_gt(tmp_path / "gt.csv", PIPELINE_GT)
+
+    def logged(name, jobs):
+        out = tmp_path / name
+        argv = ["--verbose", "run", "--pcap", str(tmp_path / "*.pcap"), "--gt", str(gt),
+                "--flows-dir", str(out / "flows"), "--csv-dir", str(out / "csv"), "--jobs", jobs]
+        code = (f"import multiprocessing, sys; multiprocessing.set_start_method({method!r}); "
+                f"from hera.cli import main; sys.exit(main({argv!r}))")
+        done = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        return [re.sub(r", \d+\.\d{3} s$", "", line).replace(str(out), "OUT")
+                for line in done.stderr.splitlines()]
+
+    parallel, serial = logged("parallel", "2"), logged("serial", "1")
+    assert_same_tree(tmp_path / "serial", tmp_path / "parallel")
+    outputs = {f"INFO wrote OUT/{name}" for name in tree(tmp_path / "serial")}
+    exports = {f"INFO export {pcap}" for pcap in pcaps}
+    for lines in (parallel, serial):
+        assert len(lines) == len(set(lines)) == len(outputs) + 3 * len(pcaps), lines
+        assert {line for line in lines if line.startswith("INFO wrote ")} == outputs
+        assert {line.split(":")[0] for line in lines if line.startswith("INFO export ")} == exports
+    assert set(parallel) == set(serial)
 
 
 def test_run_dataset_features_all_with_management(capture, tmp_path):

@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import functools
 import io
 import operator
@@ -29,7 +28,7 @@ from hera.flows import (
     FlowTable,
 )
 from hera.pcap import DecodedPacket
-from helpers import collect_flows
+from helpers import collect_flows, replace
 from test_flows import back, data_records, pkt, run
 
 SEC = 1_000_000
@@ -210,7 +209,7 @@ def test_cluster_of_empty_list_is_empty():
 def _scrub(rec):
     """Strip fields that legitimately differ between a clustered sliced
     stream and a single unsliced aggregation of the same packets."""
-    return dataclasses.replace(rec, slice_index=0, seq=0, runtime_us=0, trans=0)
+    return replace(rec, slice_index=0, seq=0, runtime_us=0, trans=0)
 
 
 def monotone_stream(seed=3, n=600):

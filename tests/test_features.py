@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import math
 
@@ -30,7 +29,7 @@ from hera.flows import (
     make_management_record,
 )
 from hera.pcap import CaptureReader, DecodedPacket
-from helpers import collect_flows
+from helpers import collect_flows, replace
 from test_flows import flag_value
 
 SEC = 1_000_000
@@ -449,7 +448,7 @@ def test_flipping_the_initiator_swaps_every_side_pair():
     ctx = RowContext(rank=4, service="x", ssaddr=1, sdaddr=2)
     pairs = dict(SIDE_PAIRS) | {d: s for s, d in SIDE_PAIRS}
     for rec in _mixed_capture_records():
-        flipped = dataclasses.replace(rec, initiator="b" if rec.initiator == "a" else "a")
+        flipped = replace(rec, initiator="b" if rec.initiator == "a" else "a")
         row = dict(zip(CATALOG_ORDER, compute_row(rec, CATALOG_ORDER, ctx)))
         flipped_row = dict(zip(CATALOG_ORDER, compute_row(flipped, CATALOG_ORDER, ctx)))
         for name in CATALOG_ORDER:

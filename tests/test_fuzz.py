@@ -10,7 +10,9 @@ capture, and to a small ground truth and dataset CSV, must leave
 damaged capture must exit 0 or 2, and leave no file or directory behind
 when it exits 2. Record and snapshot lengths at their extremes must
 leave `hera export` exiting 0 or 2 too, within memory proportional to
-the capture's size.
+the capture's size; and a `.hera` file with a very long line or a
+5,000-digit value leaves `hera dataset` exiting 0 or 2 within memory
+proportional to the file's size.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import contextlib
 import functools
 import io
 import os
+import re
 import tempfile
 import tracemalloc
 from pathlib import Path
@@ -157,11 +160,11 @@ def extreme_length_captures(draw) -> bytes:
     return pb.pcap(records, snaplen=snaplen)
 
 
-def export_peak(data: bytes) -> tuple[int, int]:
-    """(exit code, peak of memory traced above the start) of `hera
-    export` on the capture `data`."""
-    with _workdir({"fuzz.pcap": data}) as tmp:
-        argv = ["export", "--pcap", str(tmp / "fuzz.pcap"), "--out", str(tmp / "flows")]
+def traced_peak(name: str, data: bytes, command) -> tuple[int, int]:
+    """(exit code, peak of memory traced above the start) of main() on
+    command(path), where path is a file named `name` holding `data`."""
+    with _workdir({name: data}) as tmp:
+        argv = command(tmp / name)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -169,6 +172,12 @@ def export_peak(data: bytes) -> tuple[int, int]:
             return code, tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
+
+
+def export_peak(data: bytes) -> tuple[int, int]:
+    """traced_peak of `hera export` on the capture `data`."""
+    return traced_peak("fuzz.pcap", data, lambda path: [
+        "export", "--pcap", str(path), "--out", str(path.parent / "out")])
 
 
 # Export's traced peak may be at most PEAK_PER_BYTE times the capture's
@@ -264,3 +273,55 @@ def test_dataset_of_a_mutated_flow_file_exits_0_or_2(mode, edits):
         code = main(["dataset", "--in", str(tmp / "fuzz.hera"), "--out", str(tmp / "out"),
                      "--features", "all", *mode])
     assert code in (0, 2)
+
+
+@st.composite
+def flow_files(draw) -> bytes:
+    """The exported flow file under text edits, then either with one
+    field's value a 5,000-digit integer, past the digits int() takes, or
+    with one more line of 1 kB to 300 kB: a record with a long unknown
+    field, a header line, bytes that are no record, or a record with
+    thousands of unknown fields."""
+    data = _mutated(_exported_hera(), draw(st.lists(_TEXT_EDIT, max_size=2)))
+    names = re.findall(rb" ([a-z]+)=[0-9]", data)
+    if names and draw(st.booleans()):
+        name = draw(st.sampled_from(names))
+        return re.sub(b" " + name + b"=[0-9]+", b" " + name + b"=" + b"9" * 5000, data, count=1)
+    size = draw(st.integers(1_000, 300_000))
+    record = _exported_hera().splitlines()[-1]
+    line = draw(st.sampled_from((
+        record + b" x=" + b"a" * size,
+        b"#" + b"h" * size,
+        b"g" * size,
+        record + b"".join(b" f%d=1" % i for i in range(size // 6)),
+    )))
+    return data + line + b"\n"
+
+
+def dataset_peak(data: bytes, mode: list[str]) -> tuple[int, int]:
+    """traced_peak of `hera dataset --features all` on the flow file `data`."""
+    return traced_peak("fuzz.hera", data, lambda path: [
+        "dataset", "--in", str(path), "--out", str(path.parent / "out"), "--features", "all",
+        *mode])
+
+
+# Dataset's traced peak may be at most DATASET_PEAK_PER_BYTE times the
+# flow file's size plus DATASET_PEAK_BASE bytes. Over the 40 files this
+# test draws, in both modes, the code this bound was first set on peaked
+# within 21.5 bytes per byte plus 86,941 bytes: a line of thousands of
+# unknown fields is split into that many strings, and each is kept as a
+# name and a value. The bound allows 1.5 times the slope and about 2.9
+# times the base.
+DATASET_PEAK_PER_BYTE = 32
+DATASET_PEAK_BASE = 250_000
+
+
+@pytest.mark.parametrize("mode", [["--mode", "racluster"], ["--mode", "ra", "--keep-management"]],
+                         ids=["racluster", "ra-management"])
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(flow_files())
+def test_dataset_of_a_long_or_huge_valued_flow_file_exits_0_or_2_in_bounded_memory(mode, data):
+    dataset_peak(_exported_hera(), mode)  # imports and kernels
+    code, peak = dataset_peak(data, mode)
+    assert code in (0, 2)
+    assert peak <= DATASET_PEAK_PER_BYTE * len(data) + DATASET_PEAK_BASE

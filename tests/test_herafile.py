@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -15,7 +14,7 @@ from hera.herafile import (
     write_hera,
 )
 from hera.pcap import DecodedPacket
-from helpers import record_field_names
+from helpers import field_names, record_field_names
 from test_flows import flag_value
 
 SEC = 1_000_000
@@ -189,11 +188,11 @@ def test_minimal_record_parses():
     assert rec.key.proto == "udp"
     assert rec.stime_us == SEC
     # Every field the line leaves out, and every field of each side, takes
-    # its dataclass default.
+    # its declared default.
     expected = FlowRecord(key=FlowKey("10.0.0.1", 1, "10.0.0.2", 2, "udp"), initiator="a",
                           stime_us=SEC, ltime_us=2 * SEC)
-    for field in dataclasses.fields(FlowRecord):
-        assert getattr(rec, field.name) == getattr(expected, field.name), field.name
+    for name in field_names(FlowRecord):
+        assert getattr(rec, name) == getattr(expected, name), name
     # Of several bad values, the reason names the first in line order: spkts
     # is a source field, ipsum a record field after the destination's.
     with pytest.raises(CorruptRecord) as err:

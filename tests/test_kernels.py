@@ -11,7 +11,6 @@ Python-level call per cell, per field or per header would show up as
 dozens or hundreds.
 """
 
-import dataclasses
 import io
 import sys
 
@@ -20,6 +19,7 @@ from hypothesis import strategies as st
 
 import pcap_builder as pb
 from endpoint_oracle import oracle_merge, oracle_update
+from helpers import field_names, replace
 from hera import herafile
 from hera.dataset import row_writer
 from hera.features import PRESETS, RowContext, compute_row, select_feature_set
@@ -56,7 +56,8 @@ def _field_strategy(name: str, default):
 
 
 endpoint_stats = st.builds(EndpointStats, **{
-    f.name: _field_strategy(f.name, f.default) for f in dataclasses.fields(EndpointStats)})
+    name: _field_strategy(name, getattr(EndpointStats(), name))
+    for name in field_names(EndpointStats)})
 flow_keys = st.builds(FlowKey, st.sampled_from(ADDRESSES), st.integers(0, 65535),
                       st.sampled_from(ADDRESSES), st.integers(0, 65535), st.sampled_from(PROTOS))
 
@@ -164,8 +165,11 @@ SIDE_FIELDS = (
 
 def test_side_fields_derived_from_the_endpoint_table_keep_the_line_order():
     assert herafile._SIDE_FIELDS == SIDE_FIELDS
-    assert tuple(f.name for f in dataclasses.fields(EndpointStats)) == tuple(
-        attr for _, _, attr in SIDE_FIELDS)
+    attrs = tuple(attr for _, _, attr in SIDE_FIELDS)
+    assert field_names(EndpointStats) == EndpointStats.__slots__ == attrs
+    # The reader kernels build EndpointStats by position, in this order.
+    stats = EndpointStats(*range(len(attrs)))
+    assert [getattr(stats, attr) for attr in attrs] == list(range(len(attrs)))
 
 
 @settings(max_examples=300, deadline=None)
@@ -173,7 +177,7 @@ def test_side_fields_derived_from_the_endpoint_table_keep_the_line_order():
 def test_the_generated_merge_equals_the_oracle_merge(mine, theirs):
     """Any mix of None and present values, as records read from a file
     may carry: a time span with one end only, extremes without sums."""
-    expected = dataclasses.replace(mine)
+    expected = replace(mine)
     oracle_merge(expected, theirs)
     mine.merge(theirs)
     assert mine == expected

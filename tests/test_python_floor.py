@@ -35,6 +35,9 @@ KERNELS = {
     "FlowTable.assign": lambda: flows.FlowTable.assign,
     "EndpointStats.merge": lambda: flows.EndpointStats.merge,
     "observe_gap": lambda: flows.observe_gap,
+    **{f"{cls.__name__}.__init__": lambda cls=cls: cls.__init__
+       for cls in (flows.ExportConfig, flows.EndpointStats, flows.FlowRecord,
+                   herafile.HeraHeader, features.RowContext)},
 }
 
 
