@@ -327,13 +327,14 @@ def _dataset_step(name, started, records, options, paths, verbose: bool,
                   ground_truth=None, label_options=None) -> None:
     """Build the rows and write each to the CSV as it comes. Given a
     ground truth, each written row goes on to `_label_step` in the same
-    pass, so both log lines give that pass's time. `paths` are the CSV and
-    stats paths, then with a ground truth the labelled CSV and summary."""
+    pass with the line just written, so both log lines give that pass's
+    time. `paths` are the CSV and stats paths, then with a ground truth
+    the labelled CSV and summary."""
     from .dataset import csv_rows, dataset_rows, write_stats
     csv_path, stats_path, *label_paths = paths
-    header, rows, stats = dataset_rows(records, **options)
+    header, rows, stats = dataset_rows(records, path=name, **options)
     with csv_rows(csv_path, header) as write_row:
-        rows = _written(write_row, rows)
+        rows = ((row, write_row(row)) for row in rows)
         if ground_truth is None:
             count = sum(1 for _ in rows)
         else:
@@ -346,24 +347,13 @@ def _dataset_step(name, started, records, options, paths, verbose: bool,
         _log_label_step(verbose, name, started, summary)
 
 
-def _written(write_row, rows):
-    """Each row, once write_row has written it."""
-    for row in rows:
-        write_row(row)
-        yield row
-
-
 def _label_step(source, header, rows, ground_truth, options, csv_path,
                 summary_path) -> LabelSummary:
-    """Label the rows, which come from the CSV at `source`, and write each
-    as it comes; returns the summary, which it writes too, for the caller
-    to log."""
-    from .dataset import write_csv
-    from .labelling import LabelSummary, labelled_rows, write_label_summary
-    counts = {}
-    total = write_csv(csv_path, [*header, "Label"],
-                      labelled_rows(header, rows, ground_truth, counts, path=source, **options))
-    summary = LabelSummary(total, options["benign_label"], counts)
+    """Label the rows, (cells, line) pairs from the CSV at `source`, and
+    write each line with its label as it comes; returns the summary,
+    which it writes too, for the caller to log."""
+    from .labelling import write_label_summary, write_labelled
+    summary = write_labelled(csv_path, header, rows, ground_truth, source=source, **options)
     write_label_summary(summary_path, summary)
     return summary
 
@@ -441,7 +431,7 @@ def cmd_dataset(args, settings: Settings) -> None:
 
 def cmd_label(args, settings: Settings) -> None:
     from .dataset import iter_csv
-    from .labelling import parse_ground_truth
+    from .labelling import match_width, parse_ground_truth
     gt = settings.text("ground_truth")
     if not gt:
         raise UsageError("no ground truth: pass --gt")
@@ -454,8 +444,8 @@ def cmd_label(args, settings: Settings) -> None:
         ground_truth = parse_ground_truth(gt)
         for path, targets in zip(inputs, paths):
             started = time.perf_counter()
-            rows = iter_csv(path)
-            header = next(rows, [])
+            rows = iter_csv(path, match_width)
+            header, _ = next(rows, ([], ""))
             summary = _label_step(path, header, rows, ground_truth, options, *targets)
             _log_label_step(args.verbose, path, started, summary)
 

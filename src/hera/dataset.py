@@ -14,12 +14,13 @@ only by `cluster`, so `label` never loads it either.
 from __future__ import annotations
 
 import csv
+import io
 from collections import Counter, defaultdict, deque
 from contextlib import contextmanager
-from itertools import repeat
+from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import UnreadableLine, not_utf8
+from .errors import RecordOutOfRange, UnreadableLine, not_utf8
 from .workspace import DEFAULT_COUNT_WINDOW
 
 if TYPE_CHECKING:
@@ -158,9 +159,12 @@ def dataset_rows(
     mode: str = "ra",
     keep_management: bool = False,
     count_window: int = DEFAULT_COUNT_WINDOW,
+    path=None,
 ) -> tuple[list[str], Iterator[list[str]], StatsReport]:
     """Turn flow records into (header, rows, stats), where `rows` builds
     each row only when it is taken, so no row outlives its consumer.
+    `path`, if given, is the flow file the records come from, for the
+    error a value too large for its feature raises.
 
     Rows keep record-stream order in ra mode and (stime, key) order
     after clustering; rank densely numbers the emitted rows.
@@ -176,20 +180,26 @@ def dataset_rows(
         counts = compute_connection_counts(selected, count_window)
     else:
         counts = repeat((None, None))
-    rows = _rows(selected, counts, row_kernel(tuple(feature_names)))
+    rows = _rows(selected, counts, row_kernel(tuple(feature_names)), path)
     return list(feature_names), rows, compute_stats(selected)
 
 
-def _rows(records, counts, kernel):
+def _rows(records, counts, kernel, path):
     """Each record's row, in order, with its rank, service and
-    connection counts (ssaddr, sdaddr)."""
+    connection counts (ssaddr, sdaddr). A record whose integers are too
+    large for a feature's float arithmetic, which a flow file can spell
+    out but no capture yields, is malformed input."""
     from .features import RowContext, service_of
     for rank, (rec, (ssaddr, sdaddr)) in enumerate(zip(records, counts)):
         if rec.is_management:
             service = ""
         else:
             service = service_of(rec.key.proto, rec.sport, rec.dport)
-        yield kernel(rec, RowContext(rank=rank, service=service, ssaddr=ssaddr, sdaddr=sdaddr))
+        try:
+            row = kernel(rec, RowContext(rank=rank, service=service, ssaddr=ssaddr, sdaddr=sdaddr))
+        except OverflowError as exc:
+            raise RecordOutOfRange(rec.seq + 1, str(exc), path) from None
+        yield row
 
 
 def build_dataset(records, feature_names, **options):
@@ -198,23 +208,32 @@ def build_dataset(records, feature_names, **options):
     return header, list(rows), stats
 
 
-def row_writer(fp):
-    """The function that writes one row to `fp` as one line, as
-    `csv.writer(fp, lineterminator="\n")` does. A row that needs no
+def csv_line(row) -> str:
+    """The row as one CSV line, without its line ending, as
+    `csv.writer(fp, lineterminator="\n")` writes it. A row that needs no
     quoting, which is every row whose joined line holds one comma between
-    each pair of cells and no quote or line break, is written as its
-    cells joined by commas; only an empty row and a row of one empty
-    cell join to the empty line, and csv.writer quotes the latter. Any
-    other row goes through csv.writer."""
-    write, write_quoted = fp.write, csv.writer(fp, lineterminator="\n").writerow
+    each pair of cells and no quote or line break, is its cells joined by
+    commas; only an empty row and a row of one empty cell join to the
+    empty line, and csv.writer quotes the latter. Any other row goes
+    through csv.writer."""
+    line = ",".join(row)
+    if (line and line.count(",") == len(row) - 1 and '"' not in line
+            and "\r" not in line and "\n" not in line):
+        return line
+    buffer = io.StringIO()
+    csv.writer(buffer, lineterminator="\n").writerow(row)
+    return buffer.getvalue()[:-1]
+
+
+def row_writer(fp):
+    """The function that writes one row to `fp` as its `csv_line` and a
+    line feed, and returns that line."""
+    write = fp.write
 
     def write_row(row):
-        line = ",".join(row)
-        if (line and line.count(",") == len(row) - 1 and '"' not in line
-                and "\r" not in line and "\n" not in line):
-            write(line + "\n")
-        else:
-            write_quoted(row)
+        line = csv_line(row)
+        write(line + "\n")
+        return line
 
     return write_row
 
@@ -239,27 +258,65 @@ def write_csv(path, header: list[str], rows) -> int:
     return count
 
 
-def iter_csv(path):
-    """Yield the rows of a UTF-8 CSV file, decoded as a stream. Bytes
-    that are not UTF-8, a NUL, or a field the csv module rejects (such as
-    one over its size limit), end in an error naming the line."""
+def iter_csv(path, width_of=None):
+    """Yield (cells, line) for each row of a UTF-8 CSV file, decoded as a
+    stream, where `line` is the row's `csv_line`. `width_of`, if given,
+    is called with the header's cells and gives how many leading cells
+    the reader needs of each later row; without it every cell is split.
+
+    A line that is not empty, holds no quote, carriage return or NUL and
+    is no longer than the csv module's field size limit is its own
+    canonical line, and is split at its commas only that many times, so
+    its last cell holds the rest of the line. Any other line is read by
+    csv.reader, which may read on across a quoted line break, and its
+    row is then as long as csv.reader makes it. Bytes that are not
+    UTF-8, a NUL, or a field the csv module rejects (such as one over its
+    size limit), end in an error naming the line."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fp:
-            reader = csv.reader(_lines_without_nul(path, fp))
-            try:
-                yield from reader
-            except csv.Error as exc:
-                raise UnreadableLine(path, reader.line_num, str(exc)) from None
+            lines = enumerate(fp, 1)
+            header = next(_records(path, lines, -1), None)
+            if header is not None:
+                yield header
+                width = -1 if width_of is None else width_of(header[0])
+                yield from _records(path, lines, width)
     except UnicodeDecodeError:
         raise not_utf8(path) from None
 
 
-def _lines_without_nul(path, fp):
-    """The lines of `fp`, or an error at the first that holds a NUL:
-    csv.reader refuses one before Python 3.11 and passes it on after."""
-    for line_number, line in enumerate(fp, 1):
+def _records(path, lines, width):
+    """(cells, line) of each record that starts on one of `lines`,
+    (line number, text) pairs. A line that csv.reader would read as its
+    commas split it is split `width` times (-1: at every comma); any
+    other, one holding a NUL included, goes to `_read_record`."""
+    limit = csv.field_size_limit()
+    for number, line in lines:
+        if ('"' in line or "\r" in line or "\0" in line or line == "\n"
+                or len(line) > limit):
+            cells = _read_record(path, number, line, lines)
+            yield cells, csv_line(cells)
+        else:
+            line = line.rstrip("\n")
+            yield line.split(",", width), line
+
+
+def _read_record(path, number, line, lines):
+    """The cells csv.reader reads from the record that starts with
+    `line`, line `number`, reading on through `lines` as it needs."""
+    reader = csv.reader(_lines_without_nul(path, chain([(number, line)], lines)))
+    try:
+        return next(reader)
+    except csv.Error as exc:
+        raise UnreadableLine(path, number + reader.line_num - 1, str(exc)) from None
+
+
+def _lines_without_nul(path, lines):
+    """The text of each (line number, text) pair, or an error at the
+    first that holds a NUL: csv.reader refuses one before Python 3.11
+    and passes it on after."""
+    for number, line in lines:
         if "\0" in line:
-            raise UnreadableLine(path, line_number, "line contains NUL")
+            raise UnreadableLine(path, number, "line contains NUL")
         yield line
 
 
@@ -268,4 +325,4 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     header = next(rows, None)
     if header is None:
         return [], []
-    return header, list(rows)
+    return header[0], [cells for cells, _ in rows]

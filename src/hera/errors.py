@@ -26,6 +26,25 @@ def _where(path) -> str:
     return "" if path is None else f"{path}: "
 
 
+EXCERPT_CHARS = 200
+
+
+def excerpt(value) -> str:
+    """`repr(value)` for a message, kept short whatever the input holds:
+    a string longer than EXCERPT_CHARS is quoted as its first
+    EXCERPT_CHARS characters and its full length, any other value as the
+    first EXCERPT_CHARS characters of its repr and the number of its
+    items. Text under the cap is quoted exactly as repr() quotes it."""
+    if isinstance(value, str):
+        if len(value) <= EXCERPT_CHARS:
+            return repr(value)
+        return f"{value[:EXCERPT_CHARS]!r}... ({len(value)} characters)"
+    text = repr(value)
+    if len(text) <= EXCERPT_CHARS:
+        return text
+    return f"{text[:EXCERPT_CHARS]}... ({len(value)} items)"
+
+
 class InputFormatError(HeraError):
     """Input bytes or text do not conform to the expected format."""
 
@@ -80,7 +99,7 @@ class UnsupportedVersion(FlowFileError):
     """Flow file declares a version this reader does not understand."""
 
     def __init__(self, version: str, path=None):
-        super().__init__(f"{_where(path)}unsupported flow file version {version!r}")
+        super().__init__(f"{_where(path)}unsupported flow file version {excerpt(version)}")
         self.version = version
 
 
@@ -90,6 +109,16 @@ class CorruptRecord(FlowFileError):
     def __init__(self, line_number: int, reason: str, path=None):
         super().__init__(f"{_where(path)}line {line_number}: {reason}")
         self.line_number = line_number
+        self.reason = reason
+
+
+class RecordOutOfRange(FlowFileError):
+    """A record holds a value too large for a feature to be computed
+    from it, such as an integer with more digits than a float can hold."""
+
+    def __init__(self, record_number: int, reason: str, path=None):
+        super().__init__(f"{_where(path)}record {record_number}: value out of range ({reason})")
+        self.record_number = record_number
         self.reason = reason
 
 
@@ -121,7 +150,7 @@ class MalformedTimestamp(GroundTruthError):
     """A ground-truth timestamp cell cannot be parsed."""
 
     def __init__(self, row_number: int, value: str, path=None):
-        super().__init__(f"{_where(path)}row {row_number}: malformed timestamp {value!r}")
+        super().__init__(f"{_where(path)}row {row_number}: malformed timestamp {excerpt(value)}")
         self.row_number = row_number
         self.value = value
 
@@ -130,7 +159,7 @@ class MalformedField(GroundTruthError):
     """A ground-truth cell holds a value of the wrong shape."""
 
     def __init__(self, row_number: int, column: str, value: str, path=None):
-        super().__init__(f"{_where(path)}row {row_number}: bad {column} value {value!r}")
+        super().__init__(f"{_where(path)}row {row_number}: bad {column} value {excerpt(value)}")
         self.row_number = row_number
         self.column = column
         self.value = value

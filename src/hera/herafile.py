@@ -15,7 +15,7 @@ import re
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion, not_utf8
+from .errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion, excerpt, not_utf8
 from .flows import (
     ENDPOINT_FIELDS,
     ENDPOINT_STATS,
@@ -42,14 +42,14 @@ def _optional(from_text):
 
 def _bool_from_text(text: str) -> bool:
     if text not in ("0", "1"):
-        raise ValueError(f"bad bool value {text!r}")
+        raise ValueError(f"bad bool value {excerpt(text)}")
     return text == "1"
 
 
 def _flags_from_text(text: str) -> int:
     flags = FLAG_VALUES.get(text)
     if flags is None:
-        raise ValueError(f"bad flags value {text!r}")
+        raise ValueError(f"bad flags value {excerpt(text)}")
     return flags
 
 
@@ -233,9 +233,9 @@ def _parse_general(line: str, line_number: int) -> FlowRecord:
     for token in line.split(" "):
         name, sep, value = token.partition("=")
         if not sep or not name:
-            raise CorruptRecord(line_number, f"malformed token {token!r}")
+            raise CorruptRecord(line_number, f"malformed token {excerpt(token)}")
         if name in pairs:
-            raise CorruptRecord(line_number, f"duplicate field {name!r}")
+            raise CorruptRecord(line_number, f"duplicate field {excerpt(name)}")
         pairs[name] = value
     extra = ({} if pairs.keys() <= _KNOWN_FIELDS else
              {name: value for name, value in pairs.items() if name not in _KNOWN_FIELDS})
@@ -341,7 +341,7 @@ def _read_header_line(line: str, header: HeraHeader, cfg_kwargs: dict) -> None:
         cfg_kwargs.update(setting)
     elif name == "emit_management":
         if value not in ("true", "false"):
-            raise ValueError(f"emit_management must be true or false, got {value!r}")
+            raise ValueError(f"emit_management must be true or false, got {excerpt(value)}")
         cfg_kwargs["emit_management"] = value == "true"
     elif name == "capture_start":
         header.capture_start_us = text_to_us(value) if value else None

@@ -32,7 +32,7 @@ from math import inf
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .dataset import iter_csv
+from .dataset import csv_line, iter_csv
 from .errors import (
     EmptyLabelCell,
     MalformedDatasetCell,
@@ -40,6 +40,7 @@ from .errors import (
     MalformedTimestamp,
     MissingLabelColumn,
     MissingMatchField,
+    excerpt,
 )
 from .timefmt import WRITTEN_TIME, text_to_int, text_to_us
 from .workspace import DEFAULT_BENIGN_LABEL
@@ -108,12 +109,12 @@ class GroundTruth(list):
 def parse_ground_truth(path) -> GroundTruth:
     reader = iter_csv(path)
     try:
-        header = next(reader)
+        header, _ = next(reader)
     except StopIteration:
         raise MissingLabelColumn(f"{path}: empty ground-truth file") from None
     names = [name.strip().lower() for name in header]
     if "label" not in names:
-        raise MissingLabelColumn(f"{path}: no Label column in {header!r}")
+        raise MissingLabelColumn(f"{path}: no Label column in {excerpt(header)}")
     # The first column of each name; None for a name the header lacks.
     positions = [names.index(name) if name in names else None for name in _GT_COLUMNS]
     pick = None if None in positions else itemgetter(*positions)
@@ -122,7 +123,7 @@ def parse_ground_truth(path) -> GroundTruth:
     protos = _Memo(lambda text: text.strip().lower() or None)
     addrs = _Memo(lambda text: _canonical_addr(text.strip()) or None)
     entries = GroundTruth()
-    for row_number, row in enumerate(reader, start=2):
+    for row_number, (row, _) in enumerate(reader, start=2):
         if pick is not None and len(row) >= width:
             cells = pick(row)
         else:
@@ -195,9 +196,20 @@ _CELL_PARSERS = {"stime": text_to_us, "ltime": text_to_us, "sport": text_to_int,
                  "dport": text_to_int}
 
 
+def match_width(header) -> int:
+    """How many leading cells of a dataset row labelling reads: all of
+    them up to its last match column, or every cell (-1) when the header
+    lacks one, which `_row_views` then reports."""
+    if not set(MATCH_COLUMNS) <= set(header):
+        return -1
+    return max(header.index(col) for col in MATCH_COLUMNS) + 1
+
+
 def _row_views(header, rows, path=None):
-    """Yield (row, (stime_us, ltime_us, (proto, saddr, sport, daddr,
-    dport))) for each row; rows[0] is line 2 of the CSV at `path`."""
+    """Yield (item, (stime_us, ltime_us, (proto, saddr, sport, daddr,
+    dport))) for each (cells, item) pair of `rows`; rows[0] is line 2 of
+    the CSV at `path`. Only the cells up to the last match column are
+    read."""
     positions = []
     for col in MATCH_COLUMNS:
         try:
@@ -206,7 +218,7 @@ def _row_views(header, rows, path=None):
             raise MissingMatchField(col, path) from None
     pick = itemgetter(*positions)
     addrs = _Memo(_canonical_addr)
-    for line_number, row in enumerate(rows, start=2):
+    for line_number, (row, item) in enumerate(rows, start=2):
         try:
             stime, ltime, proto, saddr, daddr, sport, dport = pick(row)
             view = (int(stime.replace(".", "")) if _WRITTEN_TIME(stime) else text_to_us(stime),
@@ -217,7 +229,7 @@ def _row_views(header, rows, path=None):
                      int(dport) if dport.isdigit() and dport.isascii() else text_to_int(dport)))
         except (ValueError, IndexError):
             view = _general_view(row, line_number, positions, addrs, path)
-        yield row, view
+        yield item, view
 
 
 def _general_view(row, line_number, positions, addrs, path):
@@ -232,7 +244,7 @@ def _general_view(row, line_number, positions, addrs, path):
             cells.append(_CELL_PARSERS.get(column, str)(row[position]))
         except ValueError:
             raise MalformedDatasetCell(line_number, column,
-                                       f"bad value {row[position]!r}", path) from None
+                                       f"bad value {excerpt(row[position])}", path) from None
     stime, ltime, proto, saddr, daddr, sport, dport = cells
     return stime, ltime, (proto.lower(), addrs[saddr], sport, addrs[daddr], dport)
 
@@ -337,22 +349,23 @@ def _candidates(index, forward, reverse, stime_us, ltime_us) -> list[int]:
 
 def labelled_rows(
     header: list[str],
-    rows: Iterable[list[str]],
+    rows: Iterable[tuple[list[str], object]],
     entries: GroundTruth,
     counts: dict[str, int],
     benign_label: str = DEFAULT_BENIGN_LABEL,
     bidirectional: bool = False,
     path=None,
-) -> Iterator[list[str]]:
-    """Yield each row, as it is taken, with its label appended, and count
-    the label in `counts` (rows per label). `path`, if given, is the file
-    the rows come from, for the error a row or the header raises.
+) -> Iterator[tuple[object, str]]:
+    """Yield (item, label) for each (cells, item) pair of `rows`, as it is
+    taken, and count the label in `counts` (rows per label). `path`, if
+    given, is the file the rows come from, for the error a row or the
+    header raises.
 
     A row gets the label of the first entry in list order, among those
     the index offers for its key and times, whose time window
     `match_entry` accepts."""
     index = entries.match_index
-    for row, (stime_us, ltime_us, forward) in _row_views(header, rows, path):
+    for item, (stime_us, ltime_us, forward) in _row_views(header, rows, path):
         proto, saddr, sport, daddr, dport = forward
         reverse = (proto, daddr, dport, saddr, sport) if bidirectional else None
         label = benign_label
@@ -362,8 +375,7 @@ def labelled_rows(
                 label = entry.label
                 break
         counts[label] = counts.get(label, 0) + 1
-        row.append(label)
-        yield row
+        yield item, label
 
 
 def label_dataset(header, rows, entries, benign_label=DEFAULT_BENIGN_LABEL,
@@ -371,9 +383,31 @@ def label_dataset(header, rows, entries, benign_label=DEFAULT_BENIGN_LABEL,
     """Append each row's label to the row itself; returns the header with
     a Label column appended, the same rows and the summary."""
     counts = {}
-    for _ in labelled_rows(header, rows, entries, counts, benign_label, bidirectional):
-        pass
+    for row, label in labelled_rows(header, ((row, row) for row in rows), entries, counts,
+                                    benign_label, bidirectional):
+        row.append(label)
     return [*header, "Label"], rows, LabelSummary(sum(counts.values()), benign_label, counts)
+
+
+def write_labelled(path, header, rows, entries, benign_label=DEFAULT_BENIGN_LABEL,
+                   bidirectional=False, source=None) -> LabelSummary:
+    """Write the labelled CSV of `rows`, (cells, line) pairs, to `path`:
+    the header with a Label column, then each row's line with its label
+    cell, as the row comes; returns the summary. `source`, if given, is
+    the file the rows come from, for the error a row or the header
+    raises. A row of two or more cells, as every labelled row is, keeps
+    its cells' quoting when one more is appended, so its labelled line
+    is its line and the label's cell; `csv_line(["", label])` is that
+    cell with its comma, quoted once per distinct label."""
+    counts = {}
+    label_cells = _Memo(lambda label: csv_line(["", label]) + "\n")
+    with open(path, "w", encoding="utf-8", newline="") as fp:
+        write = fp.write
+        write(csv_line([*header, "Label"]) + "\n")
+        for line, label in labelled_rows(header, rows, entries, counts, benign_label,
+                                         bidirectional, source):
+            write(line + label_cells[label])
+    return LabelSummary(sum(counts.values()), benign_label, counts)
 
 
 def format_label_summary(summary: LabelSummary) -> str:

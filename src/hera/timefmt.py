@@ -8,13 +8,15 @@ from ASCII decimal digits only, the only form hera writes.
 
 from __future__ import annotations
 
+from .errors import excerpt
+
 
 def text_to_int(text: str) -> int:
     """Parse ASCII `-?[0-9]+`; unlike int(), reject signs other than a
     leading '-', underscores, whitespace and non-ASCII digits."""
     if text.isascii() and (text.isdigit() or text[:1] == "-" and text[1:].isdigit()):
         return int(text)
-    raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    raise ValueError(f"invalid literal for int() with base 10: {excerpt(text)}")
 
 
 # The written forms of an integer and of a time, as regular expressions:
@@ -52,7 +54,7 @@ def text_to_us(text: str) -> int:
     whole, _, frac = s.partition(".")
     if (not s.isascii() or (whole and not whole.isdigit())
             or (frac and not frac.isdigit()) or not (whole or frac)):
-        raise ValueError(f"malformed timestamp {text!r}")
+        raise ValueError(f"malformed timestamp {excerpt(text)}")
     return sign * (int(whole or "0") * 1_000_000 + int(frac[:6].ljust(6, "0")))
 
 

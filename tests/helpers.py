@@ -51,9 +51,9 @@ def replace(obj, **changes):
 def label_rows(header, rows, entries, benign_label=DEFAULT_BENIGN_LABEL,
                bidirectional=False) -> tuple[list[str], LabelSummary]:
     """One label per row plus the summary, against the entries in a new
-    `GroundTruth`; each row gets its label appended and then taken off
-    again, so the rows are left as they were."""
+    `GroundTruth`; the rows are left as they were."""
     counts = {}
-    labels = [row.pop() for row in labelled_rows(header, rows, GroundTruth(entries), counts,
-                                                 benign_label, bidirectional)]
+    labels = [label for _, label in labelled_rows(header, ((row, None) for row in rows),
+                                                  GroundTruth(entries), counts,
+                                                  benign_label, bidirectional)]
     return labels, LabelSummary(len(labels), benign_label, counts)

@@ -403,6 +403,71 @@ def test_a_nul_in_an_input_line_is_a_format_error_naming_the_line(
     assert not (tmp_path / "out").exists()
 
 
+# 4,000 digits read as an integer (int() takes up to 4,300), but are more
+# than a float holds, so a feature that divides the value or turns it
+# into a float cannot be computed from it.
+@pytest.mark.parametrize("mode", ["ra", "racluster"])
+@pytest.mark.parametrize("field, value", [
+    ("sbytes", "9" * 4000),
+    ("ltime", "9" * 4000 + ".000000"),
+], ids=["sbytes", "ltime"])
+def test_an_integer_too_large_for_a_feature_is_a_format_error_naming_the_record(
+        tmp_path, capsys, mode, field, value):
+    hera = exported(tmp_path)
+    lines = hera.read_text(encoding="utf-8").split("\n")
+    records = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
+    number, index = next((n, i) for n, i in enumerate(records, 1) if " proto=tcp " in lines[i])
+    lines[index] = re.sub(f" {field}=[0-9.]+ ", f" {field}={value} ", lines[index])
+    hera.write_text("\n".join(lines), encoding="utf-8")
+    out = tmp_path / "csv"
+    assert main(["dataset", "--in", str(hera), "--out", str(out), "--features", "all",
+                 "--mode", mode]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"hera: {hera}: record {number}: value out of range (")
+    assert not out.exists()
+
+
+LONG = 200_000  # characters in the cell or token an error message is about
+
+
+# Each message quotes the first EXCERPT_CHARS characters of what it is
+# about and states the full length, so stderr stays small.
+@pytest.mark.parametrize("command, path, old, new, reason", [
+    ("dataset", "flows/a.hera", b" sport=", b" " + b"t" * LONG + b" sport=",
+     "malformed token 'ttt"),
+    ("dataset", "flows/a.hera", b" sport=",
+     b" " + b"n" * LONG + b"=1 " + b"n" * LONG + b"=1 sport=", "duplicate field 'nnn"),
+    ("dataset", "flows/a.hera", b"#HERA v1", b"#HERA v" + b"9" * LONG,
+     "unsupported flow file version 'v999"),
+    ("label", "csv/a.csv", b",80,", b"," + b"x" * (LONG // 2) + b",",
+     "column 'dport': bad value 'xxx"),
+    ("label", "gt.csv", b"SrcAddr,Label", b"SrcAddr," + b"h" * (LONG // 2),
+     "no Label column in ['SrcAddr', 'hhh"),
+    ("label", "gt.csv", b"SrcAddr,Label\n",
+     b"StartTime,Label\n" + b"t" * (LONG // 2) + b",Probe\n",
+     "row 2: malformed timestamp 'ttt"),
+    ("label", "gt.csv", b"SrcAddr,Label\n", b"Sport,Label\n" + b"p" * (LONG // 2) + b",Probe\n",
+     "row 2: bad sport value 'ppp"),
+], ids=["malformed-token", "duplicate-field", "unsupported-version", "dataset-cell",
+        "missing-label-column", "gt-timestamp", "gt-port"])
+def test_an_error_message_quotes_a_bounded_excerpt_of_a_long_input(
+        capture, tmp_path, capsys, monkeypatch, command, path, old, new, reason):
+    monkeypatch.chdir(tmp_path)
+    write_gt(tmp_path / "gt.csv")
+    assert main(["run", "--pcap", str(capture)]) == 0
+    data = (tmp_path / path).read_bytes()
+    assert old in data
+    (tmp_path / path).write_bytes(data.replace(old, new, 1))
+    argv = {"dataset": ["dataset", "--in", "flows/a.hera"],
+            "label": ["label", "--in", "csv/a.csv", "--gt", "gt.csv"]}[command]
+    assert main([*argv, "--out", "out"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"hera: {path}: ") and reason in err
+    assert " characters)" in err or " items)" in err
+    assert len(err) < 1_000
+    assert not (tmp_path / "out").exists()
+
+
 def test_dataset_bad_count_window(tmp_path):
     hera = exported(tmp_path)
     assert main(["dataset", "--in", str(hera), "--out", str(tmp_path / "csv"),

@@ -10,9 +10,11 @@ capture, and to a small ground truth and dataset CSV, must leave
 damaged capture must exit 0 or 2, and leave no file or directory behind
 when it exits 2. Record and snapshot lengths at their extremes must
 leave `hera export` exiting 0 or 2 too, within memory proportional to
-the capture's size; and a `.hera` file with a very long line or a
+the capture's size; a `.hera` file with a very long line or a
 5,000-digit value leaves `hera dataset` exiting 0 or 2 within memory
-proportional to the file's size.
+proportional to the file's size; and a dataset or ground truth with a
+very long, very wide or multi-line row leaves `hera label` exiting 0 or
+2 within memory proportional to the two files' size.
 """
 
 from __future__ import annotations
@@ -160,11 +162,11 @@ def extreme_length_captures(draw) -> bytes:
     return pb.pcap(records, snaplen=snaplen)
 
 
-def traced_peak(name: str, data: bytes, command) -> tuple[int, int]:
+def traced_peak(files: dict[str, bytes], command) -> tuple[int, int]:
     """(exit code, peak of memory traced above the start) of main() on
-    command(path), where path is a file named `name` holding `data`."""
-    with _workdir({name: data}) as tmp:
-        argv = command(tmp / name)
+    command(directory), where the directory holds `files`."""
+    with _workdir(files) as tmp:
+        argv = command(tmp)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -176,8 +178,8 @@ def traced_peak(name: str, data: bytes, command) -> tuple[int, int]:
 
 def export_peak(data: bytes) -> tuple[int, int]:
     """traced_peak of `hera export` on the capture `data`."""
-    return traced_peak("fuzz.pcap", data, lambda path: [
-        "export", "--pcap", str(path), "--out", str(path.parent / "out")])
+    return traced_peak({"fuzz.pcap": data}, lambda tmp: [
+        "export", "--pcap", str(tmp / "fuzz.pcap"), "--out", str(tmp / "out")])
 
 
 # Export's traced peak may be at most PEAK_PER_BYTE times the capture's
@@ -300,8 +302,8 @@ def flow_files(draw) -> bytes:
 
 def dataset_peak(data: bytes, mode: list[str]) -> tuple[int, int]:
     """traced_peak of `hera dataset --features all` on the flow file `data`."""
-    return traced_peak("fuzz.hera", data, lambda path: [
-        "dataset", "--in", str(path), "--out", str(path.parent / "out"), "--features", "all",
+    return traced_peak({"fuzz.hera": data}, lambda tmp: [
+        "dataset", "--in", str(tmp / "fuzz.hera"), "--out", str(tmp / "out"), "--features", "all",
         *mode])
 
 
@@ -325,3 +327,56 @@ def test_dataset_of_a_long_or_huge_valued_flow_file_exits_0_or_2_in_bounded_memo
     code, peak = dataset_peak(data, mode)
     assert code in (0, 2)
     assert peak <= DATASET_PEAK_PER_BYTE * len(data) + DATASET_PEAK_BASE
+
+
+FIELD_LIMIT = 131_072  # the csv module's default field size limit
+
+
+@st.composite
+def label_inputs(draw) -> dict[str, bytes]:
+    """The small ground truth and dataset, one of them under a text edit,
+    then one of them with one more row that adds 1 kB to 300 kB: cells of
+    a thousand characters, thousands of columns, or a quoted cell holding
+    line breaks; or a cell within two characters of the field size limit."""
+    files = {"gt.csv": GROUND_TRUTH, "data.csv": DATASET}
+    edited = draw(st.sampled_from(sorted(files)))
+    files[edited] = _mutated(files[edited], draw(st.lists(_TEXT_EDIT, max_size=1)))
+    name = draw(st.sampled_from(sorted(files)))
+    row = {"gt.csv": GROUND_TRUTH, "data.csv": DATASET}[name].splitlines()[1]
+    size = draw(st.integers(1_000, 300_000))
+    line = draw(st.sampled_from((
+        row + b"".join(b",l" + b"a" * 998 for _ in range(size // 1_000)),
+        row + b"".join(b",%d" % i for i in range(size // 6)),
+        row + b',"' + b"q\r\n" * (size // 3) + b'"',
+        row + b",c" + b"b" * draw(st.integers(FIELD_LIMIT - 3, FIELD_LIMIT + 1)),
+    )))
+    files[name] += line + b"\n"
+    return files
+
+
+def label_peak(files: dict[str, bytes]) -> tuple[int, int]:
+    """traced_peak of `hera label --bidirectional` on the dataset and
+    ground truth in `files`."""
+    return traced_peak(files, lambda tmp: [
+        "label", "--in", str(tmp / "data.csv"), "--gt", str(tmp / "gt.csv"),
+        "--out", str(tmp / "out"), "--bidirectional"])
+
+
+# Label's traced peak may be at most LABEL_PEAK_PER_BYTE times the size
+# of the dataset and ground truth plus LABEL_PEAK_BASE bytes. Over the 60
+# inputs this test draws, the code this bound was first set on peaked
+# within 30 bytes per byte plus 51,884 bytes: a ground-truth row of
+# thousands of one-digit columns is split into that many strings. The
+# bound allows 1.5 times the slope and about 4.8 times the base.
+LABEL_PEAK_PER_BYTE = 45
+LABEL_PEAK_BASE = 250_000
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(label_inputs())
+def test_label_of_a_long_or_wide_input_exits_0_or_2_in_bounded_memory(files):
+    label_peak({"gt.csv": GROUND_TRUTH, "data.csv": DATASET})  # imports
+    code, peak = label_peak(files)
+    assert code in (0, 2)
+    size = sum(map(len, files.values()))
+    assert peak <= LABEL_PEAK_PER_BYTE * size + LABEL_PEAK_BASE

@@ -15,6 +15,7 @@ from hera.errors import (
     MalformedTimestamp,
     MissingLabelColumn,
     MissingMatchField,
+    excerpt,
 )
 from hera.labelling import (
     DEFAULT_BENIGN_LABEL,
@@ -188,7 +189,8 @@ def test_addresses_in_ground_truth_and_rows(tmp_path, text, canonical):
     assert labelling._canonical_addr(text) == canonical_or_itself(text) == canonical
     entries = gt(tmp_path, f"SrcAddr,Label\n{text},DoS\n")
     assert entries[0].src_addr == canonical
-    assert [view[2][1] for _, view in labelling._row_views(HDR, [row(saddr=text)])] == [canonical]
+    views = labelling._row_views(HDR, [(row(saddr=text), None)])
+    assert [view[2][1] for _, view in views] == [canonical]
 
 
 GT_HEADER = ["StartTime", "LastTime", "Proto", "SrcAddr", "Sport", "DstAddr", "Dport", "Label"]
@@ -229,7 +231,7 @@ def viewed_cells(stime, ltime, sport, dport):
     """_row_views on one dataset row: its times and ports, or the error."""
     try:
         [(_, (stime_us, ltime_us, key))] = labelling._row_views(
-            HDR, [row(stime=stime, ltime=ltime, sport=sport, dport=dport)])
+            HDR, [(row(stime=stime, ltime=ltime, sport=sport, dport=dport), None)])
     except MalformedDatasetCell as exc:
         return str(exc)
     return stime_us, ltime_us, key[2], key[4]
@@ -243,7 +245,7 @@ def oracle_view(stime, ltime, sport, dport):
         try:
             out.append(parse(text))
         except ValueError:
-            return str(MalformedDatasetCell(2, column, f"bad value {text!r}"))
+            return str(MalformedDatasetCell(2, column, f"bad value {excerpt(text)}"))
     return tuple(out)
 
 
