@@ -298,9 +298,12 @@ def export_capture(pcap_path, config: ExportConfig, skipped: Counter | None = No
 
 
 def _log(verbose: bool, message: str) -> None:
-    """Under --verbose, the message as one `INFO` line on stderr."""
+    """Under --verbose, the message as one `INFO` line on stderr, in one
+    write: stderr is unbuffered, and print() would write the line feed
+    apart, so a `--jobs` worker's line could be split by another's."""
     if verbose:
-        print(f"INFO {message}", file=sys.stderr, flush=True)
+        sys.stderr.write(f"INFO {message}\n")
+        sys.stderr.flush()
 
 
 def _log_step(verbose: bool, step: str, name, started: float, counts: str) -> None:
@@ -332,7 +335,7 @@ def _dataset_step(name, started, records, options, paths, verbose: bool,
     the labelled CSV and summary."""
     from .dataset import csv_rows, dataset_rows, write_stats
     csv_path, stats_path, *label_paths = paths
-    header, rows, stats = dataset_rows(records, path=name, **options)
+    header, rows, stats = dataset_rows(records, **options)
     with csv_rows(csv_path, header) as write_row:
         rows = ((row, write_row(row)) for row in rows)
         if ground_truth is None:

@@ -20,7 +20,7 @@ from contextlib import contextmanager
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import RecordOutOfRange, UnreadableLine, not_utf8
+from .errors import UnreadableLine, not_utf8
 from .workspace import DEFAULT_COUNT_WINDOW
 
 if TYPE_CHECKING:
@@ -159,12 +159,9 @@ def dataset_rows(
     mode: str = "ra",
     keep_management: bool = False,
     count_window: int = DEFAULT_COUNT_WINDOW,
-    path=None,
 ) -> tuple[list[str], Iterator[list[str]], StatsReport]:
     """Turn flow records into (header, rows, stats), where `rows` builds
     each row only when it is taken, so no row outlives its consumer.
-    `path`, if given, is the flow file the records come from, for the
-    error a value too large for its feature raises.
 
     Rows keep record-stream order in ra mode and (stime, key) order
     after clustering; rank densely numbers the emitted rows.
@@ -180,32 +177,33 @@ def dataset_rows(
         counts = compute_connection_counts(selected, count_window)
     else:
         counts = repeat((None, None))
-    rows = _rows(selected, counts, row_kernel(tuple(feature_names)), path)
+    rows = _rows(selected, counts, row_kernel(tuple(feature_names)))
     return list(feature_names), rows, compute_stats(selected)
 
 
-def _rows(records, counts, kernel, path):
+def _rows(records, counts, kernel):
     """Each record's row, in order, with its rank, service and
-    connection counts (ssaddr, sdaddr). A record whose integers are too
-    large for a feature's float arithmetic, which a flow file can spell
-    out but no capture yields, is malformed input."""
+    connection counts (ssaddr, sdaddr)."""
     from .features import RowContext, service_of
     for rank, (rec, (ssaddr, sdaddr)) in enumerate(zip(records, counts)):
         if rec.is_management:
             service = ""
         else:
             service = service_of(rec.key.proto, rec.sport, rec.dport)
-        try:
-            row = kernel(rec, RowContext(rank=rank, service=service, ssaddr=ssaddr, sdaddr=sdaddr))
-        except OverflowError as exc:
-            raise RecordOutOfRange(rec.seq + 1, str(exc), path) from None
-        yield row
+        yield kernel(rec, RowContext(rank=rank, service=service, ssaddr=ssaddr, sdaddr=sdaddr))
 
 
 def build_dataset(records, feature_names, **options):
     """`dataset_rows` with the rows in a list."""
     header, rows, stats = dataset_rows(records, feature_names, **options)
     return header, list(rows), stats
+
+
+# The writer of the rows csv_line quotes: one for the process, so each
+# such row reuses its record buffer, which CPython grows in steps of
+# 32,768 characters, and this one-row text buffer.
+_QUOTED = io.StringIO()
+_write_quoted = csv.writer(_QUOTED, lineterminator="\n").writerow
 
 
 def csv_line(row) -> str:
@@ -220,9 +218,10 @@ def csv_line(row) -> str:
     if (line and line.count(",") == len(row) - 1 and '"' not in line
             and "\r" not in line and "\n" not in line):
         return line
-    buffer = io.StringIO()
-    csv.writer(buffer, lineterminator="\n").writerow(row)
-    return buffer.getvalue()[:-1]
+    _QUOTED.seek(0)
+    _QUOTED.truncate()
+    _write_quoted(row)
+    return _QUOTED.getvalue()[:-1]
 
 
 def row_writer(fp):
@@ -260,52 +259,48 @@ def write_csv(path, header: list[str], rows) -> int:
 
 def iter_csv(path, width_of=None):
     """Yield (cells, line) for each row of a UTF-8 CSV file, decoded as a
-    stream, where `line` is the row's `csv_line`. `width_of`, if given,
-    is called with the header's cells and gives how many leading cells
-    the reader needs of each later row; without it every cell is split.
+    stream. `width_of`, if given, is called with the header's cells and
+    gives how many leading cells the reader needs of each later row, and
+    `line` is the row's `csv_line`; without it every cell is split and
+    `line` is None.
 
-    A line that is not empty, holds no quote, carriage return or NUL and
-    is no longer than the csv module's field size limit is its own
-    canonical line, and is split at its commas only that many times, so
-    its last cell holds the rest of the line. Any other line is read by
-    csv.reader, which may read on across a quoted line break, and its
-    row is then as long as csv.reader makes it. Bytes that are not
+    Lines are read one by one while each, once its line ending (LF, CRLF
+    or CR; a file read with newline="" ends a line at each) is taken off,
+    is not empty, holds no quote or NUL and is no longer than the csv
+    module's field size limit. Such a line is its own canonical line and
+    is split at its commas only that many times, so its last cell holds
+    the rest of the line. From the first other line on, csv.reader reads
+    the rest of the file, reading on across a quoted line break where
+    one is, and makes each row as long as it reads it. Bytes that are not
     UTF-8, a NUL, or a field the csv module rejects (such as one over its
     size limit), end in an error naming the line."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fp:
             lines = enumerate(fp, 1)
-            header = next(_records(path, lines, -1), None)
-            if header is not None:
-                yield header
-                width = -1 if width_of is None else width_of(header[0])
-                yield from _records(path, lines, width)
+            limit = csv.field_size_limit()
+            width = -1
+            for number, line in lines:
+                text = line.rstrip("\r\n")
+                if not text or '"' in text or "\0" in text or len(text) > limit:
+                    yield from _read_records(path, number, chain([(number, line)], lines),
+                                             width_of is not None)
+                    return
+                cells = text.split(",", width)
+                yield cells, text if width_of else None
+                if number == 1 and width_of is not None:  # the header
+                    width = width_of(cells)
     except UnicodeDecodeError:
         raise not_utf8(path) from None
 
 
-def _records(path, lines, width):
-    """(cells, line) of each record that starts on one of `lines`,
-    (line number, text) pairs. A line that csv.reader would read as its
-    commas split it is split `width` times (-1: at every comma); any
-    other, one holding a NUL included, goes to `_read_record`."""
-    limit = csv.field_size_limit()
-    for number, line in lines:
-        if ('"' in line or "\r" in line or "\0" in line or line == "\n"
-                or len(line) > limit):
-            cells = _read_record(path, number, line, lines)
-            yield cells, csv_line(cells)
-        else:
-            line = line.rstrip("\n")
-            yield line.split(",", width), line
-
-
-def _read_record(path, number, line, lines):
-    """The cells csv.reader reads from the record that starts with
-    `line`, line `number`, reading on through `lines` as it needs."""
-    reader = csv.reader(_lines_without_nul(path, chain([(number, line)], lines)))
+def _read_records(path, number, lines, with_lines):
+    """(cells, line) of each record csv.reader reads from `lines`, (line
+    number, text) pairs from line `number` on, the line being the row's
+    `csv_line` if `with_lines`, else None."""
+    reader = csv.reader(_lines_without_nul(path, lines))
     try:
-        return next(reader)
+        for cells in reader:
+            yield cells, csv_line(cells) if with_lines else None
     except csv.Error as exc:
         raise UnreadableLine(path, number + reader.line_num - 1, str(exc)) from None
 

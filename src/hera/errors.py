@@ -112,16 +112,6 @@ class CorruptRecord(FlowFileError):
         self.reason = reason
 
 
-class RecordOutOfRange(FlowFileError):
-    """A record holds a value too large for a feature to be computed
-    from it, such as an integer with more digits than a float can hold."""
-
-    def __init__(self, record_number: int, reason: str, path=None):
-        super().__init__(f"{_where(path)}record {record_number}: value out of range ({reason})")
-        self.record_number = record_number
-        self.reason = reason
-
-
 class UnknownFeature(HeraError):
     """A requested feature name is not in the catalog."""
 

@@ -28,7 +28,7 @@ from .flows import (
     canonical_key,
 )
 from .kernels import REQUIRED, TO_TEXT, compile_kernel, slotted
-from .timefmt import WRITTEN_INT, WRITTEN_TIME, text_to_int, text_to_us, us_to_text
+from .timefmt import text_to_int, text_to_us, us_to_text
 
 MAGIC_PREFIX = "#HERA "
 VERSION_TOKEN = "v1"
@@ -53,24 +53,52 @@ def _flags_from_text(text: str) -> int:
     return flags
 
 
+# The most digits an integer, or a time in microseconds, of a record may
+# have. A capture's counts and times fit 64 bits, and the largest value
+# a record derives from them, `ipsq`, a sum of squared gaps, stays below
+# the square of the record's span, so under 39 digits. Sums and products
+# of two such values stay far inside a float's range and far under the
+# 4,300 digits Python turns into text, so every feature of a record that
+# reads is computed without an overflow.
+MAX_DIGITS = 40
+_BOUND = 10 ** MAX_DIGITS
+
+
+def _bounded(from_text):
+    """from_text, except that a value of more than MAX_DIGITS digits is
+    refused."""
+    def read(text):
+        value = from_text(text)
+        if -_BOUND < value < _BOUND:
+            return value
+        raise ValueError(f"value over {MAX_DIGITS} digits {excerpt(text)}")
+    return read
+
+
+# The written forms of an integer and of a time (timefmt.WRITTEN_TIME)
+# within MAX_DIGITS. `[0-9]`, not `\d`, which also matches digits outside
+# ASCII.
+_INT = f"-?[0-9]{{1,{MAX_DIGITS}}}"
+_TIME = rf"-?[0-9]{{1,{MAX_DIGITS - 6}}}\.[0-9]{{6}}"
+
 # Each value kind's converters, in the order of the "Value kinds" table
 # of docs/hera-format.md: (to-text, from-text, written pattern, written
 # from-text). To-text and written from-text are the kernels' expression
 # templates, `$` standing for the value's or the text's expression; an
 # optional text takes the optional-int template. The written pattern
-# matches exactly the text to-text can write, and the written from-text
-# reads a text that matched it: a time as the integer its digits spell
-# without the dot, flags as each of their letters, optional, in
-# FLAG_TEXT's order (that of the value with all six). The strict
-# from-text callables serve the general reader.
+# matches exactly the text to-text can write of a value within
+# MAX_DIGITS, and the written from-text reads a text that matched it: a
+# time as the integer its digits spell without the dot, flags as each of
+# their letters, optional, in FLAG_TEXT's order (that of the value with
+# all six). The strict from-text callables serve the general reader.
 KIND_CONVERTERS: dict[str, tuple[str, Callable, str, str]] = {
-    "int": (TO_TEXT["int"], text_to_int, WRITTEN_INT, "int($)"),
-    "oint": (TO_TEXT["oint"], _optional(text_to_int), f"(?:{WRITTEN_INT})?",
+    "int": (TO_TEXT["int"], _bounded(text_to_int), _INT, "int($)"),
+    "oint": (TO_TEXT["oint"], _optional(_bounded(text_to_int)), f"(?:{_INT})?",
              "int($) if $ else None"),
     "str": (TO_TEXT["text"], str, "[^ ]*", "$"),
     "ostr": (TO_TEXT["oint"], _optional(str), "[^ ]*", "$ or None"),
-    "time": (TO_TEXT["time"], text_to_us, WRITTEN_TIME, "int($.replace('.', ''))"),
-    "otime": (TO_TEXT["time"], _optional(text_to_us), f"(?:{WRITTEN_TIME})?",
+    "time": (TO_TEXT["time"], _bounded(text_to_us), _TIME, "int($.replace('.', ''))"),
+    "otime": (TO_TEXT["time"], _optional(_bounded(text_to_us)), f"(?:{_TIME})?",
               "int($.replace('.', '')) if $ else None"),
     "bool": ("'1' if $ else '0'", _bool_from_text, "[01]", "$ == '1'"),
     "flags": ("FLAG_TEXT[$]", _flags_from_text,

@@ -19,11 +19,10 @@ def text_to_int(text: str) -> int:
     raise ValueError(f"invalid literal for int() with base 10: {excerpt(text)}")
 
 
-# The written forms of an integer and of a time, as regular expressions:
-# exactly the texts str() and us_to_text write. `[0-9]`, not `\d`, which
-# also matches digits outside ASCII. The integer the digits of a written
-# time spell without the dot is its value in microseconds.
-WRITTEN_INT = "-?[0-9]+"
+# The written form of a time, as a regular expression: exactly the texts
+# us_to_text writes. `[0-9]`, not `\d`, which also matches digits outside
+# ASCII. The integer the digits of a written time spell without the dot
+# is its value in microseconds.
 WRITTEN_TIME = r"-?[0-9]+\.[0-9]{6}"
 
 

@@ -403,28 +403,63 @@ def test_a_nul_in_an_input_line_is_a_format_error_naming_the_line(
     assert not (tmp_path / "out").exists()
 
 
-# 4,000 digits read as an integer (int() takes up to 4,300), but are more
-# than a float holds, so a feature that divides the value or turns it
-# into a float cannot be computed from it.
+# A record's integers and times (in microseconds) hold at most 40 digits,
+# more than any capture yields. A wider one, which would overflow a
+# feature's float arithmetic, or Python's int-to-text limit in a sum, is
+# refused on reading, naming its own line, also when a later record of
+# the same flow is the latest of its racluster cluster.
 @pytest.mark.parametrize("mode", ["ra", "racluster"])
-@pytest.mark.parametrize("field, value", [
-    ("sbytes", "9" * 4000),
-    ("ltime", "9" * 4000 + ".000000"),
-], ids=["sbytes", "ltime"])
-def test_an_integer_too_large_for_a_feature_is_a_format_error_naming_the_record(
-        tmp_path, capsys, mode, field, value):
+@pytest.mark.parametrize("edits, features", [
+    ({"sbytes": "9" * 4000}, "all"),
+    ({"ltime": "9" * 4000 + ".000000"}, "all"),
+    ({"sbytes": "1" + "0" * 40}, "all"),
+    ({"ipmin": "-1" + "0" * 34 + ".000000"}, "all"),
+    ({"sbytes": "9" * 4300, "dbytes": "9" * 4300}, "bytes"),
+], ids=["sbytes", "ltime", "41-digits", "41-digit-time", "bytes-sum"])
+def test_a_record_value_over_40_digits_is_a_format_error_naming_its_line(
+        tmp_path, capsys, mode, edits, features):
     hera = exported(tmp_path)
     lines = hera.read_text(encoding="utf-8").split("\n")
-    records = [i for i, line in enumerate(lines) if line and not line.startswith("#")]
-    number, index = next((n, i) for n, i in enumerate(records, 1) if " proto=tcp " in lines[i])
-    lines[index] = re.sub(f" {field}=[0-9.]+ ", f" {field}={value} ", lines[index])
+    index = next(i for i, line in enumerate(lines) if " proto=tcp " in line)
+    later = lines[index].replace(" stime=0.000000 ltime=0.400000 ",
+                                 " stime=1.000000 ltime=1.400000 ")
+    assert later != lines[index]
+    for field, value in edits.items():
+        lines[index] = re.sub(f" {field}=[0-9.]* ", f" {field}={value} ", lines[index])
+    lines.insert(index + 1, later)
     hera.write_text("\n".join(lines), encoding="utf-8")
     out = tmp_path / "csv"
-    assert main(["dataset", "--in", str(hera), "--out", str(out), "--features", "all",
+    assert main(["dataset", "--in", str(hera), "--out", str(out), "--features", features,
                  "--mode", mode]) == 2
+    first = next(iter(edits.values()))
     assert capsys.readouterr().err.startswith(
-        f"hera: {hera}: record {number}: value out of range (")
+        f"hera: {hera}: line {index + 1}: value over 40 digits {first[:200]!r}")
     assert not out.exists()
+
+
+# Every integer and time field at 40 digits, of either sign, in every
+# record, with many records of one flow to merge: each feature and the
+# stats are computed.
+@pytest.mark.parametrize("mode", ["ra", "racluster"])
+@pytest.mark.parametrize("sign", ["", "-"])
+def test_record_values_of_40_digits_make_a_dataset(tmp_path, mode, sign):
+    from hera.herafile import _LINE
+    widest = {"int": "9" * 40, "time": "9" * 34 + ".999999"}
+    hera = exported(tmp_path)
+    lines = hera.read_text(encoding="utf-8").split("\n")
+    for i, line in enumerate(lines):
+        if line and not line.startswith("#"):
+            for name, kind, *_ in _LINE:
+                if kind.lstrip("o") in widest:
+                    value = sign + widest[kind.lstrip("o")]
+                    line, count = re.subn(f"(^| ){name}=[^ ]*( |$)",
+                                          f"\\g<1>{name}={value}\\2", line)
+                    assert count == 1
+            lines[i] = line
+    lines += [lines[-2]] * 50
+    hera.write_text("\n".join(lines), encoding="utf-8")
+    assert main(["dataset", "--in", str(hera), "--out", str(tmp_path / "csv"), "--features",
+                 "all", "--mode", mode, "--keep-management"]) == 0
 
 
 LONG = 200_000  # characters in the cell or token an error message is about

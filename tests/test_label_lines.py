@@ -2,9 +2,10 @@
 with one label cell. Its bytes must be what csv.reader, the same labels
 and csv.writer make (`labelled_csv_oracle.py`), for any CSV text: quoted
 cells, `""` escapes, commas, carriage returns and line breaks in cells,
-CRLF lines, empty lines, ragged rows, labels that need quoting, and the
-match columns in any order. `read_csv` reads the rows csv.reader reads,
-and a dataset without quotes is never read by csv.reader."""
+CRLF and CR lines, empty lines, ragged rows, labels that need quoting,
+and the match columns in any order. `read_csv` reads the rows csv.reader reads,
+and a dataset or ground truth without quotes, whatever its line
+endings, is never read by csv.reader."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ import io
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -41,8 +43,8 @@ PORTS = ("", "80", "40000", "53")
 @st.composite
 def dataset_texts(draw) -> str:
     """A dataset CSV: a header of the match columns and a few others in
-    any order, then rows written with minimal or full quoting, LF or CRLF
-    endings, now and then ragged, wider than the header or empty."""
+    any order, then rows written with minimal or full quoting, LF, CRLF
+    or CR endings, now and then ragged, wider than the header or empty."""
     header = draw(st.permutations([*MATCH_COLUMNS, *draw(st.lists(FREE_TEXT, max_size=3))]))
     rows = [header]
     for _ in range(draw(st.integers(0, 6))):
@@ -64,7 +66,7 @@ def dataset_texts(draw) -> str:
             line = out.getvalue()[:-1]
         else:
             line = ",".join('"' + cell.replace('"', '""') + '"' for cell in cells)
-        lines.append(line + draw(st.sampled_from(("\n", "\n", "\r\n"))))
+        lines.append(line + draw(st.sampled_from(("\n", "\n", "\r\n", "\r"))))
     return "".join(lines)
 
 
@@ -119,11 +121,12 @@ def test_read_csv_reads_what_csv_reader_reads(dataset):
         assert read_csv(path) == ((rows[0], rows[1:]) if rows else ([], []))
 
 
-def test_labelling_an_unquoted_dataset_builds_no_csv_reader(tmp_path, monkeypatch):
+@pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_labelling_an_unquoted_dataset_builds_no_csv_reader(tmp_path, monkeypatch, ending):
     dataset = ("sbytes,stime,ltime,proto,saddr,sport,daddr,dport,x\n"
                "120,10.000000,12.000000,tcp,10.0.0.1,40000,10.0.0.2,80,a,b,c\n"
-               "64,11.000000,11.500000,udp,10.0.0.1,53,10.0.0.2,5353\n")
-    ground_truth = "SrcAddr,Sport,Label\n10.0.0.1,40000,DoS\n"
+               "64,11.000000,11.500000,udp,10.0.0.1,53,10.0.0.2,5353\n").replace("\n", ending)
+    ground_truth = "SrcAddr,Sport,Label\n10.0.0.1,40000,DoS\n".replace("\n", ending)
     (tmp_path / "oracle.csv").write_text(ground_truth, encoding="utf-8")
     expected = labelled_csv(dataset, tmp_path / "oracle.csv", "Benign", False)
 
