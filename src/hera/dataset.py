@@ -199,35 +199,36 @@ def build_dataset(records, feature_names, **options):
     return header, list(rows), stats
 
 
-# The writer of the rows csv_line quotes: one for the process, so each
-# such row reuses its record buffer, which CPython grows in steps of
-# 32,768 characters, and this one-row text buffer.
-_QUOTED = io.StringIO()
-_write_quoted = csv.writer(_QUOTED, lineterminator="\n").writerow
+def csv_lines():
+    """The function that gives a row's canonical line: the row as one CSV
+    line, without its line ending, as `csv.writer(fp,
+    lineterminator="\n")` writes it. A row that needs no quoting, which
+    is every row whose joined line holds one comma between each pair of
+    cells and no quote or line break, is its cells joined by commas; only
+    an empty row and a row of one empty cell join to the empty line, and
+    csv.writer quotes the latter. Any other row goes through the
+    function's own csv.writer, whose record buffer (grown in steps of
+    32,768 characters) and one-row text buffer serve each such row."""
+    buffer = io.StringIO()
+    write_quoted = csv.writer(buffer, lineterminator="\n").writerow
 
+    def csv_line(row) -> str:
+        line = ",".join(row)
+        if (line and line.count(",") == len(row) - 1 and '"' not in line
+                and "\r" not in line and "\n" not in line):
+            return line
+        buffer.seek(0)
+        buffer.truncate()
+        write_quoted(row)
+        return buffer.getvalue()[:-1]
 
-def csv_line(row) -> str:
-    """The row as one CSV line, without its line ending, as
-    `csv.writer(fp, lineterminator="\n")` writes it. A row that needs no
-    quoting, which is every row whose joined line holds one comma between
-    each pair of cells and no quote or line break, is its cells joined by
-    commas; only an empty row and a row of one empty cell join to the
-    empty line, and csv.writer quotes the latter. Any other row goes
-    through csv.writer."""
-    line = ",".join(row)
-    if (line and line.count(",") == len(row) - 1 and '"' not in line
-            and "\r" not in line and "\n" not in line):
-        return line
-    _QUOTED.seek(0)
-    _QUOTED.truncate()
-    _write_quoted(row)
-    return _QUOTED.getvalue()[:-1]
+    return csv_line
 
 
 def row_writer(fp):
-    """The function that writes one row to `fp` as its `csv_line` and a
-    line feed, and returns that line."""
-    write = fp.write
+    """The function that writes one row to `fp` as its canonical line
+    (`csv_lines`) and a line feed, and returns that line."""
+    write, csv_line = fp.write, csv_lines()
 
     def write_row(row):
         line = csv_line(row)
@@ -261,8 +262,8 @@ def iter_csv(path, width_of=None):
     """Yield (cells, line) for each row of a UTF-8 CSV file, decoded as a
     stream. `width_of`, if given, is called with the header's cells and
     gives how many leading cells the reader needs of each later row, and
-    `line` is the row's `csv_line`; without it every cell is split and
-    `line` is None.
+    `line` is the row's canonical line (`csv_lines`); without it every
+    cell is split and `line` is None.
 
     Lines are read one by one while each, once its line ending (LF, CRLF
     or CR; a file read with newline="" ends a line at each) is taken off,
@@ -296,11 +297,12 @@ def iter_csv(path, width_of=None):
 def _read_records(path, number, lines, with_lines):
     """(cells, line) of each record csv.reader reads from `lines`, (line
     number, text) pairs from line `number` on, the line being the row's
-    `csv_line` if `with_lines`, else None."""
+    canonical line if `with_lines`, else None."""
     reader = csv.reader(_lines_without_nul(path, lines))
+    csv_line = csv_lines() if with_lines else None
     try:
         for cells in reader:
-            yield cells, csv_line(cells) if with_lines else None
+            yield cells, csv_line(cells) if csv_line else None
     except csv.Error as exc:
         raise UnreadableLine(path, number + reader.line_num - 1, str(exc)) from None
 

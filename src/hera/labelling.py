@@ -32,7 +32,7 @@ from math import inf
 from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
-from .dataset import csv_line, iter_csv
+from .dataset import csv_lines, iter_csv
 from .errors import (
     EmptyLabelCell,
     MalformedDatasetCell,
@@ -397,9 +397,10 @@ def write_labelled(path, header, rows, entries, benign_label=DEFAULT_BENIGN_LABE
     the file the rows come from, for the error a row or the header
     raises. A row of two or more cells, as every labelled row is, keeps
     its cells' quoting when one more is appended, so its labelled line
-    is its line and the label's cell; `csv_line(["", label])` is that
-    cell with its comma, quoted once per distinct label."""
+    is its line and the label's cell; the canonical line of ["", label]
+    is that cell with its comma, quoted once per distinct label."""
     counts = {}
+    csv_line = csv_lines()
     label_cells = _Memo(lambda label: csv_line(["", label]) + "\n")
     with open(path, "w", encoding="utf-8", newline="") as fp:
         write = fp.write
