@@ -237,14 +237,18 @@ def _feature_selection(text: str | None):
 
 
 def _dataset_options(settings: Settings) -> dict:
-    """The validated keyword arguments of `dataset_rows`."""
+    """The validated keyword arguments of `dataset_rows`. The selection's
+    row kernel is compiled here, before any record is read or made, so
+    the compile's own peak does not add to the records' (`dataset_rows`
+    takes it from `row_kernel`'s cache)."""
     from .dataset import MODES
-    from .features import select_feature_set
+    from .features import row_kernel, select_feature_set
     feature_names = select_feature_set(_feature_selection(settings.text("features")))
     mode = settings.text("mode") or "ra"
     if mode not in MODES:
         raise UsageError(f"{settings.origin('mode')} must be one of {'/'.join(MODES)}")
     count_window = _count(settings, "count_window", DEFAULT_COUNT_WINDOW)
+    row_kernel(tuple(feature_names))
     return dict(feature_names=feature_names, mode=mode, count_window=count_window,
                 keep_management=settings.flag("keep_management", False))
 
@@ -337,7 +341,8 @@ def _dataset_step(name, started, records, options, paths, verbose: bool,
     csv_path, stats_path, *label_paths = paths
     header, rows, stats = dataset_rows(records, **options)
     with csv_rows(csv_path, header) as write_row:
-        rows = ((row, write_row(row)) for row in rows)
+        # No record value holds a line break, so each row is one line.
+        rows = ((row, write_row(row), number) for number, row in enumerate(rows, start=2))
         if ground_truth is None:
             count = sum(1 for _ in rows)
         else:
@@ -352,9 +357,9 @@ def _dataset_step(name, started, records, options, paths, verbose: bool,
 
 def _label_step(source, header, rows, ground_truth, options, csv_path,
                 summary_path) -> LabelSummary:
-    """Label the rows, (cells, line) pairs from the CSV at `source`, and
-    write each line with its label as it comes; returns the summary,
-    which it writes too, for the caller to log."""
+    """Label the rows, (cells, line, line number) from the CSV at
+    `source`, and write each line with its label as it comes; returns
+    the summary, which it writes too, for the caller to log."""
     from .labelling import write_label_summary, write_labelled
     summary = write_labelled(csv_path, header, rows, ground_truth, source=source, **options)
     write_label_summary(summary_path, summary)
@@ -448,7 +453,7 @@ def cmd_label(args, settings: Settings) -> None:
         for path, targets in zip(inputs, paths):
             started = time.perf_counter()
             rows = iter_csv(path, match_width)
-            header, _ = next(rows, ([], ""))
+            header = next(rows, ([],))[0]
             summary = _label_step(path, header, rows, ground_truth, options, *targets)
             _log_label_step(args.verbose, path, started, summary)
 

@@ -1,21 +1,23 @@
 """Dataset generation from flow records.
 
-`ra` mode emits one CSV row per record; `racluster` merges all records
-sharing a canonical key into one row first. Rows follow the selected
-feature columns in catalog order; a stats text file summarizes the same
-record set the rows were built from. Rows are built one at a time, as
-they are taken, and CSV files are written one row at a time, so the
-commands never hold a whole dataset. The feature catalog is imported
-only by the functions that compute rows, so `export` and `label`, which
-use this module for stats and CSV files, never load it; the flow engine
-only by `cluster`, so `label` never loads it either.
+`ra` mode emits one CSV row per record; `racluster` emits one row per
+canonical key: it merges the records of a key that has several into one
+new record, and passes the record of a key seen once through unchanged,
+without a copy. Rows follow the selected feature columns in catalog
+order; a stats text file summarizes the same record set the rows were
+built from. Rows are built one at a time, as they are taken, and CSV
+files are written one row at a time, so the commands never hold a whole
+dataset. The feature catalog is imported only by the functions that
+compute rows, so `export` and `label`, which use this module for stats
+and CSV files, never load it; the flow engine only by `cluster`, so
+`label` never loads it either.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from collections import Counter, defaultdict, deque
+from collections import deque
 from contextlib import contextmanager
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
@@ -32,39 +34,60 @@ MODES = ("ra", "racluster")
 
 
 def cluster(records: list[FlowRecord]) -> list[FlowRecord]:
-    """Merge records per canonical key, racluster style.
+    """Merge records per canonical key, racluster style, in sort_key order.
 
-    Constituents are folded in stime order by `FlowRecord.merge`;
-    categorical fields follow the constituent with the latest ltime
-    (ties broken by stream position).
+    A key with several records gets a new record: its constituents are
+    folded in stime order by `FlowRecord.merge`, and categorical fields
+    follow the constituent with the latest ltime (ties broken by stream
+    position). A key seen once is its own merged record whenever merging
+    could not change it (`FlowRecord.is_own_merge`), so the list may hold
+    the caller's own record objects; neither the caller nor a later stage
+    may change them.
     """
     from .flows import FlowRecord
-    groups: dict = defaultdict(list)
+    firsts: dict = {}  # each key's first record, in stream order
+    several: dict = {}  # all records of each key seen more than once
     for rec in records:
-        groups[rec.key].append(rec)
-    merged_records = []
-    for key, group in groups.items():
-        by_stime = sorted(group, key=lambda r: (r.stime_us, r.seq or 0))
-        latest = max(group, key=lambda r: (r.ltime_us, r.seq or 0))
-        merged = FlowRecord(
-            key=key,
-            initiator=latest.initiator,
-            stime_us=by_stime[0].stime_us,
-            ltime_us=latest.ltime_us,
-            slice_index=latest.slice_index,
-            is_management=latest.is_management,
-            tcp_state=latest.tcp_state,
-            idle_us=latest.idle_us,
-            seq=latest.seq,
-            trans=0,
-        )
-        prev_ltime_us = None
-        for rec in by_stime:
-            merged.merge(rec, prev_ltime_us)
-            prev_ltime_us = rec.ltime_us
-        merged_records.append(merged)
+        key = rec.key
+        first = firsts.get(key)
+        if first is None:
+            firsts[key] = rec
+        else:
+            group = several.get(key)
+            if group is None:
+                several[key] = [first, rec]
+            else:
+                group.append(rec)
+    merged_records = [
+        _merged(key, several[key]) if key in several
+        else rec if rec.is_own_merge() else _merged(key, [rec])
+        for key, rec in firsts.items()]
     merged_records.sort(key=FlowRecord.sort_key)
     return merged_records
+
+
+def _merged(key, group: list[FlowRecord]) -> FlowRecord:
+    """A new record of `key` with the records of `group` merged into it."""
+    from .flows import FlowRecord
+    by_stime = sorted(group, key=lambda r: (r.stime_us, r.seq or 0))
+    latest = max(group, key=lambda r: (r.ltime_us, r.seq or 0))
+    merged = FlowRecord(
+        key=key,
+        initiator=latest.initiator,
+        stime_us=by_stime[0].stime_us,
+        ltime_us=latest.ltime_us,
+        slice_index=latest.slice_index,
+        is_management=latest.is_management,
+        tcp_state=latest.tcp_state,
+        idle_us=latest.idle_us,
+        seq=latest.seq,
+        trans=0,
+    )
+    prev_ltime_us = None
+    for rec in by_stime:
+        merged.merge(rec, prev_ltime_us)
+        prev_ltime_us = rec.ltime_us
+    return merged
 
 
 def compute_connection_counts(records, window: int = DEFAULT_COUNT_WINDOW):
@@ -74,7 +97,9 @@ def compute_connection_counts(records, window: int = DEFAULT_COUNT_WINDOW):
     (including the record itself) share its service together with its
     source address (Ssaddr) or destination address (Sdaddr). Returns a
     list of (ssaddr, sdaddr) aligned with `records`; management entries
-    get (None, None) and do not occupy window slots.
+    get (None, None) and do not occupy window slots. A (service, address)
+    pair leaves its counter when its count drops to 0, so each counter
+    holds at most `window` pairs.
     """
     from .features import service_of
     if window < 1:
@@ -85,20 +110,28 @@ def compute_connection_counts(records, window: int = DEFAULT_COUNT_WINDOW):
         key=lambda i: (records[i].ltime_us, i),
     )
     recent = deque()
-    by_src = Counter()
-    by_dst = Counter()
+    by_src = {}
+    by_dst = {}
     for i in order:
         rec = records[i]
         service = service_of(rec.key.proto, rec.sport, rec.dport)
         src_key = (service, rec.saddr)
         dst_key = (service, rec.daddr)
         recent.append((src_key, dst_key))
-        by_src[src_key] += 1
-        by_dst[dst_key] += 1
+        by_src[src_key] = by_src.get(src_key, 0) + 1
+        by_dst[dst_key] = by_dst.get(dst_key, 0) + 1
         if len(recent) > window:
             old_src, old_dst = recent.popleft()
-            by_src[old_src] -= 1
-            by_dst[old_dst] -= 1
+            left = by_src[old_src] - 1
+            if left:
+                by_src[old_src] = left
+            else:
+                del by_src[old_src]
+            left = by_dst[old_dst] - 1
+            if left:
+                by_dst[old_dst] = left
+            else:
+                del by_dst[old_dst]
         results[i] = (by_src[src_key], by_dst[dst_key])
     return results
 
@@ -259,8 +292,9 @@ def write_csv(path, header: list[str], rows) -> int:
 
 
 def iter_csv(path, width_of=None):
-    """Yield (cells, line) for each row of a UTF-8 CSV file, decoded as a
-    stream. `width_of`, if given, is called with the header's cells and
+    """Yield (cells, line, number) for each row of a UTF-8 CSV file,
+    decoded as a stream, `number` being the file's line the row starts
+    on. `width_of`, if given, is called with the header's cells and
     gives how many leading cells the reader needs of each later row, and
     `line` is the row's canonical line (`csv_lines`); without it every
     cell is split and `line` is None.
@@ -287,7 +321,7 @@ def iter_csv(path, width_of=None):
                                              width_of is not None)
                     return
                 cells = text.split(",", width)
-                yield cells, text if width_of else None
+                yield cells, text if width_of else None, number
                 if number == 1 and width_of is not None:  # the header
                     width = width_of(cells)
     except UnicodeDecodeError:
@@ -295,14 +329,17 @@ def iter_csv(path, width_of=None):
 
 
 def _read_records(path, number, lines, with_lines):
-    """(cells, line) of each record csv.reader reads from `lines`, (line
-    number, text) pairs from line `number` on, the line being the row's
-    canonical line if `with_lines`, else None."""
+    """(cells, line, number) of each record csv.reader reads from
+    `lines`, (line number, text) pairs from line `number` on, the line
+    being the row's canonical line if `with_lines`, else None, and the
+    number that of the line the record starts on."""
     reader = csv.reader(_lines_without_nul(path, lines))
     csv_line = csv_lines() if with_lines else None
+    start = number
     try:
         for cells in reader:
-            yield cells, csv_line(cells) if csv_line else None
+            yield cells, csv_line(cells) if csv_line else None, start
+            start = number + reader.line_num
     except csv.Error as exc:
         raise UnreadableLine(path, number + reader.line_num - 1, str(exc)) from None
 
@@ -322,4 +359,4 @@ def read_csv(path) -> tuple[list[str], list[list[str]]]:
     header = next(rows, None)
     if header is None:
         return [], []
-    return header[0], [cells for cells, _ in rows]
+    return header[0], [cells for cells, _, _ in rows]

@@ -329,6 +329,18 @@ class FlowRecord:
         if self.is_management:
             self.flows = (self.flows or 0) + (other.flows or 0)
 
+    def is_own_merge(self) -> bool:
+        """Whether merging this record alone into a new record of its key,
+        as `cluster` does, gives a record equal to it. Every record
+        `export` writes is one. The merge would change a management
+        record's `flows` (None becomes 0), drop another record's set
+        `flows`, drop a side's `ltime` that has no `stime`, and drop the
+        unknown fields (`extra`) a file gave it."""
+        a, b = self.a, self.b
+        return (not self.is_management and self.flows is None and not self.extra
+                and (a.first_ts_us is not None or a.last_ts_us is None)
+                and (b.first_ts_us is not None or b.last_ts_us is None))
+
 
 def make_management_record(
     window_start_us: int, window_end_us: int,

@@ -61,18 +61,35 @@ def _flags_from_text(text: str) -> int:
 # 4,300 digits Python turns into text, so every feature of a record that
 # reads is computed without an overflow.
 MAX_DIGITS = 40
-_BOUND = 10 ** MAX_DIGITS
+
+# A text that text_to_int or text_to_us accepts with a whole part: its
+# sign, and for a time its blanks, in group 1, then the whole part's
+# digits after its leading zeros, keeping its last digit, in group 2.
+# Only the general reader uses them, so the re module compiles them on
+# first use, not when a command imports this module.
+_INT_TEXT = r"(-?)0*([0-9]+)"
+_TIME_TEXT = r"(\s*[-+]?)0*([0-9]+)(?:\.[0-9]*)?\s*"
 
 
-def _bounded(from_text):
+def _bounded(from_text, text_pattern: str, whole_digits: int):
     """from_text, except that a value of more than MAX_DIGITS digits is
-    refused."""
+    refused, before from_text reads it: a text matching `text_pattern`
+    whose whole part has more than `whole_digits` digits after its
+    leading zeros. A text within the bound is read without those zeros,
+    so int() never meets more digits than MAX_DIGITS, whatever the
+    text's length."""
     def read(text):
-        value = from_text(text)
-        if -_BOUND < value < _BOUND:
-            return value
-        raise ValueError(f"value over {MAX_DIGITS} digits {excerpt(text)}")
+        match = re.fullmatch(text_pattern, text)
+        if match:
+            if len(match[2]) > whole_digits:
+                raise ValueError(f"value over {MAX_DIGITS} digits {excerpt(text)}")
+            text = match[1] + text[match.start(2):]
+        return from_text(text)
     return read
+
+
+_INT_FROM_TEXT = _bounded(text_to_int, _INT_TEXT, MAX_DIGITS)
+_TIME_FROM_TEXT = _bounded(text_to_us, _TIME_TEXT, MAX_DIGITS - 6)  # in microseconds
 
 
 # The written forms of an integer and of a time (timefmt.WRITTEN_TIME)
@@ -92,13 +109,13 @@ _TIME = rf"-?[0-9]{{1,{MAX_DIGITS - 6}}}\.[0-9]{{6}}"
 # their letters, optional, in FLAG_TEXT's order (that of the value with
 # all six). The strict from-text callables serve the general reader.
 KIND_CONVERTERS: dict[str, tuple[str, Callable, str, str]] = {
-    "int": (TO_TEXT["int"], _bounded(text_to_int), _INT, "int($)"),
-    "oint": (TO_TEXT["oint"], _optional(_bounded(text_to_int)), f"(?:{_INT})?",
+    "int": (TO_TEXT["int"], _INT_FROM_TEXT, _INT, "int($)"),
+    "oint": (TO_TEXT["oint"], _optional(_INT_FROM_TEXT), f"(?:{_INT})?",
              "int($) if $ else None"),
     "str": (TO_TEXT["text"], str, "[^ ]*", "$"),
     "ostr": (TO_TEXT["oint"], _optional(str), "[^ ]*", "$ or None"),
-    "time": (TO_TEXT["time"], _bounded(text_to_us), _TIME, "int($.replace('.', ''))"),
-    "otime": (TO_TEXT["time"], _optional(_bounded(text_to_us)), f"(?:{_TIME})?",
+    "time": (TO_TEXT["time"], _TIME_FROM_TEXT, _TIME, "int($.replace('.', ''))"),
+    "otime": (TO_TEXT["time"], _optional(_TIME_FROM_TEXT), f"(?:{_TIME})?",
               "int($.replace('.', '')) if $ else None"),
     "bool": ("'1' if $ else '0'", _bool_from_text, "[01]", "$ == '1'"),
     "flags": ("FLAG_TEXT[$]", _flags_from_text,

@@ -109,7 +109,7 @@ class GroundTruth(list):
 def parse_ground_truth(path) -> GroundTruth:
     reader = iter_csv(path)
     try:
-        header, _ = next(reader)
+        header = next(reader)[0]
     except StopIteration:
         raise MissingLabelColumn(f"{path}: empty ground-truth file") from None
     names = [name.strip().lower() for name in header]
@@ -123,7 +123,7 @@ def parse_ground_truth(path) -> GroundTruth:
     protos = _Memo(lambda text: text.strip().lower() or None)
     addrs = _Memo(lambda text: _canonical_addr(text.strip()) or None)
     entries = GroundTruth()
-    for row_number, (row, _) in enumerate(reader, start=2):
+    for row_number, (row, _, _) in enumerate(reader, start=2):
         if pick is not None and len(row) >= width:
             cells = pick(row)
         else:
@@ -207,9 +207,9 @@ def match_width(header) -> int:
 
 def _row_views(header, rows, path=None):
     """Yield (item, (stime_us, ltime_us, (proto, saddr, sport, daddr,
-    dport))) for each (cells, item) pair of `rows`; rows[0] is line 2 of
-    the CSV at `path`. Only the cells up to the last match column are
-    read."""
+    dport))) for each (cells, item, line number) of `rows`, the number
+    being the line of the CSV at `path` that the row starts on. Only the
+    cells up to the last match column are read."""
     positions = []
     for col in MATCH_COLUMNS:
         try:
@@ -218,7 +218,7 @@ def _row_views(header, rows, path=None):
             raise MissingMatchField(col, path) from None
     pick = itemgetter(*positions)
     addrs = _Memo(_canonical_addr)
-    for line_number, (row, item) in enumerate(rows, start=2):
+    for row, item, line_number in rows:
         try:
             stime, ltime, proto, saddr, daddr, sport, dport = pick(row)
             view = (int(stime.replace(".", "")) if _WRITTEN_TIME(stime) else text_to_us(stime),
@@ -349,17 +349,18 @@ def _candidates(index, forward, reverse, stime_us, ltime_us) -> list[int]:
 
 def labelled_rows(
     header: list[str],
-    rows: Iterable[tuple[list[str], object]],
+    rows: Iterable[tuple[list[str], object, int]],
     entries: GroundTruth,
     counts: dict[str, int],
     benign_label: str = DEFAULT_BENIGN_LABEL,
     bidirectional: bool = False,
     path=None,
 ) -> Iterator[tuple[object, str]]:
-    """Yield (item, label) for each (cells, item) pair of `rows`, as it is
-    taken, and count the label in `counts` (rows per label). `path`, if
-    given, is the file the rows come from, for the error a row or the
-    header raises.
+    """Yield (item, label) for each (cells, item, line number) of `rows`,
+    as it is taken, and count the label in `counts` (rows per label).
+    `path`, if given, is the file the rows come from, and the number the
+    line of that file a row starts on, for the error a row or the header
+    raises.
 
     A row gets the label of the first entry in list order, among those
     the index offers for its key and times, whose time window
@@ -383,19 +384,20 @@ def label_dataset(header, rows, entries, benign_label=DEFAULT_BENIGN_LABEL,
     """Append each row's label to the row itself; returns the header with
     a Label column appended, the same rows and the summary."""
     counts = {}
-    for row, label in labelled_rows(header, ((row, row) for row in rows), entries, counts,
-                                    benign_label, bidirectional):
+    numbered = ((row, row, number) for number, row in enumerate(rows, start=2))
+    for row, label in labelled_rows(header, numbered, entries, counts, benign_label,
+                                    bidirectional):
         row.append(label)
     return [*header, "Label"], rows, LabelSummary(sum(counts.values()), benign_label, counts)
 
 
 def write_labelled(path, header, rows, entries, benign_label=DEFAULT_BENIGN_LABEL,
                    bidirectional=False, source=None) -> LabelSummary:
-    """Write the labelled CSV of `rows`, (cells, line) pairs, to `path`:
-    the header with a Label column, then each row's line with its label
-    cell, as the row comes; returns the summary. `source`, if given, is
-    the file the rows come from, for the error a row or the header
-    raises. A row of two or more cells, as every labelled row is, keeps
+    """Write the labelled CSV of `rows`, (cells, line, line number), to
+    `path`: the header with a Label column, then each row's line with its
+    label cell, as the row comes; returns the summary. `source`, if
+    given, is the file the rows come from, for the error a row or the
+    header raises. A row of two or more cells, as every labelled row is, keeps
     its cells' quoting when one more is appended, so its labelled line
     is its line and the label's cell; the canonical line of ["", label]
     is that cell with its comma, quoted once per distinct label."""

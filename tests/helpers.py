@@ -53,7 +53,7 @@ def label_rows(header, rows, entries, benign_label=DEFAULT_BENIGN_LABEL,
     """One label per row plus the summary, against the entries in a new
     `GroundTruth`; the rows are left as they were."""
     counts = {}
-    labels = [label for _, label in labelled_rows(header, ((row, None) for row in rows),
-                                                  GroundTruth(entries), counts,
+    numbered = ((row, None, number) for number, row in enumerate(rows, start=2))
+    labels = [label for _, label in labelled_rows(header, numbered, GroundTruth(entries), counts,
                                                   benign_label, bidirectional)]
     return labels, LabelSummary(len(labels), benign_label, counts)

@@ -407,7 +407,8 @@ def test_a_nul_in_an_input_line_is_a_format_error_naming_the_line(
 # more than any capture yields. A wider one, which would overflow a
 # feature's float arithmetic, or Python's int-to-text limit in a sum, is
 # refused on reading, naming its own line, also when a later record of
-# the same flow is the latest of its racluster cluster.
+# the same flow is the latest of its racluster cluster, and also past
+# the 4,300 digits int() converts.
 @pytest.mark.parametrize("mode", ["ra", "racluster"])
 @pytest.mark.parametrize("edits, features", [
     ({"sbytes": "9" * 4000}, "all"),
@@ -415,7 +416,10 @@ def test_a_nul_in_an_input_line_is_a_format_error_naming_the_line(
     ({"sbytes": "1" + "0" * 40}, "all"),
     ({"ipmin": "-1" + "0" * 34 + ".000000"}, "all"),
     ({"sbytes": "9" * 4300, "dbytes": "9" * 4300}, "bytes"),
-], ids=["sbytes", "ltime", "41-digits", "41-digit-time", "bytes-sum"])
+    ({"sbytes": "9" * 5000}, "all"),
+    ({"ltime": "9" * 5000 + ".000000"}, "all"),
+], ids=["sbytes", "ltime", "41-digits", "41-digit-time", "bytes-sum", "past-int-digit-limit",
+        "time-past-int-digit-limit"])
 def test_a_record_value_over_40_digits_is_a_format_error_naming_its_line(
         tmp_path, capsys, mode, edits, features):
     hera = exported(tmp_path)
@@ -667,6 +671,21 @@ def test_label_unreadable_dataset_cell_is_format_error(tmp_path, capsys, bad_row
     gt = write_gt(tmp_path / "gt.csv")
     assert main(["label", "--in", str(dataset), "--gt", str(gt)]) == 2
     assert where in capsys.readouterr().err
+    assert tree(tmp_path) == ["d.csv", "gt.csv"]
+
+
+@pytest.mark.parametrize("line_break", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+def test_label_unreadable_dataset_cell_names_the_line_after_a_quoted_line_break(
+        tmp_path, capsys, line_break):
+    """Row 2 spans lines 2 and 3, so the bad sport of row 3 is on line 4,
+    as the file's lines are counted by an unreadable line's error too."""
+    dataset = tmp_path / "d.csv"
+    dataset.write_text(
+        MATCH_HEADER.replace("\n", ",note\n") + GOOD_ROW.replace("\n", f',"two{line_break}lines"\n')
+        + "1.000000,2.000000,tcp,10.0.0.1,x,10.0.0.2,80,\n", encoding="utf-8", newline="")
+    gt = write_gt(tmp_path / "gt.csv")
+    assert main(["label", "--in", str(dataset), "--gt", str(gt)]) == 2
+    assert capsys.readouterr().err == f"hera: {dataset}: line 4, column 'sport': bad value 'x'\n"
     assert tree(tmp_path) == ["d.csv", "gt.csv"]
 
 

@@ -3,6 +3,7 @@ import functools
 import io
 import operator
 import random
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -313,6 +314,33 @@ def test_connection_counts_saturate_at_window():
     assert counts[149] == (100, 100)
     assert max(c[0] for c in counts) == 100
     del base
+
+
+def test_connection_counters_hold_at_most_the_window():
+    """A (service, address) pair leaves its counter when its count drops
+    to 0: with a new source for each record, the source counter holds
+    the window's pairs, and one more only until the oldest leaves. The
+    counters' sizes are read off the function's frame as it runs."""
+    sizes = []
+
+    def trace(frame, event, arg):
+        if frame.f_code is not compute_connection_counts.__code__:
+            return None
+        if "by_dst" in frame.f_locals:
+            sizes.append((len(frame.f_locals["by_src"]), len(frame.f_locals["by_dst"])))
+        return trace
+
+    records = [run([pkt(float(i), src=f"10.9.{i // 250}.{i % 250 + 1}")],
+                   emit_management=False)[0] for i in range(120)]
+    window = 10
+    sys.settrace(trace)
+    try:
+        counts = compute_connection_counts(records, window)
+    finally:
+        sys.settrace(None)
+    assert counts == brute_counts(records, window)
+    assert max(src for src, _ in sizes) == window + 1
+    assert sizes[-1] == (window, 1)
 
 
 def test_connection_counts_skip_management_rows():

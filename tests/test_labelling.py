@@ -189,7 +189,7 @@ def test_addresses_in_ground_truth_and_rows(tmp_path, text, canonical):
     assert labelling._canonical_addr(text) == canonical_or_itself(text) == canonical
     entries = gt(tmp_path, f"SrcAddr,Label\n{text},DoS\n")
     assert entries[0].src_addr == canonical
-    views = labelling._row_views(HDR, [(row(saddr=text), None)])
+    views = labelling._row_views(HDR, [(row(saddr=text), None, 2)])
     assert [view[2][1] for _, view in views] == [canonical]
 
 
@@ -231,7 +231,7 @@ def viewed_cells(stime, ltime, sport, dport):
     """_row_views on one dataset row: its times and ports, or the error."""
     try:
         [(_, (stime_us, ltime_us, key))] = labelling._row_views(
-            HDR, [(row(stime=stime, ltime=ltime, sport=sport, dport=dport), None)])
+            HDR, [(row(stime=stime, ltime=ltime, sport=sport, dport=dport), None, 2)])
     except MalformedDatasetCell as exc:
         return str(exc)
     return stime_us, ltime_us, key[2], key[4]

@@ -246,6 +246,24 @@ def test_a_value_past_ints_digit_limit_is_left_to_the_general_reader():
     assert_readers_agree(line)
 
 
+@pytest.mark.parametrize("field, value", [("spkts", "9" * 5000), ("stime", "9" * 5000 + ".5"),
+                                          ("sipmin", "-" + "1" * 35 + ".000000")])
+def test_a_value_over_40_digits_is_refused_before_it_is_converted(field, value):
+    line = _edit_first_capture_line(lambda f: _join(_set(f, field, value)))
+    assert outcome(parse_record, line) == (
+        "CorruptRecord", f"value over 40 digits {herafile.excerpt(value)}")
+
+
+@pytest.mark.parametrize("field, value, read_as", [
+    ("spkts", "0" * 5000 + "7", "7"), ("spkts", "-" + "0" * 5000, "0"),
+    ("stime", "0" * 5000 + "1.500000", "1.500000"), ("sipmin", "-0001.5", "-1.500000"),
+])
+def test_leading_zeros_past_ints_digit_limit_do_not_count(field, value, read_as):
+    fields = _fields(capture_lines()[1])
+    assert (parse_record(_join(_set(fields, field, value)), 1)
+            == parse_record(_join(_set(fields, field, read_as)), 1))
+
+
 # -- the pattern's tables ----------------------------------------------------
 
 
