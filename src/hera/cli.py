@@ -34,7 +34,7 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import HeraError, UnknownFeature, UsageError
+from .errors import HeraError, UnknownFeature, UsageError, excerpt
 from .timefmt import seconds_to_us
 from .workspace import DEFAULT_BENIGN_LABEL, DEFAULT_COUNT_WINDOW, Settings, load_workspace
 
@@ -264,7 +264,7 @@ def _count(settings: Settings, name: str, default: int) -> int:
     number = settings.number(name, default)
     if number != int(number):
         raise UsageError(f"{settings.origin(name)} expects a whole number, "
-                         f"got {settings.text(name)!r}")
+                         f"got {excerpt(settings.text(name))}")
     if number < 1:
         raise UsageError(f"{settings.origin(name)} must be at least 1")
     return int(number)

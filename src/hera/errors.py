@@ -116,7 +116,7 @@ class UnknownFeature(HeraError):
     """A requested feature name is not in the catalog."""
 
     def __init__(self, name: str):
-        super().__init__(f"unknown feature {name!r}")
+        super().__init__(f"unknown feature {excerpt(name)}")
         self.name = name
 
 

@@ -214,8 +214,7 @@ observe_gap = compile_kernel(
 
 
 # Each field of a FlowRecord, in constructor order: (attribute, default).
-# `a` and `b` (the endpoints' EndpointStats) and `extra` are new for each
-# record.
+# `a` and `b` (the endpoints' EndpointStats) are new for each record.
 RECORD_FIELDS = (
     ("key", REQUIRED),  # a FlowKey
     ("initiator", REQUIRED),  # 'a' or 'b': which endpoint is the flow source
@@ -241,7 +240,6 @@ RECORD_FIELDS = (
     ("flows", None),  # management records: episodes begun in window
     ("seq", None),  # position in the flushed/parsed record stream
     ("trans", 1),  # constituents merged into this record
-    ("extra", dict),  # unknown fields kept on read, by name
 )
 
 
@@ -334,10 +332,9 @@ class FlowRecord:
         as `cluster` does, gives a record equal to it. Every record
         `export` writes is one. The merge would change a management
         record's `flows` (None becomes 0), drop another record's set
-        `flows`, drop a side's `ltime` that has no `stime`, and drop the
-        unknown fields (`extra`) a file gave it."""
+        `flows`, and drop a side's `ltime` that has no `stime`."""
         a, b = self.a, self.b
-        return (not self.is_management and self.flows is None and not self.extra
+        return (not self.is_management and self.flows is None
                 and (a.first_ts_us is not None or a.last_ts_us is None)
                 and (b.first_ts_us is not None or b.last_ts_us is None))
 

@@ -5,8 +5,9 @@ header lines echoing the export configuration and naming the source
 captures, then one record per line as space-separated `name=value` pairs
 in a fixed field order. All times are seconds with exactly six decimals,
 so identical inputs and configuration re-emit byte-identical files.
-Unknown header lines and unknown record fields are preserved opaquely so
-files from newer minor revisions survive a rewrite.
+Readers skip unknown header lines and unknown record fields, so files
+from newer minor revisions still read; they are not kept, and writers
+emit only the fields hera knows.
 """
 
 from __future__ import annotations
@@ -65,8 +66,9 @@ MAX_DIGITS = 40
 # A text that text_to_int or text_to_us accepts with a whole part: its
 # sign, and for a time its blanks, in group 1, then the whole part's
 # digits after its leading zeros, keeping its last digit, in group 2.
-# Only the general reader uses them, so the re module compiles them on
-# first use, not when a command imports this module.
+# Only readers use them (the general reader and header times), so the re
+# module compiles them on first use, not when a command imports this
+# module.
 _INT_TEXT = r"(-?)0*([0-9]+)"
 _TIME_TEXT = r"(\s*[-+]?)0*([0-9]+)(?:\.[0-9]*)?\s*"
 
@@ -161,7 +163,6 @@ _LINE = (
 )
 
 _NAMES = tuple(name for name, *_ in _LINE)
-_KNOWN_FIELDS = frozenset(_NAMES)
 
 
 # Each field's converters, in line order.
@@ -177,9 +178,8 @@ _DEFAULTS = tuple((_RECORD_DEFAULTS if owner == "record" else _SIDE_DEFAULTS).ge
 
 @cache
 def _writer():
-    """The function record -> its line without unknown fields: one
-    f-string, a literal per field of _LINE, each value in its kind's
-    to-text template."""
+    """The function record -> its line: one f-string, a literal per
+    field of _LINE, each value in its kind's to-text template."""
     owner_names = {"key": "rec.", "record": "rec.", "src": "s.", "dst": "d."}
     literals = []
     for name, kind, owner, attr in _LINE:
@@ -192,10 +192,7 @@ def _writer():
 
 
 def format_record(rec: FlowRecord) -> str:
-    line = _writer()(rec)
-    if rec.extra:
-        line += "".join(f" {name}={value}" for name, value in rec.extra.items())
-    return line
+    return _writer()(rec)
 
 
 def parse_record(line: str, line_number: int) -> FlowRecord:
@@ -222,19 +219,19 @@ def kernel({parameters}):
         dst = EndpointStats({dst})
         key, initiator = canonical_key({key})
         a, b = (src, dst) if initiator == 'a' else (dst, src)
-        return FlowRecord({record}, extra={extra})
+        return FlowRecord({record})
     except ValueError:
         return None
 """
 
 
-def _compile_reader(label: str, parameters: str, head: str, extra: str, template, namespace):
+def _compile_reader(label: str, parameters: str, head: str, template, namespace):
     """The reader kernel whose locals go through template(kind)."""
     value = {(owner, attr): template(kind).replace("$", name) for name, kind, owner, attr in _LINE}
     built = {"key": "key", "initiator": "initiator", "a": "a", "b": "b",
              **{attr: text for (owner, attr), text in value.items() if owner == "record"}}
     source = _READER.format(
-        parameters=parameters, head=head, extra=extra,
+        parameters=parameters, head=head,
         src=", ".join(value["src", attr] for attr, _ in ENDPOINT_FIELDS),
         dst=", ".join(value["dst", attr] for attr, _ in ENDPOINT_FIELDS),
         key=", ".join(text for (owner, _), text in value.items() if owner == "key"),
@@ -258,22 +255,22 @@ def _written_line():
     head = ("    match = fullmatch(line)\n    if match is None:\n        return None\n"
             f"    {', '.join(_NAMES)} = match.groups()\n")
     namespace = {"fullmatch": pattern.fullmatch, "FLAG_VALUES": FLAG_VALUES}
-    return _compile_reader("_parse_written", "line", head, "{}",
+    return _compile_reader("_parse_written", "line", head,
                            lambda kind: KIND_CONVERTERS[kind][3], namespace)
 
 
 @cache
 def _record():
-    """The function (values in line order, unknown fields) -> record of
-    the general reader; its values are converted, so it meets no ValueError."""
-    return _compile_reader("_record", "values, extra", f"    {', '.join(_NAMES)} = values\n",
-                           "extra", lambda kind: "$", {})
+    """The function values in line order -> record of the general
+    reader; its values are converted, so it meets no ValueError."""
+    return _compile_reader("_record", "values", f"    {', '.join(_NAMES)} = values\n",
+                           lambda kind: "$", {})
 
 
 def _parse_general(line: str, line_number: int) -> FlowRecord:
     """The record of a line with its known fields in any order and any
-    unknown fields, or CorruptRecord naming what is wrong with it: the
-    first bad value in line order."""
+    unknown fields, which it skips, or CorruptRecord naming what is wrong
+    with it: the first bad value in line order."""
     pairs = {}
     for token in line.split(" "):
         name, sep, value = token.partition("=")
@@ -282,8 +279,6 @@ def _parse_general(line: str, line_number: int) -> FlowRecord:
         if name in pairs:
             raise CorruptRecord(line_number, f"duplicate field {excerpt(name)}")
         pairs[name] = value
-    extra = ({} if pairs.keys() <= _KNOWN_FIELDS else
-             {name: value for name, value in pairs.items() if name not in _KNOWN_FIELDS})
     for required in ("saddr", "sport", "daddr", "dport", "proto", "stime", "ltime"):
         if required not in pairs or (required != "proto" and pairs[required] == ""):
             raise CorruptRecord(line_number, f"missing field {required!r}")
@@ -292,7 +287,7 @@ def _parse_general(line: str, line_number: int) -> FlowRecord:
                   for name, (_, from_text, _, _), default in zip(_NAMES, _CONVERTERS, _DEFAULTS)]
     except ValueError as exc:
         raise CorruptRecord(line_number, str(exc)) from exc
-    return _record()(values, extra)
+    return _record()(values)
 
 
 @slotted((
@@ -300,7 +295,6 @@ def _parse_general(line: str, line_number: int) -> FlowRecord:
     ("config", ExportConfig),
     ("capture_start_us", None),
     ("capture_end_us", None),
-    ("extra", list),  # unknown header lines, verbatim
 ))
 class HeraHeader:
     """The header lines of a .hera file."""
@@ -323,7 +317,6 @@ def format_header(header: HeraHeader) -> list[str]:
         f"#capture_end={us_to_text(header.capture_end_us)}",
     ]
     lines += [f"#source={name}" for name in header.sources]
-    lines += header.extra
     return lines
 
 
@@ -377,11 +370,14 @@ def _read_lines(path, fp) -> HeraFile:
 
 
 def _read_header_line(line: str, header: HeraHeader, cfg_kwargs: dict) -> None:
+    """Read one header line into `header` or the config's arguments. A
+    line without `=` (`#source` alone) or with an unknown key is skipped.
+    Times are bounded as a record's are."""
     name, sep, value = line[1:].partition("=")
     if not sep:
-        header.extra.append(line)
-    elif name in ("interval", "idle_timeout", "reorder_slack"):
-        setting = {name + "_us": text_to_us(value)}
+        return
+    if name in ("interval", "idle_timeout", "reorder_slack"):
+        setting = {name + "_us": _TIME_FROM_TEXT(value)}
         ExportConfig(**setting)  # the config's own range check, raised on this line
         cfg_kwargs.update(setting)
     elif name == "emit_management":
@@ -389,10 +385,8 @@ def _read_header_line(line: str, header: HeraHeader, cfg_kwargs: dict) -> None:
             raise ValueError(f"emit_management must be true or false, got {excerpt(value)}")
         cfg_kwargs["emit_management"] = value == "true"
     elif name == "capture_start":
-        header.capture_start_us = text_to_us(value) if value else None
+        header.capture_start_us = _TIME_FROM_TEXT(value) if value else None
     elif name == "capture_end":
-        header.capture_end_us = text_to_us(value) if value else None
+        header.capture_end_us = _TIME_FROM_TEXT(value) if value else None
     elif name == "source":
         header.sources.append(value)
-    else:
-        header.extra.append(line)

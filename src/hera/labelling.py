@@ -112,6 +112,8 @@ def parse_ground_truth(path) -> GroundTruth:
         header = next(reader)[0]
     except StopIteration:
         raise MissingLabelColumn(f"{path}: empty ground-truth file") from None
+    if header:  # a byte-order mark (Excel's "CSV UTF-8") is not part of a name
+        header[0] = header[0].removeprefix("\ufeff")
     names = [name.strip().lower() for name in header]
     if "label" not in names:
         raise MissingLabelColumn(f"{path}: no Label column in {excerpt(header)}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import os
 
-from .errors import UsageError
+from .errors import UsageError, excerpt
 
 ENV_VAR = "HERA_WORKSPACE"
 
@@ -31,7 +31,7 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
             continue
         key, sep, value = line.partition("=")
         if not sep:
-            raise UsageError(f"{origin}:{line_number}: expected key=value, got {raw!r}")
+            raise UsageError(f"{origin}:{line_number}: expected key=value, got {excerpt(raw)}")
         values[key.strip()] = value.strip()
     return values
 
@@ -84,7 +84,7 @@ class Settings:
         except (TypeError, ValueError):
             number = math.nan
         if not math.isfinite(number):
-            raise UsageError(f"{self.origin(name)} expects a finite number, got {value!r}")
+            raise UsageError(f"{self.origin(name)} expects a finite number, got {excerpt(value)}")
         return number
 
     def flag(self, name: str, default: bool = False) -> bool:
@@ -99,7 +99,7 @@ class Settings:
             return True
         if lowered in _FALSE:
             return False
-        raise UsageError(f"config key {name} expects a boolean, got {raw!r}")
+        raise UsageError(f"config key {name} expects a boolean, got {excerpt(raw)}")
 
     def paths(self, name: str) -> list[str]:
         value = self._flag(name)

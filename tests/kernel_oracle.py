@@ -219,7 +219,5 @@ _KIND_TO_TEXT = {
 
 def oracle_format_record(rec) -> str:
     owners = {"key": rec, "record": rec, "src": rec.src, "dst": rec.dst}
-    parts = [f"{name}={_KIND_TO_TEXT[kind](attrgetter(attr)(owners[owner]))}"
-             for name, kind, owner, attr in _LINE]
-    parts += [f"{name}={value}" for name, value in rec.extra.items()]
-    return " ".join(parts)
+    return " ".join(f"{name}={_KIND_TO_TEXT[kind](attrgetter(attr)(owners[owner]))}"
+                    for name, kind, owner, attr in _LINE)

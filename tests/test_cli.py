@@ -281,6 +281,24 @@ def test_dataset_racluster_merges_sliced_flow(tmp_path):
     assert len(ra_rows) == 3
 
 
+@pytest.mark.parametrize("mode", ["ra", "racluster"])
+def test_dataset_skips_unknown_header_lines_and_record_fields(tmp_path, mode):
+    hera = exported(tmp_path, maker=pipeline_capture, name="p.pcap")
+    lines = hera.read_text(encoding="utf-8").splitlines()
+    lines[1:1] = ["#annotator=bench 3", "#note"]
+    edited = tmp_path / "edited" / "p.hera"
+    edited.parent.mkdir()
+    edited.write_text("".join(line + ("\n" if line.startswith("#") else " zz=1 note=x\n")
+                              for line in lines), encoding="utf-8")
+    outputs = []
+    for flows in (hera, edited):
+        out = flows.parent / "csv"
+        assert main(["dataset", "--in", str(flows), "--out", str(out), "--mode", mode,
+                     "--features", "all", "--keep-management"]) == 0
+        outputs.append({name: (out / name).read_bytes() for name in tree(out)})
+    assert outputs[0] == outputs[1]
+
+
 def idle_split_udp_capture(path):
     """One UDP key, split by the idle timeout into two records whose
     within-record gaps (1 s) are smaller than the gap between them (68 s)."""
@@ -438,6 +456,22 @@ def test_a_record_value_over_40_digits_is_a_format_error_naming_its_line(
     first = next(iter(edits.values()))
     assert capsys.readouterr().err.startswith(
         f"hera: {hera}: line {index + 1}: value over 40 digits {first[:200]!r}")
+    assert not out.exists()
+
+
+# A header time is bounded as a record's time is.
+@pytest.mark.parametrize("key", ["interval", "idle_timeout", "reorder_slack", "capture_start",
+                                 "capture_end"])
+def test_a_header_time_over_40_digits_is_a_format_error_naming_its_line(tmp_path, capsys, key):
+    hera = exported(tmp_path)
+    lines = hera.read_text(encoding="utf-8").split("\n")
+    index = next(i for i, line in enumerate(lines) if line.startswith(f"#{key}="))
+    lines[index] = f"#{key}=" + "9" * 5000
+    hera.write_text("\n".join(lines), encoding="utf-8")
+    out = tmp_path / "csv"
+    assert main(["dataset", "--in", str(hera), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (f"hera: {hera}: line {index + 1}: value over 40 digits "
+                                       f"{'9' * 200!r}... (5000 characters)\n")
     assert not out.exists()
 
 
@@ -648,6 +682,24 @@ def test_label_dataset_without_match_columns_is_format_error(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"hera: {partial}: dataset is missing required column 'saddr'\n")
     assert not (tmp_path / "csv" / "a.labelled.csv").exists()
+
+
+def test_label_ground_truth_with_a_byte_order_mark_labels_as_without_it(tmp_path):
+    # Without its StartTime, the first entry's window would take in the
+    # rows before it.
+    dataset, _ = labelled_setup(tmp_path)
+    text = ("StartTime,LastTime,SrcAddr,Label\n100.0,200.0,192.168.1.10,DoS\n"
+            "0.0,1.0,192.168.1.10,Probe\n")
+    outputs = []
+    for name, encoding in (("plain", "utf-8"), ("bom", "utf-8-sig")):
+        gt = tmp_path / f"{name}.csv"
+        gt.write_text(text, encoding=encoding)
+        out = tmp_path / name
+        assert main(["label", "--in", str(dataset), "--gt", str(gt), "--out", str(out)]) == 0
+        outputs.append({file: (out / file).read_bytes() for file in tree(out)})
+    assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outputs[0] == outputs[1]
+    assert b"Probe: 2" in outputs[0]["a.labels.txt"]
 
 
 MATCH_HEADER = "stime,ltime,proto,saddr,sport,daddr,dport\n"
@@ -1207,3 +1259,26 @@ def test_broken_workspace_config_is_usage_error(capture, tmp_path, monkeypatch):
     monkeypatch.setenv("HERA_WORKSPACE", str(conf))
     assert main(["export", "--pcap", str(capture),
                  "--out", str(tmp_path / "flows")]) == 1
+
+
+LONG_VALUE = "z" * 100_000
+
+
+# A usage error quotes at most the first 200 characters of a bad value.
+@pytest.mark.parametrize("config, flags", [
+    (f"features = {LONG_VALUE}", []),
+    (LONG_VALUE, []),
+    ("", ["--count-window", LONG_VALUE]),
+    (f"keep_management = {LONG_VALUE}", []),
+    ("", ["--count-window", "1.5" + "0" * 100_000]),
+], ids=["unknown-feature", "config-line-without-equals", "not-a-number", "not-a-boolean",
+        "not-a-whole-number"])
+def test_a_long_bad_setting_is_a_usage_error_quoted_in_short(
+        tmp_path, monkeypatch, capsys, config, flags):
+    hera = exported(tmp_path)
+    conf = tmp_path / "ws.conf"
+    conf.write_text(config + "\n", encoding="utf-8")
+    monkeypatch.setenv("HERA_WORKSPACE", str(conf))
+    assert main(["dataset", "--in", str(hera), "--out", str(tmp_path / "csv"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert len(err.encode()) < 400 and "characters)" in err, err

@@ -8,7 +8,7 @@ from pathlib import Path
 
 from hera.cli import build_parser
 from hera.features import catalog_table
-from hera.herafile import KIND_CONVERTERS
+from hera.herafile import KIND_CONVERTERS, HeraHeader, format_header
 from helpers import record_field_kinds
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -37,6 +37,14 @@ def test_format_doc_lists_exactly_the_value_kinds_the_codec_converts():
 def test_format_doc_states_the_magic_line():
     text = (DOCS / "hera-format.md").read_text(encoding="utf-8")
     assert "#HERA v1" in text
+
+
+def test_format_doc_layout_shows_the_header_keys_the_writer_writes_in_order():
+    text = (DOCS / "hera-format.md").read_text(encoding="utf-8")
+    layout = text.split("## Layout", 1)[1].split("```")[1]
+    written = format_header(HeraHeader(sources=["monday.pcap"]))
+    assert (re.findall(r"^#([a-z_]+)=", layout, flags=re.M)
+            == [line[1:].partition("=")[0] for line in written[1:]])
 
 
 def readme_flag_tables() -> dict[str, set[str]]:

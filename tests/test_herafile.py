@@ -112,33 +112,40 @@ def test_header_echoes_config(tmp_path):
     assert "#emit_management=false" in text
 
 
-def test_unknown_header_lines_survive(tmp_path):
-    path = tmp_path / "x.hera"
-    write_hera(path, HeraHeader(), [])
-    lines = path.read_text().splitlines()
-    lines.insert(1, "#annotator=bench 3")
-    path.write_text("\n".join(lines) + "\n")
-    out = read_hera(path)
-    assert "#annotator=bench 3" in out.header.extra
-    again = tmp_path / "y.hera"
-    write_hera(again, out.header, out.records)
-    assert "#annotator=bench 3" in again.read_text()
-
-
-def test_unknown_record_fields_preserved_opaquely(tmp_path):
+def with_lines_edited(tmp_path, edit):
+    """(the written file, the same file after edit(its lines))."""
     records = synth_records(n_packets=40)
-    path = tmp_path / "x.hera"
-    write_hera(path, header_for(records), records)
-    lines = path.read_text().splitlines()
-    data_line = next(i for i, l in enumerate(lines) if not l.startswith("#"))
-    lines[data_line] += " futurefield=hello"
-    path.write_text("\n".join(lines) + "\n")
-    out = read_hera(path)
-    assert out.records[0].extra == {"futurefield": "hello"}
-    again = tmp_path / "y.hera"
+    written = tmp_path / "written.hera"
+    write_hera(written, header_for(records), records)
+    lines = written.read_text().splitlines()
+    edit(lines)
+    edited = tmp_path / "edited.hera"
+    edited.write_text("\n".join(lines) + "\n")
+    return written, edited
+
+
+def test_unknown_header_lines_are_skipped(tmp_path):
+    def edit(lines):
+        lines[1:1] = ["#annotator=bench 3", "#source", "#interval"]
+    written, edited = with_lines_edited(tmp_path, edit)
+    out = read_hera(edited)
+    assert out == read_hera(written)
+    again = tmp_path / "again.hera"
     write_hera(again, out.header, out.records)
-    assert read_hera(again).records[0].extra == {"futurefield": "hello"}
-    assert again.read_text().splitlines()[data_line].endswith("futurefield=hello")
+    assert again.read_bytes() == written.read_bytes()
+
+
+def test_unknown_record_fields_are_skipped(tmp_path):
+    def edit(lines):
+        for i, line in enumerate(lines):
+            if not line.startswith("#"):
+                lines[i] = line + " futurefield=hello"
+    written, edited = with_lines_edited(tmp_path, edit)
+    out = read_hera(edited)
+    assert out == read_hera(written)
+    again = tmp_path / "again.hera"
+    write_hera(again, out.header, out.records)
+    assert again.read_bytes() == written.read_bytes()
 
 
 def test_bad_magic(tmp_path):

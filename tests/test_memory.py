@@ -9,14 +9,17 @@ row; `label` holds only the ground truth.
 
 In the same way, two captures of single-slice flows, each flow the only
 record of its key, show what `dataset --mode racluster` holds per flow:
-the records it read, and no merged copy of them.
+the records it read, and no merged copy of them. And the flow files of
+two long-flows captures show what `read_hera` holds per record.
 """
 
+import gc
 import tracemalloc
 
 import pcap_builder as pb
 from hera.cli import main
 from hera.dataset import read_csv
+from hera.herafile import read_hera
 
 SEC = 1_000_000
 FLOWS = 10
@@ -116,3 +119,34 @@ def test_racluster_holds_a_key_seen_once_only_as_the_record_read(tmp_path):
     short = racluster_peak(tmp_path, "short", 100)
     long = racluster_peak(tmp_path, "long", 500)
     assert (long - short) / 400 < 2000, (short, long)
+
+
+def read_held(path) -> tuple[int, int]:
+    """(records, bytes traced as held while they are) of read_hera(path)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        records = read_hera(path).records
+        gc.collect()
+        return len(records), tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+
+
+def exported_held(tmp_path, name, slices: int) -> tuple[int, int]:
+    capture = long_flows_capture(tmp_path / f"{name}.pcap", slices)
+    assert main(["export", "--pcap", str(capture), "--interval", "10",
+                 "--out", str(tmp_path / "flows")]) == 0
+    return read_held(tmp_path / "flows" / f"{name}.hera")
+
+
+def test_a_record_read_holds_only_its_values(tmp_path):
+    # Measured on CPython 3.11: 1,599 B per record; 1,671 B when every
+    # record also held a dict, empty in every exported file, for the
+    # unknown fields of its line.
+    exported_held(tmp_path, "warm", 2)  # reader kernel compiled first
+    short_records, short = exported_held(tmp_path, "short", 5)
+    long_records, long = exported_held(tmp_path, "long", 25)
+    assert long_records - short_records >= 200
+    assert (long - short) / (long_records - short_records) < 1635, (short, long)
