@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import glob
 import os
 import sys
@@ -396,9 +397,8 @@ def _run_in_worker(pcap, paths) -> None:
 
 def _for_each_capture(jobs: int, chain, pcaps, paths) -> None:
     """chain(pcap, its paths) for each capture, in up to `jobs` processes.
-    Each worker gets the chain, with its options and verbosity, once, when
-    it starts, so the index its ground truth builds on first use serves
-    all of that worker's captures."""
+    Each worker gets the chain, with its options, verbosity and indexed
+    ground truth, once, when it starts."""
     if jobs > 1 and len(pcaps) > 1:
         from concurrent.futures import ProcessPoolExecutor
         workers = min(jobs, len(pcaps))
@@ -407,6 +407,27 @@ def _for_each_capture(jobs: int, chain, pcaps, paths) -> None:
             list(pool.map(_run_in_worker, pcaps, paths))
     else:
         list(map(chain, pcaps, paths))
+
+
+def _parse_ground_truth(path):
+    """The ground truth at `path`, parsed and indexed, then kept out of
+    the cyclic garbage collector's work for the rest of the process. Its
+    entries and index hold no reference cycle and live until the command
+    ends, so the collector is paused while they are built, which spares
+    it scanning them again every few hundred objects, and then everything
+    alive is frozen (`gc.freeze`): no later collection scans them, not
+    even the one at exit, nor writes to their pages in a forked `--jobs`
+    worker."""
+    from .labelling import parse_ground_truth
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        ground_truth = parse_ground_truth(path)
+    finally:
+        if collecting:
+            gc.enable()
+    gc.freeze()
+    return ground_truth
 
 
 # -- subcommands -------------------------------------------------------
@@ -439,7 +460,7 @@ def cmd_dataset(args, settings: Settings) -> None:
 
 def cmd_label(args, settings: Settings) -> None:
     from .dataset import iter_csv
-    from .labelling import match_width, parse_ground_truth
+    from .labelling import match_width
     gt = settings.text("ground_truth")
     if not gt:
         raise UsageError("no ground truth: pass --gt")
@@ -449,7 +470,7 @@ def cmd_label(args, settings: Settings) -> None:
     with OutputStage(settings.flag("force", False), args.verbose) as stage:
         paths = [stage.claim(Path(out) if out else path.parent, path.stem,
                              ".labelled.csv", ".labels.txt") for path in inputs]
-        ground_truth = parse_ground_truth(gt)
+        ground_truth = _parse_ground_truth(gt)
         for path, targets in zip(inputs, paths):
             started = time.perf_counter()
             rows = iter_csv(path, match_width)
@@ -473,8 +494,7 @@ def cmd_run(args, settings: Settings) -> None:
         paths = [stage.claim(flows_dir, pcap.stem, ".hera", ".stats.txt")
                  + stage.claim(csv_dir, pcap.stem, *csv_suffixes) for pcap in pcaps]
         if gt:  # parsed once, before the first capture
-            from .labelling import parse_ground_truth
-            chain_options["ground_truth"] = parse_ground_truth(gt)
+            chain_options["ground_truth"] = _parse_ground_truth(gt)
         _for_each_capture(jobs, functools.partial(_capture_chain, **chain_options), pcaps, paths)
 
 

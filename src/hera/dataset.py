@@ -45,23 +45,20 @@ def cluster(records: list[FlowRecord]) -> list[FlowRecord]:
     may change them.
     """
     from .flows import FlowRecord
-    firsts: dict = {}  # each key's first record, in stream order
-    several: dict = {}  # all records of each key seen more than once
+    # Each key's record while it has one, then a list of its records, in
+    # stream order: one lookup per record, and no list for a key seen once.
+    groups: dict = {}
     for rec in records:
-        key = rec.key
-        first = firsts.get(key)
-        if first is None:
-            firsts[key] = rec
-        else:
-            group = several.get(key)
-            if group is None:
-                several[key] = [first, rec]
-            else:
+        group = groups.setdefault(rec.key, rec)
+        if group is not rec:
+            if type(group) is list:
                 group.append(rec)
+            else:
+                groups[rec.key] = [group, rec]
     merged_records = [
-        _merged(key, several[key]) if key in several
-        else rec if rec.is_own_merge() else _merged(key, [rec])
-        for key, rec in firsts.items()]
+        _merged(key, group) if type(group) is list
+        else group if group.is_own_merge() else _merged(key, [group])
+        for key, group in groups.items()]
     merged_records.sort(key=FlowRecord.sort_key)
     return merged_records
 

@@ -11,9 +11,9 @@ makes, without the cost of importing `dataclasses`.
 
 from __future__ import annotations
 
-import linecache
 from itertools import count
 from operator import attrgetter
+from types import SimpleNamespace
 
 from .timefmt import us_to_text
 
@@ -36,11 +36,15 @@ _NUMBERS = count(1)  # one per kernel compiled, so that no two share a filename
 
 def compile_kernel(label: str, source: str, namespace: dict):
     """The function `kernel` that `source` defines, run in `namespace`
-    (which also gets `us_to_text`, for the `time` template). The source
-    is kept in linecache, so tracebacks show its lines and tests read it."""
-    filename = f"<hera kernel: {label} #{next(_NUMBERS)}>"
-    linecache.cache[filename] = (len(source), None, source.splitlines(True), filename)
-    namespace["us_to_text"] = us_to_text
+    (which also gets `us_to_text`, for the `time` template). The
+    namespace's `__loader__` gives linecache the source when a traceback
+    or `linecache.getlines(filename, kernel.__globals__)` first asks for
+    its lines, so no process imports linecache (and tokenize) to compile
+    a kernel. The filename is not in angle brackets, which linecache
+    would not look up."""
+    filename = f"hera kernel: {label} #{next(_NUMBERS)}"
+    namespace.update(__name__=__name__, us_to_text=us_to_text,
+                     __loader__=SimpleNamespace(get_source=lambda name: source))
     exec(compile(source, filename, "exec"), namespace)
     return namespace["kernel"]
 

@@ -14,19 +14,21 @@ those fields is sorted by start time under a max-end segment tree, so
 of a bucket only the entries whose window overlaps the row's are found
 and tested. The first candidate in file order whose window overlaps the
 row's wins, as in an all-pairs scan; the cost grows with the candidates,
-not with the ground truth. A parsed `GroundTruth` builds its index once,
-however many datasets it labels.
+not with the ground truth. The index is built in the pass that reads the
+entries, so a parsed `GroundTruth` carries it into every dataset it
+labels.
 
 Cells in the form hera writes (a time as `timefmt.WRITTEN_TIME`, a port
-as ASCII digits) are read without a call per cell; any other text goes
-to `text_to_us`/`text_to_int`, which decide its value or its error.
+as ASCII digits, an address with no ':' and no surrounding whitespace)
+are read without a Python-level call per cell; any other text goes to
+`text_to_us`/`text_to_int` or the address memo, which decide its value
+or its error.
 """
 
 from __future__ import annotations
 
 import ipaddress
 import re
-from functools import cached_property
 from itertools import chain
 from math import inf
 from operator import itemgetter
@@ -42,7 +44,7 @@ from .errors import (
     MissingMatchField,
     excerpt,
 )
-from .timefmt import WRITTEN_TIME, text_to_int, text_to_us
+from .timefmt import WRITTEN_TIME, address_to_text, text_to_int, text_to_us
 from .workspace import DEFAULT_BENIGN_LABEL
 
 if TYPE_CHECKING:
@@ -60,14 +62,14 @@ _WRITTEN_TIME = re.compile(WRITTEN_TIME).fullmatch
 
 
 def _canonical_addr(text: str) -> str:
-    """The canonical text of an IP address; other text is kept as it is.
-    `ipaddress` accepts IPv4 text only in its canonical form (it rejects
-    leading zeros, whitespace and non-ASCII digits), so only text with a
-    ':' can change."""
+    """The canonical text of an IP address (`timefmt.address_to_text`);
+    other text is kept as it is. `ipaddress` accepts IPv4 text only in
+    its canonical form (it rejects leading zeros, whitespace and
+    non-ASCII digits), so only text with a ':' can change."""
     if ":" not in text:
         return text
     try:
-        return str(ipaddress.ip_address(text))
+        return address_to_text(ipaddress.ip_address(text))
     except ValueError:
         return text
 
@@ -98,12 +100,13 @@ class GroundTruthEntry(NamedTuple):
 
 
 class GroundTruth(list):
-    """A ground truth's entries in file order, with their match index,
-    built on first use and kept: the list must not change after that."""
+    """A ground truth's entries in file order, with their match index
+    (`_index_entries`), built as the entries are taken: the list must not
+    change after that."""
 
-    @cached_property
-    def match_index(self) -> list[tuple[itemgetter, dict]]:
-        return _index_entries(self)
+    def __init__(self, entries: Iterable[GroundTruthEntry]):
+        super().__init__()
+        self.match_index = _index_entries(self, entries)
 
 
 def parse_ground_truth(path) -> GroundTruth:
@@ -119,12 +122,24 @@ def parse_ground_truth(path) -> GroundTruth:
         raise MissingLabelColumn(f"{path}: no Label column in {excerpt(header)}")
     # The first column of each name; None for a name the header lacks.
     positions = [names.index(name) if name in names else None for name in _GT_COLUMNS]
+    return GroundTruth(_entries(path, reader, positions))
+
+
+def _entries(path, reader, positions) -> Iterator[GroundTruthEntry]:
+    """The entry of each ground-truth row that `reader` yields after the
+    header, in file order; `positions` are the columns of `_GT_COLUMNS`.
+    A cell in the form hera writes takes no Python-level call: a time as
+    `WRITTEN_TIME`, a port as ASCII digits, an address with no ':' and no
+    surrounding whitespace, which is its own canonical text and goes into
+    the memo as it is, so that entries share one text per address. Other
+    cells go to the memos and parsers, which decide their value or their
+    error."""
     pick = None if None in positions else itemgetter(*positions)
     width = max(i for i in positions if i is not None) + 1
     labels = _Memo(str.strip)
     protos = _Memo(lambda text: text.strip().lower() or None)
     addrs = _Memo(lambda text: _canonical_addr(text.strip()) or None)
-    entries = GroundTruth()
+    new = tuple.__new__
     for row_number, (row, _, _) in enumerate(reader, start=2):
         if pick is not None and len(row) >= width:
             cells = pick(row)
@@ -137,26 +152,27 @@ def parse_ground_truth(path) -> GroundTruth:
                 continue
             raise EmptyLabelCell(row_number, path)
         try:
-            entry = GroundTruthEntry(
+            yield new(GroundTruthEntry, (
                 label, row_number,
                 int(start.replace(".", "")) if _WRITTEN_TIME(start)
                 else _timestamp(start, row_number, path),
                 int(last.replace(".", "")) if _WRITTEN_TIME(last)
                 else _timestamp(last, row_number, path),
-                protos[proto], addrs[src],
+                protos[proto],
+                addrs.setdefault(src, src) if ":" not in src and src and src.strip() == src
+                else addrs[src],
                 int(sport) if sport.isdigit() and sport.isascii()
                 else _port(sport, "sport", row_number, path),
-                addrs[dst],
+                addrs.setdefault(dst, dst) if ":" not in dst and dst and dst.strip() == dst
+                else addrs[dst],
                 int(dport) if dport.isdigit() and dport.isascii()
-                else _port(dport, "dport", row_number, path))
+                else _port(dport, "dport", row_number, path)))
         except ValueError:  # int() past its digit limit: the parsers decide
-            entry = GroundTruthEntry(
+            yield new(GroundTruthEntry, (
                 label, row_number, _timestamp(start, row_number, path),
                 _timestamp(last, row_number, path), protos[proto], addrs[src],
                 _port(sport, "sport", row_number, path), addrs[dst],
-                _port(dport, "dport", row_number, path))
-        entries.append(entry)
-    return entries
+                _port(dport, "dport", row_number, path)))
 
 
 def _timestamp(text: str, row_number: int, path) -> int | None:
@@ -219,15 +235,15 @@ def _row_views(header, rows, path=None):
         except ValueError:
             raise MissingMatchField(col, path) from None
     pick = itemgetter(*positions)
-    addrs = _Memo(_canonical_addr)
+    addrs = _Memo(_canonical_addr)  # read only for text with a ':'
     for row, item, line_number in rows:
         try:
             stime, ltime, proto, saddr, daddr, sport, dport = pick(row)
             view = (int(stime.replace(".", "")) if _WRITTEN_TIME(stime) else text_to_us(stime),
                     int(ltime.replace(".", "")) if _WRITTEN_TIME(ltime) else text_to_us(ltime),
-                    (proto.lower(), addrs[saddr],
+                    (proto.lower(), saddr if ":" not in saddr else addrs[saddr],
                      int(sport) if sport.isdigit() and sport.isascii() else text_to_int(sport),
-                     addrs[daddr],
+                     daddr if ":" not in daddr else addrs[daddr],
                      int(dport) if dport.isdigit() and dport.isascii() else text_to_int(dport)))
         except (ValueError, IndexError):
             view = _general_view(row, line_number, positions, addrs, path)
@@ -258,7 +274,7 @@ def match_entry(entry: GroundTruthEntry, stime_us: int, ltime_us: int) -> bool:
             and (entry.last_us is None or stime_us <= entry.last_us))
 
 
-_FULL_SHAPE = (0, 1, 2, 3, 4)
+_FULL_SHAPE = 0b11111  # every key field pinned
 
 
 class _TimeSorted(NamedTuple):
@@ -273,16 +289,18 @@ class _TimeSorted(NamedTuple):
 
 
 def _time_sorted(entries, positions) -> _TimeSorted:
-    windows = sorted(
-        (-inf if entries[p].start_us is None else entries[p].start_us,
-         inf if entries[p].last_us is None else entries[p].last_us, p)
-        for p in positions)
+    windows = []
+    for p in positions:
+        start_us, last_us = entries[p][2:4]
+        windows.append((-inf if start_us is None else start_us,
+                        inf if last_us is None else last_us, p))
+    windows.sort()
     starts, ends, by_start = zip(*windows)
     width = 1 << (len(ends) - 1).bit_length()
     tree = [-inf] * width + list(ends) + [-inf] * (width - len(ends))
     for node in range(width - 1, 0, -1):
         tree[node] = max(tree[2 * node], tree[2 * node + 1])
-    return _TimeSorted(starts, tree, by_start)
+    return tuple.__new__(_TimeSorted, (starts, tree, by_start))
 
 
 def _overlapping(bucket: _TimeSorted, stime_us: int, ltime_us: int) -> list[int]:
@@ -305,26 +323,46 @@ def _overlapping(bucket: _TimeSorted, stime_us: int, ltime_us: int) -> list[int]
     return found
 
 
-def _index_entries(entries) -> list[tuple[itemgetter, dict]]:
-    """Group entry positions by shape, the indices of the key fields
-    (proto, src_addr, sport, dst_addr, dport) an entry pins, then by the
-    values of those fields as the shape's getter reads them from a key.
-    A bucket of one entry is a list of its position; a larger one is
-    `_TimeSorted`."""
-    shapes: dict[tuple[int, ...], tuple[itemgetter, dict]] = {}
-    for position, entry in enumerate(entries):
-        values = entry[4:]  # proto, src_addr, sport, dst_addr, dport
-        shape = (_FULL_SHAPE if None not in values
-                 else tuple(i for i, value in enumerate(values) if value is not None))
-        if shape not in shapes:
-            # itemgetter(slice(0)) reads the empty key () of the all-wildcard shape.
-            shapes[shape] = (itemgetter(*shape) if shape else itemgetter(slice(0)), {})
-        key_of, table = shapes[shape]
-        table.setdefault(key_of(values), []).append(position)
-    for _, table in shapes.values():
-        for key, bucket in table.items():
-            if len(bucket) > 1:
-                table[key] = _time_sorted(entries, bucket)
+def _index_entries(into: list, entries) -> list[tuple[itemgetter, dict]]:
+    """Append each of `entries` to `into` and index its position there,
+    in one pass: by shape, the key fields (proto, src_addr, sport,
+    dst_addr, dport) the entry pins, bit i standing for field i, then by
+    the values of those fields as the shape's getter reads them from a
+    key. A bucket of one entry is its position; a larger one is made
+    `_TimeSorted` once every entry is in."""
+    shapes: dict[int, tuple[itemgetter, dict]] = {}
+    several = []  # (table, key) of each bucket of more than one entry
+    append = into.append
+    for position, entry in enumerate(entries, start=len(into)):
+        append(entry)
+        values = entry[4:]
+        if None not in values:
+            shape = _FULL_SHAPE
+        else:
+            proto, src_addr, sport, dst_addr, dport = values
+            shape = ((proto is not None) | (src_addr is not None) << 1
+                     | (sport is not None) << 2 | (dst_addr is not None) << 3
+                     | (dport is not None) << 4)
+        pair = shapes.get(shape)
+        if pair is None:
+            fields = [i for i in range(5) if shape >> i & 1]
+            # tuple() gives a full key as it is; itemgetter(slice(0)) reads
+            # the empty key () of the all-wildcard shape.
+            key_of = (tuple if shape == _FULL_SHAPE else itemgetter(*fields) if fields
+                      else itemgetter(slice(0)))
+            pair = shapes[shape] = (key_of, {})
+        key_of, table = pair
+        key = key_of(values)
+        bucket = table.get(key)
+        if bucket is None:
+            table[key] = position
+        elif type(bucket) is int:
+            table[key] = [bucket, position]
+            several.append((table, key))
+        else:
+            bucket.append(position)
+    for table, key in several:
+        table[key] = _time_sorted(into, table[key])
     return list(shapes.values())
 
 
@@ -344,7 +382,7 @@ def _candidates(index, forward, reverse, stime_us, ltime_us) -> list[int]:
                 bucket = table.get(reverse_key)
                 if bucket is not None:
                     buckets.append(bucket)
-    found = [bucket if type(bucket) is list else _overlapping(bucket, stime_us, ltime_us)
+    found = [[bucket] if type(bucket) is int else _overlapping(bucket, stime_us, ltime_us)
              for bucket in buckets]
     return found[0] if len(found) == 1 else sorted(chain.from_iterable(found))
 

@@ -26,6 +26,7 @@ from .errors import (
     TruncatedRecord,
     UnsupportedLinktype,
 )
+from .timefmt import address_to_text
 
 MAGIC_MICRO = 0xA1B2C3D4
 MAGIC_NANO = 0xA1B23C4D
@@ -75,9 +76,8 @@ _V6_EXTENSIONS = frozenset((0, 43, _V6_FRAGMENT, _V6_AUTH, 60))
 # address is turned into text once; the bound caps the cache's memory.
 @functools.lru_cache(maxsize=4096)
 def address_text(raw: bytes) -> str:
-    """The text of a 4- or 16-byte address, exactly as `ipaddress` writes it
-    (IPv4-mapped IPv6 stays in hex groups: `::ffff:102:304`)."""
-    return str(ipaddress.ip_address(raw))
+    """The text of a 4- or 16-byte address (`timefmt.address_to_text`)."""
+    return address_to_text(ipaddress.ip_address(raw))
 
 
 SKIP_NON_IP = "non-ip"

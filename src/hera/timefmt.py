@@ -1,9 +1,11 @@
-"""Integers and microsecond times in their text form.
+"""Integers, microsecond times and IP addresses in their text form.
 
 All timestamps and durations are carried as integer microseconds so that
 flow arithmetic is exact and emitted files are reproducible byte for byte.
 Text form is seconds with exactly six decimal places. Integers are read
-from ASCII decimal digits only, the only form hera writes.
+from ASCII decimal digits only, the only form hera writes. An address
+is written as `ipaddress` writes it, with one fixed form for IPv4-mapped
+IPv6 addresses on every Python.
 """
 
 from __future__ import annotations
@@ -60,3 +62,14 @@ def text_to_us(text: str) -> int:
 def seconds_to_us(seconds: float) -> int:
     """Convert a float seconds value (e.g. a CLI flag) to microseconds."""
     return round(seconds * 1_000_000)
+
+
+def address_to_text(address) -> str:
+    """The text of an `ipaddress` address: `str(address)`, except that an
+    IPv4-mapped IPv6 address stays in hex groups (`::ffff:102:304`), as
+    `ipaddress` writes it before Python 3.13 (3.13 writes `::ffff:1.2.3.4`)."""
+    if address.version == 6 and address.ipv4_mapped is not None:
+        low = int(address) & 0xFFFF_FFFF
+        text = f"::ffff:{low >> 16:x}:{low & 0xFFFF:x}"
+        return f"{text}%{address.scope_id}" if address.scope_id else text
+    return str(address)

@@ -41,10 +41,10 @@ def load_workspace(environ=None) -> dict[str, str]:
     path = env.get(ENV_VAR)
     if not path:
         return {}
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
+    try:  # utf-8-sig: a leading byte-order mark is not part of the first key
+        with open(path, "r", encoding="utf-8-sig") as fp:
             text = fp.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read workspace file {path!r}: {exc}") from exc
     return parse_config_text(text, origin=path)
 

@@ -591,7 +591,7 @@ def test_export_and_label_do_not_load_the_feature_catalog(tmp_path):
 
 # Standard-library modules that no command needs: each weighs a few
 # milliseconds and a few hundred kilobytes, with what it imports in turn.
-UNNEEDED = ("dataclasses", "inspect", "logging", "concurrent.futures")
+UNNEEDED = ("dataclasses", "inspect", "logging", "concurrent.futures", "tokenize")
 
 
 @pytest.mark.parametrize("command", ["build_parser", "export", "dataset", "label", "run"])
@@ -884,16 +884,18 @@ def test_run_jobs_match_serial_run(tmp_path):
 
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the counting wrapper reaches the workers only through fork")
-def test_ground_truth_is_indexed_once_per_worker_and_per_command(tmp_path, monkeypatch):
-    # Workers build the index in their own processes, so each build is
-    # counted as one line appended to a file.
+def test_ground_truth_is_indexed_once_per_command_not_per_worker(tmp_path, monkeypatch):
+    """The parent indexes the ground truth as it parses it, and the
+    workers of `--jobs` inherit the index. A worker would build in its
+    own process, so each build is counted as one line, its builder's
+    pid, appended to a file."""
     builds = tmp_path / "builds.txt"
     index_entries = labelling._index_entries
 
-    def counted(entries):
+    def counted(into, entries):
         with open(builds, "a", encoding="utf-8") as fp:
             fp.write(f"{os.getpid()}\n")
-        return index_entries(entries)
+        return index_entries(into, entries)
 
     monkeypatch.setattr(labelling, "_index_entries", counted)
     (tmp_path / "pcaps").mkdir()
@@ -907,10 +909,7 @@ def test_ground_truth_is_indexed_once_per_worker_and_per_command(tmp_path, monke
                      "--csv-dir", str(tmp_path / name / "csv"), "--jobs", jobs]) == 0
         return builds.read_text(encoding="utf-8").split()
 
-    pids = run("parallel", "2")
-    assert 1 <= len(pids) <= 2
-    assert len(set(pids)) == len(pids)  # no worker builds it twice
-    assert str(os.getpid()) not in pids
+    assert run("parallel", "2") == [str(os.getpid())]
     builds.unlink()
     assert run("serial-1", "1") == [str(os.getpid())]
     assert run("serial-2", "1") == [str(os.getpid())] * 2  # one build per command
@@ -989,6 +988,27 @@ def test_non_finite_workspace_number_names_the_key(capture, tmp_path, monkeypatc
     assert main(["export", "--pcap", str(capture), "--out", str(tmp_path / "flows")]) == 1
     assert capsys.readouterr().err == (
         "hera: config key reorder_slack expects a finite number, got 'inf'\n")
+    assert tree(tmp_path) == ["a.pcap", "ws.conf"]
+
+
+def test_workspace_file_with_a_byte_order_mark_keeps_its_first_key(capture, tmp_path,
+                                                                   monkeypatch):
+    conf = tmp_path / "ws.conf"
+    conf.write_text("interval = 30\n", encoding="utf-8-sig")
+    monkeypatch.setenv("HERA_WORKSPACE", str(conf))
+    assert main(["export", "--pcap", str(capture), "--out", str(tmp_path / "flows")]) == 0
+    assert b"#interval=30.000000\n" in (tmp_path / "flows" / "a.hera").read_bytes()
+
+
+def test_workspace_file_that_is_not_utf8_is_usage_error(capture, tmp_path, monkeypatch,
+                                                        capsys):
+    conf = tmp_path / "ws.conf"
+    conf.write_bytes(b"interval = 30\nbenign_label = \xff\n")
+    monkeypatch.setenv("HERA_WORKSPACE", str(conf))
+    assert main(["export", "--pcap", str(capture), "--out", str(tmp_path / "flows")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"hera: cannot read workspace file {str(conf)!r}: ")
+    assert "can't decode byte 0xff" in err
     assert tree(tmp_path) == ["a.pcap", "ws.conf"]
 
 
@@ -1075,8 +1095,13 @@ def test_ground_truth_is_indexed_once_per_command(tmp_path, monkeypatch):
     each build the ground truth's match index once."""
     from hera import labelling
     index_entries, built = labelling._index_entries, []
-    monkeypatch.setattr(labelling, "_index_entries",
-                        lambda entries: built.append(len(entries)) or index_entries(entries))
+
+    def counted(into, entries):
+        index = index_entries(into, entries)
+        built.append(len(into))
+        return index
+
+    monkeypatch.setattr(labelling, "_index_entries", counted)
     for name, base in (("a.pcap", 0), ("b.pcap", 3 * SEC)):
         sample_capture(tmp_path / name, base_us=base)
     gt = write_gt(tmp_path / "gt.csv")

@@ -23,10 +23,11 @@ from hera.labelling import (
     GroundTruthEntry,
     format_label_summary,
     label_dataset,
+    labelled_rows,
     parse_ground_truth,
     write_label_summary,
 )
-from hera.timefmt import text_to_int, text_to_us
+from hera.timefmt import address_to_text, text_to_int, text_to_us
 from helpers import label_rows
 
 SEC = 1_000_000
@@ -159,7 +160,7 @@ def test_parse_normalizes_proto_and_addresses(tmp_path):
 
 def canonical_or_itself(text):
     try:
-        return str(ipaddress.ip_address(text))
+        return address_to_text(ipaddress.ip_address(text))
     except ValueError:
         return text
 
@@ -624,6 +625,42 @@ def test_one_tuple_listed_many_times_is_not_quadratic(monkeypatch, bidirectional
         assert calls[0] <= 4 * n
         assert labels == [f"Attack{k % 7}" for k in range(n)]
         assert summary.malicious == n
+
+
+@pytest.mark.parametrize("bidirectional", [False, True])
+def test_small_buckets_are_not_scanned(monkeypatch, bidirectional):
+    """300 buckets of 2-8 entries over disjoint windows, and rows that
+    mostly fall between them: labelling reads an entry only to test its
+    window with `match_entry`, and tests fewer entries than rows. A
+    bucket whose windows were compared one by one, in `match_entry` or
+    outside it, would read each of its entries for every row."""
+    rng = random.Random(8)
+    entries, rows = [], []
+    for k in range(300):
+        key = dict(proto="tcp", src_addr=f"10.0.{k // 256}.{k % 256}", sport=1000 + k,
+                   dst_addr="10.9.0.1", dport=80)
+        size = 2 + k % 7
+        entries += [entry(label=f"K{k}", row_number=len(entries) + j + 2,
+                          start_us=100 * j * SEC, last_us=(100 * j + 10) * SEC, **key)
+                    for j in range(size)]
+        for start in rng.sample(range(100 * size), 5):
+            rows.append(row(f"{start}.000000", f"{start + 1}.000000", "tcp", key["src_addr"],
+                            str(key["sport"]), "10.9.0.1", "80"))
+    reads = [0]
+
+    class CountedReads(GroundTruth):
+        def __getitem__(self, position):
+            reads[0] += 1
+            return list.__getitem__(self, position)
+
+    ground_truth = CountedReads(entries)
+    reads[0] = 0
+    calls = count_match_calls(monkeypatch)
+    numbered = ((cells, None, number) for number, cells in enumerate(rows, start=2))
+    labels = [label for _, label in labelled_rows(HDR, numbered, ground_truth, {},
+                                                  bidirectional=bidirectional)]
+    assert labels == oracle_labels(rows, entries, bidirectional=bidirectional)
+    assert reads[0] == calls[0] < len(rows)
 
 
 def test_earliest_entry_in_file_order_wins_over_earlier_start():

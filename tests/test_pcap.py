@@ -31,6 +31,7 @@ from hera.pcap import (
     address_text,
     open_capture,
 )
+from hera.timefmt import address_to_text
 from helpers import collect_flows
 from test_flows import FLAG_BITS
 
@@ -326,9 +327,10 @@ def test_tcp_later_fragment_has_no_flags(tmp_path):
 # -- address text ----------------------------------------------------------
 
 
-# Each address with the text `ipaddress` writes for its bytes: RFC 5952
-# compressed lower-case IPv6, and IPv4-mapped addresses in hex groups
-# (socket.inet_ntop would write `::ffff:1.2.3.4`).
+# Each address with the text hera writes for its bytes: RFC 5952
+# compressed lower-case IPv6, as `ipaddress` writes it, and IPv4-mapped
+# addresses in hex groups on every Python (socket.inet_ntop, and
+# `ipaddress` from Python 3.13 on, would write `::ffff:1.2.3.4`).
 ADDRESS_TEXTS = [
     ("0.0.0.0", "0.0.0.0"),
     ("255.255.255.255", "255.255.255.255"),
@@ -350,7 +352,9 @@ def address_frame(src: str, dst: str) -> bytes:
 @pytest.mark.parametrize("address, text", ADDRESS_TEXTS, ids=[a for a, _ in ADDRESS_TEXTS])
 def test_address_text_is_ipaddress_text(tmp_path, address, text):
     raw = ipaddress.ip_address(address).packed
-    assert text == str(ipaddress.ip_address(raw))
+    assert text == address_to_text(ipaddress.ip_address(raw))
+    if "ffff" not in text:
+        assert text == str(ipaddress.ip_address(raw))
     peer = "192.0.2.1" if len(raw) == 4 else "2001:db8::ff"
     data = pb.pcap([pb.record(0, address_frame(address, peer)),
                     pb.record(1, address_frame(peer, address))],

@@ -43,7 +43,8 @@ KERNELS = {
 
 @pytest.mark.parametrize("name", KERNELS)
 def test_kernel_source_parses_as_the_oldest_supported_python(name):
-    filename = KERNELS[name]().__code__.co_filename
-    source = "".join(linecache.getlines(filename))
-    assert filename.startswith("<hera kernel: ") and source.startswith("def kernel(")
+    kernel = KERNELS[name]()
+    filename = kernel.__code__.co_filename
+    source = "".join(linecache.getlines(filename, kernel.__globals__))
+    assert filename.startswith("hera kernel: ") and source.startswith("def kernel(")
     ast.parse(source, filename=filename, feature_version=FLOOR)

@@ -1,7 +1,9 @@
+import ipaddress
+
 import pytest
 from hypothesis import given, strategies as st
 
-from hera.timefmt import seconds_to_us, text_to_int, text_to_us, us_to_text
+from hera.timefmt import address_to_text, seconds_to_us, text_to_int, text_to_us, us_to_text
 
 
 def test_zero():
@@ -75,3 +77,25 @@ def test_text_is_sortable_for_nonnegative(us):
     whole, frac = text.split(".")
     assert len(frac) == 6
     assert whole.isdigit() and frac.isdigit()
+
+
+@pytest.mark.parametrize("address, text", [
+    ("::ffff:1.2.3.4", "::ffff:102:304"),
+    ("::ffff:0.0.0.0", "::ffff:0:0"),
+    ("::ffff:0.0.0.1", "::ffff:0:1"),
+    ("::ffff:255.255.255.255", "::ffff:ffff:ffff"),
+    ("::ffff:1.2.3.4%eth0", "::ffff:102:304%eth0"),
+])
+def test_mapped_address_text_is_hex_groups_on_every_python(address, text):
+    assert address_to_text(ipaddress.ip_address(address)) == text
+
+
+@given(st.one_of(st.ip_addresses(), st.integers(0, 2**32 - 1).map(
+    lambda low: ipaddress.IPv6Address(0xFFFF << 32 | low))))
+def test_address_text_is_ipaddress_text_but_for_mapped_addresses(address):
+    text = address_to_text(address)
+    assert ipaddress.ip_address(text) == address
+    if address.version == 6 and address.ipv4_mapped is not None:
+        assert "." not in text and text.startswith("::ffff:")
+    else:
+        assert text == str(address)
