@@ -320,7 +320,7 @@ def _export_step(pcap, config: ExportConfig, hera_path, stats_path, verbose: boo
     from .herafile import write_hera
     started = time.perf_counter()
     skipped = Counter()
-    header, records, table = export_capture(pcap, config, skipped)
+    header, records, table = _kept(export_capture, pcap, config, skipped)
     write_hera(hera_path, header, records)
     write_stats(stats_path, compute_stats(records))
     reasons = ", ".join(f"{reason} {count}" for reason, count in sorted(skipped.items()))
@@ -409,25 +409,23 @@ def _for_each_capture(jobs: int, chain, pcaps, paths) -> None:
         list(map(chain, pcaps, paths))
 
 
-def _parse_ground_truth(path):
-    """The ground truth at `path`, parsed and indexed, then kept out of
-    the cyclic garbage collector's work for the rest of the process. Its
-    entries and index hold no reference cycle and live until the command
-    ends, so the collector is paused while they are built, which spares
-    it scanning them again every few hundred objects, and then everything
-    alive is frozen (`gc.freeze`): no later collection scans them, not
-    even the one at exit, nor writes to their pages in a forked `--jobs`
-    worker."""
-    from .labelling import parse_ground_truth
+def _kept(build, *args):
+    """build(*args), kept out of the cyclic garbage collector's work for
+    the rest of the process. What a command builds this way (flow
+    records, an indexed ground truth) holds no reference cycle and lives
+    until its step or the command ends, so the collector is paused while
+    it is built, then left as it was found, and everything alive is
+    frozen (`gc.freeze`): no later collection scans it, not even the one
+    at exit, nor writes to its pages in a forked `--jobs` worker."""
     collecting = gc.isenabled()
     gc.disable()
     try:
-        ground_truth = parse_ground_truth(path)
+        built = build(*args)
     finally:
         if collecting:
             gc.enable()
     gc.freeze()
-    return ground_truth
+    return built
 
 
 # -- subcommands -------------------------------------------------------
@@ -454,13 +452,13 @@ def cmd_dataset(args, settings: Settings) -> None:
         paths = [stage.claim(out_dir, path.stem, ".csv", ".stats.txt") for path in inputs]
         for path, targets in zip(inputs, paths):
             started = time.perf_counter()
-            _dataset_step(path, started, read_hera(path).records, options, targets,
+            _dataset_step(path, started, _kept(read_hera, path).records, options, targets,
                           args.verbose)
 
 
 def cmd_label(args, settings: Settings) -> None:
     from .dataset import iter_csv
-    from .labelling import match_width
+    from .labelling import match_width, parse_ground_truth
     gt = settings.text("ground_truth")
     if not gt:
         raise UsageError("no ground truth: pass --gt")
@@ -470,7 +468,7 @@ def cmd_label(args, settings: Settings) -> None:
     with OutputStage(settings.flag("force", False), args.verbose) as stage:
         paths = [stage.claim(Path(out) if out else path.parent, path.stem,
                              ".labelled.csv", ".labels.txt") for path in inputs]
-        ground_truth = _parse_ground_truth(gt)
+        ground_truth = _kept(parse_ground_truth, gt)
         for path, targets in zip(inputs, paths):
             started = time.perf_counter()
             rows = iter_csv(path, match_width)
@@ -494,7 +492,8 @@ def cmd_run(args, settings: Settings) -> None:
         paths = [stage.claim(flows_dir, pcap.stem, ".hera", ".stats.txt")
                  + stage.claim(csv_dir, pcap.stem, *csv_suffixes) for pcap in pcaps]
         if gt:  # parsed once, before the first capture
-            chain_options["ground_truth"] = _parse_ground_truth(gt)
+            from .labelling import parse_ground_truth
+            chain_options["ground_truth"] = _kept(parse_ground_truth, gt)
         _for_each_capture(jobs, functools.partial(_capture_chain, **chain_options), pcaps, paths)
 
 

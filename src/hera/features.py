@@ -82,12 +82,6 @@ def service_of(proto: str, sport: int, dport: int) -> str:
     return SERVICE_PORTS.get((proto, min(sport, dport)), UNMAPPED_SERVICE)
 
 
-def flow_id(rec: FlowRecord) -> str:
-    """Hyphen-joined destination address, source address, destination
-    port, source port, and lowercase protocol."""
-    return f"{rec.daddr}-{rec.saddr}-{rec.dport}-{rec.sport}-{rec.key.proto}"
-
-
 @slotted((("rank", 0), ("service", ""), ("ssaddr", None), ("sdaddr", None)))
 class RowContext:
     """Per-row values that do not live on the record itself."""
@@ -99,9 +93,10 @@ class Feature(NamedTuple):
     unit: str
     description: str
     kind: str  # a key of kernels.TO_TEXT
-    # An expression over the record `r`, its source's and destination's
-    # EndpointStats `s` and `d`, the RowContext `c`, and the row's shared
-    # `n` (packets), `dur` (ltime_us - stime_us) and `tcp` (a TCP record).
+    # An expression over the record `r`, its key `k`, its source's and
+    # destination's EndpointStats `s` and `d`, addresses `sa` and `da` and
+    # ports `sp` and `dp`, the RowContext `c`, and the row's shared `n`
+    # (packets), `dur` (ltime_us - stime_us) and `tcp` (a TCP record).
     value: str
 
 
@@ -148,15 +143,16 @@ _PER_SECOND = "{count} * 1e6 / dur if dur > 0 else None"
 # the default preset. Each per-side statistic is declared once, in a
 # _sides(...) call at the position of its source entry.
 CATALOG: tuple[Feature, ...] = (
-    _F("FlowID", "identity", "", "daddr-saddr-dport-sport-proto", "text", "flow_id(r)"),
+    _F("FlowID", "identity", "", "daddr-saddr-dport-sport-proto", "text",
+       "f'{da}-{sa}-{dp}-{sp}-{k.proto}'"),
     _F("rank", "identity", "", "dense output row index starting at 0", "int", "c.rank"),
     _F("stime", "time", "s", "first packet time, epoch seconds", "time", "r.stime_us"),
     _F("ltime", "time", "s", "last packet time, epoch seconds", "time", "r.ltime_us"),
-    _F("sport", "identity", "", "source port (ICMP type for icmp)", "int", "r.sport"),
-    _F("dport", "identity", "", "destination port (ICMP code for icmp)", "int", "r.dport"),
-    _F("saddr", "identity", "", "source address (flow initiator)", "text", "r.saddr"),
-    _F("daddr", "identity", "", "destination address", "text", "r.daddr"),
-    _F("proto", "identity", "", "transport protocol, lowercase", "text", "r.key.proto"),
+    _F("sport", "identity", "", "source port (ICMP type for icmp)", "int", "sp"),
+    _F("dport", "identity", "", "destination port (ICMP code for icmp)", "int", "dp"),
+    _F("saddr", "identity", "", "source address (flow initiator)", "text", "sa"),
+    _F("daddr", "identity", "", "destination address", "text", "da"),
+    _F("proto", "identity", "", "transport protocol, lowercase", "text", "k.proto"),
     _F("bytes", "volume", "B", "total IP bytes both directions", "int", "s.bytes + d.bytes"),
     *_sides(("bytes", "volume", "B", "IP bytes sent by the {side}", "int", "{e}.bytes")),
     _F("pkts", "volume", "", "total packets both directions", "int", "n"),
@@ -181,7 +177,7 @@ CATALOG: tuple[Feature, ...] = (
     _F("vlanid", "meta", "", "VLAN id if the flow was tagged", "oint", "r.vlan_id"),
     _F("is_sm_ips_ports", "identity", "", "1 when source and destination "
        "address and port are equal", "text", "'' if r.is_management else "
-       "'1' if r.saddr == r.daddr and r.sport == r.dport else '0'"),
+       "'1' if sa == da and sp == dp else '0'"),
     _F("pktratio", "volume", "", "dpkts over spkts", "float",
        "d.pkts / s.pkts if s.pkts else None"),
     _F("bytratio", "volume", "", "dbytes over sbytes", "float",
@@ -356,11 +352,14 @@ def row_kernel(feature_names: tuple[str, ...]):
     cells = "".join(f"        {TO_TEXT[feature.kind].replace('$', feature.value)},\n"
                     for feature in map(_BY_NAME.__getitem__, feature_names))
     source = ("def kernel(r, c):\n"
-              "    s, d = r.src, r.dst\n"
-              "    n, dur, tcp = s.pkts + d.pkts, r.ltime_us - r.stime_us, r.key.proto == 'tcp'\n"
+              "    k = r.key\n"
+              "    if r.initiator == 'a':\n"
+              "        s, d, sa, sp, da, dp = r.a, r.b, k.addr_a, k.port_a, k.addr_b, k.port_b\n"
+              "    else:\n"
+              "        s, d, sa, sp, da, dp = r.b, r.a, k.addr_b, k.port_b, k.addr_a, k.port_a\n"
+              "    n, dur, tcp = s.pkts + d.pkts, r.ltime_us - r.stime_us, k.proto == 'tcp'\n"
               f"    return [\n{cells}    ]\n")
-    namespace = {"FLAG_TEXT": FLAG_TEXT, "flow_id": flow_id, "opt_max": opt_max,
-                 "opt_min": opt_min, "sqrt": sqrt}
+    namespace = {"FLAG_TEXT": FLAG_TEXT, "opt_max": opt_max, "opt_min": opt_min, "sqrt": sqrt}
     return compile_kernel("row", source, namespace)
 
 

@@ -63,15 +63,6 @@ class FlowKey(NamedTuple):
 MANAGEMENT_KEY = FlowKey("0.0.0.0", 0, "0.0.0.0", 0, MANAGEMENT_PROTO)
 
 
-def canonical_key(saddr: str, sport: int, daddr: str, dport: int,
-                  proto: str) -> tuple[FlowKey, str]:
-    """Return the canonical key of a flow from (saddr, sport) to
-    (daddr, dport) and which endpoint ('a' or 'b') is its source."""
-    if (saddr, sport) <= (daddr, dport):
-        return FlowKey(saddr, sport, daddr, dport, proto), "a"
-    return FlowKey(daddr, dport, saddr, sport, proto), "b"
-
-
 @slotted((
     ("interval_us", 60_000_000),
     ("idle_timeout_us", None),  # defaults to the interval

@@ -25,8 +25,8 @@ from .flows import (
     RECORD_FIELDS,
     EndpointStats,
     ExportConfig,
+    FlowKey,
     FlowRecord,
-    canonical_key,
 )
 from .kernels import REQUIRED, TO_TEXT, compile_kernel, slotted
 from .timefmt import text_to_int, text_to_us, us_to_text
@@ -109,15 +109,17 @@ _TIME = rf"-?[0-9]{{1,{MAX_DIGITS - 6}}}\.[0-9]{{6}}"
 # MAX_DIGITS, and the written from-text reads a text that matched it: a
 # time as the integer its digits spell without the dot, flags as each of
 # their letters, optional, in FLAG_TEXT's order (that of the value with
-# all six). The strict from-text callables serve the general reader.
+# all six). An optional value's pattern is `X|`, for a group: sre reads
+# `(X|)` faster than `((?:X)?)`. The strict from-text callables serve
+# the general reader.
 KIND_CONVERTERS: dict[str, tuple[str, Callable, str, str]] = {
     "int": (TO_TEXT["int"], _INT_FROM_TEXT, _INT, "int($)"),
-    "oint": (TO_TEXT["oint"], _optional(_INT_FROM_TEXT), f"(?:{_INT})?",
+    "oint": (TO_TEXT["oint"], _optional(_INT_FROM_TEXT), f"{_INT}|",
              "int($) if $ else None"),
     "str": (TO_TEXT["text"], str, "[^ ]*", "$"),
     "ostr": (TO_TEXT["oint"], _optional(str), "[^ ]*", "$ or None"),
     "time": (TO_TEXT["time"], _TIME_FROM_TEXT, _TIME, "int($.replace('.', ''))"),
-    "otime": (TO_TEXT["time"], _optional(_TIME_FROM_TEXT), f"(?:{_TIME})?",
+    "otime": (TO_TEXT["time"], _optional(_TIME_FROM_TEXT), f"{_TIME}|",
               "int($.replace('.', '')) if $ else None"),
     "bool": ("'1' if $ else '0'", _bool_from_text, "[01]", "$ == '1'"),
     "flags": ("FLAG_TEXT[$]", _flags_from_text,
@@ -131,7 +133,7 @@ _SIDE_FIELDS = tuple((suffix, kind, attr) for attr, suffix, kind, _, _ in ENDPOI
 
 # Every field of a v1 record line, in line order: (name, value kind,
 # owner, attribute). "key" fields are read off the record and oriented
-# with canonical_key on reading, "record" fields are FlowRecord
+# into its FlowKey by the reader kernel, "record" fields are FlowRecord
 # attributes, and "src"/"dst" fields those of the source's and the
 # destination's EndpointStats.
 _LINE = (
@@ -198,27 +200,25 @@ def format_record(rec: FlowRecord) -> str:
 def parse_record(line: str, line_number: int) -> FlowRecord:
     """The record of one line: read positionally when the line is in the
     form format_record writes, by field name otherwise."""
-    record = _parse_written(line)
-    return _parse_general(line, line_number) if record is None else record
-
-
-def _parse_written(line: str) -> FlowRecord | None:
-    """The record of a line in written form, or None for any other line.
-    A value int() refuses (more digits than its limit) is left to the
-    general reader, which reports it."""
-    return _written_line()(line)
+    return _written_line()(line) or _parse_general(line, line_number)
 
 
 # A reader kernel. Its head puts each field's text or value into a local
 # named after the field; each local goes through its kind's template, and
-# the key, both EndpointStats and the record are built by position.
+# the key, both EndpointStats and the record are built by position. The
+# key is oriented as FlowTable.assign orients a packet's.
 _READER = """\
 def kernel({parameters}):
 {head}    try:
         src = EndpointStats({src})
         dst = EndpointStats({dst})
-        key, initiator = canonical_key({key})
-        a, b = (src, dst) if initiator == 'a' else (dst, src)
+        sport, dport = {ports}
+        if (saddr, sport) <= (daddr, dport):
+            key = new(FlowKey, (saddr, sport, daddr, dport, proto))
+            initiator, a, b = 'a', src, dst
+        else:
+            key = new(FlowKey, (daddr, dport, saddr, sport, proto))
+            initiator, a, b = 'b', dst, src
         return FlowRecord({record})
     except ValueError:
         return None
@@ -234,20 +234,22 @@ def _compile_reader(label: str, parameters: str, head: str, template, namespace)
         parameters=parameters, head=head,
         src=", ".join(value["src", attr] for attr, _ in ENDPOINT_FIELDS),
         dst=", ".join(value["dst", attr] for attr, _ in ENDPOINT_FIELDS),
-        key=", ".join(text for (owner, _), text in value.items() if owner == "key"),
+        ports=f"{value['key', 'sport']}, {value['key', 'dport']}",
         record=", ".join(built[attr] for attr, _ in RECORD_FIELDS[:len(built)]))
-    namespace.update(EndpointStats=EndpointStats, FlowRecord=FlowRecord,
-                     canonical_key=canonical_key)
+    namespace.update(EndpointStats=EndpointStats, FlowRecord=FlowRecord, FlowKey=FlowKey,
+                     new=tuple.__new__)
     return compile_kernel(label, source, namespace)
 
 
 @cache
 def _written_line():
-    """The reader of a line in the form format_record writes, behind
-    _parse_written: one pattern has every field of _LINE in order, each
-    value in its kind's written form, one group per field, and each group
-    goes through its kind's written from-text template. Compiled on first
-    read, so that writing never pays for it."""
+    """The function line -> its record, for a line in the form
+    format_record writes, or None for any other line: one pattern has
+    every field of _LINE in order, each value in its kind's written form,
+    one group per field, and each group goes through its kind's written
+    from-text template. A value int() refuses (more digits than its
+    limit) is left to the general reader, which reports it. Compiled on
+    first read, so that writing never pays for it."""
     non_empty = {"saddr": "[^ ]+", "daddr": "[^ ]+"}  # a missing field when empty
     pattern = re.compile(" ".join(
         f"{name}=({non_empty.get(name) or KIND_CONVERTERS[kind][2]})"
@@ -350,6 +352,7 @@ def _read_lines(path, fp) -> HeraFile:
     header = HeraHeader()
     cfg_kwargs = {}
     records = []
+    written = _written_line()
     for line_number, raw in enumerate(fp, start=2):
         line = raw.rstrip("\n")
         if not line:
@@ -362,7 +365,7 @@ def _read_lines(path, fp) -> HeraFile:
             except ValueError as exc:
                 raise CorruptRecord(line_number, str(exc)) from None
             continue
-        records.append(parse_record(line, line_number))
+        records.append(written(line) or _parse_general(line, line_number))
     header.config = ExportConfig(**cfg_kwargs)
     for i, rec in enumerate(records):
         rec.seq = i

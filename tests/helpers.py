@@ -1,7 +1,7 @@
-"""Shortcuts several test modules share: running packets through a fresh
-flow table, reading the field table of a `.hera` record line, copying a
-record with some fields changed, and labelling rows without changing
-them."""
+"""Shortcuts several test modules share: orienting a flow's key, running
+packets through a fresh flow table, reading the field table of a `.hera`
+record line, copying a record with some fields changed, and labelling
+rows without changing them."""
 
 from hera import herafile
 from hera.flows import (
@@ -9,10 +9,21 @@ from hera.flows import (
     RECORD_FIELDS,
     EndpointStats,
     ExportConfig,
+    FlowKey,
     FlowRecord,
     FlowTable,
 )
 from hera.labelling import DEFAULT_BENIGN_LABEL, GroundTruth, LabelSummary, labelled_rows
+
+
+def canonical_key(saddr: str, sport: int, daddr: str, dport: int,
+                  proto: str) -> tuple[FlowKey, str]:
+    """The key of a flow from (saddr, sport) to (daddr, dport) and which
+    endpoint ('a' or 'b') is its source, as export and the `.hera`
+    reader orient it: the lower (address, port) endpoint is a."""
+    if (saddr, sport) <= (daddr, dport):
+        return FlowKey(saddr, sport, daddr, dport, proto), "a"
+    return FlowKey(daddr, dport, saddr, sport, proto), "b"
 
 
 def collect_flows(packets, config: ExportConfig) -> list[FlowRecord]:

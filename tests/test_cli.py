@@ -1,5 +1,6 @@
 import builtins
 import csv
+import gc
 import io
 import multiprocessing
 import os
@@ -15,6 +16,7 @@ from hera import cli, labelling
 from hera.cli import main
 from hera.dataset import read_csv
 from hera.features import DEFAULT_FEATURES, select_feature_set
+from hera.flows import ExportConfig
 from hera.herafile import read_hera
 
 SEC = 1_000_000
@@ -1307,3 +1309,53 @@ def test_a_long_bad_setting_is_a_usage_error_quoted_in_short(
     assert main(["dataset", "--in", str(hera), "--out", str(tmp_path / "csv"), *flags]) == 1
     err = capsys.readouterr().err
     assert len(err.encode()) < 400 and "characters)" in err, err
+
+
+# -- the cyclic garbage collector ----------------------------------------------
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collecting(request):
+    """The collector enabled or disabled for the test, as it was after."""
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_commands_leave_the_collector_as_they_found_it(tmp_path, collecting):
+    """`export`, `dataset` and `run` pause the collector while they build
+    flow records, and re-enable it only if it was enabled, on success and
+    on malformed input alike."""
+    capture = sample_capture(tmp_path / "a.pcap")
+    (tmp_path / "cut.pcap").write_bytes(capture.read_bytes()[:-5])
+    gt = write_gt(tmp_path / "gt.csv")
+    flows = tmp_path / "flows"
+    corrupt = tmp_path / "corrupt.hera"
+    commands = [
+        (["export", "--pcap", str(capture), "--out", str(flows)], 0),
+        (["dataset", "--in", str(flows / "a.hera"), "--out", str(tmp_path / "csv")], 0),
+        (["run", "--pcap", str(capture), "--gt", str(gt), "--flows-dir", str(tmp_path / "f"),
+          "--csv-dir", str(tmp_path / "c")], 0),
+        (["export", "--pcap", str(tmp_path / "cut.pcap"), "--out", str(tmp_path / "x")], 2),
+        (["dataset", "--in", str(corrupt), "--out", str(tmp_path / "x")], 2),
+        (["run", "--pcap", str(tmp_path / "cut.pcap"), "--flows-dir", str(tmp_path / "x"),
+          "--csv-dir", str(tmp_path / "y")], 2),
+    ]
+    for argv, code in commands:
+        if argv[0] == "dataset" and code:  # a field repeated on its last line
+            corrupt.write_text((flows / "a.hera").read_text(encoding="utf-8")[:-1]
+                               + " frag=0\n", encoding="utf-8")
+        assert main(argv) == code, argv
+        assert gc.isenabled() is collecting, argv
+
+
+def test_library_functions_leave_the_collector_alone(tmp_path, monkeypatch):
+    capture = sample_capture(tmp_path / "a.pcap")
+    hera = exported(tmp_path)
+    calls = []
+    for name in ("disable", "enable", "freeze", "unfreeze", "collect"):
+        monkeypatch.setattr(gc, name, lambda *args, name=name: calls.append(name))
+    _, records, _ = cli.export_capture(capture, ExportConfig())
+    assert read_hera(hera).records and records
+    assert calls == []

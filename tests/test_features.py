@@ -17,7 +17,6 @@ from hera.features import (
     RowContext,
     catalog_table,
     compute_row,
-    flow_id,
     select_feature_set,
     service_of,
 )
@@ -177,9 +176,18 @@ def make_record(saddr, sport, daddr, dport, proto):
     return FlowRecord(key=key, initiator=initiator, stime_us=0, ltime_us=0)
 
 
+def flow_id(rec) -> str:
+    """The record's FlowID cell."""
+    return compute_row(rec, ["FlowID"], RowContext())[0]
+
+
 def test_flow_id_grammar():
     rec = make_record("10.0.0.1", 1234, "10.0.0.2", 80, "tcp")
     assert flow_id(rec) == "10.0.0.2-10.0.0.1-80-1234-tcp"
+    # The source is the initiator, whichever endpoint its key puts first.
+    rec = make_record("10.0.0.2", 1234, "10.0.0.1", 80, "tcp")
+    assert rec.initiator == "b"
+    assert flow_id(rec) == "10.0.0.1-10.0.0.2-80-1234-tcp"
 
 
 def test_flow_id_icmp_uses_type_code_ports():

@@ -9,13 +9,12 @@ from hera.flows import (
     ExportConfig,
     FlowKey,
     FlowTable,
-    canonical_key,
     observe_gap,
     opt_max,
     opt_min,
 )
 from hera.pcap import DecodedPacket
-from helpers import collect_flows
+from helpers import canonical_key, collect_flows
 
 SEC = 1_000_000
 

@@ -213,7 +213,7 @@ def test_flgs_is_a_flag_int_on_every_record_path():
     lines = [format_record(rec) for rec in records]
     paths = {
         "FlowTable.flush": records,
-        "written-form reader": [herafile._parse_written(line) for line in lines],
+        "written-form reader": [herafile._written_line()(line) for line in lines],
         "general reader": [herafile._parse_general(line, 1) for line in lines],
         "line without flgs": [parse_record(minimal_line(), 2)],
         "cluster": cluster(records),

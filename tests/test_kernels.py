@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import pcap_builder as pb
 from endpoint_oracle import oracle_merge, oracle_update
-from helpers import field_names, replace
+from helpers import canonical_key, field_names, replace
 from hera import herafile
 from hera.dataset import row_writer
 from hera.features import PRESETS, RowContext, compute_row, select_feature_set
@@ -31,7 +31,6 @@ from hera.flows import (
     FlowKey,
     FlowRecord,
     FlowTable,
-    canonical_key,
 )
 from hera.herafile import format_record
 from hera.pcap import CaptureReader, DecodedPacket
@@ -119,11 +118,14 @@ def test_writer_kernel_equals_the_per_field_oracle(rec):
 @given(records(), st.sampled_from(["note=", "x1=abc", "future_field=1.5"]))
 def test_written_form_reader_equals_the_general_reader(rec, unknown):
     line = format_record(rec)
-    record = herafile._parse_written(line)
+    record = herafile._written_line()(line)
     assert record is not None
     assert record == herafile._parse_general(line, 7)
+    # Both readers orient the key as export does, whatever the record's.
+    assert (record.key, record.initiator) == canonical_key(
+        rec.saddr, rec.sport, rec.daddr, rec.dport, rec.key.proto)
     # An unknown field is not written form, and the general reader skips it.
-    assert herafile._parse_written(f"{line} {unknown}") is None
+    assert herafile._written_line()(f"{line} {unknown}") is None
     assert herafile._parse_general(f"{line} {unknown}", 7) == record
 
 
@@ -244,17 +246,33 @@ def python_calls(function, *args) -> int:
     return calls
 
 
-def test_a_row_of_every_feature_makes_at_most_40_python_calls():
+def test_a_row_of_every_feature_makes_at_most_8_python_calls():
     ctx = RowContext(rank=3, service="http", ssaddr=1, sdaddr=2)
-    assert python_calls(compute_row, tcp_flow(), SELECTIONS["all"], ctx) <= 40
+    # compute_row, the kernel and its six opt_min/opt_max cells: the
+    # identity cells read the row's oriented locals, not the record's
+    # properties.
+    assert python_calls(compute_row, tcp_flow(), SELECTIONS["all"], ctx) <= 8
 
 
 def test_writing_a_record_makes_at_most_10_python_calls():
     assert python_calls(format_record, tcp_flow()) <= 10
 
 
-def test_reading_a_written_record_makes_at_most_10_python_calls():
-    assert python_calls(herafile._parse_written, format_record(tcp_flow())) <= 10
+def test_reading_a_written_record_makes_at_most_4_python_calls():
+    # The kernel and the three constructors: the key is oriented inline.
+    assert python_calls(herafile._written_line(), format_record(tcp_flow())) <= 4
+
+
+def test_read_hera_reads_written_lines_with_no_parse_record_call(tmp_path, monkeypatch):
+    records = [tcp_flow(), replace(tcp_flow(), initiator="b")]
+    path = tmp_path / "written.hera"
+    herafile.write_hera(path, herafile.HeraHeader(config=ExportConfig()), records)
+    expected = herafile.read_hera(path).records
+    calls = []
+    for name in ("parse_record", "_parse_general"):
+        monkeypatch.setattr(herafile, name, lambda *args, name=name: calls.append(name))
+    assert herafile.read_hera(path).records == expected
+    assert calls == []
 
 
 def test_writing_a_row_of_every_feature_makes_at_most_3_python_calls():

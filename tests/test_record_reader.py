@@ -1,7 +1,7 @@
 """parse_record's two readers agree.
 
 A line in exactly the form format_record writes is read with one
-compiled pattern (`herafile._parse_written`); every other line is read
+compiled pattern (`herafile._written_line`); every other line is read
 by field name (`herafile._parse_general`), the reader that serves as the
 oracle here. Lines come from the records of a pcap_builder capture and
 from random values of each field's kind, in written form (negative
@@ -127,19 +127,19 @@ def _join(fields) -> str:
 @given(written_fields())
 def test_a_written_line_takes_the_pattern_and_reads_as_the_general_reader_reads_it(fields):
     line = _join(fields)
-    record = herafile._parse_written(line)
+    record = herafile._written_line()(line)
     assert record is not None
     assert record == herafile._parse_general(line, 1)
 
 
 def test_every_capture_line_takes_the_pattern():
-    assert all(herafile._parse_written(line) is not None for line in capture_lines())
+    assert all(herafile._written_line()(line) is not None for line in capture_lines())
 
 
 @pytest.mark.parametrize("flags", sorted(FLAG_VALUES))
 def test_every_flag_set_takes_the_pattern(flags):
     line = _join(_set(_fields(capture_lines()[0]), "flgs", flags))
-    record = herafile._parse_written(line)
+    record = herafile._written_line()(line)
     assert record is not None and record.flgs == FLAG_VALUES[flags]
     assert record == herafile._parse_general(line, 1)
 
@@ -204,7 +204,7 @@ def edited_lines(draw) -> str:
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(edited_lines())
 def test_an_edited_line_reads_as_the_general_reader_reads_it(line):
-    assert herafile._parse_written(line) is None
+    assert herafile._written_line()(line) is None
     assert_readers_agree(line)
 
 
@@ -230,7 +230,7 @@ def _edit_first_capture_line(edit) -> str:
         "trailing-cr", "duplicate-field"])
 def test_each_edit_reads_as_the_general_reader_reads_it(edit):
     line = _edit_first_capture_line(edit)
-    assert herafile._parse_written(line) is None
+    assert herafile._written_line()(line) is None
     assert_readers_agree(line)
 
 
@@ -242,7 +242,7 @@ def test_fields_in_another_order_read_as_the_same_record():
 
 def test_a_value_past_ints_digit_limit_is_left_to_the_general_reader():
     line = _edit_first_capture_line(lambda f: _join(_set(f, "spkts", "9" * 5000)))
-    assert herafile._parse_written(line) is None
+    assert herafile._written_line()(line) is None
     assert_readers_agree(line)
 
 
