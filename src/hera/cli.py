@@ -209,6 +209,7 @@ def _positive_seconds(value: float, origin: str) -> int:
 
 def _export_config(settings: Settings, args) -> ExportConfig:
     from .flows import ExportConfig
+    from .herafile import MAX_DIGITS
     interval_us = _positive_seconds(settings.number("interval", 60.0),
                                     settings.origin("interval"))
     idle = settings.number("idle_timeout", None)  # None: the interval
@@ -216,13 +217,19 @@ def _export_config(settings: Settings, args) -> ExportConfig:
     slack = settings.number("reorder_slack", 1.0)
     if slack < 0:
         raise UsageError(f"{settings.origin('reorder_slack')} must not be negative")
+    slack_us = seconds_to_us(slack)
+    times = {"interval": interval_us, "idle_timeout": idle_us, "reorder_slack": slack_us}
+    for name, value_us in times.items():  # each echoed in the .hera header
+        if (value_us or 0) >= 10 ** MAX_DIGITS:
+            raise UsageError(f"{settings.origin(name)} must be under 10^{MAX_DIGITS - 6} "
+                             "seconds, the most a .hera file holds")
     emit_management = (not getattr(args, "no_management", None)
                        and settings.flag("emit_management", True))
     return ExportConfig(
         interval_us=interval_us,
         idle_timeout_us=idle_us,
         emit_management=emit_management,
-        reorder_slack_us=seconds_to_us(slack),
+        reorder_slack_us=slack_us,
     )
 
 

@@ -2,10 +2,10 @@
 
 `ra` mode emits one CSV row per record; `racluster` emits one row per
 canonical key: it merges the records of a key that has several into one
-new record, and passes the record of a key seen once through unchanged,
-without a copy. Rows follow the selected feature columns in catalog
-order; a stats text file summarizes the same record set the rows were
-built from. Rows are built one at a time, as they are taken, and CSV
+new record, and passes the record of a key seen once through, without a
+copy: merging a record alone gives a record equal to it. Rows follow the
+selected feature columns in catalog order; a stats text file summarizes
+the same record set the rows were built from. Rows are built one at a time, as they are taken, and CSV
 files are written one row at a time, so the commands never hold a whole
 dataset. The feature catalog is imported only by the functions that
 compute rows, so `export` and `label`, which use this module for stats
@@ -39,10 +39,10 @@ def cluster(records: list[FlowRecord]) -> list[FlowRecord]:
     A key with several records gets a new record: its constituents are
     folded in stime order by `FlowRecord.merge`, and categorical fields
     follow the constituent with the latest ltime (ties broken by stream
-    position). A key seen once is its own merged record whenever merging
-    could not change it (`FlowRecord.is_own_merge`), so the list may hold
-    the caller's own record objects; neither the caller nor a later stage
-    may change them.
+    position). A key seen once is its own merged record, as merging it
+    alone would give a record equal to it, so the list may hold the
+    caller's own record objects; neither the caller nor a later stage may
+    change them.
     """
     from .flows import FlowRecord
     # Each key's record while it has one, then a list of its records, in
@@ -55,10 +55,8 @@ def cluster(records: list[FlowRecord]) -> list[FlowRecord]:
                 group.append(rec)
             else:
                 groups[rec.key] = [group, rec]
-    merged_records = [
-        _merged(key, group) if type(group) is list
-        else group if group.is_own_merge() else _merged(key, [group])
-        for key, group in groups.items()]
+    merged_records = [_merged(key, group) if type(group) is list else group
+                      for key, group in groups.items()]
     merged_records.sort(key=FlowRecord.sort_key)
     return merged_records
 
@@ -102,18 +100,17 @@ def compute_connection_counts(records, window: int = DEFAULT_COUNT_WINDOW):
     if window < 1:
         raise ValueError("count window must be at least 1")
     results = [(None, None)] * len(records)
-    order = sorted(
-        (i for i, rec in enumerate(records) if not rec.is_management),
-        key=lambda i: (records[i].ltime_us, i),
-    )
+    order = sorted([(rec.ltime_us, i) for i, rec in enumerate(records)
+                    if not rec.is_management])
     recent = deque()
     by_src = {}
     by_dst = {}
-    for i in order:
+    for _, i in order:
         rec = records[i]
-        service = service_of(rec.key.proto, rec.sport, rec.dport)
-        src_key = (service, rec.saddr)
-        dst_key = (service, rec.daddr)
+        k = rec.key
+        service = service_of(k.proto, k.port_a, k.port_b)  # the lower port either way
+        sa, da = (k.addr_a, k.addr_b) if rec.initiator == "a" else (k.addr_b, k.addr_a)
+        src_key, dst_key = (service, sa), (service, da)
         recent.append((src_key, dst_key))
         by_src[src_key] = by_src.get(src_key, 0) + 1
         by_dst[dst_key] = by_dst.get(dst_key, 0) + 1
@@ -147,19 +144,17 @@ class StatsReport(NamedTuple):
 
 
 def compute_stats(records) -> StatsReport:
-    flows = packets = nbytes = management_records = 0
+    management_records = 0
     per_proto = {}
     for rec in records:
         if rec.is_management:
             management_records += 1
             continue
-        flows += 1
-        packets += rec.pkts
-        nbytes += rec.bytes
         row = per_proto.setdefault(rec.key.proto, [0, 0, 0])
         row[0] += 1
         row[1] += rec.pkts
         row[2] += rec.bytes
+    flows, packets, nbytes = map(sum, zip([0, 0, 0], *per_proto.values()))
     return StatsReport(flows, packets, nbytes, management_records, per_proto)
 
 
@@ -216,10 +211,8 @@ def _rows(records, counts, kernel):
     connection counts (ssaddr, sdaddr)."""
     from .features import RowContext, service_of
     for rank, (rec, (ssaddr, sdaddr)) in enumerate(zip(records, counts)):
-        if rec.is_management:
-            service = ""
-        else:
-            service = service_of(rec.key.proto, rec.sport, rec.dport)
+        k = rec.key
+        service = "" if rec.is_management else service_of(k.proto, k.port_a, k.port_b)
         yield kernel(rec, RowContext(rank=rank, service=service, ssaddr=ssaddr, sdaddr=sdaddr))
 
 

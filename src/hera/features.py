@@ -27,7 +27,7 @@ from math import sqrt
 from typing import NamedTuple
 
 from .errors import UnknownFeature
-from .flows import FLAG_TEXT, FlowRecord, opt_max, opt_min
+from .flows import FLAG_TEXT, RECORD_KERNEL_HEAD, FlowRecord, opt_max, opt_min
 from .kernels import TO_TEXT, compile_kernel, slotted
 
 # Well-known ports for the service feature. The lookup key is the lower
@@ -95,7 +95,8 @@ class Feature(NamedTuple):
     kind: str  # a key of kernels.TO_TEXT
     # An expression over the record `r`, its key `k`, its source's and
     # destination's EndpointStats `s` and `d`, addresses `sa` and `da` and
-    # ports `sp` and `dp`, the RowContext `c`, and the row's shared `n`
+    # ports `sp` and `dp` (`flows.RECORD_KERNEL_HEAD`), the RowContext `c`,
+    # and the row's shared `n`
     # (packets), `dur` (ltime_us - stime_us) and `tcp` (a TCP record).
     value: str
 
@@ -351,13 +352,8 @@ def row_kernel(feature_names: tuple[str, ...]):
     kind's template around its value, after the shared values."""
     cells = "".join(f"        {TO_TEXT[feature.kind].replace('$', feature.value)},\n"
                     for feature in map(_BY_NAME.__getitem__, feature_names))
-    source = ("def kernel(r, c):\n"
-              "    k = r.key\n"
-              "    if r.initiator == 'a':\n"
-              "        s, d, sa, sp, da, dp = r.a, r.b, k.addr_a, k.port_a, k.addr_b, k.port_b\n"
-              "    else:\n"
-              "        s, d, sa, sp, da, dp = r.b, r.a, k.addr_b, k.port_b, k.addr_a, k.port_a\n"
-              "    n, dur, tcp = s.pkts + d.pkts, r.ltime_us - r.stime_us, k.proto == 'tcp'\n"
+    source = ("def kernel(r, c):\n" + RECORD_KERNEL_HEAD
+              + "    n, dur, tcp = s.pkts + d.pkts, r.ltime_us - r.stime_us, k.proto == 'tcp'\n"
               f"    return [\n{cells}    ]\n")
     namespace = {"FLAG_TEXT": FLAG_TEXT, "opt_max": opt_max, "opt_min": opt_min, "sqrt": sqrt}
     return compile_kernel("row", source, namespace)

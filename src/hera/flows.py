@@ -158,11 +158,8 @@ _FOLD_RULES = {
     "first non-None": ("if s.{a} is None: s.{a} = o.{a}",
                        {"tail": "if {e}.{a} is None and {v} is not None: {e}.{a} = {v}"}),
     "flag-bit count": ("s.{a} += o.{a}", {"flags": "if flags & {v}: {e}.{a} += 1"}),
-    # The time span takes in only an `o` that saw a packet: `seen`, set by
-    # the first-time line, which precedes the last-time line.
-    "first time": ("if seen := o.{a} is not None: s.{a} = opt_min(s.{a}, o.{a})",
-                   {"first": "{e}.{a} = {v}"}),
-    "last time": ("if seen: s.{a} = opt_max(s.{a}, o.{a})",
+    "first time": ("s.{a} = opt_min(s.{a}, o.{a})", {"first": "{e}.{a} = {v}"}),
+    "last time": ("s.{a} = opt_max(s.{a}, o.{a})",
                   {"load": "last = {e}.{a}", "tail": "{e}.{a} = {v}"}),
     "gap sum": ("s.{a} += o.{a}", {"later": "{e}.{a} += {v}"}),
     "gap sum of squares": ("s.{a} += o.{a}", {"later": "{e}.{a} += {v} * {v}"}),
@@ -283,13 +280,13 @@ class FlowRecord:
     def merge(self, other: "FlowRecord", prev_ltime_us: int | None) -> None:
         """Fold in the next constituent of the same key, in stime order
         (racluster). Counters and sums add up, stime/ltime span the
-        constituents, flag values OR together and first-seen fields keep the
-        earliest value. `prev_ltime_us` is the ltime of the constituent
-        folded before `other` (None for the first); the gap from it was
-        a real inter-arrival gap that slicing cut, so it goes back into
-        the IAT statistics, overall and per endpoint. Management
-        summaries have no such gaps; their `flows` counts add up. The
-        caller sets the categorical fields."""
+        constituents, flag values OR together, first-seen fields keep the
+        earliest value and `flows` adds up where it is set. `prev_ltime_us`
+        is the ltime of the constituent folded before `other` (None for the
+        first); the gap from it was a real inter-arrival gap that slicing
+        cut, so it goes back into the IAT statistics, overall and per
+        endpoint; management summaries have no such gaps. The caller sets
+        the categorical fields. A record merged alone gives its equal."""
         if prev_ltime_us is not None and not other.is_management:
             observe_gap(self, other.stime_us - prev_ltime_us)
             for mine, theirs in ((self.a, other.a), (self.b, other.b)):
@@ -315,19 +312,19 @@ class FlowRecord:
             self.vlan_id = other.vlan_id
         if self.ip_version is None:
             self.ip_version = other.ip_version
-        if self.is_management:
-            self.flows = (self.flows or 0) + (other.flows or 0)
+        if other.flows is not None:
+            self.flows = (self.flows or 0) + other.flows
 
-    def is_own_merge(self) -> bool:
-        """Whether merging this record alone into a new record of its key,
-        as `cluster` does, gives a record equal to it. Every record
-        `export` writes is one. The merge would change a management
-        record's `flows` (None becomes 0), drop another record's set
-        `flows`, and drop a side's `ltime` that has no `stime`."""
-        a, b = self.a, self.b
-        return (not self.is_management and self.flows is None
-                and (a.first_ts_us is not None or a.last_ts_us is None)
-                and (b.first_ts_us is not None or b.last_ts_us is None))
+
+# The head of the row and `.hera` writer kernels over a record `r`: its
+# key `k` and, by its initiator, its source's and destination's
+# EndpointStats `s` and `d`, addresses `sa` and `da` and ports `sp` and `dp`.
+RECORD_KERNEL_HEAD = (
+    "    k = r.key\n"
+    "    if r.initiator == 'a':\n"
+    "        s, d, sa, sp, da, dp = r.a, r.b, k.addr_a, k.port_a, k.addr_b, k.port_b\n"
+    "    else:\n"
+    "        s, d, sa, sp, da, dp = r.b, r.a, k.addr_b, k.port_b, k.addr_a, k.port_a\n")
 
 
 def make_management_record(

@@ -23,6 +23,7 @@ from .flows import (
     FLAG_TEXT,
     FLAG_VALUES,
     RECORD_FIELDS,
+    RECORD_KERNEL_HEAD,
     EndpointStats,
     ExportConfig,
     FlowKey,
@@ -132,16 +133,16 @@ _SIDE_FIELDS = tuple((suffix, kind, attr) for attr, suffix, kind, _, _ in ENDPOI
 
 
 # Every field of a v1 record line, in line order: (name, value kind,
-# owner, attribute). "key" fields are read off the record and oriented
-# into its FlowKey by the reader kernel, "record" fields are FlowRecord
-# attributes, and "src"/"dst" fields those of the source's and the
-# destination's EndpointStats.
+# owner, attribute). "key" fields are the writer's oriented locals
+# (flows.RECORD_KERNEL_HEAD), which the reader kernel orients into the
+# FlowKey; "record" fields are FlowRecord attributes, and "src"/"dst"
+# fields those of the source's and the destination's EndpointStats.
 _LINE = (
-    ("saddr", "str", "key", "saddr"),
-    ("sport", "int", "key", "sport"),
-    ("daddr", "str", "key", "daddr"),
-    ("dport", "int", "key", "dport"),
-    ("proto", "str", "key", "key.proto"),
+    ("saddr", "str", "key", "sa"),
+    ("sport", "int", "key", "sp"),
+    ("daddr", "str", "key", "da"),
+    ("dport", "int", "key", "dp"),
+    ("proto", "str", "key", "k.proto"),
     ("stime", "time", "record", "stime_us"),
     ("ltime", "time", "record", "ltime_us"),
     ("runtime", "time", "record", "runtime_us"),
@@ -182,14 +183,13 @@ _DEFAULTS = tuple((_RECORD_DEFAULTS if owner == "record" else _SIDE_DEFAULTS).ge
 def _writer():
     """The function record -> its line: one f-string, a literal per
     field of _LINE, each value in its kind's to-text template."""
-    owner_names = {"key": "rec.", "record": "rec.", "src": "s.", "dst": "d."}
+    owner_names = {"key": "", "record": "r.", "src": "s.", "dst": "d."}
     literals = []
     for name, kind, owner, attr in _LINE:
         value = KIND_CONVERTERS[kind][0].replace("$", owner_names[owner] + attr)
         separator = " " if literals else ""
         literals.append(f'        f"{separator}{name}={{{value}}}"\n')
-    source = ("def kernel(rec):\n    s = rec.src\n    d = rec.dst\n"
-              f"    return (\n{''.join(literals)}    )\n")
+    source = f"def kernel(r):\n{RECORD_KERNEL_HEAD}    return (\n{''.join(literals)}    )\n"
     return compile_kernel("format_record", source, {"FLAG_TEXT": FLAG_TEXT})
 
 
@@ -234,7 +234,7 @@ def _compile_reader(label: str, parameters: str, head: str, template, namespace)
         parameters=parameters, head=head,
         src=", ".join(value["src", attr] for attr, _ in ENDPOINT_FIELDS),
         dst=", ".join(value["dst", attr] for attr, _ in ENDPOINT_FIELDS),
-        ports=f"{value['key', 'sport']}, {value['key', 'dport']}",
+        ports=f"{value['key', 'sp']}, {value['key', 'dp']}",
         record=", ".join(built[attr] for attr, _ in RECORD_FIELDS[:len(built)]))
     namespace.update(EndpointStats=EndpointStats, FlowRecord=FlowRecord, FlowKey=FlowKey,
                      new=tuple.__new__)
@@ -323,11 +323,12 @@ def format_header(header: HeraHeader) -> list[str]:
 
 
 def write_hera(path, header: HeraHeader, records) -> None:
+    record_line = _writer()
     with open(path, "w", encoding="utf-8", newline="") as fp:
         for line in format_header(header):
             fp.write(line + "\n")
         for rec in records:
-            fp.write(format_record(rec) + "\n")
+            fp.write(record_line(rec) + "\n")
 
 
 def read_hera(path) -> HeraFile:

@@ -4,8 +4,8 @@ Every key, also a key seen once, gets a new record with each of its
 records merged into it by `FlowRecord.merge`, in stime order;
 categorical fields follow the record with the latest ltime (ties broken
 by stream position). `cluster` passes the record of a key seen once
-through instead when the merge could not change it, so the rows it
-gives must equal the rows of this one.
+through instead, as merging a record alone gives a record equal to it,
+so the rows it gives must equal the rows of this one.
 """
 
 from __future__ import annotations

@@ -115,6 +115,5 @@ def oracle_merge(stats, other) -> None:
     stats.iat_sumsq += other.iat_sumsq
     stats.iat_min_us = _opt_min(stats.iat_min_us, other.iat_min_us)
     stats.iat_max_us = _opt_max(stats.iat_max_us, other.iat_max_us)
-    if other.first_ts_us is not None:
-        stats.first_ts_us = _opt_min(stats.first_ts_us, other.first_ts_us)
-        stats.last_ts_us = _opt_max(stats.last_ts_us, other.last_ts_us)
+    stats.first_ts_us = _opt_min(stats.first_ts_us, other.first_ts_us)
+    stats.last_ts_us = _opt_max(stats.last_ts_us, other.last_ts_us)

@@ -218,6 +218,11 @@ _KIND_TO_TEXT = {
 
 
 def oracle_format_record(rec) -> str:
-    owners = {"key": rec, "record": rec, "src": rec.src, "dst": rec.dst}
-    return " ".join(f"{name}={_KIND_TO_TEXT[kind](attrgetter(attr)(owners[owner]))}"
-                    for name, kind, owner, attr in _LINE)
+    # A "key" field's attribute names the writer kernel's oriented local.
+    key = {"sa": rec.saddr, "sp": rec.sport, "da": rec.daddr, "dp": rec.dport,
+           "k.proto": rec.key.proto}
+    owners = {"record": rec, "src": rec.src, "dst": rec.dst}
+    values = (key[attr] if owner == "key" else attrgetter(attr)(owners[owner])
+              for _, _, owner, attr in _LINE)
+    return " ".join(f"{name}={_KIND_TO_TEXT[kind](value)}"
+                    for (name, kind, _, _), value in zip(_LINE, values))

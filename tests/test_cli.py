@@ -18,6 +18,7 @@ from hera.dataset import read_csv
 from hera.features import DEFAULT_FEATURES, select_feature_set
 from hera.flows import ExportConfig
 from hera.herafile import read_hera
+from hera.timefmt import seconds_to_us
 
 SEC = 1_000_000
 
@@ -991,6 +992,46 @@ def test_non_finite_workspace_number_names_the_key(capture, tmp_path, monkeypatc
     assert capsys.readouterr().err == (
         "hera: config key reorder_slack expects a finite number, got 'inf'\n")
     assert tree(tmp_path) == ["a.pcap", "ws.conf"]
+
+
+def _stage_outputs(command: str, tmp_path) -> list[str]:
+    if command == "export":
+        return ["--out", str(tmp_path / "flows")]
+    return ["--flows-dir", str(tmp_path / "flows"), "--csv-dir", str(tmp_path / "csv")]
+
+
+# 10^35 s is 10^41 us, 42 digits: more than a .hera header's time holds,
+# so the file written would not read back.
+@pytest.mark.parametrize("command", ["export", "run"])
+@pytest.mark.parametrize("flag", ["--interval", "--idle-timeout", "--slack"])
+def test_a_time_past_what_a_flow_file_holds_is_usage_error(capture, tmp_path, capsys, command,
+                                                           flag):
+    assert main([command, "--pcap", str(capture), flag, "1e35",
+                 *_stage_outputs(command, tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        f"hera: {flag} must be under 10^34 seconds, the most a .hera file holds\n")
+    assert tree(tmp_path) == ["a.pcap"]
+
+
+@pytest.mark.parametrize("command", ["export", "run"])
+def test_a_workspace_time_past_what_a_flow_file_holds_names_the_key(capture, tmp_path,
+                                                                    monkeypatch, capsys, command):
+    conf = tmp_path / "ws.conf"
+    conf.write_text("reorder_slack = 1e40\n", encoding="utf-8")
+    monkeypatch.setenv("HERA_WORKSPACE", str(conf))
+    assert main([command, "--pcap", str(capture), *_stage_outputs(command, tmp_path)]) == 1
+    assert capsys.readouterr().err == (
+        "hera: config key reorder_slack must be under 10^34 seconds, "
+        "the most a .hera file holds\n")
+    assert tree(tmp_path) == ["a.pcap", "ws.conf"]
+
+
+def test_the_longest_times_a_flow_file_holds_are_exported_and_read_back(capture, tmp_path):
+    flows = tmp_path / "flows"
+    assert main(["export", "--pcap", str(capture), "--out", str(flows),
+                 "--interval", "9e33", "--idle-timeout", "9e33", "--slack", "9e33"]) == 0
+    assert main(["dataset", "--in", str(flows / "a.hera"), "--out", str(tmp_path / "csv")]) == 0
+    assert read_hera(flows / "a.hera").header.config.reorder_slack_us == seconds_to_us(9e33)
 
 
 def test_workspace_file_with_a_byte_order_mark_keeps_its_first_key(capture, tmp_path,

@@ -9,8 +9,8 @@ capture, and to a small ground truth and dataset CSV, must leave
 `hera dataset` and `hera label` exiting 0 or 2 as well. `hera run` on a
 damaged capture must exit 0 or 2, and leave no file or directory behind
 when it exits 2. Record and snapshot lengths at their extremes must
-leave `hera export` exiting 0 or 2 too, within memory proportional to
-the capture's size; a `.hera` file with a very long line or a
+leave `hera export`, and `hera run` with a small ground truth, exiting 0
+or 2 too, within memory proportional to the capture's size; a `.hera` file with a very long line or a
 5,000-digit value leaves `hera dataset` exiting 0 or 2 within memory
 proportional to the file's size; and a dataset or ground truth with a
 very long, very wide or multi-line row leaves `hera label` exiting 0 or
@@ -254,6 +254,31 @@ def test_run_of_a_mutated_capture_exits_0_or_2_and_leaves_nothing_after_2(data):
         assert code in (0, 2)
         if code == 2:
             assert sorted(tmp.rglob("*")) == before
+
+
+def run_peak(data: bytes) -> tuple[int, int]:
+    """traced_peak of `hera run` on the capture `data` and GROUND_TRUTH."""
+    return traced_peak({"fuzz.pcap": data, "gt.csv": GROUND_TRUTH}, lambda tmp: [
+        "run", "--pcap", str(tmp / "fuzz.pcap"), "--gt", str(tmp / "gt.csv"),
+        "--flows-dir", str(tmp / "flows"), "--csv-dir", str(tmp / "csv")])
+
+
+# Run's traced peak may be at most RUN_PEAK_PER_BYTE times the capture's
+# size plus RUN_PEAK_BASE bytes. Over 200 of these captures, the code
+# this bound was first set on peaked within 1 byte per capture byte plus
+# 321,616 bytes; the bound allows 1.5 times the slope and about 1.6
+# times the base, as export's does.
+RUN_PEAK_PER_BYTE = 1.5
+RUN_PEAK_BASE = 515_000
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(extreme_length_captures())
+def test_run_at_extreme_lengths_exits_0_or_2_in_bounded_memory(data):
+    run_peak(pb.pcap([pb.record(0, frame) for frame in FRAMES]))  # imports and kernels
+    code, peak = run_peak(data)
+    assert code in (0, 2)
+    assert peak <= RUN_PEAK_PER_BYTE * len(data) + RUN_PEAK_BASE
 
 
 @functools.cache

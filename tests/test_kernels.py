@@ -8,7 +8,8 @@ reader, `endpoint_oracle` for the endpoint fold of the packet kernel and
 for the merge. The call-count guards keep each kernel, the CSV line
 writer that takes the rows and the packet decoder straight-line: one
 Python-level call per cell, per field or per header would show up as
-dozens or hundreds.
+dozens or hundreds; `dataset_rows` is held to a few calls per record
+around its row kernel.
 """
 
 import io
@@ -21,7 +22,7 @@ import pcap_builder as pb
 from endpoint_oracle import oracle_merge, oracle_update
 from helpers import canonical_key, field_names, replace
 from hera import herafile
-from hera.dataset import row_writer
+from hera.dataset import dataset_rows, row_writer
 from hera.features import PRESETS, RowContext, compute_row, select_feature_set
 from hera.flows import (
     ACK,
@@ -254,8 +255,10 @@ def test_a_row_of_every_feature_makes_at_most_8_python_calls():
     assert python_calls(compute_row, tcp_flow(), SELECTIONS["all"], ctx) <= 8
 
 
-def test_writing_a_record_makes_at_most_10_python_calls():
-    assert python_calls(format_record, tcp_flow()) <= 10
+def test_writing_a_record_makes_at_most_2_python_calls():
+    # format_record and the kernel: the sides are picked once, not read
+    # through the record's orientation properties.
+    assert python_calls(format_record, tcp_flow()) <= 2
 
 
 def test_reading_a_written_record_makes_at_most_4_python_calls():
@@ -273,6 +276,21 @@ def test_read_hera_reads_written_lines_with_no_parse_record_call(tmp_path, monke
         monkeypatch.setattr(herafile, name, lambda *args, name=name: calls.append(name))
     assert herafile.read_hera(path).records == expected
     assert calls == []
+
+
+def test_dataset_rows_of_the_default_preset_make_at_most_7_python_calls_per_record():
+    names = SELECTIONS["default"]
+
+    def drain(records):
+        _, rows, _ = dataset_rows(records, names)
+        for _ in rows:
+            pass
+
+    records = [tcp_flow(), replace(tcp_flow(), initiator="b")]
+    # Per record: the rows generator, the row kernel, its RowContext, the
+    # service of the connection counts and of the row, and the packet and
+    # byte totals of the stats.
+    assert python_calls(drain, records * 2) - python_calls(drain, records) <= 7 * len(records)
 
 
 def test_writing_a_row_of_every_feature_makes_at_most_3_python_calls():
