@@ -8,8 +8,8 @@ on what the next step takes: the stand-alone commands read it back from
 the files, `run` hands it over in memory, the records whole and the
 dataset rows one at a time. A command claims all of its
 outputs before any work, stages them to temporary files and renames
-them into place only when it succeeds, so a failure leaves nothing
-behind, and nothing is overwritten without --force.
+them into place only when it succeeds, so a failure before the renames
+leaves nothing behind, and nothing is overwritten without --force.
 
 Each command imports only the modules it runs, stage modules and
 standard library alike: building the parser loads no stage module, and
@@ -136,7 +136,9 @@ class OutputStage:
     """Claim output paths up front, have them written as .part files, and
     rename them all into place when the `with` block ends without an
     error, logging each under `verbose`; on an error, delete the .part
-    files and the directories made for them instead."""
+    files and the directories made for them that are left empty
+    instead. A cleanup that fails leaves its path as it is, so that the
+    error that ended the block is the one reported."""
 
     def __init__(self, force: bool, verbose: bool):
         self.force = force
@@ -148,6 +150,9 @@ class OutputStage:
         """The .part paths standing in for `stem + suffix` in `directory`."""
         for suffix in suffixes:
             final = directory / (stem + suffix)
+            if final.is_dir():
+                raise IsADirectoryError(f"{final} is a directory; an output file cannot "
+                                        "replace it")
             if final.exists() and not self.force:
                 raise FileExistsError(f"{final} already exists; pass --force to overwrite")
             if final in self._pairs:
@@ -169,9 +174,15 @@ class OutputStage:
                 self._made.clear()
         finally:  # whatever was not renamed into place
             for tmp in self._pairs.values():
-                tmp.unlink(missing_ok=True)
+                try:
+                    tmp.unlink(missing_ok=True)
+                except OSError:
+                    pass
             for directory in sorted(self._made, key=lambda d: len(d.parts), reverse=True):
-                directory.rmdir()
+                try:
+                    directory.rmdir()
+                except OSError:  # not empty: an output was renamed into it
+                    pass
 
 
 # -- shared helpers ----------------------------------------------------
@@ -207,7 +218,7 @@ def _positive_seconds(value: float, origin: str) -> int:
     return value_us
 
 
-def _export_config(settings: Settings, args) -> ExportConfig:
+def _export_config(settings: Settings) -> ExportConfig:
     from .flows import ExportConfig
     from .herafile import MAX_DIGITS
     interval_us = _positive_seconds(settings.number("interval", 60.0),
@@ -223,7 +234,7 @@ def _export_config(settings: Settings, args) -> ExportConfig:
         if (value_us or 0) >= 10 ** MAX_DIGITS:
             raise UsageError(f"{settings.origin(name)} must be under 10^{MAX_DIGITS - 6} "
                              "seconds, the most a .hera file holds")
-    emit_management = (not getattr(args, "no_management", None)
+    emit_management = (not settings.flag("no_management", False)
                        and settings.flag("emit_management", True))
     return ExportConfig(
         interval_us=interval_us,
@@ -439,7 +450,7 @@ def _kept(build, *args):
 
 
 def cmd_export(args, settings: Settings) -> None:
-    export_config = _export_config(settings, args)  # validated before any IO
+    export_config = _export_config(settings)  # validated before any IO
     jobs = _count(settings, "jobs", 1)
     pcaps = _expand_inputs(settings.paths("pcap"), "--pcap")
     out_dir = Path(settings.text("out") or settings.text("flows_dir") or ".")
@@ -486,7 +497,7 @@ def cmd_label(args, settings: Settings) -> None:
 
 def cmd_run(args, settings: Settings) -> None:
     gt = settings.text("ground_truth")
-    chain_options = dict(export_config=_export_config(settings, args),
+    chain_options = dict(export_config=_export_config(settings),
                          dataset_options=_dataset_options(settings),
                          label_options=_label_options(settings), verbose=args.verbose)
     jobs = _count(settings, "jobs", 1)

@@ -362,20 +362,3 @@ def row_kernel(feature_names: tuple[str, ...]):
 def compute_row(rec: FlowRecord, feature_names, ctx: RowContext) -> list[str]:
     return row_kernel(tuple(feature_names))(rec, ctx)
 
-
-def catalog_table() -> list[list[str]]:
-    """Machine-readable catalog: one row per feature with preset flags."""
-    header = ["position", "name", "group", "unit", "always_on", "default",
-              "unsw_nb15", "bot_iot", "cic_ids2017", "description"]
-    rows = [header]
-    for pos, feature in enumerate(CATALOG, start=1):
-        rows.append([
-            str(pos), feature.name, feature.group, feature.unit,
-            "yes" if feature.name in ALWAYS_ON else "",
-            "yes" if feature.name in DEFAULT_FEATURES else "",
-            "yes" if feature.name in PRESET_UNSW_NB15 else "",
-            "yes" if feature.name in PRESET_BOT_IOT else "",
-            "yes" if feature.name in PRESET_CIC_IDS2017 else "",
-            feature.description,
-        ])
-    return rows

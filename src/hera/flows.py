@@ -236,27 +236,9 @@ class FlowRecord:
     """One emitted flow record: a slice of a flow episode, or a
     management summary when is_management is set."""
 
-    # -- orientation helpers ------------------------------------------
-
-    @property
-    def src(self) -> EndpointStats:
-        return self.a if self.initiator == "a" else self.b
-
-    @property
-    def dst(self) -> EndpointStats:
-        return self.b if self.initiator == "a" else self.a
-
-    @property
-    def saddr(self) -> str:
-        return self.key.addr_a if self.initiator == "a" else self.key.addr_b
-
     @property
     def sport(self) -> int:
         return self.key.port_a if self.initiator == "a" else self.key.port_b
-
-    @property
-    def daddr(self) -> str:
-        return self.key.addr_b if self.initiator == "a" else self.key.addr_a
 
     @property
     def dport(self) -> int:

@@ -197,31 +197,22 @@ def format_record(rec: FlowRecord) -> str:
     return _writer()(rec)
 
 
-def parse_record(line: str, line_number: int) -> FlowRecord:
-    """The record of one line: read positionally when the line is in the
-    form format_record writes, by field name otherwise."""
-    return _written_line()(line) or _parse_general(line, line_number)
-
-
 # A reader kernel. Its head puts each field's text or value into a local
 # named after the field; each local goes through its kind's template, and
 # the key, both EndpointStats and the record are built by position. The
 # key is oriented as FlowTable.assign orients a packet's.
 _READER = """\
 def kernel({parameters}):
-{head}    try:
-        src = EndpointStats({src})
-        dst = EndpointStats({dst})
-        sport, dport = {ports}
-        if (saddr, sport) <= (daddr, dport):
-            key = new(FlowKey, (saddr, sport, daddr, dport, proto))
-            initiator, a, b = 'a', src, dst
-        else:
-            key = new(FlowKey, (daddr, dport, saddr, sport, proto))
-            initiator, a, b = 'b', dst, src
-        return FlowRecord({record})
-    except ValueError:
-        return None
+{head}    src = EndpointStats({src})
+    dst = EndpointStats({dst})
+    sport, dport = {ports}
+    if (saddr, sport) <= (daddr, dport):
+        key = new(FlowKey, (saddr, sport, daddr, dport, proto))
+        initiator, a, b = 'a', src, dst
+    else:
+        key = new(FlowKey, (daddr, dport, saddr, sport, proto))
+        initiator, a, b = 'b', dst, src
+    return FlowRecord({record})
 """
 
 
@@ -247,9 +238,10 @@ def _written_line():
     format_record writes, or None for any other line: one pattern has
     every field of _LINE in order, each value in its kind's written form,
     one group per field, and each group goes through its kind's written
-    from-text template. A value int() refuses (more digits than its
-    limit) is left to the general reader, which reports it. Compiled on
-    first read, so that writing never pays for it."""
+    from-text template. The written patterns bound every integer and
+    time at MAX_DIGITS, so a longer value is not written form and falls
+    to the general reader, which reports it. Compiled on first read, so
+    that writing never pays for it."""
     non_empty = {"saddr": "[^ ]+", "daddr": "[^ ]+"}  # a missing field when empty
     pattern = re.compile(" ".join(
         f"{name}=({non_empty.get(name) or KIND_CONVERTERS[kind][2]})"
@@ -264,7 +256,7 @@ def _written_line():
 @cache
 def _record():
     """The function values in line order -> record of the general
-    reader; its values are converted, so it meets no ValueError."""
+    reader, whose values are converted already."""
     return _compile_reader("_record", "values", f"    {', '.join(_NAMES)} = values\n",
                            lambda kind: "$", {})
 

@@ -48,7 +48,6 @@ LINKTYPE_ETHERNET = 1
 LINKTYPE_RAW_IP = 101
 
 ETHERTYPE_IPV4 = 0x0800
-ETHERTYPE_ARP = 0x0806
 ETHERTYPE_VLAN = 0x8100
 ETHERTYPE_QINQ = 0x88A8
 ETHERTYPE_IPV6 = 0x86DD

@@ -1,7 +1,9 @@
-"""Shortcuts several test modules share: orienting a flow's key, running
-packets through a fresh flow table, reading the field table of a `.hera`
-record line, copying a record with some fields changed, and labelling
-rows without changing them."""
+"""Shortcuts several test modules share: orienting a flow's key or a
+record, running packets through a fresh flow table, reading one `.hera`
+record line or the field table of one, copying a record with some
+fields changed, and labelling rows without changing them."""
+
+from typing import NamedTuple
 
 from hera import herafile
 from hera.flows import (
@@ -26,12 +28,42 @@ def canonical_key(saddr: str, sport: int, daddr: str, dport: int,
     return FlowKey(daddr, dport, saddr, sport, proto), "b"
 
 
+class Oriented(NamedTuple):
+    """A record's endpoints from its source's side: the source's and the
+    destination's EndpointStats, addresses and ports."""
+
+    src: EndpointStats
+    dst: EndpointStats
+    saddr: str
+    sport: int
+    daddr: str
+    dport: int
+
+
+def oriented(rec: FlowRecord) -> Oriented:
+    """The record's source and destination, read from its key and
+    initiator: the initiator names the key's endpoint ('a', the first,
+    or 'b') that sent the episode's first packet."""
+    k = rec.key
+    a = (rec.a, k.addr_a, k.port_a)
+    b = (rec.b, k.addr_b, k.port_b)
+    (src, saddr, sport), (dst, daddr, dport) = (a, b) if rec.initiator == "a" else (b, a)
+    return Oriented(src, dst, saddr, sport, daddr, dport)
+
+
 def collect_flows(packets, config: ExportConfig) -> list[FlowRecord]:
     """One-shot aggregation: feed packets through a fresh table and flush."""
     table = FlowTable(config)
     for packet in packets:
         table.assign(packet)
     return table.flush()
+
+
+def parse_line(line: str, line_number: int = 1) -> FlowRecord:
+    """The record of one `.hera` record line, read as `read_hera` reads
+    it: by position when the line is in the form `format_record` writes,
+    by field name otherwise."""
+    return herafile._written_line()(line) or herafile._parse_general(line, line_number)
 
 
 def record_field_kinds() -> list[tuple[str, str]]:

@@ -5,7 +5,8 @@
 time: the implementations the generated kernels in `hera.features` and
 `hera.herafile` replaced. They share no formatting code with the
 package (only the flag table and the record line's field order, which
-declare the format), so a disagreement points at a kernel.
+declare the format) and orient a record by `helpers.oriented`, not by
+the kernels' own head, so a disagreement points at a kernel.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from operator import attrgetter
 
 from hera.flows import FLAG_TEXT
 from hera.herafile import _LINE
+from helpers import oriented
 
 
 def _i(value) -> str:
@@ -90,8 +92,14 @@ def _tcprtt_us(rec):
 def _sm_ips_ports(rec, src, dst, ctx):
     if rec.is_management:
         return ""
-    same = rec.saddr == rec.daddr and rec.sport == rec.dport
+    o = oriented(rec)
+    same = o.saddr == o.daddr and o.sport == o.dport
     return "1" if same else "0"
+
+
+def _flow_id(rec, src, dst, ctx):
+    o = oriented(rec)
+    return f"{o.daddr}-{o.saddr}-{o.dport}-{o.sport}-{rec.key.proto}"
 
 
 def _sides(*stats):
@@ -115,14 +123,14 @@ def _flag_counts():
 # Each feature's cell function, (record, source stats, destination stats,
 # RowContext) -> text, in catalog order.
 CELLS = dict([
-    ("FlowID", lambda r, s, d, c: f"{r.daddr}-{r.saddr}-{r.dport}-{r.sport}-{r.key.proto}"),
+    ("FlowID", _flow_id),
     ("rank", lambda r, s, d, c: str(c.rank)),
     ("stime", lambda r, s, d, c: _time(r.stime_us)),
     ("ltime", lambda r, s, d, c: _time(r.ltime_us)),
-    ("sport", lambda r, s, d, c: str(r.sport)),
-    ("dport", lambda r, s, d, c: str(r.dport)),
-    ("saddr", lambda r, s, d, c: r.saddr),
-    ("daddr", lambda r, s, d, c: r.daddr),
+    ("sport", lambda r, s, d, c: str(oriented(r).sport)),
+    ("dport", lambda r, s, d, c: str(oriented(r).dport)),
+    ("saddr", lambda r, s, d, c: oriented(r).saddr),
+    ("daddr", lambda r, s, d, c: oriented(r).daddr),
     ("proto", lambda r, s, d, c: r.key.proto),
     ("bytes", lambda r, s, d, c: str(s.bytes + d.bytes)),
     *_sides(("bytes", lambda e, r: str(e.bytes))),
@@ -206,7 +214,7 @@ CELLS = dict([
 
 
 def oracle_row(rec, feature_names, ctx) -> list[str]:
-    src, dst = rec.src, rec.dst
+    src, dst = oriented(rec)[:2]
     return [CELLS[name](rec, src, dst, ctx) for name in feature_names]
 
 
@@ -219,9 +227,9 @@ _KIND_TO_TEXT = {
 
 def oracle_format_record(rec) -> str:
     # A "key" field's attribute names the writer kernel's oriented local.
-    key = {"sa": rec.saddr, "sp": rec.sport, "da": rec.daddr, "dp": rec.dport,
-           "k.proto": rec.key.proto}
-    owners = {"record": rec, "src": rec.src, "dst": rec.dst}
+    o = oriented(rec)
+    key = {"sa": o.saddr, "sp": o.sport, "da": o.daddr, "dp": o.dport, "k.proto": rec.key.proto}
+    owners = {"record": rec, "src": o.src, "dst": o.dst}
     values = (key[attr] if owner == "key" else attrgetter(attr)(owners[owner])
               for _, _, owner, attr in _LINE)
     return " ".join(f"{name}={_KIND_TO_TEXT[kind](value)}"

@@ -971,6 +971,41 @@ def test_run_refuses_one_directory_for_both_stats_files(capture, tmp_path, capsy
     assert not out.exists()
 
 
+@pytest.mark.parametrize("force", [[], ["--force"]], ids=["", "force"])
+def test_an_output_path_that_is_a_directory_is_refused_before_any_work(
+        capture, tmp_path, capsys, force):
+    csv_dir = tmp_path / "csv"
+    (csv_dir / "a.csv").mkdir(parents=True)
+    assert main(["run", "--pcap", str(capture), "--flows-dir", str(tmp_path / "flows"),
+                 "--csv-dir", str(csv_dir), *force]) == 3
+    assert capsys.readouterr().err == (
+        f"hera: {csv_dir / 'a.csv'} is a directory; an output file cannot replace it\n")
+    assert not (tmp_path / "flows").exists()
+    assert tree(csv_dir) == []
+
+
+def test_a_failed_commit_reports_its_own_error_and_keeps_what_it_renamed(
+        capture, tmp_path, capsys, monkeypatch):
+    """The flow files are renamed into place before the CSV, whose rename
+    fails: that error is reported, and the directory made for the flow
+    files stays with them, since it is no longer empty."""
+    replace = os.replace
+
+    def refuse_csv(src, dst):
+        if str(dst).endswith(".csv"):
+            raise PermissionError(13, "Permission denied", str(dst))
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", refuse_csv)
+    flows, csv_dir = tmp_path / "flows", tmp_path / "csv"
+    assert main(["run", "--pcap", str(capture), "--flows-dir", str(flows),
+                 "--csv-dir", str(csv_dir)]) == 3
+    assert capsys.readouterr().err == (
+        f"hera: [Errno 13] Permission denied: '{csv_dir / 'a.csv'}'\n")
+    assert tree(flows) == ["a.hera", "a.stats.txt"]
+    assert not csv_dir.exists()
+
+
 @pytest.mark.parametrize("flag, value", [
     ("--interval", "inf"), ("--interval", "nan"), ("--idle-timeout", "nan"),
     ("--slack", "inf"), ("--count-window", "inf"), ("--jobs", "inf"),
@@ -1309,6 +1344,21 @@ def test_workspace_config_supplies_defaults(capture, tmp_path, monkeypatch):
     out = tmp_path / "flows"
     assert main(["export", "--out", str(out)]) == 0
     assert read_hera(out / "a.hera").header.config.interval_us == 30 * SEC
+
+
+@pytest.mark.parametrize("command", ["export", "run"])
+def test_workspace_no_management_drops_management_records(capture, tmp_path, monkeypatch,
+                                                           command):
+    conf = tmp_path / "ws.conf"
+    conf.write_text("no_management = true\n", encoding="utf-8")
+    monkeypatch.setenv("HERA_WORKSPACE", str(conf))
+    flows = tmp_path / "flows"
+    outputs = {"export": ["--out", str(flows)],
+               "run": ["--flows-dir", str(flows), "--csv-dir", str(tmp_path / "csv")]}
+    assert main([command, "--pcap", str(capture), *outputs[command]]) == 0
+    flowfile = read_hera(flows / "a.hera")
+    assert not flowfile.header.config.emit_management
+    assert [r for r in flowfile.records if r.is_management] == []
 
 
 def test_flags_beat_workspace_config(capture, tmp_path, monkeypatch):

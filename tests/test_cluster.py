@@ -23,8 +23,8 @@ from hera.dataset import build_dataset, cluster
 from hera.errors import CorruptRecord
 from hera.features import select_feature_set
 from hera.flows import ExportConfig, FlowTable
-from hera.herafile import parse_record
 from hera.pcap import CaptureReader
+from helpers import parse_line
 from test_record_reader import (
     SEC,
     _capture,
@@ -70,7 +70,7 @@ def records_of(lines) -> list:
     records = []
     for number, line in enumerate(lines, start=1):
         try:
-            records.append(parse_record(line, number))
+            records.append(parse_line(line, number))
         except CorruptRecord:
             pass
     return records

@@ -29,7 +29,7 @@ from hera.flows import (
     FlowTable,
 )
 from hera.pcap import DecodedPacket
-from helpers import collect_flows, replace
+from helpers import collect_flows, oriented, replace
 from test_flows import back, data_records, pkt, run
 
 SEC = 1_000_000
@@ -271,21 +271,18 @@ def brute_counts(records, window):
         (i for i, r in enumerate(records) if not r.is_management),
         key=lambda i: (records[i].ltime_us, i),
     )
-    svc = {
-        i: service_of(records[i].key.proto, records[i].sport, records[i].dport)
-        for i in order
-    }
+    sides = {i: oriented(records[i]) for i in order}
+    svc = {i: service_of(records[i].key.proto, sides[i].sport, sides[i].dport) for i in order}
     out = [(None, None)] * len(records)
     for pos, i in enumerate(order):
         win = order[max(0, pos - window + 1): pos + 1]
-        rec = records[i]
         same_src = sum(
             1 for j in win
-            if svc[j] == svc[i] and records[j].saddr == rec.saddr
+            if svc[j] == svc[i] and sides[j].saddr == sides[i].saddr
         )
         same_dst = sum(
             1 for j in win
-            if svc[j] == svc[i] and records[j].daddr == rec.daddr
+            if svc[j] == svc[i] and sides[j].daddr == sides[i].daddr
         )
         out[i] = (same_src, same_dst)
     return out

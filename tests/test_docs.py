@@ -7,12 +7,32 @@ import re
 from pathlib import Path
 
 from hera.cli import build_parser
-from hera.features import catalog_table
+from hera.features import (
+    ALWAYS_ON,
+    CATALOG,
+    DEFAULT_FEATURES,
+    PRESET_BOT_IOT,
+    PRESET_CIC_IDS2017,
+    PRESET_UNSW_NB15,
+)
 from hera.herafile import KIND_CONVERTERS, HeraHeader, format_header
 from helpers import record_field_kinds
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 README = DOCS.parent / "README.md"
+
+
+def catalog_table() -> list[list[str]]:
+    """The rows docs/feature_catalog.csv should hold: a header, then one
+    row per feature of the catalog with the presets that select it."""
+    rows = [["position", "name", "group", "unit", "always_on", "default",
+             "unsw_nb15", "bot_iot", "cic_ids2017", "description"]]
+    for pos, feature in enumerate(CATALOG, start=1):
+        marks = ["yes" if feature.name in chosen else "" for chosen in (
+            ALWAYS_ON, DEFAULT_FEATURES, PRESET_UNSW_NB15, PRESET_BOT_IOT, PRESET_CIC_IDS2017)]
+        rows.append([str(pos), feature.name, feature.group, feature.unit, *marks,
+                     feature.description])
+    return rows
 
 
 def test_feature_catalog_csv_matches_the_catalog():
@@ -75,3 +95,12 @@ def test_readme_flag_tables_list_each_commands_flags():
     inherited = (tables["export"] | tables["dataset"] | tables["label"]) - {"--in", "--out"}
     assert flags["run"] == inherited | tables["run"]
     assert not inherited & tables["run"]
+
+
+def test_readme_lists_each_flag_whose_workspace_key_is_not_its_name():
+    section = README.read_text(encoding="utf-8").split("## Workspace file", 1)[1].split("\n## ")[0]
+    listed = dict(re.findall(r"^\| `(--[a-z-]+)` \| `([a-z_]+)` \|$", section, flags=re.M))
+    others = {flag: key for key, flag in build_parser().flags.items()
+              if flag.startswith("--") and flag[2:].replace("-", "_") != key}
+    assert listed == others == {"--gt": "ground_truth", "--in": "inputs",
+                                "--slack": "reorder_slack"}

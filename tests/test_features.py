@@ -15,7 +15,6 @@ from hera.features import (
     PRESET_CIC_IDS2017,
     PRESET_UNSW_NB15,
     RowContext,
-    catalog_table,
     compute_row,
     select_feature_set,
     service_of,
@@ -28,7 +27,8 @@ from hera.flows import (
     make_management_record,
 )
 from hera.pcap import CaptureReader, DecodedPacket
-from helpers import collect_flows, replace
+from helpers import collect_flows, oriented, replace
+from test_docs import catalog_table
 from test_flows import flag_value
 
 SEC = 1_000_000
@@ -70,7 +70,8 @@ def tcp_flow(payloads_c=(0, 100), payloads_s=(40,), base=10.0):
 
 
 def cells(rec, names, rank=0, ssaddr=1, sdaddr=1):
-    service = service_of(rec.key.proto, rec.sport, rec.dport)
+    o = oriented(rec)
+    service = service_of(rec.key.proto, o.sport, o.dport)
     ctx = RowContext(rank=rank, service=service, ssaddr=ssaddr, sdaddr=sdaddr)
     return dict(zip(names, compute_row(rec, names, ctx)))
 

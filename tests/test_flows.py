@@ -14,7 +14,7 @@ from hera.flows import (
     opt_min,
 )
 from hera.pcap import DecodedPacket
-from helpers import canonical_key, collect_flows
+from helpers import canonical_key, collect_flows, oriented
 
 SEC = 1_000_000
 
@@ -161,11 +161,10 @@ def test_full_session_single_record():
     recs = data_records(run(full_session()))
     assert len(recs) == 1
     rec = recs[0]
-    assert rec.src.pkts == 5
-    assert rec.dst.pkts == 4
+    o = oriented(rec)
+    assert (o.src.pkts, o.dst.pkts) == (5, 4)
     assert rec.tcp_state == "FIN"
-    assert rec.saddr == "10.0.0.1"
-    assert rec.daddr == "10.0.0.2"
+    assert (o.saddr, o.daddr) == ("10.0.0.1", "10.0.0.2")
 
 
 def test_lone_fin_does_not_close():
@@ -212,9 +211,7 @@ def test_delayed_response_never_swaps_source():
     packets.append(back(packets[0], 31.0, flags={"S", "A"}))
     recs = data_records(run(packets))
     assert len(recs) == 1
-    assert recs[0].saddr == "10.0.0.9"
-    assert recs[0].sport == 50000
-    assert recs[0].daddr == "10.0.0.2"
+    assert oriented(recs[0])[2:5] == ("10.0.0.9", 50000, "10.0.0.2")
 
 
 def test_fin_then_rst_closes_once():
@@ -303,9 +300,8 @@ def test_initiator_carries_across_slices():
     packets = [first, back(first, 70.0)]
     recs = data_records(run(packets, interval_us=60 * SEC, idle_timeout_us=120 * SEC))
     assert len(recs) == 2
-    assert all(r.saddr == "10.0.0.1" for r in recs)
-    assert (recs[0].src.pkts, recs[0].dst.pkts) == (1, 0)
-    assert (recs[1].src.pkts, recs[1].dst.pkts) == (0, 1)
+    assert all(oriented(r).saddr == "10.0.0.1" for r in recs)
+    assert [(o.src.pkts, o.dst.pkts) for o in map(oriented, recs)] == [(1, 0), (0, 1)]
 
 
 def test_idle_timeout_is_strictly_greater():
@@ -341,7 +337,8 @@ def test_idle_clock_is_the_latest_timestamp_under_reordering(last_s, pkts):
         slack_us=cfg["reorder_slack_us"])
     assert (accepted, skipped) == (4, 0)
     assert [(r.key, r.initiator, r.slice_index, r.stime_us, r.ltime_us,
-             r.src.pkts, r.dst.pkts, r.src.bytes, r.dst.bytes) for r in recs] == [
+             o.src.pkts, o.dst.pkts, o.src.bytes, o.dst.bytes)
+            for r, o in zip(recs, map(oriented, recs))] == [
         (f.key, f.initiator, f.slice_index, f.stime_us, f.ltime_us,
          f.spkts, f.dpkts, f.sbytes, f.dbytes) for f in flows]
 
@@ -367,8 +364,8 @@ def test_episode_after_idle_close_may_swap_initiator():
     late_reply = back(first, 200.0)
     recs = data_records(run([first, late_reply], interval_us=60 * SEC))
     assert len(recs) == 2
-    assert recs[0].saddr == "10.0.0.1"
-    assert recs[1].saddr == "10.0.0.2"  # new episode, new first sender
+    assert oriented(recs[0]).saddr == "10.0.0.1"
+    assert oriented(recs[1]).saddr == "10.0.0.2"  # new episode, new first sender
 
 
 # -- ordering and robustness ------------------------------------------------
@@ -434,11 +431,12 @@ def test_byte_and_packet_split_by_direction():
         pkt(1.2, flags={"A", "P"}, ip_bytes=140, payload=100, **c),
     ]
     rec = data_records(run(packets))[0]
-    assert (rec.src.pkts, rec.dst.pkts, rec.pkts) == (2, 1, 3)
-    assert (rec.src.bytes, rec.dst.bytes, rec.bytes) == (184, 44, 228)
-    assert rec.src.appbytes == 100
-    assert rec.src.datapkts == 1
-    assert rec.dst.datapkts == 0
+    src, dst = oriented(rec)[:2]
+    assert (src.pkts, dst.pkts, rec.pkts) == (2, 1, 3)
+    assert (src.bytes, dst.bytes, rec.bytes) == (184, 44, 228)
+    assert src.appbytes == 100
+    assert src.datapkts == 1
+    assert dst.datapkts == 0
 
 
 def test_flags_accumulate_in_canonical_order():
@@ -556,12 +554,12 @@ def test_ttl_and_window_firsts():
         pkt(1.0, flags={"S"}, ttl=64, tcp_window=1000, tcp_seq=77, **c),
         pkt(1.1, flags={"A"}, ttl=60, tcp_window=2000, tcp_seq=78, **c),
     ]
-    rec = data_records(run(packets))[0]
-    assert rec.src.ttl_first == 64
-    assert rec.src.ttl_min == 60
-    assert rec.src.ttl_max == 64
-    assert rec.src.win_first == 1000
-    assert rec.src.tcpb_first == 77
+    src = oriented(data_records(run(packets))[0]).src
+    assert src.ttl_first == 64
+    assert src.ttl_min == 60
+    assert src.ttl_max == 64
+    assert src.win_first == 1000
+    assert src.tcpb_first == 77
 
 
 def test_icmp_echo_pair_forms_two_flows():
@@ -606,8 +604,7 @@ def test_management_key_is_zeroed():
     recs = run([pkt(0, proto="udp")])
     mgmt = [r for r in recs if r.is_management][0]
     assert mgmt.key.proto == "man"
-    assert mgmt.saddr == "0.0.0.0"
-    assert mgmt.sport == 0
+    assert oriented(mgmt)[2:4] == ("0.0.0.0", 0)
 
 
 def test_management_can_be_disabled():
@@ -668,13 +665,14 @@ def test_record_invariants_over_random_streams(packets):
     assert sum(r.bytes for r in data) == accepted_bytes
     episodes_seen = set()
     for r in data:
+        src, dst = oriented(r)[:2]
         assert r.stime_us <= r.ltime_us
-        assert r.pkts == r.src.pkts + r.dst.pkts
-        assert r.bytes == r.src.bytes + r.dst.bytes
+        assert r.pkts == src.pkts + dst.pkts
+        assert r.bytes == src.bytes + dst.bytes
         assert r.pkts >= 1
         episode = (r.key, r.initiator)
         if r.slice_index == 0 and episode not in episodes_seen:
-            assert r.src.pkts >= 1
+            assert src.pkts >= 1
         episodes_seen.add(episode)
     mgmt = [r for r in recs if r.is_management]
     assert sum(m.pkts for m in mgmt) == accepted_pkts
@@ -721,7 +719,7 @@ def test_one_sided_fin_yields_one_record_per_slice_window(packets):
     windows = sorted({p.ts_us // (60 * SEC) for p in packets})
     assert table.flows_started == 1
     assert [r.slice_index for r in records] == windows
-    assert all(r.saddr == "10.0.0.1" for r in records)
+    assert all(oriented(r).saddr == "10.0.0.1" for r in records)
     assert sum(r.pkts for r in records) == len(packets)
 
 

@@ -9,12 +9,11 @@ from hera.flows import ExportConfig, FlowKey, FlowRecord, FlowTable, make_manage
 from hera.herafile import (
     HeraHeader,
     format_record,
-    parse_record,
     read_hera,
     write_hera,
 )
 from hera.pcap import DecodedPacket
-from helpers import field_names, record_field_names
+from helpers import field_names, oriented, parse_line, record_field_names
 from test_flows import flag_value
 
 SEC = 1_000_000
@@ -191,7 +190,7 @@ def minimal_line(**overrides):
 
 
 def test_minimal_record_parses():
-    rec = parse_record(minimal_line(), 2)
+    rec = parse_line(minimal_line(), 2)
     assert rec.key.proto == "udp"
     assert rec.stime_us == SEC
     # Every field the line leaves out, and every field of each side, takes
@@ -203,7 +202,7 @@ def test_minimal_record_parses():
     # Of several bad values, the reason names the first in line order: spkts
     # is a source field, ipsum a record field after the destination's.
     with pytest.raises(CorruptRecord) as err:
-        parse_record(minimal_line(spkts="many", ipsum="later"), 2)
+        parse_line(minimal_line(spkts="many", ipsum="later"), 2)
     assert err.value.reason == "invalid literal for int() with base 10: 'many'"
 
 
@@ -215,13 +214,13 @@ def test_flgs_is_a_flag_int_on_every_record_path():
         "FlowTable.flush": records,
         "written-form reader": [herafile._written_line()(line) for line in lines],
         "general reader": [herafile._parse_general(line, 1) for line in lines],
-        "line without flgs": [parse_record(minimal_line(), 2)],
+        "line without flgs": [parse_line(minimal_line(), 2)],
         "cluster": cluster(records),
         "make_management_record": [make_management_record(0, SEC, 3, 120, 1)],
     }
     for path, recs in paths.items():
         assert all(type(rec.flgs) is int and 0 <= rec.flgs < 64 for rec in recs), path
-    assert parse_record(minimal_line(), 2).flgs == 0
+    assert parse_line(minimal_line(), 2).flgs == 0
 
 
 def test_corrupt_token_reports_line(tmp_path):
@@ -264,7 +263,7 @@ def test_duplicate_field_rejected(tmp_path):
 def test_missing_required_field_rejected(tmp_path):
     line = minimal_line(stime=None)
     with pytest.raises(CorruptRecord):
-        parse_record(line, 5)
+        parse_line(line, 5)
 
 
 @pytest.mark.parametrize("field, text", [
@@ -281,23 +280,23 @@ def test_missing_required_field_rejected(tmp_path):
 ])
 def test_value_not_of_its_kind_rejected(field, text):
     with pytest.raises(CorruptRecord) as err:
-        parse_record(minimal_line(**{field: text}), 3)
+        parse_line(minimal_line(**{field: text}), 3)
     assert err.value.line_number == 3
 
 
 def test_key_reconstruction_preserves_direction():
     # source sorts after destination, so the canonical 'a' side is daddr
     line = minimal_line(saddr="10.0.0.9", daddr="10.0.0.1")
-    rec = parse_record(line, 2)
-    assert rec.saddr == "10.0.0.9"
-    assert rec.daddr == "10.0.0.1"
+    rec = parse_line(line, 2)
+    assert oriented(rec).saddr == "10.0.0.9"
+    assert oriented(rec).daddr == "10.0.0.1"
     assert rec.initiator == "b"
 
 
 def test_format_preserves_direction_round_trip():
     line = minimal_line(saddr="10.0.0.9", daddr="10.0.0.1")
-    rec = parse_record(line, 2)
-    assert parse_record(format_record(rec), 2) == rec
+    rec = parse_line(line, 2)
+    assert parse_line(format_record(rec), 2) == rec
 
 
 def test_field_name_order_is_fixed():

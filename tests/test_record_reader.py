@@ -1,4 +1,4 @@
-"""parse_record's two readers agree.
+"""`read_hera`'s two record readers agree.
 
 A line in exactly the form format_record writes is read with one
 compiled pattern (`herafile._written_line`); every other line is read
@@ -25,10 +25,10 @@ from hera import herafile
 from hera.cli import main
 from hera.errors import CorruptRecord
 from hera.flows import FLAG_TEXT, FLAG_VALUES, ExportConfig, FlowTable
-from hera.herafile import format_record, parse_record, read_hera
+from hera.herafile import format_record, read_hera
 from hera.pcap import CaptureReader
 from hera.timefmt import us_to_text
-from helpers import record_field_kinds
+from helpers import parse_line, record_field_kinds
 
 SEC = 1_000_000
 A4, B4, C4 = "10.0.0.1", "10.0.0.2", "192.168.7.30"
@@ -84,7 +84,7 @@ def outcome(read, line: str):
 
 
 def assert_readers_agree(line: str) -> None:
-    assert outcome(parse_record, line) == outcome(herafile._parse_general, line)
+    assert outcome(parse_line, line) == outcome(herafile._parse_general, line)
 
 
 # -- values of each kind, in written form ------------------------------------
@@ -237,7 +237,7 @@ def test_each_edit_reads_as_the_general_reader_reads_it(edit):
 def test_fields_in_another_order_read_as_the_same_record():
     line = capture_lines()[0]
     tokens = line.split(" ")
-    assert parse_record(" ".join(reversed(tokens)), 1) == parse_record(line, 1)
+    assert parse_line(" ".join(reversed(tokens)), 1) == parse_line(line, 1)
 
 
 def test_a_value_past_ints_digit_limit_is_left_to_the_general_reader():
@@ -250,7 +250,7 @@ def test_a_value_past_ints_digit_limit_is_left_to_the_general_reader():
                                           ("sipmin", "-" + "1" * 35 + ".000000")])
 def test_a_value_over_40_digits_is_refused_before_it_is_converted(field, value):
     line = _edit_first_capture_line(lambda f: _join(_set(f, field, value)))
-    assert outcome(parse_record, line) == (
+    assert outcome(parse_line, line) == (
         "CorruptRecord", f"value over 40 digits {herafile.excerpt(value)}")
 
 
@@ -260,8 +260,8 @@ def test_a_value_over_40_digits_is_refused_before_it_is_converted(field, value):
 ])
 def test_leading_zeros_past_ints_digit_limit_do_not_count(field, value, read_as):
     fields = _fields(capture_lines()[1])
-    assert (parse_record(_join(_set(fields, field, value)), 1)
-            == parse_record(_join(_set(fields, field, read_as)), 1))
+    assert (parse_line(_join(_set(fields, field, value)), 1)
+            == parse_line(_join(_set(fields, field, read_as)), 1))
 
 
 # -- the pattern's tables ----------------------------------------------------
