@@ -208,40 +208,22 @@ def _expand_inputs(patterns, flag: str) -> list[Path]:
     return paths
 
 
-def _positive_seconds(value: float, origin: str) -> int:
-    """The value in whole microseconds, which must be at least one;
-    `origin` names what set it."""
-    value_us = seconds_to_us(value)
-    if value_us <= 0:
-        raise UsageError(f"{origin} must be a positive number of seconds, "
-                         "at least one microsecond")
-    return value_us
-
-
 def _export_config(settings: Settings) -> ExportConfig:
+    """The export settings; ExportConfig checks each time, and its error
+    names the flag or workspace key that set it."""
     from .flows import ExportConfig
-    from .herafile import MAX_DIGITS
-    interval_us = _positive_seconds(settings.number("interval", 60.0),
-                                    settings.origin("interval"))
     idle = settings.number("idle_timeout", None)  # None: the interval
-    idle_us = None if idle is None else _positive_seconds(idle, settings.origin("idle_timeout"))
-    slack = settings.number("reorder_slack", 1.0)
-    if slack < 0:
-        raise UsageError(f"{settings.origin('reorder_slack')} must not be negative")
-    slack_us = seconds_to_us(slack)
-    times = {"interval": interval_us, "idle_timeout": idle_us, "reorder_slack": slack_us}
-    for name, value_us in times.items():  # each echoed in the .hera header
-        if (value_us or 0) >= 10 ** MAX_DIGITS:
-            raise UsageError(f"{settings.origin(name)} must be under 10^{MAX_DIGITS - 6} "
-                             "seconds, the most a .hera file holds")
-    emit_management = (not settings.flag("no_management", False)
-                       and settings.flag("emit_management", True))
-    return ExportConfig(
-        interval_us=interval_us,
-        idle_timeout_us=idle_us,
-        emit_management=emit_management,
-        reorder_slack_us=slack_us,
-    )
+    try:
+        return ExportConfig(
+            interval_us=seconds_to_us(settings.number("interval", 60.0)),
+            idle_timeout_us=None if idle is None else seconds_to_us(idle),
+            emit_management=(not settings.flag("no_management", False)
+                             and settings.flag("emit_management", True)),
+            reorder_slack_us=seconds_to_us(settings.number("reorder_slack", 1.0)),
+        )
+    except ValueError as exc:
+        name, _, reason = str(exc).partition(" ")
+        raise UsageError(f"{settings.origin(name)} {reason}") from None
 
 
 def _feature_selection(text: str | None):

@@ -28,6 +28,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .kernels import REQUIRED, compile_kernel, slotted
+from .timefmt import MAX_DIGITS
 
 STATE_REQ = "REQ"
 STATE_CON = "CON"
@@ -73,14 +74,20 @@ class ExportConfig:
     """Knobs for the packet-to-flow stage. Times are integer microseconds."""
 
     def __post_init__(self):
-        if self.interval_us <= 0:
-            raise ValueError("interval must be a positive number of seconds")
+        """Check each time against its least value and, as a .hera header
+        echoes it, against MAX_DIGITS; an error starts with the time's
+        key."""
         if self.idle_timeout_us is None:
             self.idle_timeout_us = self.interval_us
-        if self.idle_timeout_us <= 0:
-            raise ValueError("idle timeout must be a positive number of seconds")
-        if self.reorder_slack_us < 0:
-            raise ValueError("reorder slack must not be negative")
+        positive = "must be a positive number of seconds, at least one microsecond"
+        for name, least, rule in (("interval", 1, positive), ("idle_timeout", 1, positive),
+                                  ("reorder_slack", 0, "must not be negative")):
+            value = getattr(self, name + "_us")
+            if value < least:
+                raise ValueError(f"{name} {rule}")
+            if value >= 10 ** MAX_DIGITS:
+                raise ValueError(f"{name} must be under 10^{MAX_DIGITS - 6} seconds, "
+                                 "the most a .hera file holds")
 
 
 def opt_min(x, y):

@@ -30,7 +30,7 @@ from .flows import (
     FlowRecord,
 )
 from .kernels import REQUIRED, TO_TEXT, compile_kernel, slotted
-from .timefmt import text_to_int, text_to_us, us_to_text
+from .timefmt import WRITTEN_INT, WRITTEN_TIME, text_to_int, text_to_us, us_to_text
 
 MAGIC_PREFIX = "#HERA "
 VERSION_TOKEN = "v1"
@@ -55,72 +55,26 @@ def _flags_from_text(text: str) -> int:
     return flags
 
 
-# The most digits an integer, or a time in microseconds, of a record may
-# have. A capture's counts and times fit 64 bits, and the largest value
-# a record derives from them, `ipsq`, a sum of squared gaps, stays below
-# the square of the record's span, so under 39 digits. Sums and products
-# of two such values stay far inside a float's range and far under the
-# 4,300 digits Python turns into text, so every feature of a record that
-# reads is computed without an overflow.
-MAX_DIGITS = 40
-
-# A text that text_to_int or text_to_us accepts with a whole part: its
-# sign, and for a time its blanks, in group 1, then the whole part's
-# digits after its leading zeros, keeping its last digit, in group 2.
-# Only readers use them (the general reader and header times), so the re
-# module compiles them on first use, not when a command imports this
-# module.
-_INT_TEXT = r"(-?)0*([0-9]+)"
-_TIME_TEXT = r"(\s*[-+]?)0*([0-9]+)(?:\.[0-9]*)?\s*"
-
-
-def _bounded(from_text, text_pattern: str, whole_digits: int):
-    """from_text, except that a value of more than MAX_DIGITS digits is
-    refused, before from_text reads it: a text matching `text_pattern`
-    whose whole part has more than `whole_digits` digits after its
-    leading zeros. A text within the bound is read without those zeros,
-    so int() never meets more digits than MAX_DIGITS, whatever the
-    text's length."""
-    def read(text):
-        match = re.fullmatch(text_pattern, text)
-        if match:
-            if len(match[2]) > whole_digits:
-                raise ValueError(f"value over {MAX_DIGITS} digits {excerpt(text)}")
-            text = match[1] + text[match.start(2):]
-        return from_text(text)
-    return read
-
-
-_INT_FROM_TEXT = _bounded(text_to_int, _INT_TEXT, MAX_DIGITS)
-_TIME_FROM_TEXT = _bounded(text_to_us, _TIME_TEXT, MAX_DIGITS - 6)  # in microseconds
-
-
-# The written forms of an integer and of a time (timefmt.WRITTEN_TIME)
-# within MAX_DIGITS. `[0-9]`, not `\d`, which also matches digits outside
-# ASCII.
-_INT = f"-?[0-9]{{1,{MAX_DIGITS}}}"
-_TIME = rf"-?[0-9]{{1,{MAX_DIGITS - 6}}}\.[0-9]{{6}}"
-
 # Each value kind's converters, in the order of the "Value kinds" table
 # of docs/hera-format.md: (to-text, from-text, written pattern, written
 # from-text). To-text and written from-text are the kernels' expression
 # templates, `$` standing for the value's or the text's expression; an
 # optional text takes the optional-int template. The written pattern
 # matches exactly the text to-text can write of a value within
-# MAX_DIGITS, and the written from-text reads a text that matched it: a
-# time as the integer its digits spell without the dot, flags as each of
-# their letters, optional, in FLAG_TEXT's order (that of the value with
-# all six). An optional value's pattern is `X|`, for a group: sre reads
-# `(X|)` faster than `((?:X)?)`. The strict from-text callables serve
-# the general reader.
+# timefmt.MAX_DIGITS, and the written from-text reads a text that matched
+# it: a time as the integer its digits spell without the dot, flags as
+# each of their letters, optional, in FLAG_TEXT's order (that of the
+# value with all six). An optional value's pattern is `X|`, for a group:
+# sre reads `(X|)` faster than `((?:X)?)`. The strict from-text callables
+# serve the general reader.
 KIND_CONVERTERS: dict[str, tuple[str, Callable, str, str]] = {
-    "int": (TO_TEXT["int"], _INT_FROM_TEXT, _INT, "int($)"),
-    "oint": (TO_TEXT["oint"], _optional(_INT_FROM_TEXT), f"{_INT}|",
+    "int": (TO_TEXT["int"], text_to_int, WRITTEN_INT, "int($)"),
+    "oint": (TO_TEXT["oint"], _optional(text_to_int), f"{WRITTEN_INT}|",
              "int($) if $ else None"),
     "str": (TO_TEXT["text"], str, "[^ ]*", "$"),
     "ostr": (TO_TEXT["oint"], _optional(str), "[^ ]*", "$ or None"),
-    "time": (TO_TEXT["time"], _TIME_FROM_TEXT, _TIME, "int($.replace('.', ''))"),
-    "otime": (TO_TEXT["time"], _optional(_TIME_FROM_TEXT), f"{_TIME}|",
+    "time": (TO_TEXT["time"], text_to_us, WRITTEN_TIME, "int($.replace('.', ''))"),
+    "otime": (TO_TEXT["time"], _optional(text_to_us), f"{WRITTEN_TIME}|",
               "int($.replace('.', '')) if $ else None"),
     "bool": ("'1' if $ else '0'", _bool_from_text, "[01]", "$ == '1'"),
     "flags": ("FLAG_TEXT[$]", _flags_from_text,
@@ -239,8 +193,8 @@ def _written_line():
     every field of _LINE in order, each value in its kind's written form,
     one group per field, and each group goes through its kind's written
     from-text template. The written patterns bound every integer and
-    time at MAX_DIGITS, so a longer value is not written form and falls
-    to the general reader, which reports it. Compiled on first read, so
+    time at timefmt.MAX_DIGITS, so a longer value is not written form and
+    falls to the general reader, which reports it. Compiled on first read, so
     that writing never pays for it."""
     non_empty = {"saddr": "[^ ]+", "daddr": "[^ ]+"}  # a missing field when empty
     pattern = re.compile(" ".join(
@@ -368,12 +322,12 @@ def _read_lines(path, fp) -> HeraFile:
 def _read_header_line(line: str, header: HeraHeader, cfg_kwargs: dict) -> None:
     """Read one header line into `header` or the config's arguments. A
     line without `=` (`#source` alone) or with an unknown key is skipped.
-    Times are bounded as a record's are."""
+    Times are read as a record's are."""
     name, sep, value = line[1:].partition("=")
     if not sep:
         return
     if name in ("interval", "idle_timeout", "reorder_slack"):
-        setting = {name + "_us": _TIME_FROM_TEXT(value)}
+        setting = {name + "_us": text_to_us(value)}
         ExportConfig(**setting)  # the config's own range check, raised on this line
         cfg_kwargs.update(setting)
     elif name == "emit_management":
@@ -381,8 +335,8 @@ def _read_header_line(line: str, header: HeraHeader, cfg_kwargs: dict) -> None:
             raise ValueError(f"emit_management must be true or false, got {excerpt(value)}")
         cfg_kwargs["emit_management"] = value == "true"
     elif name == "capture_start":
-        header.capture_start_us = _TIME_FROM_TEXT(value) if value else None
+        header.capture_start_us = text_to_us(value) if value else None
     elif name == "capture_end":
-        header.capture_end_us = _TIME_FROM_TEXT(value) if value else None
+        header.capture_end_us = text_to_us(value) if value else None
     elif name == "source":
         header.sources.append(value)

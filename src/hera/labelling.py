@@ -44,7 +44,7 @@ from .errors import (
     MissingMatchField,
     excerpt,
 )
-from .timefmt import WRITTEN_TIME, address_to_text, text_to_int, text_to_us
+from .timefmt import MAX_DIGITS, WRITTEN_TIME, address_to_text, text_to_int, text_to_us
 from .workspace import DEFAULT_BENIGN_LABEL
 
 if TYPE_CHECKING:
@@ -151,28 +151,21 @@ def _entries(path, reader, positions) -> Iterator[GroundTruthEntry]:
             if not "".join(row).strip():
                 continue
             raise EmptyLabelCell(row_number, path)
-        try:
-            yield new(GroundTruthEntry, (
-                label, row_number,
-                int(start.replace(".", "")) if _WRITTEN_TIME(start)
-                else _timestamp(start, row_number, path),
-                int(last.replace(".", "")) if _WRITTEN_TIME(last)
-                else _timestamp(last, row_number, path),
-                protos[proto],
-                addrs.setdefault(src, src) if ":" not in src and src and src.strip() == src
-                else addrs[src],
-                int(sport) if sport.isdigit() and sport.isascii()
-                else _port(sport, "sport", row_number, path),
-                addrs.setdefault(dst, dst) if ":" not in dst and dst and dst.strip() == dst
-                else addrs[dst],
-                int(dport) if dport.isdigit() and dport.isascii()
-                else _port(dport, "dport", row_number, path)))
-        except ValueError:  # int() past its digit limit: the parsers decide
-            yield new(GroundTruthEntry, (
-                label, row_number, _timestamp(start, row_number, path),
-                _timestamp(last, row_number, path), protos[proto], addrs[src],
-                _port(sport, "sport", row_number, path), addrs[dst],
-                _port(dport, "dport", row_number, path)))
+        yield new(GroundTruthEntry, (
+            label, row_number,
+            int(start.replace(".", "")) if _WRITTEN_TIME(start)
+            else _timestamp(start, row_number, path),
+            int(last.replace(".", "")) if _WRITTEN_TIME(last)
+            else _timestamp(last, row_number, path),
+            protos[proto],
+            addrs.setdefault(src, src) if ":" not in src and src and src.strip() == src
+            else addrs[src],
+            int(sport) if sport.isdigit() and sport.isascii() and len(sport) <= MAX_DIGITS
+            else _port(sport, "sport", row_number, path),
+            addrs.setdefault(dst, dst) if ":" not in dst and dst and dst.strip() == dst
+            else addrs[dst],
+            int(dport) if dport.isdigit() and dport.isascii() and len(dport) <= MAX_DIGITS
+            else _port(dport, "dport", row_number, path)))
 
 
 def _timestamp(text: str, row_number: int, path) -> int | None:
@@ -227,7 +220,8 @@ def _row_views(header, rows, path=None):
     """Yield (item, (stime_us, ltime_us, (proto, saddr, sport, daddr,
     dport))) for each (cells, item, line number) of `rows`, the number
     being the line of the CSV at `path` that the row starts on. Only the
-    cells up to the last match column are read."""
+    cells up to the last match column are read, each by the ground
+    truth's rule: surrounding whitespace is not part of its value."""
     positions = []
     for col in MATCH_COLUMNS:
         try:
@@ -235,16 +229,20 @@ def _row_views(header, rows, path=None):
         except ValueError:
             raise MissingMatchField(col, path) from None
     pick = itemgetter(*positions)
-    addrs = _Memo(_canonical_addr)  # read only for text with a ':'
+    # Read only for text with a ':' or surrounding whitespace.
+    addrs = _Memo(lambda text: _canonical_addr(text.strip()))
     for row, item, line_number in rows:
         try:
             stime, ltime, proto, saddr, daddr, sport, dport = pick(row)
             view = (int(stime.replace(".", "")) if _WRITTEN_TIME(stime) else text_to_us(stime),
                     int(ltime.replace(".", "")) if _WRITTEN_TIME(ltime) else text_to_us(ltime),
-                    (proto.lower(), saddr if ":" not in saddr else addrs[saddr],
-                     int(sport) if sport.isdigit() and sport.isascii() else text_to_int(sport),
-                     daddr if ":" not in daddr else addrs[daddr],
-                     int(dport) if dport.isdigit() and dport.isascii() else text_to_int(dport)))
+                    (proto.strip().lower(),
+                     saddr if ":" not in saddr and saddr.strip() == saddr else addrs[saddr],
+                     int(sport) if sport.isdigit() and sport.isascii() and len(sport) <= MAX_DIGITS
+                     else text_to_int(sport.strip()),
+                     daddr if ":" not in daddr and daddr.strip() == daddr else addrs[daddr],
+                     int(dport) if dport.isdigit() and dport.isascii() and len(dport) <= MAX_DIGITS
+                     else text_to_int(dport.strip())))
         except (ValueError, IndexError):
             view = _general_view(row, line_number, positions, addrs, path)
         yield item, view
@@ -259,7 +257,7 @@ def _general_view(row, line_number, positions, addrs, path):
         if position >= len(row):
             raise MalformedDatasetCell(line_number, column, "missing cell", path)
         try:
-            cells.append(_CELL_PARSERS.get(column, str)(row[position]))
+            cells.append(_CELL_PARSERS.get(column, str)(row[position].strip()))
         except ValueError:
             raise MalformedDatasetCell(line_number, column,
                                        f"bad value {excerpt(row[position])}", path) from None

@@ -84,13 +84,6 @@ SKIP_TRUNCATED_FRAME = "truncated-frame"
 SKIP_ENCAPSULATION = "unsupported-encapsulation"
 
 
-class CaptureHeader(NamedTuple):
-    byte_order: str  # "big" or "little"
-    ts_resolution: str  # "micro" or "nano"
-    linktype: int
-    snaplen: int
-
-
 class DecodedPacket(NamedTuple):
     ts_us: int  # epoch microseconds; nanosecond inputs are truncated
     src_addr: str
@@ -127,7 +120,7 @@ class CaptureReader:
     def __init__(self, fp, name: str = "<capture>"):
         self._fp = fp
         self.name = name
-        self.header = self._read_global_header()
+        self._read_global_header()
         self.record_index = 0  # index of the next record to read
         self.skipped: Counter[str] = Counter()
 
@@ -140,7 +133,9 @@ class CaptureReader:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _read_global_header(self) -> CaptureHeader:
+    def _read_global_header(self) -> None:
+        """Check the global header and keep what reading the records
+        needs: their byte order, time resolution, link type and length limit."""
         raw = self._fp.read(24)
         if len(raw) < 4:
             raise TruncatedHeader(f"{self.name}: file shorter than a magic number")
@@ -158,7 +153,6 @@ class CaptureReader:
         self._frac_per_us = 1000 if resolution == "nano" else 1
         self._ethernet = linktype == LINKTYPE_ETHERNET
         self._record_limit = max(snaplen, MAX_RECORD_BYTES)
-        return CaptureHeader(order, resolution, linktype, snaplen)
 
     def next_packet(self) -> DecodedPacket | SkippedRecord | None:
         head = self._fp.read(16)

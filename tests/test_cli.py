@@ -15,6 +15,7 @@ import pcap_builder as pb
 from hera import cli, labelling
 from hera.cli import main
 from hera.dataset import read_csv
+from hera.errors import excerpt
 from hera.features import DEFAULT_FEATURES, select_feature_set
 from hera.flows import ExportConfig
 from hera.herafile import read_hera
@@ -462,20 +463,32 @@ def test_a_record_value_over_40_digits_is_a_format_error_naming_its_line(
     assert not out.exists()
 
 
-# A header time is bounded as a record's time is.
-@pytest.mark.parametrize("key", ["interval", "idle_timeout", "reorder_slack", "capture_start",
-                                 "capture_end"])
-def test_a_header_time_over_40_digits_is_a_format_error_naming_its_line(tmp_path, capsys, key):
+# A header time is bounded as a record's time is, and its leading zeros
+# do not count: the same time padded with them past the 4,300 digits
+# int() converts reads as the time.
+@pytest.mark.parametrize("key, value", [
+    *[pytest.param(key, "9" * 5000, id=key) for key in
+      ("interval", "idle_timeout", "reorder_slack", "capture_start", "capture_end")],
+    pytest.param("interval", "1" + "0" * 34 + ".000000", id="interval-41-digits"),
+    pytest.param("capture_end", "-0001" + "0" * 34, id="capture_end-41-digits"),
+])
+def test_a_header_time_over_40_digits_is_a_format_error_naming_its_line(tmp_path, capsys, key,
+                                                                         value):
     hera = exported(tmp_path)
+    header = read_hera(hera).header
     lines = hera.read_text(encoding="utf-8").split("\n")
     index = next(i for i, line in enumerate(lines) if line.startswith(f"#{key}="))
-    lines[index] = f"#{key}=" + "9" * 5000
+    written = lines[index]
+    lines[index] = f"#{key}={value}"
     hera.write_text("\n".join(lines), encoding="utf-8")
     out = tmp_path / "csv"
     assert main(["dataset", "--in", str(hera), "--out", str(out)]) == 2
     assert capsys.readouterr().err == (f"hera: {hera}: line {index + 1}: value over 40 digits "
-                                       f"{'9' * 200!r}... (5000 characters)\n")
+                                       f"{excerpt(value)}\n")
     assert not out.exists()
+    lines[index] = written.replace("=", "=" + "0" * 5000, 1)
+    hera.write_text("\n".join(lines), encoding="utf-8")
+    assert read_hera(hera).header == header
 
 
 # Every integer and time field at 40 digits, of either sign, in every
@@ -718,8 +731,13 @@ GOOD_ROW = "1.000000,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n"
     ("1.000000,2.000000,tcp,10.0.0.1,8_0,10.0.0.2,80\n", "line 3, column 'sport'"),
     ("1.000000,2.000000,tcp,10.0.0.1,1234,10.0.0.2,\u0665\u0663\n", "line 3, column 'dport'"),
     ("\u0661.0,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n", "line 3, column 'stime'"),
+    ("1.000000,2.000000,tcp,10.0.0.1," + "1" + "0" * 40 + ",10.0.0.2,80\n",
+     "line 3, column 'sport'"),
+    ("1" + "0" * 34 + ".000000,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n",
+     "line 3, column 'stime'"),
 ], ids=["sport", "dport", "ltime", "stime", "short-row",
-        "sport-underscore", "dport-non-ascii", "stime-non-ascii"])
+        "sport-underscore", "dport-non-ascii", "stime-non-ascii", "sport-41-digits",
+        "stime-41-digits"])
 def test_label_unreadable_dataset_cell_is_format_error(tmp_path, capsys, bad_row, where):
     dataset = tmp_path / "d.csv"
     dataset.write_text(MATCH_HEADER + GOOD_ROW + bad_row, encoding="utf-8")
@@ -1098,6 +1116,11 @@ def test_workspace_file_that_is_not_utf8_is_usage_error(capture, tmp_path, monke
     pytest.param("idle_timeout = 0", "idle_timeout must be a positive number of seconds, "
                  "at least one microsecond", id="idle_timeout-0"),
     pytest.param("reorder_slack = -1", "reorder_slack must not be negative", id="reorder_slack"),
+    # past a float's range in microseconds
+    pytest.param("idle_timeout = 1e303", "idle_timeout must be under 10^34 seconds, the most a "
+                 ".hera file holds", id="idle_timeout-1e303"),
+    pytest.param("reorder_slack = -1e303", "reorder_slack must not be negative",
+                 id="reorder_slack-minus-1e303"),
     pytest.param("count_window = 0", "count_window must be at least 1", id="count_window"),
     pytest.param("jobs = 0", "jobs must be at least 1", id="jobs"),
     pytest.param("count_window = 100.5", "count_window expects a whole number, got '100.5'",

@@ -16,6 +16,7 @@ from hera.features import (
     PRESET_UNSW_NB15,
 )
 from hera.herafile import KIND_CONVERTERS, HeraHeader, format_header
+from hera.timefmt import MAX_DIGITS, WRITTEN_INT, WRITTEN_TIME
 from helpers import record_field_kinds
 
 DOCS = Path(__file__).resolve().parent.parent / "docs"
@@ -52,6 +53,22 @@ def test_format_doc_lists_exactly_the_value_kinds_the_codec_converts():
     table = text.split("### Value kinds", 1)[1].split("\n\n", 2)[1]
     first_cells = re.findall(r"^\| ([a-z]+) \|", table, flags=re.M)
     assert first_cells == ["kind", *KIND_CONVERTERS]
+
+
+def test_format_doc_gives_the_written_forms_of_integers_and_times():
+    text = (DOCS / "hera-format.md").read_text(encoding="utf-8")
+    table = text.split("### Value kinds", 1)[1].split("\n\n", 2)[1]
+    forms = dict(re.findall(r"^\| ([a-z]+) \|.*\| `([^`]*)` \|$", table, flags=re.M))
+    assert (forms["int"], forms["time"]) == (WRITTEN_INT, WRITTEN_TIME)
+
+
+def test_docs_give_the_digit_bound_of_timefmt():
+    """Every "N digits" (but Python's "4,300 digits") and "10^N seconds"
+    figure of README and the format doc is MAX_DIGITS's."""
+    for path in (README, DOCS / "hera-format.md"):
+        text = path.read_text(encoding="utf-8")
+        assert set(re.findall(r"(?<![0-9,])([0-9]+)[ -]digits?\b", text)) == {str(MAX_DIGITS)}
+        assert set(re.findall(r"10\^([0-9]+) seconds", text)) == {str(MAX_DIGITS - 6)}
 
 
 def test_format_doc_states_the_magic_line():

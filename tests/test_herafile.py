@@ -239,6 +239,8 @@ def test_corrupt_token_reports_line(tmp_path):
     "#emit_management=banana",
     "#emit_management=yes",
     "#emit_management=1",
+    "#reorder_slack=1" + "0" * 34 + ".000000",
+    "#capture_start=-1" + "0" * 34,
 ])
 def test_bad_header_value_reports_line(tmp_path, header_line):
     path = corrupt_file(tmp_path, "#source=a.pcap\n" + header_line + "\n" + minimal_line())

@@ -1,6 +1,7 @@
 import csv
 import ipaddress
 import random
+import re
 import sys
 
 import pytest
@@ -27,7 +28,7 @@ from hera.labelling import (
     parse_ground_truth,
     write_label_summary,
 )
-from hera.timefmt import address_to_text, text_to_int, text_to_us
+from hera.timefmt import MAX_DIGITS, address_to_text, text_to_us
 from helpers import label_rows
 
 SEC = 1_000_000
@@ -136,14 +137,16 @@ def test_parse_empty_label_cell(tmp_path):
 
 
 def test_parse_malformed_timestamp(tmp_path):
-    for text in ("noon", "\u0661\u0662.5"):  # Arabic-Indic 12.5
+    # Arabic-Indic 12.5, and 41 digits in microseconds
+    for text in ("noon", "\u0661\u0662.5", "1" + "0" * 34 + ".5"):
         with pytest.raises(MalformedTimestamp) as err:
             gt(tmp_path, f"StartTime,Label\n{text},DoS\n")
         assert err.value.row_number == 2
 
 
 def test_parse_malformed_port(tmp_path):
-    for text in ("http", "8_0", "\u0665\u0663"):  # the last is Arabic-Indic 53
+    # Arabic-Indic 53, and 41 digits
+    for text in ("http", "8_0", "\u0665\u0663", "1" + "0" * 40):
         with pytest.raises(MalformedField) as err:
             gt(tmp_path, f"Sport,Label\n{text},DoS\n")
         assert err.value.row_number == 2
@@ -194,6 +197,23 @@ def test_addresses_in_ground_truth_and_rows(tmp_path, text, canonical):
     assert [view[2][1] for _, view in views] == [canonical]
 
 
+def test_dataset_match_cells_are_read_without_surrounding_whitespace(tmp_path):
+    """As a ground-truth cell is: each row matches the entry. A cell of
+    whitespace alone is still an empty, bad cell, and the cell-by-cell
+    reader of a bad row names its first bad cell, not one with blanks."""
+    entries = gt(tmp_path, "StartTime,Proto,SrcAddr,Sport,Label\n"
+                           "1.0, TCP , 10.0.0.1 ,1,Attack\n")
+    rows = [row(stime="1.000000", sport="1"), row(stime="1.000000", sport="1", saddr=" 10.0.0.1"),
+            row(stime="1.000000", sport="1", proto=" tcp"), row(stime="1.000000", sport=" 1"),
+            row(stime=" 1.0", sport="1"), row(stime="1.000000\t", sport="1", daddr=" ::1 "),
+            row(stime="1.000000", sport="1 ", saddr="10.0.0.1\t", proto="tcp ")]
+    assert label_rows(HDR, rows, entries)[0] == ["Attack"] * len(rows)
+    for bad, column in ((row(sport=" "), "sport"), (row(sport=" 1", dport="http"), "dport")):
+        with pytest.raises(MalformedDatasetCell) as err:
+            label_rows(HDR, [bad], entries)
+        assert err.value.column == column
+
+
 GT_HEADER = ["StartTime", "LastTime", "Proto", "SrcAddr", "Sport", "DstAddr", "Dport", "Label"]
 
 
@@ -210,11 +230,35 @@ def parsed_cells(path, start, last, sport, dport):
     return made.start_us, made.last_us, made.sport, made.dport
 
 
+def reference_us(text: str) -> int:
+    """A time cell's microseconds by the rule README states, written apart
+    from timefmt: ASCII decimal seconds with an optional sign, truncated
+    to six decimals, of at most MAX_DIGITS digits in microseconds after
+    its leading zeros; ValueError for any other text."""
+    match = re.fullmatch(r"([+-]?)([0-9]*)(?:\.([0-9]*))?", text)
+    if match is None or not (match[2] or match[3]):
+        raise ValueError(text)
+    whole = match[2].lstrip("0")
+    if len(whole) > MAX_DIGITS - 6:
+        raise ValueError(text)
+    us = int(whole or "0") * SEC + int((match[3] or "")[:6].ljust(6, "0"))
+    return -us if match[1] == "-" else us
+
+
+def reference_int(text: str) -> int:
+    """A port cell's value by the same rule: ASCII `-?[0-9]+` of at most
+    MAX_DIGITS digits after its leading zeros."""
+    match = re.fullmatch(r"(-?)0*([0-9]+)", text)
+    if match is None or len(match[2]) > MAX_DIGITS:
+        raise ValueError(text)
+    return int(match[1] + match[2])
+
+
 def oracle_cells(path, start, last, sport, dport):
-    """The same, from text_to_us/text_to_int on each stripped cell."""
+    """The same, from the reference parsers on each stripped cell."""
     out = []
-    for text, column, parse in ((start, None, text_to_us), (last, None, text_to_us),
-                                (sport, "sport", text_to_int), (dport, "dport", text_to_int)):
+    for text, column, parse in ((start, None, reference_us), (last, None, reference_us),
+                                (sport, "sport", reference_int), (dport, "dport", reference_int)):
         text = text.strip()
         if not text:
             out.append(None)
@@ -239,12 +283,14 @@ def viewed_cells(stime, ltime, sport, dport):
 
 
 def oracle_view(stime, ltime, sport, dport):
-    cells = (("stime", stime, text_to_us), ("ltime", ltime, text_to_us),
-             ("sport", sport, text_to_int), ("dport", dport, text_to_int))
+    """The same, from the reference parsers on each stripped cell, an
+    empty one being an error."""
+    cells = (("stime", stime, reference_us), ("ltime", ltime, reference_us),
+             ("sport", sport, reference_int), ("dport", dport, reference_int))
     out = []
     for column, text, parse in cells:
         try:
-            out.append(parse(text))
+            out.append(parse(text.strip()))
         except ValueError:
             return str(MalformedDatasetCell(2, column, f"bad value {excerpt(text)}"))
     return tuple(out)
@@ -262,6 +308,9 @@ LONG_CELLS = [
     "1" * 5000, "1" * 5000 + ".000000",
     # int() refuses the digits of the whole written form, but not of its whole part.
     "9" * (LIMIT - 3) + ".000000",
+    # 40 digits read, 41 do not, however many leading zeros pad them.
+    "9" * 34 + ".999999", "-" + "9" * 40, "1" + "0" * 34 + ".000000", "1" + "0" * 40,
+    "0" * 5000 + "1.500000", "0" * 5000 + "80", "0" * 5000 + "1" + "0" * 40,
 ]
 
 

@@ -57,36 +57,37 @@ def decoded(path) -> list:
 # -- global header ------------------------------------------------------
 
 
+# A capture's first packet, at 1.234567 s: its time reads back only if the
+# byte order and the time resolution of the magic number were read.
+def first_ts_us(tmp_path, endian: str, magic: int) -> int:
+    nano = magic == pb.MAGIC_NANO
+    data = pb.pcap([pb.record(1_234_567, syn_frame_54(), endian=endian, nano=nano)],
+                   endian=endian, magic=magic)
+    return first_packet(write(tmp_path, data)).ts_us
+
+
 def test_little_endian_micro_magic(tmp_path):
     data = pb.pcap([], endian="<", magic=pb.MAGIC_MICRO)
     assert data[:4] == bytes.fromhex("d4c3b2a1")
-    with open_capture(write(tmp_path, data)) as reader:
-        assert reader.header.byte_order == "little"
-        assert reader.header.ts_resolution == "micro"
+    assert first_ts_us(tmp_path, "<", pb.MAGIC_MICRO) == 1_234_567
 
 
 def test_big_endian_nano_magic(tmp_path):
     data = pb.pcap([], endian=">", magic=pb.MAGIC_NANO)
     assert data[:4] == bytes.fromhex("a1b23c4d")
-    with open_capture(write(tmp_path, data)) as reader:
-        assert reader.header.byte_order == "big"
-        assert reader.header.ts_resolution == "nano"
+    assert first_ts_us(tmp_path, ">", pb.MAGIC_NANO) == 1_234_567
 
 
 def test_big_endian_micro_magic(tmp_path):
     data = pb.pcap([], endian=">", magic=pb.MAGIC_MICRO)
     assert data[:4] == bytes.fromhex("a1b2c3d4")
-    with open_capture(write(tmp_path, data)) as reader:
-        assert reader.header.byte_order == "big"
-        assert reader.header.ts_resolution == "micro"
+    assert first_ts_us(tmp_path, ">", pb.MAGIC_MICRO) == 1_234_567
 
 
 def test_little_endian_nano_magic(tmp_path):
     data = pb.pcap([], endian="<", magic=pb.MAGIC_NANO)
     assert data[:4] == bytes.fromhex("4d3cb2a1")
-    with open_capture(write(tmp_path, data)) as reader:
-        assert reader.header.byte_order == "little"
-        assert reader.header.ts_resolution == "nano"
+    assert first_ts_us(tmp_path, "<", pb.MAGIC_NANO) == 1_234_567
 
 
 def test_empty_file_is_truncated_header(tmp_path):
@@ -113,9 +114,14 @@ def test_unsupported_linktype(tmp_path):
 
 
 def test_snaplen_and_linktype_parsed(tmp_path):
-    with open_capture(write(tmp_path, pb.pcap([], snaplen=262144))) as reader:
-        assert reader.header.snaplen == 262144
-        assert reader.header.linktype == 1
+    """An Ethernet frame decodes, and the snaplen sets the record limit."""
+    snaplen = 2 * MAX_RECORD_BYTES
+    data = pb.pcap([pb.record(0, syn_frame_54()), pb.record(0, b"", incl_len=snaplen + 1)],
+                   snaplen=snaplen)
+    with open_capture(write(tmp_path, data)) as reader:
+        assert reader.next_packet().proto == "tcp"
+        with pytest.raises(OversizedRecord, match=f"more than the {snaplen}-byte limit"):
+            reader.next_packet()
 
 
 # -- the hand-built 54-byte SYN frame -----------------------------------

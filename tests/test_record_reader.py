@@ -247,7 +247,9 @@ def test_a_value_past_ints_digit_limit_is_left_to_the_general_reader():
 
 
 @pytest.mark.parametrize("field, value", [("spkts", "9" * 5000), ("stime", "9" * 5000 + ".5"),
-                                          ("sipmin", "-" + "1" * 35 + ".000000")])
+                                          ("sipmin", "-" + "1" * 35 + ".000000"),
+                                          ("spkts", "1" + "0" * 40),
+                                          ("stime", "00" + "1" + "0" * 34 + ".000000")])
 def test_a_value_over_40_digits_is_refused_before_it_is_converted(field, value):
     line = _edit_first_capture_line(lambda f: _join(_set(f, field, value)))
     assert outcome(parse_line, line) == (
