@@ -8,8 +8,9 @@ on what the next step takes: the stand-alone commands read it back from
 the files, `run` hands it over in memory, the records whole and the
 dataset rows one at a time. A command claims all of its
 outputs before any work, stages them to temporary files and renames
-them into place only when it succeeds, so a failure before the renames
-leaves nothing behind, and nothing is overwritten without --force.
+them into place only when it succeeds: a failure, even of a rename,
+leaves nothing behind but an output that replaced an old file under
+--force, and nothing is overwritten without --force.
 
 Each command imports only the modules it runs, stage modules and
 standard library alike: building the parser loads no stage module, and
@@ -35,7 +36,7 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from .errors import HeraError, UnknownFeature, UsageError, excerpt
+from .errors import HeraError, UsageError, excerpt
 from .timefmt import seconds_to_us
 from .workspace import DEFAULT_BENIGN_LABEL, DEFAULT_COUNT_WINDOW, Settings, load_workspace
 
@@ -135,15 +136,17 @@ def _add_label_flags(cmd) -> None:
 class OutputStage:
     """Claim output paths up front, have them written as .part files, and
     rename them all into place when the `with` block ends without an
-    error, logging each under `verbose`; on an error, delete the .part
-    files and the directories made for them that are left empty
-    instead. A cleanup that fails leaves its path as it is, so that the
-    error that ended the block is the one reported."""
+    error, logging each under `verbose`. On an error, even a rename's,
+    delete the .part files, the outputs renamed that were new when
+    claimed and the directories made for them that are left empty. A
+    cleanup that fails leaves its path as it is, so that the error that
+    ended the block is the one reported."""
 
     def __init__(self, force: bool, verbose: bool):
         self.force = force
         self.verbose = verbose
         self._pairs: dict[Path, Path] = {}
+        self._new: set[Path] = set()  # outputs that did not exist when claimed
         self._made: list[Path] = []
 
     def claim(self, directory: Path, stem: str, *suffixes: str) -> list[Path]:
@@ -153,7 +156,9 @@ class OutputStage:
             if final.is_dir():
                 raise IsADirectoryError(f"{final} is a directory; an output file cannot "
                                         "replace it")
-            if final.exists() and not self.force:
+            if not final.exists():
+                self._new.add(final)
+            elif not self.force:
                 raise FileExistsError(f"{final} already exists; pass --force to overwrite")
             if final in self._pairs:
                 raise UsageError(f"two outputs would be written to {final}")
@@ -166,22 +171,26 @@ class OutputStage:
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
+        renamed = []
         try:
             if exc_type is None:
                 for final, tmp in self._pairs.items():
                     os.replace(tmp, final)
+                    renamed.append(final)
+                for final in renamed:
                     _log(self.verbose, f"wrote {final}")
+                renamed.clear()
                 self._made.clear()
-        finally:  # whatever was not renamed into place
-            for tmp in self._pairs.values():
+        finally:  # undo whatever a failure left
+            for path in (*self._pairs.values(), *self._new.intersection(renamed)):
                 try:
-                    tmp.unlink(missing_ok=True)
+                    path.unlink(missing_ok=True)
                 except OSError:
                     pass
             for directory in sorted(self._made, key=lambda d: len(d.parts), reverse=True):
                 try:
                     directory.rmdir()
-                except OSError:  # not empty: an output was renamed into it
+                except OSError:  # not empty: a file it holds could not be removed
                     pass
 
 
@@ -191,20 +200,14 @@ class OutputStage:
 def _expand_inputs(patterns, flag: str) -> list[Path]:
     if not patterns:
         raise UsageError(f"no input files: pass {flag} at least once")
-    paths: list[Path] = []
-    for pattern in patterns:
-        matches = sorted(glob.glob(pattern))
-        if matches:
-            paths.extend(Path(m) for m in matches)
-        else:
-            paths.append(Path(pattern))
+    # A pattern that matches no file is its own path, for the open to report.
+    paths = [Path(p) for pattern in patterns for p in sorted(glob.glob(pattern)) or [pattern]]
     stems = {}
     for path in paths:
         other = stems.setdefault(path.stem, path)
         if other != path:
-            raise UsageError(
-                f"inputs {other} and {path} would both produce outputs "
-                f"named {path.stem!r}")
+            raise UsageError(f"inputs {other} and {path} would both produce outputs "
+                             f"named {path.stem!r}")
     return paths
 
 
@@ -217,24 +220,12 @@ def _export_config(settings: Settings) -> ExportConfig:
         return ExportConfig(
             interval_us=seconds_to_us(settings.number("interval", 60.0)),
             idle_timeout_us=None if idle is None else seconds_to_us(idle),
-            emit_management=(not settings.flag("no_management", False)
-                             and settings.flag("emit_management", True)),
+            emit_management=not settings.flag("no_management", False),
             reorder_slack_us=seconds_to_us(settings.number("reorder_slack", 1.0)),
         )
     except ValueError as exc:
         name, _, reason = str(exc).partition(" ")
         raise UsageError(f"{settings.origin(name)} {reason}") from None
-
-
-def _feature_selection(text: str | None):
-    from .features import PRESETS
-    if text is None:
-        return "default"
-    cleaned = text.strip()
-    preset_key = cleaned.lower().replace("-", "_")
-    if preset_key in PRESETS:
-        return preset_key
-    return [name.strip() for name in cleaned.split(",") if name.strip()]
 
 
 def _dataset_options(settings: Settings) -> dict:
@@ -244,7 +235,7 @@ def _dataset_options(settings: Settings) -> dict:
     takes it from `row_kernel`'s cache)."""
     from .dataset import MODES
     from .features import row_kernel, select_feature_set
-    feature_names = select_feature_set(_feature_selection(settings.text("features")))
+    feature_names = select_feature_set(settings.text("features", "default"))
     mode = settings.text("mode") or "ra"
     if mode not in MODES:
         raise UsageError(f"{settings.origin('mode')} must be one of {'/'.join(MODES)}")
@@ -512,10 +503,14 @@ def main(argv=None) -> int:
         if not args.command:
             parser.print_usage(sys.stderr)
             return 1
-        settings = Settings(args, load_workspace(), parser.flags)
+        config = load_workspace()
+        for key in config:  # a workspace key is a flag's key, and sets no other
+            if key not in parser.flags or key in ("help", "verbose"):
+                raise UsageError(f"unknown config key {excerpt(key)}")
+        settings = Settings(args, config, parser.flags)
         COMMANDS[args.command](args, settings)
         return 0
-    except (UsageError, UnknownFeature) as exc:
+    except UsageError as exc:
         print(f"hera: {exc}", file=sys.stderr)
         return 1
     except HeraError as exc:

@@ -281,13 +281,13 @@ def write_csv(path, header: list[str], rows) -> int:
     return count
 
 
-def iter_csv(path, width_of=None):
+def iter_csv(path, width_of=lambda header: -1):
     """Yield (cells, line, number) for each row of a UTF-8 CSV file,
-    decoded as a stream, `number` being the file's line the row starts
-    on. `width_of`, if given, is called with the header's cells and
-    gives how many leading cells the reader needs of each later row, and
-    `line` is the row's canonical line (`csv_lines`); without it every
-    cell is split and `line` is None.
+    decoded as a stream: `line` is the row's canonical line
+    (`csv_lines`) and `number` the file's line the row starts on.
+    `width_of` is called with the header's cells and gives how many
+    leading cells the reader needs of each later row, -1 (the default)
+    for all of them.
 
     Lines are read one by one while each, once its line ending (LF, CRLF
     or CR; a file read with newline="" ends a line at each) is taken off,
@@ -307,28 +307,27 @@ def iter_csv(path, width_of=None):
             for number, line in lines:
                 text = line.rstrip("\r\n")
                 if not text or '"' in text or "\0" in text or len(text) > limit:
-                    yield from _read_records(path, number, chain([(number, line)], lines),
-                                             width_of is not None)
+                    yield from _read_records(path, number, chain([(number, line)], lines))
                     return
                 cells = text.split(",", width)
-                yield cells, text if width_of else None, number
-                if number == 1 and width_of is not None:  # the header
+                yield cells, text, number
+                if number == 1:  # the header
                     width = width_of(cells)
     except UnicodeDecodeError:
         raise not_utf8(path) from None
 
 
-def _read_records(path, number, lines, with_lines):
+def _read_records(path, number, lines):
     """(cells, line, number) of each record csv.reader reads from
     `lines`, (line number, text) pairs from line `number` on, the line
-    being the row's canonical line if `with_lines`, else None, and the
-    number that of the line the record starts on."""
+    being the row's canonical line and the number that of the line the
+    record starts on."""
     reader = csv.reader(_lines_without_nul(path, lines))
-    csv_line = csv_lines() if with_lines else None
+    csv_line = csv_lines()
     start = number
     try:
         for cells in reader:
-            yield cells, csv_line(cells) if csv_line else None, start
+            yield cells, csv_line(cells), start
             start = number + reader.line_num
     except csv.Error as exc:
         raise UnreadableLine(path, number + reader.line_num - 1, str(exc)) from None
@@ -345,8 +344,5 @@ def _lines_without_nul(path, lines):
 
 
 def read_csv(path) -> tuple[list[str], list[list[str]]]:
-    rows = iter_csv(path)
-    header = next(rows, None)
-    if header is None:
-        return [], []
-    return header[0], [cells for cells, _, _ in rows]
+    rows = [cells for cells, _, _ in iter_csv(path)]
+    return (rows[0], rows[1:]) if rows else ([], [])

@@ -112,14 +112,6 @@ class CorruptRecord(FlowFileError):
         self.reason = reason
 
 
-class UnknownFeature(HeraError):
-    """A requested feature name is not in the catalog."""
-
-    def __init__(self, name: str):
-        super().__init__(f"unknown feature {excerpt(name)}")
-        self.name = name
-
-
 class GroundTruthError(InputFormatError):
     """Problems with a ground-truth CSV."""
 
@@ -175,6 +167,14 @@ class MissingMatchField(HeraError):
 
 class UsageError(HeraError):
     """Bad command-line or config value, detected before any IO."""
+
+
+class UnknownFeature(UsageError):
+    """A requested feature name is not in the catalog."""
+
+    def __init__(self, name: str):
+        super().__init__(f"unknown feature {excerpt(name)}")
+        self.name = name
 
 
 class UnreadableLine(InputFormatError):

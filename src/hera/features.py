@@ -328,20 +328,19 @@ PRESETS = {
 
 
 def select_feature_set(selection) -> list[str]:
-    """Resolve a preset name or an iterable of feature names to the
-    ordered column list. Always-on features are always included, and the
-    result follows catalog order regardless of request order."""
+    """Resolve the text of --features (a preset in any case, with `-` or
+    `_`, or else comma-separated catalog names, each stripped; `''` names
+    none) or an iterable of names to the ordered column list. Always-on
+    features are always included, and the result follows catalog order
+    regardless of request order."""
     if isinstance(selection, str):
-        if selection not in PRESETS:
-            raise UnknownFeature(selection)
-        requested = set(PRESETS[selection])
-    else:
-        requested = set()
-        for name in selection:
-            if name not in _BY_NAME:
-                raise UnknownFeature(name)
-            requested.add(name)
-    requested.update(ALWAYS_ON)
+        preset = PRESETS.get(selection.strip().lower().replace("-", "_"))
+        selection = preset or [name.strip() for name in selection.split(",") if name.strip()]
+    requested = set(ALWAYS_ON)
+    for name in selection:
+        if name not in _BY_NAME:
+            raise UnknownFeature(name)
+        requested.add(name)
     return [name for name in CATALOG_ORDER if name in requested]
 
 

@@ -351,10 +351,20 @@ class _LiveFlow:
         self.last_arrival_us = None  # within the current slice
 
 
-# The packet kernel, FlowTable.assign. Its endpoint fold ({load} ...
-# {flags}) and the record's IAT fold ({record_gap}) come from
-# ENDPOINT_STATS. The key is looked up as a plain tuple; a FlowKey is
-# built only when an episode opens.
+# The one orientation rule, of FlowTable.assign and the .hera reader: from
+# `saddr`, `sport`, `daddr`, `dport` and `proto`, the canonical key tuple
+# `key` and `sender`, the endpoint ('a' or 'b') that the source is.
+ORIENT_KEY = """\
+    if saddr < daddr or saddr == daddr and sport <= dport:
+        sender, key = 'a', (saddr, sport, daddr, dport, proto)
+    else:
+        sender, key = 'b', (daddr, dport, saddr, sport, proto)
+"""
+
+# The packet kernel, FlowTable.assign. Its key ({orient}), endpoint fold
+# ({load} ... {flags}) and record IAT fold ({record_gap}) come from
+# ORIENT_KEY and ENDPOINT_STATS. The key is looked up as a plain tuple; a
+# FlowKey is built only when an episode opens.
 _ASSIGN = """\
 def kernel(self, packet):
     (ts, saddr, daddr, sport, dport, proto, size, payload, ttl, tos, version,
@@ -381,13 +391,7 @@ def kernel(self, packet):
     counters[0] += 1
     counters[1] += size
 
-    if saddr < daddr or saddr == daddr and sport <= dport:
-        sender = "a"
-        key = (saddr, sport, daddr, dport, proto)
-    else:
-        sender = "b"
-        key = (daddr, dport, saddr, sport, proto)
-    live = self._live.get(key)
+{orient}    live = self._live.get(key)
     if live is not None:
         rec = live.rec
         if ts - rec.ltime_us > config.idle_timeout_us:
@@ -434,7 +438,8 @@ def _packet_kernel():
     sections = {section: _fold_lines(section, "e", indent)
                 for section, indent in (("load", 4), ("head", 4), ("first", 8), ("later", 8),
                                         ("tail", 4), ("flags", 8))}
-    source = _ASSIGN.format(**sections, record_gap=_fold_lines("later", "rec", 8, gaps_only=True))
+    source = _ASSIGN.format(**sections, orient=ORIENT_KEY,
+                            record_gap=_fold_lines("later", "rec", 8, gaps_only=True))
     namespace = {"FlowRecord": FlowRecord, "FlowKey": FlowKey, "_LiveFlow": _LiveFlow,
                  "FIN": FIN, "SYN": SYN, "RST": RST, "PSH": PSH, "ACK": ACK, "URG": URG}
     return compile_kernel("FlowTable.assign", source, namespace)

@@ -22,6 +22,7 @@ from .flows import (
     ENDPOINT_STATS,
     FLAG_TEXT,
     FLAG_VALUES,
+    ORIENT_KEY,
     RECORD_FIELDS,
     RECORD_KERNEL_HEAD,
     EndpointStats,
@@ -154,18 +155,13 @@ def format_record(rec: FlowRecord) -> str:
 # A reader kernel. Its head puts each field's text or value into a local
 # named after the field; each local goes through its kind's template, and
 # the key, both EndpointStats and the record are built by position. The
-# key is oriented as FlowTable.assign orients a packet's.
+# key is oriented by flows.ORIENT_KEY, as a packet's is.
 _READER = """\
 def kernel({parameters}):
 {head}    src = EndpointStats({src})
     dst = EndpointStats({dst})
     sport, dport = {ports}
-    if (saddr, sport) <= (daddr, dport):
-        key = new(FlowKey, (saddr, sport, daddr, dport, proto))
-        initiator, a, b = 'a', src, dst
-    else:
-        key = new(FlowKey, (daddr, dport, saddr, sport, proto))
-        initiator, a, b = 'b', dst, src
+{orient}    a, b = (src, dst) if sender == 'a' else (dst, src)
     return FlowRecord({record})
 """
 
@@ -173,10 +169,10 @@ def kernel({parameters}):
 def _compile_reader(label: str, parameters: str, head: str, template, namespace):
     """The reader kernel whose locals go through template(kind)."""
     value = {(owner, attr): template(kind).replace("$", name) for name, kind, owner, attr in _LINE}
-    built = {"key": "key", "initiator": "initiator", "a": "a", "b": "b",
+    built = {"key": "new(FlowKey, key)", "initiator": "sender", "a": "a", "b": "b",
              **{attr: text for (owner, attr), text in value.items() if owner == "record"}}
     source = _READER.format(
-        parameters=parameters, head=head,
+        parameters=parameters, head=head, orient=ORIENT_KEY,
         src=", ".join(value["src", attr] for attr, _ in ENDPOINT_FIELDS),
         dst=", ".join(value["dst", attr] for attr, _ in ENDPOINT_FIELDS),
         ports=f"{value['key', 'sp']}, {value['key', 'dp']}",

@@ -1,7 +1,8 @@
 """Workspace configuration.
 
 A workspace file is plain `key = value` text (# comments, blank lines
-ignored). Its path comes from the HERA_WORKSPACE environment variable.
+ignored), each key set at most once. Its path comes from the
+HERA_WORKSPACE environment variable.
 Command-line flags always win over workspace values, which win over
 built-in defaults.
 """
@@ -25,6 +26,7 @@ _FALSE = {"0", "false", "no", "off"}
 
 def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}  # each key's line
     for line_number, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -32,7 +34,12 @@ def parse_config_text(text: str, origin: str = "<config>") -> dict[str, str]:
         key, sep, value = line.partition("=")
         if not sep:
             raise UsageError(f"{origin}:{line_number}: expected key=value, got {excerpt(raw)}")
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise UsageError(f"{origin}:{line_number}: key {excerpt(key)} is already set "
+                             f"on line {lines[key]}")
+        lines[key] = line_number
+        values[key] = value.strip()
     return values
 
 

@@ -3,12 +3,13 @@
 the match index in the pass that reads its line.
 
 `parse_ground_truth` here reads the rows into a list of entries, each
-made by the `GroundTruthEntry` constructor and each address through the
-memo. `index_entries` then groups the entries by shape and key and turns
-every bucket of several entries into a max-end segment tree
-(`time_sorted`), and a bucket of one entry into its position, the form
-`labelling.labelled_rows` reads. `OracleGroundTruth` carries that index,
-so `labelled_rows` labels through it as it would through the one-pass
+made by the `GroundTruthEntry` constructor, each time and port through
+the package's bounded parsers (`_timestamp`, `_port`) and each address
+through the memo. `index_entries` then groups the entries by shape and
+key and turns every bucket of several entries into a max-end segment
+tree (`time_sorted`), and a bucket of one entry into its position, the
+form `labelling.labelled_rows` reads. `OracleGroundTruth` carries that
+index, so `labelled_rows` labels through it as it would through the one-pass
 index."""
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from hera.dataset import iter_csv
 from hera.errors import EmptyLabelCell, MissingLabelColumn, excerpt
 from hera.labelling import (
     _GT_COLUMNS,
-    _WRITTEN_TIME,
     GroundTruthEntry,
     _canonical_addr,
     _Memo,
@@ -67,26 +67,11 @@ def parse_ground_truth(path) -> OracleGroundTruth:
             if not "".join(row).strip():
                 continue
             raise EmptyLabelCell(row_number, path)
-        try:
-            entry = GroundTruthEntry(
-                label, row_number,
-                int(start.replace(".", "")) if _WRITTEN_TIME(start)
-                else _timestamp(start, row_number, path),
-                int(last.replace(".", "")) if _WRITTEN_TIME(last)
-                else _timestamp(last, row_number, path),
-                protos[proto], addrs[src],
-                int(sport) if sport.isdigit() and sport.isascii()
-                else _port(sport, "sport", row_number, path),
-                addrs[dst],
-                int(dport) if dport.isdigit() and dport.isascii()
-                else _port(dport, "dport", row_number, path))
-        except ValueError:  # int() past its digit limit: the parsers decide
-            entry = GroundTruthEntry(
-                label, row_number, _timestamp(start, row_number, path),
-                _timestamp(last, row_number, path), protos[proto], addrs[src],
-                _port(sport, "sport", row_number, path), addrs[dst],
-                _port(dport, "dport", row_number, path))
-        entries.append(entry)
+        entries.append(GroundTruthEntry(
+            label, row_number, _timestamp(start, row_number, path),
+            _timestamp(last, row_number, path), protos[proto], addrs[src],
+            _port(sport, "sport", row_number, path), addrs[dst],
+            _port(dport, "dport", row_number, path)))
     return OracleGroundTruth(entries)
 
 

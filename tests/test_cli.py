@@ -1002,11 +1002,9 @@ def test_an_output_path_that_is_a_directory_is_refused_before_any_work(
     assert tree(csv_dir) == []
 
 
-def test_a_failed_commit_reports_its_own_error_and_keeps_what_it_renamed(
-        capture, tmp_path, capsys, monkeypatch):
-    """The flow files are renamed into place before the CSV, whose rename
-    fails: that error is reported, and the directory made for the flow
-    files stays with them, since it is no longer empty."""
+def refuse_csv_renames(monkeypatch):
+    """Make every rename onto a `.csv` path fail, as a full or read-only
+    disk would; the flow files are renamed into place before it."""
     replace = os.replace
 
     def refuse_csv(src, dst):
@@ -1015,12 +1013,38 @@ def test_a_failed_commit_reports_its_own_error_and_keeps_what_it_renamed(
         replace(src, dst)
 
     monkeypatch.setattr(os, "replace", refuse_csv)
+
+
+def test_a_failed_commit_reports_its_own_error_and_removes_what_it_renamed(
+        capture, tmp_path, capsys, monkeypatch):
+    """The flow files are renamed into place before the CSV, whose rename
+    fails: that error is reported, and the flow files and the directory
+    made for them are removed, so the command leaves nothing behind."""
+    refuse_csv_renames(monkeypatch)
     flows, csv_dir = tmp_path / "flows", tmp_path / "csv"
     assert main(["run", "--pcap", str(capture), "--flows-dir", str(flows),
                  "--csv-dir", str(csv_dir)]) == 3
     assert capsys.readouterr().err == (
         f"hera: [Errno 13] Permission denied: '{csv_dir / 'a.csv'}'\n")
-    assert tree(flows) == ["a.hera", "a.stats.txt"]
+    assert tree(tmp_path) == ["a.pcap"]
+    assert not flows.exists() and not csv_dir.exists()
+
+
+def test_a_failed_commit_under_force_keeps_only_the_files_it_replaced(
+        capture, tmp_path, capsys, monkeypatch):
+    """Under --force, an output renamed over an old file before a later
+    rename failed stays in its place, as the old file is gone; an output
+    that was new is removed."""
+    flows, csv_dir = tmp_path / "flows", tmp_path / "csv"
+    flows.mkdir()
+    (flows / "a.hera").write_text("old\n", encoding="utf-8")
+    refuse_csv_renames(monkeypatch)
+    assert main(["run", "--pcap", str(capture), "--flows-dir", str(flows),
+                 "--csv-dir", str(csv_dir), "--force"]) == 3
+    assert capsys.readouterr().err == (
+        f"hera: [Errno 13] Permission denied: '{csv_dir / 'a.csv'}'\n")
+    assert tree(flows) == ["a.hera"]
+    assert (flows / "a.hera").read_bytes().startswith(b"#HERA v1\n")
     assert not csv_dir.exists()
 
 
@@ -1382,6 +1406,28 @@ def test_workspace_no_management_drops_management_records(capture, tmp_path, mon
     flowfile = read_hera(flows / "a.hera")
     assert not flowfile.header.config.emit_management
     assert [r for r in flowfile.records if r.is_management] == []
+
+
+@pytest.mark.parametrize("line", ["intervall = 30", "emit_management = false",
+                                  "verbose = true"])
+def test_a_workspace_key_that_is_no_flags_key_is_usage_error(capture, tmp_path, monkeypatch,
+                                                            capsys, line):
+    conf = tmp_path / "ws.conf"
+    conf.write_text(line + "\n", encoding="utf-8")
+    monkeypatch.setenv("HERA_WORKSPACE", str(conf))
+    assert main(["export", "--pcap", str(capture), "--out", str(tmp_path / "flows")]) == 1
+    key = line.split(" = ")[0]
+    assert capsys.readouterr().err == f"hera: unknown config key {key!r}\n"
+    assert tree(tmp_path) == ["a.pcap", "ws.conf"]
+
+
+def test_a_workspace_with_other_commands_keys_still_exports(capture, tmp_path, monkeypatch):
+    conf = tmp_path / "ws.conf"
+    conf.write_text(f"features = unsw-nb15\nground_truth = {tmp_path / 'gt.csv'}\n"
+                    "csv_dir = csv\n", encoding="utf-8")
+    monkeypatch.setenv("HERA_WORKSPACE", str(conf))
+    assert main(["export", "--pcap", str(capture), "--out", str(tmp_path / "flows")]) == 0
+    assert tree(tmp_path / "flows") == ["a.hera", "a.stats.txt"]
 
 
 def test_flags_beat_workspace_config(capture, tmp_path, monkeypatch):

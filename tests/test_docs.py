@@ -11,6 +11,7 @@ from hera.features import (
     ALWAYS_ON,
     CATALOG,
     DEFAULT_FEATURES,
+    PRESETS,
     PRESET_BOT_IOT,
     PRESET_CIC_IDS2017,
     PRESET_UNSW_NB15,
@@ -121,3 +122,19 @@ def test_readme_lists_each_flag_whose_workspace_key_is_not_its_name():
               if flag.startswith("--") and flag[2:].replace("-", "_") != key}
     assert listed == others == {"--gt": "ground_truth", "--in": "inputs",
                                 "--slack": "reorder_slack"}
+
+
+def test_features_help_and_readme_name_exactly_the_presets():
+    """`select_feature_set` alone reads the text of --features; the preset
+    names its help and README's `hera dataset` table give are copies of
+    `PRESETS`, written with `-`."""
+    presets = sorted(name.replace("_", "-") for name in PRESETS)
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    for command in ("dataset", "run"):
+        [help_text] = [action.help for action in commands.choices[command]._actions
+                       if "--features" in action.option_strings]
+        assert sorted(help_text.split(" or ")[0].split("|")) == presets, command
+    section = README.read_text(encoding="utf-8").split("### `hera dataset`", 1)[1]
+    [row] = re.findall(r"^\| `--features X` \| (.*) \|$", section, flags=re.M)
+    assert sorted(re.findall(r"`([a-z0-9-]+)`", row.split(", or ")[0])) == presets

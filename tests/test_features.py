@@ -159,6 +159,18 @@ def test_named_presets(preset, size):
     assert positions == sorted(positions)
 
 
+@pytest.mark.parametrize("text, names", [
+    ("UNSW-NB15", PRESET_UNSW_NB15),
+    (" dur , jit ", ["dur", "jit"]),
+    ("", []),
+    ("all", CATALOG_ORDER),
+], ids=["preset-as-typed", "names-with-spaces", "empty", "all"])
+def test_the_text_of_features_selects_as_its_names_do(text, names):
+    """`--features` text selects the preset it names, in any case and with
+    `-` or `_`, or else the comma-separated names, each stripped."""
+    assert select_feature_set(text) == select_feature_set(names)
+
+
 def test_preset_literals_are_within_catalog():
     for preset in (PRESET_UNSW_NB15, PRESET_BOT_IOT, PRESET_CIC_IDS2017):
         assert set(preset) <= set(CATALOG_ORDER)

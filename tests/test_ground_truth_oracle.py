@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ground_truth_oracle as oracle
-from hera.errors import HeraError
+from hera.errors import HeraError, MalformedField
 from hera.labelling import labelled_rows, parse_ground_truth
 
 SEC = 1_000_000
@@ -150,3 +150,14 @@ def test_one_pass_index_equals_the_two_pass_oracle(tmp_path_factory, data):
     rows = dataset_rows(data.draw, expected)
     for bidirectional in (False, True):
         assert labels(rows, made, bidirectional) == labels(rows, expected, bidirectional)
+
+
+def test_a_port_past_the_digit_bound_is_refused_by_both_readers(tmp_path):
+    """A 41-digit port reads as a number to int(), under its own digit
+    limit, but is past hera's bound: both readers refuse it alike."""
+    path = tmp_path / "gt.csv"
+    path.write_text("Sport,Label\n1" + "0" * 40 + ",DoS\n", encoding="utf-8")
+    made, expected = parsed(parse_ground_truth, path), parsed(oracle.parse_ground_truth, path)
+    assert made == expected
+    assert made[0] is MalformedField
+    assert made[1].startswith(f"{path}: row 2: bad sport value ")

@@ -25,6 +25,12 @@ def test_parse_rejects_line_without_equals():
     assert "ws.conf:1" in str(err.value)
 
 
+def test_parse_rejects_a_key_set_twice_naming_both_lines():
+    with pytest.raises(UsageError) as err:
+        parse_config_text("interval = 30\n# again\n interval=45\n", origin="ws.conf")
+    assert str(err.value) == "ws.conf:3: key 'interval' is already set on line 1"
+
+
 def test_parse_keeps_equals_in_value():
     assert parse_config_text("query=a=b\n") == {"query": "a=b"}
 
