@@ -5,12 +5,12 @@ canonical key: it merges the records of a key that has several into one
 new record, and passes the record of a key seen once through, without a
 copy: merging a record alone gives a record equal to it. Rows follow the
 selected feature columns in catalog order; a stats text file summarizes
-the same record set the rows were built from. Rows are built one at a time, as they are taken, and CSV
-files are written one row at a time, so the commands never hold a whole
-dataset. The feature catalog is imported only by the functions that
-compute rows, so `export` and `label`, which use this module for stats
-and CSV files, never load it; the flow engine only by `cluster`, so
-`label` never loads it either.
+the same record set the rows were built from. Rows are built one at a
+time, as they are taken, and CSV files are written one row at a time,
+so the commands never hold a whole dataset. The feature catalog is
+imported only by the functions that compute rows, so `export` and
+`label`, which use this module for stats and CSV files, never load it;
+the flow engine only by `cluster`, so `label` never loads it either.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from itertools import chain, repeat
 from typing import TYPE_CHECKING, NamedTuple
 
-from .errors import UnreadableLine, not_utf8
+from .errors import HeraError, not_utf8
 from .workspace import DEFAULT_COUNT_WINDOW
 
 if TYPE_CHECKING:
@@ -330,7 +330,7 @@ def _read_records(path, number, lines):
             yield cells, csv_line(cells), start
             start = number + reader.line_num
     except csv.Error as exc:
-        raise UnreadableLine(path, number + reader.line_num - 1, str(exc)) from None
+        raise HeraError(f"{path}: line {number + reader.line_num - 1}: {exc}") from None
 
 
 def _lines_without_nul(path, lines):
@@ -339,7 +339,7 @@ def _lines_without_nul(path, lines):
     and passes it on after."""
     for number, line in lines:
         if "\0" in line:
-            raise UnreadableLine(path, number, "line contains NUL")
+            raise HeraError(f"{path}: line {number}: line contains NUL")
         yield line
 
 

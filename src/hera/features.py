@@ -26,7 +26,7 @@ from functools import lru_cache
 from math import sqrt
 from typing import NamedTuple
 
-from .errors import UnknownFeature
+from .errors import UsageError, excerpt
 from .flows import FLAG_TEXT, RECORD_KERNEL_HEAD, FlowRecord, opt_max, opt_min
 from .kernels import TO_TEXT, compile_kernel, slotted
 
@@ -339,7 +339,7 @@ def select_feature_set(selection) -> list[str]:
     requested = set(ALWAYS_ON)
     for name in selection:
         if name not in _BY_NAME:
-            raise UnknownFeature(name)
+            raise UsageError(f"unknown feature {excerpt(name)}")
         requested.add(name)
     return [name for name in CATALOG_ORDER if name in requested]
 

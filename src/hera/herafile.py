@@ -16,7 +16,7 @@ import re
 from functools import cache
 from typing import Callable, NamedTuple
 
-from .errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion, excerpt, not_utf8
+from .errors import HeraError, excerpt, not_utf8
 from .flows import (
     ENDPOINT_FIELDS,
     ENDPOINT_STATS,
@@ -211,27 +211,24 @@ def _record():
                            lambda kind: "$", {})
 
 
-def _parse_general(line: str, line_number: int) -> FlowRecord:
+def _parse_general(line: str) -> FlowRecord:
     """The record of a line with its known fields in any order and any
-    unknown fields, which it skips, or CorruptRecord naming what is wrong
+    unknown fields, which it skips, or a ValueError naming what is wrong
     with it: the first bad value in line order."""
     pairs = {}
     for token in line.split(" "):
         name, sep, value = token.partition("=")
         if not sep or not name:
-            raise CorruptRecord(line_number, f"malformed token {excerpt(token)}")
+            raise ValueError(f"malformed token {excerpt(token)}")
         if name in pairs:
-            raise CorruptRecord(line_number, f"duplicate field {excerpt(name)}")
+            raise ValueError(f"duplicate field {excerpt(name)}")
         pairs[name] = value
     for required in ("saddr", "sport", "daddr", "dport", "proto", "stime", "ltime"):
         if required not in pairs or (required != "proto" and pairs[required] == ""):
-            raise CorruptRecord(line_number, f"missing field {required!r}")
-    try:
-        values = [from_text(pairs[name]) if name in pairs else default
-                  for name, (_, from_text, _, _), default in zip(_NAMES, _CONVERTERS, _DEFAULTS)]
-    except ValueError as exc:
-        raise CorruptRecord(line_number, str(exc)) from exc
-    return _record()(values)
+            raise ValueError(f"missing field {required!r}")
+    return _record()([from_text(pairs[name]) if name in pairs else default
+                      for name, (_, from_text, _, _), default
+                      in zip(_NAMES, _CONVERTERS, _DEFAULTS)])
 
 
 @slotted((
@@ -279,36 +276,38 @@ def read_hera(path) -> HeraFile:
             return _read_lines(path, fp)
     except UnicodeDecodeError:
         raise not_utf8(path) from None
-    except CorruptRecord as exc:
-        raise CorruptRecord(exc.line_number, exc.reason, path) from None
 
 
 def _read_lines(path, fp) -> HeraFile:
+    """The file read from `fp`. The reason a line after the first is
+    refused, a ValueError's message, becomes a HeraError naming the
+    path and the line in one place, here."""
     first = fp.readline()
     if not first.startswith(MAGIC_PREFIX):
-        raise FlowFileBadMagic(f"{path}: not a flow file (missing {MAGIC_LINE!r})")
+        raise HeraError(f"{path}: not a flow file (missing {MAGIC_LINE!r})")
     if first.endswith("\r\n"):
-        raise CorruptRecord(1, "CRLF (\\r\\n) line ending; .hera lines end in \\n alone")
+        raise HeraError(f"{path}: line 1: CRLF (\\r\\n) line ending; "
+                        ".hera lines end in \\n alone")
     version = first[len(MAGIC_PREFIX):].strip()
     if version != VERSION_TOKEN:
-        raise UnsupportedVersion(version, path)
+        raise HeraError(f"{path}: unsupported flow file version {excerpt(version)}")
     header = HeraHeader()
     cfg_kwargs = {}
     records = []
     written = _written_line()
     for line_number, raw in enumerate(fp, start=2):
-        line = raw.rstrip("\n")
-        if not line:
-            continue
-        if "\0" in line:
-            raise CorruptRecord(line_number, "line contains NUL")
-        if line.startswith("#"):
-            try:
+        try:
+            line = raw.rstrip("\n")
+            if not line:
+                continue
+            if "\0" in line:
+                raise ValueError("line contains NUL")
+            if line.startswith("#"):
                 _read_header_line(line, header, cfg_kwargs)
-            except ValueError as exc:
-                raise CorruptRecord(line_number, str(exc)) from None
-            continue
-        records.append(written(line) or _parse_general(line, line_number))
+            else:
+                records.append(written(line) or _parse_general(line))
+        except ValueError as exc:
+            raise HeraError(f"{path}: line {line_number}: {exc}") from None
     header.config = ExportConfig(**cfg_kwargs)
     for i, rec in enumerate(records):
         rec.seq = i

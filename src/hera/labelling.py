@@ -35,15 +35,7 @@ from operator import itemgetter
 from typing import TYPE_CHECKING, NamedTuple
 
 from .dataset import csv_lines, iter_csv
-from .errors import (
-    EmptyLabelCell,
-    MalformedDatasetCell,
-    MalformedField,
-    MalformedTimestamp,
-    MissingLabelColumn,
-    MissingMatchField,
-    excerpt,
-)
+from .errors import HeraError, _where, excerpt
 from .timefmt import MAX_DIGITS, WRITTEN_TIME, address_to_text, text_to_int, text_to_us
 from .workspace import DEFAULT_BENIGN_LABEL
 
@@ -114,12 +106,12 @@ def parse_ground_truth(path) -> GroundTruth:
     try:
         header = next(reader)[0]
     except StopIteration:
-        raise MissingLabelColumn(f"{path}: empty ground-truth file") from None
+        raise HeraError(f"{path}: empty ground-truth file") from None
     if header:  # a byte-order mark (Excel's "CSV UTF-8") is not part of a name
         header[0] = header[0].removeprefix("\ufeff")
     names = [name.strip().lower() for name in header]
     if "label" not in names:
-        raise MissingLabelColumn(f"{path}: no Label column in {excerpt(header)}")
+        raise HeraError(f"{path}: no Label column in {excerpt(header)}")
     # The first column of each name; None for a name the header lacks.
     positions = [names.index(name) if name in names else None for name in _GT_COLUMNS]
     return GroundTruth(_entries(path, reader, positions))
@@ -150,7 +142,7 @@ def _entries(path, reader, positions) -> Iterator[GroundTruthEntry]:
         if not label:
             if not "".join(row).strip():
                 continue
-            raise EmptyLabelCell(row_number, path)
+            raise HeraError(f"{path}: row {row_number}: empty label cell")
         yield new(GroundTruthEntry, (
             label, row_number,
             int(start.replace(".", "")) if _WRITTEN_TIME(start)
@@ -175,7 +167,8 @@ def _timestamp(text: str, row_number: int, path) -> int | None:
     try:
         return text_to_us(text)
     except ValueError:
-        raise MalformedTimestamp(row_number, text, path) from None
+        raise HeraError(
+            f"{path}: row {row_number}: malformed timestamp {excerpt(text)}") from None
 
 
 def _port(text: str, column: str, row_number: int, path) -> int | None:
@@ -185,7 +178,8 @@ def _port(text: str, column: str, row_number: int, path) -> int | None:
     try:
         return text_to_int(text)
     except ValueError:
-        raise MalformedField(row_number, column, text, path) from None
+        raise HeraError(
+            f"{path}: row {row_number}: bad {column} value {excerpt(text)}") from None
 
 
 class LabelSummary(NamedTuple):
@@ -227,7 +221,8 @@ def _row_views(header, rows, path=None):
         try:
             positions.append(header.index(col))
         except ValueError:
-            raise MissingMatchField(col, path) from None
+            raise HeraError(
+                f"{_where(path)}dataset is missing required column {col!r}") from None
     pick = itemgetter(*positions)
     # Read only for text with a ':' or surrounding whitespace.
     addrs = _Memo(lambda text: _canonical_addr(text.strip()))
@@ -255,12 +250,12 @@ def _general_view(row, line_number, positions, addrs, path):
     cells = []
     for column, position in zip(MATCH_COLUMNS, positions):
         if position >= len(row):
-            raise MalformedDatasetCell(line_number, column, "missing cell", path)
+            raise HeraError(f"{_where(path)}line {line_number}, column {column!r}: missing cell")
         try:
             cells.append(_CELL_PARSERS.get(column, str)(row[position].strip()))
         except ValueError:
-            raise MalformedDatasetCell(line_number, column,
-                                       f"bad value {excerpt(row[position])}", path) from None
+            raise HeraError(f"{_where(path)}line {line_number}, column {column!r}: "
+                            f"bad value {excerpt(row[position])}") from None
     stime, ltime, proto, saddr, daddr, sport, dport = cells
     return stime, ltime, (proto.lower(), addrs[saddr], sport, addrs[daddr], dport)
 

@@ -3,12 +3,13 @@
 Handles the four classic magic numbers (both byte orders, microsecond and
 nanosecond resolution), Ethernet (with a single VLAN tag) and raw-IP link
 layers, IPv4/IPv6, and the TCP/UDP/ICMP transports. `next_packet` reads
-one record and `_decode` turns its frame into a packet in one pass,
-reading each header at its offset into the record's bytes. A TCP
-segment's flags are the six classic bits of its flag byte, as one int.
-Undecodable records are reported as skips with a reason; they never
-abort the capture. Only a record header that claims more bytes than the
-file holds, or than any record may hold, does.
+records until one decodes and returns that packet, and `_decode` turns
+a record's frame into a packet in one pass, reading each header at its
+offset into the record's bytes. A TCP segment's flags are the six
+classic bits of its flag byte, as one int. An undecodable record is
+tallied as a skip by its reason; it never aborts the capture. Only a
+record header that claims more bytes than the file holds, or than any
+record may hold, does.
 """
 
 from __future__ import annotations
@@ -19,13 +20,7 @@ import struct
 from collections import Counter
 from typing import NamedTuple
 
-from .errors import (
-    BadMagic,
-    OversizedRecord,
-    TruncatedHeader,
-    TruncatedRecord,
-    UnsupportedLinktype,
-)
+from .errors import HeraError
 from .timefmt import address_to_text
 
 MAGIC_MICRO = 0xA1B2C3D4
@@ -105,16 +100,12 @@ class DecodedPacket(NamedTuple):
     vlan_id: int | None = None
 
 
-class SkippedRecord(NamedTuple):
-    record_index: int
-    reason: str
-
-
 class CaptureReader:
     """Sequential reader over one classic PCAP file.
 
-    `next_packet()` returns a DecodedPacket, a SkippedRecord, or None at
-    end of capture. Skips are tallied by reason in `self.skipped`.
+    `next_packet()` returns the next DecodedPacket, or None at the end of
+    the capture. The records it skips on the way are tallied by reason in
+    `self.skipped`.
     """
 
     def __init__(self, fp, name: str = "<capture>"):
@@ -138,45 +129,46 @@ class CaptureReader:
         needs: their byte order, time resolution, link type and length limit."""
         raw = self._fp.read(24)
         if len(raw) < 4:
-            raise TruncatedHeader(f"{self.name}: file shorter than a magic number")
+            raise HeraError(f"{self.name}: file shorter than a magic number")
         try:
             order, resolution = _MAGICS[raw[:4]]
         except KeyError:
-            raise BadMagic(f"{self.name}: magic {raw[:4].hex()} is not classic PCAP") from None
+            raise HeraError(f"{self.name}: magic {raw[:4].hex()} is not classic PCAP") from None
         if len(raw) < 24:
-            raise TruncatedHeader(f"{self.name}: file shorter than the global header")
+            raise HeraError(f"{self.name}: file shorter than the global header")
         endian = ">" if order == "big" else "<"
         _, _, _, _, snaplen, linktype = struct.unpack(endian + "HHiIII", raw[4:])
         if linktype not in (LINKTYPE_ETHERNET, LINKTYPE_RAW_IP):
-            raise UnsupportedLinktype(linktype, self.name)
+            raise HeraError(f"{self.name}: unsupported linktype {linktype}")
         self._record_head = struct.Struct(endian + "IIII")
         self._frac_per_us = 1000 if resolution == "nano" else 1
         self._ethernet = linktype == LINKTYPE_ETHERNET
         self._record_limit = max(snaplen, MAX_RECORD_BYTES)
 
-    def next_packet(self) -> DecodedPacket | SkippedRecord | None:
-        head = self._fp.read(16)
-        if not head:
-            return None
-        index = self.record_index
-        if len(head) < 16:
-            raise TruncatedRecord(self.name, index)
-        ts_sec, ts_frac, incl_len, orig_len = self._record_head.unpack(head)
-        if incl_len > self._record_limit:
-            raise OversizedRecord(self.name, index, incl_len, self._record_limit)
-        if incl_len <= MAX_RECORD_BYTES:
-            data = self._fp.read(incl_len)
-        else:
-            data = self._read_in_chunks(incl_len)
-        if len(data) < incl_len:
-            raise TruncatedRecord(self.name, index)
-        self.record_index += 1
-        ts_us = ts_sec * 1_000_000 + ts_frac // self._frac_per_us
-        result = self._decode(ts_us, data, orig_len)
-        if isinstance(result, str):
+    def next_packet(self) -> DecodedPacket | None:
+        while head := self._fp.read(16):
+            if len(head) < 16:
+                raise self._truncated()
+            ts_sec, ts_frac, incl_len, orig_len = self._record_head.unpack(head)
+            if incl_len > self._record_limit:
+                raise HeraError(f"{self.name}: record {self.record_index} claims {incl_len} "
+                                f"bytes, more than the {self._record_limit}-byte limit")
+            if incl_len <= MAX_RECORD_BYTES:
+                data = self._fp.read(incl_len)
+            else:
+                data = self._read_in_chunks(incl_len)
+            if len(data) < incl_len:
+                raise self._truncated()
+            self.record_index += 1
+            ts_us = ts_sec * 1_000_000 + ts_frac // self._frac_per_us
+            result = self._decode(ts_us, data, orig_len)
+            if not isinstance(result, str):
+                return result
             self.skipped[result] += 1
-            return SkippedRecord(index, result)
-        return result
+        return None
+
+    def _truncated(self) -> HeraError:
+        return HeraError(f"{self.name}: record {self.record_index} truncated at end of file")
 
     def _read_in_chunks(self, size: int) -> bytes:
         """`size` bytes read at most MAX_RECORD_BYTES at a time, so a
@@ -193,13 +185,7 @@ class CaptureReader:
         return b"".join(chunks)
 
     def __iter__(self):
-        """Yield decoded packets only; skips are tallied silently."""
-        while True:
-            item = self.next_packet()
-            if item is None:
-                return
-            if isinstance(item, DecodedPacket):
-                yield item
+        return iter(self.next_packet, None)
 
     # -- frame decoding ------------------------------------------------
 

@@ -17,19 +17,16 @@ _PATTERN = re.compile(r"test_acceptance\.py::test_criterion_(\d+)")
 
 _TESTS = Path(__file__).parent
 
-# A file left open (and so closed by the garbage collector) fails the test
-# that left it; the filters are marks, so they hold for this directory only.
-_UNCLOSED_FILES_FAIL = (
-    pytest.mark.filterwarnings("error::ResourceWarning"),
-    pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning"),
-)
+# Any warning fails the test that raised it: a ResourceWarning (a file left
+# open, closed by the garbage collector) or a DeprecationWarning as much as
+# an error. The filter is a mark, so it holds for this directory only.
+_WARNINGS_FAIL = pytest.mark.filterwarnings("error")
 
 
 def pytest_collection_modifyitems(items):
     for item in items:
         if _TESTS in item.path.parents:
-            for mark in _UNCLOSED_FILES_FAIL:
-                item.add_marker(mark)
+            item.add_marker(_WARNINGS_FAIL)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -18,7 +18,7 @@ from math import inf
 from operator import itemgetter
 
 from hera.dataset import iter_csv
-from hera.errors import EmptyLabelCell, MissingLabelColumn, excerpt
+from hera.errors import HeraError, excerpt
 from hera.labelling import (
     _GT_COLUMNS,
     GroundTruthEntry,
@@ -43,12 +43,12 @@ def parse_ground_truth(path) -> OracleGroundTruth:
     try:
         header = next(reader)[0]
     except StopIteration:
-        raise MissingLabelColumn(f"{path}: empty ground-truth file") from None
+        raise HeraError(f"{path}: empty ground-truth file") from None
     if header:
         header[0] = header[0].removeprefix("\ufeff")
     names = [name.strip().lower() for name in header]
     if "label" not in names:
-        raise MissingLabelColumn(f"{path}: no Label column in {excerpt(header)}")
+        raise HeraError(f"{path}: no Label column in {excerpt(header)}")
     positions = [names.index(name) if name in names else None for name in _GT_COLUMNS]
     pick = None if None in positions else itemgetter(*positions)
     width = max(i for i in positions if i is not None) + 1
@@ -66,7 +66,7 @@ def parse_ground_truth(path) -> OracleGroundTruth:
         if not label:
             if not "".join(row).strip():
                 continue
-            raise EmptyLabelCell(row_number, path)
+            raise HeraError(f"{path}: row {row_number}: empty label cell")
         entries.append(GroundTruthEntry(
             label, row_number, _timestamp(start, row_number, path),
             _timestamp(last, row_number, path), protos[proto], addrs[src],

@@ -59,11 +59,12 @@ def collect_flows(packets, config: ExportConfig) -> list[FlowRecord]:
     return table.flush()
 
 
-def parse_line(line: str, line_number: int = 1) -> FlowRecord:
+def parse_line(line: str) -> FlowRecord:
     """The record of one `.hera` record line, read as `read_hera` reads
     it: by position when the line is in the form `format_record` writes,
-    by field name otherwise."""
-    return herafile._written_line()(line) or herafile._parse_general(line, line_number)
+    by field name otherwise, which raises a ValueError naming what is
+    wrong with the line."""
+    return herafile._written_line()(line) or herafile._parse_general(line)
 
 
 def record_field_kinds() -> list[tuple[str, str]]:

@@ -159,6 +159,20 @@ def test_export_garbage_capture_is_format_error(tmp_path, capsys):
     assert main(["export", "--pcap", str(bad), "--out", str(tmp_path / "f")]) == 2
 
 
+@pytest.mark.parametrize("data, reason", [
+    (b"", "file shorter than a magic number"),
+    (pb.pcap([])[:10], "file shorter than the global header"),
+    (b"\x0a\x0d\x0d\x0a" + b"\x00" * 20, "magic 0a0d0d0a is not classic PCAP"),
+    (pb.pcap([], linktype=113), "unsupported linktype 113"),
+], ids=["empty", "short-header", "bad-magic", "linktype"])
+def test_export_bad_global_header_is_format_error(tmp_path, capsys, data, reason):
+    bad = tmp_path / "bad.pcap"
+    bad.write_bytes(data)
+    assert main(["export", "--pcap", str(bad), "--out", str(tmp_path / "f")]) == 2
+    assert capsys.readouterr().err == f"hera: {bad}: {reason}\n"
+    assert tree(tmp_path) == ["bad.pcap"]
+
+
 def test_export_failure_leaves_no_partial_outputs(tmp_path):
     good = sample_capture(tmp_path / "a.pcap")
     bad = tmp_path / "b.pcap"
@@ -269,7 +283,7 @@ def test_dataset_unknown_feature_is_usage_error(tmp_path, capsys):
     hera = exported(tmp_path)
     assert main(["dataset", "--in", str(hera), "--out", str(tmp_path / "csv"),
                  "--features", "dur,nope"]) == 1
-    assert "nope" in capsys.readouterr().err
+    assert capsys.readouterr().err == "hera: unknown feature 'nope'\n"
 
 
 def test_dataset_racluster_merges_sliced_flow(tmp_path):
@@ -379,8 +393,12 @@ def test_dataset_unreadable_flow_file_line_is_format_error(
 @pytest.mark.parametrize("command, old, new, reason", [
     ("dataset", b"proto=udp", b"proto=udp proto=udp", "line {}: duplicate field 'proto'"),
     ("dataset", b"#HERA v1", b"#HERA v9", "unsupported flow file version 'v9'"),
-    ("label", b",80,", b",eighty,", "line {}, column 'dport'"),
-], ids=["corrupt-record", "unsupported-version", "malformed-cell"])
+    ("dataset", b"#HERA v1", b"#HERE v1", "not a flow file (missing '#HERA v1')"),
+    ("dataset", b"#emit_management=true", b"#emit_management=yes",
+     "line {}: emit_management must be true or false, got 'yes'"),
+    ("label", b",80,", b",eighty,", "line {}, column 'dport': bad value 'eighty'"),
+], ids=["corrupt-record", "unsupported-version", "not-a-flow-file", "emit-management",
+        "malformed-cell"])
 def test_bad_second_input_is_named(tmp_path, capsys, command, old, new, reason):
     for name, base in (("a.pcap", 0), ("b.pcap", 3 * SEC)):
         sample_capture(tmp_path / name, base_us=base)
@@ -397,7 +415,7 @@ def test_bad_second_input_is_named(tmp_path, capsys, command, old, new, reason):
     if command == "label":
         argv += ["--gt", str(write_gt(tmp_path / "gt.csv"))]
     assert main(argv) == 2
-    assert f"hera: {inputs[1]}: {reason}" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"hera: {inputs[1]}: {reason}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -722,28 +740,35 @@ MATCH_HEADER = "stime,ltime,proto,saddr,sport,daddr,dport\n"
 GOOD_ROW = "1.000000,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n"
 
 
-@pytest.mark.parametrize("bad_row, where", [
-    ("1.000000,2.000000,tcp,10.0.0.1,http,10.0.0.2,80\n", "line 3, column 'sport'"),
-    ("1.000000,2.000000,tcp,10.0.0.1,1234,10.0.0.2,8.0\n", "line 3, column 'dport'"),
-    ("1.000000,noon,tcp,10.0.0.1,1234,10.0.0.2,80\n", "line 3, column 'ltime'"),
-    ("1.0.0,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n", "line 3, column 'stime'"),
-    ("1.000000,2.000000,tcp,10.0.0.1,1234\n", "line 3, column 'daddr'"),
-    ("1.000000,2.000000,tcp,10.0.0.1,8_0,10.0.0.2,80\n", "line 3, column 'sport'"),
-    ("1.000000,2.000000,tcp,10.0.0.1,1234,10.0.0.2,\u0665\u0663\n", "line 3, column 'dport'"),
-    ("\u0661.0,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n", "line 3, column 'stime'"),
+@pytest.mark.parametrize("bad_row, message", [
+    ("1.000000,2.000000,tcp,10.0.0.1,http,10.0.0.2,80\n",
+     "line 3, column 'sport': bad value 'http'"),
+    ("1.000000,2.000000,tcp,10.0.0.1,1234,10.0.0.2,8.0\n",
+     "line 3, column 'dport': bad value '8.0'"),
+    ("1.000000,noon,tcp,10.0.0.1,1234,10.0.0.2,80\n",
+     "line 3, column 'ltime': bad value 'noon'"),
+    ("1.0.0,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n",
+     "line 3, column 'stime': bad value '1.0.0'"),
+    ("1.000000,2.000000,tcp,10.0.0.1,1234\n", "line 3, column 'daddr': missing cell"),
+    ("1.000000,2.000000,tcp,10.0.0.1,8_0,10.0.0.2,80\n",
+     "line 3, column 'sport': bad value '8_0'"),
+    ("1.000000,2.000000,tcp,10.0.0.1,1234,10.0.0.2,\u0665\u0663\n",
+     "line 3, column 'dport': bad value '\u0665\u0663'"),
+    ("\u0661.0,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n",
+     "line 3, column 'stime': bad value '\u0661.0'"),
     ("1.000000,2.000000,tcp,10.0.0.1," + "1" + "0" * 40 + ",10.0.0.2,80\n",
-     "line 3, column 'sport'"),
+     "line 3, column 'sport': bad value '1" + "0" * 40 + "'"),
     ("1" + "0" * 34 + ".000000,2.000000,tcp,10.0.0.1,1234,10.0.0.2,80\n",
-     "line 3, column 'stime'"),
+     "line 3, column 'stime': bad value '1" + "0" * 34 + ".000000'"),
 ], ids=["sport", "dport", "ltime", "stime", "short-row",
         "sport-underscore", "dport-non-ascii", "stime-non-ascii", "sport-41-digits",
         "stime-41-digits"])
-def test_label_unreadable_dataset_cell_is_format_error(tmp_path, capsys, bad_row, where):
+def test_label_unreadable_dataset_cell_is_format_error(tmp_path, capsys, bad_row, message):
     dataset = tmp_path / "d.csv"
     dataset.write_text(MATCH_HEADER + GOOD_ROW + bad_row, encoding="utf-8")
     gt = write_gt(tmp_path / "gt.csv")
     assert main(["label", "--in", str(dataset), "--gt", str(gt)]) == 2
-    assert where in capsys.readouterr().err
+    assert capsys.readouterr().err == f"hera: {dataset}: {message}\n"
     assert tree(tmp_path) == ["d.csv", "gt.csv"]
 
 
@@ -769,6 +794,23 @@ def test_label_ground_truth_not_utf8_is_format_error(tmp_path, capsys):
     gt.write_bytes(b"SrcAddr,Label\n10.0.0.1,Probe\n10.0.0.2,Sc\xe4n\n")
     assert main(["label", "--in", str(dataset), "--gt", str(gt)]) == 2
     assert "line 3, column 12: bytes are not UTF-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gt_text, reason", [
+    ("", "empty ground-truth file"),
+    ("SrcAddr\n192.168.1.10\n", "no Label column in ['SrcAddr']"),
+    ("SrcAddr,Label\n192.168.1.10,Probe\n192.168.1.11, \n", "row 3: empty label cell"),
+    ("StartTime,Label\nnoon,Probe\n", "row 2: malformed timestamp 'noon'"),
+    ("Sport,Label\n8_0,Probe\n", "row 2: bad sport value '8_0'"),
+    ("Dport,Label\nhttp,Probe\n", "row 2: bad dport value 'http'"),
+], ids=["empty-file", "no-label-column", "empty-label", "timestamp", "sport", "dport"])
+def test_label_malformed_ground_truth_is_format_error(tmp_path, capsys, gt_text, reason):
+    dataset = tmp_path / "d.csv"
+    dataset.write_text(MATCH_HEADER + GOOD_ROW, encoding="utf-8")
+    gt = write_gt(tmp_path / "gt.csv", gt_text)
+    assert main(["label", "--in", str(dataset), "--gt", str(gt)]) == 2
+    assert capsys.readouterr().err == f"hera: {gt}: {reason}\n"
+    assert tree(tmp_path) == ["d.csv", "gt.csv"]
 
 
 LONG_CELL = "x" * 200_000  # over the csv module's 131,072-character field limit

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 from cluster_oracle import cluster_every_group
 from hera import dataset
 from hera.dataset import build_dataset, cluster
-from hera.errors import CorruptRecord
 from hera.features import select_feature_set
 from hera.flows import ExportConfig, FlowTable
 from hera.pcap import CaptureReader
@@ -68,10 +67,10 @@ def record_lines(draw) -> str:
 
 def records_of(lines) -> list:
     records = []
-    for number, line in enumerate(lines, start=1):
+    for line in lines:
         try:
-            records.append(parse_line(line, number))
-        except CorruptRecord:
+            records.append(parse_line(line))
+        except ValueError:
             pass
     return records
 

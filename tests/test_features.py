@@ -5,7 +5,7 @@ import pytest
 
 import pcap_builder as pb
 from hera.dataset import cluster
-from hera.errors import UnknownFeature
+from hera.errors import UsageError
 from hera.features import (
     ALWAYS_ON,
     CATALOG,
@@ -137,14 +137,15 @@ def test_selection_preserves_catalog_order():
 
 
 def test_unknown_feature_raises():
-    with pytest.raises(UnknownFeature) as err:
+    with pytest.raises(UsageError) as err:
         select_feature_set(["nosuchfeat"])
-    assert err.value.name == "nosuchfeat"
+    assert str(err.value) == "unknown feature 'nosuchfeat'"
 
 
 def test_unknown_preset_raises():
-    with pytest.raises(UnknownFeature):
+    with pytest.raises(UsageError) as err:
         select_feature_set("nosuchpreset")
+    assert str(err.value) == "unknown feature 'nosuchpreset'"
 
 
 @pytest.mark.parametrize(
@@ -447,11 +448,8 @@ def _mixed_capture_records():
     frames += [pb.udp4_frame(O, C, 9000, 9001, b"s" * n, ttl=40 + n) for n in range(1, 9)]
     capture = pb.pcap([pb.record(i * 300_000, frame) for i, frame in enumerate(frames)])
     reader = CaptureReader(io.BytesIO(capture))
-    packets = []
-    while (item := reader.next_packet()) is not None:
-        packets.append(item)
-    assert all(isinstance(p, DecodedPacket) for p in packets)
-    records = collect_flows(packets, ExportConfig(interval_us=SEC))
+    records = collect_flows(reader, ExportConfig(interval_us=SEC))
+    assert not reader.skipped and reader.record_index == len(frames)
     assert {r.key.proto for r in records} == {"tcp", "udp", "icmp", "man"}
     assert any(not r.is_management and 0 in (r.a.pkts, r.b.pkts) for r in records)
     assert any(r.slice_index > 0 for r in records)

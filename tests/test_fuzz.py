@@ -2,19 +2,21 @@
 
 A small valid capture with TCP, UDP, ICMP, IPv6, fragmented and
 VLAN-tagged frames is cut after every byte of every frame, and damaged
-by random byte overwrites, insertions and truncations. The reader must fail only with a `CaptureError`, account
-for every record it read, and `hera export` must exit 0 or 2, never
-with a traceback. The same edits to the `.hera` file exported from that
-capture, and to a small ground truth and dataset CSV, must leave
-`hera dataset` and `hera label` exiting 0 or 2 as well. `hera run` on a
-damaged capture must exit 0 or 2, and leave no file or directory behind
-when it exits 2. Record and snapshot lengths at their extremes must
-leave `hera export`, and `hera run` with a small ground truth, exiting 0
-or 2 too, within memory proportional to the capture's size; a `.hera` file with a very long line or a
-5,000-digit value leaves `hera dataset` exiting 0 or 2 within memory
-proportional to the file's size; and a dataset or ground truth with a
-very long, very wide or multi-line row leaves `hera label` exiting 0 or
-2 within memory proportional to the two files' size.
+by random byte overwrites, insertions and truncations. The reader must
+fail only with a `HeraError` of exit code 2 whose message begins with
+the capture's name, account for every record it read, and `hera export`
+must exit 0 or 2, never with a traceback. The same edits to the `.hera`
+file exported from that capture, and to a small ground truth and dataset
+CSV, must leave `hera dataset` and `hera label` exiting 0 or 2 as well.
+`hera run` on a damaged capture must exit 0 or 2, and leave no file or
+directory behind when it exits 2. Record and snapshot lengths at their
+extremes must leave `hera export`, and `hera run` with a small ground
+truth, exiting 0 or 2 too, within memory proportional to the capture's
+size; a `.hera` file with a very long line or a 5,000-digit value leaves
+`hera dataset` exiting 0 or 2 within memory proportional to the file's
+size; and a dataset or ground truth with a very long, very wide or
+multi-line row leaves `hera label` exiting 0 or 2 within memory
+proportional to the two files' size.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from hypothesis import strategies as st
 
 import pcap_builder as pb
 from hera.cli import main
-from hera.errors import CaptureError
-from hera.pcap import MAX_RECORD_BYTES, CaptureReader, DecodedPacket
+from hera.errors import HeraError, UsageError
+from hera.pcap import MAX_RECORD_BYTES, CaptureReader
 
 A4, B4 = "10.0.0.1", "10.0.0.2"
 A6, B6 = "2001:db8::1", "2001:db8::2"
@@ -104,10 +106,9 @@ def mutated_captures(draw) -> bytes:
 def test_every_prefix_of_every_frame_decodes_or_skips():
     records = [frame[:length] for frame in FRAMES for length in range(len(frame) + 1)]
     reader = CaptureReader(io.BytesIO(pb.pcap([pb.record(0, r) for r in records])))
-    items = [reader.next_packet() for _ in records]
+    decoded = len(list(reader))
     assert reader.next_packet() is None
-    decoded = sum(isinstance(item, DecodedPacket) for item in items)
-    assert decoded + sum(reader.skipped.values()) == len(records)
+    assert decoded + sum(reader.skipped.values()) == reader.record_index == len(records)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
@@ -116,11 +117,12 @@ def test_reader_fails_only_with_capture_errors_and_counts_every_record(data):
     decoded = 0
     try:
         reader = CaptureReader(io.BytesIO(data))
-        while (item := reader.next_packet()) is not None:
-            if isinstance(item, DecodedPacket):
-                decoded += 1
-                assert 0 <= item.payload_bytes <= item.ip_bytes
-    except CaptureError:
+        for packet in reader:
+            decoded += 1
+            assert 0 <= packet.payload_bytes <= packet.ip_bytes
+    except HeraError as exc:
+        assert not isinstance(exc, UsageError)
+        assert str(exc).startswith("<capture>: ")
         return
     assert decoded + sum(reader.skipped.values()) == reader.record_index
 

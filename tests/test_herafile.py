@@ -4,7 +4,7 @@ import pytest
 
 from hera import herafile
 from hera.dataset import cluster
-from hera.errors import CorruptRecord, FlowFileBadMagic, UnsupportedVersion
+from hera.errors import HeraError
 from hera.flows import ExportConfig, FlowKey, FlowRecord, FlowTable, make_management_record
 from hera.herafile import (
     HeraHeader,
@@ -150,23 +150,25 @@ def test_unknown_record_fields_are_skipped(tmp_path):
 def test_bad_magic(tmp_path):
     path = tmp_path / "bad.hera"
     path.write_text("#NOTHERA v1\n")
-    with pytest.raises(FlowFileBadMagic):
+    with pytest.raises(HeraError) as err:
         read_hera(path)
+    assert str(err.value) == f"{path}: not a flow file (missing '#HERA v1')"
 
 
 def test_unsupported_version(tmp_path):
     path = tmp_path / "v2.hera"
     path.write_text("#HERA v2\n")
-    with pytest.raises(UnsupportedVersion) as err:
+    with pytest.raises(HeraError) as err:
         read_hera(path)
-    assert err.value.version == "v2"
+    assert str(err.value) == f"{path}: unsupported flow file version 'v2'"
 
 
 def test_empty_file_is_bad_magic(tmp_path):
     path = tmp_path / "empty.hera"
     path.write_bytes(b"")
-    with pytest.raises(FlowFileBadMagic):
+    with pytest.raises(HeraError) as err:
         read_hera(path)
+    assert str(err.value) == f"{path}: not a flow file (missing '#HERA v1')"
 
 
 def corrupt_file(tmp_path, record_line: str):
@@ -190,7 +192,7 @@ def minimal_line(**overrides):
 
 
 def test_minimal_record_parses():
-    rec = parse_line(minimal_line(), 2)
+    rec = parse_line(minimal_line())
     assert rec.key.proto == "udp"
     assert rec.stime_us == SEC
     # Every field the line leaves out, and every field of each side, takes
@@ -201,9 +203,9 @@ def test_minimal_record_parses():
         assert getattr(rec, name) == getattr(expected, name), name
     # Of several bad values, the reason names the first in line order: spkts
     # is a source field, ipsum a record field after the destination's.
-    with pytest.raises(CorruptRecord) as err:
-        parse_line(minimal_line(spkts="many", ipsum="later"), 2)
-    assert err.value.reason == "invalid literal for int() with base 10: 'many'"
+    with pytest.raises(ValueError) as err:
+        parse_line(minimal_line(spkts="many", ipsum="later"))
+    assert str(err.value) == "invalid literal for int() with base 10: 'many'"
 
 
 def test_flgs_is_a_flag_int_on_every_record_path():
@@ -213,41 +215,47 @@ def test_flgs_is_a_flag_int_on_every_record_path():
     paths = {
         "FlowTable.flush": records,
         "written-form reader": [herafile._written_line()(line) for line in lines],
-        "general reader": [herafile._parse_general(line, 1) for line in lines],
-        "line without flgs": [parse_line(minimal_line(), 2)],
+        "general reader": [herafile._parse_general(line) for line in lines],
+        "line without flgs": [parse_line(minimal_line())],
         "cluster": cluster(records),
         "make_management_record": [make_management_record(0, SEC, 3, 120, 1)],
     }
     for path, recs in paths.items():
         assert all(type(rec.flgs) is int and 0 <= rec.flgs < 64 for rec in recs), path
-    assert parse_line(minimal_line(), 2).flgs == 0
+    assert parse_line(minimal_line()).flgs == 0
 
 
 def test_corrupt_token_reports_line(tmp_path):
     path = corrupt_file(tmp_path, minimal_line() + " notafield")
-    with pytest.raises(CorruptRecord) as err:
+    with pytest.raises(HeraError) as err:
         read_hera(path)
-    assert err.value.line_number == 2
+    assert str(err.value) == f"{path}: line 2: malformed token 'notafield'"
 
 
-@pytest.mark.parametrize("header_line", [
-    "#interval=0.000000",
-    "#idle_timeout=-1.000000",
-    "#reorder_slack=-0.000001",
-    "#capture_start=noon",
-    "#interval=",
-    "#emit_management=banana",
-    "#emit_management=yes",
-    "#emit_management=1",
-    "#reorder_slack=1" + "0" * 34 + ".000000",
-    "#capture_start=-1" + "0" * 34,
-])
+POSITIVE = "must be a positive number of seconds, at least one microsecond"
+
+# Each bad header line, and the reason read_hera gives for it.
+BAD_HEADER_LINES = {
+    "#interval=0.000000": f"interval {POSITIVE}",
+    "#idle_timeout=-1.000000": f"idle_timeout {POSITIVE}",
+    "#reorder_slack=-0.000001": "reorder_slack must not be negative",
+    "#capture_start=noon": "malformed timestamp 'noon'",
+    "#interval=": "empty timestamp",
+    "#emit_management=banana": "emit_management must be true or false, got 'banana'",
+    "#emit_management=yes": "emit_management must be true or false, got 'yes'",
+    "#emit_management=1": "emit_management must be true or false, got '1'",
+    "#reorder_slack=1" + "0" * 34 + ".000000":
+        "value over 40 digits '1" + "0" * 34 + ".000000'",
+    "#capture_start=-1" + "0" * 34: "value over 40 digits '-1" + "0" * 34 + "'",
+}
+
+
+@pytest.mark.parametrize("header_line", BAD_HEADER_LINES)
 def test_bad_header_value_reports_line(tmp_path, header_line):
     path = corrupt_file(tmp_path, "#source=a.pcap\n" + header_line + "\n" + minimal_line())
-    with pytest.raises(CorruptRecord) as err:
+    with pytest.raises(HeraError) as err:
         read_hera(path)
-    assert err.value.line_number == 3
-    assert str(err.value).startswith(f"{path}: line 3: ")
+    assert str(err.value) == f"{path}: line 3: {BAD_HEADER_LINES[header_line]}"
 
 
 def test_header_config_defaults_idle_timeout_to_interval(tmp_path):
@@ -258,14 +266,27 @@ def test_header_config_defaults_idle_timeout_to_interval(tmp_path):
 
 def test_duplicate_field_rejected(tmp_path):
     path = corrupt_file(tmp_path, minimal_line() + " stime=9.000000")
-    with pytest.raises(CorruptRecord):
+    with pytest.raises(HeraError) as err:
         read_hera(path)
+    assert str(err.value) == f"{path}: line 2: duplicate field 'stime'"
 
 
 def test_missing_required_field_rejected(tmp_path):
-    line = minimal_line(stime=None)
-    with pytest.raises(CorruptRecord):
-        parse_line(line, 5)
+    path = corrupt_file(tmp_path, minimal_line(stime=None))
+    with pytest.raises(HeraError) as err:
+        read_hera(path)
+    assert str(err.value) == f"{path}: line 2: missing field 'stime'"
+
+
+# The reason a record line gives for a value not of its field's kind,
+# before the value itself.
+NOT_OF_ITS_KIND = {
+    "sport": "invalid literal for int() with base 10: ",
+    "dport": "invalid literal for int() with base 10: ",
+    "flgs": "bad flags value ",
+    "mgmt": "bad bool value ",
+    "stime": "malformed timestamp ",
+}
 
 
 @pytest.mark.parametrize("field, text", [
@@ -280,16 +301,17 @@ def test_missing_required_field_rejected(tmp_path):
     ("dport", "\u0665\u0663"),  # Arabic-Indic 53
     ("stime", "\u0661.0"),  # Arabic-Indic 1
 ])
-def test_value_not_of_its_kind_rejected(field, text):
-    with pytest.raises(CorruptRecord) as err:
-        parse_line(minimal_line(**{field: text}), 3)
-    assert err.value.line_number == 3
+def test_value_not_of_its_kind_rejected(tmp_path, field, text):
+    path = corrupt_file(tmp_path, minimal_line(**{field: text}))
+    with pytest.raises(HeraError) as err:
+        read_hera(path)
+    assert str(err.value) == f"{path}: line 2: {NOT_OF_ITS_KIND[field]}{text!r}"
 
 
 def test_key_reconstruction_preserves_direction():
     # source sorts after destination, so the canonical 'a' side is daddr
     line = minimal_line(saddr="10.0.0.9", daddr="10.0.0.1")
-    rec = parse_line(line, 2)
+    rec = parse_line(line)
     assert oriented(rec).saddr == "10.0.0.9"
     assert oriented(rec).daddr == "10.0.0.1"
     assert rec.initiator == "b"
@@ -297,8 +319,8 @@ def test_key_reconstruction_preserves_direction():
 
 def test_format_preserves_direction_round_trip():
     line = minimal_line(saddr="10.0.0.9", daddr="10.0.0.1")
-    rec = parse_line(line, 2)
-    assert parse_line(format_record(rec), 2) == rec
+    rec = parse_line(line)
+    assert parse_line(format_record(rec)) == rec
 
 
 def test_field_name_order_is_fixed():

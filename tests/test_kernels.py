@@ -121,12 +121,12 @@ def test_written_form_reader_equals_the_general_reader(rec, unknown):
     line = format_record(rec)
     record = herafile._written_line()(line)
     assert record is not None
-    assert record == herafile._parse_general(line, 7)
+    assert record == herafile._parse_general(line)
     # Both readers orient the key as export does, whatever the record's.
     assert (record.key, record.initiator) == canonical_key(*oriented(rec)[2:], rec.key.proto)
     # An unknown field is not written form, and the general reader skips it.
     assert herafile._written_line()(f"{line} {unknown}") is None
-    assert herafile._parse_general(f"{line} {unknown}", 7) == record
+    assert herafile._parse_general(f"{line} {unknown}") == record
 
 
 # The statistics of each side of a record, in `.hera` line order, as they

@@ -9,15 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hera import labelling
-from hera.errors import (
-    EmptyLabelCell,
-    MalformedDatasetCell,
-    MalformedField,
-    MalformedTimestamp,
-    MissingLabelColumn,
-    MissingMatchField,
-    excerpt,
-)
+from hera.errors import HeraError, excerpt
 from hera.labelling import (
     DEFAULT_BENIGN_LABEL,
     GroundTruth,
@@ -121,35 +113,37 @@ def test_parse_unknown_columns_ignored(tmp_path):
 
 
 def test_parse_missing_label_column(tmp_path):
-    with pytest.raises(MissingLabelColumn):
+    with pytest.raises(HeraError) as err:
         gt(tmp_path, "StartTime,Proto\n1,tcp\n")
+    assert str(err.value) == f"{tmp_path / 'gt.csv'}: no Label column in ['StartTime', 'Proto']"
 
 
 def test_parse_empty_file(tmp_path):
-    with pytest.raises(MissingLabelColumn):
+    with pytest.raises(HeraError) as err:
         gt(tmp_path, "")
+    assert str(err.value) == f"{tmp_path / 'gt.csv'}: empty ground-truth file"
 
 
 def test_parse_empty_label_cell(tmp_path):
-    with pytest.raises(EmptyLabelCell) as err:
+    with pytest.raises(HeraError) as err:
         gt(tmp_path, "Label,Proto\nDoS,tcp\n,udp\n")
-    assert err.value.row_number == 3
+    assert str(err.value) == f"{tmp_path / 'gt.csv'}: row 3: empty label cell"
 
 
 def test_parse_malformed_timestamp(tmp_path):
     # Arabic-Indic 12.5, and 41 digits in microseconds
     for text in ("noon", "\u0661\u0662.5", "1" + "0" * 34 + ".5"):
-        with pytest.raises(MalformedTimestamp) as err:
+        with pytest.raises(HeraError) as err:
             gt(tmp_path, f"StartTime,Label\n{text},DoS\n")
-        assert err.value.row_number == 2
+        assert str(err.value) == f"{tmp_path / 'gt.csv'}: row 2: malformed timestamp {text!r}"
 
 
 def test_parse_malformed_port(tmp_path):
     # Arabic-Indic 53, and 41 digits
     for text in ("http", "8_0", "\u0665\u0663", "1" + "0" * 40):
-        with pytest.raises(MalformedField) as err:
+        with pytest.raises(HeraError) as err:
             gt(tmp_path, f"Sport,Label\n{text},DoS\n")
-        assert err.value.row_number == 2
+        assert str(err.value) == f"{tmp_path / 'gt.csv'}: row 2: bad sport value {text!r}"
 
 
 def test_parse_normalizes_proto_and_addresses(tmp_path):
@@ -208,10 +202,12 @@ def test_dataset_match_cells_are_read_without_surrounding_whitespace(tmp_path):
             row(stime=" 1.0", sport="1"), row(stime="1.000000\t", sport="1", daddr=" ::1 "),
             row(stime="1.000000", sport="1 ", saddr="10.0.0.1\t", proto="tcp ")]
     assert label_rows(HDR, rows, entries)[0] == ["Attack"] * len(rows)
-    for bad, column in ((row(sport=" "), "sport"), (row(sport=" 1", dport="http"), "dport")):
-        with pytest.raises(MalformedDatasetCell) as err:
+    for bad, message in ((row(sport=" "), "line 2, column 'sport': bad value ' '"),
+                         (row(sport=" 1", dport="http"),
+                          "line 2, column 'dport': bad value 'http'")):
+        with pytest.raises(HeraError) as err:
             label_rows(HDR, [bad], entries)
-        assert err.value.column == column
+        assert str(err.value) == message
 
 
 GT_HEADER = ["StartTime", "LastTime", "Proto", "SrcAddr", "Sport", "DstAddr", "Dport", "Label"]
@@ -225,8 +221,8 @@ def parsed_cells(path, start, last, sport, dport):
             [GT_HEADER, [start, last, "tcp", "10.0.0.1", sport, "10.0.0.2", dport, "DoS"]])
     try:
         made = parse_ground_truth(path)[0]
-    except (MalformedTimestamp, MalformedField) as exc:
-        return type(exc), str(exc)
+    except HeraError as exc:
+        return str(exc)
     return made.start_us, made.last_us, made.sport, made.dport
 
 
@@ -266,9 +262,8 @@ def oracle_cells(path, start, last, sport, dport):
         try:
             out.append(parse(text))
         except ValueError:
-            exc = (MalformedTimestamp(2, text, path) if column is None
-                   else MalformedField(2, column, text, path))
-            return type(exc), str(exc)
+            what = "malformed timestamp" if column is None else f"bad {column} value"
+            return f"{path}: row 2: {what} {excerpt(text)}"
     return tuple(out)
 
 
@@ -277,7 +272,7 @@ def viewed_cells(stime, ltime, sport, dport):
     try:
         [(_, (stime_us, ltime_us, key))] = labelling._row_views(
             HDR, [(row(stime=stime, ltime=ltime, sport=sport, dport=dport), None, 2)])
-    except MalformedDatasetCell as exc:
+    except HeraError as exc:
         return str(exc)
     return stime_us, ltime_us, key[2], key[4]
 
@@ -292,7 +287,7 @@ def oracle_view(stime, ltime, sport, dport):
         try:
             out.append(parse(text.strip()))
         except ValueError:
-            return str(MalformedDatasetCell(2, column, f"bad value {excerpt(text)}"))
+            return f"line 2, column {column!r}: bad value {excerpt(text)}"
     return tuple(out)
 
 
@@ -337,16 +332,17 @@ def test_cell_fast_paths_on_explicit_cells(tmp_path, text):
 
 
 def test_overlong_cells_end_in_their_errors(tmp_path):
+    path = tmp_path / "gt.csv"
     long_time = "1" * 5000 + ".000000"
-    with pytest.raises(MalformedTimestamp) as err:
+    with pytest.raises(HeraError) as err:
         gt(tmp_path, f"StartTime,Label\n{long_time},DoS\n")
-    assert err.value.row_number == 2
-    with pytest.raises(MalformedField) as err:
+    assert str(err.value) == f"{path}: row 2: malformed timestamp {excerpt(long_time)}"
+    with pytest.raises(HeraError) as err:
         gt(tmp_path, f"Sport,LastTime,Label\n{'8' * 5000},1.000000,DoS\n")
-    assert err.value.column == "sport"
-    with pytest.raises(MalformedDatasetCell) as err:
+    assert str(err.value) == f"{path}: row 2: bad sport value {excerpt('8' * 5000)}"
+    with pytest.raises(HeraError) as err:
         label_rows(HDR, [row(), row(dport="8" * 5000)], [])
-    assert (err.value.line_number, err.value.column) == (3, "dport")
+    assert str(err.value) == f"line 3, column 'dport': bad value {excerpt('8' * 5000)}"
 
 
 # -- matching ------------------------------------------------------------------
@@ -417,9 +413,9 @@ def test_custom_benign_label():
 
 
 def test_missing_match_field():
-    with pytest.raises(MissingMatchField) as err:
+    with pytest.raises(HeraError) as err:
         label_rows(["stime", "ltime", "proto"], [], [])
-    assert err.value.column in ("saddr", "daddr", "sport", "dport")
+    assert str(err.value) == "dataset is missing required column 'saddr'"
 
 
 def test_labels_every_row_in_order():

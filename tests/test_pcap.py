@@ -14,20 +14,13 @@ import pcap_builder as pb
 from decode_oracle import decode_frame
 from hera import cli
 from hera.cli import main
-from hera.errors import (
-    BadMagic,
-    OversizedRecord,
-    TruncatedHeader,
-    TruncatedRecord,
-    UnsupportedLinktype,
-)
+from hera.errors import HeraError
 from hera.flows import FLAG_TEXT, ExportConfig
 from hera.herafile import HeraHeader, read_hera, write_hera
 from hera.pcap import (
     MAX_RECORD_BYTES,
     CaptureReader,
     DecodedPacket,
-    SkippedRecord,
     address_text,
     open_capture,
 )
@@ -43,7 +36,7 @@ def write(tmp_path, data: bytes):
 
 
 def first_packet(path):
-    """The first record of a capture: a DecodedPacket, a SkippedRecord or None."""
+    """The first packet a capture decodes, or None."""
     with open_capture(path) as reader:
         return reader.next_packet()
 
@@ -91,24 +84,29 @@ def test_little_endian_nano_magic(tmp_path):
 
 
 def test_empty_file_is_truncated_header(tmp_path):
-    with pytest.raises(TruncatedHeader):
-        open_capture(write(tmp_path, b""))
+    path = write(tmp_path, b"")
+    with pytest.raises(HeraError) as err:
+        open_capture(path)
+    assert str(err.value) == f"{path}: file shorter than a magic number"
 
 
 def test_short_header_is_truncated(tmp_path):
-    data = pb.pcap([])[:10]
-    with pytest.raises(TruncatedHeader):
-        open_capture(write(tmp_path, data))
+    path = write(tmp_path, pb.pcap([])[:10])
+    with pytest.raises(HeraError) as err:
+        open_capture(path)
+    assert str(err.value) == f"{path}: file shorter than the global header"
 
 
 def test_bad_magic(tmp_path):
-    with pytest.raises(BadMagic):
-        open_capture(write(tmp_path, b"\x0a\x0d\x0d\x0a" + b"\x00" * 20))
+    path = write(tmp_path, b"\x0a\x0d\x0d\x0a" + b"\x00" * 20)
+    with pytest.raises(HeraError) as err:
+        open_capture(path)
+    assert str(err.value) == f"{path}: magic 0a0d0d0a is not classic PCAP"
 
 
 def test_unsupported_linktype(tmp_path):
     path = write(tmp_path, pb.pcap([], linktype=113))
-    with pytest.raises(UnsupportedLinktype) as err:
+    with pytest.raises(HeraError) as err:
         open_capture(path)
     assert str(err.value) == f"{path}: unsupported linktype 113"
 
@@ -118,10 +116,13 @@ def test_snaplen_and_linktype_parsed(tmp_path):
     snaplen = 2 * MAX_RECORD_BYTES
     data = pb.pcap([pb.record(0, syn_frame_54()), pb.record(0, b"", incl_len=snaplen + 1)],
                    snaplen=snaplen)
-    with open_capture(write(tmp_path, data)) as reader:
+    path = write(tmp_path, data)
+    with open_capture(path) as reader:
         assert reader.next_packet().proto == "tcp"
-        with pytest.raises(OversizedRecord, match=f"more than the {snaplen}-byte limit"):
+        with pytest.raises(HeraError) as err:
             reader.next_packet()
+    assert str(err.value) == (f"{path}: record 1 claims {snaplen + 1} bytes, "
+                              f"more than the {snaplen}-byte limit")
 
 
 # -- the hand-built 54-byte SYN frame -----------------------------------
@@ -222,18 +223,17 @@ def test_double_vlan_skipped(tmp_path):
     t2, twice = pb.vlan_tag(t1, once, vlan_id=8, tpid=pb.ETHERTYPE_QINQ)
     frame = pb.ethernet(twice, t2)
     with open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))) as reader:
-        out = reader.next_packet()
-        assert isinstance(out, SkippedRecord)
-        assert out.reason == "unsupported-encapsulation"
+        assert reader.next_packet() is None
+        assert reader.skipped == {"unsupported-encapsulation": 1}
+        assert reader.record_index == 1
 
 
 def test_arp_skipped_as_non_ip(tmp_path):
     frame = pb.ethernet(b"\x00" * 28, 0x0806)
     with open_capture(write(tmp_path, pb.pcap([pb.record(0, frame)]))) as reader:
-        out = reader.next_packet()
-        assert isinstance(out, SkippedRecord)
-        assert out.reason == "non-ip"
-        assert reader.skipped["non-ip"] == 1
+        assert reader.next_packet() is None
+        assert reader.skipped == {"non-ip": 1}
+        assert reader.record_index == 1
 
 
 def test_raw_ip_linktype(tmp_path):
@@ -434,9 +434,8 @@ def test_truncated_record_aborts_with_index(tmp_path):
     path = write(tmp_path, pb.pcap([good, bad]))
     with open_capture(path) as reader:
         assert isinstance(reader.next_packet(), DecodedPacket)
-        with pytest.raises(TruncatedRecord) as err:
+        with pytest.raises(HeraError) as err:
             reader.next_packet()
-        assert err.value.record_index == 1
         assert str(err.value) == f"{path}: record 1 truncated at end of file"
 
 
@@ -462,9 +461,8 @@ def test_oversized_record_is_rejected_before_reading_it(tmp_path, snaplen, capsy
     reader = CaptureReader(fp, name="crafted.pcap")
     assert isinstance(reader.next_packet(), DecodedPacket)
     assert isinstance(reader.next_packet(), DecodedPacket)
-    with pytest.raises(OversizedRecord) as err:
+    with pytest.raises(HeraError) as err:
         reader.next_packet()
-    assert err.value.record_index == 2
     assert max(fp.sizes) <= limit
     assert str(err.value) == (f"crafted.pcap: record 2 claims {0xFFFFFFF0} bytes, "
                               f"more than the {limit}-byte limit")
@@ -497,9 +495,9 @@ HUGE_CLAIM = pb.pcap([struct.pack("<IIII", 1, 0, 10**9, 60) + b"\x00" * 64],
 def test_record_claiming_more_than_the_file_stops_at_the_first_short_chunk():
     assert len(HUGE_CLAIM) == 104
     fp = ReadSizes(HUGE_CLAIM)
-    with pytest.raises(TruncatedRecord) as err:
+    with pytest.raises(HeraError) as err:
         CaptureReader(fp, name="huge.pcap").next_packet()
-    assert err.value.record_index == 0
+    assert str(err.value) == "huge.pcap: record 0 truncated at end of file"
     assert fp.sizes == [24, 16, MAX_RECORD_BYTES]
 
 
@@ -536,11 +534,10 @@ def test_truncated_transport_is_skipped_not_fatal(tmp_path):
     frame = pb.tcp4_frame("10.0.0.1", "10.0.0.2", 1, 2, pb.SYN)
     cut = frame[: 14 + 20 + 10]  # TCP header cut short
     with open_capture(write(tmp_path, pb.pcap([pb.record(0, cut), pb.record(1, syn_frame_54())]))) as reader:
-        first = reader.next_packet()
-        assert isinstance(first, SkippedRecord)
-        assert first.reason == "truncated-frame"
-        second = reader.next_packet()
-        assert isinstance(second, DecodedPacket)
+        packet = reader.next_packet()
+        assert isinstance(packet, DecodedPacket) and packet.ts_us == 1
+        assert reader.skipped == {"truncated-frame": 1}
+        assert reader.record_index == 2
 
 
 def test_totality_decoded_plus_skipped_equals_records(tmp_path):
@@ -550,16 +547,9 @@ def test_totality_decoded_plus_skipped_equals_records(tmp_path):
         pb.record(2, pb.udp4_frame("1.1.1.1", "2.2.2.2", 5, 6)),
     ]
     with open_capture(write(tmp_path, pb.pcap(recs))) as reader:
-        decoded = skipped = 0
-        while True:
-            item = reader.next_packet()
-            if item is None:
-                break
-            if isinstance(item, DecodedPacket):
-                decoded += 1
-            else:
-                skipped += 1
-        assert decoded + skipped == reader.record_index == 3
+        decoded = len(list(reader))
+        assert decoded + sum(reader.skipped.values()) == reader.record_index == 3
+        assert reader.skipped == {"non-ip": 1}
 
 
 def test_decode_twice_is_identical(tmp_path):

@@ -7,7 +7,7 @@ oracle here. Lines come from the records of a pcap_builder capture and
 from random values of each field's kind, in written form (negative
 numbers, `-0`, leading zeros, empty optionals, every flag set) and with
 the edits a hand-made or damaged file can carry. Both readers must give
-equal records, or the same CorruptRecord reason.
+equal records, or refuse the line for the same reason.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 import pcap_builder as pb
 from hera import herafile
 from hera.cli import main
-from hera.errors import CorruptRecord
 from hera.flows import FLAG_TEXT, FLAG_VALUES, ExportConfig, FlowTable
 from hera.herafile import format_record, read_hera
 from hera.pcap import CaptureReader
@@ -78,9 +77,9 @@ def _fields(line: str) -> list[list[str]]:
 def outcome(read, line: str):
     """The record `read` makes of the line, or the reason it refuses it."""
     try:
-        return read(line, 1)
-    except CorruptRecord as exc:
-        return ("CorruptRecord", exc.reason)
+        return read(line)
+    except ValueError as exc:
+        return ("refused", str(exc))
 
 
 def assert_readers_agree(line: str) -> None:
@@ -129,7 +128,7 @@ def test_a_written_line_takes_the_pattern_and_reads_as_the_general_reader_reads_
     line = _join(fields)
     record = herafile._written_line()(line)
     assert record is not None
-    assert record == herafile._parse_general(line, 1)
+    assert record == herafile._parse_general(line)
 
 
 def test_every_capture_line_takes_the_pattern():
@@ -141,7 +140,7 @@ def test_every_flag_set_takes_the_pattern(flags):
     line = _join(_set(_fields(capture_lines()[0]), "flgs", flags))
     record = herafile._written_line()(line)
     assert record is not None and record.flgs == FLAG_VALUES[flags]
-    assert record == herafile._parse_general(line, 1)
+    assert record == herafile._parse_general(line)
 
 
 # -- edited lines ------------------------------------------------------------
@@ -237,7 +236,7 @@ def test_each_edit_reads_as_the_general_reader_reads_it(edit):
 def test_fields_in_another_order_read_as_the_same_record():
     line = capture_lines()[0]
     tokens = line.split(" ")
-    assert parse_line(" ".join(reversed(tokens)), 1) == parse_line(line, 1)
+    assert parse_line(" ".join(reversed(tokens))) == parse_line(line)
 
 
 def test_a_value_past_ints_digit_limit_is_left_to_the_general_reader():
@@ -253,7 +252,7 @@ def test_a_value_past_ints_digit_limit_is_left_to_the_general_reader():
 def test_a_value_over_40_digits_is_refused_before_it_is_converted(field, value):
     line = _edit_first_capture_line(lambda f: _join(_set(f, field, value)))
     assert outcome(parse_line, line) == (
-        "CorruptRecord", f"value over 40 digits {herafile.excerpt(value)}")
+        "refused", f"value over 40 digits {herafile.excerpt(value)}")
 
 
 @pytest.mark.parametrize("field, value, read_as", [
@@ -262,8 +261,8 @@ def test_a_value_over_40_digits_is_refused_before_it_is_converted(field, value):
 ])
 def test_leading_zeros_past_ints_digit_limit_do_not_count(field, value, read_as):
     fields = _fields(capture_lines()[1])
-    assert (parse_line(_join(_set(fields, field, value)), 1)
-            == parse_line(_join(_set(fields, field, read_as)), 1))
+    assert (parse_line(_join(_set(fields, field, value)))
+            == parse_line(_join(_set(fields, field, read_as))))
 
 
 # -- the pattern's tables ----------------------------------------------------
