@@ -212,17 +212,15 @@ def _expand_inputs(patterns, flag: str) -> list[Path]:
 
 
 def _export_config(settings: Settings) -> ExportConfig:
-    """The export settings; ExportConfig checks each time, and its error
-    names the flag or workspace key that set it."""
+    """The export settings; a time that no flag or workspace key sets
+    keeps ExportConfig's default. ExportConfig checks each time, and its
+    error names the flag or workspace key that set it."""
     from .flows import ExportConfig
-    idle = settings.number("idle_timeout", None)  # None: the interval
+    times = {f"{name}_us": seconds_to_us(seconds)
+             for name in ("idle_timeout", "interval", "reorder_slack")
+             if (seconds := settings.number(name, None)) is not None}
     try:
-        return ExportConfig(
-            interval_us=seconds_to_us(settings.number("interval", 60.0)),
-            idle_timeout_us=None if idle is None else seconds_to_us(idle),
-            emit_management=not settings.flag("no_management", False),
-            reorder_slack_us=seconds_to_us(settings.number("reorder_slack", 1.0)),
-        )
+        return ExportConfig(emit_management=not settings.flag("no_management", False), **times)
     except ValueError as exc:
         name, _, reason = str(exc).partition(" ")
         raise UsageError(f"{settings.origin(name)} {reason}") from None

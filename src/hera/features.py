@@ -166,9 +166,9 @@ CATALOG: tuple[Feature, ...] = (
        "FLAG_TEXT[r.flgs]"),
     _F("tcpopt", "state", "", "TCP connection state (REQ/CON/FIN/RST)", "oint", "r.tcp_state"),
     _F("Ssaddr", "window-count", "", "flows with same service and saddr "
-       "in the last-100 window", "oint", "c.ssaddr"),
+       "in the --count-window window (default 100)", "oint", "c.ssaddr"),
     _F("Sdaddr", "window-count", "", "flows with same service and daddr "
-       "in the last-100 window", "oint", "c.sdaddr"),
+       "in the --count-window window (default 100)", "oint", "c.sdaddr"),
     # -- end of default preset ---------------------------------------
     _F("service", "identity", "", "well-known service of the lower port", "text", "c.service"),
     _F("slice", "meta", "", "slice index within the flow episode", "int", "r.slice_index"),

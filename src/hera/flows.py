@@ -463,7 +463,6 @@ class FlowTable:
         self.first_ts_us: int | None = None
         self.last_ts_us: int | None = None  # max accepted timestamp
         self._windows: dict[int, list[int]] = {}  # idx -> [pkts, bytes, flows]
-        self._flushed = False
 
     # Compiled once, when this module is imported: a class attribute, so
     # that a wrapper set on the class sees every packet.
@@ -523,10 +522,8 @@ class FlowTable:
 
     def flush(self) -> list[FlowRecord]:
         """Close everything still live, add management records, and return
-        the full record list ordered by (stime, canonical key)."""
-        if self._flushed:
-            raise RuntimeError("flow table already flushed")
-        self._flushed = True
+        the full record list ordered by (stime, canonical key); once, at
+        the end of the packets."""
         last = self.last_ts_us
         for live in list(self._live.values()):
             self._retire(live, idle_us=last - live.rec.ltime_us)

@@ -18,11 +18,14 @@ not with the ground truth. The index is built in the pass that reads the
 entries, so a parsed `GroundTruth` carries it into every dataset it
 labels.
 
-Cells in the form hera writes (a time as `timefmt.WRITTEN_TIME`, a port
-as ASCII digits, an address with no ':' and no surrounding whitespace)
-are read without a Python-level call per cell; any other text goes to
-`text_to_us`/`text_to_int` or the address memo, which decide its value
-or its error.
+One reader, `_match_cells`, reads the match cells of a ground-truth row
+and of a dataset row alike. Cells in the form hera writes (a time as
+`timefmt.WRITTEN_TIME`, a port as ASCII digits, an address with no ':'
+and no surrounding whitespace) are read without a Python-level call per
+cell; any other text goes to `text_to_us`/`text_to_int` or the protocol
+and address memos, which decide its value or its error. The first cell
+of a row that cannot be read ends in `path: line N, column 'NAME': bad
+value 'X'` (or `missing cell`), N the file's line the row starts on.
 """
 
 from __future__ import annotations
@@ -42,13 +45,14 @@ from .workspace import DEFAULT_BENIGN_LABEL
 if TYPE_CHECKING:
     from collections.abc import Iterable, Iterator
 
-# Recognized ground-truth headers, compared case-insensitively, in the
-# order `parse_ground_truth` reads their cells.
-_GT_COLUMNS = ("label", "starttime", "lasttime", "proto", "srcaddr", "sport",
-               "dstaddr", "dport")
+# Recognized ground-truth headers, compared case-insensitively: the
+# label's, then those of MATCH_COLUMNS in that order.
+_GT_COLUMNS = ("label", "starttime", "lasttime", "proto", "srcaddr", "dstaddr",
+               "sport", "dport")
 
 MATCH_COLUMNS = ("stime", "ltime", "proto", "saddr", "daddr", "sport", "dport")
-
+# The converter of each match cell; str never rejects its text.
+_CELL_PARSERS = (text_to_us, text_to_us, str, str, str, text_to_int, text_to_int)
 
 _WRITTEN_TIME = re.compile(WRITTEN_TIME).fullmatch
 
@@ -80,7 +84,7 @@ class _Memo(dict):
 
 class GroundTruthEntry(NamedTuple):
     label: str
-    row_number: int
+    line_number: int  # the line of the file its row starts on
     start_us: int | None = None
     last_us: int | None = None
     # The key fields, in the order of a row's key; None matches anything.
@@ -112,74 +116,89 @@ def parse_ground_truth(path) -> GroundTruth:
     names = [name.strip().lower() for name in header]
     if "label" not in names:
         raise HeraError(f"{path}: no Label column in {excerpt(header)}")
-    # The first column of each name; None for a name the header lacks.
-    positions = [names.index(name) if name in names else None for name in _GT_COLUMNS]
-    return GroundTruth(_entries(path, reader, positions))
+    return GroundTruth(_entries(path, header, reader, _positions(names, _GT_COLUMNS)))
 
 
-def _entries(path, reader, positions) -> Iterator[GroundTruthEntry]:
+def _positions(names, columns) -> list[int | None]:
+    """The first position of each of `columns` in `names`; None for a
+    column that `names` lacks."""
+    return [names.index(column) if column in names else None for column in columns]
+
+
+def _entries(path, header, reader, positions) -> Iterator[GroundTruthEntry]:
     """The entry of each ground-truth row that `reader` yields after the
     header, in file order; `positions` are the columns of `_GT_COLUMNS`.
-    A cell in the form hera writes takes no Python-level call: a time as
-    `WRITTEN_TIME`, a port as ASCII digits, an address with no ':' and no
-    surrounding whitespace, which is its own canonical text and goes into
-    the memo as it is, so that entries share one text per address. Other
-    cells go to the memos and parsers, which decide their value or their
-    error."""
+    A column the header lacks, or a cell past a row's end, reads as an
+    empty cell, which matches anything."""
     pick = None if None in positions else itemgetter(*positions)
     width = max(i for i in positions if i is not None) + 1
     labels = _Memo(str.strip)
+
+    def labelled():
+        for row, _, line_number in reader:
+            if pick is not None and len(row) >= width:
+                cells = pick(row)
+            else:
+                cells = [row[i] if i is not None and i < len(row) else "" for i in positions]
+            label = labels[cells[0]]
+            if not label:
+                if not "".join(row).strip():
+                    continue
+                raise HeraError(f"{path}: line {line_number}: empty label cell")
+            yield cells, label, line_number
+
+    names = [header[i] if i is not None else column
+             for i, column in zip(positions[1:], MATCH_COLUMNS)]
+    new = tuple.__new__
+    for label, line_number, start_us, last_us, key in _match_cells(
+            path, names, range(1, 8), labelled()):
+        yield new(GroundTruthEntry, (label, line_number, start_us, last_us, *key))
+
+
+def _match_cells(path, names, positions, rows, empty_is_bad=False):
+    """Yield (item, line number, stime_us, ltime_us, (proto, saddr, sport,
+    daddr, dport)) for each (cells, item, line number) of `rows`, reading
+    the cells at `positions`, those of MATCH_COLUMNS as the header
+    `names` them, by one rule: surrounding whitespace is not part of a
+    value, and an empty cell reads as None (unless `empty_is_bad`, then an
+    empty time or port is a bad value). The first cell in that order that
+    is missing or does not convert raises, naming the line of the file at
+    `path` that the row starts on."""
+    pick = itemgetter(*positions)
     protos = _Memo(lambda text: text.strip().lower() or None)
     addrs = _Memo(lambda text: _canonical_addr(text.strip()) or None)
-    new = tuple.__new__
-    for row_number, (row, _, _) in enumerate(reader, start=2):
-        if pick is not None and len(row) >= width:
-            cells = pick(row)
-        else:
-            cells = [row[i] if i is not None and i < len(row) else "" for i in positions]
-        label, start, last, proto, src, sport, dst, dport = cells
-        label = labels[label]
-        if not label:
-            if not "".join(row).strip():
-                continue
-            raise HeraError(f"{path}: row {row_number}: empty label cell")
-        yield new(GroundTruthEntry, (
-            label, row_number,
-            int(start.replace(".", "")) if _WRITTEN_TIME(start)
-            else _timestamp(start, row_number, path),
-            int(last.replace(".", "")) if _WRITTEN_TIME(last)
-            else _timestamp(last, row_number, path),
-            protos[proto],
-            addrs.setdefault(src, src) if ":" not in src and src and src.strip() == src
-            else addrs[src],
-            int(sport) if sport.isdigit() and sport.isascii() and len(sport) <= MAX_DIGITS
-            else _port(sport, "sport", row_number, path),
-            addrs.setdefault(dst, dst) if ":" not in dst and dst and dst.strip() == dst
-            else addrs[dst],
-            int(dport) if dport.isdigit() and dport.isascii() and len(dport) <= MAX_DIGITS
-            else _port(dport, "dport", row_number, path)))
 
+    def number(parse, text):
+        text = text.strip()
+        return parse(text) if text or empty_is_bad else None
 
-def _timestamp(text: str, row_number: int, path) -> int | None:
-    text = text.strip()
-    if not text:
-        return None
-    try:
-        return text_to_us(text)
-    except ValueError:
-        raise HeraError(
-            f"{path}: row {row_number}: malformed timestamp {excerpt(text)}") from None
-
-
-def _port(text: str, column: str, row_number: int, path) -> int | None:
-    text = text.strip()
-    if not text:
-        return None
-    try:
-        return text_to_int(text)
-    except ValueError:
-        raise HeraError(
-            f"{path}: row {row_number}: bad {column} value {excerpt(text)}") from None
+    for row, item, line_number in rows:
+        try:
+            stime, ltime, proto, saddr, daddr, sport, dport = pick(row)
+            view = (item, line_number,
+                    int(stime.replace(".", "")) if _WRITTEN_TIME(stime)
+                    else number(text_to_us, stime),
+                    int(ltime.replace(".", "")) if _WRITTEN_TIME(ltime)
+                    else number(text_to_us, ltime),
+                    (protos[proto],
+                     saddr if saddr and ":" not in saddr and saddr.strip() == saddr
+                     else addrs[saddr],
+                     int(sport) if sport.isdigit() and sport.isascii() and len(sport) <= MAX_DIGITS
+                     else number(text_to_int, sport),
+                     daddr if daddr and ":" not in daddr and daddr.strip() == daddr
+                     else addrs[daddr],
+                     int(dport) if dport.isdigit() and dport.isascii() and len(dport) <= MAX_DIGITS
+                     else number(text_to_int, dport)))
+        except (ValueError, IndexError):  # a row with a bad cell: name the first
+            for name, position, parse in zip(names, positions, _CELL_PARSERS):
+                where = f"{_where(path)}line {line_number}, column {name!r}"
+                if position >= len(row):
+                    raise HeraError(f"{where}: missing cell") from None
+                try:
+                    number(parse, row[position])
+                except ValueError:
+                    raise HeraError(f"{where}: bad value {excerpt(row[position])}") from None
+        yield view
 
 
 class LabelSummary(NamedTuple):
@@ -196,68 +215,12 @@ class LabelSummary(NamedTuple):
         return self.total - self.benign
 
 
-# Converters of the match cells that can reject their text.
-_CELL_PARSERS = {"stime": text_to_us, "ltime": text_to_us, "sport": text_to_int,
-                 "dport": text_to_int}
-
-
 def match_width(header) -> int:
     """How many leading cells of a dataset row labelling reads: all of
     them up to its last match column, or every cell (-1) when the header
-    lacks one, which `_row_views` then reports."""
-    if not set(MATCH_COLUMNS) <= set(header):
-        return -1
-    return max(header.index(col) for col in MATCH_COLUMNS) + 1
-
-
-def _row_views(header, rows, path=None):
-    """Yield (item, (stime_us, ltime_us, (proto, saddr, sport, daddr,
-    dport))) for each (cells, item, line number) of `rows`, the number
-    being the line of the CSV at `path` that the row starts on. Only the
-    cells up to the last match column are read, each by the ground
-    truth's rule: surrounding whitespace is not part of its value."""
-    positions = []
-    for col in MATCH_COLUMNS:
-        try:
-            positions.append(header.index(col))
-        except ValueError:
-            raise HeraError(
-                f"{_where(path)}dataset is missing required column {col!r}") from None
-    pick = itemgetter(*positions)
-    # Read only for text with a ':' or surrounding whitespace.
-    addrs = _Memo(lambda text: _canonical_addr(text.strip()))
-    for row, item, line_number in rows:
-        try:
-            stime, ltime, proto, saddr, daddr, sport, dport = pick(row)
-            view = (int(stime.replace(".", "")) if _WRITTEN_TIME(stime) else text_to_us(stime),
-                    int(ltime.replace(".", "")) if _WRITTEN_TIME(ltime) else text_to_us(ltime),
-                    (proto.strip().lower(),
-                     saddr if ":" not in saddr and saddr.strip() == saddr else addrs[saddr],
-                     int(sport) if sport.isdigit() and sport.isascii() and len(sport) <= MAX_DIGITS
-                     else text_to_int(sport.strip()),
-                     daddr if ":" not in daddr and daddr.strip() == daddr else addrs[daddr],
-                     int(dport) if dport.isdigit() and dport.isascii() and len(dport) <= MAX_DIGITS
-                     else text_to_int(dport.strip())))
-        except (ValueError, IndexError):
-            view = _general_view(row, line_number, positions, addrs, path)
-        yield item, view
-
-
-def _general_view(row, line_number, positions, addrs, path):
-    """A row's view converted cell by cell, for a row the written-form
-    path could not read; the first match cell that is missing or cannot
-    be converted raises."""
-    cells = []
-    for column, position in zip(MATCH_COLUMNS, positions):
-        if position >= len(row):
-            raise HeraError(f"{_where(path)}line {line_number}, column {column!r}: missing cell")
-        try:
-            cells.append(_CELL_PARSERS.get(column, str)(row[position].strip()))
-        except ValueError:
-            raise HeraError(f"{_where(path)}line {line_number}, column {column!r}: "
-                            f"bad value {excerpt(row[position])}") from None
-    stime, ltime, proto, saddr, daddr, sport, dport = cells
-    return stime, ltime, (proto.lower(), addrs[saddr], sport, addrs[daddr], dport)
+    lacks one, which `labelled_rows` then reports."""
+    positions = _positions(header, MATCH_COLUMNS)
+    return -1 if None in positions else max(positions) + 1
 
 
 def match_entry(entry: GroundTruthEntry, stime_us: int, ltime_us: int) -> bool:
@@ -398,8 +361,13 @@ def labelled_rows(
     A row gets the label of the first entry in list order, among those
     the index offers for its key and times, whose time window
     `match_entry` accepts."""
+    positions = _positions(header, MATCH_COLUMNS)
+    if None in positions:
+        column = MATCH_COLUMNS[positions.index(None)]
+        raise HeraError(f"{_where(path)}dataset is missing required column {column!r}")
     index = entries.match_index
-    for item, (stime_us, ltime_us, forward) in _row_views(header, rows, path):
+    for item, _, stime_us, ltime_us, forward in _match_cells(
+            path, MATCH_COLUMNS, positions, rows, empty_is_bad=True):
         proto, saddr, sport, daddr, dport = forward
         reverse = (proto, daddr, dport, saddr, sport) if bidirectional else None
         label = benign_label

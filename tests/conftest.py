@@ -19,8 +19,13 @@ _TESTS = Path(__file__).parent
 
 # Any warning fails the test that raised it: a ResourceWarning (a file left
 # open, closed by the garbage collector) or a DeprecationWarning as much as
-# an error. The filter is a mark, so it holds for this directory only.
-_WARNINGS_FAIL = pytest.mark.filterwarnings("error")
+# an error. The filter is a mark, so it holds for this directory only. One
+# third-party warning is let through: Hypothesis, reporting a failing
+# example, imports libcst, which subclasses the deprecated
+# mypy_extensions.TypedDict where both are installed; as an error, it would
+# end the session and lose the example.
+_WARNINGS_FAIL = pytest.mark.filterwarnings(
+    "error", r"ignore:mypy_extensions\.TypedDict is deprecated:DeprecationWarning:libcst")
 
 
 def pytest_collection_modifyitems(items):

@@ -3,31 +3,44 @@
 the match index in the pass that reads its line.
 
 `parse_ground_truth` here reads the rows into a list of entries, each
-made by the `GroundTruthEntry` constructor, each time and port through
-the package's bounded parsers (`_timestamp`, `_port`) and each address
-through the memo. `index_entries` then groups the entries by shape and
-key and turns every bucket of several entries into a max-end segment
-tree (`time_sorted`), and a bucket of one entry into its position, the
-form `labelling.labelled_rows` reads. `OracleGroundTruth` carries that
-index, so `labelled_rows` labels through it as it would through the one-pass
+made by the `GroundTruthEntry` constructor, each cell read on its own by
+the rule README states: each time and port by the reference parsers of
+`helpers`, each address by `ipaddress`, and an error message written
+out here. `index_entries` then groups the entries by shape and key and
+turns every bucket of several entries into a max-end segment tree
+(`time_sorted`), and a bucket of one entry into its position, the form
+`labelling.labelled_rows` reads. `OracleGroundTruth` carries that index,
+so `labelled_rows` labels through it as it would through the one-pass
 index."""
 
 from __future__ import annotations
 
+import ipaddress
 from math import inf
 from operator import itemgetter
 
 from hera.dataset import iter_csv
 from hera.errors import HeraError, excerpt
-from hera.labelling import (
-    _GT_COLUMNS,
-    GroundTruthEntry,
-    _canonical_addr,
-    _Memo,
-    _port,
-    _timestamp,
-    _TimeSorted,
-)
+from hera.labelling import GroundTruthEntry, _TimeSorted
+from hera.timefmt import address_to_text
+from helpers import reference_int, reference_us
+
+
+def canonical_address(text: str) -> str:
+    """The text `ipaddress` writes of an address; other text as it is."""
+    try:
+        return address_to_text(ipaddress.ip_address(text))
+    except ValueError:
+        return text
+
+
+# The match columns of a ground truth in the order their cells are
+# checked, that of the dataset's match columns, each with the entry field
+# it sets and the reader of its stripped, non-empty text.
+COLUMNS = (("starttime", "start_us", reference_us), ("lasttime", "last_us", reference_us),
+           ("proto", "proto", str.lower), ("srcaddr", "src_addr", canonical_address),
+           ("dstaddr", "dst_addr", canonical_address), ("sport", "sport", reference_int),
+           ("dport", "dport", reference_int))
 
 
 class OracleGroundTruth(list):
@@ -49,29 +62,30 @@ def parse_ground_truth(path) -> OracleGroundTruth:
     names = [name.strip().lower() for name in header]
     if "label" not in names:
         raise HeraError(f"{path}: no Label column in {excerpt(header)}")
-    positions = [names.index(name) if name in names else None for name in _GT_COLUMNS]
-    pick = None if None in positions else itemgetter(*positions)
-    width = max(i for i in positions if i is not None) + 1
-    labels = _Memo(str.strip)
-    protos = _Memo(lambda text: text.strip().lower() or None)
-    addrs = _Memo(lambda text: _canonical_addr(text.strip()) or None)
+
+    def cell(row, name):
+        """The row's cell in the first column headed `name`; "" when the
+        header or the row has none."""
+        position = names.index(name) if name in names else len(row)
+        return row[position] if position < len(row) else ""
+
     entries = []
-    for row_number, (row, _, _) in enumerate(reader, start=2):
-        if pick is not None and len(row) >= width:
-            cells = pick(row)
-        else:
-            cells = [row[i] if i is not None and i < len(row) else "" for i in positions]
-        label, start, last, proto, src, sport, dst, dport = cells
-        label = labels[label]
+    for row, _, line_number in reader:
+        label = cell(row, "label").strip()
         if not label:
             if not "".join(row).strip():
                 continue
-            raise HeraError(f"{path}: row {row_number}: empty label cell")
-        entries.append(GroundTruthEntry(
-            label, row_number, _timestamp(start, row_number, path),
-            _timestamp(last, row_number, path), protos[proto], addrs[src],
-            _port(sport, "sport", row_number, path), addrs[dst],
-            _port(dport, "dport", row_number, path)))
+            raise HeraError(f"{path}: line {line_number}: empty label cell")
+        fields = {}
+        for name, field, read in COLUMNS:
+            text = cell(row, name)
+            try:
+                fields[field] = read(text.strip()) if text.strip() else None
+            except ValueError:
+                column = header[names.index(name)]
+                raise HeraError(f"{path}: line {line_number}, column {column!r}: "
+                                f"bad value {excerpt(text)}") from None
+        entries.append(GroundTruthEntry(label, line_number, **fields))
     return OracleGroundTruth(entries)
 
 

@@ -1,8 +1,10 @@
 """Shortcuts several test modules share: orienting a flow's key or a
 record, running packets through a fresh flow table, reading one `.hera`
 record line or the field table of one, copying a record with some
-fields changed, and labelling rows without changing them."""
+fields changed, labelling rows without changing them, and reading a
+time or port cell by the rule README states."""
 
+import re
 from typing import NamedTuple
 
 from hera import herafile
@@ -16,6 +18,7 @@ from hera.flows import (
     FlowTable,
 )
 from hera.labelling import DEFAULT_BENIGN_LABEL, GroundTruth, LabelSummary, labelled_rows
+from hera.timefmt import MAX_DIGITS
 
 
 def canonical_key(saddr: str, sport: int, daddr: str, dport: int,
@@ -101,3 +104,27 @@ def label_rows(header, rows, entries, benign_label=DEFAULT_BENIGN_LABEL,
     labels = [label for _, label in labelled_rows(header, numbered, GroundTruth(entries), counts,
                                                   benign_label, bidirectional)]
     return labels, LabelSummary(len(labels), benign_label, counts)
+
+
+def reference_us(text: str) -> int:
+    """A time cell's microseconds by the rule README states, written apart
+    from timefmt: ASCII decimal seconds with an optional sign, truncated
+    to six decimals, of at most MAX_DIGITS digits in microseconds after
+    its leading zeros; ValueError for any other text."""
+    match = re.fullmatch(r"([+-]?)([0-9]*)(?:\.([0-9]*))?", text)
+    if match is None or not (match[2] or match[3]):
+        raise ValueError(text)
+    whole = match[2].lstrip("0")
+    if len(whole) > MAX_DIGITS - 6:
+        raise ValueError(text)
+    us = int(whole or "0") * 1_000_000 + int((match[3] or "")[:6].ljust(6, "0"))
+    return -us if match[1] == "-" else us
+
+
+def reference_int(text: str) -> int:
+    """A port cell's value by the same rule: ASCII `-?[0-9]+` of at most
+    MAX_DIGITS digits after its leading zeros."""
+    match = re.fullmatch(r"(-?)0*([0-9]+)", text)
+    if match is None or len(match[2]) > MAX_DIGITS:
+        raise ValueError(text)
+    return int(match[1] + match[2])

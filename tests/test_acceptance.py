@@ -395,7 +395,7 @@ def big_labelling_case(rng):
         if rng.random() < 0.5:
             fields["dport"] = rng.choice([80, 443, 53, 9999])
         entries.append(GroundTruthEntry(
-            label=f"Attack{n % 9}", row_number=n + 2, **fields))
+            label=f"Attack{n % 9}", line_number=n + 2, **fields))
     return rows, entries
 
 

@@ -552,9 +552,9 @@ LONG = 200_000  # characters in the cell or token an error message is about
      "no Label column in ['SrcAddr', 'hhh"),
     ("label", "gt.csv", b"SrcAddr,Label\n",
      b"StartTime,Label\n" + b"t" * (LONG // 2) + b",Probe\n",
-     "row 2: malformed timestamp 'ttt"),
+     "line 2, column 'StartTime': bad value 'ttt"),
     ("label", "gt.csv", b"SrcAddr,Label\n", b"Sport,Label\n" + b"p" * (LONG // 2) + b",Probe\n",
-     "row 2: bad sport value 'ppp"),
+     "line 2, column 'Sport': bad value 'ppp"),
 ], ids=["malformed-token", "duplicate-field", "unsupported-version", "dataset-cell",
         "missing-label-column", "gt-timestamp", "gt-port"])
 def test_an_error_message_quotes_a_bounded_excerpt_of_a_long_input(
@@ -799,11 +799,14 @@ def test_label_ground_truth_not_utf8_is_format_error(tmp_path, capsys):
 @pytest.mark.parametrize("gt_text, reason", [
     ("", "empty ground-truth file"),
     ("SrcAddr\n192.168.1.10\n", "no Label column in ['SrcAddr']"),
-    ("SrcAddr,Label\n192.168.1.10,Probe\n192.168.1.11, \n", "row 3: empty label cell"),
-    ("StartTime,Label\nnoon,Probe\n", "row 2: malformed timestamp 'noon'"),
-    ("Sport,Label\n8_0,Probe\n", "row 2: bad sport value '8_0'"),
-    ("Dport,Label\nhttp,Probe\n", "row 2: bad dport value 'http'"),
-], ids=["empty-file", "no-label-column", "empty-label", "timestamp", "sport", "dport"])
+    ("SrcAddr,Label\n192.168.1.10,Probe\n192.168.1.11, \n", "line 3: empty label cell"),
+    ("StartTime,Label\nnoon,Probe\n", "line 2, column 'StartTime': bad value 'noon'"),
+    ("Sport,Label\n8_0,Probe\n", "line 2, column 'Sport': bad value '8_0'"),
+    ("Dport,Label\nhttp,Probe\n", "line 2, column 'Dport': bad value 'http'"),
+    ("Sport,Label\n80,\"Two\nlines\"\n8_0,Probe\n", "line 4, column 'Sport': bad value '8_0'"),
+    (" SPORT ,Label\n 8_0 ,Probe\n", "line 2, column ' SPORT ': bad value ' 8_0 '"),
+], ids=["empty-file", "no-label-column", "empty-label", "timestamp", "sport", "dport",
+        "after-a-quoted-line-break", "header-and-cell-as-written"])
 def test_label_malformed_ground_truth_is_format_error(tmp_path, capsys, gt_text, reason):
     dataset = tmp_path / "d.csv"
     dataset.write_text(MATCH_HEADER + GOOD_ROW, encoding="utf-8")
@@ -1006,7 +1009,8 @@ def test_run_with_bad_ground_truth_leaves_nothing(tmp_path, capsys, monkeypatch,
     assert main(["run", "--pcap", str(tmp_path / "*.pcap"), "--gt", str(gt),
                  "--flows-dir", str(flows), "--csv-dir", str(csv_dir),
                  "--jobs", jobs]) == 2
-    assert capsys.readouterr().err == f"hera: {gt}: row 2: malformed timestamp 'not-a-time'\n"
+    assert capsys.readouterr().err == (
+        f"hera: {gt}: line 2, column 'StartTime': bad value 'not-a-time'\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -16,10 +16,12 @@ from hera.features import (
     PRESET_CIC_IDS2017,
     PRESET_UNSW_NB15,
 )
+from hera.flows import ExportConfig
 from hera.herafile import KIND_CONVERTERS, HeraHeader, format_header
 from hera.timefmt import MAX_DIGITS, WRITTEN_INT, WRITTEN_TIME
 from helpers import record_field_kinds
 
+SEC = 1_000_000
 DOCS = Path(__file__).resolve().parent.parent / "docs"
 README = DOCS.parent / "README.md"
 
@@ -122,6 +124,29 @@ def test_readme_lists_each_flag_whose_workspace_key_is_not_its_name():
               if flag.startswith("--") and flag[2:].replace("-", "_") != key}
     assert listed == others == {"--gt": "ground_truth", "--in": "inputs",
                                 "--slack": "reorder_slack"}
+
+
+def defaults_us(text: str) -> list[float]:
+    """Each "(default N)" of `text`, N seconds, in microseconds."""
+    return [float(seconds) * SEC for seconds in re.findall(r"\(default ([0-9.]+)\)", text)]
+
+
+def test_export_time_defaults_in_help_and_readme_are_export_configs():
+    """`ExportConfig` alone holds the default interval and slack; the
+    "(default N)" of the flags' help and of README's `hera export` table
+    are copies of it, in seconds."""
+    [commands] = [action for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    section = README.read_text(encoding="utf-8").split("### `hera export`", 1)[1]
+    config = ExportConfig()
+    for flag, default_us in (("--interval", config.interval_us),
+                             ("--slack", config.reorder_slack_us)):
+        for command in ("export", "run"):
+            [help_text] = [action.help for action in commands.choices[command]._actions
+                           if flag in action.option_strings]
+            assert defaults_us(help_text) == [default_us], (command, flag)
+        [row] = re.findall(rf"^\| `{flag} N` \| (.*) \|$", section, flags=re.M)
+        assert defaults_us(row) == [default_us], flag
 
 
 def test_features_help_and_readme_name_exactly_the_presets():

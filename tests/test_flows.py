@@ -407,13 +407,6 @@ def test_empty_table_flushes_empty():
     assert FlowTable(ExportConfig()).flush() == []
 
 
-def test_flush_is_single_shot():
-    table = FlowTable(ExportConfig())
-    table.flush()
-    with pytest.raises(RuntimeError):
-        table.flush()
-
-
 def test_sequence_numbers_are_dense():
     recs = run(full_session())
     assert [r.seq for r in recs] == list(range(len(recs)))

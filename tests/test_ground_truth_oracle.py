@@ -158,4 +158,5 @@ def test_a_port_past_the_digit_bound_is_refused_by_both_readers(tmp_path):
     path = tmp_path / "gt.csv"
     path.write_text("Sport,Label\n1" + "0" * 40 + ",DoS\n", encoding="utf-8")
     made, expected = parsed(parse_ground_truth, path), parsed(oracle.parse_ground_truth, path)
-    assert made == expected == (HeraError, f"{path}: row 2: bad sport value '1{'0' * 40}'")
+    assert made == expected == (
+        HeraError, f"{path}: line 2, column 'Sport': bad value '1{'0' * 40}'")

@@ -1,7 +1,6 @@
 import csv
 import ipaddress
 import random
-import re
 import sys
 
 import pytest
@@ -20,8 +19,8 @@ from hera.labelling import (
     parse_ground_truth,
     write_label_summary,
 )
-from hera.timefmt import MAX_DIGITS, address_to_text, text_to_us
-from helpers import label_rows
+from hera.timefmt import address_to_text, text_to_us
+from helpers import label_rows, reference_int, reference_us
 
 SEC = 1_000_000
 HDR = ["stime", "ltime", "proto", "saddr", "sport", "daddr", "dport"]
@@ -45,8 +44,8 @@ def gt(tmp_path, text):
     return parse_ground_truth(path)
 
 
-def entry(label="DoS", row_number=2, **kw):
-    return GroundTruthEntry(label=label, row_number=row_number, **kw)
+def entry(label="DoS", line_number=2, **kw):
+    return GroundTruthEntry(label=label, line_number=line_number, **kw)
 
 
 # -- ground-truth parsing -----------------------------------------------------
@@ -61,7 +60,7 @@ def test_parse_full_row(tmp_path):
     assert entries == [
         GroundTruthEntry(
             label="Exploits",
-            row_number=2,
+            line_number=2,
             start_us=10_000_000,
             last_us=20_500_000,
             proto="tcp",
@@ -75,7 +74,7 @@ def test_parse_full_row(tmp_path):
 
 def test_parse_label_only_row_is_all_wildcard(tmp_path):
     entries = gt(tmp_path, "Label\nWorms\n")
-    assert entries == [GroundTruthEntry(label="Worms", row_number=2)]
+    assert entries == [GroundTruthEntry(label="Worms", line_number=2)]
     labels, _ = label_rows(HDR, [row(), row(proto="udp", sport="9")], entries)
     assert labels == ["Worms", "Worms"]
 
@@ -101,7 +100,7 @@ def test_parse_empty_cells_become_wildcards(tmp_path):
 
 def test_parse_preserves_file_order_and_row_numbers(tmp_path):
     entries = gt(tmp_path, "Label\nA\nB\n\nC\n")
-    assert [(e.label, e.row_number) for e in entries] == [
+    assert [(e.label, e.line_number) for e in entries] == [
         ("A", 2), ("B", 3), ("C", 5),
     ]
 
@@ -127,7 +126,7 @@ def test_parse_empty_file(tmp_path):
 def test_parse_empty_label_cell(tmp_path):
     with pytest.raises(HeraError) as err:
         gt(tmp_path, "Label,Proto\nDoS,tcp\n,udp\n")
-    assert str(err.value) == f"{tmp_path / 'gt.csv'}: row 3: empty label cell"
+    assert str(err.value) == f"{tmp_path / 'gt.csv'}: line 3: empty label cell"
 
 
 def test_parse_malformed_timestamp(tmp_path):
@@ -135,7 +134,8 @@ def test_parse_malformed_timestamp(tmp_path):
     for text in ("noon", "\u0661\u0662.5", "1" + "0" * 34 + ".5"):
         with pytest.raises(HeraError) as err:
             gt(tmp_path, f"StartTime,Label\n{text},DoS\n")
-        assert str(err.value) == f"{tmp_path / 'gt.csv'}: row 2: malformed timestamp {text!r}"
+        assert str(err.value) == (
+            f"{tmp_path / 'gt.csv'}: line 2, column 'StartTime': bad value {text!r}")
 
 
 def test_parse_malformed_port(tmp_path):
@@ -143,7 +143,7 @@ def test_parse_malformed_port(tmp_path):
     for text in ("http", "8_0", "\u0665\u0663", "1" + "0" * 40):
         with pytest.raises(HeraError) as err:
             gt(tmp_path, f"Sport,Label\n{text},DoS\n")
-        assert str(err.value) == f"{tmp_path / 'gt.csv'}: row 2: bad sport value {text!r}"
+        assert str(err.value) == f"{tmp_path / 'gt.csv'}: line 2, column 'Sport': bad value {text!r}"
 
 
 def test_parse_normalizes_proto_and_addresses(tmp_path):
@@ -187,8 +187,7 @@ def test_addresses_in_ground_truth_and_rows(tmp_path, text, canonical):
     assert labelling._canonical_addr(text) == canonical_or_itself(text) == canonical
     entries = gt(tmp_path, f"SrcAddr,Label\n{text},DoS\n")
     assert entries[0].src_addr == canonical
-    views = labelling._row_views(HDR, [(row(saddr=text), None, 2)])
-    assert [view[2][1] for _, view in views] == [canonical]
+    assert one([entry(src_addr=canonical)], row(saddr=text)) == "DoS"
 
 
 def test_dataset_match_cells_are_read_without_surrounding_whitespace(tmp_path):
@@ -226,52 +225,31 @@ def parsed_cells(path, start, last, sport, dport):
     return made.start_us, made.last_us, made.sport, made.dport
 
 
-def reference_us(text: str) -> int:
-    """A time cell's microseconds by the rule README states, written apart
-    from timefmt: ASCII decimal seconds with an optional sign, truncated
-    to six decimals, of at most MAX_DIGITS digits in microseconds after
-    its leading zeros; ValueError for any other text."""
-    match = re.fullmatch(r"([+-]?)([0-9]*)(?:\.([0-9]*))?", text)
-    if match is None or not (match[2] or match[3]):
-        raise ValueError(text)
-    whole = match[2].lstrip("0")
-    if len(whole) > MAX_DIGITS - 6:
-        raise ValueError(text)
-    us = int(whole or "0") * SEC + int((match[3] or "")[:6].ljust(6, "0"))
-    return -us if match[1] == "-" else us
-
-
-def reference_int(text: str) -> int:
-    """A port cell's value by the same rule: ASCII `-?[0-9]+` of at most
-    MAX_DIGITS digits after its leading zeros."""
-    match = re.fullmatch(r"(-?)0*([0-9]+)", text)
-    if match is None or len(match[2]) > MAX_DIGITS:
-        raise ValueError(text)
-    return int(match[1] + match[2])
-
-
 def oracle_cells(path, start, last, sport, dport):
-    """The same, from the reference parsers on each stripped cell."""
+    """The same, from the reference parsers on each stripped cell, an
+    empty one being None."""
     out = []
-    for text, column, parse in ((start, None, reference_us), (last, None, reference_us),
-                                (sport, "sport", reference_int), (dport, "dport", reference_int)):
-        text = text.strip()
-        if not text:
+    for column, text, parse in (("StartTime", start, reference_us),
+                                ("LastTime", last, reference_us),
+                                ("Sport", sport, reference_int), ("Dport", dport, reference_int)):
+        if not text.strip():
             out.append(None)
             continue
         try:
-            out.append(parse(text))
+            out.append(parse(text.strip()))
         except ValueError:
-            what = "malformed timestamp" if column is None else f"bad {column} value"
-            return f"{path}: row 2: {what} {excerpt(text)}"
+            return f"{path}: line 2, column {column!r}: bad value {excerpt(text)}"
     return tuple(out)
 
 
 def viewed_cells(stime, ltime, sport, dport):
-    """_row_views on one dataset row: its times and ports, or the error."""
+    """The dataset's cell reader on one row: its times and ports, or the
+    error."""
+    positions = [HDR.index(column) for column in labelling.MATCH_COLUMNS]
+    the_row = row(stime=stime, ltime=ltime, sport=sport, dport=dport)
     try:
-        [(_, (stime_us, ltime_us, key))] = labelling._row_views(
-            HDR, [(row(stime=stime, ltime=ltime, sport=sport, dport=dport), None, 2)])
+        [(_, _, stime_us, ltime_us, key)] = labelling._match_cells(
+            None, labelling.MATCH_COLUMNS, positions, [(the_row, None, 2)], empty_is_bad=True)
     except HeraError as exc:
         return str(exc)
     return stime_us, ltime_us, key[2], key[4]
@@ -336,10 +314,10 @@ def test_overlong_cells_end_in_their_errors(tmp_path):
     long_time = "1" * 5000 + ".000000"
     with pytest.raises(HeraError) as err:
         gt(tmp_path, f"StartTime,Label\n{long_time},DoS\n")
-    assert str(err.value) == f"{path}: row 2: malformed timestamp {excerpt(long_time)}"
+    assert str(err.value) == f"{path}: line 2, column 'StartTime': bad value {excerpt(long_time)}"
     with pytest.raises(HeraError) as err:
         gt(tmp_path, f"Sport,LastTime,Label\n{'8' * 5000},1.000000,DoS\n")
-    assert str(err.value) == f"{path}: row 2: bad sport value {excerpt('8' * 5000)}"
+    assert str(err.value) == f"{path}: line 2, column 'Sport': bad value {excerpt('8' * 5000)}"
     with pytest.raises(HeraError) as err:
         label_rows(HDR, [row(), row(dport="8" * 5000)], [])
     assert str(err.value) == f"line 3, column 'dport': bad value {excerpt('8' * 5000)}"
@@ -387,7 +365,7 @@ def test_proto_match_is_case_insensitive_via_parse(tmp_path):
 
 
 def test_first_matching_entry_wins():
-    entries = [entry(label="DoS", row_number=2), entry(label="Exploits", row_number=3)]
+    entries = [entry(label="DoS", line_number=2), entry(label="Exploits", line_number=3)]
     assert one(entries) == "DoS"
 
 
@@ -469,7 +447,7 @@ def random_case(seed):
             fields["dst_addr"] = rng.choice(hosts + ["10.0.2.1"])
         if rng.random() < 0.4:
             fields["dport"] = int(rng.choice(ports + ["9999"]))
-        entries.append(entry(label=f"Attack{n % 7}", row_number=n + 2, **fields))
+        entries.append(entry(label=f"Attack{n % 7}", line_number=n + 2, **fields))
     return rows, entries
 
 
@@ -557,13 +535,13 @@ def test_list_order_wins_over_duplicate_row_numbers():
     # index shapes, and the dport shape is met first, so neither the row
     # number nor the order of shapes can decide
     entries = [
-        entry(label="Other", row_number=7, dport=443),
-        entry(label="ByHost", row_number=7, src_addr="10.0.0.1"),
-        entry(label="ByPort", row_number=7, dport=80),
+        entry(label="Other", line_number=7, dport=443),
+        entry(label="ByHost", line_number=7, src_addr="10.0.0.1"),
+        entry(label="ByPort", line_number=7, dport=80),
     ]
     assert one(entries) == oracle_labels([row()], entries)[0] == "ByHost"
-    later_first = [entry(label="Late", row_number=9, dport=80),
-                   entry(label="Early", row_number=2, src_addr="10.0.0.1")]
+    later_first = [entry(label="Late", line_number=9, dport=80),
+                   entry(label="Early", line_number=2, src_addr="10.0.0.1")]
     assert one(later_first) == oracle_labels([row()], later_first)[0] == "Late"
 
 
@@ -623,7 +601,7 @@ def test_label_rows_tests_few_entries_per_row(monkeypatch, bidirectional):
                     rng.choice([22, 53, 80, 443])))
     tuples = sorted(tuples)
     entries = [
-        entry(label=f"Attack{n % 5}", row_number=n + 2, start_us=0, last_us=100 * SEC,
+        entry(label=f"Attack{n % 5}", line_number=n + 2, start_us=0, last_us=100 * SEC,
               proto=p, src_addr=sa, sport=sp, dst_addr=da, dport=dp)
         for n, (p, sa, sp, da, dp) in enumerate(tuples)
     ]
@@ -657,12 +635,12 @@ def test_one_tuple_listed_many_times_is_not_quadratic(monkeypatch, bidirectional
     tuple_fields = dict(proto="tcp", src_addr="10.0.0.1", sport=1234, dst_addr="10.0.0.2",
                         dport=80)
     entries = [
-        entry(label=f"Attack{k % 7}", row_number=k + 2, start_us=10 * k * SEC,
+        entry(label=f"Attack{k % 7}", line_number=k + 2, start_us=10 * k * SEC,
               last_us=(10 * k + 5) * SEC, **tuple_fields)
         for k in range(n)
     ]
     rows = [row(f"{10 * k + 2}.000000", f"{10 * k + 3}.500000") for k in range(n)]
-    spanning = entry(label="Span", row_number=n + 2, start_us=0, last_us=10 * n * SEC,
+    spanning = entry(label="Span", line_number=n + 2, start_us=0, last_us=10 * n * SEC,
                      **tuple_fields)
     for ground_truth in (entries, [*entries, spanning]):
         calls = count_match_calls(monkeypatch)
@@ -685,7 +663,7 @@ def test_small_buckets_are_not_scanned(monkeypatch, bidirectional):
         key = dict(proto="tcp", src_addr=f"10.0.{k // 256}.{k % 256}", sport=1000 + k,
                    dst_addr="10.9.0.1", dport=80)
         size = 2 + k % 7
-        entries += [entry(label=f"K{k}", row_number=len(entries) + j + 2,
+        entries += [entry(label=f"K{k}", line_number=len(entries) + j + 2,
                           start_us=100 * j * SEC, last_us=(100 * j + 10) * SEC, **key)
                     for j in range(size)]
         for start in rng.sample(range(100 * size), 5):
@@ -710,7 +688,7 @@ def test_small_buckets_are_not_scanned(monkeypatch, bidirectional):
 
 def test_earliest_entry_in_file_order_wins_over_earlier_start():
     windows = [(50, 60), (0, 100), (55, 58), (0, None), (None, 5)]
-    entries = [entry(label=f"E{k}", row_number=k + 2, src_addr="10.0.0.1", dport=80,
+    entries = [entry(label=f"E{k}", line_number=k + 2, src_addr="10.0.0.1", dport=80,
                      start_us=None if a is None else a * SEC,
                      last_us=None if b is None else b * SEC)
                for k, (a, b) in enumerate(windows)]
@@ -735,7 +713,7 @@ def test_time_sorted_buckets_match_oracle_on_overlapping_windows(seed):
             fields["start_us"] = start * SEC
         if rng.random() < 0.9:
             fields["last_us"] = (start + rng.randrange(0, 200)) * SEC
-        entries.append(entry(label=f"L{k}", row_number=k + 2, **fields))
+        entries.append(entry(label=f"L{k}", line_number=k + 2, **fields))
     rows = []
     for _ in range(400):
         start = rng.randrange(-50, 1250)
@@ -769,9 +747,9 @@ def test_summary_layout_benign_first_then_desc_count_then_name():
         + [row()] * 2
     )
     entries = [
-        entry(label="Scan", row_number=2, src_addr="10.0.0.3"),
-        entry(label="DoS", row_number=3, src_addr="10.0.0.4"),
-        entry(label="Worm", row_number=4, src_addr="10.0.0.5"),
+        entry(label="Scan", line_number=2, src_addr="10.0.0.3"),
+        entry(label="DoS", line_number=3, src_addr="10.0.0.4"),
+        entry(label="Worm", line_number=4, src_addr="10.0.0.5"),
     ]
     _, summary = label_rows(HDR, rows, entries)
     assert format_label_summary(summary) == (
