@@ -132,6 +132,10 @@ def _add_label_flags(cmd) -> None:
 
 # -- staged output -----------------------------------------------------
 
+EXPORT_OUTPUTS = (".hera", ".stats.txt")
+DATASET_OUTPUTS = (".csv", ".stats.txt")
+LABEL_OUTPUTS = (".labelled.csv", ".labels.txt")
+
 
 class OutputStage:
     """Claim output paths up front, have them written as .part files, and
@@ -150,7 +154,7 @@ class OutputStage:
         self._made: list[Path] = []
 
     def claim(self, directory: Path, stem: str, *suffixes: str) -> list[Path]:
-        """The .part paths standing in for `stem + suffix` in `directory`."""
+        """The .part paths standing in for `stem + suffix` in `directory`, each claimed once."""
         for suffix in suffixes:
             final = directory / (stem + suffix)
             if final.is_dir():
@@ -201,23 +205,15 @@ def _expand_inputs(patterns, flag: str) -> list[Path]:
     if not patterns:
         raise UsageError(f"no input files: pass {flag} at least once")
     # A pattern that matches no file is its own path, for the open to report.
-    paths = [Path(p) for pattern in patterns for p in sorted(glob.glob(pattern)) or [pattern]]
-    stems = {}
-    for path in paths:
-        other = stems.setdefault(path.stem, path)
-        if other != path:
-            raise UsageError(f"inputs {other} and {path} would both produce outputs "
-                             f"named {path.stem!r}")
-    return paths
+    return [Path(p) for pattern in patterns for p in sorted(glob.glob(pattern)) or [pattern]]
 
 
 def _export_config(settings: Settings) -> ExportConfig:
     """The export settings; a time that no flag or workspace key sets
     keeps ExportConfig's default. ExportConfig checks each time, and its
     error names the flag or workspace key that set it."""
-    from .flows import ExportConfig
-    times = {f"{name}_us": seconds_to_us(seconds)
-             for name in ("idle_timeout", "interval", "reorder_slack")
+    from .flows import EXPORT_TIMES, ExportConfig
+    times = {f"{name}_us": seconds_to_us(seconds) for name, _, _ in EXPORT_TIMES
              if (seconds := settings.number(name, None)) is not None}
     try:
         return ExportConfig(emit_management=not settings.flag("no_management", False), **times)
@@ -304,9 +300,10 @@ def _log_step(verbose: bool, step: str, name, started: float, counts: str) -> No
     _log(verbose, f"{step} {name}: {counts}, {time.perf_counter() - started:.3f} s")
 
 
-def _export_step(pcap, config: ExportConfig, hera_path, stats_path, verbose: bool) -> list:
+def _export_step(pcap, config: ExportConfig, paths, verbose: bool) -> list:
     from .dataset import compute_stats, write_stats
     from .herafile import write_hera
+    hera_path, stats_path = paths
     started = time.perf_counter()
     skipped = Counter()
     header, records, table = _kept(export_capture, pcap, config, skipped)
@@ -321,14 +318,13 @@ def _export_step(pcap, config: ExportConfig, hera_path, stats_path, verbose: boo
 
 
 def _dataset_step(name, started, records, options, paths, verbose: bool,
-                  ground_truth=None, label_options=None) -> None:
+                  ground_truth=None, label_options=None, label_paths=None) -> None:
     """Build the rows and write each to the CSV as it comes. Given a
     ground truth, each written row goes on to `_label_step` in the same
     pass with the line just written, so both log lines give that pass's
-    time. `paths` are the CSV and stats paths, then with a ground truth
-    the labelled CSV and summary."""
+    time."""
     from .dataset import csv_rows, dataset_rows, write_stats
-    csv_path, stats_path, *label_paths = paths
+    csv_path, stats_path = paths
     header, rows, stats = dataset_rows(records, **options)
     with csv_rows(csv_path, header) as write_row:
         # No record value holds a line break, so each row is one line.
@@ -337,7 +333,7 @@ def _dataset_step(name, started, records, options, paths, verbose: bool,
             count = sum(1 for _ in rows)
         else:
             summary = _label_step(csv_path, header, rows, ground_truth, label_options,
-                                  *label_paths)
+                                  label_paths)
             count = summary.total
     write_stats(stats_path, stats)
     _log_step(verbose, "dataset", name, started, f"{len(records)} records in, {count} rows out")
@@ -345,12 +341,12 @@ def _dataset_step(name, started, records, options, paths, verbose: bool,
         _log_label_step(verbose, name, started, summary)
 
 
-def _label_step(source, header, rows, ground_truth, options, csv_path,
-                summary_path) -> LabelSummary:
+def _label_step(source, header, rows, ground_truth, options, paths) -> LabelSummary:
     """Label the rows, (cells, line, line number) from the CSV at
     `source`, and write each line with its label as it comes; returns
     the summary, which it writes too, for the caller to log."""
     from .labelling import write_label_summary, write_labelled
+    csv_path, summary_path = paths
     summary = write_labelled(csv_path, header, rows, ground_truth, source=source, **options)
     write_label_summary(summary_path, summary)
     return summary
@@ -364,12 +360,14 @@ def _log_label_step(verbose: bool, name, started, summary) -> None:
 def _capture_chain(pcap, paths, export_config, dataset_options=None,
                    label_options=None, ground_truth=None, verbose=False) -> None:
     """Export one capture and, given dataset options, go on to the dataset
-    step, and the label step with it, in memory. Returns nothing: a worker
-    sends no records or rows back, and logs its own lines."""
-    records = _export_step(pcap, export_config, *paths[:2], verbose)
+    step, and the label step with it, in memory; `paths` holds each
+    stage's outputs. Returns nothing: a worker sends no records or rows
+    back, and logs its own lines."""
+    export_paths, dataset_paths, label_paths = paths
+    records = _export_step(pcap, export_config, export_paths, verbose)
     if dataset_options is not None:
-        _dataset_step(pcap, time.perf_counter(), records, dataset_options, paths[2:],
-                      verbose, ground_truth, label_options)
+        _dataset_step(pcap, time.perf_counter(), records, dataset_options, dataset_paths,
+                      verbose, ground_truth, label_options, label_paths)
 
 
 _worker_chain = None  # in a worker process: the chain its pool was started with
@@ -420,16 +418,29 @@ def _kept(build, *args):
 # -- subcommands -------------------------------------------------------
 
 
-def cmd_export(args, settings: Settings) -> None:
-    export_config = _export_config(settings)  # validated before any IO
+def _capture_cmd(args, settings: Settings, flows_dir: Path, csv_dir=None) -> None:
+    """Export each --pcap capture into `flows_dir` and, given `csv_dir`,
+    build its dataset there, labelled too under --gt."""
+    chain_options = dict(export_config=_export_config(settings), verbose=args.verbose)
+    if csv_dir:
+        chain_options.update(dataset_options=_dataset_options(settings),
+                             label_options=_label_options(settings))
+    gt = csv_dir and settings.text("ground_truth")
     jobs = _count(settings, "jobs", 1)
     pcaps = _expand_inputs(settings.paths("pcap"), "--pcap")
-    out_dir = Path(settings.text("out") or settings.text("flows_dir") or ".")
     with OutputStage(settings.flag("force", False), args.verbose) as stage:
-        paths = [stage.claim(out_dir, pcap.stem, ".hera", ".stats.txt") for pcap in pcaps]
-        chain = functools.partial(_capture_chain, export_config=export_config,
-                                  verbose=args.verbose)
-        _for_each_capture(jobs, chain, pcaps, paths)
+        paths = [(stage.claim(flows_dir, pcap.stem, *EXPORT_OUTPUTS),
+                  stage.claim(csv_dir, pcap.stem, *DATASET_OUTPUTS) if csv_dir else None,
+                  stage.claim(csv_dir, pcap.stem, *LABEL_OUTPUTS) if gt else None)
+                 for pcap in pcaps]
+        if gt:  # parsed once, before the first capture
+            from .labelling import parse_ground_truth
+            chain_options["ground_truth"] = _kept(parse_ground_truth, gt)
+        _for_each_capture(jobs, functools.partial(_capture_chain, **chain_options), pcaps, paths)
+
+
+def cmd_export(args, settings: Settings) -> None:
+    _capture_cmd(args, settings, Path(settings.text("out") or settings.text("flows_dir") or "."))
 
 
 def cmd_dataset(args, settings: Settings) -> None:
@@ -438,7 +449,7 @@ def cmd_dataset(args, settings: Settings) -> None:
     inputs = _expand_inputs(settings.paths("inputs"), "--in")
     out_dir = Path(settings.text("out") or settings.text("csv_dir") or ".")
     with OutputStage(settings.flag("force", False), args.verbose) as stage:
-        paths = [stage.claim(out_dir, path.stem, ".csv", ".stats.txt") for path in inputs]
+        paths = [stage.claim(out_dir, path.stem, *DATASET_OUTPUTS) for path in inputs]
         for path, targets in zip(inputs, paths):
             started = time.perf_counter()
             _dataset_step(path, started, _kept(read_hera, path).records, options, targets,
@@ -455,35 +466,20 @@ def cmd_label(args, settings: Settings) -> None:
     inputs = _expand_inputs(settings.paths("inputs"), "--in")
     out = settings.text("out")
     with OutputStage(settings.flag("force", False), args.verbose) as stage:
-        paths = [stage.claim(Path(out) if out else path.parent, path.stem,
-                             ".labelled.csv", ".labels.txt") for path in inputs]
+        paths = [stage.claim(Path(out) if out else path.parent, path.stem, *LABEL_OUTPUTS)
+                 for path in inputs]
         ground_truth = _kept(parse_ground_truth, gt)
         for path, targets in zip(inputs, paths):
             started = time.perf_counter()
             rows = iter_csv(path, match_width)
             header = next(rows, ([],))[0]
-            summary = _label_step(path, header, rows, ground_truth, options, *targets)
+            summary = _label_step(path, header, rows, ground_truth, options, targets)
             _log_label_step(args.verbose, path, started, summary)
 
 
 def cmd_run(args, settings: Settings) -> None:
-    gt = settings.text("ground_truth")
-    chain_options = dict(export_config=_export_config(settings),
-                         dataset_options=_dataset_options(settings),
-                         label_options=_label_options(settings), verbose=args.verbose)
-    jobs = _count(settings, "jobs", 1)
-    pcaps = _expand_inputs(settings.paths("pcap"), "--pcap")
-    flows_dir = Path(settings.text("flows_dir") or "flows")
-    csv_dir = Path(settings.text("csv_dir") or "csv")
-    csv_suffixes = (".csv", ".stats.txt") + ((".labelled.csv", ".labels.txt") if gt else ())
-    # One stage for all captures' outputs
-    with OutputStage(settings.flag("force", False), args.verbose) as stage:
-        paths = [stage.claim(flows_dir, pcap.stem, ".hera", ".stats.txt")
-                 + stage.claim(csv_dir, pcap.stem, *csv_suffixes) for pcap in pcaps]
-        if gt:  # parsed once, before the first capture
-            from .labelling import parse_ground_truth
-            chain_options["ground_truth"] = _kept(parse_ground_truth, gt)
-        _for_each_capture(jobs, functools.partial(_capture_chain, **chain_options), pcaps, paths)
+    _capture_cmd(args, settings, Path(settings.text("flows_dir") or "flows"),
+                 Path(settings.text("csv_dir") or "csv"))
 
 
 COMMANDS = {

@@ -293,8 +293,7 @@ DEFAULT_FEATURES = CATALOG_ORDER[:22]
 # Published feature sets mapped onto their nearest catalog entries.
 # Members with no catalog equivalent (retransmission counts, TCP base
 # sequence bookkeeping beyond the first, HTTP/FTP content features,
-# MAC/OUI columns, active/idle bulk statistics, label columns) are
-# documented as absent in docs/feature_catalog.csv.
+# MAC/OUI columns, active/idle bulk statistics, label columns) are left out.
 PRESET_UNSW_NB15 = ALWAYS_ON + (
     "tcpopt", "dur", "sbytes", "dbytes", "sttl", "dttl", "service",
     "sload", "dload", "spkts", "dpkts", "swin", "dwin", "stcpb", "dtcpb",

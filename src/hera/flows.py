@@ -63,6 +63,11 @@ class FlowKey(NamedTuple):
 
 MANAGEMENT_KEY = FlowKey("0.0.0.0", 0, "0.0.0.0", 0, MANAGEMENT_PROTO)
 
+# (name, least microseconds, rule) of each export time, in checking order.
+_POSITIVE = "must be a positive number of seconds, at least one microsecond"
+EXPORT_TIMES = (("interval", 1, _POSITIVE), ("idle_timeout", 1, _POSITIVE),
+                ("reorder_slack", 0, "must not be negative"))
+
 
 @slotted((
     ("interval_us", 60_000_000),
@@ -79,9 +84,7 @@ class ExportConfig:
         key."""
         if self.idle_timeout_us is None:
             self.idle_timeout_us = self.interval_us
-        positive = "must be a positive number of seconds, at least one microsecond"
-        for name, least, rule in (("interval", 1, positive), ("idle_timeout", 1, positive),
-                                  ("reorder_slack", 0, "must not be negative")):
+        for name, least, rule in EXPORT_TIMES:
             value = getattr(self, name + "_us")
             if value < least:
                 raise ValueError(f"{name} {rule}")

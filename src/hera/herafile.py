@@ -20,6 +20,7 @@ from .errors import HeraError, excerpt, not_utf8
 from .flows import (
     ENDPOINT_FIELDS,
     ENDPOINT_STATS,
+    EXPORT_TIMES,
     FLAG_TEXT,
     FLAG_VALUES,
     ORIENT_KEY,
@@ -321,7 +322,7 @@ def _read_header_line(line: str, header: HeraHeader, cfg_kwargs: dict) -> None:
     name, sep, value = line[1:].partition("=")
     if not sep:
         return
-    if name in ("interval", "idle_timeout", "reorder_slack"):
+    if any(name == key for key, _, _ in EXPORT_TIMES):
         setting = {name + "_us": text_to_us(value)}
         ExportConfig(**setting)  # the config's own range check, raised on this line
         cfg_kwargs.update(setting)

@@ -1,6 +1,7 @@
 import builtins
 import csv
 import gc
+import importlib
 import io
 import multiprocessing
 import os
@@ -211,16 +212,54 @@ def test_export_glob_and_multiple_inputs(tmp_path):
     assert tree(out) == ["a.hera", "a.stats.txt", "b.hera", "b.stats.txt"]
 
 
-def test_export_duplicate_stems_rejected(tmp_path, capsys):
-    one = tmp_path / "x" / "a.pcap"
-    two = tmp_path / "y" / "a.pcap"
-    one.parent.mkdir()
-    two.parent.mkdir()
-    sample_capture(one)
-    sample_capture(two)
-    assert main(["export", "--pcap", str(one), "--pcap", str(two),
-                 "--out", str(tmp_path / "flows")]) == 1
-    assert "a" in capsys.readouterr().err
+def same_stem_inputs(tmp_path):
+    """Directories x and y, each holding a capture `a.pcap`, its flow file
+    `flows/a.hera` and its dataset `csv/a.csv`, and a ground truth."""
+    for name in ("x", "y"):
+        (tmp_path / name).mkdir()
+        pcap = sample_capture(tmp_path / name / "a.pcap")
+        assert main(["run", "--pcap", str(pcap), "--flows-dir", str(pcap.parent / "flows"),
+                     "--csv-dir", str(pcap.parent / "csv")]) == 0
+    return tmp_path / "x", tmp_path / "y", write_gt(tmp_path / "gt.csv")
+
+
+@pytest.mark.parametrize("command, inputs, first_output", [
+    ("export", "a.pcap", "a.hera"),
+    ("dataset", "flows/a.hera", "a.csv"),
+    ("run", "a.pcap", "flows/a.hera"),
+    ("label", "csv/a.csv", "a.labelled.csv"),
+], ids=["export", "dataset", "run", "label"])
+def test_two_outputs_on_one_path_are_refused(tmp_path, capsys, command, inputs, first_output):
+    """Inputs of one stem whose outputs go to one directory: the second
+    claim of an output is a usage error naming it, and nothing is left."""
+    x, y, gt = same_stem_inputs(tmp_path)
+    before = tree(tmp_path)
+    out = tmp_path / "out"
+    flag = "--pcap" if inputs.endswith(".pcap") else "--in"
+    argv = [command, flag, str(x / inputs), flag, str(y / inputs)]
+    argv += {"run": ["--flows-dir", str(out / "flows"), "--csv-dir", str(out / "csv")],
+             "label": ["--out", str(out), "--gt", str(gt)]}.get(command, ["--out", str(out)])
+    capsys.readouterr()
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"hera: two outputs would be written to {out / first_output}\n")
+    assert not out.exists()
+    assert tree(tmp_path) == before
+
+
+def test_label_writes_same_stem_outputs_beside_each_input(tmp_path):
+    """Without --out each labelled output goes beside its own input, so
+    inputs of one stem from two directories do not collide."""
+    x, y, gt = same_stem_inputs(tmp_path)
+    alone = tmp_path / "alone"
+    assert main(["label", "--in", str(x / "csv" / "a.csv"), "--gt", str(gt),
+                 "--out", str(alone)]) == 0
+    assert main(["label", "--in", str(x / "csv" / "a.csv"), "--in", str(y / "csv" / "a.csv"),
+                 "--gt", str(gt)]) == 0
+    for directory in (x / "csv", y / "csv"):
+        assert tree(directory) == ["a.csv", "a.labelled.csv", "a.labels.txt", "a.stats.txt"]
+        for name in ("a.labelled.csv", "a.labels.txt"):
+            assert (directory / name).read_bytes() == (alone / name).read_bytes()
 
 
 def test_export_jobs_do_not_change_outputs(tmp_path):
@@ -650,6 +689,17 @@ def test_no_command_loads_dataclasses_inspect_logging_or_futures(tmp_path, comma
 def test_no_command_prints_usage(capsys):
     assert main([]) == 1
     assert "usage" in capsys.readouterr().err.lower()
+
+
+def test_the_console_script_resolves(capsys):
+    """The `hera` script of pyproject.toml names a function that runs the
+    CLI. The suite runs from the source tree, so a rename would otherwise
+    break only the installed command."""
+    text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?:^\[|\Z)", text, re.M | re.S)[1]
+    module, function = re.search(r'^hera\s*=\s*"([\w.]+):(\w+)"\s*$', scripts, re.M).groups()
+    assert getattr(importlib.import_module(module), function)([]) == 1
+    assert capsys.readouterr().err.startswith("usage: hera ")
 
 
 # -- label --------------------------------------------------------------------

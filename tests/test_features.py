@@ -4,6 +4,7 @@ import math
 import pytest
 
 import pcap_builder as pb
+from hera import labelling
 from hera.dataset import cluster
 from hera.errors import UsageError
 from hera.features import (
@@ -90,6 +91,11 @@ def test_catalog_names_unique():
 def test_first_22_are_the_default_preset():
     assert list(CATALOG_ORDER[:22]) == DEFAULT_22
     assert list(DEFAULT_FEATURES) == DEFAULT_22
+
+
+def test_always_on_is_rank_and_the_match_columns():
+    """Every dataset hera writes has every column `hera label` reads."""
+    assert ALWAYS_ON == ("rank", *labelling.MATCH_COLUMNS)
 
 
 def test_always_on_is_the_documented_eight():
