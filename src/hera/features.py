@@ -7,13 +7,15 @@ selection says. Ssaddr and Sdaddr are the two features computed across
 flows (windowed connection counts); everything else derives from a
 single record. Undefined values are empty cells, never zero.
 
-A cell is declared as a value kind plus a Python expression (see
-`Feature`); the kind's template in `kernels.TO_TEXT` turns the value
-into the cell's text. A statistic that exists once per side
+A cell is declared by its name, a value kind and a Python expression
+(see `Feature`); the kind's template in `kernels.TO_TEXT` turns the
+value into the cell's text. A statistic that exists once per side
 (`sbytes`/`dbytes`, ...) is declared once, in a `_sides(...)` call
-inside `CATALOG`, with `{side}` and `{e}` slots; `_sides` expands it
-into the source entry and then the destination entry. The TCP flag
-counts are built the same way by `_flag_count_features`.
+inside `CATALOG`, with an `{e}` slot for the side's prefix (`s` or `d`);
+`_sides` expands it into the source entry and then the destination
+entry. Each column's group, unit and description live in
+docs/feature_catalog.csv alone; tests/test_docs.py checks its names,
+order and preset marks against this module.
 
 Each selection of features is one function, generated from its cells'
 declarations on first use and cached: it computes the values the cells
@@ -89,15 +91,12 @@ class RowContext:
 
 class Feature(NamedTuple):
     name: str
-    group: str
-    unit: str
-    description: str
     kind: str  # a key of kernels.TO_TEXT
     # An expression over the record `r`, its key `k`, its source's and
     # destination's EndpointStats `s` and `d`, addresses `sa` and `da` and
     # ports `sp` and `dp` (`flows.RECORD_KERNEL_HEAD`), the RowContext `c`,
-    # and the row's shared `n`
-    # (packets), `dur` (ltime_us - stime_us) and `tcp` (a TCP record).
+    # and the row's shared `n` (packets), `dur` (ltime_us - stime_us) and
+    # `tcp` (a TCP record).
     value: str
 
 
@@ -107,28 +106,14 @@ _F = Feature
 def _sides(*stats) -> tuple[Feature, ...]:
     """The catalog entries of per-side statistics: every source entry,
     then every destination entry. Each statistic is (name without its
-    s/d prefix, group, unit, description with a {side} slot, kind, value
-    with an {e} slot for its side's EndpointStats)."""
-    return tuple(
-        _F(prefix + name, group, unit, description.format(side=side), kind, value.format(e=e))
-        for prefix, side, e in (("s", "source", "s"), ("d", "destination", "d"))
-        for name, group, unit, description, kind, value in stats
-    )
+    s/d prefix, kind, value with an {e} slot for its side's
+    EndpointStats, `s` or `d`, which is also the prefix)."""
+    return tuple(_F(e + name, kind, value.format(e=e))
+                 for e in "sd" for name, kind, value in stats)
 
 
-def _flag_count_features() -> tuple[Feature, ...]:
-    """The 18 TCP flag counts, empty for non-TCP records: both
-    directions, then the source's, then the destination's, each in
-    FIN SYN RST PSH ACK URG order."""
-    both, per_side = [], []
-    for flag in ("fin", "syn", "rst", "psh", "ack", "urg"):
-        name, upper = flag + "cnt", flag.upper()
-        both.append(_F(name, "flags", "", f"{upper} packets, both directions", "oint",
-                       f"s.{flag}_cnt + d.{flag}_cnt if tcp else None"))
-        per_side.append((name, "flags", "", "{side} " + upper + " packets", "oint",
-                         "{e}." + flag + "_cnt if tcp else None"))
-    return (*both, *_sides(*per_side))
-
+# The flags of the TCP flag counts (EndpointStats' `fin_cnt` ...), in order.
+_FLAGS = ("fin", "syn", "rst", "psh", "ack", "urg")
 
 # Slots for the catalog's values: statistics of {n} values of sum {total}
 # and sum of squares {sumsq}, None unless {n} > 0 (_US: us to seconds),
@@ -144,143 +129,101 @@ _PER_SECOND = "{count} * 1e6 / dur if dur > 0 else None"
 # the default preset. Each per-side statistic is declared once, in a
 # _sides(...) call at the position of its source entry.
 CATALOG: tuple[Feature, ...] = (
-    _F("FlowID", "identity", "", "daddr-saddr-dport-sport-proto", "text",
-       "f'{da}-{sa}-{dp}-{sp}-{k.proto}'"),
-    _F("rank", "identity", "", "dense output row index starting at 0", "int", "c.rank"),
-    _F("stime", "time", "s", "first packet time, epoch seconds", "time", "r.stime_us"),
-    _F("ltime", "time", "s", "last packet time, epoch seconds", "time", "r.ltime_us"),
-    _F("sport", "identity", "", "source port (ICMP type for icmp)", "int", "sp"),
-    _F("dport", "identity", "", "destination port (ICMP code for icmp)", "int", "dp"),
-    _F("saddr", "identity", "", "source address (flow initiator)", "text", "sa"),
-    _F("daddr", "identity", "", "destination address", "text", "da"),
-    _F("proto", "identity", "", "transport protocol, lowercase", "text", "k.proto"),
-    _F("bytes", "volume", "B", "total IP bytes both directions", "int", "s.bytes + d.bytes"),
-    *_sides(("bytes", "volume", "B", "IP bytes sent by the {side}", "int", "{e}.bytes")),
-    _F("pkts", "volume", "", "total packets both directions", "int", "n"),
-    *_sides(("pkts", "volume", "", "packets sent by the {side}", "int", "{e}.pkts")),
-    _F("dur", "time", "s", "ltime minus stime", "time", "dur"),
-    _F("runtime", "time", "s", "active runtime; sum of merged durations", "time",
-       "r.runtime_us"),
-    _F("idle", "time", "s", "time since last packet when record retired", "time", "r.idle_us"),
-    _F("flgs", "state", "", f"union of TCP flags seen, {FLAG_TEXT[-1]} order", "text",
-       "FLAG_TEXT[r.flgs]"),
-    _F("tcpopt", "state", "", "TCP connection state (REQ/CON/FIN/RST)", "oint", "r.tcp_state"),
-    _F("Ssaddr", "window-count", "", "flows with same service and saddr "
-       "in the --count-window window (default 100)", "oint", "c.ssaddr"),
-    _F("Sdaddr", "window-count", "", "flows with same service and daddr "
-       "in the --count-window window (default 100)", "oint", "c.sdaddr"),
+    _F("FlowID", "text", "f'{da}-{sa}-{dp}-{sp}-{k.proto}'"),
+    _F("rank", "int", "c.rank"),
+    _F("stime", "time", "r.stime_us"),
+    _F("ltime", "time", "r.ltime_us"),
+    _F("sport", "int", "sp"),
+    _F("dport", "int", "dp"),
+    _F("saddr", "text", "sa"),
+    _F("daddr", "text", "da"),
+    _F("proto", "text", "k.proto"),
+    _F("bytes", "int", "s.bytes + d.bytes"),
+    *_sides(("bytes", "int", "{e}.bytes")),
+    _F("pkts", "int", "n"),
+    *_sides(("pkts", "int", "{e}.pkts")),
+    _F("dur", "time", "dur"),
+    _F("runtime", "time", "r.runtime_us"),
+    _F("idle", "time", "r.idle_us"),
+    _F("flgs", "text", "FLAG_TEXT[r.flgs]"),
+    _F("tcpopt", "oint", "r.tcp_state"),
+    _F("Ssaddr", "oint", "c.ssaddr"),
+    _F("Sdaddr", "oint", "c.sdaddr"),
     # -- end of default preset ---------------------------------------
-    _F("service", "identity", "", "well-known service of the lower port", "text", "c.service"),
-    _F("slice", "meta", "", "slice index within the flow episode", "int", "r.slice_index"),
-    _F("mgmt", "meta", "", "1 for management records", "text",
-       "'1' if r.is_management else '0'"),
-    _F("ipver", "meta", "", "IP version (4 or 6)", "oint", "r.ip_version"),
-    _F("vlanid", "meta", "", "VLAN id if the flow was tagged", "oint", "r.vlan_id"),
-    _F("is_sm_ips_ports", "identity", "", "1 when source and destination "
-       "address and port are equal", "text", "'' if r.is_management else "
-       "'1' if sa == da and sp == dp else '0'"),
-    _F("pktratio", "volume", "", "dpkts over spkts", "float",
-       "d.pkts / s.pkts if s.pkts else None"),
-    _F("bytratio", "volume", "", "dbytes over sbytes", "float",
-       "d.bytes / s.bytes if s.bytes else None"),
-    *_sides(("maxsz", "size", "B", "largest {side} packet", "oint", "{e}.sz_max"),
-            ("minsz", "size", "B", "smallest {side} packet", "oint", "{e}.sz_min"),
-            ("meansz", "size", "B", "mean {side} packet size", "float",
-             _MEAN.format(total="{e}.bytes", n="{e}.pkts")),
-            ("stdsz", "size", "B", "std dev of {side} packet sizes", "float",
-             _STD.format(sumsq="{e}.sz_sumsq", total="{e}.bytes", n="{e}.pkts"))),
-    _F("maxsz", "size", "B", "largest packet either direction", "oint",
-       "opt_max(s.sz_max, d.sz_max)"),
-    _F("minsz", "size", "B", "smallest packet either direction", "oint",
-       "opt_min(s.sz_min, d.sz_min)"),
-    _F("meansz", "size", "B", "mean packet size both directions", "float",
-       _MEAN.format(total="(s.bytes + d.bytes)", n="n")),
-    _F("stdsz", "size", "B", "std dev of packet sizes both directions", "float",
+    _F("service", "text", "c.service"),
+    _F("slice", "int", "r.slice_index"),
+    _F("mgmt", "text", "'1' if r.is_management else '0'"),
+    _F("ipver", "oint", "r.ip_version"),
+    _F("vlanid", "oint", "r.vlan_id"),
+    _F("is_sm_ips_ports", "text",
+       "'' if r.is_management else '1' if sa == da and sp == dp else '0'"),
+    _F("pktratio", "float", "d.pkts / s.pkts if s.pkts else None"),
+    _F("bytratio", "float", "d.bytes / s.bytes if s.bytes else None"),
+    *_sides(("maxsz", "oint", "{e}.sz_max"),
+            ("minsz", "oint", "{e}.sz_min"),
+            ("meansz", "float", _MEAN.format(total="{e}.bytes", n="{e}.pkts")),
+            ("stdsz", "float", _STD.format(sumsq="{e}.sz_sumsq", total="{e}.bytes",
+                                           n="{e}.pkts"))),
+    _F("maxsz", "oint", "opt_max(s.sz_max, d.sz_max)"),
+    _F("minsz", "oint", "opt_min(s.sz_min, d.sz_min)"),
+    _F("meansz", "float", _MEAN.format(total="(s.bytes + d.bytes)", n="n")),
+    _F("stdsz", "float",
        _STD.format(sumsq="(s.sz_sumsq + d.sz_sumsq)", total="(s.bytes + d.bytes)", n="n")),
-    _F("varsz", "size", "B^2", "variance of packet sizes both directions", "float",
+    _F("varsz", "float",
        _VAR.format(sumsq="(s.sz_sumsq + d.sz_sumsq)", total="(s.bytes + d.bytes)", n="n")),
-    *_sides(("appbytes", "payload", "B", "payload bytes sent by the {side}", "int",
-             "{e}.appbytes")),
-    _F("appbytes", "payload", "B", "payload bytes both directions", "int",
-       "s.appbytes + d.appbytes"),
-    *_sides(("datapkts", "payload", "", "{side} packets with payload", "int", "{e}.datapkts")),
-    _F("datapkts", "payload", "", "packets with payload, both directions", "int",
-       "s.datapkts + d.datapkts"),
-    *_sides(("meanappsz", "payload", "B", "mean {side} payload per packet", "float",
-             _MEAN.format(total="{e}.appbytes", n="{e}.pkts"))),
-    _F("meanappsz", "payload", "B", "mean payload per packet, both directions", "float",
-       _MEAN.format(total="(s.appbytes + d.appbytes)", n="n")),
-    *_sides(("ttl", "ttl", "", "first {side} TTL seen", "oint", "{e}.ttl_first")),
-    *_sides(("minttl", "ttl", "", "smallest {side} TTL", "oint", "{e}.ttl_min"),
-            ("maxttl", "ttl", "", "largest {side} TTL", "oint", "{e}.ttl_max")),
-    *_sides(("tos", "ttl", "", "first {side} TOS / traffic class", "oint", "{e}.tos_first")),
-    _F("minttl", "ttl", "", "smallest TTL either direction", "oint",
-       "opt_min(s.ttl_min, d.ttl_min)"),
-    _F("maxttl", "ttl", "", "largest TTL either direction", "oint",
-       "opt_max(s.ttl_max, d.ttl_max)"),
-    *_sides(("win", "tcp", "", "first {side} TCP window", "oint", "{e}.win_first")),
-    *_sides(("tcpb", "tcp", "", "first {side} TCP sequence number", "oint", "{e}.tcpb_first")),
-    _F("synack", "handshake", "s", "SYN to SYN/ACK latency", "time", "r.synack_us"),
-    _F("ackdat", "handshake", "s", "SYN/ACK to completing ACK latency", "time", "r.ackdat_us"),
-    _F("tcprtt", "handshake", "s", "handshake round trip: synack + ackdat", "time",
+    *_sides(("appbytes", "int", "{e}.appbytes")),
+    _F("appbytes", "int", "s.appbytes + d.appbytes"),
+    *_sides(("datapkts", "int", "{e}.datapkts")),
+    _F("datapkts", "int", "s.datapkts + d.datapkts"),
+    *_sides(("meanappsz", "float", _MEAN.format(total="{e}.appbytes", n="{e}.pkts"))),
+    _F("meanappsz", "float", _MEAN.format(total="(s.appbytes + d.appbytes)", n="n")),
+    *_sides(("ttl", "oint", "{e}.ttl_first")),
+    *_sides(("minttl", "oint", "{e}.ttl_min"), ("maxttl", "oint", "{e}.ttl_max")),
+    *_sides(("tos", "oint", "{e}.tos_first")),
+    _F("minttl", "oint", "opt_min(s.ttl_min, d.ttl_min)"),
+    _F("maxttl", "oint", "opt_max(s.ttl_max, d.ttl_max)"),
+    *_sides(("win", "oint", "{e}.win_first")),
+    *_sides(("tcpb", "oint", "{e}.tcpb_first")),
+    _F("synack", "time", "r.synack_us"),
+    _F("ackdat", "time", "r.ackdat_us"),
+    _F("tcprtt", "time",
        "None if r.synack_us is None or r.ackdat_us is None else r.synack_us + r.ackdat_us"),
-    _F("load", "rate", "bit/s", "IP bits per second, both directions", "float",
-       _PER_SECOND.format(count="(s.bytes + d.bytes) * 8")),
-    *_sides(("load", "rate", "bit/s", "{side} IP bits per second", "float",
-             _PER_SECOND.format(count="{e}.bytes * 8"))),
-    _F("rate", "rate", "pkt/s", "packets per second, both directions", "float",
-       _PER_SECOND.format(count="n")),
-    *_sides(("rate", "rate", "pkt/s", "{side} packets per second", "float",
-             _PER_SECOND.format(count="{e}.pkts"))),
-    _F("appload", "rate", "bit/s", "payload bits per second, both directions", "float",
-       _PER_SECOND.format(count="(s.appbytes + d.appbytes) * 8")),
-    *_sides(("appload", "rate", "bit/s", "{side} payload bits per second", "float",
-             _PER_SECOND.format(count="{e}.appbytes * 8"))),
+    _F("load", "float", _PER_SECOND.format(count="(s.bytes + d.bytes) * 8")),
+    *_sides(("load", "float", _PER_SECOND.format(count="{e}.bytes * 8"))),
+    _F("rate", "float", _PER_SECOND.format(count="n")),
+    *_sides(("rate", "float", _PER_SECOND.format(count="{e}.pkts"))),
+    _F("appload", "float", _PER_SECOND.format(count="(s.appbytes + d.appbytes) * 8")),
+    *_sides(("appload", "float", _PER_SECOND.format(count="{e}.appbytes * 8"))),
     # A record of n packets has n - 1 inter-arrival gaps, and so has each side.
-    _F("intpkt", "iat", "s", "mean inter-arrival time, both directions", "float",
-       _MEAN_US.format(total="r.iat_sum_us", n="(n - 1)")),
-    *_sides(("intpkt", "iat", "s", "mean {side} inter-arrival time", "float",
-             _MEAN_US.format(total="{e}.iat_sum_us", n="({e}.pkts - 1)"))),
-    _F("jit", "iat", "s", "std dev of inter-arrival times, both directions", "float",
-       _STD_US.format(sumsq="r.iat_sumsq", total="r.iat_sum_us", n="(n - 1)")),
-    *_sides(("jit", "iat", "s", "std dev of {side} inter-arrival times", "float",
-             _STD_US.format(sumsq="{e}.iat_sumsq", total="{e}.iat_sum_us", n="({e}.pkts - 1)"))),
-    _F("minipt", "iat", "s", "smallest inter-arrival gap, both directions", "time",
-       "r.iat_min_us"),
-    *_sides(("minipt", "iat", "s", "smallest {side} inter-arrival gap", "time",
-             "{e}.iat_min_us")),
-    _F("maxipt", "iat", "s", "largest inter-arrival gap, both directions", "time",
-       "r.iat_max_us"),
-    *_sides(("maxipt", "iat", "s", "largest {side} inter-arrival gap", "time",
-             "{e}.iat_max_us")),
-    _F("totipt", "iat", "s", "sum of inter-arrival gaps, both directions", "time",
-       "r.iat_sum_us if n > 1 else None"),
-    *_sides(("totipt", "iat", "s", "sum of {side} inter-arrival gaps", "time",
-             "{e}.iat_sum_us if {e}.pkts > 1 else None")),
-    *_flag_count_features(),
-    *_sides(("stime", "direction-time", "s", "first {side} packet time", "time",
-             "{e}.first_ts_us"),
-            ("ltime", "direction-time", "s", "last {side} packet time", "time",
-             "{e}.last_ts_us")),
-    *_sides(("dur", "direction-time", "s", "{side} activity span", "time",
-             "None if {e}.first_ts_us is None or {e}.last_ts_us is None "
-             "else {e}.last_ts_us - {e}.first_ts_us")),
-    *_sides(("minappsz", "payload", "B", "smallest {side} payload", "oint", "{e}.app_min"),
-            ("maxappsz", "payload", "B", "largest {side} payload", "oint", "{e}.app_max")),
-    *_sides(("stdappsz", "payload", "B", "std dev of {side} payloads", "float",
+    _F("intpkt", "float", _MEAN_US.format(total="r.iat_sum_us", n="(n - 1)")),
+    *_sides(("intpkt", "float", _MEAN_US.format(total="{e}.iat_sum_us", n="({e}.pkts - 1)"))),
+    _F("jit", "float", _STD_US.format(sumsq="r.iat_sumsq", total="r.iat_sum_us", n="(n - 1)")),
+    *_sides(("jit", "float", _STD_US.format(sumsq="{e}.iat_sumsq", total="{e}.iat_sum_us",
+                                            n="({e}.pkts - 1)"))),
+    _F("minipt", "time", "r.iat_min_us"),
+    *_sides(("minipt", "time", "{e}.iat_min_us")),
+    _F("maxipt", "time", "r.iat_max_us"),
+    *_sides(("maxipt", "time", "{e}.iat_max_us")),
+    _F("totipt", "time", "r.iat_sum_us if n > 1 else None"),
+    *_sides(("totipt", "time", "{e}.iat_sum_us if {e}.pkts > 1 else None")),
+    # The TCP flag counts, empty for non-TCP records: both directions,
+    # then the source's, then the destination's.
+    *(_F(f + "cnt", "oint", f"s.{f}_cnt + d.{f}_cnt if tcp else None") for f in _FLAGS),
+    *_sides(*((f + "cnt", "oint", "{e}." + f + "_cnt if tcp else None") for f in _FLAGS)),
+    *_sides(("stime", "time", "{e}.first_ts_us"), ("ltime", "time", "{e}.last_ts_us")),
+    *_sides(("dur", "time", "None if {e}.first_ts_us is None or {e}.last_ts_us is None "
+                            "else {e}.last_ts_us - {e}.first_ts_us")),
+    *_sides(("minappsz", "oint", "{e}.app_min"), ("maxappsz", "oint", "{e}.app_max")),
+    *_sides(("stdappsz", "float",
              _STD.format(sumsq="{e}.app_sumsq", total="{e}.appbytes", n="{e}.pkts"))),
-    _F("minappsz", "payload", "B", "smallest payload either direction", "oint",
-       "opt_min(s.app_min, d.app_min)"),
-    _F("maxappsz", "payload", "B", "largest payload either direction", "oint",
-       "opt_max(s.app_max, d.app_max)"),
-    _F("stdappsz", "payload", "B", "std dev of payloads both directions", "float",
-       _STD.format(sumsq="(s.app_sumsq + d.app_sumsq)", total="(s.appbytes + d.appbytes)",
-                   n="n")),
-    _F("flows", "management", "", "flow episodes begun in a management window", "oint",
-       "r.flows"),
-    _F("seq", "meta", "", "record position in the flow file", "oint", "r.seq"),
-    _F("trans", "cluster", "", "records merged into this row", "int", "r.trans"),
-    _F("fragcnt", "meta", "", "non-first IP fragments in the flow", "int", "r.frag_count"),
+    _F("minappsz", "oint", "opt_min(s.app_min, d.app_min)"),
+    _F("maxappsz", "oint", "opt_max(s.app_max, d.app_max)"),
+    _F("stdappsz", "float", _STD.format(sumsq="(s.app_sumsq + d.app_sumsq)",
+                                        total="(s.appbytes + d.appbytes)", n="n")),
+    _F("flows", "oint", "r.flows"),
+    _F("seq", "oint", "r.seq"),
+    _F("trans", "int", "r.trans"),
+    _F("fragcnt", "int", "r.frag_count"),
 )
 
 _BY_NAME = {feature.name: feature for feature in CATALOG}

@@ -1,11 +1,12 @@
 """Ground-truth labelling of dataset rows.
 
 A ground-truth CSV names attacks by five-tuple fragments and a time
-window; only the Label column is mandatory, every other field is
-optional and an absent field matches anything. Rows are labelled by the
-first matching entry in file order, or with the benign label when
-nothing matches. Matching is directional (entry source against flow
-source) unless bidirectional matching is switched on.
+window. It must have the Label column and at least one match column
+(one with none would label every row); an absent or empty field
+matches anything. Rows are labelled by the first matching entry in
+file order, or with the benign label when nothing matches. Matching is
+directional (entry source against flow source) unless bidirectional
+matching is switched on.
 
 Cost model: entries are indexed by the match fields they pin, so a row's
 candidates are the entries whose pinned fields equal its own (or the
@@ -116,6 +117,9 @@ def parse_ground_truth(path) -> GroundTruth:
     names = [name.strip().lower() for name in header]
     if "label" not in names:
         raise HeraError(f"{path}: no Label column in {excerpt(header)}")
+    if not set(_GT_COLUMNS[1:]) & set(names):
+        raise HeraError(f"{path}: no StartTime, LastTime, Proto, SrcAddr, DstAddr, Sport "
+                        f"or Dport column in {excerpt(header)}")
     return GroundTruth(_entries(path, header, reader, _positions(names, _GT_COLUMNS)))
 
 

@@ -7,6 +7,10 @@ kernel `FlowTable.assign` does for the packet's sending endpoint, and
 `EndpointStats.merge` does: the code those two replaced, one statement
 per statistic. They share only the `EndpointStats` type with the
 package, so a disagreement points at the generated code.
+
+`oracle_record_merge` folds a later record into an earlier one by
+README's racluster rules, as `FlowRecord.merge` does, one statement per
+record-level field and `oracle_merge` for the two endpoints.
 """
 
 from __future__ import annotations
@@ -117,3 +121,39 @@ def oracle_merge(stats, other) -> None:
     stats.iat_max_us = _opt_max(stats.iat_max_us, other.iat_max_us)
     stats.first_ts_us = _opt_min(stats.first_ts_us, other.first_ts_us)
     stats.last_ts_us = _opt_max(stats.last_ts_us, other.last_ts_us)
+
+
+def oracle_record_merge(rec, other, prev_ltime_us) -> None:
+    """Fold `other`, the next record of `rec`'s key in stime order, into
+    `rec`; `prev_ltime_us` is the ltime of the record folded before
+    `other`, None when `rec` is the first."""
+    # The gap across the record boundary goes back into the IAT statistics,
+    # overall and per endpoint, but a management summary has no such gap.
+    if prev_ltime_us is not None and not other.is_management:
+        _observe_gap(rec, other.stime_us - prev_ltime_us)
+        if rec.a.last_ts_us is not None and other.a.first_ts_us is not None:
+            _observe_gap(rec.a, other.a.first_ts_us - rec.a.last_ts_us)
+        if rec.b.last_ts_us is not None and other.b.first_ts_us is not None:
+            _observe_gap(rec.b, other.b.first_ts_us - rec.b.last_ts_us)
+    rec.stime_us = min(rec.stime_us, other.stime_us)
+    rec.ltime_us = max(rec.ltime_us, other.ltime_us)
+    oracle_merge(rec.a, other.a)
+    oracle_merge(rec.b, other.b)
+    rec.flgs = rec.flgs | other.flgs
+    rec.runtime_us += other.runtime_us
+    rec.frag_count += other.frag_count
+    rec.trans += other.trans
+    rec.iat_sum_us += other.iat_sum_us
+    rec.iat_sumsq += other.iat_sumsq
+    rec.iat_min_us = _opt_min(rec.iat_min_us, other.iat_min_us)
+    rec.iat_max_us = _opt_max(rec.iat_max_us, other.iat_max_us)
+    if rec.synack_us is None:
+        rec.synack_us = other.synack_us
+    if rec.ackdat_us is None:
+        rec.ackdat_us = other.ackdat_us
+    if rec.vlan_id is None:
+        rec.vlan_id = other.vlan_id
+    if rec.ip_version is None:
+        rec.ip_version = other.ip_version
+    if other.flows is not None:
+        rec.flows = other.flows if rec.flows is None else rec.flows + other.flows

@@ -62,6 +62,9 @@ def parse_ground_truth(path) -> OracleGroundTruth:
     names = [name.strip().lower() for name in header]
     if "label" not in names:
         raise HeraError(f"{path}: no Label column in {excerpt(header)}")
+    if not {name for name, _, _ in COLUMNS} & set(names):
+        raise HeraError(f"{path}: no StartTime, LastTime, Proto, SrcAddr, DstAddr, Sport "
+                        f"or Dport column in {excerpt(header)}")
 
     def cell(row, name):
         """The row's cell in the first column headed `name`; "" when the

@@ -846,6 +846,9 @@ def test_label_ground_truth_not_utf8_is_format_error(tmp_path, capsys):
     assert "line 3, column 12: bytes are not UTF-8" in capsys.readouterr().err
 
 
+NO_MATCH_COLUMN = "no StartTime, LastTime, Proto, SrcAddr, DstAddr, Sport or Dport column"
+
+
 @pytest.mark.parametrize("gt_text, reason", [
     ("", "empty ground-truth file"),
     ("SrcAddr\n192.168.1.10\n", "no Label column in ['SrcAddr']"),
@@ -855,8 +858,12 @@ def test_label_ground_truth_not_utf8_is_format_error(tmp_path, capsys):
     ("Dport,Label\nhttp,Probe\n", "line 2, column 'Dport': bad value 'http'"),
     ("Sport,Label\n80,\"Two\nlines\"\n8_0,Probe\n", "line 4, column 'Sport': bad value '8_0'"),
     (" SPORT ,Label\n 8_0 ,Probe\n", "line 2, column ' SPORT ': bad value ' 8_0 '"),
+    ("Label\nWorms\n", NO_MATCH_COLUMN + " in ['Label']"),
+    ("Label,Start time,Protocol,Source IP\nX,1,tcp,1.2.3.4\n",
+     NO_MATCH_COLUMN + " in ['Label', 'Start time', 'Protocol', 'Source IP']"),
 ], ids=["empty-file", "no-label-column", "empty-label", "timestamp", "sport", "dport",
-        "after-a-quoted-line-break", "header-and-cell-as-written"])
+        "after-a-quoted-line-break", "header-and-cell-as-written", "label-only",
+        "no-match-column"])
 def test_label_malformed_ground_truth_is_format_error(tmp_path, capsys, gt_text, reason):
     dataset = tmp_path / "d.csv"
     dataset.write_text(MATCH_HEADER + GOOD_ROW, encoding="utf-8")
@@ -1061,6 +1068,21 @@ def test_run_with_bad_ground_truth_leaves_nothing(tmp_path, capsys, monkeypatch,
                  "--jobs", jobs]) == 2
     assert capsys.readouterr().err == (
         f"hera: {gt}: line 2, column 'StartTime': bad value 'not-a-time'\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("gt_text", ["Label\nWorms\n",
+                                     "Label,Start time,Protocol,Source IP\nX,1,tcp,1.2.3.4\n"],
+                         ids=["label-only", "no-match-column"])
+def test_run_with_no_match_column_in_ground_truth_leaves_nothing(
+        capture, tmp_path, capsys, gt_text):
+    """Such a ground truth would label every row: it is malformed."""
+    gt = write_gt(tmp_path / "gt.csv", gt_text)
+    header = gt_text.split("\n")[0].split(",")
+    assert main(["run", "--pcap", str(capture), "--gt", str(gt),
+                 "--flows-dir", str(tmp_path / "out" / "flows"),
+                 "--csv-dir", str(tmp_path / "out" / "csv")]) == 2
+    assert capsys.readouterr().err == f"hera: {gt}: {NO_MATCH_COLUMN} in {header}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -29,7 +29,6 @@ from hera.flows import (
 )
 from hera.pcap import CaptureReader, DecodedPacket
 from helpers import collect_flows, oriented, replace
-from test_docs import catalog_table
 from test_flows import flag_value
 
 SEC = 1_000_000
@@ -105,18 +104,6 @@ def test_always_on_is_the_documented_eight():
 
 def test_exactly_two_features_are_connection_counts():
     assert [f.name for f in CATALOG if f.name in ("Ssaddr", "Sdaddr")] == ["Ssaddr", "Sdaddr"]
-
-
-def test_catalog_table_is_consistent():
-    rows = catalog_table()
-    # header row plus one row per feature
-    assert len(rows) == 131
-    assert rows[0][0] == "position"
-    assert "name" in rows[0]
-    name_col = rows[0].index("name")
-    names = [row[name_col] for row in rows[1:]]
-    assert names == list(CATALOG_ORDER)
-    assert [row[0] for row in rows[1:]] == [str(i) for i in range(1, 131)]
 
 
 # -- selection --------------------------------------------------------------

@@ -5,11 +5,11 @@ writer and the written-form reader per record, and the packet kernel
 Each kernel is checked against its reference: `kernel_oracle` for the
 row and the writer, the general record reader for the written-form
 reader, `endpoint_oracle` for the endpoint fold of the packet kernel and
-for the merge. The call-count guards keep each kernel, the CSV line
-writer that takes the rows and the packet decoder straight-line: one
-Python-level call per cell, per field or per header would show up as
-dozens or hundreds; `dataset_rows` is held to a few calls per record
-around its row kernel.
+for the merges of endpoints and of records. The call-count guards keep
+each kernel, the CSV line writer that takes the rows and the packet
+decoder straight-line: one Python-level call per cell, per field or per
+header would show up as dozens or hundreds; `dataset_rows` is held to a
+few calls per record around its row kernel.
 """
 
 import io
@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pcap_builder as pb
-from endpoint_oracle import oracle_merge, oracle_update
+from endpoint_oracle import oracle_merge, oracle_record_merge, oracle_update
 from helpers import canonical_key, field_names, oriented, replace
 from hera import herafile
 from hera.dataset import dataset_rows, row_writer
@@ -181,6 +181,19 @@ def test_the_generated_merge_equals_the_oracle_merge(mine, theirs):
     oracle_merge(expected, theirs)
     mine.merge(theirs)
     assert mine == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(records(), records(), optional_times)
+def test_the_record_merge_equals_the_oracle_record_merge(rec, other, prev_ltime_us):
+    """Records with any mix of None and present values, management or
+    not, folded with and without the ltime of the record before."""
+    expected = replace(rec, a=replace(rec.a), b=replace(rec.b))
+    unchanged = replace(other, a=replace(other.a), b=replace(other.b))
+    oracle_record_merge(expected, other, prev_ltime_us)
+    rec.merge(other, prev_ltime_us)
+    assert rec == expected
+    assert other == unchanged
 
 
 @st.composite

@@ -72,11 +72,17 @@ def test_parse_full_row(tmp_path):
     ]
 
 
-def test_parse_label_only_row_is_all_wildcard(tmp_path):
-    entries = gt(tmp_path, "Label\nWorms\n")
-    assert entries == [GroundTruthEntry(label="Worms", line_number=2)]
-    labels, _ = label_rows(HDR, [row(), row(proto="udp", sport="9")], entries)
-    assert labels == ["Worms", "Worms"]
+@pytest.mark.parametrize("text", [
+    "Label\nWorms\n",
+    "Label,Start time,Protocol,Source IP\nX,1,tcp,1.2.3.4\n",
+], ids=["label-only", "no-match-column"])
+def test_parse_refuses_a_ground_truth_with_no_match_column(tmp_path, text):
+    """Its entries would label every row: the file is malformed."""
+    header = text.split("\n")[0].split(",")
+    with pytest.raises(HeraError) as err:
+        gt(tmp_path, text)
+    assert str(err.value) == (f"{tmp_path / 'gt.csv'}: no StartTime, LastTime, Proto, SrcAddr, "
+                              f"DstAddr, Sport or Dport column in {header}")
 
 
 def test_parse_headers_case_insensitive(tmp_path):
@@ -99,14 +105,14 @@ def test_parse_empty_cells_become_wildcards(tmp_path):
 
 
 def test_parse_preserves_file_order_and_row_numbers(tmp_path):
-    entries = gt(tmp_path, "Label\nA\nB\n\nC\n")
+    entries = gt(tmp_path, "Label,Proto\nA,tcp\nB,tcp\n\nC,tcp\n")
     assert [(e.label, e.line_number) for e in entries] == [
         ("A", 2), ("B", 3), ("C", 5),
     ]
 
 
 def test_parse_unknown_columns_ignored(tmp_path):
-    entries = gt(tmp_path, "AttackCategory,Label,Notes\nrecon,Scan,whatever\n")
+    entries = gt(tmp_path, "AttackCategory,Label,Notes,Sport\nrecon,Scan,whatever,\n")
     assert entries[0].label == "Scan"
     assert entries[0].proto is None
 
