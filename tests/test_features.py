@@ -29,6 +29,7 @@ from hera.flows import (
 )
 from hera.pcap import CaptureReader, DecodedPacket
 from helpers import collect_flows, oriented, replace
+from test_docs import catalog_rows
 from test_flows import flag_value
 
 SEC = 1_000_000
@@ -104,6 +105,14 @@ def test_always_on_is_the_documented_eight():
 
 def test_exactly_two_features_are_connection_counts():
     assert [f.name for f in CATALOG if f.name in ("Ssaddr", "Sdaddr")] == ["Ssaddr", "Sdaddr"]
+
+
+def test_catalog_table_is_consistent():
+    # one row per feature after the header, which catalog_rows checks
+    rows = catalog_rows()
+    assert len(rows) == 130
+    assert [row["name"] for row in rows] == list(CATALOG_ORDER)
+    assert [row["position"] for row in rows] == [str(i) for i in range(1, 131)]
 
 
 # -- selection --------------------------------------------------------------
